@@ -231,6 +231,12 @@ pub(crate) struct CoreMetrics {
     wal_truncated_bytes: Arc<MetricCounter>,
     wal_sync_ns: Arc<MetricHistogram>,
     read_only: Arc<MetricGauge>,
+    // Storage health: what the write path costs and what it has piled up.
+    apply_ns: Arc<MetricHistogram>,
+    compact_ns: Arc<MetricHistogram>,
+    overlay_edges: Arc<MetricGauge>,
+    epoch: Arc<MetricGauge>,
+    wal_bytes_since_checkpoint: Arc<MetricGauge>,
 }
 
 impl CoreMetrics {
@@ -251,6 +257,12 @@ impl CoreMetrics {
             wal_truncated_bytes: registry.counter("omega_core_wal_truncated_bytes_total", &[]),
             wal_sync_ns: registry.histogram("omega_core_wal_sync_ns", &[]),
             read_only: registry.gauge("omega_core_read_only", &[]),
+            apply_ns: registry.histogram("omega_core_apply_ns", &[]),
+            compact_ns: registry.histogram("omega_core_compact_ns", &[]),
+            overlay_edges: registry.gauge("omega_core_overlay_edges", &[]),
+            epoch: registry.gauge("omega_core_epoch", &[]),
+            wal_bytes_since_checkpoint: registry
+                .gauge("omega_core_wal_bytes_since_checkpoint", &[]),
             registry,
         })
     }
@@ -422,6 +434,15 @@ impl Database {
         self.inner.storage.load()
     }
 
+    /// Makes `next` the epoch new readers see (one pointer store; the
+    /// caller is the only writer) and points the storage gauges at it.
+    fn publish(&self, next: Arc<GraphData>) {
+        let metrics = &self.inner.metrics;
+        metrics.epoch.set(next.epoch as i64);
+        metrics.overlay_edges.set(next.graph.overlay_edges() as i64);
+        self.inner.storage.store(next);
+    }
+
     /// The shared conjunct worker pool.
     pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
         &self.inner.pool
@@ -566,9 +587,15 @@ impl Database {
 
     /// Applies `batch` to the current graph, publishing a new storage epoch.
     ///
-    /// The frozen CSR of the current epoch is **never dropped or rebuilt**:
-    /// the new epoch layers the batch as a delta overlay over the shared
-    /// base arrays, so applying is proportional to the batch, not the graph.
+    /// The frozen CSR of the current epoch is **never dropped or rebuilt**,
+    /// and nothing of the graph is copied: the new epoch shares the base
+    /// arrays, both dictionaries and every untouched part of the overlay
+    /// with the old one. Applying costs `O(batch · log nodes)` (the overlay
+    /// paths the batch touches) plus `O(labels)` (its counters), and the
+    /// first `prepare` afterwards derives the epoch's label statistics in
+    /// `O(labels)`. [`Database::compact`] is the `O(graph)` step — one
+    /// merging pass over the CSR arrays — and crash recovery is `O(log)`:
+    /// the recovered records fold into one overlay that is published once.
     /// In-flight executions and [`PreparedQuery`] handles keep reading the
     /// epoch they pinned; only queries prepared after `apply` returns see
     /// the mutation. Writers are serialised; an empty batch is a no-op that
@@ -605,6 +632,7 @@ impl Database {
                 message: "injected mutation-apply fault".into(),
             });
         }
+        let started = Instant::now();
         let (graph, report) =
             cur.graph
                 .with_delta(&batch.delta)
@@ -613,12 +641,13 @@ impl Database {
                 })?;
         let epoch = cur.epoch + 1;
         self.log_batch(batch, epoch)?;
-        self.inner.storage.store(Arc::new(GraphData {
+        self.publish(Arc::new(GraphData {
             graph,
             ontology: Arc::clone(&cur.ontology),
             epoch,
         }));
         self.inner.metrics.mutations.inc();
+        self.inner.metrics.apply_ns.record(elapsed_ns(started));
         Ok(MutationReport {
             epoch,
             added: report.added,
@@ -647,15 +676,15 @@ impl Database {
         }
         match wal.append(epoch, batch.delta.adds(), batch.delta.removes()) {
             Ok(out) => {
-                self.inner.storage.wal_seq.store(out.seq, Ordering::Release);
-                self.inner.metrics.wal_appends.inc();
-                self.inner.metrics.wal_bytes.add(out.bytes);
+                let (storage, metrics) = (&self.inner.storage, &self.inner.metrics);
+                storage.wal_seq.store(out.seq, Ordering::Release);
+                metrics.wal_appends.inc();
+                metrics.wal_bytes.add(out.bytes);
+                let logged = wal.record_bytes() as i64;
+                metrics.wal_bytes_since_checkpoint.set(logged);
                 if out.synced {
-                    self.inner.metrics.wal_sync_ns.record(out.sync_ns);
-                    self.inner
-                        .storage
-                        .durable_epoch
-                        .store(epoch, Ordering::Release);
+                    metrics.wal_sync_ns.record(out.sync_ns);
+                    storage.durable_epoch.store(epoch, Ordering::Release);
                 }
                 Ok(())
             }
@@ -674,9 +703,10 @@ impl Database {
     /// publishing the result as a new epoch, and returns the epoch serving
     /// afterwards.
     ///
-    /// Readers are never blocked: the rebuild happens off the read path on a
-    /// private clone, and the swap is one pointer store. When the current
-    /// epoch carries no overlay this is a no-op (the epoch is not bumped).
+    /// Readers are never blocked: the merge (`O(graph)`, mostly block
+    /// copies) builds new arrays beside the ones being read, and the swap
+    /// is one pointer store. When the current epoch carries no overlay this
+    /// is a no-op (the epoch is not bumped).
     /// Run it periodically — e.g. from a background thread once
     /// [`omega_graph::GraphStore::overlay_edges`] crosses a threshold — to
     /// keep read amplification bounded under sustained writes.
@@ -702,13 +732,15 @@ impl Database {
         if !cur.graph.has_overlay() {
             return cur;
         }
+        let started = Instant::now();
         let next = Arc::new(GraphData {
             graph: cur.graph.compacted(),
             ontology: Arc::clone(&cur.ontology),
             epoch: cur.epoch + 1,
         });
-        self.inner.storage.store(Arc::clone(&next));
+        self.publish(Arc::clone(&next));
         self.inner.metrics.compactions.inc();
+        self.inner.metrics.compact_ns.record(elapsed_ns(started));
         next
     }
 
@@ -781,6 +813,7 @@ impl Database {
             .and_then(|()| writer.write_to(&wal.checkpoint_path()));
         if written.is_ok() && wal.rotate().is_ok() {
             self.inner.metrics.wal_rotations.inc();
+            self.inner.metrics.wal_bytes_since_checkpoint.set(0);
         }
     }
 
@@ -898,34 +931,43 @@ impl Database {
         Ok((db, report))
     }
 
-    /// Opens the log under `config`, replays the acknowledged prefix into
-    /// this database through the normal apply path (the WAL slot is still
-    /// empty, so replay does not re-log itself), then arms the slot so
-    /// subsequent applies append.
+    /// Opens the log under `config`, folds the acknowledged prefix into this
+    /// database, then arms the slot so subsequent applies append. Runs
+    /// inside the durable constructors, before the handle is shared.
+    ///
+    /// Recovery is not a client write: every record folds into one overlay
+    /// over the current epoch, published once with the epoch advanced by the
+    /// record count (so the next append's epoch follows the last record's,
+    /// as if each had been applied on its own). It passes no fault-injection
+    /// point and counts as recovered records, not as mutations.
     fn attach_wal(&self, config: &WalConfig) -> Result<RecoveryReport> {
         let (wal, recovery) = Wal::open(config).map_err(|e| OmegaError::Internal {
             message: format!("wal open failed: {e}"),
         })?;
-        for record in &recovery.records {
-            let mut batch = MutationBatch::new();
-            for (tail, label, head) in &record.adds {
-                batch.add(tail, label, head);
+        let records = recovery.records.len() as u64;
+        if records > 0 {
+            let cur = self.data();
+            let mut graph = cur.graph.clone();
+            for record in recovery.records {
+                graph
+                    .apply_delta(&record.into_delta())
+                    .map_err(|e| OmegaError::Internal {
+                        message: format!("wal replay failed: {e}"),
+                    })?;
             }
-            for (tail, label, head) in &record.removes {
-                batch.remove(tail, label, head);
-            }
-            self.apply(&batch)?;
+            self.publish(Arc::new(GraphData {
+                graph,
+                ontology: Arc::clone(&cur.ontology),
+                epoch: cur.epoch + records,
+            }));
         }
-        self.inner
-            .metrics
-            .wal_recovered_records
-            .add(recovery.records.len() as u64);
-        self.inner
-            .metrics
-            .wal_truncated_bytes
-            .add(recovery.truncated_bytes);
+        let metrics = &self.inner.metrics;
+        metrics.wal_recovered_records.add(records);
+        metrics.wal_truncated_bytes.add(recovery.truncated_bytes);
+        let logged = wal.record_bytes() as i64;
+        metrics.wal_bytes_since_checkpoint.set(logged);
         let report = RecoveryReport {
-            records: recovery.records.len() as u64,
+            records,
             truncated_bytes: recovery.truncated_bytes,
             from_checkpoint: recovery.has_checkpoint,
         };
@@ -2148,12 +2190,21 @@ mod tests {
         let mut batch = db.begin_mutation();
         batch.add("dave", "knows", "erin");
         db.apply(&batch).unwrap();
+        let series =
+            |series: &str| omega_obs::find_value(&db.metrics().expose(), series).unwrap_or(-1.0);
+        // The storage gauges follow the published epoch.
+        assert_eq!(series("omega_core_epoch"), 1.0);
+        assert_eq!(series("omega_core_overlay_edges"), 1.0);
         db.compact();
         db.compact(); // no overlay: must not count
-        let text = db.metrics().expose();
-        let get = |series: &str| omega_obs::find_value(&text, series).unwrap_or(-1.0);
-        assert_eq!(get("omega_core_mutations_total"), 1.0);
-        assert_eq!(get("omega_core_compactions_total"), 1.0);
+        assert_eq!(series("omega_core_mutations_total"), 1.0);
+        assert_eq!(series("omega_core_compactions_total"), 1.0);
+        assert_eq!(series("omega_core_epoch"), 2.0);
+        assert_eq!(series("omega_core_overlay_edges"), 0.0);
+        assert_eq!(series("omega_core_apply_ns_count"), 1.0);
+        assert_eq!(series("omega_core_compact_ns_count"), 1.0);
+        // No log attached: nothing has accumulated since a checkpoint.
+        assert_eq!(series("omega_core_wal_bytes_since_checkpoint"), 0.0);
     }
 
     #[test]

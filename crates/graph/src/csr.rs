@@ -1,9 +1,9 @@
 //! Frozen compressed-sparse-row (CSR) adjacency indexes.
 //!
-//! The mutable side of [`crate::GraphStore`] keeps adjacency in hash maps so
-//! that edges can be added and deduplicated cheaply. Query evaluation never
-//! mutates the graph, and its cost is dominated by `Neighbors(n, t, dir)`
-//! lookups — so once loading is done the store can be *frozen*: every
+//! While a [`crate::GraphStore`] is loaded its edges sit in per-node lists
+//! that are cheap to add to and deduplicate. Query evaluation never mutates
+//! the graph, and its cost is dominated by `Neighbors(n, t, dir)` lookups —
+//! so once loading is done the store can be *frozen*: every
 //! `(label, direction)` adjacency is laid out as a classic CSR pair of
 //! arrays (`offsets[n] .. offsets[n + 1]` indexes into a flat neighbour
 //! array), and the mixed-label `out_all` / `in_all` views get the same
@@ -18,17 +18,20 @@
 //! ## Owned and mapped storage
 //!
 //! Each CSR array lives behind a small storage enum (`U32Store` /
-//! `NodeStore` / `PairStore`): either an owned `Vec` built by
-//! [`crate::GraphStore::freeze`], or a borrowed view over a memory-mapped
-//! snapshot file ([`crate::snapshot`]). Lookups read through the enum with
+//! `NodeStore` / `PairStore`): either an owned `Vec` built by a freeze or a
+//! compaction, or a borrowed view over a memory-mapped snapshot file
+//! ([`crate::snapshot`]). Lookups read through the enum with
 //! one discriminant test and are otherwise identical, so the evaluator hot
 //! paths never know (or care) whether the graph was built in process or
 //! mapped from disk.
 
-use crate::hash::FxHashMap;
-use crate::ids::{LabelId, NodeId};
+use std::sync::OnceLock;
+
+use crate::ids::{Direction, LabelId, NodeId};
+use crate::overlay::{survives, DeltaOverlay};
 use crate::snapshot::error::SnapshotError;
 use crate::snapshot::map::{pair_layout_is_label_first, MappedSlice};
+use crate::stats::{LabelEntry, LabelStats};
 
 /// Array storage for one frozen CSR array: an owned `Vec<T>` or a
 /// zero-copy view of a snapshot mapping, with the element pointer and
@@ -178,66 +181,59 @@ impl ArrayStore<(LabelId, NodeId)> {
     }
 }
 
-/// One `(label, direction)` adjacency in CSR form.
-#[derive(Debug, Clone, Default)]
-pub struct CsrLayer {
-    /// `offsets[n] .. offsets[n + 1]` bounds node `n`'s neighbours;
-    /// `node_count + 1` entries.
+/// One adjacency in CSR form: every node's run of items, concatenated in
+/// node order.
+#[derive(Debug, Clone)]
+pub struct CsrRuns<T> {
+    /// `offsets[n] .. offsets[n + 1]` bounds node `n`'s run; `node_count + 1`
+    /// entries.
     offsets: U32Store,
-    /// All neighbour lists, concatenated in node order.
-    targets: NodeStore,
+    items: ArrayStore<T>,
 }
 
-impl CsrLayer {
-    /// Builds the layer from the builder-side hash map for `node_count`
-    /// nodes, preserving each node's insertion order of neighbours.
-    fn build(node_count: usize, adjacency: &FxHashMap<NodeId, Vec<NodeId>>) -> CsrLayer {
-        let mut offsets = Vec::with_capacity(node_count + 1);
-        let total: usize = adjacency.values().map(Vec::len).sum();
-        let mut targets = Vec::with_capacity(total);
-        offsets.push(0);
-        for n in 0..node_count as u32 {
-            if let Some(list) = adjacency.get(&NodeId(n)) {
-                targets.extend_from_slice(list);
-            }
-            offsets.push(targets.len() as u32);
-        }
-        CsrLayer {
-            offsets: ArrayStore::owned(offsets),
-            targets: ArrayStore::owned(targets),
-        }
-    }
+/// A `(label, direction)` adjacency: runs of neighbours.
+pub type CsrLayer = CsrRuns<NodeId>;
+/// A mixed-label adjacency (`out_all` / `in_all`): runs of
+/// `(label, neighbour)` entries.
+pub type CsrMixed = CsrRuns<(LabelId, NodeId)>;
 
-    /// Assembles a layer from (owned or mapped) parts; the caller has
-    /// validated that the offsets are monotone and bounded by the target
+impl<T> Default for CsrRuns<T> {
+    fn default() -> Self {
+        CsrRuns::from_parts(ArrayStore::default(), ArrayStore::default())
+    }
+}
+
+impl<T> CsrRuns<T> {
+    /// Assembles the adjacency from (owned or mapped) parts; the caller has
+    /// validated that the offsets are monotone and bounded by the item
     /// count.
-    pub(crate) fn from_parts(offsets: U32Store, targets: NodeStore) -> CsrLayer {
-        CsrLayer { offsets, targets }
+    pub(crate) fn from_parts(offsets: U32Store, items: ArrayStore<T>) -> CsrRuns<T> {
+        CsrRuns { offsets, items }
     }
 
-    /// The offsets array (for serialisation).
-    pub(crate) fn offset_words(&self) -> &[u32] {
+    /// The offsets array.
+    pub(crate) fn offsets(&self) -> &[u32] {
         self.offsets.as_slice()
     }
 
-    /// The neighbour array (for serialisation).
-    pub(crate) fn target_nodes(&self) -> &[NodeId] {
-        self.targets.as_slice()
+    /// Every run, concatenated.
+    pub(crate) fn items(&self) -> &[T] {
+        self.items.as_slice()
     }
 
-    /// The neighbour slice of `node` (empty for out-of-range nodes, which
-    /// can exist when nodes were added after freezing).
+    /// The run of `node` (empty for out-of-range nodes, which can exist
+    /// when nodes were added after freezing).
     #[inline(always)]
-    pub fn neighbours(&self, node: NodeId) -> &[NodeId] {
+    pub fn run(&self, node: NodeId) -> &[T] {
         let offsets = self.offsets.as_slice();
         let i = node.index();
         if i + 1 >= offsets.len() {
             return &[];
         }
-        &self.targets.as_slice()[offsets[i] as usize..offsets[i + 1] as usize]
+        &self.items.as_slice()[offsets[i] as usize..offsets[i + 1] as usize]
     }
 
-    /// Node ids with at least one neighbour in this layer.
+    /// Node ids with a non-empty run.
     pub fn occupied_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.offsets
             .as_slice()
@@ -247,124 +243,164 @@ impl CsrLayer {
             .map(|(i, _)| NodeId(i as u32))
     }
 
-    /// Total number of stored neighbour entries.
+    /// Total number of stored items.
     pub fn len(&self) -> usize {
-        self.targets.as_slice().len()
+        self.items.as_slice().len()
     }
 
-    /// Whether the layer stores no edges.
+    /// Whether no node has a run.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
-/// The mixed-label adjacency (`out_all` / `in_all`) in CSR form.
-#[derive(Debug, Clone, Default)]
-pub struct CsrMixed {
-    offsets: U32Store,
-    entries: PairStore,
+/// One CSR `(offsets, items)` array pair being rewritten node by node, in
+/// ascending node order: a rewritten node's run is given explicitly, the
+/// untouched stretches between rewritten nodes are block-copied from the
+/// base array.
+struct RunMerge<'b, T> {
+    base_offsets: &'b [u32],
+    base_items: &'b [T],
+    offsets: Vec<u32>,
+    items: Vec<T>,
 }
 
-impl CsrMixed {
-    fn build(node_count: usize, adjacency: &FxHashMap<NodeId, Vec<(LabelId, NodeId)>>) -> CsrMixed {
-        let mut offsets = Vec::with_capacity(node_count + 1);
-        let total: usize = adjacency.values().map(Vec::len).sum();
-        let mut entries = Vec::with_capacity(total);
+impl<'b, T: Copy> RunMerge<'b, T> {
+    /// A merge producing `nodes + 1` offsets and exactly `items` items —
+    /// exact capacities, so the arrays never grow and leave no abandoned
+    /// halves between them for later allocations to fall into.
+    fn new(base_offsets: &'b [u32], base_items: &'b [T], nodes: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(nodes + 1);
         offsets.push(0);
-        for n in 0..node_count as u32 {
-            if let Some(list) = adjacency.get(&NodeId(n)) {
-                entries.extend_from_slice(list);
-            }
-            offsets.push(entries.len() as u32);
-        }
-        CsrMixed {
-            offsets: ArrayStore::owned(offsets),
-            entries: ArrayStore::owned(entries),
+        RunMerge {
+            base_offsets,
+            base_items,
+            offsets,
+            items: Vec::with_capacity(items),
         }
     }
 
-    /// Assembles a mixed view from (owned or mapped) parts.
-    pub(crate) fn from_parts(offsets: U32Store, entries: PairStore) -> CsrMixed {
-        CsrMixed { offsets, entries }
+    /// Nodes the base array stores a run for.
+    fn base_nodes(&self) -> usize {
+        self.base_offsets.len().saturating_sub(1)
     }
 
-    /// The offsets array (for serialisation).
-    pub(crate) fn offset_words(&self) -> &[u32] {
-        self.offsets.as_slice()
-    }
-
-    /// The entry array (for serialisation).
-    pub(crate) fn entry_pairs(&self) -> &[(LabelId, NodeId)] {
-        self.entries.as_slice()
-    }
-
-    /// The `(label, neighbour)` slice of `node`.
-    #[inline(always)]
-    pub fn entries(&self, node: NodeId) -> &[(LabelId, NodeId)] {
-        let offsets = self.offsets.as_slice();
-        let i = node.index();
-        if i + 1 >= offsets.len() {
-            return &[];
+    /// Emits the unchanged runs of every node not yet emitted below `to`.
+    fn copy_to(&mut self, to: usize) {
+        let from = self.offsets.len() - 1;
+        let stored = to.min(self.base_nodes());
+        if from < stored {
+            let (start, end) = (self.base_offsets[from], self.base_offsets[stored]);
+            let at = self.items.len() as u32;
+            self.items
+                .extend_from_slice(&self.base_items[start as usize..end as usize]);
+            let copied = &self.base_offsets[from + 1..=stored];
+            self.offsets.extend(copied.iter().map(|o| o - start + at));
         }
-        &self.entries.as_slice()[offsets[i] as usize..offsets[i + 1] as usize]
+        // Nodes past the base (created after it froze) have no base run.
+        self.offsets.resize(to + 1, self.items.len() as u32);
     }
 
-    /// Node ids with at least one entry in this view.
-    pub fn occupied_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.offsets
-            .as_slice()
-            .windows(2)
-            .enumerate()
-            .filter(|(_, w)| w[0] != w[1])
-            .map(|(i, _)| NodeId(i as u32))
+    /// Emits `node`'s run as its base run filtered by `keep`, then `adds`.
+    fn rewrite(&mut self, node: usize, adds: &[T], keep: impl Fn(T) -> bool) {
+        self.copy_to(node);
+        if node < self.base_nodes() {
+            let (start, end) = (self.base_offsets[node], self.base_offsets[node + 1]);
+            let run = &self.base_items[start as usize..end as usize];
+            self.items
+                .extend(run.iter().copied().filter(|&item| keep(item)));
+        }
+        self.items.extend_from_slice(adds);
+        self.offsets.push(self.items.len() as u32);
     }
 
-    /// Total number of stored entries.
-    pub fn len(&self) -> usize {
-        self.entries.as_slice().len()
-    }
-
-    /// Whether the view stores no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn finish(mut self, node_count: usize) -> (U32Store, ArrayStore<T>) {
+        self.copy_to(node_count);
+        (
+            ArrayStore::owned(self.offsets),
+            ArrayStore::owned(self.items),
+        )
     }
 }
-
-/// One label's builder-side adjacency: the `(outgoing, incoming)` hash maps.
-pub(crate) type BuilderLayerRef<'a> = (
-    &'a FxHashMap<NodeId, Vec<NodeId>>,
-    &'a FxHashMap<NodeId, Vec<NodeId>>,
-);
 
 /// The full frozen index: one [`CsrLayer`] pair per label plus the two
-/// mixed-label views.
-#[derive(Debug, Clone)]
+/// mixed-label views, and the per-label statistics of exactly these arrays
+/// (computed once, on first use, or loaded from a snapshot's stats section).
+#[derive(Debug, Clone, Default)]
 pub struct CsrIndex {
     pub(crate) out: Vec<CsrLayer>,
     pub(crate) inc: Vec<CsrLayer>,
     pub(crate) out_all: CsrMixed,
     pub(crate) in_all: CsrMixed,
+    pub(crate) stats: OnceLock<LabelStats>,
 }
 
 impl CsrIndex {
-    /// Builds the index from the builder-side maps.
-    pub(crate) fn build(
+    /// These arrays merged with `overlay` into a fresh index over
+    /// `node_count` nodes and `label_count` labels: compaction, and — from
+    /// the empty index, with the overlay a store's edges were loaded into —
+    /// the freeze itself. One pass over the overlay's touched nodes per
+    /// direction; each touched node's run becomes its base run minus
+    /// deletions, then its overlay adds in add order (exactly the live read
+    /// view), and everything between touched nodes is block-copied.
+    pub(crate) fn merged(
+        &self,
+        overlay: &DeltaOverlay,
         node_count: usize,
-        per_label: &[BuilderLayerRef<'_>],
-        out_all: &FxHashMap<NodeId, Vec<(LabelId, NodeId)>>,
-        in_all: &FxHashMap<NodeId, Vec<(LabelId, NodeId)>>,
+        label_count: usize,
     ) -> CsrIndex {
+        let empty = CsrLayer::default();
+        let direction = |layers: &[CsrLayer], mixed: &CsrMixed, dir: Direction| {
+            let mut total = 0;
+            let mut per_label: Vec<_> = (0..label_count)
+                .map(|l| {
+                    let layer = layers.get(l).unwrap_or(&empty);
+                    let delta = overlay.label(LabelId(l as u32));
+                    let edges = layer.len() + delta.added as usize - delta.deleted as usize;
+                    total += edges;
+                    RunMerge::new(layer.offsets(), layer.items(), node_count, edges)
+                })
+                .collect();
+            let mut any = RunMerge::new(mixed.offsets(), mixed.items(), node_count, total);
+            for (node, side) in overlay.sides(dir) {
+                let (node, dels) = (node.index(), &side.dels[..]);
+                for (label, adds) in &side.adds {
+                    let dels = side.dels_for(*label);
+                    per_label[label.index()]
+                        .rewrite(node, adds, |other| survives(dels, *label, other));
+                }
+                // Labels of which this node only lost edges.
+                for lost in dels.chunk_by(|a, b| a.0 == b.0) {
+                    let label = lost[0].0;
+                    if side.adds_for(label).is_empty() {
+                        per_label[label.index()]
+                            .rewrite(node, &[], |other| survives(lost, label, other));
+                    }
+                }
+                if !(side.adds_any.is_empty() && dels.is_empty()) {
+                    any.rewrite(node, &side.adds_any, |(label, other)| {
+                        survives(dels, label, other)
+                    });
+                }
+            }
+            let layers = per_label
+                .into_iter()
+                .map(|merge| {
+                    let (offsets, targets) = merge.finish(node_count);
+                    CsrLayer::from_parts(offsets, targets)
+                })
+                .collect();
+            let (offsets, entries) = any.finish(node_count);
+            (layers, CsrMixed::from_parts(offsets, entries))
+        };
+        let (out, out_all) = direction(&self.out, &self.out_all, Direction::Outgoing);
+        let (inc, in_all) = direction(&self.inc, &self.in_all, Direction::Incoming);
         CsrIndex {
-            out: per_label
-                .iter()
-                .map(|(o, _)| CsrLayer::build(node_count, o))
-                .collect(),
-            inc: per_label
-                .iter()
-                .map(|(_, i)| CsrLayer::build(node_count, i))
-                .collect(),
-            out_all: CsrMixed::build(node_count, out_all),
-            in_all: CsrMixed::build(node_count, in_all),
+            out,
+            inc,
+            out_all,
+            in_all,
+            stats: OnceLock::new(),
         }
     }
 
@@ -378,43 +414,98 @@ impl CsrIndex {
             self.inc.get(label.index())
         }
     }
+
+    /// Per-label statistics of these arrays, scanned on first use (one pass
+    /// over each layer's offsets, `O(labels · nodes)`) and then shared by
+    /// every epoch over this index.
+    pub(crate) fn stats(&self) -> &LabelStats {
+        self.stats.get_or_init(|| self.scan_stats())
+    }
+
+    /// The statistics [`CsrIndex::stats`] caches, computed afresh.
+    pub(crate) fn scan_stats(&self) -> LabelStats {
+        let layers = self.out.iter().zip(&self.inc);
+        LabelStats::from_entries(
+            layers
+                .map(|(out, inc)| LabelEntry {
+                    edges: out.len() as u64,
+                    distinct_tails: out.occupied_nodes().count() as u64,
+                    distinct_heads: inc.occupied_nodes().count() as u64,
+                })
+                .collect(),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn layer_roundtrips_hashmap_adjacency() {
-        let mut map: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-        map.insert(NodeId(0), vec![NodeId(2), NodeId(1)]);
-        map.insert(NodeId(2), vec![NodeId(0)]);
-        let layer = CsrLayer::build(4, &map);
-        assert_eq!(layer.neighbours(NodeId(0)), &[NodeId(2), NodeId(1)]);
-        assert_eq!(layer.neighbours(NodeId(1)), &[] as &[NodeId]);
-        assert_eq!(layer.neighbours(NodeId(2)), &[NodeId(0)]);
-        assert_eq!(layer.neighbours(NodeId(3)), &[] as &[NodeId]);
-        // Out-of-range nodes (added after freezing) are empty, not a panic.
-        assert_eq!(layer.neighbours(NodeId(100)), &[] as &[NodeId]);
-        assert_eq!(layer.len(), 3);
-        let occupied: Vec<_> = layer.occupied_nodes().collect();
-        assert_eq!(occupied, vec![NodeId(0), NodeId(2)]);
+    /// An overlay holding `edges` as additions over nothing.
+    fn loaded(edges: &[(u32, u32, u32)]) -> DeltaOverlay {
+        let mut overlay = DeltaOverlay::new(0);
+        for &(s, l, t) in edges {
+            overlay.add_edge(NodeId(s), LabelId(l), NodeId(t), false);
+        }
+        overlay
     }
 
     #[test]
-    fn mixed_roundtrips_hashmap_adjacency() {
-        let mut map: FxHashMap<NodeId, Vec<(LabelId, NodeId)>> = FxHashMap::default();
-        map.insert(
-            NodeId(1),
-            vec![(LabelId(0), NodeId(2)), (LabelId(1), NodeId(0))],
+    fn freezing_lays_out_each_list_in_insertion_order() {
+        let index = CsrIndex::default().merged(
+            &loaded(&[(0, 1, 2), (0, 1, 1), (2, 1, 0), (1, 0, 2)]),
+            4,
+            2,
         );
-        let mixed = CsrMixed::build(2, &map);
+        let layer = index.layer(LabelId(1), true).unwrap();
+        assert_eq!(layer.run(NodeId(0)), &[NodeId(2), NodeId(1)]);
+        assert_eq!(layer.run(NodeId(1)), &[] as &[NodeId]);
+        assert_eq!(layer.run(NodeId(2)), &[NodeId(0)]);
+        assert_eq!(layer.run(NodeId(3)), &[] as &[NodeId]);
+        // Out-of-range nodes (added after freezing) are empty, not a panic.
+        assert_eq!(layer.run(NodeId(100)), &[] as &[NodeId]);
+        assert_eq!(layer.len(), 3);
+        assert_eq!(layer.offsets(), [0, 2, 2, 3, 3]);
+        let occupied: Vec<_> = layer.occupied_nodes().collect();
+        assert_eq!(occupied, vec![NodeId(0), NodeId(2)]);
+        let incoming = index.layer(LabelId(1), false).unwrap();
+        assert_eq!(incoming.run(NodeId(0)), &[NodeId(2)]);
         assert_eq!(
-            mixed.entries(NodeId(1)),
-            &[(LabelId(0), NodeId(2)), (LabelId(1), NodeId(0))]
+            index.in_all.run(NodeId(2)),
+            &[(LabelId(1), NodeId(0)), (LabelId(0), NodeId(1))]
         );
-        assert!(mixed.entries(NodeId(0)).is_empty());
-        assert!(mixed.entries(NodeId(9)).is_empty());
-        assert_eq!(mixed.occupied_nodes().collect::<Vec<_>>(), vec![NodeId(1)]);
+        assert!(index.out_all.run(NodeId(3)).is_empty());
+        assert!(index.out_all.run(NodeId(9)).is_empty());
+        assert_eq!(
+            index.out_all.occupied_nodes().collect::<Vec<_>>(),
+            vec![NodeId(0), NodeId(1), NodeId(2)]
+        );
+        assert_eq!(index.stats().entry(LabelId(1)).distinct_tails, 2);
+    }
+
+    #[test]
+    fn merging_copies_untouched_runs_and_rewrites_touched_ones() {
+        let base = CsrIndex::default().merged(
+            &loaded(&[(0, 0, 1), (1, 0, 2), (1, 0, 3), (3, 0, 0)]),
+            4,
+            1,
+        );
+        // Over that base: delete 1→2, add 1→0 and an edge from a new node 5.
+        let mut overlay = DeltaOverlay::new(4);
+        overlay.remove_edge(NodeId(1), LabelId(0), NodeId(2), true);
+        overlay.add_edge(NodeId(1), LabelId(0), NodeId(0), false);
+        overlay.add_edge(NodeId(5), LabelId(0), NodeId(3), false);
+        let merged = base.merged(&overlay, 6, 1);
+        let out = merged.layer(LabelId(0), true).unwrap();
+        assert_eq!(out.offsets(), [0, 1, 3, 3, 4, 4, 5]);
+        assert_eq!(
+            out.items(),
+            [1, 3, 0, 0, 3].map(NodeId),
+            "node 1 keeps 3, loses 2, gains 0; nodes 0 and 3 are copied; 5 is new"
+        );
+        let inc = merged.layer(LabelId(0), false).unwrap();
+        assert_eq!(inc.run(NodeId(3)), &[NodeId(1), NodeId(5)]);
+        assert_eq!(inc.run(NodeId(2)), &[] as &[NodeId]);
+        assert_eq!(merged.out_all.run(NodeId(5)), &[(LabelId(0), NodeId(3))]);
     }
 }

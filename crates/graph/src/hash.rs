@@ -8,13 +8,21 @@
 //! locally because the build environment has no registry access.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// `HashSet` using [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+
+/// The Fx hash of a string, for indexes that key by hash and keep the
+/// strings elsewhere (comparing on a hit).
+pub(crate) fn hash_str(text: &str) -> u64 {
+    let mut hasher = FxHasher::default();
+    text.hash(&mut hasher);
+    hasher.finish()
+}
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

@@ -20,25 +20,34 @@
 //! The distinguished edge label `type` (class membership) is always present
 //! and can be obtained through [`GraphStore::type_label`].
 //!
-//! ## Two representations: builder and frozen CSR
+//! ## Lifecycle: loading, frozen, live
 //!
-//! The store is built through a mutable, hash-map-backed API
-//! ([`GraphStore::add_node`] / [`GraphStore::add_edge`] /
-//! [`GraphStore::add_triple`]) and then — once loading is complete —
-//! compiled by [`GraphStore::freeze`] into compressed-sparse-row (CSR)
-//! indexes: per `(label, direction)` offset/neighbour arrays, plus CSR
-//! layouts of the mixed-label `out_all` / `in_all` views that serve the
-//! wildcard `*` transitions. A frozen [`GraphStore::neighbors`] lookup is
-//! two array reads returning a borrowed `&[NodeId]` slice: no hashing, no
-//! allocation, and neighbour lists packed contiguously for cache locality.
-//! All reads also work on an unfrozen store (served from the builder maps),
-//! and adding an edge to a frozen store transparently drops the index.
-//! The [`crate::csr`] module documents the layout.
+//! A store is loaded through a mutable API ([`GraphStore::add_node`] /
+//! [`GraphStore::add_edge`] / [`GraphStore::add_triple`]) and then — once
+//! loading is complete — compiled by [`GraphStore::freeze`] into
+//! compressed-sparse-row (CSR) indexes: per `(label, direction)`
+//! offset/neighbour arrays, plus CSR layouts of the mixed-label `out_all` /
+//! `in_all` views that serve the wildcard `*` transitions. A frozen
+//! [`GraphStore::neighbors`] lookup is two array reads returning a borrowed
+//! `&[NodeId]` slice: no hashing, no allocation, and neighbour lists packed
+//! contiguously for cache locality. The [`crate::csr`] module documents the
+//! layout.
+//!
+//! There is one representation behind both stages: a frozen store is shared
+//! parts only — node dictionary, label interner and CSR index, each behind
+//! an `Arc` — plus an optional *delta overlay* of edges that are not in the
+//! index ([`crate::overlay`]). While loading, the overlay holds every edge
+//! and serves every read; `freeze` merges it into the index and drops it.
+//! [`GraphStore::with_delta`] then derives new epochs of a frozen store in
+//! time proportional to the batch, each sharing everything with its parent
+//! but the overlay paths the batch touched, and
+//! [`GraphStore::compacted`] merges index and overlay into a fresh index.
+//! Adding an edge to a frozen store through the loading API thaws it back
+//! to the loading stage.
 //!
 //! A frozen store can additionally be persisted as a single binary image and
-//! re-opened with its CSR arrays memory-mapped in place — see
-//! [`crate::snapshot`]. Loaded stores serve every read from the mapping and
-//! transparently rehydrate their builder maps on the first mutation.
+//! re-opened with its CSR arrays and node dictionary memory-mapped in place
+//! — see [`crate::snapshot`]. An opened store is an ordinary frozen store.
 //!
 //! ```
 //! use omega_graph::{GraphStore, Direction};
@@ -55,6 +64,7 @@
 
 pub mod bitmap;
 pub mod csr;
+mod dict;
 pub mod error;
 pub mod graph;
 pub mod hash;
@@ -64,6 +74,7 @@ pub mod io;
 pub mod overlay;
 pub mod snapshot;
 pub mod stats;
+mod trie;
 pub mod wal;
 
 pub use bitmap::NodeBitmap;

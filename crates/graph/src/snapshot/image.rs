@@ -8,16 +8,20 @@
 //! * one `(offsets, targets)` section pair per `(label, direction)` CSR
 //!   layer, and one `(offsets, entries)` pair per mixed-label direction.
 //!
-//! The loader rebuilds the string dictionaries (owned: the store's API
-//! hands out `&str`), reconstructs the hash index over node labels, and
+//! The loader rebuilds the small edge-label dictionary, keeps the node
+//! dictionary mapped (its hash index is built on the first lookup), and
 //! wraps every CSR array in a borrowed storage enum over the mapping — the
-//! bulk of the image is never copied. Offsets are validated (monotone,
-//! bounded) before any slice can be built over them, so a malformed file
-//! fails with a typed error instead of a panic at query time.
+//! bulk of the image is never copied. The result is an ordinary frozen
+//! store: the same shared parts a heap-built store has after
+//! [`GraphStore::freeze`], backed by the mapping. Offsets are validated
+//! (monotone, bounded) before any slice can be built over them, so a
+//! malformed file fails with a typed error instead of a panic at query time.
 
 use crate::csr::{CsrIndex, CsrLayer, CsrMixed, NodeStore, PairStore, U32Store};
-use crate::graph::{Adjacency, GraphStore, NodeLabels, TYPE_LABEL};
-use crate::hash::FxHashMap;
+use std::sync::{Arc, OnceLock};
+
+use crate::dict::{NodeDict, NodeLabels};
+use crate::graph::{GraphStore, TYPE_LABEL};
 use crate::ids::LabelId;
 use crate::interner::LabelInterner;
 use crate::snapshot::error::SnapshotError;
@@ -66,14 +70,14 @@ fn write_graph_sections_with(
     writer.add(
         SectionId::plain(SectionKind::Meta),
         u64_payload([
-            store.node_labels.len() as u64,
+            store.nodes.len() as u64,
             store.labels.len() as u64,
             store.edge_count as u64,
             store.type_label.0 as u64,
         ]),
     );
 
-    let (node_offsets, node_bytes) = string_table(store.node_labels.iter());
+    let (node_offsets, node_bytes) = string_table(store.nodes.labels());
     writer.add(
         SectionId::plain(SectionKind::NodeLabelOffsets),
         u64_payload(node_offsets),
@@ -91,11 +95,11 @@ fn write_graph_sections_with(
         for (layer, incoming) in [(out_layer, false), (in_layer, true)] {
             writer.add(
                 SectionId::csr(SectionKind::CsrOffsets, label as u32, incoming),
-                u32_payload(layer.offset_words().iter().copied()),
+                u32_payload(layer.offsets().iter().copied()),
             );
             writer.add(
                 SectionId::csr(SectionKind::CsrTargets, label as u32, incoming),
-                u32_payload(layer.target_nodes().iter().map(|n| n.0)),
+                u32_payload(layer.items().iter().map(|n| n.0)),
             );
         }
     }
@@ -105,10 +109,10 @@ fn write_graph_sections_with(
                 kind: SectionKind::MixedOffsets,
                 param: incoming as u32,
             },
-            u32_payload(mixed.offset_words().iter().copied()),
+            u32_payload(mixed.offsets().iter().copied()),
         );
         let mut entries = Vec::with_capacity(mixed.len() * 8);
-        for &(label, node) in mixed.entry_pairs() {
+        for &(label, node) in mixed.items() {
             push_u32(&mut entries, label.0);
             push_u32(&mut entries, node.0);
         }
@@ -160,7 +164,7 @@ pub fn read_graph(reader: &SnapshotReader) -> Result<GraphStore, SnapshotError> 
 
     // The node dictionary stays mapped: offsets and bytes are validated
     // once here (monotone, character-boundary offsets, UTF-8) and then
-    // served zero-copy. The hash index over it is built lazily on the first
+    // served zero-copy. The hash index over it is built on the first
     // `node_by_label` call, not at open time.
     let node_labels = mapped_string_table(
         reader,
@@ -168,15 +172,15 @@ pub fn read_graph(reader: &SnapshotReader) -> Result<GraphStore, SnapshotError> 
         SectionKind::NodeLabelBytes,
         node_count,
     )?;
-    let label_names = read_string_table(
+    let label_names = NodeDict::new(mapped_string_table(
         reader,
         SectionKind::EdgeLabelOffsets,
         SectionKind::EdgeLabelBytes,
         label_count,
-    )?;
+    )?);
 
     let mut labels = LabelInterner::new();
-    for name in &label_names {
+    for name in label_names.labels() {
         labels.intern(name);
     }
     if labels.len() != label_count {
@@ -258,33 +262,26 @@ pub fn read_graph(reader: &SnapshotReader) -> Result<GraphStore, SnapshotError> 
 
     // The label-stats section is optional: pre-stats images simply leave
     // the cache empty and the statistics are recomputed lazily on first use.
-    let label_stats = std::sync::OnceLock::new();
+    let stats = OnceLock::new();
     if let Some(section) = reader.section(SectionId::plain(SectionKind::LabelStats)) {
-        let _ = label_stats.set(read_label_stats(&section, label_count)?);
+        let _ = stats.set(read_label_stats(&section, label_count)?);
     }
 
+    let csr = CsrIndex {
+        out,
+        inc,
+        out_all,
+        in_all,
+        stats,
+    };
     Ok(GraphStore {
-        node_labels,
-        node_index: FxHashMap::default(),
-        lazy_node_index: std::sync::OnceLock::new(),
-        node_index_deferred: true,
-        labels,
+        nodes: Arc::new(NodeDict::new(node_labels)),
+        labels: Arc::new(labels),
         type_label,
-        // Builder maps stay empty until the first mutation hydrates them
-        // from the CSR; every read is CSR-served meanwhile.
-        adjacency: vec![Adjacency::default(); label_count],
-        out_all: FxHashMap::default(),
-        in_all: FxHashMap::default(),
         edge_count,
-        csr: Some(std::sync::Arc::new(CsrIndex {
-            out,
-            inc,
-            out_all,
-            in_all,
-        })),
-        hydrated: false,
+        csr: Some(Arc::new(csr)),
         overlay: None,
-        label_stats,
+        label_stats: OnceLock::new(),
     })
 }
 
@@ -333,8 +330,8 @@ fn string_table<'a>(strings: impl Iterator<Item = &'a str>) -> (Vec<u64>, Vec<u8
 }
 
 /// Validates a string table's sections and wraps them as a zero-copy
-/// [`NodeLabels::Mapped`] dictionary: offsets must be monotone, span the
-/// byte section and land on UTF-8 character boundaries of valid UTF-8.
+/// [`NodeLabels::Mapped`] table: `count + 1` monotone offsets spanning the
+/// byte section and landing on character boundaries of valid UTF-8.
 fn mapped_string_table(
     reader: &SnapshotReader,
     offsets_kind: SectionKind,
@@ -343,38 +340,6 @@ fn mapped_string_table(
 ) -> Result<NodeLabels, SnapshotError> {
     let offsets_slice = reader.require(SectionId::plain(offsets_kind))?;
     let bytes_slice = reader.require(SectionId::plain(bytes_kind))?;
-    let (offsets, bytes) = validate_string_table(
-        &offsets_slice,
-        &bytes_slice,
-        offsets_kind,
-        bytes_kind,
-        count,
-    )?;
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| SnapshotError::malformed(format!("{bytes_kind} holds invalid UTF-8")))?;
-    if offsets
-        .iter()
-        .any(|&off| !text.is_char_boundary(off as usize))
-    {
-        return Err(SnapshotError::malformed(format!(
-            "{offsets_kind} splits a UTF-8 character"
-        )));
-    }
-    Ok(NodeLabels::Mapped {
-        offsets: offsets_slice,
-        bytes: bytes_slice,
-        len: count,
-    })
-}
-
-/// Shared structural checks for a string table's offsets/bytes pair.
-fn validate_string_table<'a>(
-    offsets_slice: &'a MappedSlice,
-    bytes_slice: &'a MappedSlice,
-    offsets_kind: SectionKind,
-    bytes_kind: SectionKind,
-    count: usize,
-) -> Result<(&'a [u64], &'a [u8]), SnapshotError> {
     let offsets = offsets_slice.as_u64s()?;
     let bytes = bytes_slice.bytes();
     if offsets.len() != count + 1 {
@@ -394,35 +359,20 @@ fn validate_string_table<'a>(
             "{offsets_kind} is not monotone"
         )));
     }
-    let _ = bytes_kind;
-    Ok((offsets, bytes))
-}
-
-/// Reads a string table into owned strings (used for the small edge-label
-/// dictionary, which the interner re-hashes anyway).
-fn read_string_table(
-    reader: &SnapshotReader,
-    offsets_kind: SectionKind,
-    bytes_kind: SectionKind,
-    count: usize,
-) -> Result<Vec<String>, SnapshotError> {
-    let offsets_slice = reader.require(SectionId::plain(offsets_kind))?;
-    let bytes_slice = reader.require(SectionId::plain(bytes_kind))?;
-    let (offsets, bytes) = validate_string_table(
-        &offsets_slice,
-        &bytes_slice,
-        offsets_kind,
-        bytes_kind,
-        count,
-    )?;
-    let mut out = Vec::with_capacity(count);
-    for window in offsets.windows(2) {
-        let slice = &bytes[window[0] as usize..window[1] as usize];
-        let s = std::str::from_utf8(slice)
-            .map_err(|_| SnapshotError::malformed(format!("{bytes_kind} holds invalid UTF-8")))?;
-        out.push(s.to_owned());
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| SnapshotError::malformed(format!("{bytes_kind} holds invalid UTF-8")))?;
+    if offsets
+        .iter()
+        .any(|&off| !text.is_char_boundary(off as usize))
+    {
+        return Err(SnapshotError::malformed(format!(
+            "{offsets_kind} splits a UTF-8 character"
+        )));
     }
-    Ok(out)
+    Ok(NodeLabels::Mapped {
+        offsets: offsets_slice,
+        bytes: bytes_slice,
+    })
 }
 
 /// Checks a CSR offsets array: `node_count + 1` monotone entries spanning
@@ -510,7 +460,7 @@ mod tests {
             g.node_by_label("alice"),
             "hash index must be rebuilt"
         );
-        // Derived reads served from the CSR with empty builder maps.
+        // Derived reads are served from the mapped CSR.
         assert_eq!(loaded.edges().count(), g.edge_count());
         assert_eq!(
             loaded.nodes_with_any_edge().len(),
@@ -524,10 +474,10 @@ mod tests {
     }
 
     #[test]
-    fn loaded_store_hydrates_on_mutation() {
+    fn loaded_store_thaws_on_mutation() {
         let g = sample();
-        let mut loaded = roundtrip(&g, "hydrate");
-        // Adding an edge must keep all the old edges (hydration) and behave
+        let mut loaded = roundtrip(&g, "thaw");
+        // Adding an edge must keep all the old edges (the thaw) and behave
         // exactly like a never-snapshotted store.
         assert!(loaded.add_triple("carol", "knows", "dave"));
         assert!(!loaded.is_frozen());
@@ -538,7 +488,7 @@ mod tests {
         assert_eq!(loaded.neighbors(alice, knows, Direction::Outgoing), &[bob]);
         loaded.freeze();
         assert_eq!(loaded.neighbors(alice, knows, Direction::Outgoing), &[bob]);
-        // Deduplication still works against hydrated edges.
+        // Deduplication still works against thawed edges.
         assert!(!loaded.add_triple("alice", "knows", "bob"));
     }
 

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use crate::graph::GraphStore;
-use crate::ids::LabelId;
+use crate::ids::{Direction, LabelId};
 
 /// Cardinalities of one `(label)` slice of the graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -19,9 +19,10 @@ pub struct LabelEntry {
     pub distinct_heads: u64,
 }
 
-/// Per-label edge and distinct-endpoint counts, read straight off the
-/// frozen CSR offset arrays in `O(labels · nodes)` array scans — no hashing,
-/// no adjacency materialisation.
+/// Per-label edge and distinct-endpoint counts. A frozen store reads them
+/// off its CSR offset arrays once per index (`O(labels · nodes)` array
+/// scans, cached beside the arrays) and every epoch layered on that index
+/// adds its overlay's counters in `O(labels)`.
 ///
 /// The planner uses these to decide which end of a doubly-constant conjunct
 /// to evaluate from and how to order conjunct streams for the rank join;
@@ -34,28 +35,28 @@ pub struct LabelStats {
 }
 
 impl LabelStats {
-    /// Computes the statistics for `graph`.
-    ///
-    /// On a frozen store each label costs one pass over its two offset
-    /// arrays; on an unfrozen store the builder hash maps provide the same
-    /// counts directly.
+    /// Computes the statistics for `graph` from scratch: one pass over each
+    /// label's two offset arrays in the frozen index (none while loading)
+    /// and one over the overlay's touched nodes, counting endpoints rather
+    /// than trusting the overlay's counters. [`GraphStore::label_stats`]
+    /// returns the same values in `O(labels)`; this is the reference it is
+    /// tested against.
     pub fn compute(graph: &GraphStore) -> LabelStats {
-        let mut entries = Vec::with_capacity(graph.label_count());
-        for (label, _) in graph.labels() {
-            entries.push(LabelEntry {
-                edges: graph.edge_count_for_label(label) as u64,
-                distinct_tails: graph.distinct_tails(label) as u64,
-                distinct_heads: graph.distinct_heads(label) as u64,
-            });
-        }
-        let total_edges = entries.iter().map(|e| e.edges).sum();
-        LabelStats {
-            entries,
-            total_edges,
-        }
+        let base = graph.csr.as_ref().map(|csr| csr.scan_stats());
+        let base = base.unwrap_or_default();
+        let added = |label, dir| match &graph.overlay {
+            Some(overlay) => overlay.added_endpoints(label, dir).count() as u64,
+            None => 0,
+        };
+        let entries = graph.labels().map(|(label, _)| LabelEntry {
+            edges: graph.edge_count_for_label(label) as u64,
+            distinct_tails: base.entry(label).distinct_tails + added(label, Direction::Outgoing),
+            distinct_heads: base.entry(label).distinct_heads + added(label, Direction::Incoming),
+        });
+        LabelStats::from_entries(entries.collect())
     }
 
-    /// Reassembles the statistics from raw entries (the snapshot loader).
+    /// Reassembles the statistics from raw entries.
     pub(crate) fn from_entries(entries: Vec<LabelEntry>) -> LabelStats {
         let total_edges = entries.iter().map(|e| e.edges).sum();
         LabelStats {

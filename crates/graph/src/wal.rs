@@ -31,6 +31,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use crate::overlay::GraphDelta;
 use crate::snapshot::checksum;
 
 /// Magic bytes opening every WAL file.
@@ -156,6 +157,16 @@ pub struct WalRecord {
     pub adds: Vec<(String, String, String)>,
     /// Removed `(tail, label, head)` triples.
     pub removes: Vec<(String, String, String)>,
+}
+
+impl WalRecord {
+    /// The record's batch as the graph layer applies it.
+    pub fn into_delta(self) -> GraphDelta {
+        GraphDelta {
+            adds: self.adds,
+            removes: self.removes,
+        }
+    }
 }
 
 /// What [`Wal::open`] found on disk.
@@ -290,9 +301,15 @@ impl Wal {
         self.len
     }
 
+    /// Bytes of records in the log — what recovery would replay; `0` right
+    /// after a rotation.
+    pub fn record_bytes(&self) -> u64 {
+        self.len.saturating_sub(WAL_HEADER_LEN)
+    }
+
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len <= WAL_HEADER_LEN
+        self.record_bytes() == 0
     }
 
     /// Arm a one-shot injected failure consumed by the next [`Wal::append`].

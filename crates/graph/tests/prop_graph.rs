@@ -1,8 +1,8 @@
 //! Property-based tests for the graph store and its bitmap node sets.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use omega_graph::{Direction, GraphStore, NodeBitmap, NodeId};
+use omega_graph::{Direction, GraphDelta, GraphStore, LabelEntry, LabelStats, NodeBitmap, NodeId};
 use proptest::prelude::*;
 
 fn triple_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
@@ -10,7 +10,170 @@ fn triple_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
     prop::collection::vec((0u8..20, 0u8..5, 0u8..20), 0..200)
 }
 
+type Triple = (u8, u8, u8);
+
+/// Everything a reader can see of one store, keyed by names (node and label
+/// ids differ between an epoch chain and a rebuild): each live neighbour
+/// slice in the order the store returns it, the edge set, the per-label
+/// counts and the cached statistics.
+#[derive(Debug, Clone, PartialEq)]
+struct View {
+    slices: BTreeMap<(String, String, bool), Vec<String>>,
+    edges: BTreeSet<(String, String, String)>,
+    label_edges: BTreeMap<String, usize>,
+    stats: BTreeMap<String, LabelEntry>,
+}
+
+impl View {
+    fn of(g: &GraphStore) -> View {
+        let mut slices = BTreeMap::new();
+        for node in g.node_ids() {
+            for (dir, outgoing) in [(Direction::Outgoing, true), (Direction::Incoming, false)] {
+                let name = |n| g.node_label(n).to_owned();
+                for (label, label_name) in g.labels() {
+                    let slice: Vec<_> = g.neighbors_iter(node, label, dir).map(name).collect();
+                    if !slice.is_empty() {
+                        slices.insert((name(node), label_name.to_owned(), outgoing), slice);
+                    }
+                }
+                let any: Vec<_> = g
+                    .neighbors_any_iter(node, dir)
+                    .map(|(l, n)| format!("{} {}", g.label_name(l), name(n)))
+                    .collect();
+                if !any.is_empty() {
+                    slices.insert((name(node), "*".to_owned(), outgoing), any);
+                }
+            }
+        }
+        let live_labels = || g.labels().filter(|&(l, _)| g.edge_count_for_label(l) > 0);
+        View {
+            slices,
+            edges: g
+                .edges()
+                .map(|e| {
+                    (
+                        g.node_label(e.source).to_owned(),
+                        g.label_name(e.label).to_owned(),
+                        g.node_label(e.target).to_owned(),
+                    )
+                })
+                .collect(),
+            label_edges: live_labels()
+                .map(|(l, name)| (name.to_owned(), g.edge_count_for_label(l)))
+                .collect(),
+            stats: live_labels()
+                .map(|(l, name)| (name.to_owned(), g.label_stats().entry(l)))
+                .collect(),
+        }
+    }
+
+    /// The view with slice order forgotten (a rebuild inserts in its own).
+    fn unordered(mut self) -> View {
+        self.slices.values_mut().for_each(|slice| slice.sort());
+        self
+    }
+}
+
+fn rebuilt(triples: &BTreeSet<Triple>) -> GraphStore {
+    let mut g = GraphStore::new();
+    for (s, p, o) in triples {
+        g.add_triple(&format!("n{s}"), &format!("p{p}"), &format!("n{o}"));
+    }
+    g.freeze();
+    g
+}
+
+/// The documented statistics of an epoch whose base index holds `base` and
+/// whose live edge set is `live`: exact edge counts; distinct endpoints are
+/// the base's plus those of the overlay-added edges (`live − base`),
+/// deletions ignored.
+fn expected_stats(
+    base: &BTreeSet<Triple>,
+    live: &BTreeSet<Triple>,
+) -> BTreeMap<String, LabelEntry> {
+    let added: BTreeSet<Triple> = live.difference(base).copied().collect();
+    let distinct = |set: &BTreeSet<Triple>, p: u8, end: fn(&Triple) -> u8| {
+        let ends: BTreeSet<u8> = set.iter().filter(|t| t.1 == p).map(end).collect();
+        ends.len() as u64
+    };
+    let labels: BTreeSet<u8> = live.iter().map(|t| t.1).collect();
+    labels
+        .into_iter()
+        .map(|p| {
+            let entry = LabelEntry {
+                edges: live.iter().filter(|t| t.1 == p).count() as u64,
+                distinct_tails: distinct(base, p, |t| t.0) + distinct(&added, p, |t| t.0),
+                distinct_heads: distinct(base, p, |t| t.2) + distinct(&added, p, |t| t.2),
+            };
+            (format!("p{p}"), entry)
+        })
+        .collect()
+}
+
 proptest! {
+    /// A chain of epochs derived by `with_delta` (adds, removes, re-adds,
+    /// new nodes, new labels), compacted part-way, reads like a from-scratch
+    /// rebuild of the same triples on every epoch; its incremental
+    /// `label_stats()` equals the from-scratch `LabelStats::compute` and
+    /// the documented semantics; and every epoch still held reads exactly
+    /// as it did when it was derived once all the later applies and the
+    /// compaction are done — structural sharing leaks nothing.
+    #[test]
+    fn epoch_chain_equals_rebuild_and_held_epochs_never_move(
+        base in prop::collection::vec((0u8..12, 0u8..4, 0u8..12), 0..60),
+        script in prop::collection::vec(
+            prop::collection::vec((any::<bool>(), 0u8..16, 0u8..6, 0u8..16), 0..24),
+            1..8,
+        ),
+        compact_after in 0usize..8,
+    ) {
+        let mut live: BTreeSet<Triple> = base.iter().copied().collect();
+        let mut in_base = live.clone();
+        let mut current = rebuilt(&live);
+        let mut held = vec![(current.clone(), View::of(&current))];
+        for (i, batch) in script.iter().enumerate() {
+            let mut delta = GraphDelta::new();
+            let name = |n: &u8| format!("n{n}");
+            for (add, s, p, o) in batch {
+                if *add {
+                    delta.add(&name(s), &format!("p{p}"), &name(o));
+                } else {
+                    delta.remove(&name(s), &format!("p{p}"), &name(o));
+                }
+            }
+            // All adds apply before all removes.
+            let before = live.len();
+            live.extend(batch.iter().filter(|op| op.0).map(|&(_, s, p, o)| (s, p, o)));
+            let added = live.len() - before;
+            let before = live.len();
+            for &(_, s, p, o) in batch.iter().filter(|op| !op.0) {
+                live.remove(&(s, p, o));
+            }
+            let (next, report) = current.with_delta(&delta).unwrap();
+            prop_assert_eq!((report.added, report.removed), (added as u64, (before - live.len()) as u64));
+            current = next;
+            if i == compact_after {
+                held.push((current.clone(), View::of(&current)));
+                current = current.compacted();
+                prop_assert!(!current.has_overlay());
+                in_base = live.clone();
+            }
+            let view = View::of(&current);
+            prop_assert_eq!(current.edge_count(), live.len());
+            prop_assert_eq!(current.label_stats(), &LabelStats::compute(&current));
+            prop_assert_eq!(&view.stats, &expected_stats(&in_base, &live));
+            let reference = View { stats: view.stats.clone(), ..View::of(&rebuilt(&live)) };
+            prop_assert_eq!(view.clone().unordered(), reference.unordered());
+            held.push((current.clone(), view));
+        }
+        let last = current.compacted();
+        prop_assert_eq!(View::of(&last).unordered(), View::of(&rebuilt(&live)).unordered());
+        for (epoch, view) in &held {
+            prop_assert_eq!(&View::of(epoch), view);
+            prop_assert_eq!(epoch.label_stats(), &LabelStats::compute(epoch));
+        }
+    }
+
     /// The store deduplicates triples: its edge count equals the number of
     /// distinct triples inserted.
     #[test]

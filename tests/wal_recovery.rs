@@ -16,8 +16,13 @@
 //! * **atomic snapshot writes** — every snapshot rename is followed by a
 //!   parent-directory fsync (the [`dir_syncs`] regression counter).
 //!
-//! The fault slot is process-global, so the fault tests serialise on a
-//! file-local mutex (same discipline as the chaos suite).
+//! * **recovery is not a client write** — a log of N records folds into
+//!   one published epoch N further on, counted as recovered records and
+//!   never as mutations, with no client-write fault point on the way.
+//!
+//! The fault slot is process-global — an installed plan hits every `apply`
+//! in the process — so every test here takes the file-local mutex (same
+//! discipline as the chaos suite).
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -32,7 +37,7 @@ use omega::core::{
 use omega::graph::snapshot::dir_syncs;
 use omega::{GraphStore, Ontology};
 
-/// Serialises the fault-injection tests (the fault slot is process-global).
+/// Serialises the suite (the fault slot is process-global).
 fn fault_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -142,6 +147,7 @@ fn mutate_three_batches(db: &Database, expected: &mut BTreeSet<(String, String, 
 
 #[test]
 fn kill9_recovers_every_acknowledged_mutation() {
+    let _guard = fault_lock();
     let dir = wal_dir("kill9");
     let (db, fresh) = open_durable(&dir, FsyncPolicy::Always);
     assert_eq!(fresh, RecoveryReport::default(), "fresh log has nothing");
@@ -174,7 +180,64 @@ fn kill9_recovers_every_acknowledged_mutation() {
 }
 
 #[test]
+fn recovery_folds_the_log_into_one_epoch_and_is_not_a_client_write() {
+    let _guard = fault_lock();
+    let dir = wal_dir("fold");
+    let (db, _) = open_durable(&dir, FsyncPolicy::Always);
+    let (_, _, mut expected) = seed();
+    mutate_three_batches(&db, &mut expected);
+    // A logged batch that changes nothing still owns an epoch, and one that
+    // brings a new label and new nodes.
+    apply(&db, &[(false, "nobody", "p", "b")], &mut expected);
+    apply(
+        &db,
+        &[(true, "e", "r", "f"), (false, "c", "q", "a")],
+        &mut expected,
+    );
+    assert_eq!((db.epoch(), db.wal_seq()), (5, 5));
+    drop(db);
+
+    // Recovery passes no client-write fault point: a plan that fails every
+    // `apply` does not touch it.
+    let chaos = install(Arc::new(
+        FaultPlan::new(3, 1.0).only(FaultPoint::MutationApply),
+    ));
+    let (db, recovery) = open_durable(&dir, FsyncPolicy::Always);
+    drop(chaos);
+    assert_eq!(
+        recovery,
+        RecoveryReport {
+            records: 5,
+            truncated_bytes: 0,
+            from_checkpoint: false
+        }
+    );
+    assert_eq!((db.epoch(), db.durable_epoch(), db.wal_seq()), (5, 5, 5));
+    assert_state(&db, &expected);
+    let metrics = db.metrics().expose();
+    let series = |name: &str| omega_obs::find_value(&metrics, name);
+    assert_eq!(series("omega_core_mutations_total"), Some(0.0));
+    assert_eq!(series("omega_core_wal_recovered_records_total"), Some(5.0));
+    assert_eq!(series("omega_core_epoch"), Some(5.0));
+    assert!(series("omega_core_wal_bytes_since_checkpoint") > Some(0.0));
+    assert_eq!(
+        series("omega_core_overlay_edges"),
+        Some(db.graph().overlay_edges() as f64)
+    );
+
+    // The log keeps lining up: the next write is epoch 6, record 6.
+    apply(&db, &[(true, "f", "p", "a")], &mut expected);
+    assert_eq!((db.epoch(), db.wal_seq()), (6, 6));
+    drop(db);
+    let (db, recovery) = open_durable(&dir, FsyncPolicy::Always);
+    assert_eq!((recovery.records, db.epoch()), (6, 6));
+    assert_state(&db, &expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn rotation_checkpoint_plus_tail_log_is_an_incremental_snapshot() {
+    let _guard = fault_lock();
     let dir = wal_dir("rotate");
     let (db, _) = open_durable(&dir, FsyncPolicy::Always);
     let (_, _, mut expected) = seed();
@@ -187,7 +250,17 @@ fn rotation_checkpoint_plus_tail_log_is_an_incremental_snapshot() {
 
     // Compaction rotates: the history so far moves into the checkpoint
     // image and the log restarts empty.
+    let since_checkpoint = |db: &Database| {
+        let metrics = db.metrics().expose();
+        omega_obs::find_value(&metrics, "omega_core_wal_bytes_since_checkpoint")
+    };
+    assert!(since_checkpoint(&db) > Some(0.0));
     db.compact();
+    assert_eq!(
+        since_checkpoint(&db),
+        Some(0.0),
+        "rotation resets the gauge"
+    );
     apply(&db, &[(true, "d", "p", "e")], &mut expected);
     drop(db);
 
@@ -207,6 +280,7 @@ fn rotation_checkpoint_plus_tail_log_is_an_incremental_snapshot() {
 
 #[test]
 fn save_snapshot_rotates_and_the_checkpoint_supersedes_the_image() {
+    let _guard = fault_lock();
     let dir = wal_dir("snap");
     let snap = std::env::temp_dir().join(format!("omega-wal-snap-{}.omega", std::process::id()));
     let (db, _) = open_durable(&dir, FsyncPolicy::Always);
@@ -233,6 +307,7 @@ fn save_snapshot_rotates_and_the_checkpoint_supersedes_the_image() {
 
 #[test]
 fn fsync_never_acknowledges_before_durability() {
+    let _guard = fault_lock();
     let dir = wal_dir("never");
     let (db, _) = open_durable(&dir, FsyncPolicy::Never);
     let (_, _, mut expected) = seed();
@@ -254,6 +329,7 @@ fn fsync_never_acknowledges_before_durability() {
 
 #[test]
 fn every_ms_policy_parses_and_acknowledges() {
+    let _guard = fault_lock();
     assert_eq!(FsyncPolicy::parse("every:25"), Ok(FsyncPolicy::EveryMs(25)));
     let dir = wal_dir("every");
     let (db, _) = open_durable(&dir, FsyncPolicy::EveryMs(0));
@@ -344,6 +420,7 @@ fn fsync_fault_degrades_but_recovery_is_at_least_once() {
 
 #[test]
 fn snapshot_writes_fsync_the_parent_directory() {
+    let _guard = fault_lock();
     let dir = wal_dir("dirsync");
     let snap = std::env::temp_dir().join(format!("omega-wal-dirsync-{}.omega", std::process::id()));
     let (db, _) = open_durable(&dir, FsyncPolicy::Always);
@@ -374,6 +451,7 @@ fn snapshot_writes_fsync_the_parent_directory() {
 
 #[test]
 fn reconfigured_views_share_the_wal_and_the_degraded_state() {
+    let _guard = fault_lock();
     let dir = wal_dir("views");
     let (db, _) = open_durable(&dir, FsyncPolicy::Always);
     let (_, _, mut expected) = seed();
