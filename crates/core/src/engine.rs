@@ -10,6 +10,8 @@
 
 #![allow(deprecated)]
 
+use std::sync::Arc;
+
 use omega_graph::GraphStore;
 use omega_ontology::Ontology;
 
@@ -113,8 +115,12 @@ impl Omega {
     /// this type, preserved for callers that mutate `options_mut` between
     /// runs.
     pub fn stream(&self, query: &Query) -> Result<QueryStream<'_>> {
-        let prepared =
-            compile_prepared(query, &self.data.graph, &self.data.ontology, &self.options)?;
+        let prepared = Arc::new(compile_prepared(
+            query,
+            &self.data.graph,
+            &self.data.ontology,
+            &self.options,
+        )?);
         Ok(QueryStream {
             inner: prepared.answers(
                 &self.data,
@@ -123,6 +129,7 @@ impl Omega {
                 self.db.core_metrics(),
                 self.options.clone(),
                 None,
+                false,
                 false,
             ),
         })

@@ -8,12 +8,12 @@
 //! buffered combination once its total distance is provably minimal — i.e.
 //! not larger than the lower bound any future combination could achieve.
 //!
-//! Variable names are resolved to dense *slot* indices once, when the join is
-//! constructed: every partial result is a fixed-width `Vec<Option<NodeId>>`
-//! indexed by slot, so a join attempt is a pairwise merge of two small arrays
-//! — no string hashing, cloning or re-sorting per attempt (which is what the
-//! previous `Vec<(String, NodeId)>` representation paid on every buffered
-//! combination).
+//! Variable names never reach the join: the prepared statement resolves them
+//! to dense *slot* indices once, at prepare, and hands each input its subject
+//! and object slot. Every partial result is a fixed-width
+//! `Vec<Option<NodeId>>` indexed by slot, so a join attempt is a pairwise
+//! merge of two small arrays — no string hashing, cloning or re-sorting per
+//! attempt.
 //!
 //! The join is deliberately *deterministic in its inputs' contents*, never
 //! in their timing: `pull_once` picks the live stream with the smallest
@@ -49,24 +49,17 @@ use crate::error::Result;
 use crate::eval::stats::EvalStats;
 use crate::eval::AnswerStream;
 
-/// Variable bindings of one emitted join result, name-keyed for consumers.
-pub type Bindings = Vec<(String, NodeId)>;
-
-/// Slot-indexed representation: one entry per join variable slot. Consumers
-/// that resolved their variables to slot indices up front (the answer
-/// stream's head projection) read this directly and never touch names.
+/// One emitted join result: one entry per join variable slot. The answer
+/// stream's head projection reads it through slot indices resolved at
+/// prepare and never touches names.
 pub type SlotBindings = Vec<Option<NodeId>>;
 
 /// One input stream of the join.
 pub struct JoinInput<'a> {
     stream: Box<dyn AnswerStream + 'a>,
-    /// Variable bound by the conjunct's subject (if it is a variable).
-    subject_var: Option<String>,
-    /// Variable bound by the conjunct's object (if it is a variable).
-    object_var: Option<String>,
-    /// Slot index of the subject variable, resolved at join construction.
+    /// Slot of the conjunct's subject variable (`None` for a constant).
     subject_slot: Option<usize>,
-    /// Slot index of the object variable.
+    /// Slot of the conjunct's object variable (`None` for a constant).
     object_slot: Option<usize>,
     buffer: Vec<(SlotBindings, u32)>,
     /// Buffer positions indexed by the subject-slot value.
@@ -82,18 +75,16 @@ pub struct JoinInput<'a> {
 }
 
 impl<'a> JoinInput<'a> {
-    /// Wraps an answer stream together with the variables its answers bind.
+    /// Wraps an answer stream together with the slots its answers bind.
     pub fn new(
         stream: Box<dyn AnswerStream + 'a>,
-        subject_var: Option<String>,
-        object_var: Option<String>,
+        subject_slot: Option<usize>,
+        object_slot: Option<usize>,
     ) -> JoinInput<'a> {
         JoinInput {
             stream,
-            subject_var,
-            object_var,
-            subject_slot: None,
-            object_slot: None,
+            subject_slot,
+            object_slot,
             buffer: Vec::new(),
             by_subject: FxHashMap::default(),
             by_object: FxHashMap::default(),
@@ -234,8 +225,8 @@ fn merge_bindings(a: &SlotBindings, b: &SlotBindings) -> Option<SlotBindings> {
 /// HRJN-style incremental rank join over conjunct answer streams.
 pub struct RankJoin<'a> {
     inputs: Vec<JoinInput<'a>>,
-    /// Slot-index → variable name, fixed at construction.
-    slots: Vec<String>,
+    /// Number of variable slots the inputs bind between them.
+    slot_count: usize,
     candidates: BinaryHeap<Reverse<Candidate>>,
     emitted: FxHashSet<SlotBindings>,
     /// LIMIT-`k` of the enclosing request, when the join's answers map 1:1
@@ -256,26 +247,12 @@ pub struct RankJoin<'a> {
 }
 
 impl<'a> RankJoin<'a> {
-    /// Creates a join over the given inputs (one per conjunct), resolving
-    /// every variable name to a dense slot index up front.
-    pub fn new(mut inputs: Vec<JoinInput<'a>>) -> RankJoin<'a> {
-        let mut slots: Vec<String> = Vec::new();
-        let slot_of = |name: &str, slots: &mut Vec<String>| -> usize {
-            match slots.iter().position(|s| s == name) {
-                Some(i) => i,
-                None => {
-                    slots.push(name.to_owned());
-                    slots.len() - 1
-                }
-            }
-        };
-        for input in &mut inputs {
-            input.subject_slot = input.subject_var.as_deref().map(|v| slot_of(v, &mut slots));
-            input.object_slot = input.object_var.as_deref().map(|v| slot_of(v, &mut slots));
-        }
+    /// Creates a join over the given inputs (one per conjunct) whose slots
+    /// all lie below `slot_count`.
+    pub fn new(inputs: Vec<JoinInput<'a>>, slot_count: usize) -> RankJoin<'a> {
         RankJoin {
             inputs,
-            slots,
+            slot_count,
             candidates: BinaryHeap::new(),
             emitted: FxHashSet::default(),
             limit: None,
@@ -374,7 +351,7 @@ impl<'a> RankJoin<'a> {
                 Ok(true)
             }
             Some(answer) => {
-                let bindings = self.inputs[idx].bindings_of(&answer, self.slots.len());
+                let bindings = self.inputs[idx].bindings_of(&answer, self.slot_count);
                 let distance = answer.distance;
                 {
                     let input = &mut self.inputs[idx];
@@ -415,19 +392,8 @@ impl<'a> RankJoin<'a> {
         }
     }
 
-    /// The slot index of variable `name`, if any conjunct binds it.
-    pub fn slot_index(&self, name: &str) -> Option<usize> {
-        self.slots.iter().position(|s| s == name)
-    }
-
-    /// Slot-index → variable name, in slot order.
-    pub fn slot_names(&self) -> &[String] {
-        &self.slots
-    }
-
-    /// The next combined answer as raw slot bindings, in non-decreasing
-    /// total-distance order. This is the allocation-light interface used by
-    /// the answer stream; [`RankJoin::get_next`] wraps it with names.
+    /// The next combined answer as slot bindings, in non-decreasing
+    /// total-distance order.
     pub fn get_next_slots(&mut self) -> Result<Option<(SlotBindings, u32)>> {
         loop {
             let tau = self.threshold();
@@ -479,21 +445,6 @@ impl<'a> RankJoin<'a> {
             }
         }
     }
-
-    /// The next combined answer in non-decreasing total-distance order, with
-    /// bindings resolved to variable names.
-    pub fn get_next(&mut self) -> Result<Option<(Bindings, u32)>> {
-        let Some((bindings, distance)) = self.get_next_slots()? else {
-            return Ok(None);
-        };
-        let named: Bindings = self
-            .slots
-            .iter()
-            .zip(bindings.iter())
-            .filter_map(|(name, value)| value.map(|v| (name.clone(), v)))
-            .collect();
-        Ok(Some((named, distance)))
-    }
 }
 
 impl RankJoin<'_> {
@@ -513,6 +464,7 @@ impl RankJoin<'_> {
         self.inputs.iter().map(|input| input.buffer.len()).sum()
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,106 +504,82 @@ mod tests {
         }
     }
 
+    // Variables are slots here: X = 0, Y = 1, Z = 2, W = 3.
+    const X: Option<usize> = Some(0);
+    const Y: Option<usize> = Some(1);
+    const Z: Option<usize> = Some(2);
+    const W: Option<usize> = Some(3);
+
     fn input(
         answers: Vec<(u32, u32, u32)>,
-        subject: Option<&str>,
-        object: Option<&str>,
+        subject: Option<usize>,
+        object: Option<usize>,
     ) -> JoinInput<'static> {
-        JoinInput::new(
-            Box::new(Scripted::new(answers)),
-            subject.map(str::to_owned),
-            object.map(str::to_owned),
-        )
+        JoinInput::new(Box::new(Scripted::new(answers)), subject, object)
     }
 
-    fn binding(bindings: &Bindings, var: &str) -> u32 {
-        bindings.iter().find(|(k, _)| k == var).unwrap().1 .0
+    /// Drains a join into `(bound slot values, distance)` rows.
+    fn drain(mut join: RankJoin<'_>) -> Vec<(Vec<u32>, u32)> {
+        let mut out = Vec::new();
+        while let Some((bindings, d)) = join.get_next_slots().unwrap() {
+            out.push((bindings.into_iter().flatten().map(|n| n.0).collect(), d));
+        }
+        out
     }
 
     #[test]
     fn joins_on_shared_variables() {
         // conjunct 1 binds (X, Y); conjunct 2 binds (Y, Z).
-        let c1 = input(vec![(1, 10, 0), (2, 20, 0)], Some("X"), Some("Y"));
-        let c2 = input(vec![(10, 100, 0), (30, 300, 0)], Some("Y"), Some("Z"));
-        let mut join = RankJoin::new(vec![c1, c2]);
-        let mut results = Vec::new();
-        while let Some(r) = join.get_next().unwrap() {
-            results.push(r);
-        }
-        assert_eq!(results.len(), 1);
-        let (bindings, distance) = &results[0];
-        assert_eq!(distance, &0);
-        assert_eq!(binding(bindings, "X"), 1);
-        assert_eq!(binding(bindings, "Y"), 10);
-        assert_eq!(binding(bindings, "Z"), 100);
+        let c1 = input(vec![(1, 10, 0), (2, 20, 0)], X, Y);
+        let c2 = input(vec![(10, 100, 0), (30, 300, 0)], Y, Z);
+        let results = drain(RankJoin::new(vec![c1, c2], 3));
+        assert_eq!(results, vec![(vec![1, 10, 100], 0)]);
     }
 
     #[test]
     fn total_distance_is_summed_and_ordered() {
-        let c1 = input(
-            vec![(1, 10, 0), (1, 11, 1), (1, 12, 3)],
-            Some("X"),
-            Some("Y"),
-        );
-        let c2 = input(
-            vec![(10, 100, 0), (11, 100, 0), (12, 100, 1)],
-            Some("Y"),
-            Some("Z"),
-        );
-        let mut join = RankJoin::new(vec![c1, c2]);
-        let mut distances = Vec::new();
-        while let Some((_, d)) = join.get_next().unwrap() {
-            distances.push(d);
-        }
+        let c1 = input(vec![(1, 10, 0), (1, 11, 1), (1, 12, 3)], X, Y);
+        let c2 = input(vec![(10, 100, 0), (11, 100, 0), (12, 100, 1)], Y, Z);
+        let distances: Vec<u32> = drain(RankJoin::new(vec![c1, c2], 3))
+            .into_iter()
+            .map(|(_, d)| d)
+            .collect();
         assert_eq!(distances, vec![0, 1, 4]);
     }
 
     #[test]
     fn cartesian_product_when_no_shared_variables() {
-        let c1 = input(vec![(1, 10, 0), (2, 20, 1)], Some("X"), Some("Y"));
-        let c2 = input(vec![(5, 50, 0)], Some("A"), Some("B"));
-        let mut join = RankJoin::new(vec![c1, c2]);
-        let mut count = 0;
-        let mut last = 0;
-        while let Some((_, d)) = join.get_next().unwrap() {
-            assert!(d >= last);
-            last = d;
-            count += 1;
-        }
-        assert_eq!(count, 2);
+        let c1 = input(vec![(1, 10, 0), (2, 20, 1)], X, Y);
+        let c2 = input(vec![(5, 50, 0)], Z, W);
+        let results = drain(RankJoin::new(vec![c1, c2], 4));
+        assert!(results.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert_eq!(results.len(), 2);
     }
 
     #[test]
     fn conflicting_bindings_are_rejected() {
         // Both conjuncts bind X and Y but disagree on Y for x=1.
-        let c1 = input(vec![(1, 10, 0)], Some("X"), Some("Y"));
-        let c2 = input(vec![(1, 99, 0)], Some("X"), Some("Y"));
-        let mut join = RankJoin::new(vec![c1, c2]);
-        assert!(join.get_next().unwrap().is_none());
+        let c1 = input(vec![(1, 10, 0)], X, Y);
+        let c2 = input(vec![(1, 99, 0)], X, Y);
+        let mut join = RankJoin::new(vec![c1, c2], 2);
+        assert!(join.get_next_slots().unwrap().is_none());
     }
 
     #[test]
     fn three_way_join() {
-        let c1 = input(vec![(1, 2, 0)], Some("X"), Some("Y"));
-        let c2 = input(vec![(2, 3, 1)], Some("Y"), Some("Z"));
-        let c3 = input(vec![(3, 4, 2)], Some("Z"), Some("W"));
-        let mut join = RankJoin::new(vec![c1, c2, c3]);
-        let (bindings, distance) = join.get_next().unwrap().unwrap();
-        assert_eq!(distance, 3);
-        assert_eq!(bindings.len(), 4);
-        assert!(join.get_next().unwrap().is_none());
+        let c1 = input(vec![(1, 2, 0)], X, Y);
+        let c2 = input(vec![(2, 3, 1)], Y, Z);
+        let c3 = input(vec![(3, 4, 2)], Z, W);
+        let results = drain(RankJoin::new(vec![c1, c2, c3], 4));
+        assert_eq!(results, vec![(vec![1, 2, 3, 4], 3)]);
     }
 
     #[test]
     fn duplicate_combinations_are_emitted_once() {
         // Two identical answers in stream 1 produce the same combined binding.
-        let c1 = input(vec![(1, 10, 0), (1, 10, 2)], Some("X"), Some("Y"));
-        let c2 = input(vec![(10, 100, 0)], Some("Y"), Some("Z"));
-        let mut join = RankJoin::new(vec![c1, c2]);
-        let mut results = Vec::new();
-        while let Some(r) = join.get_next().unwrap() {
-            results.push(r);
-        }
+        let c1 = input(vec![(1, 10, 0), (1, 10, 2)], X, Y);
+        let c2 = input(vec![(10, 100, 0)], Y, Z);
+        let results = drain(RankJoin::new(vec![c1, c2], 3));
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].1, 0, "the cheaper duplicate wins");
     }
@@ -665,48 +593,30 @@ mod tests {
         let c1_rows = vec![(1, 10, 0), (2, 20, 1), (1, 11, 2), (3, 10, 2)];
         let c2_rows = vec![(10, 5, 0), (11, 5, 1), (10, 6, 2), (20, 7, 3)];
         let c3_rows = vec![(5, 5, 0), (7, 7, 1), (6, 6, 4)];
-        let c1 = input(c1_rows.clone(), Some("X"), Some("Y"));
-        let c2 = input(c2_rows.clone(), Some("Y"), Some("Z"));
-        let c3 = input(c3_rows.clone(), Some("Z"), Some("Z"));
-        let mut join = RankJoin::new(vec![c1, c2, c3]);
-        let mut got = Vec::new();
-        while let Some((bindings, d)) = join.get_next().unwrap() {
-            let mut bindings = bindings
-                .into_iter()
-                .map(|(k, v)| (k, v.0))
-                .collect::<Vec<_>>();
-            bindings.sort();
-            got.push((d, bindings));
-        }
+        let c1 = input(c1_rows.clone(), X, Y);
+        let c2 = input(c2_rows.clone(), Y, Z);
+        let c3 = input(c3_rows.clone(), Z, Z);
+        let got = drain(RankJoin::new(vec![c1, c2, c3], 3));
         // Distances must be non-decreasing.
-        assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
 
         let mut expected = std::collections::BTreeSet::new();
         for &(x, y1, d1) in &c1_rows {
             for &(y2, z1, d2) in &c2_rows {
                 for &(z2, z3, d3) in &c3_rows {
                     if y1 == y2 && z1 == z2 && z2 == z3 {
-                        expected.insert((
-                            d1 + d2 + d3,
-                            vec![
-                                ("X".to_owned(), x),
-                                ("Y".to_owned(), y1),
-                                ("Z".to_owned(), z1),
-                            ],
-                        ));
+                        expected.insert((d1 + d2 + d3, vec![x, y1, z1]));
                     }
                 }
             }
         }
         // The rank join deduplicates identical bindings (cheapest first), so
         // compare against the min-distance combination per binding set.
-        let mut best: std::collections::BTreeMap<Vec<(String, u32)>, u32> =
-            std::collections::BTreeMap::new();
+        let mut best: std::collections::BTreeMap<Vec<u32>, u32> = std::collections::BTreeMap::new();
         for (d, b) in expected {
             best.entry(b).or_insert(d);
         }
-        let got_set: std::collections::BTreeMap<Vec<(String, u32)>, u32> =
-            got.into_iter().map(|(d, b)| (b, d)).collect();
+        let got_set: std::collections::BTreeMap<Vec<u32>, u32> = got.into_iter().collect();
         assert_eq!(got_set, best);
     }
 
@@ -721,13 +631,13 @@ mod tests {
         let rows_a = vec![(1, 10, 0), (1, 10, 2), (2, 10, 3)];
         let rows_b = vec![(10, 100, 0), (10, 200, 40)];
         let run = |limit: Option<usize>, take: usize| {
-            let a = input(rows_a.clone(), Some("X"), Some("Y"));
-            let b = input(rows_b.clone(), Some("Y"), Some("Z"));
-            let mut join = RankJoin::new(vec![a, b]);
+            let a = input(rows_a.clone(), X, Y);
+            let b = input(rows_b.clone(), Y, Z);
+            let mut join = RankJoin::new(vec![a, b], 3);
             join.set_limit(limit);
             let mut out = Vec::new();
             while out.len() < take {
-                match join.get_next().unwrap() {
+                match join.get_next_slots().unwrap() {
                     Some((bindings, d)) => out.push((bindings, d)),
                     None => break,
                 }
@@ -752,11 +662,9 @@ mod tests {
     fn constant_only_conjunct_contributes_distance_but_no_bindings() {
         // A conjunct with two constants acts as a filter: it binds nothing
         // but its (possibly positive) distance still counts.
-        let c1 = input(vec![(1, 10, 0)], Some("X"), None);
+        let c1 = input(vec![(1, 10, 0)], X, None);
         let filter = input(vec![(7, 8, 2)], None, None);
-        let mut join = RankJoin::new(vec![c1, filter]);
-        let (bindings, distance) = join.get_next().unwrap().unwrap();
-        assert_eq!(distance, 2);
-        assert_eq!(bindings.len(), 1);
+        let results = drain(RankJoin::new(vec![c1, filter], 1));
+        assert_eq!(results, vec![(vec![1], 2)]);
     }
 }

@@ -97,6 +97,9 @@ pub use govern::{
 };
 pub use omega_graph::wal::{FsyncPolicy, WalConfig, WalError};
 pub use omega_graph::SnapshotError;
+/// What an [`Answers::next_row`] row is made of, and the id-keyed map its
+/// consumers index rows with.
+pub use omega_graph::{FxHashMap, NodeId};
 pub use omega_obs::{ProfilePhase, QueryProfile, Registry as MetricsRegistry};
 pub use query::{parse_query, Conjunct, Query, QueryMode, Term};
 pub use service::{

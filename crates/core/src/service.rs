@@ -1241,15 +1241,77 @@ struct PreparedConjunct {
     /// requests that never use it pay nothing) and then reused by every
     /// later execution, from any thread.
     branches: std::sync::OnceLock<Option<Vec<Arc<ConjunctPlan>>>>,
-    subject_var: Option<String>,
-    object_var: Option<String>,
     mode: QueryMode,
+}
+
+/// Variable → slot resolution for one conjunct evaluation order, fixed at
+/// prepare so executions never touch variable names. Slots are numbered in
+/// order of first occurrence along `order`.
+struct Layout {
+    /// Conjunct indices in evaluation order.
+    order: Vec<usize>,
+    /// `(subject slot, object slot)` per conjunct, by position in `order`
+    /// (`None` for a constant).
+    endpoints: Vec<(Option<usize>, Option<usize>)>,
+    slot_count: usize,
+    /// Slot of each head column, in projection order.
+    head_slots: Vec<usize>,
+    /// Whether the head projects every slot. Projection-level deduplication
+    /// can then never consume a join answer, so a request's limit bounds the
+    /// join answers needed (top-k threshold pushdown).
+    head_covers_slots: bool,
+}
+
+impl Layout {
+    fn new<'q>(query: &'q Query, order: Vec<usize>) -> Result<Layout> {
+        let mut slots: Vec<&'q str> = Vec::new();
+        let mut slot_of = |term: &'q Term| {
+            let name = term.as_variable()?;
+            Some(slots.iter().position(|s| *s == name).unwrap_or_else(|| {
+                slots.push(name);
+                slots.len() - 1
+            }))
+        };
+        let endpoints = order
+            .iter()
+            .map(|&i| {
+                let conjunct = &query.conjuncts[i];
+                (slot_of(&conjunct.subject), slot_of(&conjunct.object))
+            })
+            .collect();
+        let head_slots = query
+            .head
+            .iter()
+            .map(|var| {
+                slots
+                    .iter()
+                    .position(|s| s == var)
+                    .ok_or_else(|| OmegaError::UnboundHeadVariable(var.clone()))
+            })
+            .collect::<Result<Vec<usize>>>()?;
+        let head_covers_slots = (0..slots.len()).all(|slot| head_slots.contains(&slot));
+        Ok(Layout {
+            order,
+            endpoints,
+            slot_count: slots.len(),
+            head_slots,
+            head_covers_slots,
+        })
+    }
 }
 
 /// The compile-once state shared by every execution of a prepared query.
 pub(crate) struct PreparedInner {
     query: Query,
     conjuncts: Vec<PreparedConjunct>,
+    /// Slot layout in the query's syntactic conjunct order.
+    layout: Layout,
+    /// Slot layout in cost-guided order — most selective conjunct first, by
+    /// the compile-time seed-cardinality estimate — when that order differs
+    /// from the syntactic one. The join drains earlier inputs first on
+    /// distance ties, so sparse streams buffering fully before the big ones
+    /// keeps probe work small; answer *sets* are order-independent.
+    guided: Option<Layout>,
     /// Time [`Database::prepare`] spent parsing the query text, reported in
     /// the `parse` phase of every execution's [`QueryProfile`]. Zero when
     /// the statement was compiled from an already-parsed [`Query`].
@@ -1273,13 +1335,20 @@ pub(crate) fn compile_prepared(
         conjuncts.push(PreparedConjunct {
             plan,
             branches: std::sync::OnceLock::new(),
-            subject_var: conjunct.subject.as_variable().map(str::to_owned),
-            object_var: conjunct.object.as_variable().map(str::to_owned),
             mode: conjunct.mode,
         });
     }
+    let syntactic: Vec<usize> = (0..conjuncts.len()).collect();
+    // Stable sort: equal estimates keep the query's syntactic order.
+    let mut by_estimate = syntactic.clone();
+    by_estimate.sort_by_key(|&i| conjuncts[i].plan.estimated_seed_count);
+    let guided = (by_estimate != syntactic)
+        .then(|| Layout::new(query, by_estimate))
+        .transpose()?;
     Ok(PreparedInner {
         query: query.clone(),
+        layout: Layout::new(query, syntactic)?,
+        guided,
         conjuncts,
         parse_ns: 0,
         compile_ns: 0,
@@ -1314,8 +1383,8 @@ struct ProfileState {
     compile_ns: u64,
     /// `(original conjunct index, time inside its next_answer calls)`.
     conjuncts: Vec<(usize, Arc<AtomicU64>)>,
-    /// Time inside the rank join's `get_next_slots` (includes the conjunct
-    /// time above — the join drives the streams).
+    /// Time inside the stream's candidate pulls (includes the conjunct time
+    /// above — the pull drives the conjunct streams).
     join_ns: u64,
 }
 
@@ -1333,9 +1402,14 @@ impl PreparedInner {
     /// worker threads feeding bounded channels; the ranked join consumes
     /// those channels on the caller's thread in exactly the sequential
     /// order, so the answer sequence is bit-identical either way.
+    ///
+    /// A single-conjunct plan reads its rows straight off the conjunct
+    /// stream, which is already ranked; `via_join` routes it through the
+    /// ranked join regardless (the reference path the bypass is tested
+    /// against).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn answers<'a>(
-        &self,
+        self: &Arc<Self>,
         data: &'a Arc<GraphData>,
         pool: &Arc<WorkerPool>,
         govern: &Arc<ResourceGovernor>,
@@ -1343,6 +1417,7 @@ impl PreparedInner {
         mut options: EvalOptions,
         limit: Option<usize>,
         profile: bool,
+        via_join: bool,
     ) -> Answers<'a> {
         let started = Instant::now();
         // Admission: the governor gates every execution before any evaluator
@@ -1367,7 +1442,7 @@ impl PreparedInner {
                         options.max_psi_steps = (options.max_psi_steps / 2).max(1);
                         continue;
                     }
-                    return Answers::rejected(&data.graph, err, sheds);
+                    return Answers::rejected(Arc::clone(self), &data.graph, err, sheds);
                 }
             }
         };
@@ -1400,85 +1475,64 @@ impl PreparedInner {
         } else {
             options.parallel_workers
         };
-        // Stats-driven stream ordering (cost-guided): most selective
-        // conjunct first, by the compile-time seed-cardinality estimate.
-        // The join drains earlier inputs first on distance ties, so sparse
-        // streams buffering fully before the big ones keeps probe work
-        // small; answer *sets* are order-independent. Stable sort: equal
-        // estimates keep the query's syntactic order.
-        let mut order: Vec<usize> = (0..self.conjuncts.len()).collect();
-        if options.cost_guided && self.conjuncts.len() > 1 {
-            order.sort_by_key(|&i| self.conjuncts[i].plan.estimated_seed_count);
-        }
-        let inputs = order
-            .iter()
-            .enumerate()
-            .map(|(pos, &i)| {
-                let pc = &self.conjuncts[i];
-                let plan = stream_plan(pc, &self.query.conjuncts[i], graph, ontology, &options);
-                let stream: Box<dyn AnswerStream + 'a> = if parallel && pos < worker_budget {
-                    match ParallelStream::spawn(plan, Arc::clone(data), Arc::clone(&options), pool)
-                    {
-                        Ok(stream) => Box::new(stream),
-                        // Spawn failure (thread exhaustion): evaluate this
-                        // conjunct inline — same answers, no parallelism.
-                        Err(plan) => plan.materialize(graph, ontology, Arc::clone(&options)),
-                    }
-                } else {
-                    plan.materialize(graph, ontology, Arc::clone(&options))
-                };
-                // Profiling wraps each conjunct stream in a timing adaptor,
-                // keyed by the query's syntactic conjunct index so phases
-                // read stably however cost-guided ordering shuffled them.
-                let stream: Box<dyn AnswerStream + 'a> = match profile_state.as_mut() {
-                    Some(state) => {
-                        let nanos = Arc::new(AtomicU64::new(0));
-                        state.conjuncts.push((i, Arc::clone(&nanos)));
-                        Box::new(TimedStream {
-                            inner: stream,
-                            nanos,
-                        })
-                    }
-                    None => stream,
-                };
-                JoinInput::new(stream, pc.subject_var.clone(), pc.object_var.clone())
-            })
-            .collect();
-        let mut join = RankJoin::new(inputs);
-        // Head variables resolve to join slot indices exactly once per
-        // execution; projection and deduplication then work on dense
-        // node-id tuples, never on name-keyed bindings.
-        // Validation guarantees every head variable occurs in some conjunct;
-        // the expect documents that invariant rather than a runtime failure
-        // mode.
-        #[allow(clippy::expect_used)]
-        let head_slots: Vec<usize> = self
-            .query
-            .head
-            .iter()
-            .map(|v| {
-                join.slot_index(v)
-                    .expect("validated head variable occurs in some conjunct")
-            })
-            .collect();
-        // Top-k threshold pushdown: when every join slot is projected, the
-        // projection-level deduplication can never consume a join answer,
-        // so the request's limit bounds the join answers needed and streams
-        // provably past the k-th distance stop being pulled.
-        if options.cost_guided {
-            let mut distinct = head_slots.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            if distinct.len() == join.slot_names().len() {
-                join.set_limit(limit);
+        let guided = options.cost_guided && self.guided.is_some();
+        let layout = self.layout(guided);
+        let bypass = self.conjuncts.len() == 1 && !via_join;
+        let mut streams = layout.order.iter().enumerate().map(|(pos, &i)| {
+            let pc = &self.conjuncts[i];
+            let plan = stream_plan(pc, &self.query.conjuncts[i], graph, ontology, &options);
+            let stream: Box<dyn AnswerStream + 'a> = if parallel && pos < worker_budget {
+                match ParallelStream::spawn(plan, Arc::clone(data), Arc::clone(&options), pool) {
+                    Ok(stream) => Box::new(stream),
+                    // Spawn failure (thread exhaustion): evaluate this
+                    // conjunct inline — same answers, no parallelism.
+                    Err(plan) => plan.materialize(graph, ontology, Arc::clone(&options)),
+                }
+            } else {
+                plan.materialize(graph, ontology, Arc::clone(&options))
+            };
+            // Profiling wraps each conjunct stream in a timing adaptor,
+            // keyed by the query's syntactic conjunct index so phases
+            // read stably however cost-guided ordering shuffled them. On a
+            // bypassed plan the pull *is* the conjunct: one timer, not two.
+            let stream: Box<dyn AnswerStream + 'a> = match profile_state.as_mut() {
+                Some(state) if !bypass => {
+                    let nanos = Arc::new(AtomicU64::new(0));
+                    state.conjuncts.push((i, Arc::clone(&nanos)));
+                    Box::new(TimedStream {
+                        inner: stream,
+                        nanos,
+                    })
+                }
+                _ => stream,
+            };
+            stream
+        });
+        let source = match (streams.next(), bypass) {
+            (Some(stream), true) => Source::Single { stream, answers: 0 },
+            (first, _) => {
+                let inputs = first
+                    .into_iter()
+                    .chain(streams)
+                    .zip(&layout.endpoints)
+                    .map(|(stream, &(subject, object))| JoinInput::new(stream, subject, object))
+                    .collect();
+                let mut join = RankJoin::new(inputs, layout.slot_count);
+                // Top-k threshold pushdown: streams provably past the k-th
+                // distance stop being pulled.
+                if options.cost_guided && layout.head_covers_slots {
+                    join.set_limit(limit);
+                }
+                Source::Join(join)
             }
-        }
+        };
         Answers {
             graph,
-            join,
-            head: self.query.head.clone(),
-            head_slots,
-            emitted: FxHashSet::default(),
+            prepared: Arc::clone(self),
+            guided,
+            source,
+            row: Vec::with_capacity(layout.head_slots.len()),
+            emitted: RowSet::new(layout.head_slots.len(), limit),
             limit,
             yielded: 0,
             max_distance: options.max_distance,
@@ -1495,6 +1549,14 @@ impl PreparedInner {
             profile: profile_state,
             profile_out: None,
         }
+    }
+
+    /// The slot layout an execution runs under.
+    fn layout(&self, guided: bool) -> &Layout {
+        self.guided
+            .as_ref()
+            .filter(|_| guided)
+            .unwrap_or(&self.layout)
     }
 }
 
@@ -1558,6 +1620,17 @@ impl PreparedQuery {
 
     /// Streams the ranked answers for one execution under `request`.
     pub fn answers(&self, request: &ExecOptions) -> Answers<'_> {
+        self.answers_from(request, false)
+    }
+
+    /// [`PreparedQuery::answers`] with even a single-conjunct plan routed
+    /// through the ranked join: the reference the bypass is held against.
+    #[cfg(test)]
+    fn answers_via_join(&self, request: &ExecOptions) -> Answers<'_> {
+        self.answers_from(request, true)
+    }
+
+    fn answers_from(&self, request: &ExecOptions, via_join: bool) -> Answers<'_> {
         let options = request.resolve(&self.base);
         self.inner.answers(
             &self.data,
@@ -1567,6 +1640,7 @@ impl PreparedQuery {
             options,
             request.limit,
             request.profile,
+            via_join,
         )
     }
 
@@ -1798,12 +1872,67 @@ impl ExecOptions {
     }
 }
 
+/// Where an execution's ranked candidates come from. One per execution,
+/// held in place for the stream's whole life, so the join is not boxed.
+#[allow(clippy::large_enum_variant)]
+enum Source<'a> {
+    /// Exactly one conjunct: its stream is already ranked, so candidates are
+    /// read straight off it. Conjunct streams never repeat an `(x, y)` pair,
+    /// so every answer pulled is a distinct join-level answer; `answers`
+    /// counts them as the join would.
+    Single {
+        stream: Box<dyn AnswerStream + 'a>,
+        answers: u64,
+    },
+    /// Several conjuncts, combined by the ranked join.
+    Join(RankJoin<'a>),
+}
+
+/// Projection-level deduplication, keyed on the packed id tuple: rows of up
+/// to four columns pack into one `u128`, so remembering a row allocates
+/// nothing beyond the set's own amortised growth. Wider heads box the row.
+enum RowSet {
+    Packed(FxHashSet<u128>),
+    Wide(FxHashSet<Box<[NodeId]>>),
+}
+
+impl RowSet {
+    /// A set for rows of `columns` ids, sized up front for a request that
+    /// asked for at most `limit` of them.
+    fn new(columns: usize, limit: Option<usize>) -> RowSet {
+        let rows = limit.unwrap_or(0).min(1 << 12);
+        if columns <= 4 {
+            RowSet::Packed(FxHashSet::with_capacity_and_hasher(
+                rows,
+                Default::default(),
+            ))
+        } else {
+            RowSet::Wide(FxHashSet::with_capacity_and_hasher(
+                rows,
+                Default::default(),
+            ))
+        }
+    }
+
+    /// Remembers `row`; `false` when it was already present.
+    fn insert(&mut self, row: &[NodeId]) -> bool {
+        match self {
+            RowSet::Packed(set) => {
+                set.insert(row.iter().fold(0, |key, id| key << 32 | u128::from(id.0)))
+            }
+            RowSet::Wide(set) => !set.contains(row) && set.insert(row.into()),
+        }
+    }
+}
+
 /// A streaming handle over one execution's ranked answers.
 ///
 /// Yields answers in non-decreasing total-distance order, enforcing the
-/// request's limit, distance ceiling and deadline. Implements
-/// `Iterator<Item = Result<Answer>>`; after an error or exhaustion the
-/// stream is fused.
+/// request's limit, distance ceiling and deadline. An answer is a row of
+/// [`NodeId`]s against [`Answers::columns`]: [`Answers::next_row`] lends the
+/// row as it is, [`Answers::next_answer`] (and the
+/// `Iterator<Item = Result<Answer>>` impl) materialises it into labels.
+/// After an error or exhaustion the stream is fused.
 ///
 /// The handle owns the execution's shared [`CancelToken`]: it is triggered
 /// as soon as the stream finishes (limit reached, exhausted, or failed) and
@@ -1812,13 +1941,15 @@ impl ExecOptions {
 /// drop.
 pub struct Answers<'a> {
     graph: &'a GraphStore,
-    join: RankJoin<'a>,
-    /// Head variable names, in projection order.
-    head: Vec<String>,
-    /// Join slot of each head variable, resolved once at stream creation.
-    head_slots: Vec<usize>,
-    /// Projection-level deduplication over head-slot node-id tuples.
-    emitted: FxHashSet<Vec<NodeId>>,
+    /// The statement: head columns and slot layouts, resolved at prepare.
+    prepared: Arc<PreparedInner>,
+    /// Whether this execution runs under the cost-guided layout.
+    guided: bool,
+    source: Source<'a>,
+    /// The current row: one id per head column. Lent out by `next_row`.
+    row: Vec<NodeId>,
+    /// Rows already yielded.
+    emitted: RowSet,
     limit: Option<usize>,
     yielded: usize,
     max_distance: Option<u32>,
@@ -1857,13 +1988,19 @@ pub struct Answers<'a> {
 impl<'a> Answers<'a> {
     /// An inert stream standing in for an execution the governor rejected:
     /// its first pull returns the admission error, then it is fused.
-    fn rejected(graph: &'a GraphStore, err: OmegaError, sheds: u64) -> Answers<'a> {
+    fn rejected(
+        prepared: Arc<PreparedInner>,
+        graph: &'a GraphStore,
+        err: OmegaError,
+        sheds: u64,
+    ) -> Answers<'a> {
         Answers {
             graph,
-            join: RankJoin::new(Vec::new()),
-            head: Vec::new(),
-            head_slots: Vec::new(),
-            emitted: FxHashSet::default(),
+            prepared,
+            guided: false,
+            source: Source::Join(RankJoin::new(Vec::new(), 0)),
+            row: Vec::new(),
+            emitted: RowSet::new(0, None),
             limit: None,
             yielded: 0,
             max_distance: None,
@@ -1901,7 +2038,7 @@ impl<'a> Answers<'a> {
         let total_ns = elapsed_ns(self.started);
         if let Some(metrics) = self.metrics.take() {
             metrics.exec_ns.record(total_ns);
-            if self.join.stats().degraded {
+            if self.source_stats().degraded {
                 metrics.degrades.inc();
             }
         }
@@ -1915,9 +2052,14 @@ impl<'a> Answers<'a> {
                 conjunct_ns = conjunct_ns.saturating_add(ns);
                 profile.push(format!("conjunct_{index}"), ns);
             }
-            // The join loop drives the conjunct streams, so its own cost is
-            // what remains after their time is taken out; streaming is the
-            // projection/dedup/consumer share of the total.
+            if let Source::Single { .. } = self.source {
+                // No join ran: the pulls were the one conjunct's.
+                conjunct_ns = state.join_ns;
+                profile.push("conjunct_0", conjunct_ns);
+            }
+            // The pull drives the conjunct streams, so the join's own cost
+            // is what remains after their time is taken out; streaming is
+            // the dedup/consumer share of the total.
             profile.push("rank_join", state.join_ns.saturating_sub(conjunct_ns));
             profile.push("streaming", total_ns.saturating_sub(state.join_ns));
             profile.push("total", total_ns);
@@ -1943,13 +2085,12 @@ impl<'a> Answers<'a> {
 
     /// Mirrors the rank join's buffered-entry count into the governor's
     /// gauge as a delta; `drain` pushes this stream's contribution back to
-    /// zero when it ends.
+    /// zero when it ends. A bypassed single-conjunct plan buffers nothing.
     fn sync_buffer_gauge(&mut self, drain: bool) {
         let Some(govern) = &self.govern else { return };
-        let now = if drain {
-            0
-        } else {
-            self.join.buffered_entries()
+        let now = match &self.source {
+            Source::Join(join) if !drain => join.buffered_entries(),
+            _ => 0,
         };
         if now != self.buffered {
             govern.adjust_join_buffer(now as isize - self.buffered as isize);
@@ -1957,9 +2098,73 @@ impl<'a> Answers<'a> {
         }
     }
 
-    /// The next answer, `Ok(None)` when the stream is exhausted (or the
-    /// limit/distance ceiling has been reached).
-    pub fn next_answer(&mut self) -> Result<Option<Answer>> {
+    /// The head variable names (without the leading `?`) that the ids of a
+    /// row bind, in projection order. A repeated head variable repeats here.
+    pub fn columns(&self) -> &[String] {
+        &self.prepared.query.head
+    }
+
+    /// The label of a node id taken from a row of this stream.
+    pub fn label(&self, id: NodeId) -> &'a str {
+        self.graph.node_label(id)
+    }
+
+    /// Pulls the next ranked candidate and projects it onto `self.row`;
+    /// returns its distance.
+    fn pull(&mut self) -> Result<Option<u32>> {
+        let layout = self.prepared.layout(self.guided);
+        self.row.clear();
+        match &mut self.source {
+            Source::Single { stream, answers } => {
+                let Some(answer) = stream.next_answer()? else {
+                    return Ok(None);
+                };
+                *answers += 1;
+                // A slot that is not the subject's is the object's; for
+                // `(?X, R, ?X)` both endpoints agree by construction.
+                let (subject, _) = layout.endpoints[0];
+                let cells = layout.head_slots.iter().map(|&slot| {
+                    if subject == Some(slot) {
+                        answer.x
+                    } else {
+                        answer.y
+                    }
+                });
+                self.row.extend(cells);
+                Ok(Some(answer.distance))
+            }
+            Source::Join(join) => {
+                let Some((bindings, distance)) = join.get_next_slots()? else {
+                    return Ok(None);
+                };
+                // The join only emits candidates with every slot bound, so
+                // the expect documents that invariant, not a runtime
+                // failure mode.
+                #[allow(clippy::expect_used)]
+                let cells = layout
+                    .head_slots
+                    .iter()
+                    .map(|&slot| bindings[slot].expect("every join candidate binds every slot"));
+                self.row.extend(cells);
+                Ok(Some(distance))
+            }
+        }
+    }
+
+    /// The next answer as a row of node ids — one per entry of
+    /// [`Answers::columns`], in that order — and its distance; `Ok(None)`
+    /// when the stream is exhausted (or the limit/distance ceiling has been
+    /// reached).
+    ///
+    /// The row is lent from a buffer inside the stream that the next call
+    /// overwrites, and it holds the stream's mutable borrow for as long as it
+    /// is alive: copy the ids out before touching the stream again — to pull
+    /// the next row, or to resolve ids through [`Answers::label`]. The ids
+    /// themselves (and the labels they resolve to) stay valid for the
+    /// statement's pinned graph epoch, however far the stream has moved on.
+    /// Nothing is allocated per row beyond the deduplication set's amortised
+    /// growth.
+    pub fn next_row(&mut self) -> Result<Option<(&[NodeId], u32)>> {
         if self.finished {
             return Ok(None);
         }
@@ -1973,7 +2178,7 @@ impl<'a> Answers<'a> {
         }
         // The per-tuple deadline checks live in the conjunct evaluators;
         // this top-level check guarantees an already-expired deadline fails
-        // before any join work happens at all.
+        // before any evaluation happens at all.
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 self.finish();
@@ -1981,15 +2186,17 @@ impl<'a> Answers<'a> {
             }
         }
         loop {
-            // Timing the join pull is the only profiling cost on the answer
+            // Timing the pull is the only profiling cost on the answer
             // loop, and only paid when a profile was requested.
-            let pulled = if let Some(state) = self.profile.as_mut() {
+            let pulled = if self.profile.is_some() {
                 let started = Instant::now();
-                let next = self.join.get_next_slots();
-                state.join_ns = state.join_ns.saturating_add(elapsed_ns(started));
+                let next = self.pull();
+                if let Some(state) = self.profile.as_mut() {
+                    state.join_ns = state.join_ns.saturating_add(elapsed_ns(started));
+                }
                 next
             } else {
-                self.join.get_next_slots()
+                self.pull()
             };
             let next = match pulled {
                 Ok(next) => next,
@@ -1999,7 +2206,7 @@ impl<'a> Answers<'a> {
                 }
             };
             self.sync_buffer_gauge(false);
-            let Some((bindings, distance)) = next else {
+            let Some(distance) = next else {
                 self.finish();
                 return Ok(None);
             };
@@ -2009,30 +2216,26 @@ impl<'a> Answers<'a> {
                 self.finish();
                 return Ok(None);
             }
-            // Project onto the head slots and deduplicate projections. The
-            // join only emits candidates with every slot bound, so the
-            // expect documents that invariant, not a runtime failure mode.
-            #[allow(clippy::expect_used)]
-            let key: Vec<NodeId> = self
-                .head_slots
-                .iter()
-                .map(|&slot| bindings[slot].expect("every join candidate binds every slot"))
-                .collect();
-            if !self.emitted.insert(key.clone()) {
-                continue;
+            if self.emitted.insert(&self.row) {
+                self.yielded += 1;
+                return Ok(Some((&self.row, distance)));
             }
-            let named: BTreeMap<String, String> = self
-                .head
-                .iter()
-                .zip(key.iter())
-                .map(|(var, node)| (var.clone(), self.graph.node_label(*node).to_owned()))
-                .collect();
-            self.yielded += 1;
-            return Ok(Some(Answer {
-                bindings: named,
-                distance,
-            }));
         }
+    }
+
+    /// The next answer with its ids resolved to labels, `Ok(None)` when the
+    /// stream is exhausted (or the limit/distance ceiling has been reached).
+    pub fn next_answer(&mut self) -> Result<Option<Answer>> {
+        let Some((_, distance)) = self.next_row()? else {
+            return Ok(None);
+        };
+        let bindings: BTreeMap<String, String> = self
+            .columns()
+            .iter()
+            .zip(&self.row)
+            .map(|(var, &id)| (var.clone(), self.label(id).to_owned()))
+            .collect();
+        Ok(Some(Answer { bindings, distance }))
     }
 
     /// Collects up to `limit` further answers (all remaining when `None`),
@@ -2048,10 +2251,22 @@ impl<'a> Answers<'a> {
         Ok(out)
     }
 
+    /// Evaluator and join statistics, without the admission-time sheds.
+    fn source_stats(&self) -> EvalStats {
+        match &self.source {
+            Source::Single { stream, answers } => {
+                let mut stats = stream.stats();
+                stats.answers += answers;
+                stats
+            }
+            Source::Join(join) => join.stats(),
+        }
+    }
+
     /// Evaluation statistics accumulated so far across all conjuncts,
     /// including shed retries performed at admission.
     pub fn stats(&self) -> EvalStats {
-        let mut stats = self.join.stats();
+        let mut stats = self.source_stats();
         stats.sheds += self.sheds;
         stats
     }
@@ -2132,31 +2347,39 @@ mod tests {
     #[test]
     fn profile_records_every_phase_when_requested() {
         let db = db();
-        let prepared = db
-            .prepare("(?X, ?W) <- (?X, knows, ?Y), (?Y, worksAt, ?W)")
-            .unwrap();
-        let mut answers = prepared.answers(&ExecOptions::new().with_profile(true));
-        assert!(answers.profile().is_none(), "not available mid-stream");
-        let collected = answers.collect_up_to(None).unwrap();
-        assert!(!collected.is_empty());
-        let profile = answers.profile().expect("requested profile");
-        for phase in [
-            "parse",
-            "compile",
-            "conjunct_0",
-            "conjunct_1",
-            "rank_join",
-            "streaming",
-            "total",
+        // A joined plan and a bypassed single-conjunct one: both report the
+        // same phase list.
+        for (text, conjuncts) in [
+            ("(?X, ?W) <- (?X, knows, ?Y), (?Y, worksAt, ?W)", 2),
+            ("(?X, ?Y) <- (?X, knows+, ?Y)", 1),
         ] {
-            assert!(profile.get(phase).is_some(), "missing phase {phase}");
+            let prepared = db.prepare(text).unwrap();
+            let mut answers = prepared.answers(&ExecOptions::new().with_profile(true));
+            assert!(answers.profile().is_none(), "not available mid-stream");
+            let collected = answers.collect_up_to(None).unwrap();
+            assert!(!collected.is_empty());
+            let profile = answers.profile().expect("requested profile");
+            let phase = |name: &str| {
+                profile
+                    .get(name)
+                    .unwrap_or_else(|| panic!("{text}: missing phase {name}"))
+            };
+            assert!(phase("parse") > 0, "cache-missed prepare timed the parse");
+            assert!(phase("compile") > 0);
+            // The execution phases partition `total`, with or without a join
+            // behind them.
+            let conjunct_ns: u64 = (0..conjuncts)
+                .map(|i| phase(&format!("conjunct_{i}")))
+                .sum();
+            assert_eq!(
+                conjunct_ns + phase("rank_join") + phase("streaming"),
+                phase("total"),
+                "{text}"
+            );
+            if conjuncts == 1 {
+                assert_eq!(phase("rank_join"), 0, "a bypassed plan has no join to time");
+            }
         }
-        assert!(
-            profile.get("parse").unwrap() > 0,
-            "cache-missed prepare timed the parse"
-        );
-        assert!(profile.get("compile").unwrap() > 0);
-        assert!(profile.total_nanos() >= profile.get("rank_join").unwrap());
     }
 
     #[test]
@@ -2524,20 +2747,27 @@ mod tests {
                 .with_max_live_tuples(1 << 16)
                 .with_max_concurrent(4),
         );
-        let text = "(?X, ?W) <- (?X, knows, ?Y), (?Y, worksAt, ?W)";
-        let prepared = db.prepare(text).unwrap();
-        {
-            let mut stream = prepared.answers(&ExecOptions::new());
-            assert!(stream.next_answer().unwrap().is_some());
-            let during = db.governor().gauges();
-            assert_eq!(during.executions, 1);
-            assert!(during.live_tuples > 0, "reservations drawn mid-query");
-            // Abandon the stream mid-flight: Drop must return everything.
+        // A joined plan buffers its inputs; a bypassed single-conjunct plan
+        // has no join to buffer in.
+        for (text, buffers) in [
+            ("(?X, ?W) <- (?X, knows, ?Y), (?Y, worksAt, ?W)", true),
+            ("(?X, ?Y) <- (?X, knows+, ?Y)", false),
+        ] {
+            let prepared = db.prepare(text).unwrap();
+            {
+                let mut stream = prepared.answers(&ExecOptions::new());
+                assert!(stream.next_row().unwrap().is_some());
+                let during = db.governor().gauges();
+                assert_eq!(during.executions, 1);
+                assert!(during.live_tuples > 0, "reservations drawn mid-query");
+                assert_eq!(during.join_buffer_entries > 0, buffers, "{text}");
+                // Abandon the stream mid-flight: Drop must return everything.
+            }
+            let after = db.governor().gauges();
+            assert_eq!(after.executions, 0);
+            assert_eq!(after.live_tuples, 0);
+            assert_eq!(after.join_buffer_entries, 0);
         }
-        let after = db.governor().gauges();
-        assert_eq!(after.executions, 0);
-        assert_eq!(after.live_tuples, 0);
-        assert_eq!(after.join_buffer_entries, 0);
     }
 
     #[test]
@@ -2746,5 +2976,109 @@ mod tests {
         let db = governed_db(GovernorConfig::default().with_max_concurrent(2));
         let view = db.reconfigured(EvalOptions::default().with_max_tuples(Some(10)));
         assert!(Arc::ptr_eq(db.governor(), view.governor()));
+    }
+
+    /// The single-conjunct bypass against the same plan forced through the
+    /// ranked join, on random graphs.
+    mod bypass {
+        use super::*;
+        use proptest::prelude::*;
+
+        const LABELS: [&str; 4] = ["p", "q", "r", "type"];
+
+        /// One statement per shape the bypass must get right.
+        const QUERIES: [&str; 7] = [
+            // One variable at both ends.
+            "(?X) <- (?X, (p|q)+, ?X)",
+            // Constant subject, constant object.
+            "(?Y) <- (n0, p.(q|r)*, ?Y)",
+            "(?X) <- (?X, (p|r)+.type, C1)",
+            // A projection that drops a variable: rows repeat and must be
+            // deduplicated, keeping the cheapest.
+            "(?X) <- (?X, p.q-|r, ?Y)",
+            "(?Y) <- (?X, type, ?Y)",
+            // Head variables repeated and reordered.
+            "(?Y, ?X, ?Y) <- (?X, p*.q, ?Y)",
+            "(?X, ?Y) <- (?X, type.type-, ?Y)",
+        ];
+
+        fn database(triples: &[(u8, usize, u8)]) -> Database {
+            let mut g = GraphStore::new();
+            // The constants the statements name always exist.
+            g.add_triple("n0", "p", "n1");
+            g.add_triple("n1", "type", "C1");
+            for &(s, p, o) in triples {
+                if LABELS[p] == "type" {
+                    g.add_triple(&format!("n{s}"), "type", &format!("C{}", o % 3));
+                } else {
+                    g.add_triple(&format!("n{s}"), LABELS[p], &format!("n{o}"));
+                }
+            }
+            let mut o = Ontology::new();
+            let root = g.add_node("CRoot");
+            for c in 0..3 {
+                if let Some(class) = g.node_by_label(&format!("C{c}")) {
+                    let _ = o.add_subclass(class, root);
+                }
+            }
+            if let (Some(p), Some(q)) = (g.label_id("p"), g.label_id("q")) {
+                let super_p = g.intern_label("super_p");
+                let _ = o.add_subproperty(p, super_p);
+                let _ = o.add_subproperty(q, super_p);
+            }
+            Database::new(g, o)
+        }
+
+        /// Drains a stream through `next_row`: rows, distances, final stats.
+        fn drain(mut stream: Answers<'_>) -> (Vec<(Vec<NodeId>, u32)>, EvalStats) {
+            let width = stream.columns().len();
+            let mut rows = Vec::new();
+            while let Some((row, distance)) = stream.next_row().unwrap() {
+                assert_eq!(row.len(), width);
+                rows.push((row.to_vec(), distance));
+            }
+            (rows, stream.stats())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn bypass_equals_the_forced_join(
+                triples in prop::collection::vec((0u8..10, 0usize..LABELS.len(), 0u8..10), 1..50),
+                query in 0usize..QUERIES.len(),
+                operator in 0usize..3,
+                limit in 0usize..40,
+                toggles in 0usize..4,
+            ) {
+                let db = database(&triples);
+                let text = QUERIES[query].replacen("<- (", ["<- (", "<- APPROX (", "<- RELAX ("][operator], 1);
+                let prepared = db.prepare(&text).unwrap();
+                let mut request = ExecOptions::new()
+                    .with_cost_guided(toggles & 1 == 0)
+                    .with_distance_aware(toggles & 2 == 0);
+                // A third of the cases run unlimited.
+                if limit % 3 != 0 {
+                    request = request.with_limit(limit);
+                }
+                let (rows, stats) = drain(prepared.answers(&request));
+                let (joined_rows, joined_stats) = drain(prepared.answers_via_join(&request));
+                prop_assert_eq!(&rows, &joined_rows, "{}", text);
+                prop_assert_eq!(stats, joined_stats, "{}", text);
+                // Rows are distinct and ranked.
+                let distinct: std::collections::HashSet<_> = rows.iter().map(|(row, _)| row).collect();
+                prop_assert_eq!(distinct.len(), rows.len());
+                prop_assert!(rows.windows(2).all(|w| w[0].1 <= w[1].1));
+                // The materialiser is the row path plus labels.
+                let answers = prepared.execute(&request).unwrap();
+                prop_assert_eq!(answers.len(), rows.len());
+                for (answer, (row, distance)) in answers.iter().zip(&rows) {
+                    prop_assert_eq!(answer.distance, *distance);
+                    for (var, id) in prepared.query().head.iter().zip(row) {
+                        prop_assert_eq!(answer.get(var), Some(db.graph().node_label(*id)));
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! pair over [`Writer`] / [`Reader`]; the framing layer
 //! ([`crate::frame`]) composes them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use omega_core::{
@@ -18,31 +18,114 @@ use crate::error::{ProtocolError, WireError};
 use crate::wire::{Reader, Writer};
 
 // ---------------------------------------------------------------------------
-// Answer
+// Answers
 // ---------------------------------------------------------------------------
 
-/// Encodes one ranked answer: distance, then the head bindings in
-/// `BTreeMap` (i.e. deterministic) order.
-pub fn put_answer(w: &mut Writer, answer: &Answer) {
-    w.put_u32(answer.distance);
-    w.put_u32(answer.bindings.len() as u32);
-    for (var, value) in &answer.bindings {
-        w.put_str(var);
-        w.put_str(value);
+/// Cell of a column the row's answer does not bind. The server's rows bind
+/// every head column; only a hand-built [`Answer`] batch whose answers
+/// disagree on their variables produces it.
+const UNBOUND: u32 = u32::MAX;
+
+/// Encodes an `Answers` body — the one layout every encoder shares:
+///
+/// ```text
+/// u32 columns │ columns × str                    head variable names
+/// u32 labels  │ labels × str                     each distinct node label
+/// u32 rows    │ rows × { u32 distance, columns × u32 label index }
+/// ```
+///
+/// Names and labels appear once per frame; a row is its distance plus one
+/// index into the label table per column. `cells` is row-major, one row of
+/// `columns.len()` per distance.
+pub(crate) fn put_answer_table<'s>(
+    w: &mut Writer,
+    columns: impl ExactSizeIterator<Item = &'s str>,
+    labels: impl ExactSizeIterator<Item = &'s str>,
+    distances: impl ExactSizeIterator<Item = u32>,
+    cells: &[u32],
+) {
+    let width = columns.len();
+    w.put_u32(width as u32);
+    columns.for_each(|name| w.put_str(name));
+    w.put_u32(labels.len() as u32);
+    labels.for_each(|label| w.put_str(label));
+    w.put_u32(distances.len() as u32);
+    for (row, distance) in distances.enumerate() {
+        w.put_u32(distance);
+        for cell in &cells[row * width..(row + 1) * width] {
+            w.put_u32(*cell);
+        }
     }
 }
 
-/// Decodes one ranked answer.
-pub fn take_answer(r: &mut Reader<'_>) -> Result<Answer, ProtocolError> {
-    let distance = r.take_u32()?;
-    let count = r.take_u32()?;
-    let mut bindings = BTreeMap::new();
-    for _ in 0..count {
-        let var = r.take_str()?;
-        let value = r.take_str()?;
-        bindings.insert(var, value);
+/// Encodes a batch of materialised answers. The columns are the variables
+/// the answers bind, in order of first appearance.
+pub fn put_answers(w: &mut Writer, answers: &[Answer]) {
+    let mut columns: Vec<&str> = Vec::new();
+    for var in answers.iter().flat_map(|a| a.bindings.keys()) {
+        if !columns.contains(&var.as_str()) {
+            columns.push(var);
+        }
     }
-    Ok(Answer { bindings, distance })
+    let mut labels: Vec<&str> = Vec::new();
+    let mut index: HashMap<&str, u32> = HashMap::with_capacity(answers.len());
+    let mut cells = Vec::with_capacity(answers.len() * columns.len());
+    for answer in answers {
+        cells.extend(columns.iter().map(|column| {
+            answer.bindings.get(*column).map_or(UNBOUND, |value| {
+                *index.entry(value).or_insert_with(|| {
+                    labels.push(value);
+                    labels.len() as u32 - 1
+                })
+            })
+        }));
+    }
+    put_answer_table(
+        w,
+        columns.iter().copied(),
+        labels.iter().copied(),
+        answers.iter().map(|a| a.distance),
+        &cells,
+    );
+}
+
+/// Reads `count` strings in place. The vector is sized from the bytes that
+/// are there (a string is at least its 4-byte length), never from the
+/// declared count alone.
+fn take_strs<'a>(r: &mut Reader<'a>, count: u32) -> Result<Vec<&'a str>, ProtocolError> {
+    let mut out = Vec::with_capacity((count as usize).min(r.remaining() / 4));
+    for _ in 0..count {
+        out.push(r.take_str_ref()?);
+    }
+    Ok(out)
+}
+
+/// Decodes an `Answers` body: the frame's header (names, label table) is
+/// read once, in place, and every row materialises an [`Answer`] from it. A
+/// label index outside the table is [`ProtocolError::Malformed`].
+pub fn take_answers(r: &mut Reader<'_>) -> Result<Vec<Answer>, ProtocolError> {
+    let columns = r.take_u32()?;
+    let columns = take_strs(r, columns)?;
+    let labels = r.take_u32()?;
+    let labels = take_strs(r, labels)?;
+    let rows = r.take_u32()? as usize;
+    let row_bytes = 4 + 4 * columns.len();
+    let mut answers = Vec::with_capacity(rows.min(r.remaining() / row_bytes));
+    for _ in 0..rows {
+        let distance = r.take_u32()?;
+        let mut bindings = BTreeMap::new();
+        for column in &columns {
+            let cell = r.take_u32()?;
+            if cell != UNBOUND {
+                let label = labels
+                    .get(cell as usize)
+                    .ok_or(ProtocolError::Malformed("label index out of range"))?;
+                bindings.insert((*column).to_owned(), (*label).to_owned());
+            }
+        }
+        answers.push(Answer { bindings, distance });
+    }
+    Ok(answers)
 }
 
 // ---------------------------------------------------------------------------

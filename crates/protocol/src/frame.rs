@@ -17,17 +17,24 @@
 //! same pattern as the `OMEGSNAP` snapshot header, so a peer that is not
 //! speaking this protocol at all fails with [`ProtocolError::BadMagic`]
 //! instead of a confusing tag error.
+//!
+//! Prefix and payload always travel together: [`write_frame`] issues one
+//! `write` per frame, [`Frame::append_to`] and [`RowFrame::append_to`] queue
+//! whole frames in a caller-owned buffer so several can share one `write`,
+//! and [`FrameReader`] reads ahead — every frame one `read` delivered is
+//! decoded from the buffer without touching the transport again.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read, Result as IoResult, Write};
 
-use omega_core::{Answer, EvalStats, ExecOptions, QueryProfile};
+use omega_core::{Answer, EvalStats, ExecOptions, FxHashMap, NodeId, QueryProfile};
 
 use crate::codec::{
-    put_answer, put_exec_options, put_profile, put_server_stats, put_stats, put_wire_error,
-    take_answer, take_exec_options, take_profile, take_server_stats, take_stats, take_wire_error,
-    ServerStats,
+    put_answer_table, put_answers, put_exec_options, put_profile, put_server_stats, put_stats,
+    put_wire_error, take_answers, take_exec_options, take_profile, take_server_stats, take_stats,
+    take_wire_error, ServerStats,
 };
 use crate::error::{ProtocolError, WireError};
+use crate::transport::Transport;
 use crate::wire::{Reader, Writer};
 use crate::{MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION};
 
@@ -59,8 +66,9 @@ pub enum FinishReason {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     // ---- client → server -------------------------------------------------
-    /// Connection opener: magic + the highest protocol version the client
-    /// speaks. Must be the first frame on every connection.
+    /// Connection opener: magic + the protocol version the client speaks.
+    /// Must be the first frame on every connection; any version other than
+    /// [`PROTOCOL_VERSION`] — older or newer — is refused.
     Hello {
         /// Client's protocol version.
         version: u32,
@@ -205,9 +213,21 @@ const TAG_METRICS_REPLY: u8 = 0x8a;
 
 impl Frame {
     /// Encodes the frame payload: tag byte plus body (the length prefix is
-    /// added by [`write_frame`]).
+    /// added by [`Frame::append_to`] / [`write_frame`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.encode_into(&mut w);
+        w.into_inner()
+    }
+
+    /// Appends the frame to `out` as it travels — length prefix, then
+    /// payload — and returns the bytes appended. `out` keeps what it held:
+    /// frames queued in one buffer leave in one `write`.
+    pub fn append_to(&self, out: &mut Vec<u8>) -> Result<usize, ProtocolError> {
+        framed(out, |w| self.encode_into(w))
+    }
+
+    fn encode_into(&self, w: &mut Writer) {
         match self {
             Frame::Hello { version } => {
                 w.put_u8(TAG_HELLO);
@@ -234,7 +254,7 @@ impl Frame {
                         w.put_str(text);
                     }
                 }
-                put_exec_options(&mut w, options);
+                put_exec_options(w, options);
                 w.put_u32(*credits);
             }
             Frame::Fetch { credits } => {
@@ -280,10 +300,7 @@ impl Frame {
             }
             Frame::Answers { answers } => {
                 w.put_u8(TAG_ANSWERS);
-                w.put_u32(answers.len() as u32);
-                for answer in answers {
-                    put_answer(&mut w, answer);
-                }
+                put_answers(w, answers);
             }
             Frame::Finished {
                 stats,
@@ -291,7 +308,7 @@ impl Frame {
                 profile,
             } => {
                 w.put_u8(TAG_FINISHED);
-                put_stats(&mut w, stats);
+                put_stats(w, stats);
                 w.put_u8(match reason {
                     FinishReason::Complete => 0,
                     FinishReason::Drained => 1,
@@ -300,11 +317,11 @@ impl Frame {
             }
             Frame::Fail { error } => {
                 w.put_u8(TAG_FAIL);
-                put_wire_error(&mut w, error);
+                put_wire_error(w, error);
             }
             Frame::StatsReply { stats } => {
                 w.put_u8(TAG_STATS_REPLY);
-                put_server_stats(&mut w, stats);
+                put_server_stats(w, stats);
             }
             Frame::MetricsReply { version, text } => {
                 w.put_u8(TAG_METRICS_REPLY);
@@ -324,7 +341,6 @@ impl Frame {
                 w.put_u64(*removed);
             }
         }
-        w.into_inner()
     }
 
     /// Decodes a frame payload (tag byte plus body). Corruption surfaces as
@@ -340,7 +356,7 @@ impl Frame {
                     return Err(ProtocolError::BadMagic { found });
                 }
                 let version = r.take_u32()?;
-                if version == 0 || version > PROTOCOL_VERSION {
+                if version != PROTOCOL_VERSION {
                     return Err(ProtocolError::UnsupportedVersion {
                         requested: version,
                         supported: PROTOCOL_VERSION,
@@ -402,14 +418,9 @@ impl Frame {
                     head,
                 }
             }
-            TAG_ANSWERS => {
-                let count = r.take_u32()?;
-                let mut answers = Vec::new();
-                for _ in 0..count {
-                    answers.push(take_answer(&mut r)?);
-                }
-                Frame::Answers { answers }
-            }
+            TAG_ANSWERS => Frame::Answers {
+                answers: take_answers(&mut r)?,
+            },
             TAG_FINISHED => {
                 let stats = take_stats(&mut r)?;
                 let reason = match r.take_u8()? {
@@ -448,21 +459,107 @@ impl Frame {
     }
 }
 
-/// Writes one length-prefixed frame to `w` (and flushes it, so a frame is
-/// either fully on the wire or an error). Returns the total bytes written
-/// — prefix plus payload — for byte-level accounting.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<usize, ProtocolError> {
-    let payload = frame.encode();
-    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
+/// Appends one length-prefixed frame to `out`: reserves the prefix, lets
+/// `payload` write tag and body, then patches the length in. An oversized
+/// payload is rolled back, leaving `out` as it was.
+fn framed(out: &mut Vec<u8>, payload: impl FnOnce(&mut Writer)) -> Result<usize, ProtocolError> {
+    let start = out.len();
+    let mut w = Writer::over(std::mem::take(out));
+    w.put_u32(0);
+    payload(&mut w);
+    *out = w.into_inner();
+    let len = out.len() - start - 4;
+    if len as u64 > u64::from(MAX_FRAME_LEN) {
+        out.truncate(start);
         return Err(ProtocolError::Oversized {
-            len: payload.len() as u32,
+            len: u32::try_from(len).unwrap_or(u32::MAX),
             max: MAX_FRAME_LEN,
         });
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(4 + len)
+}
+
+/// Writes one length-prefixed frame to `w` with a single `write` (and
+/// flushes it, so a frame is either fully on the wire or an error). Returns
+/// the total bytes written — prefix plus payload — for byte-level
+/// accounting.
+pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<usize, ProtocolError> {
+    let mut wire = Vec::new();
+    let written = frame.append_to(&mut wire)?;
+    w.write_all(&wire)?;
     w.flush()?;
-    Ok(4 + payload.len())
+    Ok(written)
+}
+
+/// Builds [`Frame::Answers`] frames straight from rows of node ids — no
+/// [`Answer`], map or per-frame buffer in between. Rows accumulate with
+/// their ids already translated to indexes into the frame's label table (an
+/// id met twice is written once); [`RowFrame::append_to`] resolves each
+/// distinct id to its label exactly once, as it writes the table, and
+/// empties the builder for the next batch. All storage is reused.
+#[derive(Debug, Default)]
+pub struct RowFrame {
+    distances: Vec<u32>,
+    /// Row-major label-table indexes.
+    cells: Vec<u32>,
+    /// The label table, as ids, in order of first appearance.
+    ids: Vec<NodeId>,
+    index: FxHashMap<NodeId, u32>,
+}
+
+impl RowFrame {
+    /// An empty builder.
+    pub fn new() -> RowFrame {
+        RowFrame::default()
+    }
+
+    /// Rows accumulated since the last [`RowFrame::append_to`].
+    pub fn rows(&self) -> usize {
+        self.distances.len()
+    }
+
+    /// Adds one answer: an id per head column, and its distance. Every row
+    /// of a frame must have the width of the `columns` it is written with.
+    pub fn push(&mut self, row: &[NodeId], distance: u32) {
+        self.distances.push(distance);
+        for &id in row {
+            let next = self.ids.len() as u32;
+            let cell = *self.index.entry(id).or_insert(next);
+            if cell == next {
+                self.ids.push(id);
+            }
+            self.cells.push(cell);
+        }
+    }
+
+    /// Appends the accumulated rows to `out` as one length-prefixed
+    /// `Answers` frame under the head `columns`, resolving ids through
+    /// `label`, and returns the bytes appended. The builder is empty
+    /// afterwards, whether or not the frame fit [`MAX_FRAME_LEN`].
+    pub fn append_to<'g>(
+        &mut self,
+        out: &mut Vec<u8>,
+        columns: &[String],
+        label: impl Fn(NodeId) -> &'g str,
+    ) -> Result<usize, ProtocolError> {
+        debug_assert_eq!(self.cells.len(), self.distances.len() * columns.len());
+        let written = framed(out, |w| {
+            w.put_u8(TAG_ANSWERS);
+            put_answer_table(
+                w,
+                columns.iter().map(String::as_str),
+                self.ids.iter().map(|&id| label(id)),
+                self.distances.iter().copied(),
+                &self.cells,
+            );
+        });
+        self.distances.clear();
+        self.cells.clear();
+        self.ids.clear();
+        self.index.clear();
+        written
+    }
 }
 
 /// What one [`FrameReader::poll`] call produced.
@@ -478,21 +575,33 @@ pub enum Poll {
     Pending,
 }
 
+/// Smallest receive buffer: one `read` takes in whatever the peer has sent,
+/// up to this much (more once a larger frame has grown the buffer).
+const READ_AHEAD: usize = 8 * 1024;
+
 /// Incremental frame re-assembler over any [`Read`].
+///
+/// The reader reads ahead: each `read` asks for as much as its buffer
+/// holds, and every complete frame in the buffer is decoded in place before
+/// the transport is touched again — a peer that sent three frames in one
+/// chunk costs one `read`, not six.
 ///
 /// The transport may be in blocking mode (a client waiting for its answer)
 /// or carry a read timeout (a server polling its drain flag between
-/// frames): partial reads are accumulated internally, so a timeout mid-frame
-/// never corrupts the stream — the next [`FrameReader::poll`] resumes with
-/// the bytes already received.
+/// frames): partial frames stay in the buffer, so a timeout mid-frame never
+/// corrupts the stream — the next [`FrameReader::poll`] resumes with the
+/// bytes already received.
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
-    /// Bytes of the current (incomplete) length prefix or payload.
+    /// Receive buffer; `buf[head..tail]` is read but not yet decoded. It
+    /// grows by doubling only when a frame in progress has filled it, so its
+    /// size follows the bytes actually received, never a declared length.
     buf: Vec<u8>,
-    /// Payload length once the prefix is complete.
-    payload_len: Option<usize>,
-    /// Total bytes consumed from the transport, including length prefixes.
+    head: usize,
+    tail: usize,
+    /// Total bytes taken from the transport, including length prefixes and
+    /// bytes read ahead of the frame being decoded.
     bytes_read: u64,
 }
 
@@ -502,7 +611,8 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             inner,
             buf: Vec::new(),
-            payload_len: None,
+            head: 0,
+            tail: 0,
             bytes_read: 0,
         }
     }
@@ -512,62 +622,86 @@ impl<R: Read> FrameReader<R> {
         &self.inner
     }
 
-    /// Total bytes consumed from the transport so far (prefixes included).
+    /// Total bytes taken from the transport so far (prefixes included):
+    /// exactly what crossed the socket, decoded yet or not.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
 
     /// Reads until a full frame, EOF or a transport timeout.
     pub fn poll(&mut self) -> Result<Poll, ProtocolError> {
+        self.poll_with(|inner, buf| inner.read(buf))
+    }
+
+    /// [`FrameReader::poll`] over the given way of reading the transport.
+    fn poll_with(
+        &mut self,
+        mut read: impl FnMut(&mut R, &mut [u8]) -> IoResult<usize>,
+    ) -> Result<Poll, ProtocolError> {
         loop {
-            let goal = self.payload_len.unwrap_or(4);
-            while self.buf.len() < goal {
-                let mut chunk = [0u8; 4096];
-                let want = (goal - self.buf.len()).min(chunk.len());
-                match self.inner.read(&mut chunk[..want]) {
-                    Ok(0) => {
-                        // Clean close only at a frame boundary; anything mid
-                        // prefix or mid payload is a truncated frame.
-                        if self.buf.is_empty() && self.payload_len.is_none() {
-                            return Ok(Poll::Eof);
-                        }
-                        return Err(ProtocolError::Truncated);
-                    }
-                    Ok(n) => {
-                        self.bytes_read += n as u64;
-                        self.buf.extend_from_slice(&chunk[..n]);
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                    {
-                        return Ok(Poll::Pending);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+            if let Some(frame) = self.take_buffered()? {
+                return Ok(Poll::Frame(frame));
             }
-            if self.payload_len.is_none() {
-                // The buffer holds exactly the 4 prefix bytes here.
-                let mut prefix = [0u8; 4];
-                prefix.copy_from_slice(&self.buf);
-                let len = u32::from_le_bytes(prefix);
-                if len > MAX_FRAME_LEN {
-                    return Err(ProtocolError::Oversized {
-                        len,
-                        max: MAX_FRAME_LEN,
-                    });
+            self.make_room();
+            match read(&mut self.inner, &mut self.buf[self.tail..]) {
+                // Clean close only at a frame boundary; anything mid prefix
+                // or mid payload is a truncated frame.
+                Ok(0) if self.head == self.tail => return Ok(Poll::Eof),
+                Ok(0) => return Err(ProtocolError::Truncated),
+                Ok(n) => {
+                    self.tail += n;
+                    self.bytes_read += n as u64;
                 }
-                if len == 0 {
-                    return Err(ProtocolError::Malformed("empty frame (no tag byte)"));
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    return Ok(Poll::Pending);
                 }
-                self.buf.clear();
-                self.payload_len = Some(len as usize);
-                continue;
+                Err(e) => return Err(e.into()),
             }
-            let frame = Frame::decode(&self.buf)?;
-            self.buf.clear();
-            self.payload_len = None;
-            return Ok(Poll::Frame(frame));
+        }
+    }
+
+    /// Decodes the frame at the front of the buffer, if all of it is there.
+    fn take_buffered(&mut self) -> Result<Option<Frame>, ProtocolError> {
+        let pending = &self.buf[self.head..self.tail];
+        let Some(prefix) = pending.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix);
+        if len > MAX_FRAME_LEN {
+            return Err(ProtocolError::Oversized {
+                len,
+                max: MAX_FRAME_LEN,
+            });
+        }
+        if len == 0 {
+            return Err(ProtocolError::Malformed("empty frame (no tag byte)"));
+        }
+        let Some(payload) = pending.get(4..4 + len as usize) else {
+            return Ok(None);
+        };
+        let frame = Frame::decode(payload)?;
+        self.head += 4 + len as usize;
+        if self.head == self.tail {
+            self.head = 0;
+            self.tail = 0;
+        }
+        Ok(Some(frame))
+    }
+
+    /// Makes the buffer's tail writable: pending bytes move to the front,
+    /// and a buffer they already fill doubles.
+    fn make_room(&mut self) {
+        if self.tail < self.buf.len() {
+            return;
+        }
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        } else {
+            let grown = (self.buf.len() * 2).max(READ_AHEAD);
+            self.buf.resize(grown, 0);
         }
     }
 
@@ -582,6 +716,16 @@ impl<R: Read> FrameReader<R> {
                 Poll::Pending => continue,
             }
         }
+    }
+}
+
+impl FrameReader<Transport> {
+    /// [`FrameReader::poll`] without waiting: a frame already buffered costs
+    /// no system call, and otherwise the socket is asked once, non-blocking
+    /// ([`Transport::try_read`]) — `Pending` when it has nothing. The
+    /// socket's blocking mode, which the writing half shares, is untouched.
+    pub fn try_poll(&mut self) -> Result<Poll, ProtocolError> {
+        self.poll_with(|inner, buf| inner.try_read(buf))
     }
 }
 
@@ -685,18 +829,162 @@ mod tests {
     }
 
     #[test]
-    fn version_skew_is_typed() {
-        let mut w = Writer::new();
-        w.put_u8(0x01);
-        w.put_bytes(&MAGIC);
-        w.put_u32(PROTOCOL_VERSION + 1);
-        assert_eq!(
-            Frame::decode(&w.into_inner()),
-            Err(ProtocolError::UnsupportedVersion {
-                requested: PROTOCOL_VERSION + 1,
-                supported: PROTOCOL_VERSION,
+    fn version_skew_is_typed_for_older_and_newer_peers() {
+        // Version 1 lays `Answers` out differently: letting it through would
+        // garble every batch, so it is refused like a future version.
+        for version in [0, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+            let mut w = Writer::new();
+            w.put_u8(0x01);
+            w.put_bytes(&MAGIC);
+            w.put_u32(version);
+            assert_eq!(
+                Frame::decode(&w.into_inner()),
+                Err(ProtocolError::UnsupportedVersion {
+                    requested: version,
+                    supported: PROTOCOL_VERSION,
+                })
+            );
+        }
+    }
+
+    /// A transport that counts the calls made on it. Reads hand over
+    /// everything that has "arrived", like a socket would.
+    #[derive(Default)]
+    struct Counted {
+        wire: Vec<u8>,
+        taken: usize,
+        reads: usize,
+        writes: usize,
+    }
+
+    impl Write for Counted {
+        fn write(&mut self, buf: &[u8]) -> IoResult<usize> {
+            self.writes += 1;
+            self.wire.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> IoResult<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Counted {
+        fn read(&mut self, buf: &mut [u8]) -> IoResult<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.wire.len() - self.taken);
+            buf[..n].copy_from_slice(&self.wire[self.taken..self.taken + n]);
+            self.taken += n;
+            Ok(n)
+        }
+    }
+
+    fn sample_answers(count: u32) -> Vec<Answer> {
+        (0..count)
+            .map(|i| Answer {
+                bindings: [
+                    ("X".to_owned(), format!("node {}", i % 7)),
+                    ("Y".to_owned(), format!("node {i}")),
+                ]
+                .into(),
+                distance: i / 3,
             })
+            .collect()
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_a_chunk_of_frames_is_one_read() {
+        let mut transport = Counted::default();
+        let frames = [
+            Frame::Answers {
+                answers: sample_answers(64),
+            },
+            Frame::Answers {
+                answers: sample_answers(36),
+            },
+            Frame::Finished {
+                stats: EvalStats::default(),
+                reason: FinishReason::Complete,
+                profile: None,
+            },
+        ];
+        let mut sent = 0;
+        for (i, frame) in frames.iter().enumerate() {
+            sent += write_frame(&mut transport, frame).unwrap();
+            assert_eq!(transport.writes, i + 1, "prefix and payload share a write");
+        }
+        assert_eq!(sent, transport.wire.len());
+
+        // All three frames are waiting: one read takes them in, the other
+        // two decode from the buffer.
+        let mut reader = FrameReader::new(transport);
+        for frame in &frames {
+            assert_eq!(reader.read_frame().unwrap().as_ref(), Some(frame));
+            assert_eq!(reader.get_ref().reads, 1);
+        }
+        assert_eq!(
+            reader.bytes_read(),
+            sent as u64,
+            "read-ahead bytes are counted"
         );
+        assert_eq!(reader.read_frame().unwrap(), None);
+        assert_eq!(reader.get_ref().reads, 2, "the second read is the EOF");
+    }
+
+    #[test]
+    fn frames_larger_than_the_read_ahead_buffer_reassemble() {
+        let big = Frame::MetricsReply {
+            version: 1,
+            text: "x".repeat(5 * READ_AHEAD),
+        };
+        let mut wire = Vec::new();
+        Frame::Stats.append_to(&mut wire).unwrap();
+        big.append_to(&mut wire).unwrap();
+        Frame::Cancel.append_to(&mut wire).unwrap();
+        let mut reader = FrameReader::new(&wire[..]);
+        assert_eq!(reader.read_frame().unwrap(), Some(Frame::Stats));
+        assert_eq!(reader.read_frame().unwrap(), Some(big));
+        assert_eq!(reader.read_frame().unwrap(), Some(Frame::Cancel));
+        assert_eq!(reader.read_frame().unwrap(), None);
+        assert_eq!(reader.bytes_read(), wire.len() as u64);
+    }
+
+    #[test]
+    fn row_frames_decode_to_the_answers_they_stand_for() {
+        // Ids 0..=99 are labelled "node <id>"; the head repeats a variable.
+        let labels: Vec<String> = (0..100).map(|i| format!("node {i}")).collect();
+        let columns = ["Y".to_owned(), "X".to_owned(), "Y".to_owned()];
+        let mut rows = RowFrame::new();
+        let mut expected = Vec::new();
+        for i in 0..40u32 {
+            let (x, y) = (NodeId(i % 7), NodeId(99 - i));
+            rows.push(&[y, x, y], i / 3);
+            expected.push(Answer {
+                bindings: [
+                    ("X".to_owned(), labels[x.index()].clone()),
+                    ("Y".to_owned(), labels[y.index()].clone()),
+                ]
+                .into(),
+                distance: i / 3,
+            });
+        }
+        assert_eq!(rows.rows(), 40);
+        let mut wire = vec![0xAA]; // bytes already queued stay untouched
+        let written = rows
+            .append_to(&mut wire, &columns, |id| &labels[id.index()])
+            .unwrap();
+        assert_eq!(rows.rows(), 0, "the builder is reusable");
+        assert_eq!(wire.len(), 1 + written);
+        let mut reader = FrameReader::new(&wire[1..]);
+        assert_eq!(
+            reader.read_frame().unwrap(),
+            Some(Frame::Answers { answers: expected })
+        );
+        // A label bound by six rows travels once; a head variable once per
+        // column it names.
+        let body = String::from_utf8_lossy(&wire);
+        assert_eq!(body.matches("node 3").count(), 1);
+        assert_eq!(body.matches('Y').count(), 2);
     }
 
     #[test]

@@ -14,14 +14,37 @@
 //!   [`Frame::Hello`], opening with the 8-byte [`MAGIC`] and the client's
 //!   protocol version, exactly like the `OMEGSNAP` snapshot header guards
 //!   image files. A non-protocol peer fails with
-//!   [`ProtocolError::BadMagic`]; a future version fails with
-//!   [`ProtocolError::UnsupportedVersion`]. Never a panic.
+//!   [`ProtocolError::BadMagic`]; any version but [`PROTOCOL_VERSION`] —
+//!   older or newer, the `Answers` layout differs between them — fails
+//!   with [`ProtocolError::UnsupportedVersion`]. Never a panic.
 //! * **Length-prefixed frames** — `u32` length, tag byte, body; lengths
-//!   above [`MAX_FRAME_LEN`] are corruption, not allocations.
+//!   above [`MAX_FRAME_LEN`] are corruption, not allocations. A frame
+//!   leaves in one `write` and [`FrameReader`] reads ahead, so frames that
+//!   arrive together cost one `read`.
 //! * **Streaming with credits** — answers flow in [`Frame::Answers`]
 //!   batches only while the client has granted credits
 //!   ([`Frame::Execute`]'s initial window plus [`Frame::Fetch`] top-ups),
 //!   so a slow client never forces the server to buffer unboundedly.
+//! * **Answers as a table** — an `Answers` body names the head variables
+//!   once, lists each distinct node label once, and then carries every
+//!   answer as a distance plus one label-table index per variable:
+//!
+//!   ```text
+//!   u32 columns │ columns × str
+//!   u32 labels  │ labels × str
+//!   u32 rows    │ rows × { u32 distance, columns × u32 label index }
+//!   ```
+//!
+//!   The server fills it straight from the engine's id rows
+//!   ([`RowFrame`]) — a label is looked up once per frame, not once per
+//!   answer — and the decoder reads the header once per frame, in place,
+//!   before materialising [`omega_core::Answer`]s from the rows. An index
+//!   outside the label table is [`ProtocolError::Malformed`].
+//! * **Flush policy** — a full batch is written as soon as it is encoded,
+//!   so the first answers reach the client while the rest are still being
+//!   computed; the stream's last batch shares its `write` with the
+//!   terminal `Finished` (or `Fail`) frame. A reply of 100 answers at the
+//!   default batch size is three frames in two writes.
 //! * **Deadline propagation** — [`omega_core::ExecOptions`] serialises with
 //!   its `timeout`/`deadline` folded into one remaining wall-clock budget,
 //!   re-anchored server-side at execution start; budgets, distance
@@ -39,15 +62,17 @@ pub mod wire;
 
 pub use codec::ServerStats;
 pub use error::{ProtocolError, WireError};
-pub use frame::{write_frame, FinishReason, Frame, FrameReader, Poll, StatementRef};
+pub use frame::{write_frame, FinishReason, Frame, FrameReader, Poll, RowFrame, StatementRef};
 pub use transport::Transport;
 
 /// Protocol magic, the first bytes of every handshake — the serving-layer
 /// sibling of the snapshot format's `OMEGSNAP`.
 pub const MAGIC: [u8; 8] = *b"OMEGWIRE";
 
-/// Highest protocol version this crate speaks.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// The protocol version this crate speaks, and the only one it accepts:
+/// version 2 replaced version 1's per-answer `Answers` layout with the
+/// table layout, so a version-1 peer would misread every batch.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Ceiling on a frame's declared payload length (16 MiB). A prefix above
 /// this is treated as stream corruption ([`ProtocolError::Oversized`])

@@ -9,8 +9,22 @@
 
 use std::io::{Read, Result as IoResult, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
+
+/// `recv(2)` and its per-call non-blocking flag; `std` offers non-blocking
+/// reads only through the socket-wide mode.
+mod sys {
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    pub const MSG_DONTWAIT: i32 = 0x40;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    pub const MSG_DONTWAIT: i32 = 0x80;
+
+    extern "C" {
+        pub fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
+    }
+}
 
 /// A connected stream socket.
 #[derive(Debug)]
@@ -47,12 +61,22 @@ impl Transport {
         }
     }
 
-    /// Non-blocking mode for opportunistic control-frame polls.
-    pub fn set_nonblocking(&self, on: bool) -> IoResult<()> {
-        match self {
-            Transport::Unix(s) => s.set_nonblocking(on),
-            Transport::Tcp(s) => s.set_nonblocking(on),
-        }
+    /// One non-blocking read, for opportunistic control-frame polls:
+    /// `WouldBlock` when nothing has arrived. A single `recv` with
+    /// `MSG_DONTWAIT` — the socket's blocking mode is shared with every
+    /// clone of the handle, so flipping it around a read would expose the
+    /// writing half to spurious `WouldBlock`s should the restore fail.
+    pub fn try_read(&self, buf: &mut [u8]) -> IoResult<usize> {
+        let fd = match self {
+            Transport::Unix(s) => s.as_raw_fd(),
+            Transport::Tcp(s) => s.as_raw_fd(),
+        };
+        // SAFETY: `fd` is the open socket `self` owns for the whole call, and
+        // `buf` is a live, exclusively borrowed region of exactly `buf.len()`
+        // writable bytes; `recv` writes at most that many and keeps no
+        // pointer past its return.
+        let n = unsafe { sys::recv(fd, buf.as_mut_ptr(), buf.len(), sys::MSG_DONTWAIT) };
+        usize::try_from(n).map_err(|_| std::io::Error::last_os_error())
     }
 
     /// Shuts down both directions, waking any thread blocked on the socket.

@@ -22,6 +22,12 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer appending to `buf`, keeping what it holds (and its
+    /// capacity): how a connection encodes into one reused output buffer.
+    pub fn over(buf: Vec<u8>) -> Writer {
+        Writer { buf }
+    }
+
     /// The encoded bytes.
     pub fn into_inner(self) -> Vec<u8> {
         self.buf
@@ -157,12 +163,17 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// UTF-8 string written by [`Writer::put_str`], borrowed from the
+    /// buffer: decoding in place, for values read more often than kept.
+    pub fn take_str_ref(&mut self) -> Result<&'a str, ProtocolError> {
+        let len = self.take_u32()? as usize;
+        std::str::from_utf8(self.take_bytes(len)?)
+            .map_err(|_| ProtocolError::Malformed("string field is not valid UTF-8"))
+    }
+
     /// UTF-8 string written by [`Writer::put_str`].
     pub fn take_str(&mut self) -> Result<String, ProtocolError> {
-        let len = self.take_u32()? as usize;
-        let bytes = self.take_bytes(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ProtocolError::Malformed("string field is not valid UTF-8"))
+        self.take_str_ref().map(str::to_owned)
     }
 
     /// Duration written by [`Writer::put_duration`].

@@ -4,7 +4,8 @@
 //! frame the protocol can express must survive encode → decode bit-for-bit,
 //! and *no* byte stream — truncated, bit-flipped, oversized or random — may
 //! ever panic the decoder. Corruption always surfaces as a typed
-//! [`ProtocolError`].
+//! [`ProtocolError`]. The `Answers` table layout gets the write-ahead log
+//! soak's treatment on top: cut at every byte, corrupt every byte.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -14,8 +15,8 @@ use omega_core::{
     TruncationReason,
 };
 use omega_protocol::{
-    write_frame, FinishReason, Frame, FrameReader, ProtocolError, ServerStats, StatementRef,
-    WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    write_frame, FinishReason, Frame, FrameReader, ProtocolError, RowFrame, ServerStats,
+    StatementRef, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use omega_regex::RegexParseError;
 use proptest::prelude::*;
@@ -409,6 +410,108 @@ fn truncated_mid_prefix_and_mid_payload_are_both_truncated() {
     // Mid payload.
     let mut reader = FrameReader::new(&wire[..wire.len() - 3]);
     assert_eq!(reader.read_frame(), Err(ProtocolError::Truncated));
+}
+
+/// `Answers` payloads (tag byte included) as both encoders produce them: the
+/// server's id-row path and `Frame::encode` over materialised answers, the
+/// latter with answers that disagree on their variables.
+fn answers_payloads() -> Vec<Vec<u8>> {
+    let labels: Vec<String> = (0..16).map(|i| format!("n{i}")).collect();
+    let mut rows = RowFrame::new();
+    for i in 0..12u32 {
+        rows.push(
+            &[omega_core::NodeId(i % 5), omega_core::NodeId(15 - i)],
+            i / 4,
+        );
+    }
+    let mut wire = Vec::new();
+    rows.append_to(&mut wire, &["X".to_owned(), "Why".to_owned()], |id| {
+        &labels[id.index()]
+    })
+    .expect("small frame");
+    let ragged = Frame::Answers {
+        answers: vec![
+            Answer {
+                bindings: [("X".to_owned(), "a".to_owned())].into(),
+                distance: 0,
+            },
+            Answer {
+                bindings: [
+                    ("X".to_owned(), "b".to_owned()),
+                    ("Y".to_owned(), "a".to_owned()),
+                ]
+                .into(),
+                distance: 2,
+            },
+            Answer {
+                bindings: BTreeMap::new(),
+                distance: 3,
+            },
+        ],
+    };
+    vec![wire[4..].to_vec(), ragged.encode()]
+}
+
+#[test]
+fn answers_frames_cut_or_corrupted_at_every_byte_fail_typed() {
+    for payload in answers_payloads() {
+        let whole = Frame::decode(&payload).expect("the intact payload decodes");
+        assert!(matches!(whole, Frame::Answers { .. }));
+        // Every proper prefix is short of something the header promised.
+        for cut in 1..payload.len() {
+            let got = Frame::decode(&payload[..cut]);
+            assert!(
+                matches!(
+                    got,
+                    Err(ProtocolError::Truncated | ProtocolError::Malformed(_))
+                ),
+                "cut at {cut} gave {got:?}"
+            );
+        }
+        // Every byte of the body, flipped three ways: the result is the
+        // same frame kind (the flip hit a distance, or text that stayed
+        // valid) or a typed error — nothing else, and never a panic.
+        for pos in 1..payload.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bent = payload.clone();
+                bent[pos] ^= mask;
+                let got = Frame::decode(&bent);
+                assert!(
+                    matches!(
+                        got,
+                        Ok(Frame::Answers { .. })
+                            | Err(ProtocolError::Truncated | ProtocolError::Malformed(_))
+                    ),
+                    "byte {pos} ^ {mask:#04x} gave {got:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn answers_indexes_and_counts_are_checked_against_what_is_there() {
+    let payload = answers_payloads().remove(0);
+    // The last four bytes are the final row's last cell: a label index. One
+    // past the table is malformed, not an out-of-bounds read.
+    let mut bent = payload.clone();
+    let cell = bent.len() - 4;
+    bent[cell..].copy_from_slice(&16u32.to_le_bytes());
+    assert_eq!(
+        Frame::decode(&bent),
+        Err(ProtocolError::Malformed("label index out of range"))
+    );
+    // Declared counts of four billion columns, labels or rows over a body of
+    // a few bytes run out of bytes; nothing is sized from the declaration.
+    for body in [
+        &[0xFF, 0xFF, 0xFF, 0xFF][..],
+        &[0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF][..],
+        &[0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF][..],
+    ] {
+        let mut payload = vec![payload[0]];
+        payload.extend_from_slice(body);
+        assert_eq!(Frame::decode(&payload), Err(ProtocolError::Truncated));
+    }
 }
 
 #[test]

@@ -2,13 +2,14 @@
 //! credit-driven answer streaming, cancellation and drain.
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use omega_core::{ExecOptions, OmegaError, PreparedQuery, QueryProfile};
 use omega_protocol::{
-    write_frame, FinishReason, Frame, FrameReader, Poll, ProtocolError, StatementRef, Transport,
+    FinishReason, Frame, FrameReader, Poll, ProtocolError, RowFrame, StatementRef, Transport,
     WireError, METRICS_EXPOSITION_VERSION, PROTOCOL_VERSION,
 };
 
@@ -69,6 +70,8 @@ fn serve(shared: &Arc<Shared>, transport: Transport) -> ConnResult<()> {
         shared,
         reader: FrameReader::new(reader_half),
         writer: transport,
+        out: Vec::new(),
+        rows: RowFrame::new(),
         statements: HashMap::new(),
         next_id: 1,
         bytes_in_seen: 0,
@@ -135,6 +138,11 @@ struct Conn<'a> {
     shared: &'a Arc<Shared>,
     reader: FrameReader<Transport>,
     writer: Transport,
+    /// Frames encoded but not yet written. Every reply is encoded into this
+    /// one buffer and leaves in one `write`; it is empty between requests.
+    out: Vec<u8>,
+    /// The `Answers` batch being filled from the stream's id rows.
+    rows: RowFrame,
     /// Connection-scoped statement table. The values are clones out of the
     /// database's shared LRU cache, so identical text prepared on two
     /// connections shares one compiled plan.
@@ -155,9 +163,20 @@ impl Drop for Conn<'_> {
 }
 
 impl Conn<'_> {
+    /// Queues `frame` behind whatever is already encoded and writes it all.
     fn send(&mut self, frame: &Frame) -> ConnResult<()> {
-        let written = write_frame(&mut self.writer, frame).map_err(|_| Hangup::Gone)?;
-        self.shared.metrics.bytes_out.add(written as u64);
+        frame.append_to(&mut self.out).map_err(|_| Hangup::Gone)?;
+        self.flush()
+    }
+
+    /// Writes the queued frames with one `write` and counts the bytes.
+    fn flush(&mut self) -> ConnResult<()> {
+        let written = self.writer.write_all(&self.out);
+        let len = self.out.len() as u64;
+        self.out.clear();
+        written.map_err(|_| Hangup::Gone)?;
+        self.shared.metrics.bytes_out.add(len);
+        self.shared.metrics.writes.inc();
         Ok(())
     }
 
@@ -396,10 +415,13 @@ impl Conn<'_> {
     }
 
     /// Runs one execution, streaming ranked answers in credit-bounded
-    /// batches. Returns when the terminal frame (`Finished` or `Fail`) is
-    /// on the wire — or with a hangup, which drops the [`omega_core::Answers`]
-    /// stream and thereby cancels the execution (cancellation on
-    /// disconnect).
+    /// batches encoded straight from the engine's id rows. A batch that
+    /// fills is written at once — the first answers reach the client while
+    /// the rest are computed — and the last batch waits the few microseconds
+    /// for the terminal frame, so the two share a `write`. Returns when the
+    /// terminal frame (`Finished` or `Fail`) is on the wire — or with a
+    /// hangup, which drops the [`omega_core::Answers`] stream and thereby
+    /// cancels the execution (cancellation on disconnect).
     fn stream(
         &mut self,
         prepared: PreparedQuery,
@@ -411,21 +433,25 @@ impl Conn<'_> {
         let mut stream = prepared.answers(&request);
         let mut credits = u64::from(credits);
         let batch_cap = self.shared.config.batch.max(1) as u64;
-        let mut batch = Vec::new();
+        let mut first_batch = true;
         let outcome = loop {
             if self.shared.draining() {
                 break Outcome::Drained;
             }
-            // Opportunistic, non-blocking control poll: `Cancel` and
-            // `Fetch` top-ups can arrive while answers still flow.
-            match self.try_control()? {
-                Control::None => {}
-                Control::Fetch(extra) => {
-                    credits = credits.saturating_add(u64::from(extra));
-                    continue;
+            // Opportunistic, non-blocking control poll between batches:
+            // `Cancel` and `Fetch` top-ups can arrive while answers still
+            // flow. Nothing can have been sent in reply to answers before
+            // the first batch is out, so that one is not delayed by it.
+            if !first_batch {
+                match self.try_control()? {
+                    Control::None => {}
+                    Control::Fetch(extra) => {
+                        credits = credits.saturating_add(u64::from(extra));
+                        continue;
+                    }
+                    Control::Cancel => break Outcome::Cancelled,
+                    Control::Unexpected => break Outcome::Abuse,
                 }
-                Control::Cancel => break Outcome::Cancelled,
-                Control::Unexpected => break Outcome::Abuse,
             }
             if credits == 0 {
                 // Out of credits: block (at the poll interval) until the
@@ -440,37 +466,38 @@ impl Conn<'_> {
                 }
                 continue;
             }
-            batch.clear();
-            let mut finished = false;
-            let mut failure = None;
-            while (batch.len() as u64) < credits.min(batch_cap) {
-                match stream.next_answer() {
-                    Ok(Some(answer)) => batch.push(answer),
+            let room = credits.min(batch_cap);
+            let mut ended = None;
+            while (self.rows.rows() as u64) < room {
+                match stream.next_row() {
+                    Ok(Some((row, distance))) => self.rows.push(row, distance),
                     Ok(None) => {
-                        finished = true;
+                        ended = Some(Outcome::Complete);
                         break;
                     }
                     Err(err) => {
-                        failure = Some(err);
+                        ended = Some(Outcome::Failed(err));
                         break;
                     }
                 }
             }
-            if !batch.is_empty() {
-                credits -= batch.len() as u64;
+            let batch = self.rows.rows() as u64;
+            if batch > 0 {
+                credits -= batch;
                 self.shared
                     .counters
                     .answers_streamed
-                    .fetch_add(batch.len() as u64, Ordering::SeqCst);
-                let answers = std::mem::take(&mut batch);
-                self.send(&Frame::Answers { answers })?;
+                    .fetch_add(batch, Ordering::SeqCst);
+                self.rows
+                    .append_to(&mut self.out, stream.columns(), |id| stream.label(id))
+                    .map_err(|_| Hangup::Gone)?;
             }
-            if let Some(err) = failure {
-                break Outcome::Failed(err);
+            if let Some(outcome) = ended {
+                // The tail batch stays queued for the terminal frame.
+                break outcome;
             }
-            if finished {
-                break Outcome::Complete;
-            }
+            self.flush()?;
+            first_batch = false;
         };
         let stats = stream.stats();
         let profile = stream.take_profile();
@@ -565,12 +592,10 @@ impl Conn<'_> {
         );
     }
 
-    /// Non-blocking control poll (flips the socket to non-blocking for one
-    /// read burst; partial frames are retained by the reader).
+    /// Non-blocking control poll: at most one `recv`, none when a frame is
+    /// already buffered; partial frames are retained by the reader.
     fn try_control(&mut self) -> ConnResult<Control> {
-        let _ = self.writer.set_nonblocking(true);
-        let polled = self.reader.poll();
-        let _ = self.writer.set_nonblocking(false);
+        let polled = self.reader.try_poll();
         self.control_from(polled)
     }
 

@@ -21,7 +21,9 @@
 //! * **Credit-driven streaming** — answers flow in batches only while the
 //!   client has granted credits; a stalled client stalls only its own
 //!   execution (which keeps holding exactly the governor resources the
-//!   gauges show), never the daemon.
+//!   gauges show), never the daemon. Batches are encoded straight from the
+//!   engine's id rows into one per-connection buffer; a full batch leaves at
+//!   once, the last one together with the terminal frame.
 //! * **Cancellation on disconnect** — dropping the server-side
 //!   [`omega_core::Answers`] stream triggers the execution's
 //!   [`omega_core::CancelToken`]; a vanished client cancels its in-flight
@@ -113,6 +115,10 @@ const FRAME_KINDS: [&str; 8] = [
 pub(crate) struct ServerMetrics {
     pub(crate) bytes_in: Arc<MetricCounter>,
     pub(crate) bytes_out: Arc<MetricCounter>,
+    /// Flushes of a connection's output buffer — one `write` each, unless
+    /// the socket takes it in parts: with `bytes_out`, how well replies
+    /// coalesce.
+    pub(crate) writes: Arc<MetricCounter>,
     connections_open: Arc<Gauge>,
     draining: Arc<Gauge>,
     uptime_secs: Arc<Gauge>,
@@ -124,6 +130,7 @@ impl ServerMetrics {
         ServerMetrics {
             bytes_in: registry.counter("omega_server_bytes_in_total", &[]),
             bytes_out: registry.counter("omega_server_bytes_out_total", &[]),
+            writes: registry.counter("omega_server_writes_total", &[]),
             connections_open: registry.gauge("omega_server_connections_open", &[]),
             draining: registry.gauge("omega_server_draining", &[]),
             uptime_secs: registry.gauge("omega_server_uptime_secs", &[]),

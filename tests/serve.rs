@@ -27,7 +27,7 @@ use omega::core::eval::fault::{install, FaultPlan, FaultPoint};
 use omega::core::{live_parallel_workers, Database, GovernorConfig, OmegaError};
 use omega::datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, l4all_queries,
-    yago_multi_conjunct_queries, yago_queries, L4AllConfig, QuerySpec, YagoConfig,
+    yago_multi_conjunct_queries, yago_queries, L4AllConfig, L4AllScale, QuerySpec, YagoConfig,
 };
 use omega::ExecOptions;
 use omega_client::{ClientError, Connection, Mutation};
@@ -206,6 +206,92 @@ fn tcp_transport_serves_bit_identically_too() {
         assert_wire_matches_local(&db, &mut conn, spec.text, &options);
     }
     drop(conn);
+    drain(&handle, joiner);
+}
+
+/// The benchmark's short-query mix (Q1/Q10/Q11/Q12 exact and APPROX, Q2
+/// exact) and a multi-conjunct query, top-100 on L4All L1: every reply is
+/// rows → table frames → client answers, and must equal in-process
+/// execution bit for bit. Then one 100-answer reply under the microscope:
+/// three frames, two writes, and byte counters that equal what crossed the
+/// socket — read-ahead and write coalescing included.
+#[test]
+fn row_path_replies_are_bit_identical_coalesced_and_fully_counted() {
+    let _guard = serve_lock();
+    let data = generate_l4all(&L4AllConfig::at_scale(L4AllScale::L1));
+    let db = Database::new(data.graph, data.ontology);
+    let (handle, path, joiner) = spawn_unix(db.clone(), "rows");
+    let options = ExecOptions::new().with_limit(100);
+
+    let queries = l4all_queries();
+    let mut statements: Vec<String> = [0, 9, 10, 11]
+        .into_iter()
+        .flat_map(|i| {
+            [
+                queries[i].text.to_owned(),
+                queries[i].with_operator("APPROX"),
+            ]
+        })
+        .collect();
+    statements.push(queries[1].text.to_owned());
+    statements.push(l4all_multi_conjunct_queries()[0].text.to_owned());
+    let mut conn = Connection::connect_unix(&path).expect("connect");
+    for text in &statements {
+        assert_wire_matches_local(&db, &mut conn, text, &options);
+    }
+    drop(conn);
+
+    // A raw peer, so every byte either way is this test's to count.
+    let metrics_before = handle.metrics_text();
+    let counter = |text: &str, name: &str| {
+        omega_obs::find_value(text, name).unwrap_or_else(|| panic!("{name} exposed")) as u64
+    };
+    let stream = std::os::unix::net::UnixStream::connect(&path).expect("connect raw");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = FrameReader::new(stream);
+    let mut sent = 0;
+    let mut send = |frame: &Frame| {
+        sent += omega_protocol::write_frame(&mut writer, frame).expect("send") as u64;
+        sent
+    };
+    send(&Frame::Hello {
+        version: omega_protocol::PROTOCOL_VERSION,
+    });
+    assert!(matches!(
+        reader.read_frame().expect("handshake"),
+        Some(Frame::HelloOk { .. })
+    ));
+    send(&Frame::Execute {
+        statement: StatementRef::Text(queries[0].text.to_owned()),
+        options: options.clone(),
+        credits: 256,
+    });
+    let mut batches = Vec::new();
+    loop {
+        match reader.read_frame().expect("reply").expect("frame") {
+            Frame::Answers { answers } => batches.push(answers.len()),
+            Frame::Finished { .. } => break,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!(batches, [64, 36], "default batch size, limit 100");
+    let received = reader.bytes_read();
+    let sent = send(&Frame::Metrics);
+    let Some(Frame::MetricsReply { text, .. }) = reader.read_frame().expect("metrics") else {
+        panic!("expected MetricsReply");
+    };
+    // The exposition was rendered before its own reply was written.
+    let delta = |name: &str| counter(&text, name) - counter(&metrics_before, name);
+    assert_eq!(delta("omega_server_bytes_in_total"), sent);
+    assert_eq!(delta("omega_server_bytes_out_total"), received);
+    assert_eq!(
+        delta("omega_server_writes_total"),
+        3,
+        "HelloOk, the first batch, the tail batch with Finished"
+    );
+
+    drop(reader);
+    drop(writer);
     drain(&handle, joiner);
 }
 
@@ -414,18 +500,19 @@ fn version_skew_and_bad_magic_fail_typed_not_panic() {
     let _guard = serve_lock();
     let (handle, path, joiner) = spawn_unix(l4all_db(), "skew");
 
-    // Version skew: a future client version is answered with a typed
-    // VersionSkew naming both sides.
-    {
+    // Version skew: a future client version — and a past one, whose
+    // `Answers` layout this server no longer speaks — is answered with a
+    // typed VersionSkew naming both sides.
+    for version in [99, omega_protocol::PROTOCOL_VERSION - 1] {
         let stream = std::os::unix::net::UnixStream::connect(&path).expect("connect raw");
         let mut writer = stream.try_clone().expect("clone");
-        omega_protocol::write_frame(&mut writer, &Frame::Hello { version: 99 }).expect("send");
+        omega_protocol::write_frame(&mut writer, &Frame::Hello { version }).expect("send");
         let mut reader = FrameReader::new(stream);
         match reader.read_frame().expect("reply") {
             Some(Frame::Fail {
                 error: WireError::VersionSkew { client, server },
             }) => {
-                assert_eq!(client, 99);
+                assert_eq!(client, version);
                 assert_eq!(server, omega_protocol::PROTOCOL_VERSION);
             }
             other => panic!("expected VersionSkew, got {other:?}"),
