@@ -1,26 +1,23 @@
 //! The experiment driver: regenerates every table and figure of the paper's
-//! evaluation section as plain-text tables, and emits a machine-readable
-//! `BENCH_N.json` latency/counter report for tracking the engine's
-//! performance trajectory across PRs.
+//! evaluation section, and the Section 3.3/4.3 ablations, as plain-text
+//! tables.
 //!
 //! ```text
 //! experiments [FIGURE ...] [--quick | --full] [--yago-scale F]
-//!             [--max-scale L1|L2|L3|L4] [--samples N] [--json PATH]
+//!             [--max-scale L1|L2|L3|L4] [--samples N]
 //! experiments snapshot build --out PATH [--dataset l4all|yago]
 //!             [--max-scale ..] [--yago-scale F]
 //! experiments snapshot inspect PATH
 //!
 //! FIGURE: fig2 fig3 fig5 fig6 fig7 fig8 fig10 fig11 opt-distance
-//!         opt-disjunction prepared parallel baseline startup live overload
-//!         serve profile durability bench all
+//!         opt-disjunction opt-final opt-batching baseline parallel overload
+//!         all
 //! ```
 //!
 //! `--quick` (the default) runs L4All scales L1–L2 and a quarter-scale YAGO
 //! graph; `--full` runs all four L4All scales and the full-size synthetic
-//! YAGO graph (several minutes). `bench` (included in `all`) writes the JSON
-//! report — by default to the first `BENCH_N.json` that does not exist yet,
-//! so committed baselines from earlier PRs are never overwritten; `--json`
-//! overrides the path explicitly.
+//! YAGO graph (several minutes). Unknown figures and flags print the usage
+//! and exit with status 2.
 //!
 //! The `snapshot` subcommand drives the persistence subsystem: `build`
 //! generates a dataset, constructs the frozen `Database` and saves its
@@ -29,17 +26,81 @@
 
 use std::path::PathBuf;
 
-/// The first `BENCH_N.json` not already present in the working directory.
-fn next_bench_path() -> PathBuf {
-    (1..)
-        .map(|n| PathBuf::from(format!("BENCH_{n}.json")))
-        .find(|p| !p.exists())
-        .expect("some BENCH_N.json slot is free")
-}
-
 use omega_bench::*;
 use omega_core::EvalOptions;
 use omega_datagen::L4AllScale;
+
+const FIGURES: [&str; 16] = [
+    "fig2",
+    "fig3",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig10",
+    "fig11",
+    "opt-distance",
+    "opt-disjunction",
+    "opt-final",
+    "opt-batching",
+    "baseline",
+    "parallel",
+    "overload",
+    "all",
+];
+
+fn usage() -> String {
+    format!(
+        "usage: experiments [{}] [--quick|--full] [--yago-scale F] [--max-scale L1..L4] \
+         [--samples N]\n\
+         \x20      experiments snapshot build --out PATH [--dataset l4all|yago] \
+         [--max-scale L1..L4] [--yago-scale F]\n\
+         \x20      experiments snapshot inspect PATH",
+        FIGURES.join(" ")
+    )
+}
+
+fn parse_scale(value: &str) -> Result<L4AllScale, String> {
+    L4AllScale::all()
+        .into_iter()
+        .find(|scale| scale.name() == value)
+        .ok_or_else(|| format!("unknown scale {value}"))
+}
+
+/// The value following `flag`, parsed.
+fn flag_value<'a, T: std::str::FromStr>(
+    flag: &str,
+    iter: &mut impl Iterator<Item = &'a String>,
+) -> Result<T, String> {
+    iter.next()
+        .and_then(|value| value.parse().ok())
+        .ok_or_else(|| format!("{flag} needs a valid value"))
+}
+
+/// Parses the figure list and run configuration; anything unrecognised is an
+/// error, so a stale verb in a script cannot pass vacuously.
+fn parse_args(args: &[String]) -> Result<(Vec<String>, RunConfig), String> {
+    let mut figures: Vec<String> = Vec::new();
+    let mut config = RunConfig::quick();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--quick" => config = RunConfig::quick(),
+            "--full" => config = RunConfig::full(),
+            "--yago-scale" => config.yago_scale = flag_value(arg, &mut iter)?,
+            "--max-scale" => {
+                config.max_scale = parse_scale(&flag_value::<String>(arg, &mut iter)?)?;
+            }
+            "--samples" => config.samples = flag_value::<usize>(arg, &mut iter)?.max(1),
+            figure if FIGURES.contains(&figure) => figures.push(figure.to_owned()),
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    if figures.is_empty() {
+        figures.push("all".to_owned());
+    }
+    Ok((figures, config))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,57 +108,14 @@ fn main() {
         snapshot_main(&args[1..]);
         return;
     }
-    let mut figures: Vec<String> = Vec::new();
-    let mut config = RunConfig::quick();
-    let mut json_path = next_bench_path();
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => config = RunConfig::quick(),
-            "--full" => config = RunConfig::full(),
-            "--yago-scale" => {
-                let value = iter.next().expect("--yago-scale needs a value");
-                config.yago_scale = value.parse().expect("--yago-scale needs a number");
-            }
-            "--max-scale" => {
-                let value = iter.next().expect("--max-scale needs a value");
-                config.max_scale = match value.as_str() {
-                    "L1" => L4AllScale::L1,
-                    "L2" => L4AllScale::L2,
-                    "L3" => L4AllScale::L3,
-                    "L4" => L4AllScale::L4,
-                    other => panic!("unknown scale {other}"),
-                };
-            }
-            "--samples" => {
-                let value = iter.next().expect("--samples needs a count");
-                config.samples = value
-                    .parse::<usize>()
-                    .expect("--samples needs a number")
-                    .max(1);
-            }
-            "--json" => {
-                let value = iter.next().expect("--json needs a path");
-                json_path = PathBuf::from(value);
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [fig2 fig3 fig5 fig6 fig7 fig8 fig10 fig11 \
-                     opt-distance opt-disjunction prepared parallel baseline startup live overload serve profile durability bench all] \
-                     [--quick|--full] [--yago-scale F] [--max-scale L1..L4] [--samples N] \
-                     [--json PATH]\n\
-                     \x20      experiments snapshot build --out PATH [--dataset l4all|yago] \
-                     [--max-scale L1..L4] [--yago-scale F]\n\
-                     \x20      experiments snapshot inspect PATH"
-                );
-                return;
-            }
-            other => figures.push(other.to_owned()),
-        }
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        eprintln!("{}", usage());
+        return;
     }
-    if figures.is_empty() {
-        figures.push("all".to_owned());
-    }
+    let (figures, config) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\n{}", usage());
+        std::process::exit(2);
+    });
     let all = figures.iter().any(|f| f == "all");
     let wants = |name: &str| all || figures.iter().any(|f| f == name);
     let options = EvalOptions::default();
@@ -114,190 +132,143 @@ fn main() {
     if wants("fig3") {
         println!("{}", figure3(&config));
     }
-    // The L4All and YAGO studies feed both the figure tables and the JSON
-    // report; run each at most once.
-    let need_l4all =
-        wants("fig5") || wants("fig6") || wants("fig7") || wants("fig8") || wants("bench");
-    let need_yago = wants("fig10") || wants("fig11") || wants("bench");
-    let need_multi = wants("parallel") || wants("bench");
-    let need_startup = wants("startup") || wants("bench");
-    let need_live = wants("live") || wants("bench");
-    let need_overload = wants("overload") || wants("bench");
-    let need_serve = wants("serve") || wants("bench");
-    let need_profile = wants("profile") || wants("bench");
-    let need_durability = wants("durability") || wants("bench");
-    let l4all_rows = need_l4all.then(|| l4all_study(&config, &options));
-    let yago_rows = need_yago.then(|| yago_study(&config, &options));
-    let multi_rows = need_multi.then(|| parallel_study(&config, &options));
-    let startup_rows = need_startup.then(|| startup_study(&config));
-    let live_rows = need_live.then(|| live_study(&config));
-    let overload_rows = need_overload.then(|| overload_study(&config));
-    let serve_rows = need_serve.then(|| serve_study(&config));
-    let profile_rows = need_profile.then(|| profile_study(&config));
-    let durability_rows = need_durability.then(|| durability_study(&config));
-    if let Some(rows) = &l4all_rows {
+    // Figures 5–8 share one run of the L4All study, 10–11 one of YAGO's.
+    if wants("fig5") || wants("fig6") || wants("fig7") || wants("fig8") {
+        let rows = l4all_study(&config, &options);
         if wants("fig5") {
-            println!("{}", figure5(rows));
+            println!("{}", figure5(&rows));
         }
-        if wants("fig6") {
-            println!("{}", figure_times(rows, "exact", "Figure 6"));
-        }
-        if wants("fig7") {
-            println!("{}", figure_times(rows, "APPROX", "Figure 7"));
-        }
-        if wants("fig8") {
-            println!("{}", figure_times(rows, "RELAX", "Figure 8"));
+        for (figure, name, operator) in [
+            ("fig6", "Figure 6", "exact"),
+            ("fig7", "Figure 7", "APPROX"),
+            ("fig8", "Figure 8", "RELAX"),
+        ] {
+            if wants(figure) {
+                println!("{}", figure_times(&rows, operator, name));
+            }
         }
     }
-    if let Some(rows) = &yago_rows {
+    if wants("fig10") || wants("fig11") {
+        let rows = yago_study(&config, &options);
         if wants("fig10") {
-            println!("{}", figure10(rows));
+            println!("{}", figure10(&rows));
         }
         if wants("fig11") {
-            println!("{}", figure11(rows));
+            println!("{}", figure11(&rows));
         }
     }
-    if let Some(rows) = &multi_rows {
-        if wants("parallel") {
-            println!("{}", parallel_comparison(rows));
-        }
-    }
-    if let Some(rows) = &startup_rows {
-        if wants("startup") {
-            println!("{}", startup_comparison(rows));
-        }
-    }
-    if let Some(rows) = &live_rows {
-        if wants("live") {
-            println!("{}", live_comparison(rows));
-        }
-    }
-    if let Some(rows) = &overload_rows {
-        if wants("overload") {
-            println!("{}", overload_comparison(rows));
-        }
-    }
-    if let Some(rows) = &serve_rows {
-        if wants("serve") {
-            println!("{}", serve_comparison(rows));
-        }
-    }
-    if let Some(rows) = &profile_rows {
-        if wants("profile") {
-            println!("{}", profile_comparison(rows));
-        }
-    }
-    if let Some(rows) = &durability_rows {
-        if wants("durability") {
-            println!("{}", durability_comparison(rows));
-        }
-    }
-    if wants("bench") {
-        let name = json_path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("BENCH")
-            .to_owned();
-        report::write_bench_json(
-            &json_path,
-            &name,
-            &config,
-            l4all_rows.as_deref().unwrap_or(&[]),
-            yago_rows.as_deref().unwrap_or(&[]),
-            multi_rows.as_deref().unwrap_or(&[]),
-            startup_rows.as_deref().unwrap_or(&[]),
-            live_rows.as_deref().unwrap_or(&[]),
-            profile_rows.as_deref().unwrap_or(&[]),
-            durability_rows.as_deref().unwrap_or(&[]),
-            overload_rows.as_deref().unwrap_or(&[]),
-            serve_rows.as_deref().unwrap_or(&[]),
-        )
-        .unwrap_or_else(|e| panic!("failed to write {}: {e}", json_path.display()));
-        println!("wrote {}\n", json_path.display());
-    }
-    if wants("opt-distance") {
-        println!("{}", optimisation_distance_aware(&config));
-    }
-    if wants("opt-disjunction") {
-        println!("{}", optimisation_disjunction(&config));
-    }
-    if wants("prepared") {
-        println!("{}", prepared_amortization(&config));
+    if FIGURES.iter().any(|f| f.starts_with("opt-") && wants(f)) {
+        let l4all = l4all_dataset(config.scales().last().copied().unwrap_or(L4AllScale::L1));
+        let yago = yago_dataset(config.yago_scale);
+        let mut cases = ablation_cases(&l4all, &yago);
+        cases.retain(|(label, ..)| label.split(' ').next().is_some_and(&wants));
+        println!("{}", ablations(&cases, config.samples));
     }
     if wants("baseline") {
         println!("{}", baseline_comparison(&config));
     }
+    if wants("parallel") {
+        println!(
+            "{}",
+            parallel_comparison(&parallel_study(&config, &options))
+        );
+    }
+    if wants("overload") {
+        println!("{}", overload_comparison(&overload_study(&config)));
+    }
+}
+
+/// Parses `snapshot build`'s flags into (output path, dataset, config).
+fn parse_snapshot_build(args: &[String]) -> Result<(PathBuf, String, RunConfig), String> {
+    let mut out: Option<PathBuf> = None;
+    let mut dataset = "yago".to_owned();
+    let mut config = RunConfig::quick();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--out" => out = Some(flag_value(arg, &mut iter)?),
+            "--dataset" => dataset = flag_value(arg, &mut iter)?,
+            "--yago-scale" => config.yago_scale = flag_value(arg, &mut iter)?,
+            "--max-scale" => {
+                config.max_scale = parse_scale(&flag_value::<String>(arg, &mut iter)?)?;
+            }
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    let out = out.ok_or("snapshot build requires --out PATH")?;
+    Ok((out, dataset, config))
 }
 
 /// The `experiments snapshot build|inspect` subcommand.
 fn snapshot_main(args: &[String]) {
-    let usage = "usage: experiments snapshot build --out PATH [--dataset l4all|yago] \
-                 [--max-scale L1..L4] [--yago-scale F]\n\
-                 \x20      experiments snapshot inspect PATH";
-    let Some(verb) = args.first() else {
-        eprintln!("{usage}");
+    let usage_error = |message: &str| -> ! {
+        eprintln!("{message}\n{}", usage());
         std::process::exit(2);
     };
-    match verb.as_str() {
-        "build" => {
-            let mut out: Option<PathBuf> = None;
-            let mut dataset = "yago".to_owned();
-            let mut config = RunConfig::quick();
-            let mut iter = args[1..].iter();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--out" => out = Some(PathBuf::from(iter.next().expect("--out needs a path"))),
-                    "--dataset" => {
-                        dataset = iter.next().expect("--dataset needs a value").clone();
-                    }
-                    "--yago-scale" => {
-                        let value = iter.next().expect("--yago-scale needs a value");
-                        config.yago_scale = value.parse().expect("--yago-scale needs a number");
-                    }
-                    "--max-scale" => {
-                        let value = iter.next().expect("--max-scale needs a value");
-                        config.max_scale = match value.as_str() {
-                            "L1" => L4AllScale::L1,
-                            "L2" => L4AllScale::L2,
-                            "L3" => L4AllScale::L3,
-                            "L4" => L4AllScale::L4,
-                            other => panic!("unknown scale {other}"),
-                        };
-                    }
-                    other => {
-                        eprintln!("unknown argument {other}\n{usage}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            let Some(out) = out else {
-                eprintln!("snapshot build requires --out PATH\n{usage}");
-                std::process::exit(2);
-            };
-            match snapshot_build(&dataset, &config, &out) {
-                Ok(summary) => println!("{summary}"),
-                Err(e) => {
-                    eprintln!("snapshot build failed: {e}");
-                    std::process::exit(1);
-                }
-            }
+    let report = match (args.first().map(String::as_str), args.get(1)) {
+        (Some("build"), _) => {
+            let (out, dataset, config) =
+                parse_snapshot_build(&args[1..]).unwrap_or_else(|e| usage_error(&e));
+            snapshot_build(&dataset, &config, &out)
         }
-        "inspect" => {
-            let Some(path) = args.get(1) else {
-                eprintln!("snapshot inspect requires a path\n{usage}");
-                std::process::exit(2);
-            };
-            match snapshot_inspect(std::path::Path::new(path)) {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("snapshot inspect failed: {e}");
-                    std::process::exit(1);
-                }
-            }
+        (Some("inspect"), Some(path)) => snapshot_inspect(std::path::Path::new(path)),
+        (Some("inspect"), None) => usage_error("snapshot inspect requires a path"),
+        _ => usage_error("unknown snapshot subcommand"),
+    };
+    match report {
+        Ok(report) => println!("{report}"),
+        Err(e) => {
+            eprintln!("snapshot {} failed: {e}", args[0]);
+            std::process::exit(1);
         }
-        other => {
-            eprintln!("unknown snapshot subcommand {other}\n{usage}");
-            std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(Vec<String>, RunConfig), String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn known_figures_and_flags_parse() {
+        let (figures, config) =
+            parse("fig5 opt-final --max-scale L1 --yago-scale 0.1 --samples 0").unwrap();
+        assert_eq!(figures, ["fig5", "opt-final"]);
+        assert_eq!(config.max_scale, L4AllScale::L1);
+        assert_eq!((config.yago_scale, config.samples), (0.1, 1));
+        assert_eq!(
+            parse("--full").unwrap(),
+            (vec!["all".to_owned()], RunConfig::full())
+        );
+    }
+
+    #[test]
+    fn unknown_verbs_and_flags_are_errors() {
+        for stale in [
+            "serve",
+            "live",
+            "durability",
+            "profile",
+            "startup",
+            "prepared",
+            "bench",
+            "bnech",
+        ] {
+            assert!(parse(stale).is_err(), "{stale} must be rejected");
+            assert!(parse(&format!("fig5 {stale}")).is_err());
+        }
+        for line in [
+            "--json out.json",
+            "--scales L1,L2",
+            "--max-scale L9",
+            "--max-scale",
+            "--samples many",
+        ] {
+            assert!(parse(line).is_err(), "{line} must be rejected");
         }
     }
 }

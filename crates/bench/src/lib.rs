@@ -1,13 +1,15 @@
 //! # omega-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (Section 4), plus the Criterion micro/macro benchmarks.
+//! paper's evaluation (Section 4) and the Section 3.3/4.3 ablations, plus the
+//! `snapshot build|inspect` tooling. Timing the *system* (serving, writes,
+//! recovery, per-layer costs) is the job of the yardstick in `benchmark/`.
 //!
 //! The `experiments` binary prints the figures as text tables:
 //!
 //! ```text
 //! cargo run -p omega-bench --release --bin experiments -- all --quick
-//! cargo run -p omega-bench --release --bin experiments -- fig5 --scales L1,L2
+//! cargo run -p omega-bench --release --bin experiments -- fig5 --max-scale L1
 //! ```
 //!
 //! Each figure has a corresponding function here returning the formatted
@@ -20,18 +22,10 @@
 // engine-side lints (unwrap/expect denied) do not apply.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod report;
-pub mod serve;
-
-pub use serve::{serve_comparison, serve_study, ServeRun};
-
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use omega_core::{
-    Database, EvalOptions, EvalStats, ExecOptions, FsyncPolicy, GovernorConfig, OmegaError,
-    PreparedQuery, WalConfig,
-};
+use omega_core::{Database, EvalOptions, EvalStats, ExecOptions, OmegaError, PreparedQuery};
 use omega_datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, l4all_queries,
     yago_multi_conjunct_queries, yago_queries, Dataset, L4AllConfig, L4AllScale, QuerySpec,
@@ -259,6 +253,34 @@ fn format_duration(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
+/// A run's answer count, or the paper's "?" when it ran out of memory.
+fn answers_cell(run: &QueryRun) -> String {
+    if run.exhausted {
+        "?".to_owned()
+    } else {
+        run.answers.to_string()
+    }
+}
+
+/// A run's latency in ms, or the paper's "?" when it ran out of memory.
+fn time_cell(run: &QueryRun) -> String {
+    if run.exhausted {
+        "?".to_owned()
+    } else {
+        format_duration(run.elapsed)
+    }
+}
+
+/// The answer count two runs that must agree share, or a loud marker.
+fn agreeing_answers(a: &QueryRun, b: &QueryRun) -> String {
+    let (a, b) = (answers_cell(a), answers_cell(b));
+    if a == b {
+        a
+    } else {
+        format!("MISMATCH {a}≠{b}")
+    }
+}
+
 // ----------------------------------------------------------------------
 // Figure generators
 // ----------------------------------------------------------------------
@@ -347,11 +369,7 @@ pub fn figure5(rows: &[(String, QueryRun)]) -> String {
             scale,
             run.id,
             run.operator,
-            if run.exhausted {
-                "?".to_owned()
-            } else {
-                run.answers.to_string()
-            },
+            answers_cell(run),
             run.distance_summary()
         ));
     }
@@ -375,13 +393,7 @@ pub fn figure_times(rows: &[(String, QueryRun)], operator: &str, figure: &str) -
             let cell = rows
                 .iter()
                 .find(|(s, run)| s == scale && run.id == id && run.operator == operator)
-                .map(|(_, run)| {
-                    if run.exhausted {
-                        "?".to_owned()
-                    } else {
-                        format_duration(run.elapsed)
-                    }
-                })
+                .map(|(_, run)| time_cell(run))
                 .unwrap_or_default();
             out.push_str(&format!(" {cell:>10}"));
         }
@@ -423,11 +435,7 @@ pub fn figure10(rows: &[QueryRun]) -> String {
             "{:<5} {:<8} {:>8}  {}\n",
             run.id,
             run.operator,
-            if run.exhausted {
-                "?".to_owned()
-            } else {
-                run.answers.to_string()
-            },
+            answers_cell(run),
             run.distance_summary()
         ));
     }
@@ -445,13 +453,7 @@ pub fn figure11(rows: &[QueryRun]) -> String {
         let cell = |mode: &str| {
             rows.iter()
                 .find(|r| r.id == id && r.operator == mode)
-                .map(|r| {
-                    if r.exhausted {
-                        "?".to_owned()
-                    } else {
-                        format_duration(r.elapsed)
-                    }
-                })
+                .map(time_cell)
                 .unwrap_or_default()
         };
         out.push_str(&format!(
@@ -465,122 +467,58 @@ pub fn figure11(rows: &[QueryRun]) -> String {
     out
 }
 
-/// Section 4.3, first optimisation: distance-aware retrieval. Reports the
-/// time for the APPROX versions of L4All Q3/Q9 and YAGO Q2/Q3 with the
-/// optimisation off and on.
-pub fn optimisation_distance_aware(config: &RunConfig) -> String {
-    let mut out = String::from(
-        "Section 4.3 (distance-aware retrieval): APPROX top-100 time (ms), off vs on\n",
-    );
-    out.push_str(&format!(
-        "{:<22} {:>12} {:>12} {:>9}\n",
-        "Query", "baseline", "distance-aware", "speed-up"
-    ));
-    let l4all = l4all_dataset(config.scales().last().copied().unwrap_or(L4AllScale::L1));
-    let yago = yago_dataset(config.yago_scale);
-    let cases: Vec<(&str, &Dataset, QuerySpec)> = vec![
-        ("L4All Q3", &l4all, l4all_queries()[2].clone()),
-        ("L4All Q9", &l4all, l4all_queries()[8].clone()),
-        ("YAGO Q2", &yago, yago_queries()[1].clone()),
-        ("YAGO Q3", &yago, yago_queries()[2].clone()),
-    ];
-    for (name, dataset, spec) in cases {
-        let baseline_engine = engine_for(dataset, EvalOptions::default());
-        let optimised_engine =
-            engine_for(dataset, EvalOptions::default().with_distance_aware(true));
-        let text = spec.with_operator("APPROX");
-        let base = run_query(&baseline_engine, spec.id, "APPROX", &text);
-        let opt = run_query(&optimised_engine, spec.id, "APPROX", &text);
-        let speedup = base.elapsed.as_secs_f64() / opt.elapsed.as_secs_f64().max(1e-9);
-        out.push_str(&format!(
-            "{:<22} {:>12} {:>12} {:>8.1}x\n",
-            name,
-            format_duration(base.elapsed),
-            format_duration(opt.elapsed),
-            speedup
-        ));
-    }
-    out
+/// One row of the ablation table: its label (the `experiments` verb that
+/// selects it, then the query), the dataset, the query text, and the engine
+/// options with the optimisation off and on.
+type AblationCase<'a> = (&'static str, &'a Dataset, String, EvalOptions, EvalOptions);
+
+/// The paper's ablations: the two Section 4.3 query-execution optimisations
+/// (distance-aware retrieval; alternation replaced by disjunction on YAGO
+/// Q9, the paper's example) and the two Section 3.3 refinements (final
+/// tuples dequeued first; initial nodes released in batches instead of all
+/// at once).
+pub fn ablation_cases<'a>(l4all: &'a Dataset, yago: &'a Dataset) -> Vec<AblationCase<'a>> {
+    let (l, y) = (l4all_queries(), yago_queries());
+    let apx = |spec: &QuerySpec| spec.with_operator("APPROX");
+    let q5 = l[4].text.to_owned();
+    let plain = EvalOptions::default;
+    let aware = || plain().with_distance_aware(true);
+    let arms = || plain().with_disjunction_decomposition(true);
+    let mixed = || plain().without_final_prioritization();
+    let unbatched = || plain().with_batch_size(usize::MAX);
+    vec![
+        ("opt-distance L4All Q3", l4all, apx(&l[2]), plain(), aware()),
+        ("opt-distance L4All Q9", l4all, apx(&l[8]), plain(), aware()),
+        ("opt-distance YAGO Q2", yago, apx(&y[1]), plain(), aware()),
+        ("opt-distance YAGO Q3", yago, apx(&y[2]), plain(), aware()),
+        ("opt-disjunction YAGO Q9", yago, apx(&y[8]), plain(), arms()),
+        ("opt-final L4All Q9", l4all, apx(&l[8]), mixed(), plain()),
+        ("opt-batching L4All Q5", l4all, q5, unbatched(), plain()),
+    ]
 }
 
-/// Section 4.3, second optimisation: replacing alternation by disjunction,
-/// measured on YAGO Q9 (the paper's example).
-pub fn optimisation_disjunction(config: &RunConfig) -> String {
-    let mut out = String::from(
-        "Section 4.3 (alternation -> disjunction): APPROX top-100 time (ms), off vs on\n",
-    );
-    let yago = yago_dataset(config.yago_scale);
-    let spec = yago_queries()[8].clone();
-    let text = spec.with_operator("APPROX");
-    let plain_engine = engine_for(&yago, EvalOptions::default());
-    let optimised_engine = engine_for(
-        &yago,
-        EvalOptions::default().with_disjunction_decomposition(true),
-    );
-    let base = run_query(&plain_engine, spec.id, "APPROX", &text);
-    let opt = run_query(&optimised_engine, spec.id, "APPROX", &text);
+/// Runs every case's top-[`TOP_K`] fetch with its optimisation off and on
+/// (median of `samples`) and formats the off-vs-on table.
+pub fn ablations(cases: &[AblationCase<'_>], samples: usize) -> String {
+    let mut out =
+        format!("Sections 3.3/4.3 ablations: top-{TOP_K} time (ms), optimisation off vs on\n");
     out.push_str(&format!(
-        "YAGO Q9: baseline {} ms, decomposed {} ms ({:.1}x), answers {} vs {}\n",
-        format_duration(base.elapsed),
-        format_duration(opt.elapsed),
-        base.elapsed.as_secs_f64() / opt.elapsed.as_secs_f64().max(1e-9),
-        base.answers,
-        opt.answers
+        "{:<26} {:>10} {:>10} {:>9} {:>9}\n",
+        "Ablation", "off", "on", "speed-up", "answers"
     ));
-    out
-}
-
-/// Prepared-query amortization: repeated execution of the same flexible
-/// query with per-call compilation (the old `Omega::execute` behaviour)
-/// versus compile-once [`PreparedQuery`] reuse. The automata construction
-/// (Thompson + APPROX augmentation + ε-removal) dominates small-query
-/// latency, so the prepared path should win on every repeated query.
-pub fn prepared_amortization(config: &RunConfig) -> String {
-    const ITERS: usize = 20;
-    let scale = config.scales().last().copied().unwrap_or(L4AllScale::L1);
-    let dataset = l4all_dataset(scale);
-    let db = engine_for(&dataset, EvalOptions::default());
     let request = ExecOptions::new().with_limit(TOP_K);
-    let drain = |prepared: &PreparedQuery| {
-        let mut stream = prepared.answers(&request);
-        loop {
-            match stream.next_answer() {
-                Ok(Some(_)) => {}
-                Ok(None) | Err(OmegaError::ResourceExhausted { .. }) => break,
-                Err(other) => panic!("amortization query failed: {other}"),
-            }
-        }
-    };
-    let mut out = format!(
-        "Prepared-query amortization ({}): APPROX top-{TOP_K}, {ITERS} executions (total ms)\n",
-        scale.name()
-    );
-    out.push_str(&format!(
-        "{:<6} {:>12} {:>12} {:>9}\n",
-        "Query", "one-shot", "prepared", "speed-up"
-    ));
-    for spec in l4all_queries() {
-        if !figure5_query_ids().contains(&spec.id) {
-            continue;
-        }
-        let text = spec.with_operator("APPROX");
-        let start = Instant::now();
-        for _ in 0..ITERS {
-            drain(&db.prepare_uncached(&text).expect("query compiles"));
-        }
-        let one_shot = start.elapsed();
-        let prepared = db.prepare_uncached(&text).expect("query compiles");
-        let start = Instant::now();
-        for _ in 0..ITERS {
-            drain(&prepared);
-        }
-        let reused = start.elapsed();
+    for (name, dataset, text, off, on) in cases {
+        let [off, on] = [off, on].map(|options| {
+            let db = engine_for(dataset, options.clone());
+            run_query_sampled(&db, name, "", text, &request, samples)
+        });
         out.push_str(&format!(
-            "{:<6} {:>12} {:>12} {:>8.2}x\n",
-            spec.id,
-            format_duration(one_shot),
-            format_duration(reused),
-            one_shot.as_secs_f64() / reused.as_secs_f64().max(1e-9)
+            "{:<26} {:>10} {:>10} {:>8.1}x {:>9}\n",
+            name,
+            format_duration(off.elapsed),
+            format_duration(on.elapsed),
+            off.elapsed.as_secs_f64() / on.elapsed.as_secs_f64().max(1e-9),
+            agreeing_answers(&off, &on),
         ));
     }
     out
@@ -592,8 +530,7 @@ pub fn prepared_amortization(config: &RunConfig) -> String {
 /// applied to *every* conjunct) fetch the top [`TOP_K`] answers — the
 /// interactive workload the paper's methodology models; full exact drains
 /// of the rank join are quadratic in the buffered streams and not
-/// representative. Each row is tagged with its mode so the JSON report
-/// keeps both sides.
+/// representative. Each row is tagged with its mode.
 pub fn parallel_study(config: &RunConfig, options: &EvalOptions) -> Vec<(String, QueryRun)> {
     let l4all = l4all_dataset(config.scales().last().copied().unwrap_or(L4AllScale::L1));
     let yago = yago_dataset(config.yago_scale);
@@ -658,11 +595,6 @@ pub fn parallel_comparison(rows: &[(String, QueryRun)]) -> String {
         let (Some(seq), Some(par)) = (find("seq", key.0, key.1), find("par", key.0, key.1)) else {
             continue;
         };
-        let answers = if seq.answers == par.answers {
-            seq.answers.to_string()
-        } else {
-            format!("MISMATCH {}≠{}", seq.answers, par.answers)
-        };
         out.push_str(&format!(
             "{:<6} {:<8} {:>10} {:>10} {:>8.2}x {:>9}\n",
             seq.id,
@@ -670,681 +602,8 @@ pub fn parallel_comparison(rows: &[(String, QueryRun)]) -> String {
             format_duration(seq.elapsed),
             format_duration(par.elapsed),
             seq.elapsed.as_secs_f64() / par.elapsed.as_secs_f64().max(1e-9),
-            answers,
+            agreeing_answers(seq, par),
         ));
-    }
-    out
-}
-
-/// The per-phase profiling study: one exact query, the flexible workhorse
-/// (Q9 APPROX), and a multi-conjunct query, each executed once with
-/// [`ExecOptions::with_profile`] so the engine records where the time went.
-/// One row per (query, phase); the row's scale slot carries the phase name
-/// (`parse` / `compile` / `conjunct_<i>` / `rank_join` / `streaming` /
-/// `total`) and `elapsed` that phase's duration, so the rows flow into
-/// `BENCH_N.json` under a `profile` suite unchanged.
-pub fn profile_study(config: &RunConfig) -> Vec<(String, QueryRun)> {
-    let scale = config.scales().first().copied().unwrap_or(L4AllScale::L1);
-    let dataset = l4all_dataset(scale);
-    let db = engine_for(&dataset, EvalOptions::default());
-    let queries = l4all_queries();
-    let multi = l4all_multi_conjunct_queries();
-    let cases: Vec<(&str, &str, String)> = vec![
-        (queries[0].id, "", queries[0].text.to_owned()),
-        (queries[8].id, "APPROX", queries[8].with_operator("APPROX")),
-        (
-            multi[0].id,
-            "APPROX",
-            multi[0].with_operator_everywhere("APPROX"),
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (id, operator, text) in cases {
-        let mut request = ExecOptions::new().with_profile(true);
-        if !operator.is_empty() {
-            request = request.with_limit(TOP_K);
-        }
-        let prepared = db.prepare(&text).expect("profile study query compiles");
-        let mut stream = prepared.answers(&request);
-        let mut answers = 0usize;
-        let mut distances = BTreeMap::new();
-        loop {
-            match stream.next_answer() {
-                Ok(Some(a)) => {
-                    answers += 1;
-                    *distances.entry(a.distance).or_insert(0) += 1;
-                }
-                Ok(None) | Err(OmegaError::ResourceExhausted { .. }) => break,
-                Err(other) => panic!("profile study query {id} failed: {other}"),
-            }
-        }
-        let stats = stream.stats();
-        let profile = stream
-            .profile()
-            .cloned()
-            .expect("profile requested and stream finished");
-        for phase in profile.phases() {
-            rows.push((
-                phase.name.clone(),
-                QueryRun {
-                    id: id.to_owned(),
-                    operator: if operator.is_empty() {
-                        "exact".to_owned()
-                    } else {
-                        operator.to_owned()
-                    },
-                    elapsed: Duration::from_nanos(phase.nanos),
-                    samples: 1,
-                    answers,
-                    distances: distances.clone(),
-                    exhausted: false,
-                    stats,
-                },
-            ));
-        }
-    }
-    rows
-}
-
-/// Formats the [`profile_study`] rows as a per-phase breakdown table.
-pub fn profile_comparison(rows: &[(String, QueryRun)]) -> String {
-    let mut out = String::from("Per-phase query profile (ExecOptions::with_profile; ms)\n");
-    out.push_str(&format!(
-        "{:<6} {:<8} {:<14} {:>12} {:>7}\n",
-        "Query", "Mode", "Phase", "ms", "share"
-    ));
-    for (phase, run) in rows {
-        let total = rows
-            .iter()
-            .find(|(p, r)| p == "total" && r.id == run.id && r.operator == run.operator)
-            .map(|(_, r)| r.elapsed)
-            .unwrap_or(run.elapsed)
-            .max(Duration::from_nanos(1));
-        out.push_str(&format!(
-            "{:<6} {:<8} {:<14} {:>12.3} {:>6.1}%\n",
-            run.id,
-            run.operator,
-            phase,
-            run.elapsed.as_secs_f64() * 1e3,
-            run.elapsed.as_secs_f64() * 100.0 / total.as_secs_f64(),
-        ));
-    }
-    out
-}
-
-/// Startup-cost study for the snapshot subsystem: how long it takes to have
-/// a query-ready [`Database`] by (a) **rebuilding** — regenerating the
-/// dataset and constructing the frozen engine, the per-process tax every
-/// cold start without a snapshot pays (the paper's YAGO import plays this
-/// role in the real system), (b) saving a snapshot image, (c) opening that
-/// image **cold** (first open after the write: pays validation, mapping
-/// and first-touch costs — the file's pages are still in the page cache,
-/// so a truly disk-cold open would additionally pay the sequential read)
-/// and (d) opening it again **warm** (everything cached, the steady state
-/// for map-many serving).
-///
-/// Rows reuse the [`QueryRun`] shape so they flow into `BENCH_N.json`
-/// unchanged: the first tuple slot carries the phase
-/// (`rebuild`/`save`/`open_cold`/`open_warm`), `id` names the dataset, and
-/// `answers` records the node count as a sanity anchor. After each open the
-/// same APPROX probe query runs on both databases and must agree — a
-/// snapshot that loads fast but answers differently would be worthless.
-pub fn startup_study(config: &RunConfig) -> Vec<(String, QueryRun)> {
-    let scale = config.scales().last().copied().unwrap_or(L4AllScale::L1);
-    let yago_scale = config.yago_scale;
-    #[allow(clippy::type_complexity)]
-    let cases: Vec<(String, Box<dyn Fn() -> Dataset>, String)> = vec![
-        (
-            format!("l4all-{}", scale.name()),
-            Box::new(move || l4all_dataset(scale)),
-            l4all_queries()[8].with_operator("APPROX"),
-        ),
-        (
-            "yago".to_owned(),
-            Box::new(move || yago_dataset(yago_scale)),
-            yago_queries()[1].with_operator("APPROX"),
-        ),
-    ];
-    let mut rows = Vec::new();
-    let probe_request = ExecOptions::new().with_limit(TOP_K);
-    for (name, generate, probe) in &cases {
-        // Rebuild: everything a fresh process does without a snapshot —
-        // produce the graph + ontology and construct the frozen engine.
-        let start = Instant::now();
-        let dataset = generate();
-        let rebuilt = engine_for(&dataset, EvalOptions::default());
-        let rebuild_elapsed = start.elapsed();
-        drop(dataset);
-
-        let nodes = rebuilt.graph().node_count();
-        let row = |phase: &str, elapsed: Duration| {
-            (
-                phase.to_owned(),
-                QueryRun {
-                    id: name.clone(),
-                    operator: "startup".to_owned(),
-                    elapsed,
-                    // Startup phases are one-shot by construction ("open
-                    // cold" means the *first* open after the write).
-                    samples: 1,
-                    answers: nodes,
-                    distances: BTreeMap::new(),
-                    exhausted: false,
-                    stats: EvalStats::default(),
-                },
-            )
-        };
-        rows.push(row("rebuild", rebuild_elapsed));
-
-        let path = std::env::temp_dir().join(format!(
-            "omega-startup-{}-{name}.snapshot",
-            std::process::id()
-        ));
-        let start = Instant::now();
-        rebuilt.save_snapshot(&path).expect("snapshot save");
-        rows.push(row("save", start.elapsed()));
-
-        let start = Instant::now();
-        let cold = Database::open_snapshot_with(
-            &path,
-            EvalOptions::default().with_max_tuples(Some(MEMORY_BUDGET)),
-        )
-        .expect("snapshot open (cold)");
-        rows.push(row("open_cold", start.elapsed()));
-
-        let start = Instant::now();
-        let warm = Database::open_snapshot_with(
-            &path,
-            EvalOptions::default().with_max_tuples(Some(MEMORY_BUDGET)),
-        )
-        .expect("snapshot open (warm)");
-        rows.push(row("open_warm", start.elapsed()));
-
-        // Answer-equality sanity probe: rebuilt vs snapshot-backed.
-        let reference = run_query_with(&rebuilt, name, "APPROX", probe, &probe_request);
-        for db in [&cold, &warm] {
-            let got = run_query_with(db, name, "APPROX", probe, &probe_request);
-            assert_eq!(
-                (got.answers, &got.distances),
-                (reference.answers, &reference.distances),
-                "snapshot-backed database diverged on {name}"
-            );
-        }
-        drop((cold, warm));
-        std::fs::remove_file(&path).ok();
-    }
-    rows
-}
-
-/// Formats the [`startup_study`] rows as a rebuild-vs-open table.
-pub fn startup_comparison(rows: &[(String, QueryRun)]) -> String {
-    let mut out = String::from("Startup: query-ready Database, rebuild vs snapshot open (ms)\n");
-    out.push_str(&format!(
-        "{:<12} {:>10} {:>10} {:>10} {:>10} {:>9} {:>9}\n",
-        "Dataset", "rebuild", "save", "open cold", "open warm", "cold x", "warm x"
-    ));
-    let find = |phase: &str, id: &str| {
-        rows.iter()
-            .find(|(p, r)| p == phase && r.id == id)
-            .map(|(_, r)| r.elapsed)
-    };
-    let mut seen: Vec<&str> = Vec::new();
-    for (_, run) in rows {
-        if seen.contains(&run.id.as_str()) {
-            continue;
-        }
-        seen.push(&run.id);
-        let (Some(rebuild), Some(save), Some(cold), Some(warm)) = (
-            find("rebuild", &run.id),
-            find("save", &run.id),
-            find("open_cold", &run.id),
-            find("open_warm", &run.id),
-        ) else {
-            continue;
-        };
-        out.push_str(&format!(
-            "{:<12} {:>10} {:>10} {:>10} {:>10} {:>8.1}x {:>8.1}x\n",
-            run.id,
-            format_duration(rebuild),
-            format_duration(save),
-            format_duration(cold),
-            format_duration(warm),
-            rebuild.as_secs_f64() / cold.as_secs_f64().max(1e-9),
-            rebuild.as_secs_f64() / warm.as_secs_f64().max(1e-9),
-        ));
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// Live-mutation study (epoch-pinned delta overlay)
-// ----------------------------------------------------------------------
-
-/// The live-mutation study at the largest configured L4All scale: the
-/// Figure 5 queries timed against the same [`Database`] in three storage
-/// states, with the mutation machinery timed in between.
-///
-/// Phases (carried in the row's scale slot):
-///
-/// * `frozen` — the pristine frozen store. The overlay exists but is empty,
-///   so this measures the mutable read path's overhead over the plain CSR
-///   scans of earlier reports (the `l4all` suite).
-/// * `apply` — landing ~1% of the graph's edge count as fresh edges, then
-///   deleting half of them again (`answers` = edges added + removed).
-/// * `overlay` — the queries with that live delta overlay in place.
-/// * `compact` — folding the overlay into a fresh frozen CSR.
-/// * `compacted` — the queries once more on the compacted store.
-pub fn live_study(config: &RunConfig) -> Vec<(String, QueryRun)> {
-    let ids = figure5_query_ids();
-    let dataset = l4all_dataset(config.max_scale);
-    let db = engine_for(&dataset, EvalOptions::default());
-    let specs: Vec<QuerySpec> = l4all_queries()
-        .into_iter()
-        .filter(|spec| ids.contains(&spec.id))
-        .collect();
-
-    let mut rows = Vec::new();
-    let run_phase = |phase: &str, db: &Database, rows: &mut Vec<(String, QueryRun)>| {
-        for spec in &specs {
-            for op in ["", "APPROX"] {
-                if !op.is_empty() && !spec.flexible_in_study {
-                    continue;
-                }
-                let mut request = ExecOptions::new();
-                if !op.is_empty() {
-                    request = request.with_limit(TOP_K);
-                }
-                let text = spec.with_operator(op);
-                rows.push((
-                    phase.to_owned(),
-                    run_query_sampled(db, spec.id, op, &text, &request, config.samples),
-                ));
-            }
-        }
-    };
-
-    run_phase("frozen", &db, &mut rows);
-
-    // ~1% of the base edge count in fresh edges, chained through the
-    // existing labels so every committed query's label scan has to merge
-    // the overlay; half are deleted again so tombstones are exercised too.
-    let extra = (db.graph().edge_count() / 100).clamp(64, 4096);
-    let labels: Vec<String> = db
-        .graph()
-        .labels()
-        .map(|(_, name)| name.to_owned())
-        .collect();
-    let mutation_row = |id: &str, elapsed: Duration, edges: u64| QueryRun {
-        id: id.to_owned(),
-        operator: "exact".to_owned(),
-        elapsed,
-        samples: 1,
-        answers: edges as usize,
-        distances: BTreeMap::new(),
-        exhausted: false,
-        stats: EvalStats::default(),
-    };
-
-    let start = Instant::now();
-    let mut batch = db.begin_mutation();
-    for i in 0..extra {
-        let label = &labels[i % labels.len()];
-        batch.add(
-            &format!("live-extra-{i}"),
-            label,
-            &format!("live-extra-{}", i + 1),
-        );
-    }
-    let added = db.apply(&batch).expect("live study: apply adds");
-    let mut removals = db.begin_mutation();
-    for i in 0..extra / 2 {
-        let label = &labels[i % labels.len()];
-        removals.remove(
-            &format!("live-extra-{i}"),
-            label,
-            &format!("live-extra-{}", i + 1),
-        );
-    }
-    let removed = db.apply(&removals).expect("live study: apply removes");
-    let landed = added.added + added.removed + removed.added + removed.removed;
-    rows.push((
-        "apply".to_owned(),
-        mutation_row("mutations", start.elapsed(), landed),
-    ));
-
-    run_phase("overlay", &db, &mut rows);
-
-    let folded = db.graph().overlay_edges();
-    let start = Instant::now();
-    db.compact();
-    rows.push((
-        "compact".to_owned(),
-        mutation_row("compact", start.elapsed(), folded),
-    ));
-
-    run_phase("compacted", &db, &mut rows);
-    rows
-}
-
-/// Formats the [`live_study`] rows as a frozen/overlay/compacted table with
-/// the overhead ratios against the frozen (empty-overlay) baseline.
-pub fn live_comparison(rows: &[(String, QueryRun)]) -> String {
-    let mut out = String::from("Live graph: frozen vs delta-overlay vs compacted (ms)\n");
-    out.push_str(&format!(
-        "{:<6} {:<8} {:>9} {:>9} {:>10} {:>8} {:>8}\n",
-        "Query", "Mode", "frozen", "overlay", "compacted", "ovl x", "cmp x"
-    ));
-    let find = |phase: &str, id: &str, op: &str| {
-        rows.iter()
-            .find(|(p, r)| p == phase && r.id == id && r.operator == op)
-            .map(|(_, r)| r.elapsed)
-    };
-    for (phase, run) in rows {
-        if phase != "frozen" {
-            continue;
-        }
-        let (Some(overlay), Some(compacted)) = (
-            find("overlay", &run.id, &run.operator),
-            find("compacted", &run.id, &run.operator),
-        ) else {
-            continue;
-        };
-        out.push_str(&format!(
-            "{:<6} {:<8} {:>9} {:>9} {:>10} {:>7.2}x {:>7.2}x\n",
-            run.id,
-            run.operator,
-            format_duration(run.elapsed),
-            format_duration(overlay),
-            format_duration(compacted),
-            overlay.as_secs_f64() / run.elapsed.as_secs_f64().max(1e-9),
-            compacted.as_secs_f64() / run.elapsed.as_secs_f64().max(1e-9),
-        ));
-    }
-    for (phase, run) in rows {
-        match phase.as_str() {
-            "apply" => out.push_str(&format!(
-                "applied {} edge mutations in {} ms\n",
-                run.answers,
-                format_duration(run.elapsed)
-            )),
-            "compact" => out.push_str(&format!(
-                "compacted {} overlay edges into a fresh CSR in {} ms\n",
-                run.answers,
-                format_duration(run.elapsed)
-            )),
-            _ => {}
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// Durability study (write-ahead log overhead and crash recovery)
-// ----------------------------------------------------------------------
-
-/// A scratch directory for one durability run, unique per process and
-/// call site so parallel test binaries never collide.
-fn durability_scratch(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "omega-bench-wal-{}-{}-{}",
-        std::process::id(),
-        tag,
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Opens the dataset as a WAL-backed [`Database`] under `dir`.
-fn durable_engine(dataset: &Dataset, dir: &std::path::Path, fsync: FsyncPolicy) -> Database {
-    let (db, _recovery) = Database::with_governor_durable(
-        dataset.graph.clone(),
-        dataset.ontology.clone(),
-        EvalOptions::default().with_max_tuples(Some(MEMORY_BUDGET)),
-        GovernorConfig::default(),
-        &WalConfig::new(dir).with_fsync(fsync),
-    )
-    .expect("durability study: durable open");
-    db
-}
-
-/// The durability study at the largest configured L4All scale: what the
-/// write-ahead log costs on the hot paths, and what recovery costs after a
-/// crash. Phases (carried in the row's scale slot):
-///
-/// * `base` / `read` — the Figure 5 queries on a plain database and on a
-///   WAL-backed one whose log is attached but idle, measured back to back
-///   so the pair shares machine state (the `l4all` rows of earlier suites
-///   run minutes earlier in a full bench, which on sub-ms rows is more
-///   noise than the effect being measured). The acceptance bar: `read`
-///   medians within 1.1x of `base` — the log must be free when nobody
-///   writes.
-/// * `apply` — one row per durability mode (`no-wal`, `fsync-never`,
-///   `fsync-always`): the same mutation batches landed through a plain
-///   database and WAL-backed ones, `answers` = edges applied, so the
-///   logging and fsync overhead of the write path is on record.
-/// * `recovery` — one row per log length (`log-0`, `log-64`, `log-256`):
-///   a durable reopen over a log with that many records, `answers` = the
-///   records actually replayed. `log-0` is the no-replay baseline (the
-///   timing includes base-graph construction, which replay rides on).
-pub fn durability_study(config: &RunConfig) -> Vec<(String, QueryRun)> {
-    let ids = figure5_query_ids();
-    let dataset = l4all_dataset(config.max_scale);
-    let specs: Vec<QuerySpec> = l4all_queries()
-        .into_iter()
-        .filter(|spec| ids.contains(&spec.id))
-        .collect();
-    let labels: Vec<String> = dataset
-        .graph
-        .labels()
-        .map(|(_, name)| name.to_owned())
-        .collect();
-    let study_row = |id: &str, elapsed: Duration, count: u64| QueryRun {
-        id: id.to_owned(),
-        operator: "exact".to_owned(),
-        elapsed,
-        samples: 1,
-        answers: count as usize,
-        distances: BTreeMap::new(),
-        exhausted: false,
-        stats: EvalStats::default(),
-    };
-    let mut rows = Vec::new();
-
-    // Phase 1: reads with the log attached but idle, against a WAL-less
-    // twin. The twin rows are interleaved per query — base then read,
-    // back to back — so slow drift in machine state (this study runs
-    // after the allocator-thrashing overload/serve studies in a full
-    // bench) cancels out of the ratio instead of accumulating across a
-    // whole phase.
-    let dir = durability_scratch("read");
-    {
-        let plain = engine_for(&dataset, EvalOptions::default());
-        let durable = durable_engine(&dataset, &dir, FsyncPolicy::Always);
-        for spec in &specs {
-            for op in ["", "APPROX"] {
-                if !op.is_empty() && !spec.flexible_in_study {
-                    continue;
-                }
-                let mut request = ExecOptions::new();
-                if !op.is_empty() {
-                    request = request.with_limit(TOP_K);
-                }
-                let text = spec.with_operator(op);
-                // The acceptance bar is a 10% *ratio* between these two
-                // rows, several of which are sub-millisecond — triple the
-                // sampling so the medians settle below that.
-                let samples = config.samples * 3;
-                for (phase, db) in [("base", &plain), ("read", &durable)] {
-                    rows.push((
-                        phase.to_owned(),
-                        run_query_sampled(db, spec.id, op, &text, &request, samples),
-                    ));
-                }
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Phase 2: the write path under each durability mode. Small batches so
-    // per-batch costs (one log record, one fsync under `always`) dominate
-    // over overlay insertion, which the `live` suite already measures.
-    const BATCHES: usize = 16;
-    const EDGES_PER_BATCH: usize = 128;
-    let apply_batches = |db: &Database| -> (Duration, u64) {
-        let start = Instant::now();
-        let mut landed = 0u64;
-        for b in 0..BATCHES {
-            let mut batch = db.begin_mutation();
-            for i in 0..EDGES_PER_BATCH {
-                let label = &labels[(b + i) % labels.len()];
-                batch.add(
-                    &format!("wal-extra-{b}-{i}"),
-                    label,
-                    &format!("wal-extra-{b}-{}", i + 1),
-                );
-            }
-            let applied = db.apply(&batch).expect("durability study: apply");
-            landed += applied.added + applied.removed;
-        }
-        (start.elapsed(), landed)
-    };
-
-    // Warm-up round on a throwaway database: the first apply pass pays
-    // one-off allocator and page-cache costs that would otherwise be
-    // charged to whichever mode runs first.
-    {
-        let warmup = engine_for(&dataset, EvalOptions::default());
-        apply_batches(&warmup);
-    }
-
-    let plain = engine_for(&dataset, EvalOptions::default());
-    let (elapsed, landed) = apply_batches(&plain);
-    rows.push(("apply".to_owned(), study_row("no-wal", elapsed, landed)));
-    drop(plain);
-
-    for (id, fsync) in [
-        ("fsync-never", FsyncPolicy::Never),
-        ("fsync-always", FsyncPolicy::Always),
-    ] {
-        let dir = durability_scratch(id);
-        let db = durable_engine(&dataset, &dir, fsync);
-        let (elapsed, landed) = apply_batches(&db);
-        rows.push(("apply".to_owned(), study_row(id, elapsed, landed)));
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // Phase 3: crash recovery as a function of log length. Each reopen
-    // replays the whole log into a freshly built base graph, so `log-0`
-    // isolates the construction cost every run pays.
-    for records in [0usize, 64, 256] {
-        let dir = durability_scratch("recovery");
-        {
-            let db = durable_engine(&dataset, &dir, FsyncPolicy::Never);
-            for r in 0..records {
-                let mut batch = db.begin_mutation();
-                let label = &labels[r % labels.len()];
-                batch.add(&format!("crash-{r}"), label, &format!("crash-{}", r + 1));
-                db.apply(&batch).expect("durability study: build log");
-            }
-        }
-        let start = Instant::now();
-        let (db, recovery) = Database::with_governor_durable(
-            dataset.graph.clone(),
-            dataset.ontology.clone(),
-            EvalOptions::default().with_max_tuples(Some(MEMORY_BUDGET)),
-            GovernorConfig::default(),
-            &WalConfig::new(&dir).with_fsync(FsyncPolicy::Never),
-        )
-        .expect("durability study: recovery open");
-        let elapsed = start.elapsed();
-        assert_eq!(
-            recovery.records, records as u64,
-            "durability study: recovery must replay every logged record"
-        );
-        rows.push((
-            "recovery".to_owned(),
-            study_row(&format!("log-{records}"), elapsed, recovery.records),
-        ));
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    rows
-}
-
-/// Formats the [`durability_study`] rows: the idle-WAL read medians against
-/// their WAL-less twins, the write-path cost per durability mode (with the
-/// overhead multiple against the WAL-less baseline), and recovery time by
-/// log length.
-pub fn durability_comparison(rows: &[(String, QueryRun)]) -> String {
-    let mut out = String::from("Durability: WAL overhead and crash recovery\n");
-    out.push_str("reads: WAL attached but idle vs a WAL-less twin:\n");
-    out.push_str(&format!(
-        "{:<6} {:<8} {:>9} {:>9} {:>8}\n",
-        "Query", "Mode", "base", "read", "x"
-    ));
-    let base = |id: &str, op: &str| {
-        rows.iter()
-            .find(|(p, r)| p == "base" && r.id == id && r.operator == op)
-            .map(|(_, r)| r.elapsed)
-    };
-    for (phase, run) in rows {
-        if phase != "read" {
-            continue;
-        }
-        let ratio = base(&run.id, &run.operator)
-            .map(|b| run.elapsed.as_secs_f64() / b.as_secs_f64().max(1e-9))
-            .unwrap_or(f64::NAN);
-        out.push_str(&format!(
-            "{:<6} {:<8} {:>9} {:>9} {:>7.2}x\n",
-            run.id,
-            run.operator,
-            base(&run.id, &run.operator)
-                .map(format_duration)
-                .unwrap_or_default(),
-            format_duration(run.elapsed),
-            ratio
-        ));
-    }
-    let no_wal = rows
-        .iter()
-        .find(|(p, r)| p == "apply" && r.id == "no-wal")
-        .map(|(_, r)| r.elapsed);
-    out.push_str("write path (same mutation batches per mode):\n");
-    out.push_str(&format!(
-        "{:<14} {:>7} {:>9} {:>9}\n",
-        "Mode", "edges", "ms", "vs no-wal"
-    ));
-    for (phase, run) in rows {
-        if phase != "apply" {
-            continue;
-        }
-        let ratio = no_wal
-            .map(|base| run.elapsed.as_secs_f64() / base.as_secs_f64().max(1e-9))
-            .unwrap_or(f64::NAN);
-        out.push_str(&format!(
-            "{:<14} {:>7} {:>9} {:>8.2}x\n",
-            run.id,
-            run.answers,
-            format_duration(run.elapsed),
-            ratio
-        ));
-    }
-    out.push_str("recovery (durable reopen incl. base-graph build):\n");
-    out.push_str(&format!("{:<10} {:>8} {:>9}\n", "Log", "records", "ms"));
-    for (phase, run) in rows {
-        if phase == "recovery" {
-            out.push_str(&format!(
-                "{:<10} {:>8} {:>9}\n",
-                run.id,
-                run.answers,
-                format_duration(run.elapsed)
-            ));
-        }
     }
     out
 }
@@ -1772,27 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn startup_study_produces_all_phases_and_agreeing_answers() {
-        // The study itself asserts rebuilt == snapshot-backed answers.
-        let config = RunConfig {
-            max_scale: L4AllScale::L1,
-            yago_scale: 0.05,
-            samples: 1,
-        };
-        let rows = startup_study(&config);
-        for phase in ["rebuild", "save", "open_cold", "open_warm"] {
-            assert_eq!(
-                rows.iter().filter(|(p, _)| p == phase).count(),
-                2,
-                "one {phase} row per dataset"
-            );
-        }
-        let table = startup_comparison(&rows);
-        assert!(table.contains("yago"));
-        assert!(table.contains("l4all-L1"));
-    }
-
-    #[test]
     fn run_config_scales() {
         assert_eq!(RunConfig::quick().scales().len(), 2);
         assert_eq!(RunConfig::full().scales().len(), 4);
@@ -1828,29 +1066,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_study_emits_phase_rows_for_all_three_cases() {
-        let config = RunConfig {
-            max_scale: L4AllScale::L1,
-            yago_scale: 0.05,
-            samples: 1,
-        };
-        let rows = profile_study(&config);
-        let totals = rows.iter().filter(|(p, _)| p == "total").count();
-        assert_eq!(totals, 3, "one total row per profiled query");
-        assert!(rows
-            .iter()
-            .any(|(p, r)| p == "parse" && r.operator == "exact"));
-        assert!(rows
-            .iter()
-            .any(|(p, r)| p == "streaming" && r.operator == "APPROX"));
-        assert!(rows.iter().any(|(p, _)| p.starts_with("conjunct_")));
-        assert!(rows.iter().any(|(p, _)| p == "rank_join"));
-        let table = profile_comparison(&rows);
-        assert!(table.contains("total"));
-        assert!(table.contains("APPROX"));
-    }
-
-    #[test]
     fn tiny_end_to_end_study() {
         // A minimal smoke test of the harness machinery on a tiny dataset:
         // exact vs APPROX vs RELAX on L4All Q10.
@@ -1866,5 +1081,61 @@ mod tests {
         assert!(approx.answers >= exact.answers);
         assert!(relax.answers >= exact.answers);
         assert!(!exact.exhausted);
+    }
+
+    /// Cost-guided pruning may only *complete* a study query the unguided
+    /// run exhausts its memory budget on; it never changes or loses answers.
+    #[test]
+    fn cost_guided_pruning_keeps_every_study_answer_count() {
+        let config = RunConfig {
+            max_scale: L4AllScale::L1,
+            yago_scale: 0.1,
+            samples: 1,
+        };
+        let study = |guided: bool| -> Vec<QueryRun> {
+            let options = EvalOptions::default().with_cost_guided(guided);
+            let l4all = l4all_study(&config, &options);
+            let yago = yago_study(&config, &options);
+            l4all.into_iter().map(|(_, run)| run).chain(yago).collect()
+        };
+        let (guided, unguided) = (study(true), study(false));
+        assert_eq!(guided.len(), (6 + 5) * 3, "every study query x 3 operators");
+        assert_eq!(guided.len(), unguided.len());
+        for (g, u) in guided.iter().zip(&unguided) {
+            assert_eq!((&g.id, &g.operator), (&u.id, &u.operator));
+            if u.exhausted {
+                assert!(
+                    g.answers >= u.answers,
+                    "guided lost answers: {g:?} vs {u:?}"
+                );
+            } else {
+                assert!(!g.exhausted, "only the guided run exhausted: {g:?}");
+                assert_eq!(g.answers, u.answers, "{} {} diverged", g.id, g.operator);
+            }
+        }
+    }
+
+    #[test]
+    fn ablation_table_has_one_agreeing_row_per_case() {
+        let l4all = generate_l4all(&L4AllConfig::tiny());
+        let yago = yago_dataset(0.05);
+        let cases = ablation_cases(&l4all, &yago);
+        for verb in [
+            "opt-distance",
+            "opt-disjunction",
+            "opt-final",
+            "opt-batching",
+        ] {
+            assert!(
+                cases.iter().any(|c| c.0.starts_with(verb)),
+                "no {verb} case"
+            );
+        }
+        let table = ablations(&cases, 1);
+        assert_eq!(table.lines().count(), 2 + cases.len(), "{table}");
+        assert!(
+            !table.contains("MISMATCH"),
+            "an optimisation changed answers:\n{table}"
+        );
     }
 }

@@ -71,12 +71,9 @@
 //! * [`eval::baseline`] — the plain product-automaton BFS baseline used for
 //!   comparison with other automaton-based approaches,
 //! * [`service`] — the shared [`Database`] / [`PreparedQuery`] /
-//!   [`ExecOptions`] / [`Answers`] service surface,
-//! * [`engine`] — the deprecated [`Omega`] single-owner facade, kept as a
-//!   thin shim over [`service`].
+//!   [`ExecOptions`] / [`Answers`] service surface.
 
 pub mod answer;
-pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod govern;
@@ -84,8 +81,6 @@ pub mod query;
 pub mod service;
 
 pub use answer::{Answer, ConjunctAnswer};
-#[allow(deprecated)]
-pub use engine::{Omega, QueryStream};
 pub use error::{OmegaError, Result};
 pub use eval::{
     live_parallel_workers, AnswerStream, BaselineEvaluator, CancelToken, ConjunctEvaluator,

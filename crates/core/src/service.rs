@@ -392,11 +392,6 @@ impl Database {
         &self.inner.metrics.registry
     }
 
-    /// The engine's pre-resolved metric handles, for execution paths.
-    pub(crate) fn core_metrics(&self) -> &Arc<CoreMetrics> {
-        &self.inner.metrics
-    }
-
     /// The database-wide resource governor: inspect its gauges, or hold the
     /// `Arc` to watch saturation from a monitoring thread.
     pub fn governor(&self) -> &Arc<ResourceGovernor> {
@@ -441,11 +436,6 @@ impl Database {
         metrics.epoch.set(next.epoch as i64);
         metrics.overlay_edges.set(next.graph.overlay_edges() as i64);
         self.inner.storage.store(next);
-    }
-
-    /// The shared conjunct worker pool.
-    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
-        &self.inner.pool
     }
 
     /// Parses, validates and compiles `text` into a [`PreparedQuery`],
@@ -518,13 +508,6 @@ impl Database {
         let parse_ns = elapsed_ns(parse_started);
         let data = self.data();
         self.prepare_against(&query, &data, parse_ns)
-    }
-
-    /// Compiles an already parsed query (uncached) against the current
-    /// epoch.
-    pub fn prepare_query(&self, query: &Query) -> Result<PreparedQuery> {
-        let data = self.data();
-        self.prepare_against(query, &data, 0)
     }
 
     /// Compiles `query` against a pinned storage epoch, recording the time
@@ -1313,16 +1296,15 @@ pub(crate) struct PreparedInner {
     /// keeps probe work small; answer *sets* are order-independent.
     guided: Option<Layout>,
     /// Time [`Database::prepare`] spent parsing the query text, reported in
-    /// the `parse` phase of every execution's [`QueryProfile`]. Zero when
-    /// the statement was compiled from an already-parsed [`Query`].
+    /// the `parse` phase of every execution's [`QueryProfile`].
     parse_ns: u64,
     /// Time spent compiling the conjunct plans (the `compile` profile
-    /// phase). Zero for plans built outside [`Database`] prepare paths.
+    /// phase).
     compile_ns: u64,
 }
 
 /// Parses nothing, validates `query` and compiles every conjunct.
-pub(crate) fn compile_prepared(
+fn compile_prepared(
     query: &Query,
     graph: &GraphStore,
     ontology: &Ontology,
@@ -2342,6 +2324,37 @@ mod tests {
             .unwrap();
         assert_eq!(answers.len(), 3);
         assert!(answers.iter().all(|a| a.distance == 0));
+    }
+
+    #[test]
+    fn multi_conjunct_join_projects_and_deduplicates() {
+        let db = db();
+        let joined = db
+            .execute(
+                "(?X, ?C) <- (?X, knows, ?Y), (?Y, worksAt.locatedIn, ?C)",
+                &ExecOptions::new(),
+            )
+            .unwrap();
+        // alice knows bob, bob works at initech in US.
+        assert_eq!(joined.len(), 1);
+        assert_eq!(joined[0].get("X"), Some("alice"));
+        assert_eq!(joined[0].get("C"), Some("US"));
+        assert_eq!(joined[0].get("Y"), None, "Y is projected away");
+        // Projecting only ?X: alice and bob each contribute one answer.
+        let projected = db
+            .execute("(?X) <- (?X, worksAt.locatedIn, ?Y)", &ExecOptions::new())
+            .unwrap();
+        assert_eq!(projected.len(), 2);
+    }
+
+    #[test]
+    fn parse_and_plan_errors_surface() {
+        let db = db();
+        assert!(db.execute("not a query", &ExecOptions::new()).is_err());
+        let unknown_constant = "(?X) <- (ghost, knows, ?X)";
+        assert!(db.execute(unknown_constant, &ExecOptions::new()).is_err());
+        let q = parse_query("(?X) <- (alice, knows, ?X)").unwrap();
+        assert_eq!(conjunct_variables(&q.conjuncts[0]), vec!["X"]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ enum Outcome {
 
 /// Entry point of a connection thread.
 pub(crate) fn connection(shared: Arc<Shared>, transport: Transport) {
-    let _open = CounterGuard::enter(&shared.counters.connections_open);
+    let _open = CounterGuard::enter(&shared.metrics.connections_open);
     // The only reasons `serve` ends are peer disconnect and server drain;
     // both are handled by closing the socket, which happens on drop.
     let _ = serve(&shared, transport);
@@ -156,9 +156,9 @@ impl Drop for Conn<'_> {
     fn drop(&mut self) {
         // Return this connection's statement-table contribution.
         self.shared
-            .counters
+            .metrics
             .statements_open
-            .fetch_sub(self.statements.len() as u64, Ordering::SeqCst);
+            .sub(self.statements.len() as i64);
     }
 }
 
@@ -190,7 +190,7 @@ impl Conn<'_> {
 
     /// Sends a typed failure and counts it.
     fn send_fail(&mut self, error: WireError) -> ConnResult<()> {
-        self.shared.counters.rejected.fetch_add(1, Ordering::SeqCst);
+        self.shared.metrics.rejected.inc();
         self.send(&Frame::Fail { error })
     }
 
@@ -273,10 +273,7 @@ impl Conn<'_> {
             } => self.execute(statement, options, credits),
             Frame::Close { id } => {
                 if self.statements.remove(&id).is_some() {
-                    self.shared
-                        .counters
-                        .statements_open
-                        .fetch_sub(1, Ordering::SeqCst);
+                    self.shared.metrics.statements_open.sub(1);
                     self.send(&Frame::Closed)
                 } else {
                     self.send_fail(WireError::UnknownStatement(id))
@@ -329,10 +326,7 @@ impl Conn<'_> {
                 let conjuncts = prepared.query().conjuncts.len() as u32;
                 let head = prepared.query().head.clone();
                 self.statements.insert(id, prepared);
-                self.shared
-                    .counters
-                    .statements_open
-                    .fetch_add(1, Ordering::SeqCst);
+                self.shared.metrics.statements_open.add(1);
                 self.send(&Frame::Prepared {
                     id,
                     conjuncts,
@@ -428,7 +422,7 @@ impl Conn<'_> {
         request: ExecOptions,
         credits: u32,
     ) -> ConnResult<()> {
-        let _in_flight = CounterGuard::enter(&self.shared.counters.streams_in_flight);
+        let _in_flight = CounterGuard::enter(&self.shared.metrics.streams_in_flight);
         let started = Instant::now();
         let mut stream = prepared.answers(&request);
         let mut credits = u64::from(credits);
@@ -484,10 +478,7 @@ impl Conn<'_> {
             let batch = self.rows.rows() as u64;
             if batch > 0 {
                 credits -= batch;
-                self.shared
-                    .counters
-                    .answers_streamed
-                    .fetch_add(batch, Ordering::SeqCst);
+                self.shared.metrics.answers_streamed.add(batch);
                 self.rows
                     .append_to(&mut self.out, stream.columns(), |id| stream.label(id))
                     .map_err(|_| Hangup::Gone)?;
@@ -505,13 +496,10 @@ impl Conn<'_> {
         // returns every governor resource, so a client observing `Finished`
         // observes the gauges already settled.
         drop(stream);
-        self.shared
-            .counters
-            .sheds
-            .fetch_add(stats.sheds, Ordering::SeqCst);
+        self.shared.metrics.sheds.add(stats.sheds);
         let drained = matches!(outcome, Outcome::Drained);
         if drained || stats.degraded {
-            self.shared.counters.degraded.fetch_add(1, Ordering::SeqCst);
+            self.shared.metrics.degraded.inc();
         }
         self.log_slow_query(&prepared, &request, &outcome, started, &stats, &profile);
         match outcome {

@@ -41,7 +41,7 @@ use std::io::Result as IoResult;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -89,20 +89,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic daemon counters, exposed through the protocol's `Stats`
-/// request (alongside the governor's gauges).
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) connections_total: AtomicU64,
-    pub(crate) connections_open: AtomicU64,
-    pub(crate) streams_in_flight: AtomicU64,
-    pub(crate) statements_open: AtomicU64,
-    pub(crate) answers_streamed: AtomicU64,
-    pub(crate) sheds: AtomicU64,
-    pub(crate) degraded: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-}
-
 /// The frame kinds the per-frame request-latency histogram distinguishes;
 /// anything else (stale flow control, abuse) lands in `"other"`.
 const FRAME_KINDS: [&str; 8] = [
@@ -110,8 +96,10 @@ const FRAME_KINDS: [&str; 8] = [
 ];
 
 /// The daemon's handles into the database's shared metrics [`Registry`]:
-/// request-latency histograms per frame kind, wire byte counters, and
-/// point-in-time gauges refreshed at scrape.
+/// request-latency histograms per frame kind, wire byte counters, the
+/// counters and gauges a `Stats` reply is read from (so `Stats` and
+/// `Metrics` frames cannot disagree), and point-in-time gauges refreshed at
+/// scrape.
 pub(crate) struct ServerMetrics {
     pub(crate) bytes_in: Arc<MetricCounter>,
     pub(crate) bytes_out: Arc<MetricCounter>,
@@ -119,7 +107,14 @@ pub(crate) struct ServerMetrics {
     /// the socket takes it in parts: with `bytes_out`, how well replies
     /// coalesce.
     pub(crate) writes: Arc<MetricCounter>,
-    connections_open: Arc<Gauge>,
+    pub(crate) connections_total: Arc<MetricCounter>,
+    pub(crate) connections_open: Arc<Gauge>,
+    pub(crate) streams_in_flight: Arc<Gauge>,
+    pub(crate) statements_open: Arc<Gauge>,
+    pub(crate) answers_streamed: Arc<MetricCounter>,
+    pub(crate) sheds: Arc<MetricCounter>,
+    pub(crate) degraded: Arc<MetricCounter>,
+    pub(crate) rejected: Arc<MetricCounter>,
     draining: Arc<Gauge>,
     uptime_secs: Arc<Gauge>,
     frames: Vec<(&'static str, Arc<Histogram>)>,
@@ -131,7 +126,14 @@ impl ServerMetrics {
             bytes_in: registry.counter("omega_server_bytes_in_total", &[]),
             bytes_out: registry.counter("omega_server_bytes_out_total", &[]),
             writes: registry.counter("omega_server_writes_total", &[]),
+            connections_total: registry.counter("omega_server_connections_total", &[]),
             connections_open: registry.gauge("omega_server_connections_open", &[]),
+            streams_in_flight: registry.gauge("omega_server_streams_in_flight", &[]),
+            statements_open: registry.gauge("omega_server_statements_open", &[]),
+            answers_streamed: registry.counter("omega_server_answers_streamed_total", &[]),
+            sheds: registry.counter("omega_server_sheds_total", &[]),
+            degraded: registry.counter("omega_server_degraded_total", &[]),
+            rejected: registry.counter("omega_server_rejected_total", &[]),
             draining: registry.gauge("omega_server_draining", &[]),
             uptime_secs: registry.gauge("omega_server_uptime_secs", &[]),
             frames: FRAME_KINDS
@@ -162,7 +164,6 @@ pub(crate) struct Shared {
     pub(crate) db: Database,
     pub(crate) config: ServerConfig,
     pub(crate) drain: AtomicBool,
-    pub(crate) counters: Counters,
     pub(crate) metrics: ServerMetrics,
     pub(crate) started: Instant,
     /// Set while a background compaction thread is running, so overlapping
@@ -176,17 +177,17 @@ impl Shared {
     }
 
     pub(crate) fn stats(&self) -> ServerStats {
-        let c = &self.counters;
+        let m = &self.metrics;
         ServerStats {
             gauges: self.db.governor().gauges(),
-            connections_total: c.connections_total.load(Ordering::SeqCst),
-            connections_open: c.connections_open.load(Ordering::SeqCst),
-            streams_in_flight: c.streams_in_flight.load(Ordering::SeqCst),
-            statements_open: c.statements_open.load(Ordering::SeqCst),
-            answers_streamed: c.answers_streamed.load(Ordering::SeqCst),
-            sheds: c.sheds.load(Ordering::SeqCst),
-            degraded: c.degraded.load(Ordering::SeqCst),
-            rejected: c.rejected.load(Ordering::SeqCst),
+            connections_total: m.connections_total.get(),
+            connections_open: m.connections_open.get() as u64,
+            streams_in_flight: m.streams_in_flight.get() as u64,
+            statements_open: m.statements_open.get() as u64,
+            answers_streamed: m.answers_streamed.get(),
+            sheds: m.sheds.get(),
+            degraded: m.degraded.get(),
+            rejected: m.rejected.get(),
             live_workers: live_parallel_workers() as u64,
             epoch: self.db.epoch(),
             overlay_edges: self.db.graph().overlay_edges(),
@@ -201,8 +202,6 @@ impl Shared {
     /// gauges first so a scrape always sees current values.
     pub(crate) fn metrics_text(&self) -> String {
         let m = &self.metrics;
-        m.connections_open
-            .set(self.counters.connections_open.load(Ordering::SeqCst) as i64);
         m.draining.set(self.draining() as i64);
         m.uptime_secs.set(self.started.elapsed().as_secs() as i64);
         self.db.metrics().expose()
@@ -288,7 +287,6 @@ impl Server {
                 db,
                 config,
                 drain: AtomicBool::new(false),
-                counters: Counters::default(),
                 metrics,
                 started: Instant::now(),
                 compacting: AtomicBool::new(false),
@@ -393,10 +391,7 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>, conns: Arc<Mutex<Vec<Joi
     while !shared.draining() {
         match listener.try_accept() {
             Some(transport) => {
-                shared
-                    .counters
-                    .connections_total
-                    .fetch_add(1, Ordering::SeqCst);
+                shared.metrics.connections_total.inc();
                 let conn_shared = Arc::clone(&shared);
                 let handle = std::thread::spawn(move || {
                     conn::connection(conn_shared, transport);
@@ -412,19 +407,19 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>, conns: Arc<Mutex<Vec<Joi
     }
 }
 
-/// Increments a counter for the guard's lifetime (connection and stream
+/// Increments a gauge for the guard's lifetime (connection and stream
 /// gauges stay exact even on panicking paths).
-pub(crate) struct CounterGuard<'a>(&'a AtomicU64);
+pub(crate) struct CounterGuard<'a>(&'a Gauge);
 
 impl<'a> CounterGuard<'a> {
-    pub(crate) fn enter(counter: &'a AtomicU64) -> CounterGuard<'a> {
-        counter.fetch_add(1, Ordering::SeqCst);
-        CounterGuard(counter)
+    pub(crate) fn enter(gauge: &'a Gauge) -> CounterGuard<'a> {
+        gauge.add(1);
+        CounterGuard(gauge)
     }
 }
 
 impl Drop for CounterGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.0.sub(1);
     }
 }

@@ -40,8 +40,6 @@ pub use omega_graph as graph;
 pub use omega_ontology as ontology;
 pub use omega_regex as regex;
 
-#[allow(deprecated)]
-pub use omega_core::Omega;
 pub use omega_core::{
     Answer, Answers, Database, EvalOptions, ExecOptions, PreparedQuery, QueryMode,
 };

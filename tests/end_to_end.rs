@@ -2,14 +2,11 @@
 //! database construction → query preparation → ranked evaluation → answers.
 //!
 //! The suite drives the service API (`Database` / `PreparedQuery` /
-//! `ExecOptions`) and keeps a handful of tests on the deprecated `Omega`
-//! shim to pin its compatibility behaviour.
-
-#![allow(deprecated)]
+//! `ExecOptions`).
 
 use std::time::{Duration, Instant};
 
-use omega::core::{Database, EvalOptions, ExecOptions, Omega, OmegaError};
+use omega::core::{Database, EvalOptions, ExecOptions, OmegaError};
 use omega::datagen::{
     generate_l4all, generate_yago, l4all_queries, yago_queries, L4AllConfig, YagoConfig,
 };
@@ -187,11 +184,12 @@ fn multi_conjunct_queries_join_across_conjuncts() {
 
 /// The acceptance scenario for the service API: one `Database` shared by
 /// four worker threads answers prepared APPROX/RELAX queries concurrently,
-/// with results identical to single-threaded `Omega::execute`.
+/// with results identical to a single-threaded, uncached compile on a
+/// second, freshly built `Database`.
 #[test]
 fn shared_database_matches_single_threaded_omega() {
     let data = generate_l4all(&L4AllConfig::tiny());
-    let omega = Omega::new(data.graph.clone(), data.ontology.clone());
+    let fresh = Database::new(data.graph.clone(), data.ontology.clone());
     let db = Database::new(data.graph, data.ontology);
 
     let mut cases = Vec::new();
@@ -201,8 +199,10 @@ fn shared_database_matches_single_threaded_omega() {
         }
         for operator in ["APPROX", "RELAX"] {
             let text = spec.with_operator(operator);
-            let reference: Vec<_> = omega
-                .execute(&text, Some(50))
+            let reference: Vec<_> = fresh
+                .prepare_uncached(&text)
+                .unwrap()
+                .execute(&ExecOptions::new().with_limit(50))
                 .unwrap()
                 .into_iter()
                 .map(|a| (a.bindings, a.distance))
@@ -276,23 +276,6 @@ fn prepared_statement_cache_is_shared_between_clones() {
     let second = clone.prepare(text).unwrap();
     assert!(first.shares_plans_with(&second));
     assert_eq!(db.prepared_cache_len(), 1);
-}
-
-#[test]
-fn omega_shim_still_behaves_like_the_database() {
-    // The deprecated facade delegates to the same machinery: answers agree.
-    let data = generate_l4all(&L4AllConfig::tiny());
-    let omega = Omega::new(data.graph.clone(), data.ontology.clone());
-    let db = Database::new(data.graph, data.ontology);
-    let spec = &l4all_queries()[9];
-    for operator in ["", "APPROX", "RELAX"] {
-        let text = spec.with_operator(operator);
-        let via_shim = omega.execute(&text, Some(30)).unwrap();
-        let via_db = db
-            .execute(&text, &ExecOptions::new().with_limit(30))
-            .unwrap();
-        assert_eq!(via_shim, via_db, "{operator} diverged");
-    }
 }
 
 #[test]

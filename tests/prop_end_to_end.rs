@@ -3,13 +3,9 @@
 //! operators must behave monotonically, and the prepared/service API must be
 //! indistinguishable from one-shot execution — including under concurrency.
 
-// `Omega` is kept as a deprecated shim; these tests deliberately compare the
-// service API against it.
-#![allow(deprecated)]
-
 use std::sync::Arc;
 
-use omega::core::{parse_query, BaselineEvaluator, Database, EvalOptions, ExecOptions, Omega};
+use omega::core::{parse_query, BaselineEvaluator, Database, EvalOptions, ExecOptions};
 use omega::graph::GraphStore;
 use omega::ontology::Ontology;
 use proptest::prelude::*;
@@ -118,16 +114,18 @@ proptest! {
 
     /// A prepared query executed twice sequentially — and concurrently from
     /// four threads sharing one `Database` — yields exactly the answers and
-    /// distances (including their order) of a one-shot `Omega::execute`.
+    /// distances (including their order) of a one-shot uncached compile on a
+    /// second, freshly built `Database`.
     #[test]
     fn prepared_execution_matches_one_shot(triples in graph_strategy(), qi in 0usize..QUERIES.len(), flex in 0usize..2) {
         let (g, o) = build(&triples);
         let operator = ["APPROX ", "RELAX "][flex];
         let text = QUERIES[qi].replacen("<- (", &format!("<- {operator}("), 1);
 
-        let omega = Omega::new(g.clone(), o.clone());
-        let reference: Vec<_> = omega
-            .execute(&text, None)
+        let reference: Vec<_> = Database::new(g.clone(), o.clone())
+            .prepare_uncached(&text)
+            .unwrap()
+            .execute(&ExecOptions::new())
             .unwrap()
             .into_iter()
             .map(|a| (a.bindings, a.distance))

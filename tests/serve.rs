@@ -890,6 +890,55 @@ fn metrics_frame_round_trips_and_server_histogram_matches_client_view() {
 }
 
 #[test]
+fn stats_and_metrics_frames_agree_on_every_server_counter() {
+    let _guard = serve_lock();
+    let (handle, path, joiner) = spawn_unix(l4all_db(), "statsmetrics");
+    let mut conn = Connection::connect_unix(&path).expect("connect");
+
+    // One drained request, one statement left open and one typed failure,
+    // so none of the compared fields is trivially zero on both sides.
+    let spec = &l4all_queries()[0];
+    conn.run(spec.text, &ExecOptions::new().with_limit(50))
+        .expect("drained request");
+    let statement = conn.prepare(spec.text).expect("prepare");
+    assert!(conn.close(statement.id + 1).is_err());
+
+    let stats = conn.stats().expect("stats");
+    let exposition = conn.metrics().expect("metrics").text;
+    for (series, value) in [
+        ("omega_server_connections_total", stats.connections_total),
+        ("omega_server_connections_open", stats.connections_open),
+        ("omega_server_streams_in_flight", stats.streams_in_flight),
+        ("omega_server_statements_open", stats.statements_open),
+        (
+            "omega_server_answers_streamed_total",
+            stats.answers_streamed,
+        ),
+        ("omega_server_sheds_total", stats.sheds),
+        ("omega_server_degraded_total", stats.degraded),
+        ("omega_server_rejected_total", stats.rejected),
+    ] {
+        assert_eq!(
+            omega_obs::find_value(&exposition, series),
+            Some(value as f64),
+            "{series} disagrees with the Stats reply {stats:?}"
+        );
+    }
+    assert_eq!(
+        (
+            stats.connections_open,
+            stats.statements_open,
+            stats.rejected
+        ),
+        (1, 1, 1)
+    );
+    assert!(stats.answers_streamed > 0);
+
+    drop(conn);
+    drain(&handle, joiner);
+}
+
+#[test]
 fn profile_travels_the_wire_only_when_requested() {
     let _guard = serve_lock();
     let db = l4all_db();
