@@ -71,11 +71,14 @@
 //! * [`eval::baseline`] — the plain product-automaton BFS baseline used for
 //!   comparison with other automaton-based approaches,
 //! * [`service`] — the shared [`Database`] / [`PreparedQuery`] /
-//!   [`ExecOptions`] / [`Answers`] service surface.
+//!   [`ExecOptions`] service surface (storage epochs, prepared cache),
+//! * [`exec`] — one execution of a prepared statement: stream construction
+//!   and the [`Answers`] handle.
 
 pub mod answer;
 pub mod error;
 pub mod eval;
+pub mod exec;
 pub mod govern;
 pub mod query;
 pub mod service;

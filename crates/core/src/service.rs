@@ -18,7 +18,7 @@
 //!   toggles. Requests never mutate engine state, so concurrent requests
 //!   with different options are safe by construction.
 //! * [`Answers`] — a streaming `Iterator<Item = Result<Answer>>` over the
-//!   ranked answer sequence, carrying [`EvalStats`] and enforcing the
+//!   ranked answer sequence, carrying [`EvalStats`](crate::EvalStats) and enforcing the
 //!   request's limit, deadline and distance ceiling.
 //!
 //! ## Live mutation and epochs
@@ -120,41 +120,37 @@
 //! assert_eq!(first.len(), 1);
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use omega_graph::snapshot::{SnapshotReader, SnapshotWriter};
 use omega_graph::wal::{Wal, WalConfig, WalFailure, CHECKPOINT_FILE};
-use omega_graph::{FxHashSet, GraphDelta, GraphStore, NodeId, SnapshotError};
+use omega_graph::{GraphDelta, GraphStore, SnapshotError};
 use omega_obs::{
-    Counter as MetricCounter, Gauge as MetricGauge, Histogram as MetricHistogram, QueryProfile,
-    Registry,
+    Counter as MetricCounter, Gauge as MetricGauge, Histogram as MetricHistogram, Registry,
 };
 use omega_ontology::Ontology;
 
 use crate::answer::Answer;
 use crate::error::{OmegaError, Result};
-use crate::eval::cancel::CancelToken;
-use crate::eval::disjunction::compile_branches;
 use crate::eval::fault::{fire as fault_fire, FaultPoint};
-use crate::eval::parallel::{ParallelStream, StreamPlan, WorkerPool};
+use crate::eval::parallel::WorkerPool;
 use crate::eval::plan::{compile_conjunct, ConjunctPlan};
-use crate::eval::rank_join::{JoinInput, RankJoin};
-use crate::eval::{AnswerStream, EvalOptions, EvalStats};
-use crate::govern::{ExecutionPermit, GovernorConfig, GovernorHandle, ResourceGovernor};
+use crate::eval::EvalOptions;
+use crate::govern::{GovernorConfig, ResourceGovernor};
 use crate::query::ast::{Query, QueryMode, Term};
 use crate::query::parser::parse_query;
 
 pub use crate::eval::options::OverloadPolicy;
+pub use crate::exec::Answers;
 
 /// Default capacity of the per-database prepared-statement LRU cache.
 const PREPARED_CACHE_CAPACITY: usize = 128;
 
 /// Nanoseconds elapsed since `started`, saturated into a `u64` (580 years —
 /// only profile arithmetic, never control flow, consumes these).
-fn elapsed_ns(started: Instant) -> u64 {
+pub(crate) fn elapsed_ns(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -218,11 +214,11 @@ pub(crate) struct CoreMetrics {
     registry: Arc<Registry>,
     prepares: Arc<MetricCounter>,
     prepare_cache_hits: Arc<MetricCounter>,
-    executions: Arc<MetricCounter>,
-    degrades: Arc<MetricCounter>,
+    pub(crate) executions: Arc<MetricCounter>,
+    pub(crate) degrades: Arc<MetricCounter>,
     mutations: Arc<MetricCounter>,
     compactions: Arc<MetricCounter>,
-    exec_ns: Arc<MetricHistogram>,
+    pub(crate) exec_ns: Arc<MetricHistogram>,
     wal_appends: Arc<MetricCounter>,
     wal_bytes: Arc<MetricCounter>,
     wal_append_failures: Arc<MetricCounter>,
@@ -814,7 +810,7 @@ impl Database {
     ///
     /// The database answers queries **bit-identically** to one rebuilt from
     /// the original graph and ontology — same answers, same order, same
-    /// [`EvalStats`] — but opening costs page-cache warm-up plus the node
+    /// [`EvalStats`](crate::EvalStats) — but opening costs page-cache warm-up plus the node
     /// hash-index rebuild rather than a full ingest. The mapping is held
     /// alive by the database's shared inner `Arc`, so clones, prepared
     /// queries and streamed answers all keep it valid; dropping the last
@@ -1217,32 +1213,32 @@ impl PreparedCache {
 }
 
 /// One compiled conjunct of a prepared query.
-struct PreparedConjunct {
-    plan: Arc<ConjunctPlan>,
+pub(crate) struct PreparedConjunct {
+    pub(crate) plan: Arc<ConjunctPlan>,
     /// Branch plans for an APPROX top-level alternation, compiled lazily the
     /// first time a request enables the disjunction optimisation (so
     /// requests that never use it pay nothing) and then reused by every
     /// later execution, from any thread.
-    branches: std::sync::OnceLock<Option<Vec<Arc<ConjunctPlan>>>>,
-    mode: QueryMode,
+    pub(crate) branches: std::sync::OnceLock<Option<Vec<Arc<ConjunctPlan>>>>,
+    pub(crate) mode: QueryMode,
 }
 
 /// Variable → slot resolution for one conjunct evaluation order, fixed at
 /// prepare so executions never touch variable names. Slots are numbered in
 /// order of first occurrence along `order`.
-struct Layout {
+pub(crate) struct Layout {
     /// Conjunct indices in evaluation order.
-    order: Vec<usize>,
+    pub(crate) order: Vec<usize>,
     /// `(subject slot, object slot)` per conjunct, by position in `order`
     /// (`None` for a constant).
-    endpoints: Vec<(Option<usize>, Option<usize>)>,
-    slot_count: usize,
+    pub(crate) endpoints: Vec<(Option<usize>, Option<usize>)>,
+    pub(crate) slot_count: usize,
     /// Slot of each head column, in projection order.
-    head_slots: Vec<usize>,
+    pub(crate) head_slots: Vec<usize>,
     /// Whether the head projects every slot. Projection-level deduplication
     /// can then never consume a join answer, so a request's limit bounds the
     /// join answers needed (top-k threshold pushdown).
-    head_covers_slots: bool,
+    pub(crate) head_covers_slots: bool,
 }
 
 impl Layout {
@@ -1285,22 +1281,22 @@ impl Layout {
 
 /// The compile-once state shared by every execution of a prepared query.
 pub(crate) struct PreparedInner {
-    query: Query,
-    conjuncts: Vec<PreparedConjunct>,
+    pub(crate) query: Query,
+    pub(crate) conjuncts: Vec<PreparedConjunct>,
     /// Slot layout in the query's syntactic conjunct order.
-    layout: Layout,
+    pub(crate) layout: Layout,
     /// Slot layout in cost-guided order — most selective conjunct first, by
     /// the compile-time seed-cardinality estimate — when that order differs
     /// from the syntactic one. The join drains earlier inputs first on
     /// distance ties, so sparse streams buffering fully before the big ones
     /// keeps probe work small; answer *sets* are order-independent.
-    guided: Option<Layout>,
+    pub(crate) guided: Option<Layout>,
     /// Time [`Database::prepare`] spent parsing the query text, reported in
     /// the `parse` phase of every execution's [`QueryProfile`].
-    parse_ns: u64,
+    pub(crate) parse_ns: u64,
     /// Time spent compiling the conjunct plans (the `compile` profile
     /// phase).
-    compile_ns: u64,
+    pub(crate) compile_ns: u64,
 }
 
 /// Parses nothing, validates `query` and compiles every conjunct.
@@ -1335,247 +1331,6 @@ fn compile_prepared(
         parse_ns: 0,
         compile_ns: 0,
     })
-}
-
-/// [`AnswerStream`] adaptor accumulating the wall-clock time spent inside
-/// one conjunct's `next_answer` calls, for the per-conjunct profile phases.
-/// Only constructed when the request asked for a profile.
-struct TimedStream<'a> {
-    inner: Box<dyn AnswerStream + 'a>,
-    nanos: Arc<AtomicU64>,
-}
-
-impl AnswerStream for TimedStream<'_> {
-    fn next_answer(&mut self) -> Result<Option<crate::answer::ConjunctAnswer>> {
-        let started = Instant::now();
-        let out = self.inner.next_answer();
-        self.nanos.fetch_add(elapsed_ns(started), Ordering::Relaxed);
-        out
-    }
-
-    fn stats(&self) -> EvalStats {
-        self.inner.stats()
-    }
-}
-
-/// In-flight profile accumulators for one execution; folded into a
-/// [`QueryProfile`] when the stream finishes.
-struct ProfileState {
-    parse_ns: u64,
-    compile_ns: u64,
-    /// `(original conjunct index, time inside its next_answer calls)`.
-    conjuncts: Vec<(usize, Arc<AtomicU64>)>,
-    /// Time inside the stream's candidate pulls (includes the conjunct time
-    /// above — the pull drives the conjunct streams).
-    join_ns: u64,
-}
-
-impl PreparedInner {
-    /// Builds the ranked answer stream for one execution.
-    ///
-    /// Every execution gets a fresh shared [`CancelToken`] (unless the
-    /// caller installed one in `options`): the conjunct evaluators —
-    /// sequential or on worker threads — poll it, and the returned
-    /// [`Answers`] triggers it when the stream finishes, fails or is
-    /// dropped, so no conjunct worker outlives its execution.
-    ///
-    /// With `parallel_conjuncts` on and more than one conjunct, up to
-    /// `parallel_workers` conjuncts (all of them when `0`) are evaluated on
-    /// worker threads feeding bounded channels; the ranked join consumes
-    /// those channels on the caller's thread in exactly the sequential
-    /// order, so the answer sequence is bit-identical either way.
-    ///
-    /// A single-conjunct plan reads its rows straight off the conjunct
-    /// stream, which is already ranked; `via_join` routes it through the
-    /// ranked join regardless (the reference path the bypass is tested
-    /// against).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn answers<'a>(
-        self: &Arc<Self>,
-        data: &'a Arc<GraphData>,
-        pool: &Arc<WorkerPool>,
-        govern: &Arc<ResourceGovernor>,
-        metrics: &Arc<CoreMetrics>,
-        mut options: EvalOptions,
-        limit: Option<usize>,
-        profile: bool,
-        via_join: bool,
-    ) -> Answers<'a> {
-        let started = Instant::now();
-        // Admission: the governor gates every execution before any evaluator
-        // state is built. Under `Shed` a rejected request backs off once,
-        // shrinks its budgets and retries; otherwise the typed
-        // `Overloaded` error is deferred to the stream's first pull
-        // (`answers` is infallible by signature).
-        let mut sheds = 0u64;
-        let permit = loop {
-            match govern.admit() {
-                Ok(permit) => break permit,
-                Err(err) => {
-                    if options.on_overload == OverloadPolicy::Shed && sheds == 0 {
-                        sheds = 1;
-                        govern.note_shed(true);
-                        if let OmegaError::Overloaded { retry_after } = err {
-                            std::thread::sleep(retry_after);
-                        }
-                        if let Some(max) = options.max_tuples {
-                            options.max_tuples = Some((max / 2).max(1));
-                        }
-                        options.max_psi_steps = (options.max_psi_steps / 2).max(1);
-                        continue;
-                    }
-                    return Answers::rejected(Arc::clone(self), &data.graph, err, sheds);
-                }
-            }
-        };
-        metrics.executions.inc();
-        let mut profile_state = profile.then(|| {
-            Box::new(ProfileState {
-                parse_ns: self.parse_ns,
-                compile_ns: self.compile_ns,
-                conjuncts: Vec::with_capacity(self.conjuncts.len()),
-                join_ns: 0,
-            })
-        });
-        // Evaluators draw their live-tuple reservations from the shared pool
-        // through this handle.
-        options.govern = Some(GovernorHandle(Arc::clone(govern)));
-        // Every execution gets its own token; a caller-installed base token
-        // becomes the parent (an external kill switch), so finishing this
-        // execution never poisons the base options for later queries.
-        let cancel = match &options.cancel {
-            Some(external) => external.child(),
-            None => CancelToken::new(),
-        };
-        options.cancel = Some(cancel.clone());
-        let options = Arc::new(options);
-        let graph = &data.graph;
-        let ontology = &data.ontology;
-        let parallel = options.parallel_conjuncts && self.conjuncts.len() > 1;
-        let worker_budget = if options.parallel_workers == 0 {
-            self.conjuncts.len()
-        } else {
-            options.parallel_workers
-        };
-        let guided = options.cost_guided && self.guided.is_some();
-        let layout = self.layout(guided);
-        let bypass = self.conjuncts.len() == 1 && !via_join;
-        let mut streams = layout.order.iter().enumerate().map(|(pos, &i)| {
-            let pc = &self.conjuncts[i];
-            let plan = stream_plan(pc, &self.query.conjuncts[i], graph, ontology, &options);
-            let stream: Box<dyn AnswerStream + 'a> = if parallel && pos < worker_budget {
-                match ParallelStream::spawn(plan, Arc::clone(data), Arc::clone(&options), pool) {
-                    Ok(stream) => Box::new(stream),
-                    // Spawn failure (thread exhaustion): evaluate this
-                    // conjunct inline — same answers, no parallelism.
-                    Err(plan) => plan.materialize(graph, ontology, Arc::clone(&options)),
-                }
-            } else {
-                plan.materialize(graph, ontology, Arc::clone(&options))
-            };
-            // Profiling wraps each conjunct stream in a timing adaptor,
-            // keyed by the query's syntactic conjunct index so phases
-            // read stably however cost-guided ordering shuffled them. On a
-            // bypassed plan the pull *is* the conjunct: one timer, not two.
-            let stream: Box<dyn AnswerStream + 'a> = match profile_state.as_mut() {
-                Some(state) if !bypass => {
-                    let nanos = Arc::new(AtomicU64::new(0));
-                    state.conjuncts.push((i, Arc::clone(&nanos)));
-                    Box::new(TimedStream {
-                        inner: stream,
-                        nanos,
-                    })
-                }
-                _ => stream,
-            };
-            stream
-        });
-        let source = match (streams.next(), bypass) {
-            (Some(stream), true) => Source::Single { stream, answers: 0 },
-            (first, _) => {
-                let inputs = first
-                    .into_iter()
-                    .chain(streams)
-                    .zip(&layout.endpoints)
-                    .map(|(stream, &(subject, object))| JoinInput::new(stream, subject, object))
-                    .collect();
-                let mut join = RankJoin::new(inputs, layout.slot_count);
-                // Top-k threshold pushdown: streams provably past the k-th
-                // distance stop being pulled.
-                if options.cost_guided && layout.head_covers_slots {
-                    join.set_limit(limit);
-                }
-                Source::Join(join)
-            }
-        };
-        Answers {
-            graph,
-            prepared: Arc::clone(self),
-            guided,
-            source,
-            row: Vec::with_capacity(layout.head_slots.len()),
-            emitted: RowSet::new(layout.head_slots.len(), limit),
-            limit,
-            yielded: 0,
-            max_distance: options.max_distance,
-            deadline: options.deadline,
-            cancel,
-            finished: false,
-            pending: None,
-            permit: Some(permit),
-            govern: Some(Arc::clone(govern)),
-            buffered: 0,
-            sheds,
-            started,
-            metrics: Some(Arc::clone(metrics)),
-            profile: profile_state,
-            profile_out: None,
-        }
-    }
-
-    /// The slot layout an execution runs under.
-    fn layout(&self, guided: bool) -> &Layout {
-        self.guided
-            .as_ref()
-            .filter(|_| guided)
-            .unwrap_or(&self.layout)
-    }
-}
-
-/// Chooses the evaluator recipe for one conjunct according to the request
-/// options. Selection (and branch-plan compilation/caching) always happens
-/// on the caller's thread; the returned [`StreamPlan`] is materialised
-/// either inline or inside a conjunct worker.
-fn stream_plan(
-    pc: &PreparedConjunct,
-    conjunct: &crate::query::ast::Conjunct,
-    graph: &GraphStore,
-    ontology: &Ontology,
-    options: &Arc<EvalOptions>,
-) -> StreamPlan {
-    if options.disjunction_decomposition && pc.mode == QueryMode::Approx {
-        // Branch plans compile on first use and are cached for every later
-        // execution. A compile failure cannot happen once the main plan
-        // compiled (same constants, same costs); if it somehow did, falling
-        // back to plain evaluation is still correct — decomposition is an
-        // optimisation, not a semantics change.
-        let branches = pc.branches.get_or_init(|| {
-            match compile_branches(conjunct, graph, ontology, options) {
-                Ok(branches) => branches,
-                Err(e) => {
-                    debug_assert!(false, "branch compile failed after main plan compiled: {e}");
-                    None
-                }
-            }
-        });
-        if let Some(branches) = branches {
-            return StreamPlan::Disjunction(branches.clone());
-        }
-    }
-    if options.distance_aware && pc.mode != QueryMode::Exact {
-        return StreamPlan::DistanceAware(Arc::clone(&pc.plan));
-    }
-    StreamPlan::Plain(Arc::clone(&pc.plan))
 }
 
 /// A query compiled once and executable many times, from many threads.
@@ -1694,7 +1449,7 @@ pub struct ExecOptions {
     /// mid-query or the governor rejects the execution at admission (see
     /// [`OverloadPolicy`]).
     pub on_overload: Option<OverloadPolicy>,
-    /// Record a per-phase [`QueryProfile`] for this execution (read it with
+    /// Record a per-phase [`QueryProfile`](crate::QueryProfile) for this execution (read it with
     /// [`Answers::profile`] after the stream finishes). Off by default: the
     /// unprofiled path pays a single branch per answer pull.
     pub profile: bool,
@@ -1854,427 +1609,6 @@ impl ExecOptions {
     }
 }
 
-/// Where an execution's ranked candidates come from. One per execution,
-/// held in place for the stream's whole life, so the join is not boxed.
-#[allow(clippy::large_enum_variant)]
-enum Source<'a> {
-    /// Exactly one conjunct: its stream is already ranked, so candidates are
-    /// read straight off it. Conjunct streams never repeat an `(x, y)` pair,
-    /// so every answer pulled is a distinct join-level answer; `answers`
-    /// counts them as the join would.
-    Single {
-        stream: Box<dyn AnswerStream + 'a>,
-        answers: u64,
-    },
-    /// Several conjuncts, combined by the ranked join.
-    Join(RankJoin<'a>),
-}
-
-/// Projection-level deduplication, keyed on the packed id tuple: rows of up
-/// to four columns pack into one `u128`, so remembering a row allocates
-/// nothing beyond the set's own amortised growth. Wider heads box the row.
-enum RowSet {
-    Packed(FxHashSet<u128>),
-    Wide(FxHashSet<Box<[NodeId]>>),
-}
-
-impl RowSet {
-    /// A set for rows of `columns` ids, sized up front for a request that
-    /// asked for at most `limit` of them.
-    fn new(columns: usize, limit: Option<usize>) -> RowSet {
-        let rows = limit.unwrap_or(0).min(1 << 12);
-        if columns <= 4 {
-            RowSet::Packed(FxHashSet::with_capacity_and_hasher(
-                rows,
-                Default::default(),
-            ))
-        } else {
-            RowSet::Wide(FxHashSet::with_capacity_and_hasher(
-                rows,
-                Default::default(),
-            ))
-        }
-    }
-
-    /// Remembers `row`; `false` when it was already present.
-    fn insert(&mut self, row: &[NodeId]) -> bool {
-        match self {
-            RowSet::Packed(set) => {
-                set.insert(row.iter().fold(0, |key, id| key << 32 | u128::from(id.0)))
-            }
-            RowSet::Wide(set) => !set.contains(row) && set.insert(row.into()),
-        }
-    }
-}
-
-/// A streaming handle over one execution's ranked answers.
-///
-/// Yields answers in non-decreasing total-distance order, enforcing the
-/// request's limit, distance ceiling and deadline. An answer is a row of
-/// [`NodeId`]s against [`Answers::columns`]: [`Answers::next_row`] lends the
-/// row as it is, [`Answers::next_answer`] (and the
-/// `Iterator<Item = Result<Answer>>` impl) materialises it into labels.
-/// After an error or exhaustion the stream is fused.
-///
-/// The handle owns the execution's shared [`CancelToken`]: it is triggered
-/// as soon as the stream finishes (limit reached, exhausted, or failed) and
-/// on drop, which promptly stops any parallel conjunct workers still
-/// producing — their threads are then joined when the stream's join inputs
-/// drop.
-pub struct Answers<'a> {
-    graph: &'a GraphStore,
-    /// The statement: head columns and slot layouts, resolved at prepare.
-    prepared: Arc<PreparedInner>,
-    /// Whether this execution runs under the cost-guided layout.
-    guided: bool,
-    source: Source<'a>,
-    /// The current row: one id per head column. Lent out by `next_row`.
-    row: Vec<NodeId>,
-    /// Rows already yielded.
-    emitted: RowSet,
-    limit: Option<usize>,
-    yielded: usize,
-    max_distance: Option<u32>,
-    deadline: Option<Instant>,
-    /// The execution's shared cancellation token.
-    cancel: CancelToken,
-    finished: bool,
-    /// Admission failure deferred to the first pull (the constructor is
-    /// infallible by signature).
-    pending: Option<OmegaError>,
-    /// Concurrency-slot permit; released when the stream finishes or drops.
-    permit: Option<ExecutionPermit>,
-    /// Governor whose join-buffer gauge mirrors this stream's buffered
-    /// entries (`None` for rejected streams that never ran).
-    govern: Option<Arc<ResourceGovernor>>,
-    /// Last buffered-entry count pushed into the governor's gauge.
-    buffered: usize,
-    /// Shed retries performed at admission, surfaced through
-    /// [`Answers::stats`].
-    sheds: u64,
-    /// When this execution started (admission included), for the
-    /// execution-latency histogram and the profile's `total` phase.
-    started: Instant,
-    /// Engine metric handles; `take()`n when the stream ends so the
-    /// execution histogram records each stream exactly once. `None` for
-    /// rejected streams (the governor already counted those).
-    metrics: Option<Arc<CoreMetrics>>,
-    /// Live profile accumulators (requests with
-    /// [`ExecOptions::with_profile`] only).
-    profile: Option<Box<ProfileState>>,
-    /// The folded per-phase breakdown, available via [`Answers::profile`]
-    /// once the stream has finished.
-    profile_out: Option<QueryProfile>,
-}
-
-impl<'a> Answers<'a> {
-    /// An inert stream standing in for an execution the governor rejected:
-    /// its first pull returns the admission error, then it is fused.
-    fn rejected(
-        prepared: Arc<PreparedInner>,
-        graph: &'a GraphStore,
-        err: OmegaError,
-        sheds: u64,
-    ) -> Answers<'a> {
-        Answers {
-            graph,
-            prepared,
-            guided: false,
-            source: Source::Join(RankJoin::new(Vec::new(), 0)),
-            row: Vec::new(),
-            emitted: RowSet::new(0, None),
-            limit: None,
-            yielded: 0,
-            max_distance: None,
-            deadline: None,
-            cancel: CancelToken::new(),
-            finished: false,
-            pending: Some(err),
-            permit: None,
-            govern: None,
-            buffered: 0,
-            sheds,
-            started: Instant::now(),
-            metrics: None,
-            profile: None,
-            profile_out: None,
-        }
-    }
-
-    /// Marks the stream finished, cancels the execution's shared token so
-    /// any parallel conjunct workers stop producing promptly, and returns
-    /// the execution's governor resources (permit, gauge contribution).
-    fn finish(&mut self) {
-        self.finished = true;
-        self.cancel.cancel();
-        self.sync_buffer_gauge(true);
-        self.permit = None;
-        self.observe_end();
-    }
-
-    /// Folds the execution into the metrics registry (latency histogram,
-    /// degrade counter) and the profile accumulators into the final
-    /// [`QueryProfile`]. Idempotent via `take()`; also runs from `Drop` so
-    /// abandoned streams are still counted.
-    fn observe_end(&mut self) {
-        let total_ns = elapsed_ns(self.started);
-        if let Some(metrics) = self.metrics.take() {
-            metrics.exec_ns.record(total_ns);
-            if self.source_stats().degraded {
-                metrics.degrades.inc();
-            }
-        }
-        if let Some(state) = self.profile.take() {
-            let mut profile = QueryProfile::new();
-            profile.push("parse", state.parse_ns);
-            profile.push("compile", state.compile_ns);
-            let mut conjunct_ns = 0u64;
-            for (index, nanos) in &state.conjuncts {
-                let ns = nanos.load(Ordering::Relaxed);
-                conjunct_ns = conjunct_ns.saturating_add(ns);
-                profile.push(format!("conjunct_{index}"), ns);
-            }
-            if let Source::Single { .. } = self.source {
-                // No join ran: the pulls were the one conjunct's.
-                conjunct_ns = state.join_ns;
-                profile.push("conjunct_0", conjunct_ns);
-            }
-            // The pull drives the conjunct streams, so the join's own cost
-            // is what remains after their time is taken out; streaming is
-            // the dedup/consumer share of the total.
-            profile.push("rank_join", state.join_ns.saturating_sub(conjunct_ns));
-            profile.push("streaming", total_ns.saturating_sub(state.join_ns));
-            profile.push("total", total_ns);
-            self.profile_out = Some(profile);
-        }
-    }
-
-    /// The per-phase timing breakdown of this execution. `Some` only after
-    /// the stream has finished (drained, limited, or failed) *and* the
-    /// request asked for one via [`ExecOptions::with_profile`].
-    pub fn profile(&self) -> Option<&QueryProfile> {
-        self.profile_out.as_ref()
-    }
-
-    /// Takes the per-phase profile, forcing end-of-execution accounting if
-    /// the stream is still open. For stream teardown (a server drained or
-    /// cancelled mid-flight still wants the phases that ran); a stream that
-    /// has had its profile taken no longer records anything on further use.
-    pub fn take_profile(&mut self) -> Option<QueryProfile> {
-        self.observe_end();
-        self.profile_out.take()
-    }
-
-    /// Mirrors the rank join's buffered-entry count into the governor's
-    /// gauge as a delta; `drain` pushes this stream's contribution back to
-    /// zero when it ends. A bypassed single-conjunct plan buffers nothing.
-    fn sync_buffer_gauge(&mut self, drain: bool) {
-        let Some(govern) = &self.govern else { return };
-        let now = match &self.source {
-            Source::Join(join) if !drain => join.buffered_entries(),
-            _ => 0,
-        };
-        if now != self.buffered {
-            govern.adjust_join_buffer(now as isize - self.buffered as isize);
-            self.buffered = now;
-        }
-    }
-
-    /// The head variable names (without the leading `?`) that the ids of a
-    /// row bind, in projection order. A repeated head variable repeats here.
-    pub fn columns(&self) -> &[String] {
-        &self.prepared.query.head
-    }
-
-    /// The label of a node id taken from a row of this stream.
-    pub fn label(&self, id: NodeId) -> &'a str {
-        self.graph.node_label(id)
-    }
-
-    /// Pulls the next ranked candidate and projects it onto `self.row`;
-    /// returns its distance.
-    fn pull(&mut self) -> Result<Option<u32>> {
-        let layout = self.prepared.layout(self.guided);
-        self.row.clear();
-        match &mut self.source {
-            Source::Single { stream, answers } => {
-                let Some(answer) = stream.next_answer()? else {
-                    return Ok(None);
-                };
-                *answers += 1;
-                // A slot that is not the subject's is the object's; for
-                // `(?X, R, ?X)` both endpoints agree by construction.
-                let (subject, _) = layout.endpoints[0];
-                let cells = layout.head_slots.iter().map(|&slot| {
-                    if subject == Some(slot) {
-                        answer.x
-                    } else {
-                        answer.y
-                    }
-                });
-                self.row.extend(cells);
-                Ok(Some(answer.distance))
-            }
-            Source::Join(join) => {
-                let Some((bindings, distance)) = join.get_next_slots()? else {
-                    return Ok(None);
-                };
-                // The join only emits candidates with every slot bound, so
-                // the expect documents that invariant, not a runtime
-                // failure mode.
-                #[allow(clippy::expect_used)]
-                let cells = layout
-                    .head_slots
-                    .iter()
-                    .map(|&slot| bindings[slot].expect("every join candidate binds every slot"));
-                self.row.extend(cells);
-                Ok(Some(distance))
-            }
-        }
-    }
-
-    /// The next answer as a row of node ids — one per entry of
-    /// [`Answers::columns`], in that order — and its distance; `Ok(None)`
-    /// when the stream is exhausted (or the limit/distance ceiling has been
-    /// reached).
-    ///
-    /// The row is lent from a buffer inside the stream that the next call
-    /// overwrites, and it holds the stream's mutable borrow for as long as it
-    /// is alive: copy the ids out before touching the stream again — to pull
-    /// the next row, or to resolve ids through [`Answers::label`]. The ids
-    /// themselves (and the labels they resolve to) stay valid for the
-    /// statement's pinned graph epoch, however far the stream has moved on.
-    /// Nothing is allocated per row beyond the deduplication set's amortised
-    /// growth.
-    pub fn next_row(&mut self) -> Result<Option<(&[NodeId], u32)>> {
-        if self.finished {
-            return Ok(None);
-        }
-        if let Some(err) = self.pending.take() {
-            self.finish();
-            return Err(err);
-        }
-        if self.limit.is_some_and(|l| self.yielded >= l) {
-            self.finish();
-            return Ok(None);
-        }
-        // The per-tuple deadline checks live in the conjunct evaluators;
-        // this top-level check guarantees an already-expired deadline fails
-        // before any evaluation happens at all.
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.finish();
-                return Err(OmegaError::DeadlineExceeded);
-            }
-        }
-        loop {
-            // Timing the pull is the only profiling cost on the answer
-            // loop, and only paid when a profile was requested.
-            let pulled = if self.profile.is_some() {
-                let started = Instant::now();
-                let next = self.pull();
-                if let Some(state) = self.profile.as_mut() {
-                    state.join_ns = state.join_ns.saturating_add(elapsed_ns(started));
-                }
-                next
-            } else {
-                self.pull()
-            };
-            let next = match pulled {
-                Ok(next) => next,
-                Err(e) => {
-                    self.finish();
-                    return Err(e);
-                }
-            };
-            self.sync_buffer_gauge(false);
-            let Some(distance) = next else {
-                self.finish();
-                return Ok(None);
-            };
-            if self.max_distance.is_some_and(|max| distance > max) {
-                // Total distances are non-decreasing: nothing later can
-                // come back under the ceiling.
-                self.finish();
-                return Ok(None);
-            }
-            if self.emitted.insert(&self.row) {
-                self.yielded += 1;
-                return Ok(Some((&self.row, distance)));
-            }
-        }
-    }
-
-    /// The next answer with its ids resolved to labels, `Ok(None)` when the
-    /// stream is exhausted (or the limit/distance ceiling has been reached).
-    pub fn next_answer(&mut self) -> Result<Option<Answer>> {
-        let Some((_, distance)) = self.next_row()? else {
-            return Ok(None);
-        };
-        let bindings: BTreeMap<String, String> = self
-            .columns()
-            .iter()
-            .zip(&self.row)
-            .map(|(var, &id)| (var.clone(), self.label(id).to_owned()))
-            .collect();
-        Ok(Some(Answer { bindings, distance }))
-    }
-
-    /// Collects up to `limit` further answers (all remaining when `None`),
-    /// on top of any stream-level limit.
-    pub fn collect_up_to(&mut self, limit: Option<usize>) -> Result<Vec<Answer>> {
-        let mut out = Vec::new();
-        while limit.is_none_or(|l| out.len() < l) {
-            match self.next_answer()? {
-                Some(answer) => out.push(answer),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
-
-    /// Evaluator and join statistics, without the admission-time sheds.
-    fn source_stats(&self) -> EvalStats {
-        match &self.source {
-            Source::Single { stream, answers } => {
-                let mut stats = stream.stats();
-                stats.answers += answers;
-                stats
-            }
-            Source::Join(join) => join.stats(),
-        }
-    }
-
-    /// Evaluation statistics accumulated so far across all conjuncts,
-    /// including shed retries performed at admission.
-    pub fn stats(&self) -> EvalStats {
-        let mut stats = self.source_stats();
-        stats.sheds += self.sheds;
-        stats
-    }
-}
-
-impl Iterator for Answers<'_> {
-    type Item = Result<Answer>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_answer().transpose()
-    }
-}
-
-impl Drop for Answers<'_> {
-    fn drop(&mut self) {
-        // Abandoning the stream mid-flight cancels the execution; the join's
-        // parallel inputs then join their workers as they drop. The gauge
-        // contribution is returned here too (the permit's own `Drop` frees
-        // the concurrency slot), and the execution still lands in the
-        // latency histogram.
-        self.cancel.cancel();
-        self.sync_buffer_gauge(true);
-        self.observe_end();
-    }
-}
-
 /// Convenience: the variables a conjunct binds, in `(subject, object)`
 /// order, for callers that drive [`crate::eval::ConjunctEvaluator`]
 /// directly.
@@ -2297,6 +1631,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{CancelToken, EvalStats};
+    use omega_graph::NodeId;
 
     fn db() -> Database {
         let mut g = GraphStore::new();
