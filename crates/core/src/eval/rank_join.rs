@@ -3,74 +3,153 @@
 //! Multi-conjunct queries need their per-conjunct answer streams combined on
 //! shared variables, with combined answers emitted in non-decreasing order of
 //! *total* distance (the sum over conjuncts). This is the classic rank-join
-//! setting (HRJN): pull answers from the input streams, join each new arrival
+//! setting (HRJN): pull answers from the input streams, join each arrival
 //! against everything already buffered from the other streams, and emit a
-//! buffered combination once its total distance is provably minimal — i.e.
-//! not larger than the lower bound any future combination could achieve.
+//! buffered combination once its total distance is provably minimal — not
+//! larger than the lower bound any future combination could achieve.
 //!
 //! Variable names never reach the join: the prepared statement resolves them
-//! to dense *slot* indices once, at prepare, and hands each input its subject
-//! and object slot. Every partial result is a fixed-width
-//! `Vec<Option<NodeId>>` indexed by slot, so a join attempt is a pairwise
-//! merge of two small arrays — no string hashing, cloning or re-sorting per
-//! attempt.
+//! to dense *slot* indices at prepare and hands each input its subject and
+//! object slot. A combination is a *row*: `slot_count` node ids, `u32::MAX`
+//! in the slots no input has bound yet.
 //!
-//! The join is deliberately *deterministic in its inputs' contents*, never
-//! in their timing: `pull_once` picks the live stream with the smallest
-//! last-seen distance (first such stream on ties), and candidate emission
-//! breaks distance ties on the slot bindings. Parallel conjunct evaluation
-//! ([`crate::eval::parallel`]) exploits exactly this contract — it swaps
-//! each input for a channel-fed [`AnswerStream`] produced on a worker
-//! thread, and because each stream's *content and order* are unchanged, the
-//! join's output sequence is bit-identical to sequential evaluation no
-//! matter how the workers are scheduled.
+//! ## Layout
 //!
-//! ## Buffer indexing
+//! Tens of thousands of answers can be buffered to emit a hundred rows, so
+//! nothing owns a heap block per row; teardown frees a handful of vectors.
 //!
-//! Each conjunct binds at most two variables, so a new arrival probing
-//! another input's buffer constrains at most that input's subject and/or
-//! object slot. The buffers are therefore hash-indexed on those values
-//! (subject, object, and the pair) and a probe touches only the buffered
-//! bindings that *will* merge, instead of scanning the whole buffer and
-//! rejecting mismatches one by one — dropping the quadratic per-arrival
-//! factor that previously forced "big stream last" orderings on
-//! multi-conjunct query sets. Probing order does not affect output order:
-//! candidates are emitted from a heap ordered by `(distance, bindings)`.
-//! Only genuinely unconstrained probes (no shared bound variable — a
-//! cartesian combination) still visit every buffered binding.
+//! * **Buffers.** An arrival binds at most two slots, so each input keeps
+//!   its [`ConjunctAnswer`]s — `(x, y, distance)` — in one `Vec`.
+//! * **Indexes.** An input is hash-indexed on its subject and/or object
+//!   value only if some *other* input binds that slot too: only then can a
+//!   probe arrive with the slot bound (the far ends of a star join's spokes
+//!   never are). An index is one `value → newest position` map plus an
+//!   intrusive `next` link per position, brought up to date when the input
+//!   is probed — a stream drained before its first probe is indexed in one
+//!   pass, its map sized once. A probe binding neither slot (a cartesian
+//!   combination) walks the whole buffer.
+//! * **Arenas.** Partial combinations, candidates and emitted rows are flat
+//!   rows in arenas the join owns: the candidate heap holds `u32` handles
+//!   and compares `(distance, row)` through its arena, the emitted set
+//!   chains handles by row hash. One representation for every slot width.
+//!
+//! ## Ordering contract
+//!
+//! The join is *deterministic in its inputs' contents*, never in their
+//! timing: the next pull goes to the live stream with the smallest last-seen
+//! distance (first such stream on ties); buffered candidates leave the heap
+//! in `(distance, slot values lexicographic)` order, each as soon as its
+//! distance is within the bound on everything still to come; of combinations
+//! with equal slot values the first popped — the cheapest — wins. Probe
+//! order is invisible: it only permutes pushes onto the heap. Parallel
+//! conjunct evaluation ([`crate::eval::parallel`]) relies on exactly this: a
+//! channel-fed [`AnswerStream`] has the content and order of the stream it
+//! replaces, so the output is bit-identical however workers are scheduled.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::hash::BuildHasher;
 
-use omega_graph::{FxHashMap, FxHashSet, NodeId};
+use omega_graph::{FxHashMap, NodeId};
 
 use crate::answer::ConjunctAnswer;
 use crate::error::Result;
 use crate::eval::stats::EvalStats;
 use crate::eval::AnswerStream;
 
-/// One emitted join result: one entry per join variable slot. The answer
-/// stream's head projection reads it through slot indices resolved at
-/// prepare and never touches names.
-pub type SlotBindings = Vec<Option<NodeId>>;
+/// The value of a slot no input has bound yet (never a real node id).
+const UNBOUND: NodeId = NodeId(u32::MAX);
+
+/// End of an intrusive chain.
+const NIL: u32 = u32::MAX;
+
+/// A multimap from `u32` keys to the positions `0, 1, 2, …` in filing
+/// order: the newest position per key, plus one `next` link per position to
+/// the key's previous one.
+#[derive(Default)]
+struct Chains {
+    heads: FxHashMap<u32, u32>,
+    next: Vec<u32>,
+}
+
+impl Chains {
+    /// Files the positions from `next.len()` on under `keys`, in order.
+    fn extend(&mut self, keys: impl ExactSizeIterator<Item = u32>) {
+        self.heads.reserve(keys.len());
+        self.next.reserve(keys.len());
+        for key in keys {
+            let pos = self.next.len() as u32;
+            self.next.push(self.heads.insert(key, pos).unwrap_or(NIL));
+        }
+    }
+
+    /// The newest position filed under `key`: where its chain starts.
+    fn head(&self, key: u32) -> u32 {
+        self.heads.get(&key).copied().unwrap_or(NIL)
+    }
+}
+
+/// The positions from `at` along the `next` links. Without links a position
+/// leads to the one below it (`0 - 1` wraps to [`NIL`]): a full scan is the
+/// chain `pos → pos - 1`.
+fn walk(mut at: u32, next: Option<&[u32]>) -> impl Iterator<Item = usize> + '_ {
+    std::iter::from_fn(move || {
+        let pos = (at != NIL).then_some(at as usize)?;
+        at = next.map_or(at.wrapping_sub(1), |next| next[pos]);
+        Some(pos)
+    })
+}
+
+/// Rows of `width` slot values, flat in one arena, with a distance each.
+#[derive(Default)]
+struct Rows {
+    width: usize,
+    cells: Vec<NodeId>,
+    distances: Vec<u32>,
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        self.distances.len()
+    }
+
+    fn row(&self, i: usize) -> &[NodeId] {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    /// `(distance, slot values)`: the order candidates leave the heap in.
+    fn key(&self, i: u32) -> (u32, &[NodeId]) {
+        (self.distances[i as usize], self.row(i as usize))
+    }
+
+    /// Appends an all-[`UNBOUND`] row at `distance` and lends it for filling.
+    fn push(&mut self, distance: u32) -> &mut [NodeId] {
+        self.distances.push(distance);
+        let start = self.cells.len();
+        self.cells.resize(start + self.width, UNBOUND);
+        &mut self.cells[start..]
+    }
+
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.distances.clear();
+    }
+}
 
 /// One input stream of the join.
 pub struct JoinInput<'a> {
     stream: Box<dyn AnswerStream + 'a>,
     /// Slot of the conjunct's subject variable (`None` for a constant).
     subject_slot: Option<usize>,
-    /// Slot of the conjunct's object variable (`None` for a constant).
+    /// Slot of the conjunct's object variable — `None` for a constant, and
+    /// for a conjunct like `(?X, R, ?X)`, which binds one variable: both
+    /// endpoints agree by construction, so the subject's binding stands.
     object_slot: Option<usize>,
-    buffer: Vec<(SlotBindings, u32)>,
-    /// Buffer positions indexed by the subject-slot value.
-    by_subject: FxHashMap<NodeId, Vec<u32>>,
-    /// Buffer positions indexed by the object-slot value (only populated
-    /// when the object slot is distinct from the subject slot).
-    by_object: FxHashMap<NodeId, Vec<u32>>,
-    /// Buffer positions indexed by the (subject, object) value pair.
-    by_both: FxHashMap<(NodeId, NodeId), Vec<u32>>,
-    min_distance: Option<u32>,
-    last_distance: u32,
+    buffer: Vec<ConjunctAnswer>,
+    /// Buffer positions by subject value, as far as the last probe needed
+    /// them; `Some` iff another input binds the subject slot.
+    by_subject: Option<Chains>,
+    /// The same by object value, iff another input binds the object slot.
+    by_object: Option<Chains>,
     done: bool,
 }
 
@@ -84,161 +163,112 @@ impl<'a> JoinInput<'a> {
         JoinInput {
             stream,
             subject_slot,
-            object_slot,
+            object_slot: object_slot.filter(|&slot| Some(slot) != subject_slot),
             buffer: Vec::new(),
-            by_subject: FxHashMap::default(),
-            by_object: FxHashMap::default(),
-            by_both: FxHashMap::default(),
-            min_distance: None,
-            last_distance: 0,
+            by_subject: None,
+            by_object: None,
             done: false,
         }
     }
 
-    fn bindings_of(&self, answer: &ConjunctAnswer, slot_count: usize) -> SlotBindings {
-        let mut out: SlotBindings = vec![None; slot_count];
+    /// Distances of the first and the last answer buffered (streams are
+    /// ranked, so the least and the greatest seen); 0 while there is none.
+    fn distance_range(&self) -> (u64, u64) {
+        let distance = |a: Option<&ConjunctAnswer>| a.map_or(0, |a| u64::from(a.distance));
+        (distance(self.buffer.first()), distance(self.buffer.last()))
+    }
+
+    /// Writes `answer`'s endpoints into their slots of `row`.
+    fn bind(&self, row: &mut [NodeId], answer: &ConjunctAnswer) {
         if let Some(slot) = self.subject_slot {
-            out[slot] = Some(answer.x);
+            row[slot] = answer.x;
         }
         if let Some(slot) = self.object_slot {
-            // A conjunct like (?X, R, ?X) binds one variable; both endpoints
-            // agree by construction, so the subject's binding stands.
-            if out[slot].is_none() {
-                out[slot] = Some(answer.y);
+            row[slot] = answer.y;
+        }
+    }
+
+    /// Files the answers buffered since the last probe in the indexes.
+    fn index(&mut self) {
+        if let Some(index) = &mut self.by_subject {
+            index.extend(self.buffer[index.next.len()..].iter().map(|a| a.x.0));
+        }
+        if let Some(index) = &mut self.by_object {
+            index.extend(self.buffer[index.next.len()..].iter().map(|a| a.y.0));
+        }
+    }
+
+    /// The buffered answers that merge with `partial` (agree with it on every
+    /// slot both bind): walks the chain of a bound slot's value — the indexes
+    /// must be up to date — or the whole buffer when it binds neither slot.
+    fn matches<'p>(
+        &'p self,
+        partial: &'p [NodeId],
+    ) -> impl Iterator<Item = &'p ConjunctAnswer> + 'p {
+        let bound = |slot: Option<usize>| slot.map(|s| partial[s]).filter(|&v| v != UNBOUND);
+        let (x, y) = (bound(self.subject_slot), bound(self.object_slot));
+        let (at, next) = match (x, &self.by_subject, y, &self.by_object) {
+            (Some(x), Some(index), ..) => (index.head(x.0), Some(&index.next[..])),
+            (.., Some(y), Some(index)) => (index.head(y.0), Some(&index.next[..])),
+            _ => ((self.buffer.len() as u32).wrapping_sub(1), None),
+        };
+        walk(at, next)
+            .map(|pos| &self.buffer[pos])
+            .filter(move |a| x.is_none_or(|x| a.x == x) && y.is_none_or(|y| a.y == y))
+    }
+}
+
+/// Pushes `handle` onto `heap`, a binary min-heap of handles into `rows`
+/// ordered by [`Rows::key`].
+fn heap_push(heap: &mut Vec<u32>, rows: &Rows, handle: u32) {
+    let mut at = heap.len();
+    heap.push(handle);
+    while at > 0 && rows.key(handle) < rows.key(heap[(at - 1) / 2]) {
+        heap.swap(at, (at - 1) / 2);
+        at = (at - 1) / 2;
+    }
+}
+
+/// Removes the least handle from such a heap.
+fn heap_pop(heap: &mut Vec<u32>, rows: &Rows) -> Option<u32> {
+    let top = (!heap.is_empty()).then(|| heap.swap_remove(0))?;
+    let mut at = 0;
+    loop {
+        let children = 2 * at + 1..heap.len().min(2 * at + 3);
+        match children.min_by_key(|&c| rows.key(heap[c])) {
+            Some(child) if rows.key(heap[child]) < rows.key(heap[at]) => {
+                heap.swap(at, child);
+                at = child;
             }
-        }
-        out
-    }
-
-    /// Whether the object slot indexes separately from the subject slot.
-    fn has_distinct_object_slot(&self) -> bool {
-        match (self.subject_slot, self.object_slot) {
-            (Some(s), Some(o)) => s != o,
-            (None, Some(_)) => true,
-            _ => false,
+            _ => return Some(top),
         }
     }
-
-    /// Buffers `bindings` and updates the value indexes.
-    fn buffer_bindings(&mut self, bindings: SlotBindings, distance: u32) {
-        let pos = self.buffer.len() as u32;
-        let subject = self.subject_slot.and_then(|s| bindings[s]);
-        let object = if self.has_distinct_object_slot() {
-            self.object_slot.and_then(|o| bindings[o])
-        } else {
-            None
-        };
-        if let Some(s) = subject {
-            self.by_subject.entry(s).or_default().push(pos);
-        }
-        if let Some(o) = object {
-            self.by_object.entry(o).or_default().push(pos);
-            if let Some(s) = subject {
-                self.by_both.entry((s, o)).or_default().push(pos);
-            }
-        }
-        self.buffer.push((bindings, distance));
-    }
-
-    /// The buffered positions that can merge with `partial`: the tightest
-    /// index the partial's bound slots allow, or the whole buffer when no
-    /// shared variable is bound (a cartesian combination).
-    ///
-    /// Indexed probes return exactly the set a full scan would keep, so the
-    /// candidate multiset — and with it the emission order — is unchanged.
-    fn probe<'p>(&'p self, partial: &SlotBindings) -> Probe<'p> {
-        let subject = self.subject_slot.and_then(|s| partial[s]);
-        let object = if self.has_distinct_object_slot() {
-            self.object_slot.and_then(|o| partial[o])
-        } else {
-            None
-        };
-        let positions = match (subject, object) {
-            (Some(s), Some(o)) => Some(self.by_both.get(&(s, o))),
-            (Some(s), None) => Some(self.by_subject.get(&s)),
-            (None, Some(o)) => Some(self.by_object.get(&o)),
-            (None, None) => None,
-        };
-        match positions {
-            // An indexed probe with no entry matches nothing.
-            Some(hits) => Probe::Indexed(hits.map(Vec::as_slice).unwrap_or(&[])),
-            None => Probe::Full(self.buffer.len()),
-        }
-    }
-}
-
-/// The buffer positions selected by [`JoinInput::probe`].
-enum Probe<'p> {
-    /// Positions from a value index.
-    Indexed(&'p [u32]),
-    /// Every buffered binding (cartesian probe): `0 .. len`.
-    Full(usize),
-}
-
-impl Probe<'_> {
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let (indexed, full) = match self {
-            Probe::Indexed(hits) => (Some(hits.iter().map(|&p| p as usize)), None),
-            Probe::Full(len) => (None, Some(0..*len)),
-        };
-        indexed
-            .into_iter()
-            .flatten()
-            .chain(full.into_iter().flatten())
-    }
-}
-
-/// A buffered candidate combination.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Candidate {
-    distance: u32,
-    bindings: SlotBindings,
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.distance
-            .cmp(&other.distance)
-            .then_with(|| self.bindings.cmp(&other.bindings))
-    }
-}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Merges two slot-binding arrays, failing on a conflicting shared variable.
-fn merge_bindings(a: &SlotBindings, b: &SlotBindings) -> Option<SlotBindings> {
-    let mut out = a.clone();
-    for (slot, value) in out.iter_mut().zip(b.iter()) {
-        match (&slot, value) {
-            (Some(existing), Some(incoming)) if existing != incoming => return None,
-            (None, Some(incoming)) => *slot = Some(*incoming),
-            _ => {}
-        }
-    }
-    Some(out)
 }
 
 /// HRJN-style incremental rank join over conjunct answer streams.
+#[derive(Default)]
 pub struct RankJoin<'a> {
     inputs: Vec<JoinInput<'a>>,
-    /// Number of variable slots the inputs bind between them.
-    slot_count: usize,
-    candidates: BinaryHeap<Reverse<Candidate>>,
-    emitted: FxHashSet<SlotBindings>,
+    /// Scratch: the partial combinations of the arrival being joined, before
+    /// and after the input currently probed.
+    partials: Rows,
+    next: Rows,
+    /// Every combination found so far, and the heap of those not yet popped.
+    candidates: Rows,
+    heap: Vec<u32>,
+    /// Handles of the candidates emitted so far, chained by row hash (dedup).
+    emitted: Vec<u32>,
+    emitted_by_hash: Chains,
+    /// Some input finished without a single answer: the join is empty.
+    empty: bool,
     /// LIMIT-`k` of the enclosing request, when the join's answers map 1:1
-    /// onto the request's answers (every slot projected). Enables the
-    /// top-k threshold below.
+    /// onto the request's (every slot projected): enables τ below.
     limit: Option<usize>,
     /// Max-heap over the `k` smallest candidate distances seen so far; its
-    /// root — once `k` candidates exist — is an upper bound τ on the
-    /// distance of the `k`-th join answer. A stream whose cheapest possible
-    /// future combination already exceeds τ cannot contribute to the first
-    /// `k` answers and stops being pulled (which, with lazy sequential
-    /// streams, stops its evaluator's expansion work outright).
+    /// root — once `k` candidates exist — is an upper bound τ on the `k`-th
+    /// join answer's distance. A stream whose cheapest possible future
+    /// combination exceeds τ cannot contribute to the first `k` answers and
+    /// stops being pulled (which stops a lazy evaluator's expansion work).
     topk: BinaryHeap<u32>,
     /// Escape hatch: set when emission needs answers beyond τ after all
     /// (ties at τ excepted, capping uses strict `>`); clears every cap.
@@ -247,41 +277,46 @@ pub struct RankJoin<'a> {
 }
 
 impl<'a> RankJoin<'a> {
-    /// Creates a join over the given inputs (one per conjunct) whose slots
-    /// all lie below `slot_count`.
-    pub fn new(inputs: Vec<JoinInput<'a>>, slot_count: usize) -> RankJoin<'a> {
+    /// A join over `inputs`, one per conjunct; their slots are `< slot_count`.
+    pub fn new(mut inputs: Vec<JoinInput<'a>>, slot_count: usize) -> RankJoin<'a> {
+        // Index an input on a slot only when a probe can arrive with it
+        // bound, i.e. when some other input binds it too.
+        let slots = |input: &JoinInput<'_>| [input.subject_slot, input.object_slot];
+        let mut binders = vec![0usize; slot_count];
+        for slot in inputs.iter().flat_map(slots).flatten() {
+            binders[slot] += 1;
+        }
+        let shared = |slot: Option<usize>| slot.is_some_and(|s| binders[s] > 1);
+        for input in &mut inputs {
+            input.by_subject = shared(input.subject_slot).then(Chains::default);
+            input.by_object = shared(input.object_slot).then(Chains::default);
+        }
+        let rows = || Rows {
+            width: slot_count,
+            ..Rows::default()
+        };
         RankJoin {
             inputs,
-            slot_count,
-            candidates: BinaryHeap::new(),
-            emitted: FxHashSet::default(),
-            limit: None,
-            topk: BinaryHeap::new(),
-            capping_disabled: false,
-            stats: EvalStats::default(),
+            partials: rows(),
+            next: rows(),
+            candidates: rows(),
+            ..RankJoin::default()
         }
     }
 
     /// Installs the enclosing request's answer limit for top-k threshold
     /// pruning. Only sound when every join answer becomes a request answer
-    /// (i.e. the head projects every slot, so no join answer is consumed by
-    /// projection-level deduplication) — the caller checks that. Limits of
-    /// zero are ignored (such requests never pull the join at all).
+    /// (the head projects every slot, so projection-level deduplication
+    /// consumes none) — the caller checks that. A limit of zero is ignored
+    /// (such requests never pull the join at all).
     pub fn set_limit(&mut self, limit: Option<usize>) {
         self.limit = limit.filter(|&k| k > 0);
     }
 
     /// Upper bound τ on the `k`-th join answer's distance, once known.
     fn threshold(&self) -> Option<u32> {
-        if self.capping_disabled {
-            return None;
-        }
-        let k = self.limit?;
-        if self.topk.len() >= k {
-            self.topk.peek().copied()
-        } else {
-            None
-        }
+        let k = self.limit.filter(|_| !self.capping_disabled)?;
+        self.topk.peek().copied().filter(|_| self.topk.len() >= k)
     }
 
     /// Records a candidate's distance in the top-k tracker.
@@ -295,159 +330,123 @@ impl<'a> RankJoin<'a> {
         }
     }
 
-    /// The cheapest total distance a *future* combination involving input
-    /// `i`'s next answers could have.
-    fn stream_bound(&self, i: usize) -> u32 {
-        let mut bound = self.inputs[i].last_distance;
-        for (j, other) in self.inputs.iter().enumerate() {
-            if i != j {
-                bound += other.min_distance.unwrap_or(0);
-            }
-        }
-        bound
-    }
-
-    /// Whether input `i` is capped by the top-k threshold: pulling it
-    /// further cannot contribute to the first `k` answers.
-    fn is_capped(&self, i: usize, tau: Option<u32>) -> bool {
-        tau.is_some_and(|t| self.stream_bound(i) > t)
-    }
-
-    /// Lower bound on the total distance of any combination not yet
-    /// buffered from an uncapped stream. `None` when every stream is
-    /// exhausted or capped (nothing at or below τ can still appear).
-    fn future_lower_bound(&self, tau: Option<u32>) -> Option<u32> {
-        let mut best: Option<u32> = None;
+    /// The input to pull next and a lower bound on the total distance of any
+    /// combination not yet buffered; `None` when nothing `≤ τ` can still
+    /// appear. A *future* combination through an input costs at least its
+    /// last distance plus every other input's minimum; past τ the input is
+    /// capped (no use to the first `k` answers). The bound is the least such
+    /// cost over live, uncapped inputs; the pull goes to the one of them with
+    /// the smallest last distance, first on ties.
+    fn frontier(&self, tau: Option<u32>) -> Option<(usize, u32)> {
+        let minima: u64 = self.inputs.iter().map(|i| i.distance_range().0).sum();
+        let (mut pull, mut bound) = (None::<(usize, u64)>, u32::MAX);
         for (i, input) in self.inputs.iter().enumerate() {
-            if input.done || self.is_capped(i, tau) {
+            let (min, last) = input.distance_range();
+            let through = u32::try_from(minima - min + last).unwrap_or(u32::MAX);
+            if input.done || tau.is_some_and(|t| through > t) {
                 continue;
             }
-            let bound = self.stream_bound(i);
-            best = Some(best.map_or(bound, |b: u32| b.min(bound)));
+            bound = bound.min(through);
+            if pull.is_none_or(|(_, least)| last < least) {
+                pull = Some((i, last));
+            }
         }
-        best
+        pull.map(|(i, _)| (i, bound))
     }
 
-    /// Pulls one answer from the most promising live stream and joins it
-    /// against the other buffers. Returns `false` when every stream is done
-    /// (or capped by the top-k threshold).
-    fn pull_once(&mut self, tau: Option<u32>) -> Result<bool> {
-        // Pull from the live, uncapped stream whose last distance is
-        // smallest: it is the one holding the lower bound down.
-        let Some(idx) = self
-            .inputs
-            .iter()
-            .enumerate()
-            .filter(|&(i, input)| !input.done && !self.is_capped(i, tau))
-            .min_by_key(|(_, input)| input.last_distance)
-            .map(|(i, _)| i)
-        else {
-            return Ok(false);
+    /// Pulls one answer from input `idx` and joins it with every compatible
+    /// combination of the other inputs' buffers, one input at a time.
+    fn pull(&mut self, idx: usize) -> Result<()> {
+        let (inputs, partials, next) = (&mut self.inputs, &mut self.partials, &mut self.next);
+        let input = &mut inputs[idx];
+        let Some(answer) = input.stream.next_answer()? else {
+            input.done = true;
+            self.empty |= input.buffer.is_empty();
+            return Ok(());
         };
-        let answer = self.inputs[idx].stream.next_answer()?;
-        match answer {
-            None => {
-                self.inputs[idx].done = true;
-                Ok(true)
+        input.buffer.push(answer);
+        partials.clear();
+        input.bind(partials.push(answer.distance), &answer);
+        for (_, other) in inputs.iter_mut().enumerate().filter(|&(j, _)| j != idx) {
+            other.index();
+            next.clear();
+            for p in 0..partials.len() {
+                let partial = partials.row(p);
+                for buffered in other.matches(partial) {
+                    let distance = partials.distances[p].saturating_add(buffered.distance);
+                    let merged = next.push(distance);
+                    merged.copy_from_slice(partial);
+                    other.bind(merged, buffered);
+                }
             }
-            Some(answer) => {
-                let bindings = self.inputs[idx].bindings_of(&answer, self.slot_count);
-                let distance = answer.distance;
-                {
-                    let input = &mut self.inputs[idx];
-                    input.last_distance = distance;
-                    input.min_distance.get_or_insert(distance);
-                    input.buffer_bindings(bindings.clone(), distance);
-                }
-                // Join the new arrival with every compatible combination of
-                // the other inputs' buffers, probing each buffer through its
-                // shared-variable hash index (full scan only for cartesian
-                // combinations).
-                let mut partials: Vec<(SlotBindings, u32)> = vec![(bindings, distance)];
-                for (j, other) in self.inputs.iter().enumerate() {
-                    if j == idx {
-                        continue;
-                    }
-                    let mut next: Vec<(SlotBindings, u32)> = Vec::new();
-                    for (partial, pd) in &partials {
-                        for pos in other.probe(partial).iter() {
-                            let (buffered, bd) = &other.buffer[pos];
-                            if let Some(merged) = merge_bindings(partial, buffered) {
-                                next.push((merged, pd + bd));
-                            }
-                        }
-                    }
-                    partials = next;
-                    if partials.is_empty() {
-                        break;
-                    }
-                }
-                for (bindings, distance) in partials {
-                    self.record_candidate(distance);
-                    self.candidates
-                        .push(Reverse(Candidate { distance, bindings }));
-                }
-                Ok(true)
+            std::mem::swap(partials, next);
+            if partials.len() == 0 {
+                break;
             }
         }
+        for p in 0..self.partials.len() {
+            let distance = self.partials.distances[p];
+            self.record_candidate(distance);
+            let row = self.candidates.push(distance);
+            row.copy_from_slice(self.partials.row(p));
+            let handle = self.candidates.len() as u32 - 1;
+            heap_push(&mut self.heap, &self.candidates, handle);
+        }
+        Ok(())
     }
 
-    /// The next combined answer as slot bindings, in non-decreasing
-    /// total-distance order.
-    pub fn get_next_slots(&mut self) -> Result<Option<(SlotBindings, u32)>> {
-        loop {
+    /// The next combined answer — one node id per slot, lent until the next
+    /// call — and its total distance, in non-decreasing distance order.
+    pub fn next_row(&mut self) -> Result<Option<(&[NodeId], u32)>> {
+        let (distance, row) = loop {
+            if self.empty {
+                return Ok(None); // whatever the other inputs still hold
+            }
             let tau = self.threshold();
-            let bound = self.future_lower_bound(tau);
-            let any_live = self.inputs.iter().any(|input| !input.done);
-            let emit_now = match (self.candidates.peek(), bound) {
+            let any_live = || self.inputs.iter().any(|input| !input.done);
+            let best = self.heap.first().map(|&top| self.candidates.key(top).0);
+            let pull = match (best, self.frontier(tau)) {
                 // Safe against capped streams by construction: an uncapped
-                // live stream has `stream_bound ≤ τ` by the definition of
-                // capping, so `b ≤ τ` here and emission (`best ≤ b ≤ τ`)
-                // can never release a candidate a capped stream — whose
-                // future combinations all cost `> τ` — could still beat.
-                (Some(Reverse(best)), Some(b)) => best.distance <= b,
-                (Some(Reverse(best)), None) => {
-                    if any_live && tau.is_some_and(|t| best.distance > t) {
-                        // Every remaining live stream is capped, but the
-                        // caller wants answers past the threshold (more
-                        // join-level duplicates than expected): resume
-                        // pulling everywhere rather than emit out of order.
-                        self.capping_disabled = true;
-                        continue;
-                    }
-                    true
-                }
-                (None, None) => {
-                    if any_live {
-                        // All live streams capped and no candidate buffered:
-                        // the request outlived the top-k window.
-                        self.capping_disabled = true;
-                        continue;
-                    }
-                    return Ok(None);
-                }
-                (None, Some(_)) => false,
-            };
-            if emit_now {
-                // `emit_now` is only reachable with a peeked candidate.
-                let Some(Reverse(candidate)) = self.candidates.pop() else {
+                // live stream's bound is `≤ τ` by the definition of capping,
+                // so emission (`best ≤ b ≤ τ`) can never release a candidate a
+                // capped stream — all its future combinations cost `> τ` —
+                // could still beat.
+                (Some(best), Some((idx, b))) => (best > b).then_some(idx),
+                (None, Some((idx, _))) => Some(idx),
+                // Every remaining live stream is capped, but the caller
+                // wants answers past the threshold (more join-level
+                // duplicates than expected, or a request that outlived its
+                // top-k window): resume pulling everywhere rather than emit
+                // out of order.
+                (best, None) if best.is_none_or(|b| tau.is_some_and(|t| b > t)) && any_live() => {
+                    self.capping_disabled = true;
                     continue;
-                };
-                if self.emitted.insert(candidate.bindings.clone()) {
-                    self.stats.answers += 1;
-                    return Ok(Some((candidate.bindings, candidate.distance)));
                 }
+                (Some(_), None) => None,
+                (None, None) => return Ok(None),
+            };
+            if let Some(idx) = pull {
+                self.pull(idx)?;
                 continue;
             }
-            if !self.pull_once(tau)? {
-                // Everything exhausted (or capped); drain candidates.
+            // Not pulling is only reachable with a peeked candidate.
+            let Some(handle) = heap_pop(&mut self.heap, &self.candidates) else {
                 continue;
+            };
+            let (rows, seen) = (&self.candidates, &self.emitted_by_hash);
+            let row = rows.row(handle as usize);
+            let hash = seen.heads.hasher().hash_one(row) as u32;
+            let emitted = |e: usize| rows.row(self.emitted[e] as usize);
+            if walk(seen.head(hash), Some(&seen.next)).all(|e| emitted(e) != row) {
+                self.emitted_by_hash.extend(std::iter::once(hash));
+                self.emitted.push(handle);
+                self.stats.answers += 1;
+                break self.candidates.key(handle);
             }
-        }
+        };
+        Ok(Some((row, distance)))
     }
-}
 
-impl RankJoin<'_> {
     /// Accumulated statistics (including all input streams).
     pub fn stats(&self) -> EvalStats {
         let mut stats = self.stats;
@@ -457,9 +456,8 @@ impl RankJoin<'_> {
         stats
     }
 
-    /// Total bindings currently buffered across all inputs — the join's
-    /// memory footprint, mirrored into the resource governor's
-    /// `join_buffer_entries` gauge by the service layer.
+    /// Answers currently buffered across all inputs — the join's footprint,
+    /// mirrored into the resource governor's `join_buffer_entries` gauge.
     pub fn buffered_entries(&self) -> usize {
         self.inputs.iter().map(|input| input.buffer.len()).sum()
     }
@@ -468,11 +466,14 @@ impl RankJoin<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A scripted answer stream for unit-testing the join in isolation.
+    /// Pulling it more than `budget` times panics.
     struct Scripted {
         answers: Vec<ConjunctAnswer>,
         pos: usize,
+        budget: usize,
     }
 
     impl Scripted {
@@ -488,12 +489,14 @@ mod tests {
                     })
                     .collect(),
                 pos: 0,
+                budget: usize::MAX,
             }
         }
     }
 
     impl AnswerStream for Scripted {
         fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>> {
+            assert!(self.pos < self.budget, "stream pulled past its budget");
             let out = self.answers.get(self.pos).copied();
             self.pos += 1;
             Ok(out)
@@ -518,13 +521,21 @@ mod tests {
         JoinInput::new(Box::new(Scripted::new(answers)), subject, object)
     }
 
-    /// Drains a join into `(bound slot values, distance)` rows.
-    fn drain(mut join: RankJoin<'_>) -> Vec<(Vec<u32>, u32)> {
+    /// Pulls up to `n` rows off a join: `(slot values, distance)`, with
+    /// `u32::MAX` in a slot nothing binds.
+    fn take(join: &mut RankJoin<'_>, n: usize) -> Vec<(Vec<u32>, u32)> {
         let mut out = Vec::new();
-        while let Some((bindings, d)) = join.get_next_slots().unwrap() {
-            out.push((bindings.into_iter().flatten().map(|n| n.0).collect(), d));
+        while out.len() < n {
+            match join.next_row().unwrap() {
+                Some((row, d)) => out.push((row.iter().map(|n| n.0).collect(), d)),
+                None => break,
+            }
         }
         out
+    }
+
+    fn drain(mut join: RankJoin<'_>) -> Vec<(Vec<u32>, u32)> {
+        take(&mut join, usize::MAX)
     }
 
     #[test]
@@ -548,12 +559,22 @@ mod tests {
     }
 
     #[test]
+    fn total_distance_saturates() {
+        let c1 = input(vec![(1, 10, u32::MAX - 1)], X, Y);
+        let c2 = input(vec![(10, 100, 5)], Y, Z);
+        let results = drain(RankJoin::new(vec![c1, c2], 3));
+        assert_eq!(results, vec![(vec![1, 10, 100], u32::MAX)]);
+    }
+
+    #[test]
     fn cartesian_product_when_no_shared_variables() {
         let c1 = input(vec![(1, 10, 0), (2, 20, 1)], X, Y);
         let c2 = input(vec![(5, 50, 0)], Z, W);
         let results = drain(RankJoin::new(vec![c1, c2], 4));
-        assert!(results.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(results.len(), 2);
+        assert_eq!(
+            results,
+            vec![(vec![1, 10, 5, 50], 0), (vec![2, 20, 5, 50], 1)]
+        );
     }
 
     #[test]
@@ -562,7 +583,7 @@ mod tests {
         let c1 = input(vec![(1, 10, 0)], X, Y);
         let c2 = input(vec![(1, 99, 0)], X, Y);
         let mut join = RankJoin::new(vec![c1, c2], 2);
-        assert!(join.get_next_slots().unwrap().is_none());
+        assert!(join.next_row().unwrap().is_none());
     }
 
     #[test]
@@ -576,53 +597,63 @@ mod tests {
 
     #[test]
     fn duplicate_combinations_are_emitted_once() {
-        // Two identical answers in stream 1 produce the same combined binding.
+        // Two identical answers in stream 1 produce the same combined row.
         let c1 = input(vec![(1, 10, 0), (1, 10, 2)], X, Y);
         let c2 = input(vec![(10, 100, 0)], Y, Z);
         let results = drain(RankJoin::new(vec![c1, c2], 3));
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].1, 0, "the cheaper duplicate wins");
+        assert_eq!(results, vec![(vec![1, 10, 100], 0)], "the cheaper wins");
     }
 
     #[test]
-    fn indexed_probing_matches_a_brute_force_join() {
-        // Exercises every index shape at once: (X, Y) probes by subject
-        // and/or object, (Y, Z) shares Y, (Z, Z) is a same-variable
-        // conjunct (subject slot == object slot), and the result must equal
-        // an independent nested-loop join.
-        let c1_rows = vec![(1, 10, 0), (2, 20, 1), (1, 11, 2), (3, 10, 2)];
-        let c2_rows = vec![(10, 5, 0), (11, 5, 1), (10, 6, 2), (20, 7, 3)];
-        let c3_rows = vec![(5, 5, 0), (7, 7, 1), (6, 6, 4)];
-        let c1 = input(c1_rows.clone(), X, Y);
-        let c2 = input(c2_rows.clone(), Y, Z);
-        let c3 = input(c3_rows.clone(), Z, Z);
-        let got = drain(RankJoin::new(vec![c1, c2, c3], 3));
-        // Distances must be non-decreasing.
-        assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
+    fn a_later_arrival_at_an_open_distance_is_emitted_later() {
+        // `(distance, slots)` orders the *buffered* candidates only. Once the
+        // bound reaches 2, `[2, 2, 2]` is emitted; `[2, 0, 0]`, also at 2 and
+        // smaller, only exists after the second stream's last pull.
+        let c1 = input(vec![(0, 0, 0), (0, 0, 1), (2, 2, 2)], Z, Y);
+        let c2 = input(vec![(2, 2, 0), (1, 1, 2), (0, 2, 2)], Y, X);
+        let results = drain(RankJoin::new(vec![c1, c2], 3));
+        assert_eq!(results, vec![(vec![2, 2, 2], 2), (vec![2, 0, 0], 2)]);
+    }
 
-        let mut expected = std::collections::BTreeSet::new();
-        for &(x, y1, d1) in &c1_rows {
-            for &(y2, z1, d2) in &c2_rows {
-                for &(z2, z3, d3) in &c3_rows {
-                    if y1 == y2 && z1 == z2 && z2 == z3 {
-                        expected.insert((d1 + d2 + d3, vec![x, y1, z1]));
-                    }
-                }
-            }
+    #[test]
+    fn only_shared_slots_are_indexed() {
+        // A star on X: the spokes' far ends (Y, Z) can never be probed.
+        let c1 = input(vec![], X, Y);
+        let c2 = input(vec![], X, Z);
+        let c3 = input(vec![], W, W);
+        let join = RankJoin::new(vec![c1, c2, c3], 4);
+        let indexed: Vec<(bool, bool)> = join
+            .inputs
+            .iter()
+            .map(|i| (i.by_subject.is_some(), i.by_object.is_some()))
+            .collect();
+        assert_eq!(indexed, vec![(true, false), (true, false), (false, false)]);
+    }
+
+    #[test]
+    fn an_exhausted_empty_input_stops_the_join() {
+        // One conjunct has no answer at all, so the join has none — and
+        // must say so without draining its neighbour, which here panics on
+        // its 4th pull (standing in for a whole flexible frontier).
+        for empty_first in [false, true] {
+            let mut long = Scripted::new(vec![(1, 10, 0), (2, 20, 1), (3, 30, 2), (4, 40, 3)]);
+            long.budget = 3;
+            let long = JoinInput::new(Box::new(long), X, Y);
+            let empty = input(vec![], Y, Z);
+            let inputs = if empty_first {
+                vec![empty, long]
+            } else {
+                vec![long, empty]
+            };
+            let mut join = RankJoin::new(inputs, 3);
+            assert!(join.next_row().unwrap().is_none());
+            assert!(join.next_row().unwrap().is_none(), "and stays empty");
         }
-        // The rank join deduplicates identical bindings (cheapest first), so
-        // compare against the min-distance combination per binding set.
-        let mut best: std::collections::BTreeMap<Vec<u32>, u32> = std::collections::BTreeMap::new();
-        for (d, b) in expected {
-            best.entry(b).or_insert(d);
-        }
-        let got_set: std::collections::BTreeMap<Vec<u32>, u32> = got.into_iter().collect();
-        assert_eq!(got_set, best);
     }
 
     #[test]
     fn top_k_capping_survives_duplicate_candidate_deflation() {
-        // Duplicate candidates (same bindings, different distances — e.g. a
+        // Duplicate candidates (same row, different distances — e.g. a
         // stream re-deriving one pair at a relaxed cost) consume top-k
         // tracker slots, so τ can undershoot the k-th *distinct* answer's
         // distance and every live stream can end up capped. The join must
@@ -630,19 +661,12 @@ mod tests {
         // join — rather than stall or emit out of order.
         let rows_a = vec![(1, 10, 0), (1, 10, 2), (2, 10, 3)];
         let rows_b = vec![(10, 100, 0), (10, 200, 40)];
-        let run = |limit: Option<usize>, take: usize| {
+        let run = |limit: Option<usize>, n: usize| {
             let a = input(rows_a.clone(), X, Y);
             let b = input(rows_b.clone(), Y, Z);
             let mut join = RankJoin::new(vec![a, b], 3);
             join.set_limit(limit);
-            let mut out = Vec::new();
-            while out.len() < take {
-                match join.get_next_slots().unwrap() {
-                    Some((bindings, d)) => out.push((bindings, d)),
-                    None => break,
-                }
-            }
-            out
+            take(&mut join, n)
         };
         let reference = run(None, 4);
         assert_eq!(reference.len(), 4, "the uncapped join finds all answers");
@@ -666,5 +690,108 @@ mod tests {
         let filter = input(vec![(7, 8, 2)], None, None);
         let results = drain(RankJoin::new(vec![c1, filter], 1));
         assert_eq!(results, vec![(vec![1], 2)]);
+    }
+
+    /// One scripted input of the oracle test: its slots and its answers.
+    type Spec = (Option<usize>, Option<usize>, Vec<(u32, u32, u32)>);
+
+    /// The join that is not the join: the nested-loop cross product of the
+    /// inputs' answers, merged slot by slot, sorted by `(distance, slots)`
+    /// and deduplicated first-wins.
+    fn reference_join(specs: &[Spec], slot_count: usize) -> Vec<(Vec<u32>, u32)> {
+        let mut combos: Vec<(Vec<u32>, u32)> = vec![(vec![u32::MAX; slot_count], 0)];
+        for (subject, object, answers) in specs {
+            let mut next = Vec::new();
+            for (row, total) in &combos {
+                for &(x, y, d) in answers {
+                    // `(?Z, R, ?Z)` binds one variable: the subject's.
+                    let object = object.filter(|o| Some(*o) != *subject);
+                    let mut merged = row.clone();
+                    let fits = [(*subject, x), (object, y)].into_iter().all(|(slot, v)| {
+                        slot.is_none_or(|s| {
+                            let free = merged[s] == u32::MAX;
+                            merged[s] = if free { v } else { merged[s] };
+                            merged[s] == v
+                        })
+                    });
+                    if fits {
+                        next.push((merged, total + d));
+                    }
+                }
+            }
+            combos = next;
+        }
+        combos.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+        let mut seen = std::collections::HashSet::new();
+        combos.retain(|(row, _)| seen.insert(row.clone()));
+        combos
+    }
+
+    /// Sorted by `(distance, slots)`: the order [`reference_join`] uses.
+    fn ranked(mut rows: Vec<(Vec<u32>, u32)>) -> Vec<(Vec<u32>, u32)> {
+        rows.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+        rows
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// What the join emits equals the reference for 2–5 inputs over 1–6
+        /// slots — shared, same-variable, constant-only and cartesian
+        /// shapes fall out of drawing slots at random — with duplicate
+        /// `(x, y)` at several distances (values are drawn from 0..2,
+        /// distances from 0..3) and empty inputs included.
+        ///
+        /// The contract is per distance, not per position: a combination is
+        /// emitted as soon as its distance is `≤` the bound on everything
+        /// still to come, so one that *arrives* later at that same distance
+        /// is emitted later whatever its slot values. Hence: distances come
+        /// out non-decreasing; the rows at each distance are exactly the
+        /// reference's; and under every limit `k` the first `k` rows carry
+        /// the reference's first `k` distances and are distinct reference
+        /// rows (so every distance below the `k`-th is complete), while
+        /// draining past `k` still yields everything.
+        #[test]
+        fn emission_equals_the_nested_loop_reference(
+            slot_count in 1usize..7,
+            raw in prop::collection::vec(
+                (0usize..7, 0usize..7, prop::collection::vec((0u32..2, 0u32..2, 0u32..3), 1..7)),
+                2..6,
+            ),
+            emptied in 0usize..20,
+        ) {
+            // A draw of `slot_count` is a constant endpoint.
+            let slot = |draw: usize| Some(draw % (slot_count + 1)).filter(|&s| s < slot_count);
+            let mut specs: Vec<Spec> = raw
+                .iter()
+                .map(|(s, o, answers)| (slot(*s), slot(*o), answers.clone()))
+                .collect();
+            // One case in five has an input with no answers at all.
+            if let Some(spec) = specs.get_mut(emptied) {
+                spec.2.clear();
+            }
+            let run = |limit: Option<usize>| {
+                let inputs = specs
+                    .iter()
+                    .map(|(s, o, answers)| input(answers.clone(), *s, *o))
+                    .collect();
+                let mut join = RankJoin::new(inputs, slot_count);
+                join.set_limit(limit);
+                drain(join)
+            };
+            let expected = reference_join(&specs, slot_count);
+            let distances = |rows: &[(Vec<u32>, u32)]| rows.iter().map(|r| r.1).collect::<Vec<_>>();
+            let got = run(None);
+            prop_assert_eq!(distances(&got), distances(&expected), "{:?}", specs);
+            prop_assert_eq!(ranked(got), &expected[..], "{:?}", specs);
+            for k in 1..=expected.len() {
+                let got = run(Some(k));
+                prop_assert_eq!(distances(&got), distances(&expected), "limit {} over {:?}", k, specs);
+                let top: std::collections::HashSet<_> = got[..k].iter().collect();
+                prop_assert_eq!(top.len(), k, "limit {} over {:?}", k, specs);
+                prop_assert!(top.iter().all(|row| expected.contains(row)), "limit {} over {:?}", k, specs);
+                prop_assert_eq!(ranked(got), &expected[..], "limit {} over {:?}", k, specs);
+            }
+        }
     }
 }

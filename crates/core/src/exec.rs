@@ -1,13 +1,8 @@
-//! One execution of a prepared statement: building the ranked answer stream
-//! (`PreparedInner::answers`), choosing each conjunct's evaluator
-//! (`stream_plan`), and [`Answers`] — the streaming handle that pulls ranked
-//! candidates from a bypassed conjunct stream or the rank join, projects
-//! them onto the head, deduplicates, and enforces the request's limit,
-//! deadline and distance ceiling.
-//!
-//! Split out of `service.rs`, which keeps storage epochs, the prepared
-//! cache and the option types; every public item is re-exported from there
-//! and from the crate root unchanged.
+//! One execution of a prepared statement: stream construction
+//! (`PreparedInner::answers`, `stream_plan`) and [`Answers`], the handle that
+//! pulls ranked candidates from a bypassed conjunct stream or the rank join,
+//! projects them onto the head, deduplicates, and enforces limit, deadline
+//! and distance ceiling. Public items are re-exported from `service`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,12 +19,10 @@ use crate::eval::cancel::CancelToken;
 use crate::eval::disjunction::compile_branches;
 use crate::eval::parallel::{ParallelStream, StreamPlan, WorkerPool};
 use crate::eval::rank_join::{JoinInput, RankJoin};
-use crate::eval::{AnswerStream, EvalOptions, EvalStats};
+use crate::eval::{AnswerStream, EvalOptions, EvalStats, OverloadPolicy};
 use crate::govern::{ExecutionPermit, GovernorHandle, ResourceGovernor};
 use crate::query::ast::QueryMode;
-use crate::service::{
-    elapsed_ns, CoreMetrics, GraphData, Layout, OverloadPolicy, PreparedConjunct, PreparedInner,
-};
+use crate::service::{elapsed_ns, CoreMetrics, GraphData, Layout, PreparedConjunct, PreparedInner};
 
 /// [`AnswerStream`] adaptor accumulating the wall-clock time spent inside
 /// one conjunct's `next_answer` calls, for the per-conjunct profile phases.
@@ -74,10 +67,9 @@ impl PreparedInner {
     /// dropped, so no conjunct worker outlives its execution.
     ///
     /// With `parallel_conjuncts` on and more than one conjunct, up to
-    /// `parallel_workers` conjuncts (all of them when `0`) are evaluated on
-    /// worker threads feeding bounded channels; the ranked join consumes
-    /// those channels on the caller's thread in exactly the sequential
-    /// order, so the answer sequence is bit-identical either way.
+    /// `parallel_workers` conjuncts (all when `0`) evaluate on worker threads
+    /// feeding bounded channels, which the ranked join consumes in exactly
+    /// the sequential order: the answer sequence is bit-identical either way.
     ///
     /// A single-conjunct plan reads its rows straight off the conjunct
     /// stream, which is already ranked; `via_join` routes it through the
@@ -171,7 +163,7 @@ impl PreparedInner {
             // keyed by the query's syntactic conjunct index so phases
             // read stably however cost-guided ordering shuffled them. On a
             // bypassed plan the pull *is* the conjunct: one timer, not two.
-            let stream: Box<dyn AnswerStream + 'a> = match profile_state.as_mut() {
+            match profile_state.as_mut() {
                 Some(state) if !bypass => {
                     let nanos = Arc::new(AtomicU64::new(0));
                     state.conjuncts.push((i, Arc::clone(&nanos)));
@@ -181,8 +173,7 @@ impl PreparedInner {
                     })
                 }
                 _ => stream,
-            };
-            stream
+            }
         });
         let source = match (streams.next(), bypass) {
             (Some(stream), true) => Source::Single { stream, answers: 0 },
@@ -277,9 +268,8 @@ fn stream_plan(
 #[allow(clippy::large_enum_variant)]
 enum Source<'a> {
     /// Exactly one conjunct: its stream is already ranked, so candidates are
-    /// read straight off it. Conjunct streams never repeat an `(x, y)` pair,
-    /// so every answer pulled is a distinct join-level answer; `answers`
-    /// counts them as the join would.
+    /// read straight off it. Conjunct streams never repeat an `(x, y)`, so
+    /// every answer pulled is distinct; `answers` counts as the join would.
     Single {
         stream: Box<dyn AnswerStream + 'a>,
         answers: u64,
@@ -301,16 +291,11 @@ impl RowSet {
     /// asked for at most `limit` of them.
     fn new(columns: usize, limit: Option<usize>) -> RowSet {
         let rows = limit.unwrap_or(0).min(1 << 12);
+        let hasher = Default::default;
         if columns <= 4 {
-            RowSet::Packed(FxHashSet::with_capacity_and_hasher(
-                rows,
-                Default::default(),
-            ))
+            RowSet::Packed(FxHashSet::with_capacity_and_hasher(rows, hasher()))
         } else {
-            RowSet::Wide(FxHashSet::with_capacity_and_hasher(
-                rows,
-                Default::default(),
-            ))
+            RowSet::Wide(FxHashSet::with_capacity_and_hasher(rows, hasher()))
         }
     }
 
@@ -421,7 +406,8 @@ impl<'a> Answers<'a> {
 
     /// Marks the stream finished, cancels the execution's shared token so
     /// any parallel conjunct workers stop producing promptly, and returns
-    /// the execution's governor resources (permit, gauge contribution).
+    /// the execution's governor resources (permit, gauge contribution). Also
+    /// what `Drop` does, so it must stay idempotent.
     fn finish(&mut self) {
         self.finished = true;
         self.cancel.cancel();
@@ -534,17 +520,11 @@ impl<'a> Answers<'a> {
                 Ok(Some(answer.distance))
             }
             Source::Join(join) => {
-                let Some((bindings, distance)) = join.get_next_slots()? else {
+                let Some((slots, distance)) = join.next_row()? else {
                     return Ok(None);
                 };
-                // The join only emits candidates with every slot bound, so
-                // the expect documents that invariant, not a runtime
-                // failure mode.
-                #[allow(clippy::expect_used)]
-                let cells = layout
-                    .head_slots
-                    .iter()
-                    .map(|&slot| bindings[slot].expect("every join candidate binds every slot"));
+                // The join only emits rows with every slot bound.
+                let cells = layout.head_slots.iter().map(|&slot| slots[slot]);
                 self.row.extend(cells);
                 Ok(Some(distance))
             }
@@ -588,16 +568,11 @@ impl<'a> Answers<'a> {
         loop {
             // Timing the pull is the only profiling cost on the answer
             // loop, and only paid when a profile was requested.
-            let pulled = if self.profile.is_some() {
-                let started = Instant::now();
-                let next = self.pull();
-                if let Some(state) = self.profile.as_mut() {
-                    state.join_ns = state.join_ns.saturating_add(elapsed_ns(started));
-                }
-                next
-            } else {
-                self.pull()
-            };
+            let started = self.profile.is_some().then(Instant::now);
+            let pulled = self.pull();
+            if let (Some(state), Some(started)) = (self.profile.as_mut(), started) {
+                state.join_ns = state.join_ns.saturating_add(elapsed_ns(started));
+            }
             let next = match pulled {
                 Ok(next) => next,
                 Err(e) => {
@@ -643,10 +618,10 @@ impl<'a> Answers<'a> {
     pub fn collect_up_to(&mut self, limit: Option<usize>) -> Result<Vec<Answer>> {
         let mut out = Vec::new();
         while limit.is_none_or(|l| out.len() < l) {
-            match self.next_answer()? {
-                Some(answer) => out.push(answer),
-                None => break,
-            }
+            let Some(answer) = self.next_answer()? else {
+                break;
+            };
+            out.push(answer);
         }
         Ok(out)
     }
@@ -682,13 +657,9 @@ impl Iterator for Answers<'_> {
 
 impl Drop for Answers<'_> {
     fn drop(&mut self) {
-        // Abandoning the stream mid-flight cancels the execution; the join's
-        // parallel inputs then join their workers as they drop. The gauge
-        // contribution is returned here too (the permit's own `Drop` frees
-        // the concurrency slot), and the execution still lands in the
-        // latency histogram.
-        self.cancel.cancel();
-        self.sync_buffer_gauge(true);
-        self.observe_end();
+        // Abandoning the stream mid-flight cancels the execution (the join's
+        // parallel inputs then join their workers as they drop), returns its
+        // governor resources and still lands it in the latency histogram.
+        self.finish();
     }
 }

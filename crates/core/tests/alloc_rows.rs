@@ -11,50 +11,14 @@
 //! [`Answers::next_row`]: omega_core::Answers::next_row
 //! [`Answers::next_answer`]: omega_core::Answers::next_answer
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use omega_core::{Database, ExecOptions};
 use omega_datagen::{generate_l4all, l4all_queries, L4AllConfig, L4AllScale};
 
-thread_local! {
-    /// Allocations made by this thread (`alloc` and `realloc` calls).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting per thread so the harness's own threads
-/// cannot leak into the measurement.
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell`, so touching it neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's `layout` obligations pass straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator, with
-        // this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+mod counting;
+use counting::{allocations, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-fn allocations() -> u64 {
-    ALLOCS.with(Cell::get)
-}
 
 /// Allocations the 100 `next_row` calls of Q1's top-100 may make between
 /// them, as measured on this tree: all of it the evaluator's queue, visited
