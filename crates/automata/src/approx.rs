@@ -85,27 +85,26 @@ pub fn approximate(nfa: &WeightedNfa, config: &ApproxConfig) -> WeightedNfa {
 
     // Deletion, substitution and inversion apply to every edge-consuming
     // transition of the original automaton.
-    let originals: Vec<_> = nfa
-        .transitions()
-        .iter()
-        .filter(|t| t.label.consumes_edge())
-        .cloned()
-        .collect();
-    for t in &originals {
+    for t in nfa.transitions().iter().filter(|t| t.label.consumes_edge()) {
         out.add_transition(
             t.from,
             TransitionLabel::Epsilon,
-            t.cost + config.deletion,
+            t.cost.saturating_add(config.deletion),
             t.to,
         );
         out.add_transition(
             t.from,
             TransitionLabel::Any,
-            t.cost + config.substitution,
+            t.cost.saturating_add(config.substitution),
             t.to,
         );
         if let Some(inversion) = config.inversion {
-            out.add_transition(t.from, t.label.flipped(), t.cost + inversion, t.to);
+            out.add_transition(
+                t.from,
+                t.label.flipped(),
+                t.cost.saturating_add(inversion),
+                t.to,
+            );
         }
     }
     // Insertion: a wildcard self-loop on every state.
@@ -234,6 +233,19 @@ mod tests {
         assert_eq!(min_accept_cost(&a, &w(&[("a", true)])), Some(1));
         // a different label still needs a full substitution
         assert_eq!(min_accept_cost(&a, &w(&[("b", false)])), Some(10));
+    }
+
+    /// Edit costs near `u32::MAX` saturate: two deletions at 2³¹ each must
+    /// not wrap round to a free empty word.
+    #[test]
+    fn huge_costs_saturate() {
+        let a = approx_nfa("a.b", &ApproxConfig::uniform(1 << 31));
+        assert_eq!(min_accept_cost(&a, &[]), Some(u32::MAX));
+        assert_eq!(min_accept_cost(&a, &w(&[("a", false)])), Some(1 << 31));
+        assert_eq!(
+            min_accept_cost(&a, &w(&[("a", false), ("b", false)])),
+            Some(0)
+        );
     }
 
     #[test]

@@ -86,13 +86,26 @@ impl MinCostToAccept {
         mut live: impl FnMut(&TransitionLabel) -> bool,
     ) -> MinCostToAccept {
         let n = nfa.state_count();
-        // Reverse adjacency over live transitions.
-        let mut reverse: Vec<Vec<(u32, StateId)>> = vec![Vec::new(); n];
-        for t in nfa.transitions() {
-            if t.label.is_epsilon() || !live(&t.label) {
-                continue;
-            }
-            reverse[t.to.index()].push((t.cost, t.from));
+        // Reverse adjacency over live transitions, flat: the `(cost, from)`
+        // pairs entering state `s` are `incoming[starts[s]..starts[s + 1]]`
+        // once the counting sort below has placed them.
+        let live: Vec<_> = nfa
+            .transitions()
+            .iter()
+            .filter(|t| !t.label.is_epsilon() && live(&t.label))
+            .collect();
+        let mut starts = vec![0usize; n + 2];
+        for t in &live {
+            starts[t.to.index() + 2] += 1;
+        }
+        for s in 2..n + 2 {
+            starts[s] += starts[s - 1];
+        }
+        let mut incoming = vec![(0, StateId(0)); live.len()];
+        for t in live {
+            let slot = &mut starts[t.to.index() + 1];
+            incoming[*slot] = (t.cost, t.from);
+            *slot += 1;
         }
         let mut h = vec![MinCostToAccept::DEAD; n];
         // Multi-source Dijkstra seeded at the accepting states with their
@@ -108,7 +121,7 @@ impl MinCostToAccept {
             if d > h[s as usize] {
                 continue; // stale entry
             }
-            for &(cost, from) in &reverse[s as usize] {
+            for &(cost, from) in &incoming[starts[s as usize]..starts[s as usize + 1]] {
                 let next = d.saturating_add(cost);
                 if next < h[from.index()] {
                     h[from.index()] = next;

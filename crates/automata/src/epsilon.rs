@@ -10,114 +10,155 @@
 //! state whose ε-closure reaches a final state becomes final itself with the
 //! closure cost added to the final weight — this is how final states end up
 //! carrying a positive `weight(s)`.
+//!
+//! Only the states the result keeps are worked on. A walk from the initial
+//! state over the input's per-state slices
+//! ([`WeightedNfa::transitions_from`]) finds them first — the initial state
+//! and every target of an edge-consuming transition; the interior states of
+//! Thompson fragments are neither — which fixes the result's numbering. Each
+//! kept state then gets one closure (a dense distance array, reset through a
+//! touched list and shared by all of them), its transitions are deduplicated
+//! by sorting that state's own short list, and they go straight into the
+//! result. Nothing is pruned afterwards.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
+use crate::label::TransitionLabel;
 use crate::nfa::{StateId, WeightedNfa};
 
 /// Returns an equivalent automaton without ε-transitions.
 ///
 /// Equivalence is in the weighted sense: every word keeps the same minimum
-/// acceptance cost (see `crate::simulate::min_accept_cost`).
+/// acceptance cost (see `crate::simulate::min_accept_cost`). States that no
+/// edge-consuming transition reaches are dropped; the initial state becomes
+/// state 0 and the others keep their relative order.
 pub fn remove_epsilons(nfa: &WeightedNfa) -> WeightedNfa {
-    let mut out = WeightedNfa::new();
-    // Mirror the state set (state ids are preserved).
-    for _ in 1..nfa.state_count() {
-        out.add_state();
+    if !nfa.is_frozen() {
+        // Hand-built automata need not have been frozen by their maker.
+        let mut copy = nfa.clone();
+        copy.freeze();
+        return remove_epsilons(&copy);
     }
-    out.set_initial(nfa.initial());
-
-    for state in nfa.states() {
-        let closure = epsilon_closure(nfa, state);
-        // Final weight: the cheapest way to reach a final state via ε.
-        let mut final_weight: Option<u32> = None;
-        for (&target, &cost) in &closure {
-            if let Some(w) = nfa.final_weight(target) {
-                let total = cost + w;
-                final_weight = Some(final_weight.map_or(total, |fw| fw.min(total)));
-            }
-        }
-        if let Some(w) = final_weight {
-            out.add_final(state, w);
-        }
-        // Copy non-ε transitions reachable through the closure.
-        for (&via, &closure_cost) in &closure {
-            for t in nfa.transitions().iter().filter(|t| t.from == via) {
-                if t.label.is_epsilon() {
-                    continue;
-                }
-                out.add_transition(state, t.label.clone(), closure_cost + t.cost, t.to);
-            }
-        }
-    }
-    out.freeze();
-    prune_unreachable(&out)
-}
-
-/// Minimum ε-cost from `state` to every state reachable by ε-transitions
-/// (including `state` itself at cost 0).
-fn epsilon_closure(nfa: &WeightedNfa, state: StateId) -> HashMap<StateId, u32> {
-    let mut dist: HashMap<StateId, u32> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-    dist.insert(state, 0);
-    heap.push(Reverse((0, state.0)));
-    while let Some(Reverse((cost, raw))) = heap.pop() {
-        let current = StateId(raw);
-        if dist.get(&current).copied().unwrap_or(u32::MAX) < cost {
-            continue;
-        }
-        for t in nfa
-            .transitions()
-            .iter()
-            .filter(|t| t.from == current && t.label.is_epsilon())
-        {
-            let next = cost + t.cost;
-            if next < dist.get(&t.to).copied().unwrap_or(u32::MAX) {
-                dist.insert(t.to, next);
-                heap.push(Reverse((next, t.to.0)));
-            }
-        }
-    }
-    dist
-}
-
-/// Drops states unreachable from the initial state, compacting ids.
-/// ε-removal leaves the interior states of Thompson fragments dangling;
-/// pruning keeps the automata the evaluator sees small.
-fn prune_unreachable(nfa: &WeightedNfa) -> WeightedNfa {
-    let mut reachable = vec![false; nfa.state_count()];
-    let mut stack = vec![nfa.initial()];
-    reachable[nfa.initial().index()] = true;
-    while let Some(s) = stack.pop() {
-        for t in nfa.transitions().iter().filter(|t| t.from == s) {
-            if !reachable[t.to.index()] {
-                reachable[t.to.index()] = true;
+    let states = nfa.state_count();
+    // The result keeps the initial state and every target of an
+    // edge-consuming transition that can be reached from it.
+    let mut kept = vec![false; states];
+    let mut seen = vec![false; states];
+    let mut stack = Vec::with_capacity(states);
+    kept[nfa.initial().index()] = true;
+    seen[nfa.initial().index()] = true;
+    stack.push(nfa.initial());
+    while let Some(state) = stack.pop() {
+        for t in nfa.transitions_from(state) {
+            kept[t.to.index()] |= t.label.consumes_edge();
+            if !std::mem::replace(&mut seen[t.to.index()], true) {
                 stack.push(t.to);
             }
         }
     }
-    let mut mapping: HashMap<StateId, StateId> = HashMap::new();
-    let mut out = WeightedNfa::new();
-    // The initial state of `out` exists already; map it first.
-    mapping.insert(nfa.initial(), out.initial());
+    // The initial state first, the rest by ascending original id.
+    let mut renumbered = vec![StateId(0); states];
+    let mut out = WeightedNfa::with_capacity(states, nfa.transition_count());
     for state in nfa.states() {
-        if reachable[state.index()] && state != nfa.initial() {
-            mapping.insert(state, out.add_state());
+        if kept[state.index()] && state != nfa.initial() {
+            renumbered[state.index()] = out.add_state();
         }
     }
-    for (state, weight) in nfa.finals() {
-        if let Some(&mapped) = mapping.get(&state) {
-            out.add_final(mapped, weight);
+    let mut closure = Closure::new(nfa);
+    for state in nfa.states().filter(|s| kept[s.index()]) {
+        let from = renumbered[state.index()];
+        if let Some(weight) = closure.row_of(state) {
+            out.add_final(from, weight);
         }
-    }
-    for t in nfa.transitions() {
-        if let (Some(&from), Some(&to)) = (mapping.get(&t.from), mapping.get(&t.to)) {
-            out.add_transition(from, t.label.clone(), t.cost, to);
+        for &(label, cost, to) in &closure.row {
+            out.push_unchecked(from, label.clone(), cost, renumbered[to.index()]);
         }
     }
     out.freeze();
     out
+}
+
+/// Visits the labels that leave the initial state once ε-transitions are
+/// removed, one per `(label, target)` pair: what
+/// `remove_epsilons(nfa).initial_labels()` yields, from the initial state's
+/// closure alone. `nfa` must be frozen, as [`crate::build_nfa`]'s output is.
+pub fn first_labels(nfa: &WeightedNfa, mut visit: impl FnMut(&TransitionLabel)) {
+    let mut closure = Closure::new(nfa);
+    closure.row_of(nfa.initial());
+    closure.row.iter().for_each(|&(label, ..)| visit(label));
+}
+
+/// The weighted ε-closure of one state at a time. The arrays are sized once
+/// per automaton and reused from state to state.
+struct Closure<'a> {
+    nfa: &'a WeightedNfa,
+    /// Minimum ε-cost from the current state, `None` outside its closure.
+    dist: Vec<Option<u32>>,
+    /// The states `dist` is set for.
+    touched: Vec<StateId>,
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// The current state's transitions in the ε-free automaton.
+    row: Vec<(&'a TransitionLabel, u32, StateId)>,
+}
+
+impl<'a> Closure<'a> {
+    fn new(nfa: &'a WeightedNfa) -> Self {
+        let states = nfa.state_count();
+        Closure {
+            nfa,
+            dist: vec![None; states],
+            touched: Vec::with_capacity(states),
+            heap: BinaryHeap::with_capacity(states),
+            row: Vec::with_capacity(nfa.transition_count()),
+        }
+    }
+
+    /// Computes what `state` becomes: returns its final weight (the cheapest
+    /// way to reach a final state via ε) and leaves in `self.row` the
+    /// edge-consuming transitions reachable through its closure, closure
+    /// cost added, one per `(label, target)` at the minimum cost.
+    fn row_of(&mut self, state: StateId) -> Option<u32> {
+        for s in self.touched.drain(..) {
+            self.dist[s.index()] = None;
+        }
+        self.row.clear();
+        let mut final_weight: Option<u32> = None;
+        self.dist[state.index()] = Some(0);
+        self.touched.push(state);
+        self.heap.push(Reverse((0, state.0)));
+        while let Some(Reverse((cost, raw))) = self.heap.pop() {
+            let via = StateId(raw);
+            if self.dist[via.index()] != Some(cost) {
+                continue; // stale entry
+            }
+            if let Some(weight) = self.nfa.final_weight(via) {
+                let total = cost.saturating_add(weight);
+                final_weight = Some(final_weight.map_or(total, |w| w.min(total)));
+            }
+            for t in self.nfa.transitions_from(via) {
+                let total = cost.saturating_add(t.cost);
+                if !t.label.is_epsilon() {
+                    self.row.push((&t.label, total, t.to));
+                    continue;
+                }
+                let seen = &mut self.dist[t.to.index()];
+                if seen.is_none_or(|d| total < d) {
+                    if seen.is_none() {
+                        self.touched.push(t.to);
+                    }
+                    *seen = Some(total);
+                    self.heap.push(Reverse((total, t.to.0)));
+                }
+            }
+        }
+        // Cheapest copy of each `(label, target)` first, then drop the rest.
+        self.row
+            .sort_unstable_by(|a, b| (a.0, a.2, a.1).cmp(&(b.0, b.2, b.1)));
+        self.row
+            .dedup_by(|later, kept| later.0 == kept.0 && later.2 == kept.2);
+        final_weight
+    }
 }
 
 #[cfg(test)]
@@ -206,6 +247,60 @@ mod tests {
         let cleaned = remove_epsilons(&nfa);
         assert_eq!(min_accept_cost(&nfa, &w(&["a"])), Some(4));
         assert_eq!(min_accept_cost(&cleaned, &w(&["a"])), Some(4));
+    }
+
+    /// Hand-built automata reach `remove_epsilons` without a `freeze` call.
+    #[test]
+    fn accepts_an_unfrozen_input() {
+        let mut nfa = WeightedNfa::new();
+        let s1 = nfa.add_state();
+        let s2 = nfa.add_state();
+        nfa.add_transition(nfa.initial(), TransitionLabel::Epsilon, 1, s1);
+        nfa.add_transition(s1, sym("a"), 0, s2);
+        nfa.add_transition(s2, TransitionLabel::Epsilon, 3, s1);
+        nfa.add_final(s2, 0);
+        assert!(!nfa.is_frozen());
+        let cleaned = remove_epsilons(&nfa);
+        assert!(!cleaned.has_epsilon_transitions());
+        for word in [w(&[]), w(&["a"]), w(&["a", "a"]), w(&["b"])] {
+            assert_eq!(
+                min_accept_cost(&nfa, &word),
+                min_accept_cost(&cleaned, &word)
+            );
+        }
+        assert_eq!(min_accept_cost(&cleaned, &w(&["a", "a"])), Some(4));
+    }
+
+    /// Two compiles of one expression give the same automaton down to the
+    /// raw transition order and the printed form.
+    #[test]
+    fn compiles_are_reproducible() {
+        use crate::approx::{approximate, ApproxConfig};
+        let resolver = MapResolver::new();
+        let compile = || {
+            let base = build_nfa(&parse("(a|b|c)+.(a|d)").unwrap(), &resolver);
+            remove_epsilons(&approximate(&base, &ApproxConfig::default()))
+        };
+        let first = compile();
+        for _ in 0..8 {
+            let again = compile();
+            assert_eq!(first.transitions(), again.transitions());
+            assert_eq!(first.to_string(), again.to_string());
+        }
+    }
+
+    #[test]
+    fn first_labels_are_the_cleaned_initial_labels() {
+        let resolver = MapResolver::new();
+        for expr in ["a.b|a.c", "(a|b)*.c", "a+.b*", "()", "a-.(b|c)"] {
+            let nfa = build_nfa(&parse(expr).unwrap(), &resolver);
+            let mut expected: Vec<_> = remove_epsilons(&nfa).initial_labels().cloned().collect();
+            let mut first = Vec::new();
+            first_labels(&nfa, |label| first.push(label.clone()));
+            expected.sort();
+            first.sort();
+            assert_eq!(first, expected, "{expr}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Transition labels of weighted NFAs.
 
 use std::fmt;
+use std::sync::Arc;
 
 use omega_graph::{LabelId, NodeId};
 use omega_regex::Symbol;
@@ -35,8 +36,9 @@ pub enum TransitionLabel {
         label: Option<LabelId>,
         /// Whether the edge is traversed target→source.
         inverse: bool,
-        /// The label's name, kept for display and for re-resolution.
-        name: String,
+        /// The label's name, kept for display and word-level matching;
+        /// shared, so copying a label never allocates.
+        name: Arc<str>,
     },
     /// `_` — any edge label, forward traversal.
     AnyForward,
@@ -47,13 +49,13 @@ pub enum TransitionLabel {
         /// The required target class node.
         class: NodeId,
         /// The class node's name, kept for display.
-        name: String,
+        name: Arc<str>,
     },
 }
 
 impl TransitionLabel {
     /// Builds a [`TransitionLabel::Symbol`].
-    pub fn symbol(label: Option<LabelId>, inverse: bool, name: impl Into<String>) -> Self {
+    pub fn symbol(label: Option<LabelId>, inverse: bool, name: impl Into<Arc<str>>) -> Self {
         TransitionLabel::Symbol {
             label,
             inverse,
@@ -71,8 +73,8 @@ impl TransitionLabel {
         !self.is_epsilon()
     }
 
-    /// The same label with the traversal direction flipped (used by
-    /// automaton reversal and by the inversion edit operation).
+    /// The same label with the traversal direction flipped (used by the
+    /// inversion edit operation).
     pub fn flipped(&self) -> TransitionLabel {
         match self {
             TransitionLabel::Symbol {
@@ -99,7 +101,7 @@ impl TransitionLabel {
         match self {
             TransitionLabel::Epsilon => false,
             TransitionLabel::Symbol { inverse, name, .. } => {
-                *name == sym.label && *inverse == sym.inverse
+                **name == *sym.label && *inverse == sym.inverse
             }
             TransitionLabel::AnyForward => !sym.inverse,
             TransitionLabel::Any => true,

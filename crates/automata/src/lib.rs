@@ -15,16 +15,19 @@
 //!   `type`-edge-to-domain/range at cost γ),
 //! * [`epsilon::remove_epsilons`] performs weighted ε-removal, which may
 //!   leave final states carrying a positive weight,
-//! * [`reverse::reverse`] reverses an automaton (used to turn a conjunct
-//!   `(?X, R, C)` into `(C, R-, ?X)`),
 //! * [`decompose::decompose_alternation`] splits a top-level alternation
 //!   into sub-automata for the "replacing alternation by disjunction"
 //!   optimisation of Section 4.3.
 //!
-//! The automaton states and transitions are deliberately simple `Vec`-backed
-//! structures: query automata have tens of states, and the evaluator's hot
-//! path only ever asks for the (label-sorted) outgoing transitions of a
-//! state ([`WeightedNfa::transitions_from`], the paper's `NextStates`).
+//! A [`WeightedNfa`] is flat: one transition vector plus `u32` index vectors.
+//! While it is built, a chain per source state finds a duplicate
+//! `(from, label, to)` without scanning the automaton; freezing groups the
+//! transitions by source state and sorts each group by `(label, cost, to)`,
+//! after which [`WeightedNfa::transitions_from`] (the paper's `NextStates`,
+//! the only thing the evaluator's hot path asks for) is a slice and the
+//! transition order is canonical. Label names are shared, so the copies the
+//! stages make of each other's transitions never allocate. Every stage is
+//! linear in the automaton it produces, up to the sort.
 
 pub mod approx;
 pub mod bounds;
@@ -35,7 +38,6 @@ pub mod label;
 pub mod nfa;
 pub mod relax;
 pub mod resolver;
-pub mod reverse;
 pub mod simulate;
 pub mod thompson;
 
@@ -48,5 +50,4 @@ pub use label::TransitionLabel;
 pub use nfa::{StateId, Transition, WeightedNfa};
 pub use relax::{relax, RelaxConfig};
 pub use resolver::{LabelResolver, MapResolver};
-pub use reverse::reverse;
 pub use thompson::build_nfa;

@@ -1,6 +1,5 @@
 //! The weighted NFA representation.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::label::TransitionLabel;
@@ -44,6 +43,9 @@ pub struct Transition {
     pub to: StateId,
 }
 
+/// Marks the end of a per-state transition chain.
+const NONE: u32 = u32::MAX;
+
 /// A weighted NFA: states, a single initial state, weighted final states and
 /// weighted labelled transitions.
 ///
@@ -51,46 +53,70 @@ pub struct Transition {
 /// with positive cost into a final state becomes a weight on the state
 /// itself, per the Handbook of Weighted Automata construction the paper
 /// cites).
+///
+/// The layout is flat: one transition vector, which [`WeightedNfa::freeze`]
+/// groups by source state and sorts, plus three `u32` vectors indexing it.
 #[derive(Debug, Clone)]
 pub struct WeightedNfa {
-    state_count: u32,
     initial: StateId,
-    finals: BTreeMap<StateId, u32>,
+    /// Final weight per state (`None` when the state is not final); its
+    /// length is the state count.
+    finals: Vec<Option<u32>>,
+    /// While frozen: grouped by source state, each group sorted by
+    /// `(label, cost, to)`.
     transitions: Vec<Transition>,
-    /// Outgoing transition indices per state; rebuilt lazily by `freeze`.
-    outgoing: Vec<Vec<u32>>,
+    /// While frozen, state `s` owns `transitions[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<u32>,
+    /// Per-state chains through `transitions`, kept current as transitions
+    /// arrive, so a duplicate is looked for among the source state's own
+    /// transitions only: `last_out[s]` is the newest transition leaving `s`
+    /// and `prev_out[i]` the one that left the same state before `i`.
+    last_out: Vec<u32>,
+    prev_out: Vec<u32>,
     frozen: bool,
 }
 
 impl WeightedNfa {
     /// Creates an automaton with a single (initial) state and no transitions.
     pub fn new() -> Self {
-        WeightedNfa {
-            state_count: 1,
+        WeightedNfa::with_capacity(1, 0)
+    }
+
+    /// [`WeightedNfa::new`] with room for `states` states and `transitions`
+    /// transitions, for a producer that knows (a bound on) what it builds.
+    pub(crate) fn with_capacity(states: usize, transitions: usize) -> Self {
+        let mut nfa = WeightedNfa {
             initial: StateId(0),
-            finals: BTreeMap::new(),
-            transitions: Vec::new(),
-            outgoing: vec![Vec::new()],
+            finals: Vec::with_capacity(states),
+            transitions: Vec::with_capacity(transitions),
+            offsets: Vec::with_capacity(states + 1),
+            last_out: Vec::with_capacity(states),
+            prev_out: Vec::with_capacity(transitions),
             frozen: true,
-        }
+        };
+        nfa.offsets.push(0);
+        nfa.add_state();
+        nfa
     }
 
     /// Adds a fresh state and returns its id.
     pub fn add_state(&mut self) -> StateId {
-        let id = StateId(self.state_count);
-        self.state_count += 1;
-        self.outgoing.push(Vec::new());
+        let id = StateId(self.finals.len() as u32);
+        self.finals.push(None);
+        self.last_out.push(NONE);
+        // The new state owns the empty slice at the end.
+        self.offsets.push(self.transitions.len() as u32);
         id
     }
 
     /// Number of states.
     pub fn state_count(&self) -> usize {
-        self.state_count as usize
+        self.finals.len()
     }
 
     /// Iterates over all state ids.
     pub fn states(&self) -> impl Iterator<Item = StateId> {
-        (0..self.state_count).map(StateId)
+        (0..self.finals.len() as u32).map(StateId)
     }
 
     /// The initial state.
@@ -100,34 +126,35 @@ impl WeightedNfa {
 
     /// Sets the initial state.
     pub fn set_initial(&mut self, state: StateId) {
-        debug_assert!(state.0 < self.state_count);
+        debug_assert!(state.index() < self.state_count());
         self.initial = state;
     }
 
     /// Marks `state` final with the given weight, keeping the minimum weight
     /// if it was already final.
     pub fn add_final(&mut self, state: StateId, weight: u32) {
-        debug_assert!(state.0 < self.state_count);
-        self.finals
-            .entry(state)
-            .and_modify(|w| *w = (*w).min(weight))
-            .or_insert(weight);
+        let slot = &mut self.finals[state.index()];
+        *slot = Some(slot.map_or(weight, |w| w.min(weight)));
     }
 
     /// Whether `state` is final.
     pub fn is_final(&self, state: StateId) -> bool {
-        self.finals.contains_key(&state)
+        self.finals[state.index()].is_some()
     }
 
     /// The weight of final state `state` (the paper's `weight(s)`), or `None`
     /// if it is not final.
+    #[inline]
     pub fn final_weight(&self, state: StateId) -> Option<u32> {
-        self.finals.get(&state).copied()
+        self.finals[state.index()]
     }
 
-    /// Iterates over `(state, weight)` for all final states.
+    /// Iterates over `(state, weight)` for all final states, in state order.
     pub fn finals(&self) -> impl Iterator<Item = (StateId, u32)> + '_ {
-        self.finals.iter().map(|(&s, &w)| (s, w))
+        self.finals
+            .iter()
+            .enumerate()
+            .filter_map(|(s, w)| w.map(|w| (StateId(s as u32), w)))
     }
 
     /// Adds a transition. Duplicate `(from, label, to)` triples keep the
@@ -139,15 +166,34 @@ impl WeightedNfa {
         cost: u32,
         to: StateId,
     ) {
-        debug_assert!(from.0 < self.state_count && to.0 < self.state_count);
-        if let Some(existing) = self
-            .transitions
-            .iter_mut()
-            .find(|t| t.from == from && t.to == to && t.label == label)
-        {
-            existing.cost = existing.cost.min(cost);
-            return;
+        let mut i = self.last_out[from.index()];
+        while i != NONE {
+            let existing = &mut self.transitions[i as usize];
+            if existing.to == to && existing.label == label {
+                if cost < existing.cost {
+                    existing.cost = cost;
+                    self.frozen = false;
+                }
+                return;
+            }
+            i = self.prev_out[i as usize];
         }
+        self.push_unchecked(from, label, cost, to);
+    }
+
+    /// [`WeightedNfa::add_transition`] for a producer that knows no
+    /// `(from, label, to)` triple reaches it twice.
+    pub(crate) fn push_unchecked(
+        &mut self,
+        from: StateId,
+        label: TransitionLabel,
+        cost: u32,
+        to: StateId,
+    ) {
+        debug_assert!(from.index() < self.state_count() && to.index() < self.state_count());
+        let last = &mut self.last_out[from.index()];
+        self.prev_out.push(*last);
+        *last = self.transitions.len() as u32;
         self.transitions.push(Transition {
             from,
             label,
@@ -157,7 +203,9 @@ impl WeightedNfa {
         self.frozen = false;
     }
 
-    /// All transitions.
+    /// All transitions: in insertion order while the automaton is being
+    /// built, grouped by source state and sorted by `(label, cost, to)` once
+    /// frozen.
     pub fn transitions(&self) -> &[Transition] {
         &self.transitions
     }
@@ -172,27 +220,28 @@ impl WeightedNfa {
         self.transitions.iter().any(|t| t.label.is_epsilon())
     }
 
-    /// Sorts each state's outgoing transitions by label so that identical
-    /// labels are consecutive (the property the paper's `Succ` relies on to
-    /// avoid repeated neighbour lookups), and builds the per-state index.
-    ///
-    /// Called automatically by [`WeightedNfa::transitions_from`] when needed.
+    /// Groups the transitions by source state and sorts each state's by label
+    /// so that identical labels are consecutive (the property the paper's
+    /// `Succ` relies on to avoid repeated neighbour lookups). The resulting
+    /// order is canonical: it does not depend on the order of insertion.
     pub fn freeze(&mut self) {
-        for out in &mut self.outgoing {
-            out.clear();
+        if self.frozen {
+            return;
         }
-        let mut order: Vec<u32> = (0..self.transitions.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            let (ta, tb) = (&self.transitions[a as usize], &self.transitions[b as usize]);
-            ta.label
-                .cmp(&tb.label)
-                .then(ta.cost.cmp(&tb.cost))
-                .then(ta.to.cmp(&tb.to))
+        self.transitions.sort_unstable_by(|a, b| {
+            (a.from, &a.label, a.cost, a.to).cmp(&(b.from, &b.label, b.cost, b.to))
         });
-        for idx in order {
-            let from = self.transitions[idx as usize].from;
-            self.outgoing[from.index()].push(idx);
+        self.offsets.clear();
+        self.last_out.fill(NONE);
+        for (i, t) in self.transitions.iter().enumerate() {
+            let from = t.from.index();
+            // Every state up to `from` that has no slice yet starts here.
+            self.offsets
+                .resize(self.offsets.len().max(from + 1), i as u32);
+            self.prev_out[i] = std::mem::replace(&mut self.last_out[from], i as u32);
         }
+        self.offsets
+            .resize(self.finals.len() + 1, self.transitions.len() as u32);
         self.frozen = true;
     }
 
@@ -202,29 +251,34 @@ impl WeightedNfa {
     /// # Panics
     /// Panics if transitions were added after the last [`WeightedNfa::freeze`]
     /// call; evaluators must freeze the automaton once construction is done.
-    pub fn transitions_from(&self, state: StateId) -> impl Iterator<Item = &Transition> + '_ {
+    #[inline]
+    pub fn transitions_from(&self, state: StateId) -> &[Transition] {
         assert!(
             self.frozen,
             "WeightedNfa::freeze must be called after construction"
         );
-        self.outgoing[state.index()]
-            .iter()
-            .map(move |&i| &self.transitions[i as usize])
+        let s = state.index();
+        &self.transitions[self.offsets[s] as usize..self.offsets[s + 1] as usize]
     }
 
-    /// Whether the automaton is frozen (per-state indexes up to date).
+    /// Whether the automaton is frozen (per-state slices up to date).
     pub fn is_frozen(&self) -> bool {
         self.frozen
     }
 
     /// Labels on transitions leaving the initial state (used by the `Open`
     /// procedure to seed evaluation for `(?X, R, ?Y)` conjuncts).
-    pub fn initial_labels(&self) -> Vec<&TransitionLabel> {
-        self.transitions
+    pub fn initial_labels(&self) -> impl Iterator<Item = &TransitionLabel> + '_ {
+        // Frozen, the initial state's slice is all there is to look at.
+        let candidates = if self.frozen {
+            self.transitions_from(self.initial)
+        } else {
+            &self.transitions
+        };
+        candidates
             .iter()
             .filter(|t| t.from == self.initial)
             .map(|t| &t.label)
-            .collect()
     }
 
     /// The smallest strictly positive cost among transitions and final-state
@@ -234,7 +288,7 @@ impl WeightedNfa {
         self.transitions
             .iter()
             .map(|t| t.cost)
-            .chain(self.finals.values().copied())
+            .chain(self.finals.iter().flatten().copied())
             .filter(|&c| c > 0)
             .min()
     }
@@ -251,14 +305,14 @@ impl fmt::Display for WeightedNfa {
         writeln!(
             f,
             "NFA: {} states, {} transitions, initial {}",
-            self.state_count,
+            self.state_count(),
             self.transitions.len(),
             self.initial
         )?;
         for t in &self.transitions {
             writeln!(f, "  {} --{}/{}--> {}", t.from, t.label, t.cost, t.to)?;
         }
-        for (s, w) in &self.finals {
+        for (s, w) in self.finals() {
             writeln!(f, "  final {s} (weight {w})")?;
         }
         Ok(())
@@ -289,8 +343,8 @@ mod tests {
         nfa.add_final(s1, 0);
         nfa.freeze();
         assert_eq!(nfa.transition_count(), 1);
-        assert_eq!(nfa.transitions_from(nfa.initial()).count(), 1);
-        assert_eq!(nfa.transitions_from(s1).count(), 0);
+        assert_eq!(nfa.transitions_from(nfa.initial()).len(), 1);
+        assert!(nfa.transitions_from(s1).is_empty());
         assert!(nfa.is_final(s1));
         assert_eq!(nfa.final_weight(s1), Some(0));
     }
@@ -327,6 +381,7 @@ mod tests {
         nfa.freeze();
         let labels: Vec<String> = nfa
             .transitions_from(nfa.initial())
+            .iter()
             .map(|t| t.label.to_string())
             .collect();
         assert_eq!(labels, vec!["a", "a", "b", "b"]);
@@ -338,7 +393,7 @@ mod tests {
         let mut nfa = WeightedNfa::new();
         let s1 = nfa.add_state();
         nfa.add_transition(nfa.initial(), sym("a"), 0, s1);
-        let _ = nfa.transitions_from(nfa.initial()).count();
+        let _ = nfa.transitions_from(nfa.initial());
     }
 
     #[test]
@@ -356,8 +411,11 @@ mod tests {
     fn initial_labels() {
         let mut nfa = WeightedNfa::new();
         let s1 = nfa.add_state();
-        nfa.add_transition(nfa.initial(), sym("a"), 0, s1);
         nfa.add_transition(s1, sym("b"), 0, s1);
-        assert_eq!(nfa.initial_labels().len(), 1);
+        nfa.add_transition(nfa.initial(), sym("a"), 0, s1);
+        // Unfrozen and frozen alike.
+        assert_eq!(nfa.initial_labels().count(), 1);
+        nfa.freeze();
+        assert_eq!(nfa.initial_labels().collect::<Vec<_>>(), [&sym("a")]);
     }
 }

@@ -75,9 +75,7 @@ pub fn relax<R: LabelResolver>(
     resolver: &R,
 ) -> WeightedNfa {
     let mut out = nfa.clone();
-    let originals: Vec<_> = nfa.transitions().to_vec();
-
-    for t in &originals {
+    for t in nfa.transitions() {
         let TransitionLabel::Symbol {
             label: Some(property),
             inverse,
@@ -92,7 +90,7 @@ pub fn relax<R: LabelResolver>(
 
         // Rule (i): superproperty steps, cascading with distance.
         for (sup, dist) in ontology.superproperties(*property) {
-            let cost = t.cost + dist * config.beta;
+            let cost = t.cost.saturating_add(dist.saturating_mul(config.beta));
             out.add_transition(
                 t.from,
                 TransitionLabel::Symbol {
@@ -114,7 +112,7 @@ pub fn relax<R: LabelResolver>(
                 ontology.domain(*property)
             };
             if let Some(class) = class {
-                let base = t.cost + gamma;
+                let base = t.cost.saturating_add(gamma);
                 out.add_transition(
                     t.from,
                     TransitionLabel::TypeTo {
@@ -131,7 +129,7 @@ pub fn relax<R: LabelResolver>(
                             class: sup,
                             name: resolver.node_name(sup),
                         },
-                        base + dist * config.beta,
+                        base.saturating_add(dist.saturating_mul(config.beta)),
                         t.to,
                     );
                 }

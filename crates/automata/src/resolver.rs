@@ -9,6 +9,7 @@
 //! into a matching one).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use omega_graph::{GraphStore, LabelId, NodeId};
 
@@ -21,10 +22,10 @@ pub trait LabelResolver {
     /// The id of the distinguished `type` label, if the graph has one.
     fn type_label(&self) -> Option<LabelId>;
     /// The display name of a node, used when annotating RELAX transitions.
-    fn node_name(&self, node: NodeId) -> String;
+    fn node_name(&self, node: NodeId) -> Arc<str>;
     /// The display name of an edge label, used when annotating RELAX
     /// transitions with superproperty labels.
-    fn label_name(&self, label: LabelId) -> String;
+    fn label_name(&self, label: LabelId) -> Arc<str>;
 }
 
 impl LabelResolver for GraphStore {
@@ -40,12 +41,12 @@ impl LabelResolver for GraphStore {
         Some(GraphStore::type_label(self))
     }
 
-    fn node_name(&self, node: NodeId) -> String {
-        self.node_label(node).to_owned()
+    fn node_name(&self, node: NodeId) -> Arc<str> {
+        self.node_label(node).into()
     }
 
-    fn label_name(&self, label: LabelId) -> String {
-        GraphStore::label_name(self, label).to_owned()
+    fn label_name(&self, label: LabelId) -> Arc<str> {
+        GraphStore::label_name(self, label).into()
     }
 }
 
@@ -88,20 +89,20 @@ impl LabelResolver for MapResolver {
         self.labels.get("type").copied()
     }
 
-    fn node_name(&self, node: NodeId) -> String {
+    fn node_name(&self, node: NodeId) -> Arc<str> {
         self.nodes
             .iter()
             .find(|(_, &id)| id == node)
-            .map(|(name, _)| name.clone())
-            .unwrap_or_else(|| format!("{node}"))
+            .map_or_else(|| format!("{node}"), |(name, _)| name.clone())
+            .into()
     }
 
-    fn label_name(&self, label: LabelId) -> String {
+    fn label_name(&self, label: LabelId) -> Arc<str> {
         self.labels
             .iter()
             .find(|(_, &id)| id == label)
-            .map(|(name, _)| name.clone())
-            .unwrap_or_else(|| format!("{label:?}"))
+            .map_or_else(|| format!("{label:?}"), |(name, _)| name.clone())
+            .into()
     }
 }
 
@@ -120,7 +121,7 @@ mod tests {
             LabelResolver::type_label(&g),
             Some(GraphStore::type_label(&g))
         );
-        assert_eq!(g.node_name(g.node_by_label("b").unwrap()), "b");
+        assert_eq!(&*g.node_name(g.node_by_label("b").unwrap()), "b");
     }
 
     #[test]
@@ -132,6 +133,6 @@ mod tests {
         let n = r.add_node("Person");
         assert_eq!(r.resolve_node("Person"), Some(n));
         assert_eq!(r.resolve_label("b"), None);
-        assert_eq!(r.node_name(n), "Person");
+        assert_eq!(&*r.node_name(n), "Person");
     }
 }

@@ -33,7 +33,7 @@ pub fn min_accept_cost(nfa: &WeightedNfa, word: &[Symbol]) -> Option<u32> {
         }
         if pos == word.len() {
             if let Some(weight) = nfa.final_weight(state) {
-                let total = cost + weight;
+                let total = cost.saturating_add(weight);
                 best = Some(best.map_or(total, |b| b.min(total)));
             }
         }
@@ -48,7 +48,7 @@ pub fn min_accept_cost(nfa: &WeightedNfa, word: &[Symbol]) -> Option<u32> {
             if !applicable {
                 continue;
             }
-            let next_cost = cost + t.cost;
+            let next_cost = cost.saturating_add(t.cost);
             let key = (t.to, next_pos);
             if next_cost < dist.get(&key).copied().unwrap_or(u32::MAX) {
                 dist.insert(key, next_cost);

@@ -15,7 +15,10 @@ use crate::resolver::LabelResolver;
 /// [`crate::approximate`]/[`crate::relax()`] and then
 /// [`crate::remove_epsilons`].
 pub fn build_nfa<R: LabelResolver>(regex: &RpqRegex, resolver: &R) -> WeightedNfa {
-    let mut nfa = WeightedNfa::new();
+    // No node of the expression adds more than three states or four
+    // transitions.
+    let nodes = regex.size();
+    let mut nfa = WeightedNfa::with_capacity(1 + 3 * nodes, 4 * nodes);
     let start = nfa.initial();
     let end = build_fragment(regex, resolver, &mut nfa, start);
     nfa.add_final(end, 0);
@@ -42,7 +45,7 @@ fn build_fragment<R: LabelResolver>(
             let label = TransitionLabel::Symbol {
                 label: resolver.resolve_label(&sym.label),
                 inverse: sym.inverse,
-                name: sym.label.clone(),
+                name: sym.label.as_str().into(),
             };
             nfa.add_transition(start, label, 0, end);
             end
@@ -171,7 +174,7 @@ mod tests {
         let has_unresolved = nfa.transitions().iter().any(|t| {
             matches!(
                 &t.label,
-                TransitionLabel::Symbol { label: None, name, .. } if name == "ghost"
+                TransitionLabel::Symbol { label: None, name, .. } if &**name == "ghost"
             )
         });
         assert!(has_unresolved);

@@ -1,11 +1,19 @@
-//! Property-based tests: NFA construction, ε-removal, reversal and APPROX
-//! agree with reference semantics on randomly generated regular expressions
-//! and words.
+//! Property-based tests: NFA construction, ε-removal, regex reversal and the
+//! APPROX/RELAX augmentations agree with reference semantics on randomly
+//! generated regular expressions and words, and ε-removal builds exactly the
+//! automaton its predecessor built.
 
 use omega_automata::simulate::{accepts, min_accept_cost};
-use omega_automata::{approximate, build_nfa, remove_epsilons, reverse, ApproxConfig, MapResolver};
+use omega_automata::{
+    approximate, build_nfa, relax, remove_epsilons, ApproxConfig, MapResolver, RelaxConfig,
+    WeightedNfa,
+};
+use omega_graph::GraphStore;
+use omega_ontology::Ontology;
 use omega_regex::{oracle, RpqRegex, Symbol};
 use proptest::prelude::*;
+
+mod reference;
 
 const LABELS: [&str; 4] = ["a", "b", "c", "d"];
 
@@ -51,6 +59,110 @@ fn resolver() -> MapResolver {
     r
 }
 
+/// A graph that knows [`LABELS`] and an ontology over them: `a ⊑ b ⊑ c`,
+/// `dom(a) = Low ⊑ High`, `range(a) = dom(d) = High`.
+fn relax_setup() -> (GraphStore, Ontology) {
+    let mut g = GraphStore::new();
+    let [a, b, c, d] = LABELS.map(|l| g.intern_label(l));
+    let low = g.add_node("Low");
+    let high = g.add_node("High");
+    let mut o = Ontology::new();
+    o.add_subproperty(a, b).unwrap();
+    o.add_subproperty(b, c).unwrap();
+    o.add_property(d);
+    o.add_subclass(low, high).unwrap();
+    o.set_domain(a, low);
+    o.set_range(a, high);
+    o.set_domain(d, high);
+    (g, o)
+}
+
+/// `M_R` for `regex` and its four augmentations: APPROX at the default and
+/// at non-uniform costs with inversion, RELAX rule (i) alone and with rule
+/// (ii). Deletion edits put positive-cost ε-cycles around nested stars.
+fn augmentations(regex: &RpqRegex) -> [WeightedNfa; 5] {
+    let (g, o) = relax_setup();
+    let base = build_nfa(regex, &g);
+    let skewed = ApproxConfig {
+        insertion: 3,
+        deletion: 2,
+        substitution: 5,
+        inversion: Some(1),
+    };
+    let both_rules = RelaxConfig::hierarchy_only(2).with_domain_range(3);
+    [
+        approximate(&base, &ApproxConfig::default()),
+        approximate(&base, &skewed),
+        relax(&base, &o, &RelaxConfig::default(), &g),
+        relax(&base, &o, &both_rules, &g),
+        base,
+    ]
+}
+
+/// Words over [`LABELS`] and `type`, short enough to enumerate.
+fn short_words() -> Vec<Vec<Symbol>> {
+    let alphabet: Vec<Symbol> = ["a", "b", "c", "d", "type"]
+        .into_iter()
+        .flat_map(|l| [Symbol::forward(l), Symbol::inverse(l)])
+        .collect();
+    let mut words = vec![vec![]];
+    for x in &alphabet {
+        words.push(vec![x.clone()]);
+        for y in &alphabet {
+            words.push(vec![x.clone(), y.clone()]);
+        }
+    }
+    words
+}
+
+/// ε-removal keeps every word's cost on augmented automata whose deletion
+/// edits close positive-cost ε-cycles (nested stars) or run beside an empty
+/// branch.
+#[test]
+fn epsilon_removal_preserves_augmented_languages() {
+    let words = short_words();
+    for expr in ["((a*)*)*", "(a|()).b", "(a-|d)+.(b*)*", "()"] {
+        let regex = omega_regex::parse(expr).unwrap();
+        for nfa in augmentations(&regex) {
+            let cleaned = remove_epsilons(&nfa);
+            assert!(!cleaned.has_epsilon_transitions());
+            for word in &words {
+                assert_eq!(
+                    min_accept_cost(&nfa, word),
+                    min_accept_cost(&cleaned, word),
+                    "{expr} on {word:?}"
+                );
+            }
+        }
+    }
+}
+
+/// `remove_epsilons` builds the automaton `reference::remove_epsilons` (its
+/// predecessor, kept verbatim) builds: same numbering, finals and per-state
+/// transition sequences. 512 expressions × 5 automata = 2,560 cases.
+fn assert_same_automaton(new: &WeightedNfa, old: &WeightedNfa) {
+    assert_eq!(new.state_count(), old.state_count());
+    assert_eq!(new.initial(), old.initial());
+    assert_eq!(
+        new.finals().collect::<Vec<_>>(),
+        old.finals().collect::<Vec<_>>()
+    );
+    for state in new.states() {
+        assert_eq!(new.transitions_from(state), old.transitions_from(state));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn epsilon_removal_matches_its_predecessor(regex in arb_regex()) {
+        for nfa in augmentations(&regex) {
+            assert_same_automaton(&remove_epsilons(&nfa), &reference::remove_epsilons(&nfa));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -61,13 +173,15 @@ proptest! {
         prop_assert_eq!(accepts(&nfa, &word), oracle::matches(&regex, &word));
     }
 
-    /// ε-removal preserves the weighted language.
+    /// ε-removal preserves the weighted language, of `M_R` and of its APPROX
+    /// and RELAX augmentations alike.
     #[test]
     fn epsilon_removal_preserves_language(regex in arb_regex(), word in arb_word()) {
-        let nfa = build_nfa(&regex, &resolver());
-        let cleaned = remove_epsilons(&nfa);
-        prop_assert!(!cleaned.has_epsilon_transitions());
-        prop_assert_eq!(min_accept_cost(&nfa, &word), min_accept_cost(&cleaned, &word));
+        for nfa in augmentations(&regex) {
+            let cleaned = remove_epsilons(&nfa);
+            prop_assert!(!cleaned.has_epsilon_transitions());
+            prop_assert_eq!(min_accept_cost(&nfa, &word), min_accept_cost(&cleaned, &word));
+        }
     }
 
     /// Parsing the displayed form of an expression yields the same language.
@@ -80,12 +194,13 @@ proptest! {
         );
     }
 
-    /// The reversed automaton accepts exactly the reversed (and
+    /// The automaton of the reversed expression — how a conjunct `(?X, R, C)`
+    /// is turned into `(C, R-, ?X)` — accepts exactly the reversed (and
     /// direction-flipped) words.
     #[test]
     fn reversal_matches_reversed_words(regex in arb_regex(), word in arb_word()) {
         let nfa = build_nfa(&regex, &resolver());
-        let rev = remove_epsilons(&reverse(&nfa));
+        let rev = remove_epsilons(&build_nfa(&regex.reverse(), &resolver()));
         let mut rev_word: Vec<Symbol> = word.iter().map(Symbol::flipped).collect();
         rev_word.reverse();
         prop_assert_eq!(min_accept_cost(&nfa, &word), min_accept_cost(&rev, &rev_word));

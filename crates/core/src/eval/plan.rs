@@ -17,13 +17,13 @@
 //! (distance-aware, disjunction) can run it several times without paying the
 //! compilation cost again.
 
+use omega_automata::epsilon::first_labels;
 use omega_automata::{
     approximate, build_nfa, relax, remove_epsilons, MinCostToAccept, StateId, TransitionLabel,
     WeightedNfa,
 };
 use omega_graph::{Direction, GraphStore, NodeId};
 use omega_ontology::Ontology;
-use omega_regex::RpqRegex;
 
 use crate::error::{OmegaError, Result};
 use crate::eval::options::EvalOptions;
@@ -56,8 +56,6 @@ pub struct ConjunctPlan {
     pub subject: Term,
     /// The original object term.
     pub object: Term,
-    /// The regular expression actually compiled (reversed for Case 2).
-    pub regex: RpqRegex,
     /// Whether the conjunct was reversed (`(?X, R, C)` → `(C, R-, ?X)`), in
     /// which case emitted answers swap their endpoints back.
     pub reversed: bool,
@@ -136,9 +134,9 @@ pub fn compile_conjunct(
     let subject_node = subject_const.map(&resolve).transpose()?;
     let object_node = object_const.map(&resolve).transpose()?;
 
-    let (regex, reversed) = match (subject_node, object_node) {
+    let (reversed, base) = match (subject_node, object_node) {
         // (?X, R, C): evaluate (C, R-, ?X).
-        (None, Some(_)) => (conjunct.regex.reverse(), true),
+        (None, Some(_)) => (true, build_nfa(&conjunct.regex.reverse(), graph)),
         // (C1, R, C2): both directions are available — pick the one whose
         // start constant has the smaller first-hop fan-out (ties keep the
         // forward direction, the historical behaviour). RELAX is excluded
@@ -147,20 +145,20 @@ pub fn compile_conjunct(
         (Some(subject), Some(object))
             if options.cost_guided && conjunct.mode != QueryMode::Relax =>
         {
-            let forward = first_hop_fanout(&conjunct.regex, subject, graph);
-            let reversed_regex = conjunct.regex.reverse();
-            let backward = first_hop_fanout(&reversed_regex, object, graph);
-            if backward < forward {
-                (reversed_regex, true)
+            let forward = build_nfa(&conjunct.regex, graph);
+            let backward = build_nfa(&conjunct.regex.reverse(), graph);
+            if first_hop_fanout(&backward, object, graph)
+                < first_hop_fanout(&forward, subject, graph)
+            {
+                (true, backward)
             } else {
-                (conjunct.regex.clone(), false)
+                (false, forward)
             }
         }
-        _ => (conjunct.regex.clone(), false),
+        _ => (false, build_nfa(&conjunct.regex, graph)),
     };
 
-    // Build, augment and ε-free the automaton.
-    let base = build_nfa(&regex, graph);
+    // Augment and ε-free the automaton.
     let augmented = match conjunct.mode {
         QueryMode::Exact => base,
         QueryMode::Approx => approximate(&base, &options.approx),
@@ -254,6 +252,7 @@ pub fn compile_conjunct(
         .states()
         .map(|s| {
             nfa.transitions_from(s)
+                .iter()
                 .filter(|t| t.cost > 0 && live(&t.label))
                 .filter_map(|t| {
                     let h = bounds.get(t.to);
@@ -270,7 +269,6 @@ pub fn compile_conjunct(
         SeedSpec::AllNodes { .. } => graph.node_count() as u64,
         SeedSpec::MatchingInitial => nfa
             .initial_labels()
-            .iter()
             .map(|label| match label {
                 TransitionLabel::Epsilon | TransitionLabel::Symbol { label: None, .. } => 0,
                 TransitionLabel::Symbol {
@@ -297,7 +295,6 @@ pub fn compile_conjunct(
         mode: conjunct.mode,
         subject: conjunct.subject.clone(),
         object: conjunct.object.clone(),
-        regex,
         reversed,
         nfa,
         seeds,
@@ -313,16 +310,16 @@ pub fn compile_conjunct(
     })
 }
 
-/// Number of edges leaving `node` that the first transitions of `regex`
-/// could match — the cost of the first expansion step when evaluation seeds
-/// at `node`. Used to pick the cheaper direction for doubly-constant
-/// conjuncts; the estimate deliberately uses the unaugmented skeleton (the
-/// exact matches are where answers concentrate).
-fn first_hop_fanout(regex: &RpqRegex, node: NodeId, graph: &GraphStore) -> u64 {
-    let nfa = remove_epsilons(&build_nfa(regex, graph));
-    nfa.initial_labels()
-        .iter()
-        .map(|label| match label {
+/// Number of edges leaving `node` that the first transitions of `base` (the
+/// Thompson automaton of a conjunct's expression) could match — the cost of
+/// the first expansion step when evaluation seeds at `node`. Used to pick the
+/// cheaper direction for doubly-constant conjuncts; the estimate deliberately
+/// uses the unaugmented skeleton (the exact matches are where answers
+/// concentrate), and of it only the initial state's ε-closure.
+fn first_hop_fanout(base: &WeightedNfa, node: NodeId, graph: &GraphStore) -> u64 {
+    let mut fanout = 0;
+    first_labels(base, |label| {
+        fanout += match label {
             TransitionLabel::Epsilon | TransitionLabel::Symbol { label: None, .. } => 0,
             TransitionLabel::Symbol {
                 label: Some(l),
@@ -341,8 +338,9 @@ fn first_hop_fanout(regex: &RpqRegex, node: NodeId, graph: &GraphStore) -> u64 {
             TransitionLabel::TypeTo { .. } => graph
                 .neighbors_iter(node, graph.type_label(), Direction::Outgoing)
                 .count() as u64,
-        })
-        .sum()
+        }
+    });
+    fanout
 }
 
 /// The node sets selected by an initial transition label, used both for
@@ -455,7 +453,8 @@ mod tests {
     fn constant_object_reverses_the_regex() {
         let plan = plan_for("(?X) <- (?X, knows, c)");
         assert!(plan.reversed);
-        assert_eq!(plan.regex.to_string(), "knows-");
+        let labels: Vec<String> = plan.nfa.initial_labels().map(|l| l.to_string()).collect();
+        assert_eq!(labels, ["knows-"]);
         match &plan.seeds {
             SeedSpec::Fixed(seeds) => {
                 let (g, _) = tiny_graph();
@@ -474,6 +473,32 @@ mod tests {
         let plan2 = compile_conjunct(&q.conjuncts[1], &g, &o, &EvalOptions::default()).unwrap();
         assert_eq!(plan2.final_constraint, g.node_by_label("b"));
         assert!(plan.final_constraint.is_none());
+    }
+
+    /// A doubly-constant conjunct starts from the end with the smaller
+    /// first-hop fan-out, read off the Thompson automaton's initial closure.
+    #[test]
+    fn both_constants_start_from_the_narrower_end() {
+        let mut g = GraphStore::new();
+        for fan in ["f1", "f2", "f3", "f4"] {
+            g.add_triple("hub", "knows", fan);
+        }
+        g.add_triple("f1", "likes", "leaf");
+        let o = Ontology::new();
+        let compile = |text: &str| {
+            let q = parse_query(text).unwrap();
+            compile_conjunct(&q.conjuncts[0], &g, &o, &EvalOptions::default()).unwrap()
+        };
+        // hub has four `knows` edges out, leaf one `likes` edge in.
+        let plan = compile("(?X) <- (hub, knows.likes, leaf), (hub, knows, ?X)");
+        assert!(plan.reversed);
+        assert_eq!(plan.final_constraint, g.node_by_label("hub"));
+        let labels: Vec<String> = plan.nfa.initial_labels().map(|l| l.to_string()).collect();
+        assert_eq!(labels, ["likes-"]);
+        // The other way round the forward direction is the narrow one; a tie
+        // keeps it too.
+        assert!(!compile("(?X) <- (leaf, likes-.knows-, hub), (hub, knows, ?X)").reversed);
+        assert!(!compile("(?X) <- (f1, likes, leaf), (hub, knows, ?X)").reversed);
     }
 
     #[test]

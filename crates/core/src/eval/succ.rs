@@ -273,7 +273,7 @@ pub fn succ(
     stats.succ_calls += 1;
     out.clear();
     let SuccScratch { neighbours, run } = scratch;
-    let mut transitions = nfa.transitions_from(state).peekable();
+    let mut transitions = nfa.transitions_from(state).iter().peekable();
     while let Some(first) = transitions.next() {
         // Gather the admitted run of transitions sharing `first.label`.
         run.clear();
@@ -590,6 +590,7 @@ mod tests {
         let a = g.node_by_label("a").unwrap();
         let initial_knows_transitions = nfa
             .transitions_from(nfa.initial())
+            .iter()
             .filter(|t| t.label.to_string() == "knows")
             .count();
         assert!(initial_knows_transitions >= 2);

@@ -481,7 +481,7 @@ impl Database {
         let parse_started = Instant::now();
         let result = parse_query(text).and_then(|query| {
             let parse_ns = elapsed_ns(parse_started);
-            self.prepare_against(&query, &data, parse_ns)
+            self.prepare_against(query, &data, parse_ns)
         });
         {
             let mut cache = self.inner.cache.lock().unwrap_or_else(|e| e.into_inner());
@@ -503,14 +503,14 @@ impl Database {
         let query = parse_query(text)?;
         let parse_ns = elapsed_ns(parse_started);
         let data = self.data();
-        self.prepare_against(&query, &data, parse_ns)
+        self.prepare_against(query, &data, parse_ns)
     }
 
     /// Compiles `query` against a pinned storage epoch, recording the time
     /// spent (plus the caller's measured parse time) for query profiles.
     fn prepare_against(
         &self,
-        query: &Query,
+        query: Query,
         data: &Arc<GraphData>,
         parse_ns: u64,
     ) -> Result<PreparedQuery> {
@@ -1182,11 +1182,15 @@ impl PreparedCache {
     /// Publishes the compiled statement for `text`, replacing its in-flight
     /// marker (or inserting fresh if the marker was evicted meanwhile).
     fn finish_build(&mut self, text: &str, epoch: u64, prepared: PreparedQuery) {
-        if let Some(pos) = self.entries.iter().position(|(t, _)| t == text) {
-            self.entries.remove(pos);
+        let slot = CacheSlot::Ready { epoch, prepared };
+        // The marker is at or near the back: `begin_build` pushed it there.
+        match self.entries.iter().rposition(|(t, _)| t == text) {
+            Some(pos) => {
+                self.entries[pos].1 = slot;
+                self.entries[pos..].rotate_left(1);
+            }
+            None => self.entries.push((text.to_owned(), slot)),
         }
-        self.entries
-            .push((text.to_owned(), CacheSlot::Ready { epoch, prepared }));
         if self.entries.len() > self.capacity {
             // Evict the least-recently-used *ready* entry; in-flight markers
             // are owned by their builder and must survive until it finishes.
@@ -1205,7 +1209,7 @@ impl PreparedCache {
         if let Some(pos) = self
             .entries
             .iter()
-            .position(|(t, slot)| t == text && matches!(slot, CacheSlot::Building))
+            .rposition(|(t, slot)| t == text && matches!(slot, CacheSlot::Building))
         {
             self.entries.remove(pos);
         }
@@ -1301,7 +1305,7 @@ pub(crate) struct PreparedInner {
 
 /// Parses nothing, validates `query` and compiles every conjunct.
 fn compile_prepared(
-    query: &Query,
+    query: Query,
     graph: &GraphStore,
     ontology: &Ontology,
     options: &EvalOptions,
@@ -1321,11 +1325,11 @@ fn compile_prepared(
     let mut by_estimate = syntactic.clone();
     by_estimate.sort_by_key(|&i| conjuncts[i].plan.estimated_seed_count);
     let guided = (by_estimate != syntactic)
-        .then(|| Layout::new(query, by_estimate))
+        .then(|| Layout::new(&query, by_estimate))
         .transpose()?;
     Ok(PreparedInner {
-        query: query.clone(),
-        layout: Layout::new(query, syntactic)?,
+        layout: Layout::new(&query, syntactic)?,
+        query,
         guided,
         conjuncts,
         parse_ns: 0,

@@ -1,0 +1,54 @@
+//! Pins what compiling a statement costs in heap allocations.
+//!
+//! A test binary of its own, like `alloc_rows.rs`: the counting allocator
+//! (`counting/mod.rs`) is process-global, and only one test may run under it.
+//! One alternation-heavy shape of the yardstick's `adhoc-compile` workload
+//! (YAGO) is compiled by [`Database::prepare_uncached`] as an exact, an
+//! APPROX and a RELAX conjunct. What a compile may allocate is a fixed number
+//! of vectors per stage — the parsed query, the Thompson automaton, its
+//! augmented copy, the ε-removal's scratch and result, the bounds, the plan —
+//! and one shared name per label of the expression. Copying a transition
+//! from stage to stage allocates nothing.
+
+use omega_core::Database;
+use omega_datagen::{generate_yago, YagoConfig};
+
+mod counting;
+use counting::{allocations, Counting};
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(operator, allocations one prepare_uncached may make)`: 77, 97 and 95
+/// as measured on this tree (6, 17 and 6 states; 18, 253 and 21 transitions),
+/// plus a margin of 4. The tree before it made 150, 233 and 228. The compile
+/// is deterministic, so an increase is a new allocation per statement; one
+/// per transition would show as hundreds on the APPROX text.
+const PREPARE_ALLOCS: [(&str, u64); 3] = [("", 81), ("APPROX ", 101), ("RELAX ", 99)];
+
+#[test]
+fn a_compile_allocates_per_stage_not_per_transition() {
+    let data = generate_yago(&YagoConfig::scaled(0.1));
+    let db = Database::new(data.graph, data.ontology);
+    let graph = db.graph();
+    let married = graph.label_id("marriedTo").expect("YAGO has marriedTo");
+    let anchor = graph
+        .tails(married)
+        .iter()
+        .next()
+        .expect("someone is married");
+    let anchor = graph.node_label(anchor).to_owned();
+    for (operator, bound) in PREPARE_ALLOCS {
+        let text = format!(
+            "(?X) <- {operator}({anchor}, (marriedTo|hasChild|influences)+.(gradFrom|worksAt), ?X)"
+        );
+        let before = allocations();
+        let prepared = db.prepare_uncached(&text);
+        let made = allocations() - before;
+        prepared.expect("the statement compiles");
+        assert!(
+            made <= bound,
+            "compiling {text:?} allocated {made} times, bound {bound}"
+        );
+    }
+}

@@ -99,7 +99,7 @@ impl<T: Copy + Eq + Hash + Ord + std::fmt::Debug> Hierarchy<T> {
     /// Returns an error if this would introduce a cycle. Drops the interned
     /// closure tables, if any.
     pub fn add_edge(&mut self, child: T, parent: T) -> Result<(), OntologyError> {
-        if child == parent || self.ancestors(parent).iter().any(|(a, _)| *a == child) {
+        if child == parent || self.ancestors_bfs(parent).iter().any(|(a, _)| *a == child) {
             return Err(OntologyError::CycleDetected(format!("{child:?}")));
         }
         self.frozen = None;
@@ -134,9 +134,9 @@ impl<T: Copy + Eq + Hash + Ord + std::fmt::Debug> Hierarchy<T> {
         ancestor_offsets.push(0);
         for (row, &member) in sorted.iter().enumerate() {
             rows.insert(member, row as u32);
-            closure_data.extend(self.descendants_or_self(member));
+            closure_data.extend(self.descendants_or_self_bfs(member));
             closure_offsets.push(closure_data.len() as u32);
-            ancestor_data.extend(self.ancestors(member));
+            ancestor_data.extend(self.ancestors_bfs(member));
             ancestor_offsets.push(ancestor_data.len() as u32);
         }
         self.frozen = Some(FrozenTables {
@@ -232,7 +232,18 @@ impl<T: Copy + Eq + Hash + Ord + std::fmt::Debug> Hierarchy<T> {
     /// All proper ancestors of `member` with their distance (number of direct
     /// steps), in breadth-first order, i.e. nearest (most specific) first.
     /// If several paths reach an ancestor the minimum distance is reported.
+    ///
+    /// A frozen hierarchy answers with a copy of the interned row.
     pub fn ancestors(&self, member: T) -> Vec<(T, u32)> {
+        match self.interned_ancestors(member) {
+            Some(row) => row.to_vec(),
+            None => self.ancestors_bfs(member),
+        }
+    }
+
+    /// [`Hierarchy::ancestors`] from the direct relation alone: what
+    /// [`Hierarchy::freeze`] interns and the cycle check trusts.
+    fn ancestors_bfs(&self, member: T) -> Vec<(T, u32)> {
         self.closure(member, |h, m| h.parents(m))
     }
 
@@ -243,7 +254,17 @@ impl<T: Copy + Eq + Hash + Ord + std::fmt::Debug> Hierarchy<T> {
 
     /// `member` together with all of its descendants (no distances) — the
     /// set a label expands to under RDFS inference.
+    ///
+    /// A frozen hierarchy answers with a copy of the interned row.
     pub fn descendants_or_self(&self, member: T) -> Vec<T> {
+        match self.interned_descendants_or_self(member) {
+            Some(row) => row.to_vec(),
+            None => self.descendants_or_self_bfs(member),
+        }
+    }
+
+    /// [`Hierarchy::descendants_or_self`] from the direct relation alone.
+    fn descendants_or_self_bfs(&self, member: T) -> Vec<T> {
         let mut out = vec![member];
         out.extend(self.descendants(member).into_iter().map(|(m, _)| m));
         out
@@ -444,13 +465,21 @@ mod tests {
         let mut h = sample();
         h.freeze();
         assert!(h.is_frozen());
+        let on_demand = sample();
         for m in 0..5u32 {
+            // The tables against the BFS they were interned from…
             assert_eq!(
                 h.interned_descendants_or_self(m).unwrap(),
-                &h.descendants_or_self(m)[..],
+                &h.descendants_or_self_bfs(m)[..],
             );
-            assert_eq!(h.interned_ancestors(m).unwrap(), &h.ancestors(m)[..]);
+            assert_eq!(h.interned_ancestors(m).unwrap(), &h.ancestors_bfs(m)[..]);
+            // …and the public closures, which read the tables when frozen, against
+            // a hierarchy that has none.
+            assert_eq!(h.descendants_or_self(m), on_demand.descendants_or_self(m));
+            assert_eq!(h.ancestors(m), on_demand.ancestors(m));
         }
+        assert_eq!(h.ancestors(99), vec![]);
+        assert_eq!(h.descendants_or_self(99), vec![99]);
         // Unknown members have no interned rows.
         assert!(h.interned_descendants_or_self(99).is_none());
         assert!(h.interned_ancestors(99).is_none());
@@ -469,8 +498,9 @@ mod tests {
         h.freeze();
         assert_eq!(
             h.interned_descendants_or_self(2).unwrap(),
-            &h.descendants_or_self(2)[..]
+            &h.descendants_or_self_bfs(2)[..]
         );
+        assert_eq!(h.descendants_or_self(2), vec![2, 5]);
         // Adding a genuinely new member also invalidates…
         h.add_member(9);
         assert!(!h.is_frozen());

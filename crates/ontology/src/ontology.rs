@@ -313,18 +313,22 @@ mod tests {
         assert!(!o.is_frozen());
         o.freeze();
         assert!(o.is_frozen());
+        // The reference is never frozen: its closures are searched on demand.
+        let on_demand = sample();
         assert_eq!(
             o.interned_subproperties_or_self(lid(0)).unwrap(),
-            &o.subproperties_or_self(lid(0))[..]
+            &on_demand.subproperties_or_self(lid(0))[..]
         );
         assert_eq!(
             o.interned_subclasses_or_self(ids(0)).unwrap(),
-            &o.subclasses_or_self(ids(0))[..]
+            &on_demand.subclasses_or_self(ids(0))[..]
         );
         assert_eq!(
             o.interned_superclasses(ids(2)).unwrap(),
-            &o.superclasses(ids(2))[..]
+            &on_demand.superclasses(ids(2))[..]
         );
+        assert_eq!(o.superclasses(ids(2)), on_demand.superclasses(ids(2)));
+        assert_eq!(o.superproperties(lid(2)), on_demand.superproperties(lid(2)));
         assert!(o.interned_subproperties_or_self(lid(42)).is_none());
         // Mutation invalidates; refreezing restores.
         o.add_subproperty(lid(3), lid(0)).unwrap();

@@ -294,10 +294,30 @@ mod tests {
         assert!(loaded.is_frozen(), "loaded ontology is frozen from birth");
         assert_eq!(loaded.class_count(), o.class_count());
         assert_eq!(loaded.property_count(), o.property_count());
+        // A new member drops the interned tables, so the closures of these
+        // two are breadth-first searches over the direct relations alone (the
+        // original's and the loaded image's); a frozen ontology's read the
+        // tables.
+        let thaw = |o: &Ontology| {
+            let mut o = o.clone();
+            o.add_class(NodeId(99));
+            o.add_property(LabelId(99));
+            assert!(!o.is_frozen());
+            o
+        };
+        let (on_demand, thawed) = (thaw(&o), thaw(&loaded));
         for c in 0..4u32 {
             let c = NodeId(c);
-            assert_eq!(loaded.superclasses(c), o.superclasses(c));
-            assert_eq!(loaded.subclasses_or_self(c), o.subclasses_or_self(c));
+            assert_eq!(loaded.superclasses(c), on_demand.superclasses(c));
+            assert_eq!(thawed.superclasses(c), on_demand.superclasses(c));
+            assert_eq!(
+                loaded.subclasses_or_self(c),
+                on_demand.subclasses_or_self(c)
+            );
+            assert_eq!(
+                thawed.subclasses_or_self(c),
+                on_demand.subclasses_or_self(c)
+            );
             assert_eq!(
                 loaded.interned_subclasses_or_self(c),
                 o.interned_subclasses_or_self(c)
@@ -306,7 +326,15 @@ mod tests {
         }
         for p in 4..7u32 {
             let p = LabelId(p);
-            assert_eq!(loaded.subproperties_or_self(p), o.subproperties_or_self(p));
+            assert_eq!(
+                loaded.subproperties_or_self(p),
+                on_demand.subproperties_or_self(p)
+            );
+            assert_eq!(
+                thawed.subproperties_or_self(p),
+                on_demand.subproperties_or_self(p)
+            );
+            assert_eq!(loaded.superproperties(p), on_demand.superproperties(p));
             assert_eq!(
                 loaded.interned_subproperties_or_self(p),
                 o.interned_subproperties_or_self(p)
