@@ -571,7 +571,7 @@ pub fn parallel_study(config: &RunConfig, options: &EvalOptions) -> Vec<(String,
 
 /// Formats the [`parallel_study`] rows as a sequential-vs-parallel
 /// comparison table, checking that both modes returned the same number of
-/// answers (they must: parallel evaluation is answer-identical).
+/// answers (they must: parallel evaluation ranks as sequential does).
 pub fn parallel_comparison(rows: &[(String, QueryRun)]) -> String {
     let mut out = String::from(
         "Parallel conjunct evaluation: multi-conjunct queries, sequential vs parallel (ms)\n",

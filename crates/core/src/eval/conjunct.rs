@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use omega_graph::GraphStore;
+use omega_graph::{GraphStore, NodeId};
 use omega_ontology::Ontology;
 
 use omega_automata::MinCostToAccept;
@@ -243,15 +243,21 @@ impl<'a> ConjunctEvaluator<'a> {
         Ok(())
     }
 
+    /// Releases the feed's next batch into `D_R`; whether there was one.
     fn refill_initial(&mut self) -> Result<bool> {
-        if !self.feed.has_more() {
-            return Ok(false);
-        }
         let initial = self.plan.nfa.initial();
-        let batch = self.feed.next_batch(initial);
-        let added = !batch.is_empty();
-        for tuple in batch {
-            self.add_tuple(tuple)?;
+        let mut added = false;
+        self.feed.open_batch();
+        while let Some((node, distance)) = self.feed.next_seed() {
+            added = true;
+            self.add_tuple(Tuple {
+                start: node,
+                node,
+                state: initial,
+                distance,
+                is_final: false,
+                deferred: false,
+            })?;
         }
         Ok(added)
     }
@@ -476,6 +482,14 @@ impl<'a> ConjunctEvaluator<'a> {
 impl AnswerStream for ConjunctEvaluator<'_> {
     fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>> {
         self.get_next()
+    }
+
+    /// The hinted nodes that are seeds still to be released go in as this
+    /// evaluator's next batch(es): see [`InitialNodeFeed::prefer`]. They enter
+    /// `D_R` at the distance every seed enters at, so what is emitted at each
+    /// distance is unchanged; only the order inside distance 0's work is.
+    fn prefer_seeds(&mut self, nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
+        self.feed.prefer(nodes)
     }
 
     fn stats(&self) -> EvalStats {

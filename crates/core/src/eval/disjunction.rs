@@ -44,6 +44,11 @@ struct Branch {
 /// that stops after its top-k never pays for the expensive branches at the
 /// higher cost levels — which is precisely where the paper's speed-up on
 /// YAGO query 9 comes from.
+///
+/// Declines the rank join's seed hints (the default
+/// [`AnswerStream::prefer_seeds`]): it drains one branch after another,
+/// level by level, each with a fresh evaluator, and a hint would have to be
+/// replayed to every one of them.
 pub struct DisjunctionEvaluator<'a> {
     graph: &'a GraphStore,
     ontology: &'a Ontology,

@@ -24,6 +24,10 @@ use crate::eval::visited::PairSet;
 use crate::eval::AnswerStream;
 
 /// Escalating-ψ driver around [`ConjunctEvaluator`].
+///
+/// Declines the rank join's seed hints (the default
+/// [`AnswerStream::prefer_seeds`]): every ψ level restarts a fresh evaluator,
+/// which would have to be told again what the last one was.
 pub struct DistanceAwareEvaluator<'a> {
     graph: &'a GraphStore,
     ontology: &'a Ontology,

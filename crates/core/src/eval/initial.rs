@@ -5,14 +5,21 @@
 //! batches are only pulled when `D_R` has run out of distance-0 tuples, so
 //! queries answered from the first few start nodes never touch the rest of
 //! the graph. [`InitialNodeFeed`] is the iterator equivalent.
+//!
+//! Which candidates go first is free — they all enter at distance 0 — so a
+//! rank join may *hint* the feed with the nodes its other inputs have bound
+//! this conjunct's subject to ([`InitialNodeFeed::prefer`]): those seeds are
+//! released ahead of the id order, and the conjunct's first answers are the
+//! ones the join can use.
+
+use std::collections::VecDeque;
 
 use omega_graph::{GraphStore, NodeBitmap, NodeId};
 use omega_ontology::Ontology;
 
 use crate::eval::plan::{seed_nodes_for_label, ConjunctPlan, SeedSpec};
-use crate::eval::tuple::Tuple;
 
-/// A lazily drained supply of seed tuples.
+/// A lazily drained supply of seeds: `(node, initial distance)`.
 ///
 /// Every seed is released as a *non-final* tuple: when the initial state is
 /// final, `GetNext` itself enqueues the corresponding answer tuple while
@@ -20,10 +27,22 @@ use crate::eval::tuple::Tuple;
 /// the `(n, n)` answer and keeps expanding paths out of `n`.
 #[derive(Debug)]
 pub struct InitialNodeFeed {
-    /// Pending seeds in reverse release order (so `pop` yields them in the
-    /// intended order).
-    pending: Vec<(NodeId, u32)>,
+    /// The seeds of a constant-seeded conjunct not yet released, in reverse
+    /// release order (so `pop` yields the constant first, then its ancestors
+    /// in increasing distance).
+    fixed: Vec<(NodeId, u32)>,
+    /// The candidate seeds of a `(?X, R, ?Y)` conjunct that are neither
+    /// released nor hinted yet; released in id order from `cursor` on.
+    candidates: NodeBitmap,
+    cursor: NodeId,
+    /// Hinted candidates, taken out of `candidates`, in hint order. While
+    /// there are any, a batch is made of them alone.
+    hinted: VecDeque<NodeId>,
     batch_size: usize,
+    /// Seeds the open batch may still release.
+    batch_left: usize,
+    /// Whether the open batch draws on `hinted`.
+    batch_hinted: bool,
 }
 
 impl InitialNodeFeed {
@@ -34,9 +53,9 @@ impl InitialNodeFeed {
         ontology: &Ontology,
         batch_size: usize,
     ) -> InitialNodeFeed {
-        let mut pending: Vec<(NodeId, u32)> = match &plan.seeds {
-            SeedSpec::Fixed(seeds) => seeds.to_vec(),
-            SeedSpec::AllNodes { .. } => graph.node_ids().map(|n| (n, 0)).collect(),
+        let (mut fixed, candidates) = match &plan.seeds {
+            SeedSpec::Fixed(seeds) => (seeds.to_vec(), NodeBitmap::new()),
+            SeedSpec::AllNodes { .. } => (Vec::new(), NodeBitmap::full(graph.node_count())),
             SeedSpec::MatchingInitial => {
                 let mut set = NodeBitmap::new();
                 for label in plan.nfa.initial_labels() {
@@ -47,46 +66,64 @@ impl InitialNodeFeed {
                         label,
                     ));
                 }
-                set.iter().map(|n| (n, 0)).collect()
+                (Vec::new(), set)
             }
         };
-        // Seeds are released from the back; reverse so that the declared
-        // order (constant first, then ancestors in increasing distance) is
-        // preserved.
-        pending.reverse();
+        fixed.reverse();
         InitialNodeFeed {
-            pending,
+            fixed,
+            candidates,
+            cursor: NodeId(0),
+            hinted: VecDeque::new(),
             batch_size: batch_size.max(1),
+            batch_left: 0,
+            batch_hinted: false,
         }
     }
 
     /// Whether any seed remains to be released.
     pub fn has_more(&self) -> bool {
-        !self.pending.is_empty()
+        !(self.candidates.is_empty() && self.hinted.is_empty() && self.fixed.is_empty())
     }
 
     /// Total number of seeds not yet released.
     pub fn remaining(&self) -> usize {
-        self.pending.len()
+        self.fixed.len() + self.candidates.len() + self.hinted.len()
     }
 
-    /// Releases the next batch of seed tuples (at most `batch_size`).
-    pub fn next_batch(&mut self, initial_state: omega_automata::StateId) -> Vec<Tuple> {
-        let mut batch = Vec::with_capacity(self.batch_size.min(self.pending.len()));
-        for _ in 0..self.batch_size {
-            match self.pending.pop() {
-                Some((node, distance)) => batch.push(Tuple {
-                    start: node,
-                    node,
-                    state: initial_state,
-                    distance,
-                    is_final: false,
-                    deferred: false,
-                }),
-                None => break,
+    /// Moves the `nodes` that are candidates still to be released to the
+    /// front of the release order, ahead of everything not hinted; anything
+    /// else — no seed of this conjunct, released already, hinted before — is
+    /// ignored. Returns whether a later hint could still move anything.
+    pub fn prefer(&mut self, nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
+        for node in nodes {
+            if self.candidates.remove(node) {
+                self.hinted.push_back(node);
             }
         }
-        batch
+        !self.candidates.is_empty()
+    }
+
+    /// Opens the next batch, to be drawn with [`InitialNodeFeed::next_seed`]:
+    /// the hinted seeds if there are any, the next ones in order otherwise.
+    pub fn open_batch(&mut self) {
+        self.batch_left = self.batch_size;
+        self.batch_hinted = !self.hinted.is_empty();
+    }
+
+    /// Releases the next seed of the open batch; `None` once the batch has
+    /// released `batch_size` seeds or its supply is empty.
+    pub fn next_seed(&mut self) -> Option<(NodeId, u32)> {
+        self.batch_left = self.batch_left.checked_sub(1)?;
+        if self.batch_hinted {
+            return self.hinted.pop_front().map(|node| (node, 0));
+        }
+        self.fixed.pop().or_else(|| {
+            let node = self.candidates.first_from(self.cursor)?;
+            self.candidates.remove(node);
+            self.cursor = NodeId(node.0 + 1);
+            Some((node, 0))
+        })
     }
 }
 
@@ -117,16 +154,25 @@ mod tests {
         InitialNodeFeed::new(&plan, graph, ontology, batch)
     }
 
+    /// Draws one whole batch.
+    fn batch(feed: &mut InitialNodeFeed) -> Vec<NodeId> {
+        feed.open_batch();
+        std::iter::from_fn(|| feed.next_seed())
+            .map(|(node, distance)| {
+                assert_eq!(distance, 0);
+                node
+            })
+            .collect()
+    }
+
     #[test]
     fn fixed_seeds_come_out_in_order() {
         let (g, o) = chain_graph(3);
         let mut feed = feed_for("(?X) <- (n0, next, ?X)", &g, &o, 10);
         assert_eq!(feed.remaining(), 1);
-        let batch = feed.next_batch(omega_automata::StateId(0));
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].node, g.node_by_label("n0").unwrap());
+        assert_eq!(batch(&mut feed), [g.node_by_label("n0").unwrap()]);
         assert!(!feed.has_more());
-        assert!(feed.next_batch(omega_automata::StateId(0)).is_empty());
+        assert!(batch(&mut feed).is_empty());
     }
 
     #[test]
@@ -136,21 +182,19 @@ mod tests {
         let mut feed = feed_for("(?X, ?Y) <- (?X, next, ?Y)", &g, &o, 100);
         // nodes n0..n4 have outgoing `next`; n5 and `isolated` do not.
         assert_eq!(feed.remaining(), 5);
-        let batch = feed.next_batch(omega_automata::StateId(0));
-        assert!(batch.iter().all(|t| g.node_label(t.node).starts_with('n')));
+        let released = batch(&mut feed);
+        assert_eq!(released.len(), 5);
+        assert!(released.iter().all(|&n| g.node_label(n).starts_with('n')));
     }
 
     #[test]
     fn batches_respect_batch_size() {
         let (g, o) = chain_graph(25);
         let mut feed = feed_for("(?X, ?Y) <- (?X, next, ?Y)", &g, &o, 10);
-        let first = feed.next_batch(omega_automata::StateId(0));
-        assert_eq!(first.len(), 10);
+        assert_eq!(batch(&mut feed).len(), 10);
         assert_eq!(feed.remaining(), 15);
-        let second = feed.next_batch(omega_automata::StateId(0));
-        assert_eq!(second.len(), 10);
-        let third = feed.next_batch(omega_automata::StateId(0));
-        assert_eq!(third.len(), 5);
+        assert_eq!(batch(&mut feed).len(), 10);
+        assert_eq!(batch(&mut feed).len(), 5);
         assert!(!feed.has_more());
     }
 
@@ -159,7 +203,42 @@ mod tests {
         let (g, o) = chain_graph(4);
         let mut feed = feed_for("(?X, ?Y) <- (?X, next*, ?Y)", &g, &o, 100);
         assert_eq!(feed.remaining(), g.node_count());
-        let batch = feed.next_batch(omega_automata::StateId(0));
-        assert!(batch.iter().all(|t| !t.is_final && t.distance == 0));
+        assert_eq!(batch(&mut feed), g.node_ids().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn hinted_seeds_go_first_alone_and_once() {
+        let (g, o) = chain_graph(25);
+        let node = |label: &str| g.node_by_label(label).unwrap();
+        let mut feed = feed_for("(?X, ?Y) <- (?X, next, ?Y)", &g, &o, 4);
+        assert_eq!(batch(&mut feed), ["n0", "n1", "n2", "n3"].map(node));
+        // n25 has no outgoing `next` (no seed), n1 is released already, n20
+        // comes twice: only n20 and n7 move, in hint order.
+        let hint = ["n20", "n25", "n1", "n7", "n20"].map(node);
+        assert!(feed.prefer(&mut hint.into_iter()));
+        assert_eq!(feed.remaining(), 21);
+        assert_eq!(batch(&mut feed), ["n20", "n7"].map(node), "not padded");
+        // The id order resumes where it stopped and skips what was hinted.
+        assert_eq!(batch(&mut feed), ["n4", "n5", "n6", "n8"].map(node));
+        let rest: Vec<NodeId> = std::iter::from_fn(|| Some(batch(&mut feed)))
+            .take_while(|b| !b.is_empty())
+            .flatten()
+            .collect();
+        assert_eq!(rest.len(), 15);
+        assert!(!rest.contains(&node("n20")) && !feed.has_more());
+        assert!(!feed.prefer(&mut hint.into_iter()), "nothing left to move");
+    }
+
+    #[test]
+    fn a_hinted_batch_is_capped_and_fixed_seeds_decline() {
+        let (g, o) = chain_graph(25);
+        let mut feed = feed_for("(?X, ?Y) <- (?X, next, ?Y)", &g, &o, 3);
+        let hint: Vec<NodeId> = g.node_ids().skip(10).take(5).collect();
+        feed.prefer(&mut hint.iter().copied());
+        assert_eq!(batch(&mut feed), hint[..3]);
+        assert_eq!(batch(&mut feed), hint[3..]);
+        let mut fixed = feed_for("(?X) <- (n0, next, ?X)", &g, &o, 3);
+        assert!(!fixed.prefer(&mut hint.iter().copied()));
+        assert_eq!(fixed.remaining(), 1);
     }
 }

@@ -30,6 +30,8 @@ pub use plan::{compile_conjunct, ConjunctPlan, SeedSpec};
 pub use rank_join::RankJoin;
 pub use stats::{EvalStats, TruncationReason};
 
+use omega_graph::NodeId;
+
 use crate::answer::ConjunctAnswer;
 use crate::error::Result;
 
@@ -37,10 +39,22 @@ use crate::error::Result;
 ///
 /// Implemented by the plain evaluator ([`ConjunctEvaluator`]) and by the two
 /// optimised drivers ([`DistanceAwareEvaluator`], [`DisjunctionEvaluator`]);
-/// the ranked join consumes any mixture of them.
+/// the ranked join consumes any mixture of them. Only the plain evaluator
+/// takes the join's seed hints.
 pub trait AnswerStream {
     /// Produces the next answer, or `Ok(None)` when the stream is exhausted.
     fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>>;
+
+    /// A hint from the ranked join: its other inputs have bound this
+    /// conjunct's *subject* variable to `nodes`, so answers starting at one of
+    /// them are the ones it can combine first. A stream may use it to choose
+    /// among answers of equal distance — never to change which answers it
+    /// emits at which distance — or ignore it. Returns whether a later hint
+    /// could still make a difference; after a `false` the join sends no more.
+    /// The default declines.
+    fn prefer_seeds(&mut self, _nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
+        false
+    }
 
     /// Evaluation statistics accumulated so far.
     fn stats(&self) -> EvalStats;

@@ -5,15 +5,19 @@
 //! completely independent of each other: each conjunct evaluator only reads
 //! the shared frozen [`GraphStore`] and its own compiled plan. This module
 //! moves those evaluators onto worker threads so the streams are *produced*
-//! concurrently while the join keeps *consuming* them in exactly the order
-//! it always did — [`ParallelStream`] implements [`AnswerStream`] by
-//! receiving from the worker's channel, so the join cannot observe any
-//! difference from sequential evaluation except wall-clock time:
+//! concurrently while the join *consumes* them by its one pull rule —
+//! [`ParallelStream`] implements [`AnswerStream`] by receiving from the
+//! worker's channel, so the join cannot tell it from the same evaluator run
+//! inline and unhinted, except by wall-clock time. (It keeps the default
+//! `prefer_seeds`, which declines: a worker running ahead of the join cannot
+//! take seed hints at a deterministic point of its stream. Sequential
+//! evaluation does take them, so it orders ties its own way; see
+//! [`crate::eval::rank_join`].) Of such a stream:
 //!
 //! * answers arrive in the same per-stream order (the channel is FIFO and
 //!   the worker runs the identical deterministic evaluator),
 //! * errors (`ResourceExhausted`, `DeadlineExceeded`, …) travel in-stream at
-//!   the same position they would occur sequentially,
+//!   the position they occur at in the worker's evaluator,
 //! * statistics are mirrored into a shared snapshot after every pull, so
 //!   [`AnswerStream::stats`] reflects the worker's progress and, once the
 //!   stream is drained, equals the sequential counters exactly.
@@ -215,8 +219,8 @@ type Item = Result<Option<ConjunctAnswer>>;
 ///
 /// The consumer side is single-threaded and order-preserving: `next_answer`
 /// is a channel receive, so the stream is indistinguishable from running the
-/// same evaluator inline (modulo wall-clock). The worker is cancelled and
-/// joined on drop.
+/// same evaluator inline, unhinted (modulo wall-clock). The worker is
+/// cancelled and joined on drop.
 pub struct ParallelStream {
     /// `Some` until drop, which disconnects the channel *before* awaiting
     /// the worker so a blocked send can never outlive the stream.

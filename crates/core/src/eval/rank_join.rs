@@ -15,8 +15,8 @@
 //!
 //! ## Layout
 //!
-//! Tens of thousands of answers can be buffered to emit a hundred rows, so
-//! nothing owns a heap block per row; teardown frees a handful of vectors.
+//! A join that must exhaust its inputs buffers tens of thousands of answers,
+//! so nothing owns a heap block per row; teardown frees a handful of vectors.
 //!
 //! * **Buffers.** An arrival binds at most two slots, so each input keeps
 //!   its [`ConjunctAnswer`]s — `(x, y, distance)` — in one `Vec`.
@@ -36,15 +36,36 @@
 //! ## Ordering contract
 //!
 //! The join is *deterministic in its inputs' contents*, never in their
-//! timing: the next pull goes to the live stream with the smallest last-seen
-//! distance (first such stream on ties); buffered candidates leave the heap
-//! in `(distance, slot values lexicographic)` order, each as soon as its
-//! distance is within the bound on everything still to come; of combinations
-//! with equal slot values the first popped — the cheapest — wins. Probe
-//! order is invisible: it only permutes pushes onto the heap. Parallel
-//! conjunct evaluation ([`crate::eval::parallel`]) relies on exactly this: a
-//! channel-fed [`AnswerStream`] has the content and order of the stream it
-//! replaces, so the output is bit-identical however workers are scheduled.
+//! timing. **The pull rule**: the next pull goes to the live stream with the
+//! smallest last-seen distance; of several, to the one with the fewest
+//! answers buffered, counted in blocks of [`PULL_BLOCK`] (the first such on
+//! ties) — tied streams are pulled in turn, a block each, not one to
+//! exhaustion before the next is touched. Buffered candidates leave the heap in `(distance, slot values lexicographic)`
+//! order, each as soon as its distance is within the bound on everything
+//! still to come; of combinations with equal slot values the first popped —
+//! the cheapest — wins. Probe order is invisible: it only permutes pushes
+//! onto the heap.
+//!
+//! **Seed hints.** Pulling in turn finds a top-`k` early only if the streams
+//! agree on which bindings come first, and conjuncts evaluated on their own
+//! do not: `(c, type-, ?E)` names its `?E`s in one order, `(?E, job, ?J)`
+//! seeds on candidate `?E`s in node-id order. So before it pulls an input,
+//! the join forwards it the values the other inputs have buffered for its
+//! *subject* slot since the last time ([`AnswerStream::prefer_seeds`]). A
+//! plain evaluator releases hinted seeds ahead of the others; every seed
+//! enters at distance 0, so the stream still emits exactly its
+//! `(x, y, distance)` answers in non-decreasing distance — the contract the
+//! join rests on — and only its order inside a distance, and with it which
+//! tied rows a `LIMIT` keeps, is the join's doing. A stream that declines
+//! (a constant-seeded conjunct, one whose seeds are all released, a §4.3
+//! driver, a worker thread) is not hinted again.
+//!
+//! Parallel conjunct evaluation ([`crate::eval::parallel`]) gets the pull
+//! rule and no hints: a channel-fed [`AnswerStream`] has the content and
+//! order of the unhinted evaluator it runs, so two parallel runs agree bit
+//! for bit however workers are scheduled, and a parallel and a sequential
+//! run agree on the distance sequence and on the set of rows at every
+//! distance — not on the order inside one.
 
 use std::collections::BinaryHeap;
 use std::hash::BuildHasher;
@@ -62,6 +83,15 @@ const UNBOUND: NodeId = NodeId(u32::MAX);
 /// End of an intrusive chain.
 const NIL: u32 = u32::MAX;
 
+/// How many answers a stream is pulled for before a tied one gets its turn.
+/// One at a time is the textbook round-robin, and costs a join that has to
+/// exhaust its inputs anyway 5–10 % (YM2 / YM4: the evaluators take turns in
+/// the cache, and each is hinted, and releases seeds, one node at a time); by
+/// the block that is 2–5 %, and a top-`k` pulls at most a block per stream
+/// more than it needed — less on the whole, since hints arrive by the block
+/// too (M2 on L4All L3: 424 conjunct answers for its top-100, 1,675 singly).
+pub const PULL_BLOCK: usize = 16;
+
 /// A multimap from `u32` keys to the positions `0, 1, 2, …` in filing
 /// order: the newest position per key, plus one `next` link per position to
 /// the key's previous one.
@@ -72,9 +102,23 @@ struct Chains {
 }
 
 impl Chains {
+    /// Keys the map has room for from its first filing on. Inputs pulled in
+    /// turn are indexed an answer at a time, and a map that starts empty
+    /// rehashes ten times on its way to a thousand keys: a quarter of the
+    /// join's own time on a join that buffers a few thousand answers.
+    const FIRST_KEYS: usize = 1024;
+
     /// Files the positions from `next.len()` on under `keys`, in order.
     fn extend(&mut self, keys: impl ExactSizeIterator<Item = u32>) {
-        self.heads.reserve(keys.len());
+        if keys.len() == 0 {
+            return;
+        }
+        let floor = if self.next.is_empty() {
+            Self::FIRST_KEYS
+        } else {
+            0
+        };
+        self.heads.reserve(keys.len().max(floor));
         self.next.reserve(keys.len());
         for key in keys {
             let pos = self.next.len() as u32;
@@ -150,7 +194,19 @@ pub struct JoinInput<'a> {
     by_subject: Option<Chains>,
     /// The same by object value, iff another input binds the object slot.
     by_object: Option<Chains>,
+    /// The other inputs binding this input's subject slot: where its seed
+    /// hints come from. Emptied once the stream declines further hints.
+    hints: Vec<HintSource>,
     done: bool,
+}
+
+/// Another input whose answers bind the hinted input's subject variable.
+struct HintSource {
+    input: usize,
+    /// Whether it binds that variable as its subject (else as its object).
+    as_subject: bool,
+    /// How much of its buffer has been forwarded.
+    sent: usize,
 }
 
 impl<'a> JoinInput<'a> {
@@ -167,6 +223,7 @@ impl<'a> JoinInput<'a> {
             buffer: Vec::new(),
             by_subject: None,
             by_object: None,
+            hints: Vec::new(),
             done: false,
         }
     }
@@ -287,9 +344,20 @@ impl<'a> RankJoin<'a> {
             binders[slot] += 1;
         }
         let shared = |slot: Option<usize>| slot.is_some_and(|s| binders[s] > 1);
-        for input in &mut inputs {
+        let endpoints: Vec<_> = inputs.iter().map(slots).collect();
+        for (i, input) in inputs.iter_mut().enumerate() {
             input.by_subject = shared(input.subject_slot).then(Chains::default);
             input.by_object = shared(input.object_slot).then(Chains::default);
+            let subject = input.subject_slot;
+            for (j, ends) in endpoints.iter().enumerate() {
+                if j != i && subject.is_some() && ends.contains(&subject) {
+                    input.hints.push(HintSource {
+                        input: j,
+                        as_subject: ends[0] == subject,
+                        sent: 0,
+                    });
+                }
+            }
         }
         let rows = || Rows {
             width: slot_count,
@@ -336,10 +404,11 @@ impl<'a> RankJoin<'a> {
     /// last distance plus every other input's minimum; past τ the input is
     /// capped (no use to the first `k` answers). The bound is the least such
     /// cost over live, uncapped inputs; the pull goes to the one of them with
-    /// the smallest last distance, first on ties.
+    /// the smallest last distance, of those to the one with the fewest
+    /// blocks of answers buffered, first on ties.
     fn frontier(&self, tau: Option<u32>) -> Option<(usize, u32)> {
         let minima: u64 = self.inputs.iter().map(|i| i.distance_range().0).sum();
-        let (mut pull, mut bound) = (None::<(usize, u64)>, u32::MAX);
+        let (mut pull, mut bound) = (None::<(usize, (u64, usize))>, u32::MAX);
         for (i, input) in self.inputs.iter().enumerate() {
             let (min, last) = input.distance_range();
             let through = u32::try_from(minima - min + last).unwrap_or(u32::MAX);
@@ -347,17 +416,48 @@ impl<'a> RankJoin<'a> {
                 continue;
             }
             bound = bound.min(through);
-            if pull.is_none_or(|(_, least)| last < least) {
-                pull = Some((i, last));
+            let rank = (last, input.buffer.len() / PULL_BLOCK);
+            if pull.is_none_or(|(_, least)| rank < least) {
+                pull = Some((i, rank));
             }
         }
         pull.map(|(i, _)| (i, bound))
     }
 
-    /// Pulls one answer from input `idx` and joins it with every compatible
-    /// combination of the other inputs' buffers, one input at a time.
+    /// Hints input `idx` with the values the other inputs have buffered for
+    /// its subject slot since the last time, for as long as it takes hints.
+    fn hint(inputs: &mut [JoinInput<'a>], idx: usize) {
+        let (before, rest) = inputs.split_at_mut(idx);
+        let Some((input, after)) = rest.split_first_mut() else {
+            return;
+        };
+        let buffer = |j: usize| match j.checked_sub(idx + 1) {
+            Some(j) => &after[j].buffer[..],
+            None => &before[j].buffer[..],
+        };
+        if input.hints.iter().all(|h| h.sent == buffer(h.input).len()) {
+            return;
+        }
+        let mut nodes = input.hints.iter().flat_map(|h| {
+            let fresh = &buffer(h.input)[h.sent..];
+            fresh.iter().map(|a| if h.as_subject { a.x } else { a.y })
+        });
+        if input.stream.prefer_seeds(&mut nodes) {
+            input
+                .hints
+                .iter_mut()
+                .for_each(|h| h.sent = buffer(h.input).len());
+        } else {
+            input.hints.clear();
+        }
+    }
+
+    /// Pulls one answer from input `idx` — hinted first — and joins it with
+    /// every compatible combination of the other inputs' buffers, one input
+    /// at a time.
     fn pull(&mut self, idx: usize) -> Result<()> {
         let (inputs, partials, next) = (&mut self.inputs, &mut self.partials, &mut self.next);
+        Self::hint(inputs, idx);
         let input = &mut inputs[idx];
         let Some(answer) = input.stream.next_answer()? else {
             input.done = true;
@@ -474,6 +574,8 @@ mod tests {
         answers: Vec<ConjunctAnswer>,
         pos: usize,
         budget: usize,
+        /// Whether it takes seed hints, as a conjunct evaluator does.
+        hinted: bool,
     }
 
     impl Scripted {
@@ -490,6 +592,7 @@ mod tests {
                     .collect(),
                 pos: 0,
                 budget: usize::MAX,
+                hinted: false,
             }
         }
     }
@@ -500,6 +603,20 @@ mod tests {
             let out = self.answers.get(self.pos).copied();
             self.pos += 1;
             Ok(out)
+        }
+
+        /// Of the answers still to come at the next one's distance, those
+        /// whose subject is hinted go first, in hint order.
+        fn prefer_seeds(&mut self, nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
+            let rest = self.answers.get_mut(self.pos..).unwrap_or_default();
+            let tied = rest.iter().take_while(|a| a.distance == rest[0].distance);
+            let tied = tied.count();
+            if self.hinted {
+                let hints: Vec<NodeId> = nodes.collect();
+                let rank = |a: &ConjunctAnswer| hints.iter().position(|&n| n == a.x);
+                rest[..tied].sort_by_key(|a| rank(a).unwrap_or(usize::MAX));
+            }
+            self.hinted && tied > 0
         }
 
         fn stats(&self) -> EvalStats {
@@ -518,7 +635,24 @@ mod tests {
         subject: Option<usize>,
         object: Option<usize>,
     ) -> JoinInput<'static> {
-        JoinInput::new(Box::new(Scripted::new(answers)), subject, object)
+        scripted_input(answers, subject, object, false, usize::MAX)
+    }
+
+    /// An input that takes seed hints if `hinted` and panics past `budget`
+    /// pulls.
+    fn scripted_input(
+        answers: Vec<(u32, u32, u32)>,
+        subject: Option<usize>,
+        object: Option<usize>,
+        hinted: bool,
+        budget: usize,
+    ) -> JoinInput<'static> {
+        let stream = Scripted {
+            budget,
+            hinted,
+            ..Scripted::new(answers)
+        };
+        JoinInput::new(Box::new(stream), subject, object)
     }
 
     /// Pulls up to `n` rows off a join: `(slot values, distance)`, with
@@ -683,6 +817,36 @@ mod tests {
     }
 
     #[test]
+    fn ties_are_pulled_in_turn_and_hinted_streams_meet_at_once() {
+        // A star on X, every answer at distance 0: a hub `(c, R, ?X)` that
+        // names its 5,000 nodes from the top down, two spokes `(?X, R, ?Y)`
+        // that would start from the bottom. Pulling a tied stream dry before
+        // touching the next costs 5,000 pulls; pulling in turn alone lets hub
+        // and spokes meet half way, 2,500 each. Hinted with the hub's
+        // bindings, each spoke answers for the nodes the hub just named: a
+        // block from the hub, a block from the first spoke, and the second
+        // spoke's first ten answers complete the top-10.
+        const N: u32 = 5_000;
+        let hub = (0..N).rev().map(|x| (N, x, 0)).collect();
+        let spoke = |far: u32| (0..N).map(|x| (x, x + far, 0)).collect();
+        let budget = PULL_BLOCK;
+        let mut join = RankJoin::new(
+            vec![
+                scripted_input(hub, None, X, true, budget),
+                scripted_input(spoke(N), X, Y, true, budget),
+                scripted_input(spoke(2 * N), X, Z, true, budget),
+            ],
+            3,
+        );
+        join.set_limit(Some(10));
+        let expected: Vec<_> = (0..10)
+            .map(|i| (vec![N - 1 - i, 2 * N - 1 - i, 3 * N - 1 - i], 0))
+            .collect();
+        assert_eq!(take(&mut join, 10), expected);
+        assert_eq!(join.buffered_entries(), 2 * PULL_BLOCK + 10);
+    }
+
+    #[test]
     fn constant_only_conjunct_contributes_distance_but_no_bindings() {
         // A conjunct with two constants acts as a filter: it binds nothing
         // but its (possibly positive) distance still counts.
@@ -770,10 +934,10 @@ mod tests {
             if let Some(spec) = specs.get_mut(emptied) {
                 spec.2.clear();
             }
-            let run = |limit: Option<usize>| {
+            let run = |limit: Option<usize>, hinted: bool| {
                 let inputs = specs
                     .iter()
-                    .map(|(s, o, answers)| input(answers.clone(), *s, *o))
+                    .map(|(s, o, a)| scripted_input(a.clone(), *s, *o, hinted, usize::MAX))
                     .collect();
                 let mut join = RankJoin::new(inputs, slot_count);
                 join.set_limit(limit);
@@ -781,16 +945,20 @@ mod tests {
             };
             let expected = reference_join(&specs, slot_count);
             let distances = |rows: &[(Vec<u32>, u32)]| rows.iter().map(|r| r.1).collect::<Vec<_>>();
-            let got = run(None);
-            prop_assert_eq!(distances(&got), distances(&expected), "{:?}", specs);
-            prop_assert_eq!(ranked(got), &expected[..], "{:?}", specs);
-            for k in 1..=expected.len() {
-                let got = run(Some(k));
-                prop_assert_eq!(distances(&got), distances(&expected), "limit {} over {:?}", k, specs);
-                let top: std::collections::HashSet<_> = got[..k].iter().collect();
-                prop_assert_eq!(top.len(), k, "limit {} over {:?}", k, specs);
-                prop_assert!(top.iter().all(|row| expected.contains(row)), "limit {} over {:?}", k, specs);
-                prop_assert_eq!(ranked(got), &expected[..], "limit {} over {:?}", k, specs);
+            // Streams that reorder their ties on the join's hints are held
+            // to the same reference as streams that ignore them.
+            for hinted in [false, true] {
+                let got = run(None, hinted);
+                prop_assert_eq!(distances(&got), distances(&expected), "{:?}", specs);
+                prop_assert_eq!(ranked(got), &expected[..], "{:?}", specs);
+                for k in 1..=expected.len() {
+                    let got = run(Some(k), hinted);
+                    prop_assert_eq!(distances(&got), distances(&expected), "limit {} over {:?}", k, specs);
+                    let top: std::collections::HashSet<_> = got[..k].iter().collect();
+                    prop_assert_eq!(top.len(), k, "limit {} over {:?}", k, specs);
+                    prop_assert!(top.iter().all(|row| expected.contains(row)), "limit {} over {:?}", k, specs);
+                    prop_assert_eq!(ranked(got), &expected[..], "limit {} over {:?}", k, specs);
+                }
             }
         }
     }

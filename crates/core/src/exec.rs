@@ -40,6 +40,12 @@ impl AnswerStream for TimedStream<'_> {
         out
     }
 
+    /// Forwarded, or a profiled run would evaluate unhinted: not the
+    /// execution it is there to time.
+    fn prefer_seeds(&mut self, nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
+        self.inner.prefer_seeds(nodes)
+    }
+
     fn stats(&self) -> EvalStats {
         self.inner.stats()
     }
@@ -68,8 +74,9 @@ impl PreparedInner {
     ///
     /// With `parallel_conjuncts` on and more than one conjunct, up to
     /// `parallel_workers` conjuncts (all when `0`) evaluate on worker threads
-    /// feeding bounded channels, which the ranked join consumes in exactly
-    /// the sequential order: the answer sequence is bit-identical either way.
+    /// feeding bounded channels, which the ranked join consumes by the same
+    /// pull rule: the same answers at the same distances either way, ties in
+    /// the order of streams that took no seed hints.
     ///
     /// A single-conjunct plan reads its rows straight off the conjunct
     /// stream, which is already ranked; `via_join` routes it through the

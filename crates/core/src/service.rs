@@ -67,17 +67,22 @@
 //! [`EvalOptions::with_parallel_conjuncts`]); workers come from a small
 //! pool shared by every clone of the [`Database`]. The guarantees:
 //!
-//! * **Answer-identical**: the same tuples, in the same rank order, with
-//!   the same deterministic tie-breaking — parallelism changes wall-clock
-//!   behaviour only. Errors (`ResourceExhausted`, `DeadlineExceeded`)
-//!   surface at the same stream positions.
+//! * **Rank-identical**: the same distance sequence and, at every
+//!   distance, the same answers as sequential evaluation; two parallel runs
+//!   agree bit for bit, however workers are scheduled. The order *inside* a
+//!   distance — and so which ties a `LIMIT` keeps — is not sequential
+//!   evaluation's: inline, the rank join hints each conjunct with the
+//!   bindings of its neighbours ([`crate::eval::rank_join`]); a worker
+//!   evaluates on its own.
 //! * **Prompt cancellation**: each execution carries a shared
 //!   [`crate::eval::CancelToken`]; deadlines, `max_tuples`, limits and
 //!   dropping the [`Answers`] stream all cancel outstanding workers within
 //!   the evaluators' check interval, and the stream joins its workers so no
 //!   thread outlives it.
 //! * **Merged statistics**: [`Answers::stats`] aggregates worker counters;
-//!   on fully drained executions it equals the sequential counts exactly.
+//!   on fully drained executions it equals the sequential counts exactly
+//!   (short of that, a worker runs ahead of the join by what the scheduler
+//!   gives it).
 //!
 //! ```
 //! use omega_core::{Database, ExecOptions};
@@ -1291,9 +1296,10 @@ pub(crate) struct PreparedInner {
     pub(crate) layout: Layout,
     /// Slot layout in cost-guided order — most selective conjunct first, by
     /// the compile-time seed-cardinality estimate — when that order differs
-    /// from the syntactic one. The join drains earlier inputs first on
-    /// distance ties, so sparse streams buffering fully before the big ones
-    /// keeps probe work small; answer *sets* are order-independent.
+    /// from the syntactic one. The join pulls tied inputs in turn, earlier
+    /// ones first, and hints each with what the others have bound: with the
+    /// sparse stream in front, its first bindings steer the big ones from
+    /// their first pull; answer *sets* are order-independent.
     pub(crate) guided: Option<Layout>,
     /// Time [`Database::prepare`] spent parsing the query text, reported in
     /// the `parse` phase of every execution's [`QueryProfile`].
@@ -1522,8 +1528,9 @@ impl ExecOptions {
     }
 
     /// Evaluates the conjuncts of a multi-conjunct query on parallel worker
-    /// threads. The answer sequence is identical to sequential evaluation —
-    /// same tuples, same rank order — only wall-clock behaviour changes.
+    /// threads. Distances, and the answers at each distance, are those of
+    /// sequential evaluation; the order inside a distance (and the ties a
+    /// limit keeps) need not be: workers take no seed hints from the join.
     pub fn with_parallel_conjuncts(mut self, on: bool) -> Self {
         self.parallel_conjuncts = Some(on);
         self
@@ -2108,7 +2115,10 @@ mod tests {
         ] {
             let prepared = db.prepare(text).unwrap();
             {
-                let mut stream = prepared.answers(&ExecOptions::new());
+                // Inline conjuncts: a worker may have finished — and returned
+                // its reservation — by the time the first row is out.
+                let request = ExecOptions::new().with_parallel_conjuncts(false);
+                let mut stream = prepared.answers(&request);
                 assert!(stream.next_row().unwrap().is_some());
                 let during = db.governor().gauges();
                 assert_eq!(during.executions, 1);

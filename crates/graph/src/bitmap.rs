@@ -47,6 +47,29 @@ impl NodeBitmap {
         }
     }
 
+    /// The set of all nodes `0..count`.
+    pub fn full(count: usize) -> Self {
+        let mut words = vec![u64::MAX; count.div_ceil(WORD_BITS)];
+        // The bits of the last word at and above `count` stay clear.
+        let spare = words.len() * WORD_BITS - count;
+        if let Some(last) = words.last_mut() {
+            *last >>= spare;
+        }
+        NodeBitmap { words, len: count }
+    }
+
+    /// The smallest member with an id `≥ from`.
+    pub fn first_from(&self, from: NodeId) -> Option<NodeId> {
+        let (w, b) = (from.index() / WORD_BITS, from.index() % WORD_BITS);
+        let first = self.words.get(w)? & (u64::MAX << b);
+        let rest = self.words[w + 1..].iter().copied();
+        std::iter::once(first)
+            .chain(rest)
+            .zip(w..)
+            .find(|&(word, _)| word != 0)
+            .map(|(word, wi)| NodeId((wi * WORD_BITS + word.trailing_zeros() as usize) as u32))
+    }
+
     /// Number of nodes in the set.
     pub fn len(&self) -> usize {
         self.len
@@ -249,6 +272,29 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
+    }
+
+    #[test]
+    fn full_holds_exactly_the_first_ids() {
+        for count in [0, 1, 63, 64, 65, 130] {
+            let s = NodeBitmap::full(count);
+            assert_eq!(s.len(), count);
+            let ids: Vec<u32> = s.iter().map(|n| n.0).collect();
+            assert_eq!(ids, (0..count as u32).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn first_from_finds_the_next_member() {
+        let s = set(&[3, 64, 65, 200]);
+        let next = |from: u32| s.first_from(NodeId(from)).map(|n| n.0);
+        assert_eq!(next(0), Some(3));
+        assert_eq!(next(3), Some(3));
+        assert_eq!(next(4), Some(64));
+        assert_eq!(next(65), Some(65));
+        assert_eq!(next(66), Some(200));
+        assert_eq!(next(201), None);
+        assert_eq!(next(100_000), None);
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! The parallel-conjunct concurrency suite: deterministic equivalence,
-//! stress, cancellation and stats-merging tests for evaluation behind the
-//! rank join.
+//! The parallel-conjunct concurrency suite: equivalence, stress, cancellation
+//! and stats-merging tests for evaluation behind the rank join.
 //!
-//! Parallel conjunct evaluation must be *bit-identical* to sequential
-//! evaluation — same tuples, same rank order, same errors — because the rank
-//! join consumes per-conjunct streams whose content and order do not depend
-//! on worker scheduling. These tests pin that contract:
+//! Parallel conjunct evaluation must *rank* as sequential evaluation does —
+//! the same distance sequence, the same answers at every distance, the same
+//! errors — whatever the worker scheduling. It need not break ties alike:
+//! inline conjuncts take the join's seed hints, workers do not (see
+//! `common::assert_same_ranking`). Two parallel runs of one statement do
+//! agree answer for answer: the join consumes channel-fed streams whose
+//! content and order do not depend on scheduling. These tests pin that:
 //!
 //! * property tests over random graphs and random multi-conjunct queries
-//!   compare the full answer sequences (bindings *and* order),
+//!   compare parallel runs with the sequential one rank by rank, and with
+//!   each other bit for bit,
 //! * an N-thread stress test hammers one `Database` with concurrent
 //!   `PreparedQuery::answers` executions,
 //! * deadline/drop tests assert workers blocked mid-traversal or on a full
@@ -27,7 +30,10 @@ use omega::core::{live_parallel_workers, Database, ExecOptions, OmegaError};
 use omega::datagen::{generate_l4all, l4all_multi_conjunct_queries, L4AllConfig, QuerySpec};
 use omega::graph::GraphStore;
 use omega::ontology::Ontology;
+use omega::Answer;
 use proptest::prelude::*;
+
+mod common;
 
 /// Serialises the tests that assert on the process-wide worker gauge.
 fn gauge_lock() -> MutexGuard<'static, ()> {
@@ -105,34 +111,32 @@ fn with_operator(template: &'static str, operator: &str) -> String {
     .with_operator_everywhere(operator)
 }
 
-/// One emitted answer, flattened: name-keyed bindings plus total distance.
-type Emitted = (Vec<(String, String)>, u32);
+/// One execution's full output in emission order, or the terminating error.
+fn collect(db: &Database, text: &str, request: &ExecOptions) -> Result<Vec<Answer>, OmegaError> {
+    db.prepare(text)?.answers(request).collect()
+}
 
-/// One execution's full output: `(bindings, distance)` in emission order, or
-/// the terminating error.
-fn collect(db: &Database, text: &str, request: &ExecOptions) -> Result<Vec<Emitted>, OmegaError> {
-    let prepared = db.prepare(text)?;
-    let mut out = Vec::new();
-    for answer in prepared.answers(request) {
-        let a = answer?;
-        out.push((
-            a.bindings
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-            a.distance,
-        ));
+/// Asserts that two executions under `limit` rank alike, or failed alike.
+fn assert_same_outcome(
+    got: &Result<Vec<Answer>, OmegaError>,
+    reference: &Result<Vec<Answer>, OmegaError>,
+    limit: Option<usize>,
+    context: &str,
+) {
+    match (got, reference) {
+        (Ok(got), Ok(reference)) => common::assert_same_ranking(got, reference, limit, context),
+        _ => assert_eq!(got, reference, "{context}"),
     }
-    Ok(out)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel evaluation returns exactly the sequential answer sequence —
-    /// same tuples, same rank order — on random graphs, random
-    /// multi-conjunct queries and every operator mode, including with a
-    /// tiny channel and a restricted worker budget.
+    /// Parallel evaluation ranks as sequential evaluation does on random
+    /// graphs, random multi-conjunct queries and every operator mode,
+    /// including with a tiny channel; all-parallel runs agree bit for bit
+    /// however small the channel. (A restricted worker budget leaves the
+    /// other conjuncts inline and hinted: its ties are its own.)
     #[test]
     fn parallel_answers_equal_sequential(
         triples in graph_strategy(),
@@ -145,22 +149,23 @@ proptest! {
         let operator = ["", "APPROX", "RELAX"][flex];
         let text = with_operator(MULTI_QUERIES[qi], operator);
         let reference = collect(&db, &text, &ExecOptions::new().with_parallel_conjuncts(false));
-        for request in [
-            ExecOptions::new().with_parallel_conjuncts(true),
-            ExecOptions::new()
-                .with_parallel_conjuncts(true)
-                .with_parallel_channel_capacity(1),
-            ExecOptions::new()
-                .with_parallel_conjuncts(true)
-                .with_parallel_workers(1),
-        ] {
-            let got = collect(&db, &text, &request);
-            prop_assert_eq!(&got, &reference, "diverged on {} with {:?}", text, request);
+        let parallel = ExecOptions::new().with_parallel_conjuncts(true);
+        let requests = [
+            parallel.clone(),
+            parallel.clone().with_parallel_channel_capacity(1),
+            parallel.with_parallel_workers(1),
+        ];
+        let runs: Vec<_> = requests.iter().map(|r| collect(&db, &text, r)).collect();
+        for (got, request) in runs.iter().zip(&requests) {
+            let context = format!("{text} with {request:?}");
+            assert_same_outcome(got, &reference, None, &context);
         }
+        prop_assert_eq!(&runs[1], &runs[0], "channel capacity showed on {}", text);
     }
 
-    /// Limits interact identically with both modes: the first `k` parallel
-    /// answers are the first `k` sequential answers.
+    /// Limits interact alike with both modes: the first `k` parallel answers
+    /// carry the first `k` sequential distances, and every distance the
+    /// limit did not cut into holds the same answers.
     #[test]
     fn limited_prefixes_agree(
         triples in graph_strategy(),
@@ -181,13 +186,14 @@ proptest! {
             &text,
             &ExecOptions::new().with_parallel_conjuncts(true).with_limit(limit),
         );
-        prop_assert_eq!(&par, &seq, "limited prefix diverged on {}", text);
+        assert_same_outcome(&par, &seq, Some(limit), &text);
     }
 }
 
 /// N threads hammer one shared `Database` with concurrent parallel
-/// executions of every multi-conjunct query; every execution must equal the
-/// sequential reference, and no worker may leak once all streams are done.
+/// executions of every multi-conjunct query; every execution must rank as the
+/// sequential reference does and equal the parallel one, and no worker may
+/// leak once all streams are done.
 #[test]
 fn stress_concurrent_prepared_answers_on_one_database() {
     let _guard = gauge_lock();
@@ -208,7 +214,9 @@ fn stress_concurrent_prepared_answers_on_one_database() {
     for spec in l4all_multi_conjunct_queries() {
         for operator in ["", "APPROX"] {
             let text = spec.with_operator_everywhere(operator);
-            let reference = collect(&db, &text, &seq).unwrap();
+            let reference = collect(&db, &text, &par).unwrap();
+            let sequential = collect(&db, &text, &seq).unwrap();
+            common::assert_same_ranking(&reference, &sequential, Some(50), &text);
             cases.push((text, reference));
         }
     }
@@ -317,9 +325,12 @@ fn dropping_stream_mid_flight_reclaims_workers() {
 }
 
 /// Merged `EvalStats` from parallel workers equal the sequential counters
-/// exactly on fully drained executions — the only case where the comparison
-/// is well-defined: eager workers legitimately overshoot a limited (or
-/// early-cancelled) consumer. A bespoke small graph keeps full flexible
+/// exactly on fully drained executions, whatever the worker budget — the
+/// only case where the comparison is well-defined: eager workers
+/// legitimately overshoot a limited (or early-cancelled) consumer. Seed hints
+/// do not show in them: a hint moves a seed's release, every seed is still
+/// released once, and what one seed's traversal adds and visits does not
+/// depend on the seeds around it. A bespoke small graph keeps full flexible
 /// drains affordable in debug builds; the distance-aware case checks the
 /// escalation (`restarts`) counter merges correctly too.
 #[test]
@@ -366,21 +377,24 @@ fn parallel_stats_merge_equals_sequential() {
     ];
     for (name, text, distance_aware) in cases {
         let prepared = db.prepare(text).unwrap();
-        let stats_of = |parallel: bool| {
+        let stats_of = |parallel: bool, workers: usize| {
             let request = ExecOptions::new()
                 .with_parallel_conjuncts(parallel)
+                .with_parallel_workers(workers)
                 .with_distance_aware(distance_aware);
             let mut stream = prepared.answers(&request);
             let drained = stream.collect_up_to(None).unwrap();
             (drained.len(), stream.stats())
         };
-        let (seq_count, seq_stats) = stats_of(false);
-        let (par_count, par_stats) = stats_of(true);
-        assert_eq!(seq_count, par_count, "{name}: answer counts differ");
-        assert_eq!(
-            seq_stats, par_stats,
-            "{name}: merged parallel EvalStats drifted from sequential"
-        );
+        let (seq_count, seq_stats) = stats_of(false, 0);
+        for workers in [0, 1] {
+            let (par_count, par_stats) = stats_of(true, workers);
+            assert_eq!(seq_count, par_count, "{name}: answer counts differ");
+            assert_eq!(
+                seq_stats, par_stats,
+                "{name}: merged EvalStats of {workers} workers drifted from sequential"
+            );
+        }
         if distance_aware {
             assert!(
                 seq_stats.restarts > 0,
@@ -391,7 +405,9 @@ fn parallel_stats_merge_equals_sequential() {
 }
 
 /// Per-request parallelism composes with the other toggles: the optimised
-/// drivers behind workers still produce the sequential answer sequence.
+/// drivers behind workers still rank as they do inline. (The §4.3 drivers
+/// decline seed hints, a conjunct without an alternation to decompose runs
+/// the plain evaluator and takes them: tie order may differ.)
 #[test]
 fn parallel_composes_with_optimisation_toggles() {
     let _guard = gauge_lock();
@@ -411,11 +427,8 @@ fn parallel_composes_with_optimisation_toggles() {
         ] {
             let seq = collect(&db, &text, &toggles.clone().with_parallel_conjuncts(false));
             let par = collect(&db, &text, &toggles.clone().with_parallel_conjuncts(true));
-            assert_eq!(
-                par, seq,
-                "{}: {:?} diverged under parallelism",
-                spec.id, toggles
-            );
+            let context = format!("{}: {toggles:?} under parallelism", spec.id);
+            assert_same_outcome(&par, &seq, Some(40), &context);
         }
     }
 }
