@@ -19,7 +19,7 @@ use crate::error::Result;
 use crate::eval::options::EvalOptions;
 use crate::eval::plan::{compile_conjunct, ConjunctPlan, SeedSpec};
 use crate::eval::stats::EvalStats;
-use crate::eval::succ::{succ, CostFilter, SuccScratch, SuccTransition};
+use crate::eval::succ::{succ, CostFilter, SuccScratch, Successors};
 use crate::query::ast::Conjunct;
 
 /// Exhaustive BFS evaluation of one conjunct (exact semantics only: all
@@ -95,7 +95,7 @@ impl<'a> BaselineEvaluator<'a> {
                 queue.push_back((seed, seed, initial));
             }
         }
-        let mut transitions: Vec<SuccTransition> = Vec::new();
+        let mut successors = Successors::default();
         let mut scratch = SuccScratch::new();
         while let Some((start, node, state)) = queue.pop_front() {
             self.stats.tuples_processed += 1;
@@ -122,16 +122,18 @@ impl<'a> BaselineEvaluator<'a> {
                 node,
                 CostFilter::ZeroOnly,
                 None,
-                &mut transitions,
+                &mut successors,
                 &mut scratch,
                 &mut self.stats,
             );
-            for t in &transitions {
+            for t in successors.transitions() {
                 // Exact semantics: only zero-cost transitions participate.
                 if t.cost == 0 && visited.insert((start, t.node, t.state)) {
                     queue.push_back((start, t.node, t.state));
                 }
             }
+            // Wide runs are consumed at once here: nothing reads them later.
+            successors.arena.clear();
         }
         answers
     }

@@ -1,5 +1,34 @@
 //! The single-conjunct ranked evaluator — the paper's `GetNext` procedure
 //! over the lazily constructed weighted product automaton `H_R`.
+//!
+//! ## Successors as cursors
+//!
+//! Section 3.3 releases initial nodes into `D_R` in batches, only when the
+//! frontier at their key runs dry; successors get the same treatment. When
+//! one same-label run of `Succ` reaches more than [`BLOCK`] neighbours (a
+//! class hub's instances behind `type-`, or a wildcard edit at a hub), the
+//! run is copied once into the evaluator's arena and each of its transitions
+//! enters `D_R` as one *cursor* tuple ([`TupleKind::Cursor`]) at the key its
+//! visits would have had. Popping a cursor re-queues it at that same key
+//! *first*, then releases its next block through the ordinary
+//! `visited` / `add_tuple` path.
+//!
+//! The invariant that makes this safe: `D_R` is LIFO within a key, so the
+//! block pops before the rest of its run does, and a top-`k` that completes
+//! leaves the remainder unread. A fixed state at a fixed key `f = g + h`
+//! has a fixed `g`, so a visit released late still carries the distance it
+//! would have carried early: every stream emits the same `(x, y, distance)`
+//! multiset in non-decreasing distance, and only the order of ties within a
+//! distance moves. There is one expansion path — runs up to a block are
+//! pushed per neighbour, wider ones as cursors; nothing switches it off.
+//!
+//! What the counters and the governor see: `tuples_added` counts only the
+//! visits a block releases (never a cursor push or re-push), and
+//! `cursor_blocks` the blocks. To the tuple budget a queued cursor is one
+//! live `D_R` entry, and every arena entry is one more: the arena is live
+//! memory until the last queued cursor is read out, when it is cleared. A
+//! run copied for `k` transitions is held once, where eager expansion
+//! queued it `k` times, so the budget trips no later than it did then.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -17,8 +46,10 @@ use crate::eval::initial::InitialNodeFeed;
 use crate::eval::options::{EvalOptions, OverloadPolicy};
 use crate::eval::plan::ConjunctPlan;
 use crate::eval::stats::{EvalStats, TruncationReason};
-use crate::eval::succ::{succ, CostFilter, SuccScratch, SuccTransition};
-use crate::eval::tuple::Tuple;
+use crate::eval::succ::{
+    succ, CostFilter, SuccScratch, SuccTransition, Successors, WideRun, BLOCK, RUN_END,
+};
+use crate::eval::tuple::{Tuple, TupleKind};
 use crate::eval::visited::{PairSet, VisitedSet};
 use crate::eval::AnswerStream;
 use crate::govern::TupleReservation;
@@ -78,8 +109,11 @@ pub struct ConjunctEvaluator<'a> {
     /// (relevant when RELAX seeds several class ancestors for one constant).
     emitted: PairSet,
     feed: InitialNodeFeed,
-    /// Reusable output buffer for `Succ` expansions.
-    succ_out: Vec<SuccTransition>,
+    /// `Succ`'s output buffers, reused by every expansion, and the arena the
+    /// queued cursors read their wide runs from.
+    successors: Successors,
+    /// Cursors queued in `D_R`; the arena is cleared whenever none is.
+    cursors: usize,
     /// Reusable scratch for neighbour-set computation.
     scratch: SuccScratch,
     /// This evaluator's chunked claim on the database-wide tuple pool (when
@@ -139,7 +173,8 @@ impl<'a> ConjunctEvaluator<'a> {
             answers_seen: PairSet::new(),
             emitted: PairSet::new(),
             feed,
-            succ_out: Vec::new(),
+            successors: Successors::default(),
+            cursors: 0,
             scratch: SuccScratch::new(),
             reservation,
             trip_reason: None,
@@ -159,23 +194,36 @@ impl<'a> ConjunctEvaluator<'a> {
         self.stats.suppressed
     }
 
+    /// Counts and enqueues a traversal or final tuple.
     fn add_tuple(&mut self, tuple: Tuple) -> Result<()> {
+        if !self.push(tuple) {
+            return Ok(());
+        }
+        self.stats.tuples_added += 1;
+        self.check_budget()
+    }
+
+    /// Pushes `tuple` into `D_R` at its key — `g`, or `g + h[state]` when
+    /// cost-guided — unless a dead state or the ψ ceiling prunes it; whether
+    /// it went in. A cursor stands for visits in one state at one distance,
+    /// so it is pruned exactly when each of them would be.
+    fn push(&mut self, tuple: Tuple) -> bool {
         let mut key = tuple.distance;
-        if !tuple.is_final && self.cost_guided {
+        if !tuple.is_final() && self.cost_guided {
             let h = self.plan.bounds.get(tuple.state);
             // A dead state can never reach acceptance on this graph: the
             // tuple is dropped outright (it is *not* `suppressed` — no
             // ceiling escalation can ever recover an answer from it).
             if h == MinCostToAccept::DEAD {
                 self.stats.pruned_dead += 1;
-                return Ok(());
+                return false;
             }
             key = tuple.distance.saturating_add(h);
         }
         if let Some(psi) = self.psi {
             if tuple.distance > psi {
                 self.stats.suppressed += 1;
-                return Ok(());
+                return false;
             }
             // Admissible bound pruning: every answer derived from this
             // tuple has final distance ≥ g + h, so beyond ψ it cannot
@@ -184,12 +232,11 @@ impl<'a> ConjunctEvaluator<'a> {
             if key > psi {
                 self.stats.suppressed += 1;
                 self.stats.pruned_bound += 1;
-                return Ok(());
+                return false;
             }
         }
         self.dr.push(tuple, key);
-        self.stats.tuples_added += 1;
-        self.check_budget()
+        true
     }
 
     /// Enqueues the deferred positive-cost expansion of a just-visited
@@ -211,7 +258,7 @@ impl<'a> ConjunctEvaluator<'a> {
         }
         self.dr.push(
             Tuple {
-                deferred: true,
+                kind: TupleKind::Deferred,
                 ..*tuple
             },
             key,
@@ -220,7 +267,7 @@ impl<'a> ConjunctEvaluator<'a> {
     }
 
     fn check_budget(&mut self) -> Result<()> {
-        let live = self.dr.len() + self.visited.len();
+        let live = self.dr.len() + self.visited.len() + self.successors.arena.len();
         if fault_fire(FaultPoint::BudgetAcquire) {
             self.trip_reason = Some(TruncationReason::PoolExhausted);
             return Err(OmegaError::ResourceExhausted { tuples: live });
@@ -250,14 +297,7 @@ impl<'a> ConjunctEvaluator<'a> {
         self.feed.open_batch();
         while let Some((node, distance)) = self.feed.next_seed() {
             added = true;
-            self.add_tuple(Tuple {
-                start: node,
-                node,
-                state: initial,
-                distance,
-                is_final: false,
-                deferred: false,
-            })?;
+            self.add_tuple(Tuple::seed(node, initial, distance))?;
         }
         Ok(added)
     }
@@ -375,9 +415,14 @@ impl<'a> ConjunctEvaluator<'a> {
                 }
                 return Ok(None);
             };
+            if tuple.kind == TupleKind::Cursor {
+                // Not a tuple of the traversal: it releases some.
+                self.next_block(tuple)?;
+                continue;
+            }
             self.stats.tuples_processed += 1;
 
-            if tuple.is_final {
+            if tuple.kind == TupleKind::Final {
                 if self.answers_seen.insert(tuple.start, tuple.node) {
                     if let Some(answer) = self.make_answer(tuple) {
                         self.stats.answers += 1;
@@ -387,12 +432,12 @@ impl<'a> ConjunctEvaluator<'a> {
                 continue;
             }
 
-            if tuple.deferred {
+            if tuple.kind == TupleKind::Deferred {
                 // The postponed positive-cost expansion of an already
-                // visited tuple: the cursor has reached the first key at
-                // which any of its wildcard/edit/relaxation successors can
-                // matter. No visited insert and no final enqueue — the
-                // fresh pop already did both.
+                // visited tuple: the distance cursor has reached the first
+                // key at which any of its wildcard/edit/relaxation
+                // successors can matter. No visited insert and no final
+                // enqueue — the fresh pop already did both.
                 self.stats.deferred_expansions += 1;
                 self.expand(&tuple, CostFilter::PositiveOnly)?;
                 continue;
@@ -416,7 +461,7 @@ impl<'a> ConjunctEvaluator<'a> {
                     && !self.answers_seen.contains(tuple.start, tuple.node)
                 {
                     self.add_tuple(Tuple {
-                        is_final: true,
+                        kind: TupleKind::Final,
                         distance: tuple.distance + weight,
                         ..tuple
                     })?;
@@ -426,12 +471,9 @@ impl<'a> ConjunctEvaluator<'a> {
     }
 
     /// Expands `tuple` through the product automaton (lines 10–11 of the
-    /// paper's `GetNext`), pushing the successors `filter` admits.
+    /// paper's `GetNext`), pushing the successors `filter` admits: narrow
+    /// runs one tuple per neighbour, wide runs one cursor per transition.
     fn expand(&mut self, tuple: &Tuple, filter: CostFilter) -> Result<()> {
-        // The output buffer is moved out for the duration of the push loop
-        // so that `add_tuple` can borrow `self` mutably; its capacity is
-        // kept.
-        let mut transitions = std::mem::take(&mut self.succ_out);
         succ(
             self.graph,
             self.ontology,
@@ -441,28 +483,114 @@ impl<'a> ConjunctEvaluator<'a> {
             tuple.node,
             filter,
             self.cost_guided.then_some(&self.plan.bounds),
-            &mut transitions,
+            &mut self.successors,
             &mut self.scratch,
             &mut self.stats,
         );
-        let mut push_result = Ok(());
-        for t in &transitions {
-            if !self.visited.contains(tuple.start, t.node, t.state.0) {
-                push_result = self.add_tuple(Tuple {
-                    start: tuple.start,
-                    node: t.node,
-                    state: t.state,
-                    distance: tuple.distance + t.cost,
-                    is_final: false,
-                    deferred: false,
-                });
-                if push_result.is_err() {
-                    break;
-                }
+        // The step and run buffers are moved out for the duration of the
+        // push loop so that `add_tuple` can borrow `self` mutably; their
+        // capacity is kept, and the arena stays where the budget counts it.
+        let steps = std::mem::take(&mut self.successors.steps);
+        let wide = std::mem::take(&mut self.successors.wide);
+        let pushed = self.push_successors(tuple, &steps, &wide);
+        self.successors.steps = steps;
+        self.successors.wide = wide;
+        if self.cursors == 0 {
+            // Every run this expansion copied was pruned.
+            self.successors.arena.clear();
+        }
+        pushed
+    }
+
+    /// Queues `succ`'s output for `tuple`: each step as a visit, each wide
+    /// run as a cursor.
+    fn push_successors(
+        &mut self,
+        tuple: &Tuple,
+        steps: &[SuccTransition],
+        wide: &[WideRun],
+    ) -> Result<()> {
+        let arena = self.successors.arena.len();
+        if !wide.is_empty() && arena > RUN_END.index() {
+            // A cursor's arena position is a `u32`: past that, trip as an
+            // exceeded budget does rather than wrap.
+            self.trip_reason = Some(TruncationReason::TupleBudget);
+            return Err(OmegaError::ResourceExhausted { tuples: arena });
+        }
+        for t in steps {
+            self.add_visit(Tuple {
+                start: tuple.start,
+                node: t.node,
+                state: t.state,
+                distance: tuple.distance + t.cost,
+                kind: TupleKind::Visit,
+            })?;
+        }
+        for w in wide {
+            // Queued where the run's visits would be; `tuples_added` counts
+            // them only as blocks release them.
+            let cursor = Tuple {
+                start: tuple.start,
+                node: NodeId(w.at),
+                state: w.state,
+                distance: tuple.distance + w.cost,
+                kind: TupleKind::Cursor,
+            };
+            if self.push(cursor) {
+                self.cursors += 1;
+                self.check_budget()?;
             }
         }
-        self.succ_out = transitions;
-        push_result
+        Ok(())
+    }
+
+    /// Adds a visit unless its `(start, node, state)` was already visited.
+    fn add_visit(&mut self, visit: Tuple) -> Result<()> {
+        if self
+            .visited
+            .contains(visit.start, visit.node, visit.state.0)
+        {
+            return Ok(());
+        }
+        self.add_tuple(visit)
+    }
+
+    /// A popped cursor: re-queue it at its own key for the rest of its run,
+    /// then release the next [`BLOCK`] neighbours, which (LIFO within a
+    /// key) pop before it does.
+    fn next_block(&mut self, cursor: Tuple) -> Result<()> {
+        self.stats.cursor_blocks += 1;
+        let at = cursor.node.index();
+        let run = &self.successors.arena[at..];
+        let len = run
+            .iter()
+            .take(BLOCK)
+            .position(|&m| m == RUN_END)
+            .unwrap_or(BLOCK);
+        // `run[len]` exists: either the end marker stopped the block, or a
+        // full block still lies before it. The re-push cannot be pruned: the
+        // same state at the same distance was admitted under the same ψ.
+        // `at + len` is below the arena's length, which fits a `u32`.
+        let requeued = run[len] != RUN_END
+            && self.push(Tuple {
+                node: NodeId((at + len) as u32),
+                ..cursor
+            });
+        if !requeued {
+            self.cursors -= 1;
+        }
+        for i in at..at + len {
+            self.add_visit(Tuple {
+                node: self.successors.arena[i],
+                kind: TupleKind::Visit,
+                ..cursor
+            })?;
+        }
+        if self.cursors == 0 {
+            // Nothing queued reads the arena any more.
+            self.successors.arena.clear();
+        }
+        Ok(())
     }
 
     /// Runs the evaluator to completion (or until `limit` answers), returning
@@ -1018,6 +1146,63 @@ mod tests {
             "one batch (100 seeds) plus its expansions should suffice for \
              the first answer, got {added} tuples added"
         );
+    }
+
+    /// `a -p-> b -q-> c` beside `a -p-> Hub`, a class with 5,000 instances:
+    /// under APPROX, `(a, p.q, ?X)` substitutes `q` at `Hub` by a wildcard
+    /// that reaches every instance at distance 1.
+    fn hub_graph() -> (GraphStore, Ontology) {
+        let mut g = GraphStore::new();
+        g.add_triple("a", "p", "b");
+        g.add_triple("b", "q", "c");
+        g.add_triple("a", "p", "Hub");
+        for i in 0..5_000 {
+            g.add_triple(&format!("i{i}"), "type", "Hub");
+        }
+        g.freeze();
+        (g, Ontology::new())
+    }
+
+    const HUB_QUERY: &str = "(?X) <- APPROX (a, p.q, ?X)";
+
+    #[test]
+    fn a_deferred_wildcard_reads_a_hub_a_block_at_a_time() {
+        let (g, o) = hub_graph();
+        let q = parse_query(HUB_QUERY).unwrap();
+        let options = EvalOptions::default().with_cost_guided(true);
+        let mut eval = evaluate_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap();
+        let top = eval.collect(Some(10)).unwrap();
+        assert_eq!(top.len(), 10);
+        assert_eq!(top[0].distance, 0, "c is the exact answer");
+        assert!(top[1..].iter().all(|a| a.distance == 1));
+        let stats = eval.stats();
+        assert!(stats.cursor_blocks > 0, "the hub's run must be a cursor");
+        // Eagerly, each of the wildcard's transitions would have queued all
+        // 5,000 instances.
+        assert!(
+            stats.tuples_added <= 1_000,
+            "a top-10 read {} tuples",
+            stats.tuples_added
+        );
+    }
+
+    #[test]
+    fn draining_the_hub_answers_as_the_unguided_drain_does() {
+        let (g, o) = hub_graph();
+        let q = parse_query(HUB_QUERY).unwrap();
+        let drain = |cost_guided: bool| {
+            let options = EvalOptions::default().with_cost_guided(cost_guided);
+            let mut eval = evaluate_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap();
+            let answers = eval.collect(None).unwrap();
+            assert!(answers.windows(2).all(|w| w[0].distance <= w[1].distance));
+            assert!(eval.stats().cursor_blocks > 0);
+            let mut v: Vec<_> = answers.iter().map(|a| (a.x, a.y, a.distance)).collect();
+            v.sort_unstable();
+            v
+        };
+        let guided = drain(true);
+        assert!(guided.len() > 5_000, "every instance is an answer");
+        assert_eq!(guided, drain(false));
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl DrQueue {
             if idx >= self.buckets.len() {
                 self.buckets.resize_with(idx + 1, Bucket::default);
             }
-            if self.prioritize_final && tuple.is_final {
+            if self.prioritize_final && tuple.is_final() {
                 self.buckets[idx].fin.push(tuple);
             } else {
                 self.buckets[idx].other.push(tuple);
@@ -98,7 +98,7 @@ impl DrQueue {
                 self.cursor = idx;
             }
         } else {
-            let rank = if self.prioritize_final && tuple.is_final {
+            let rank = if self.prioritize_final && tuple.is_final() {
                 0
             } else {
                 1
@@ -171,6 +171,7 @@ impl DrQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::tuple::TupleKind;
     use omega_automata::StateId;
     use omega_graph::NodeId;
 
@@ -180,8 +181,11 @@ mod tests {
             node: NodeId(node),
             state: StateId(0),
             distance,
-            is_final,
-            deferred: false,
+            kind: if is_final {
+                TupleKind::Final
+            } else {
+                TupleKind::Visit
+            },
         }
     }
 
@@ -220,8 +224,8 @@ mod tests {
         push_g(&mut q, tuple(0, false, 3));
         assert_eq!(q.pop().unwrap().node, NodeId(3));
         let next = q.pop().unwrap();
-        assert!(next.is_final, "final tuple must be popped first");
-        assert!(!q.pop().unwrap().is_final);
+        assert!(next.is_final(), "final tuple must be popped first");
+        assert!(!q.pop().unwrap().is_final());
     }
 
     #[test]
@@ -302,7 +306,7 @@ mod tests {
         assert_eq!(q.min_key(), Some(DENSE_LIMIT + 7));
         let t = q.pop().unwrap();
         assert_eq!(t.distance, DENSE_LIMIT + 7);
-        assert!(t.is_final);
+        assert!(t.is_final());
         assert_eq!(q.pop().unwrap().distance, 1_000_000);
         assert!(q.is_empty());
         assert_eq!(q.min_key(), None);

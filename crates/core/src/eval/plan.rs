@@ -485,9 +485,13 @@ mod tests {
         }
         g.add_triple("f1", "likes", "leaf");
         let o = Ontology::new();
+        // Choosing the end by fan-out is cost-guided planning (the frozen
+        // label statistics); pinned so `OMEGA_COST_GUIDED=0` cannot turn the
+        // behaviour under test off.
+        let options = EvalOptions::default().with_cost_guided(true);
         let compile = |text: &str| {
             let q = parse_query(text).unwrap();
-            compile_conjunct(&q.conjuncts[0], &g, &o, &EvalOptions::default()).unwrap()
+            compile_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap()
         };
         // hub has four `knows` edges out, leaf one `likes` edge in.
         let plan = compile("(?X) <- (hub, knows.likes, leaf), (hub, knows, ?X)");

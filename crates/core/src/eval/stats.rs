@@ -55,6 +55,10 @@ pub struct EvalStats {
     /// edit / relaxation successors were materialised only once the distance
     /// cursor reached them (cost-guided evaluation).
     pub deferred_expansions: u64,
+    /// Blocks of a wide run's neighbours released by popping its cursor:
+    /// each is at most [`crate::eval::succ::BLOCK`] visits, which count in
+    /// `tuples_added` as they go in (the cursor itself never does).
+    pub cursor_blocks: u64,
     /// Conjunct worker threads that panicked during this execution. Always
     /// zero on a healthy engine; the panic also surfaces as
     /// [`crate::OmegaError::Internal`] on the consuming stream.
@@ -86,6 +90,7 @@ impl AddAssign for EvalStats {
         self.pruned_dead += rhs.pruned_dead;
         self.pruned_bound += rhs.pruned_bound;
         self.deferred_expansions += rhs.deferred_expansions;
+        self.cursor_blocks += rhs.cursor_blocks;
         self.worker_panics += rhs.worker_panics;
         self.sheds += rhs.sheds;
         self.degraded |= rhs.degraded;
@@ -98,7 +103,8 @@ impl std::fmt::Display for EvalStats {
         write!(
             f,
             "added={} processed={} succ={} lookups={} answers={} suppressed={} restarts={} \
-             pruned_dead={} pruned_bound={} deferred={} worker_panics={} sheds={} degraded={}",
+             pruned_dead={} pruned_bound={} deferred={} cursor_blocks={} worker_panics={} sheds={} \
+             degraded={}",
             self.tuples_added,
             self.tuples_processed,
             self.succ_calls,
@@ -109,6 +115,7 @@ impl std::fmt::Display for EvalStats {
             self.pruned_dead,
             self.pruned_bound,
             self.deferred_expansions,
+            self.cursor_blocks,
             self.worker_panics,
             self.sheds,
             self.degraded
@@ -133,6 +140,7 @@ mod tests {
             pruned_dead: 8,
             pruned_bound: 9,
             deferred_expansions: 10,
+            cursor_blocks: 13,
             worker_panics: 11,
             sheds: 12,
             degraded: false,
@@ -144,11 +152,13 @@ mod tests {
         assert_eq!(a.pruned_dead, 16);
         assert_eq!(a.pruned_bound, 18);
         assert_eq!(a.deferred_expansions, 20);
+        assert_eq!(a.cursor_blocks, 26);
         assert_eq!(a.worker_panics, 22);
         assert_eq!(a.sheds, 24);
         assert!(!a.degraded);
         assert!(a.to_string().contains("answers=10"));
         assert!(a.to_string().contains("pruned_dead=16"));
+        assert!(a.to_string().contains("cursor_blocks=26"));
     }
 
     #[test]

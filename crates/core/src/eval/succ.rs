@@ -14,7 +14,13 @@
 //! own (CSR) adjacency slice, and for ε / unresolved symbols a shared empty
 //! slice; only wildcard / inference / `TypeTo` labels compute into a
 //! caller-provided buffer that is reused across calls. [`succ`] likewise
-//! appends into a reusable output vector instead of returning a fresh one.
+//! appends into reusable output vectors instead of returning fresh ones.
+//!
+//! A run that reaches more than [`BLOCK`] neighbours — a class hub's
+//! instances behind a `type-` or a wildcard — is not spelled out per
+//! neighbour: its slice is copied once into the caller's arena and reported
+//! as one [`WideRun`] per transition, which the evaluator turns into a
+//! cursor that releases the neighbours a block at a time.
 
 use omega_automata::{MinCostToAccept, StateId, TransitionLabel, WeightedNfa};
 use omega_graph::{Direction, GraphStore, LabelId, NodeId};
@@ -65,6 +71,59 @@ pub struct SuccTransition {
     pub state: StateId,
     /// Target graph node.
     pub node: NodeId,
+}
+
+/// Neighbours per block: a same-label run reaching more than this many
+/// neighbours becomes [`WideRun`]s, and a cursor releases this many at a time.
+pub const BLOCK: usize = 64;
+
+/// Ends every wide run in [`Successors::arena`], so a cursor needs only its
+/// position. Never a node: ids are dense from 0 and stay far below it.
+pub const RUN_END: NodeId = NodeId(u32::MAX);
+
+/// One automaton transition whose same-label run reached more than
+/// [`BLOCK`] neighbours: every neighbour from `Successors::arena[at]` up to
+/// the next [`RUN_END`], in state `state`, at additional cost `cost`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WideRun {
+    /// Additional distance incurred by the step.
+    pub cost: u32,
+    /// Target automaton state.
+    pub state: StateId,
+    /// Arena position of the run's first neighbour.
+    pub at: u32,
+}
+
+/// What [`succ`] produces, in buffers its caller reuses.
+#[derive(Debug, Default)]
+pub struct Successors {
+    /// One entry per transition and neighbour of every run of at most
+    /// [`BLOCK`] neighbours; cleared by each call.
+    pub steps: Vec<SuccTransition>,
+    /// One entry per transition of every wider run; cleared by each call.
+    pub wide: Vec<WideRun>,
+    /// The wide runs' neighbours, each run copied once and closed by
+    /// [`RUN_END`]. [`succ`] only appends to it, because the evaluator's
+    /// cursors read it long after the call that filled it; the caller
+    /// clears it once nothing does, and keeps its length within `u32`.
+    pub arena: Vec<NodeId>,
+}
+
+impl Successors {
+    /// Every transition of the last call, wide runs spelled out.
+    pub fn transitions(&self) -> impl Iterator<Item = SuccTransition> + '_ {
+        let wide = self.wide.iter().flat_map(|w| {
+            self.arena[w.at as usize..]
+                .iter()
+                .take_while(|&&node| node != RUN_END)
+                .map(move |&node| SuccTransition {
+                    cost: w.cost,
+                    state: w.state,
+                    node,
+                })
+        });
+        self.steps.iter().copied().chain(wide)
+    }
 }
 
 /// Reusable buffers for [`succ`].
@@ -124,7 +183,9 @@ pub fn neighbours_by_edge<'a>(
                 // RDFS `sc` inference on type edges: an instance of a class
                 // is also an instance of every superclass. On a frozen
                 // ontology the class closures are interned slices, so this
-                // path performs no allocation beyond the shared buffer.
+                // path performs no allocation beyond the shared buffer. The
+                // union is sorted and deduplicated only when it can hold a
+                // duplicate, i.e. when more than one class contributes.
                 buf.clear();
                 if *inverse {
                     // Instances of `node` (a class) and of all its subclasses.
@@ -138,12 +199,16 @@ pub fn neighbours_by_edge<'a>(
                         fallback = ontology.subclasses_or_self(node);
                         &fallback
                     };
-                    for &class in classes {
-                        for m in graph.neighbors_iter(class, *l, Direction::Incoming) {
-                            if !buf.contains(&m) {
-                                buf.push(m);
-                            }
-                        }
+                    let contributors = extend_counting(
+                        buf,
+                        classes
+                            .iter()
+                            .map(|&class| graph.neighbors_iter(class, *l, Direction::Incoming)),
+                    );
+                    if contributors > 1 {
+                        // A node typed with two of these classes.
+                        buf.sort_unstable();
+                        buf.dedup();
                     }
                 } else {
                     // The node's declared classes plus all their superclasses.
@@ -154,18 +219,19 @@ pub fn neighbours_by_edge<'a>(
                         let class = buf[i];
                         if frozen {
                             // Unknown class: no superclasses to add.
-                            for &(sup, _) in ontology.interned_superclasses(class).unwrap_or(&[]) {
-                                if !buf.contains(&sup) {
-                                    buf.push(sup);
-                                }
-                            }
+                            let sups = ontology.interned_superclasses(class).unwrap_or(&[]);
+                            buf.extend(sups.iter().map(|&(sup, _)| sup));
                         } else {
-                            for (sup, _) in ontology.superclasses(class) {
-                                if !buf.contains(&sup) {
-                                    buf.push(sup);
-                                }
-                            }
+                            buf.extend(
+                                ontology.superclasses(class).into_iter().map(|(sup, _)| sup),
+                            );
                         }
+                    }
+                    if declared > 1 {
+                        // Two declared classes can share a superclass, or one
+                        // can be the other's.
+                        buf.sort_unstable();
+                        buf.dedup();
                     }
                 }
                 buf
@@ -191,12 +257,14 @@ pub fn neighbours_by_edge<'a>(
                     return graph.neighbors_into(node, *only, dir, buf);
                 }
                 buf.clear();
-                for &l in labels {
-                    for m in graph.neighbors_iter(node, l, dir) {
-                        if !buf.contains(&m) {
-                            buf.push(m);
-                        }
-                    }
+                let contributors = extend_counting(
+                    buf,
+                    labels.iter().map(|&l| graph.neighbors_iter(node, l, dir)),
+                );
+                if contributors > 1 {
+                    // Two sub-properties can link the same pair.
+                    buf.sort_unstable();
+                    buf.dedup();
                 }
                 buf
             } else {
@@ -245,17 +313,34 @@ pub fn neighbours_by_edge<'a>(
     }
 }
 
+/// Appends every part to `buf`; how many parts were non-empty.
+fn extend_counting<I: Iterator<Item = NodeId>>(
+    buf: &mut Vec<NodeId>,
+    parts: impl Iterator<Item = I>,
+) -> usize {
+    let mut contributors = 0;
+    for part in parts {
+        let before = buf.len();
+        buf.extend(part);
+        contributors += usize::from(buf.len() > before);
+    }
+    contributors
+}
+
 /// The paper's `Succ(s, n)`: the product-automaton transitions leaving
-/// `(s, n)` that `filter` admits, appended to `out` (cleared first).
+/// `(s, n)` that `filter` admits, into `out` (`steps` and `wide` cleared
+/// first; `arena` only appended to).
 ///
 /// Consecutive automaton transitions with the same label (the automaton keeps
 /// its transitions label-sorted) share one `neighbours_by_edge` call, and the
 /// caller's `out` / `scratch` buffers are reused so the steady state performs
-/// no allocation. When `bounds` is supplied (cost-guided evaluation),
-/// transitions into dead automaton states — states that can never reach
-/// acceptance against this graph — are dropped before any adjacency is
-/// touched, and a label whose entire run is filtered out skips its
-/// neighbour lookup altogether.
+/// no allocation. A run whose lookup reaches more than [`BLOCK`] neighbours
+/// copies them once into `out.arena` and yields one [`WideRun`] per
+/// transition instead of one step per transition and neighbour. When
+/// `bounds` is supplied (cost-guided evaluation), transitions into dead
+/// automaton states — states that can never reach acceptance against this
+/// graph — are dropped before any adjacency is touched, and a label whose
+/// entire run is filtered out skips its neighbour lookup altogether.
 #[allow(clippy::too_many_arguments)]
 pub fn succ(
     graph: &GraphStore,
@@ -266,12 +351,13 @@ pub fn succ(
     node: NodeId,
     filter: CostFilter,
     bounds: Option<&MinCostToAccept>,
-    out: &mut Vec<SuccTransition>,
+    out: &mut Successors,
     scratch: &mut SuccScratch,
     stats: &mut EvalStats,
 ) {
     stats.succ_calls += 1;
-    out.clear();
+    out.steps.clear();
+    out.wide.clear();
     let SuccScratch { neighbours, run } = scratch;
     let mut transitions = nfa.transitions_from(state).iter().peekable();
     while let Some(first) = transitions.next() {
@@ -301,9 +387,18 @@ pub fn succ(
             &mut *neighbours,
             stats,
         );
+        if reached.len() > BLOCK {
+            debug_assert!(!reached.contains(&RUN_END));
+            let at = out.arena.len() as u32;
+            out.arena.extend_from_slice(reached);
+            out.arena.push(RUN_END);
+            out.wide
+                .extend(run.iter().map(|&(cost, state)| WideRun { cost, state, at }));
+            continue;
+        }
         for &(cost, to) in run.iter() {
             for &m in reached {
-                out.push(SuccTransition {
+                out.steps.push(SuccTransition {
                     cost,
                     state: to,
                     node: m,
@@ -355,7 +450,7 @@ mod tests {
         node: NodeId,
         stats: &mut EvalStats,
     ) -> Vec<SuccTransition> {
-        let mut out = Vec::new();
+        let mut out = Successors::default();
         let mut scratch = SuccScratch::new();
         succ(
             graph,
@@ -370,7 +465,7 @@ mod tests {
             &mut scratch,
             stats,
         );
-        out
+        out.transitions().collect()
     }
 
     #[test]
@@ -519,6 +614,119 @@ mod tests {
     }
 
     #[test]
+    fn inferred_unions_hold_each_node_once() {
+        // Student and Employee are both Persons, and ann is both: the
+        // inferred `type-` of Person meets her twice, her inferred `type`
+        // meets Person twice, and `likes` and `knows` (both sub-properties
+        // of `related`) both link ann to bob.
+        let mut g = GraphStore::new();
+        for (s, p, o) in [
+            ("ann", "type", "Student"),
+            ("ann", "type", "Employee"),
+            ("bob", "type", "Student"),
+            ("cat", "type", "Employee"),
+            ("dan", "type", "Person"),
+            ("ann", "knows", "bob"),
+            ("ann", "likes", "bob"),
+            ("ann", "likes", "cat"),
+        ] {
+            g.add_triple(s, p, o);
+        }
+        let related = g.intern_label("related");
+        let node = |name: &str| g.node_by_label(name).unwrap();
+        let mut o = Ontology::new();
+        o.add_subclass(node("Student"), node("Person")).unwrap();
+        o.add_subclass(node("Employee"), node("Person")).unwrap();
+        for sub in ["knows", "likes"] {
+            o.add_subproperty(g.label_id(sub).unwrap(), related)
+                .unwrap();
+        }
+        let type_l = g.type_label();
+        // The naive union: each contributing class's or property's
+        // neighbours, collected into a set.
+        let naive = |parts: &[(NodeId, LabelId, Direction)]| {
+            let mut set: Vec<NodeId> = parts
+                .iter()
+                .flat_map(|&(n, l, dir)| g.neighbors(n, l, dir).to_vec())
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            set
+        };
+        let incoming_type = |class: &str| (node(class), type_l, Direction::Incoming);
+        let cases = [
+            (
+                node("Person"),
+                TransitionLabel::symbol(Some(type_l), true, "type"),
+                naive(&[
+                    incoming_type("Person"),
+                    incoming_type("Student"),
+                    incoming_type("Employee"),
+                ]),
+            ),
+            (
+                node("ann"),
+                TransitionLabel::symbol(Some(type_l), false, "type"),
+                vec![node("Student"), node("Employee"), node("Person")],
+            ),
+            (
+                node("ann"),
+                TransitionLabel::symbol(Some(related), false, "related"),
+                vec![node("bob"), node("cat")],
+            ),
+        ];
+        let mut frozen = o.clone();
+        frozen.freeze();
+        let mut stats = EvalStats::default();
+        for ontology in [&o, &frozen] {
+            for (from, label, expected) in &cases {
+                let got = lookup(&g, ontology, true, *from, label, &mut stats);
+                let mut set = got.clone();
+                set.sort_unstable();
+                set.dedup();
+                assert_eq!(set.len(), got.len(), "{label:?} repeats a node: {got:?}");
+                let mut expected = expected.clone();
+                expected.sort_unstable();
+                assert_eq!(set, expected, "{label:?} from {from}");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_runs_share_one_arena_copy() {
+        let mut g = GraphStore::new();
+        let count = 3 * BLOCK;
+        for i in 0..count {
+            g.add_triple("hub", "p", &format!("n{i}"));
+        }
+        let o = Ontology::new();
+        // Two `p` transitions leave the initial state: one run, one lookup.
+        let nfa = omega_automata::remove_epsilons(&build_nfa(&parse("p|(p.p)").unwrap(), &g));
+        let hub = g.node_by_label("hub").unwrap();
+        let mut out = Successors::default();
+        let mut stats = EvalStats::default();
+        succ(
+            &g,
+            &o,
+            false,
+            &nfa,
+            nfa.initial(),
+            hub,
+            CostFilter::All,
+            None,
+            &mut out,
+            &mut SuccScratch::new(),
+            &mut stats,
+        );
+        assert!(out.steps.is_empty());
+        assert_eq!(out.wide.len(), 2, "one wide run per transition");
+        assert!(out.wide.iter().all(|w| w.at == 0), "sharing one copy");
+        assert_eq!(out.arena.len(), count + 1, "the run and its end marker");
+        assert_eq!(out.arena[count], RUN_END);
+        assert_eq!(out.transitions().count(), 2 * count);
+    }
+
+    #[test]
     fn type_to_lands_on_the_named_class() {
         let (g, o) = setup();
         let mut stats = EvalStats::default();
@@ -607,7 +815,7 @@ mod tests {
         let mut stats = EvalStats::default();
         let nfa = omega_automata::remove_epsilons(&build_nfa(&parse("knows").unwrap(), &g));
         let a = g.node_by_label("a").unwrap();
-        let mut out = Vec::new();
+        let mut out = Successors::default();
         let mut scratch = SuccScratch::new();
         succ(
             &g,
@@ -622,7 +830,7 @@ mod tests {
             &mut scratch,
             &mut stats,
         );
-        let first = out.clone();
+        let first = out.steps.clone();
         succ(
             &g,
             &o,
@@ -636,7 +844,7 @@ mod tests {
             &mut scratch,
             &mut stats,
         );
-        assert_eq!(out, first, "stale entries must not accumulate");
+        assert_eq!(out.steps, first, "stale entries must not accumulate");
     }
 
     #[test]
@@ -650,7 +858,7 @@ mod tests {
         let a = g.node_by_label("a").unwrap();
         let mut scratch = SuccScratch::new();
         let mut run = |filter: CostFilter, stats: &mut EvalStats| {
-            let mut out = Vec::new();
+            let mut out = Successors::default();
             succ(
                 &g,
                 &o,
@@ -664,7 +872,7 @@ mod tests {
                 &mut scratch,
                 stats,
             );
-            out
+            out.transitions().collect::<Vec<_>>()
         };
         let mut stats = EvalStats::default();
         let mut all = run(CostFilter::All, &mut stats);
@@ -697,7 +905,7 @@ mod tests {
         let bounds = MinCostToAccept::compute_with(&nfa, |l| {
             !matches!(l, TransitionLabel::Symbol { label: None, .. })
         });
-        let mut out = Vec::new();
+        let mut out = Successors::default();
         let mut scratch = SuccScratch::new();
         let mut stats = EvalStats::default();
         succ(
@@ -713,7 +921,10 @@ mod tests {
             &mut scratch,
             &mut stats,
         );
-        assert!(out.is_empty(), "the only successor lands in a dead state");
+        assert!(
+            out.transitions().next().is_none(),
+            "the only successor lands in a dead state"
+        );
         assert!(stats.pruned_dead > 0);
         assert_eq!(
             stats.neighbour_lookups, 0,

@@ -3,29 +3,50 @@
 use omega_automata::StateId;
 use omega_graph::NodeId;
 
-/// A traversal tuple `(v, n, s, d, f)` as described in Section 3.3 of the
-/// paper: visiting node `n` in automaton state `s`, having started from node
-/// `v`, at distance `d`; `is_final` marks tuples that represent a complete
-/// answer waiting to be emitted.
+/// What a [`Tuple`] in `D_R` stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Tuple {
-    /// The node evaluation started from (`v`).
-    pub start: NodeId,
-    /// The node currently being visited (`n`).
-    pub node: NodeId,
-    /// The automaton state (`s`).
-    pub state: StateId,
-    /// Accumulated distance (`d`).
-    pub distance: u32,
-    /// Whether this is a 'final' tuple (a pending answer) rather than a
-    /// traversal frontier entry.
-    pub is_final: bool,
+pub enum TupleKind {
+    /// A traversal frontier entry: visit `node` in `state`.
+    Visit,
+    /// A complete answer waiting to be emitted (the paper's 'final' tuple).
+    Final,
     /// Cost-guided evaluation: a placeholder re-queued at the key of the
     /// tuple's cheapest positive-cost successor. When it pops, the
     /// positive-cost transitions (wildcards, edits, relaxations) of the
     /// original `(v, n, s)` tuple — whose `distance` this tuple still
     /// carries — are expanded; until then none of them occupy `D_R`.
-    pub deferred: bool,
+    Deferred,
+    /// The unread rest of one wide `Succ` run (more than
+    /// [`crate::eval::succ::BLOCK`] neighbours over one label, for one
+    /// automaton transition): the visits `(v, m, s, d)` for every `m` from
+    /// arena position `node` up to the run's end marker. It sits at the key
+    /// those visits would have had — one `state`, one `distance`, so one key
+    /// — and each pop re-queues it there *first* and then releases the next
+    /// block. `D_R` is LIFO within a key, so the block pops before the rest
+    /// of its run, and a top-`k` that completes never reads the remainder.
+    /// To the governor it is one live `D_R` entry, and its run one more per
+    /// arena entry until the evaluator clears the arena.
+    Cursor,
+}
+
+/// A traversal tuple `(v, n, s, d, f)` as described in Section 3.3 of the
+/// paper: visiting node `n` in automaton state `s`, having started from node
+/// `v`, at distance `d`; `kind` says whether it is a frontier entry, a
+/// complete answer waiting to be emitted, or one of the evaluator's two
+/// placeholders for successors not materialised yet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Tuple {
+    /// The node evaluation started from (`v`).
+    pub start: NodeId,
+    /// The node currently being visited (`n`); for a
+    /// [`TupleKind::Cursor`], the arena position of its next neighbour.
+    pub node: NodeId,
+    /// The automaton state (`s`).
+    pub state: StateId,
+    /// Accumulated distance (`d`).
+    pub distance: u32,
+    /// What the tuple stands for.
+    pub kind: TupleKind,
 }
 
 impl Tuple {
@@ -36,9 +57,13 @@ impl Tuple {
             node,
             state,
             distance,
-            is_final: false,
-            deferred: false,
+            kind: TupleKind::Visit,
         }
+    }
+
+    /// Whether this is a pending answer rather than traversal work.
+    pub fn is_final(&self) -> bool {
+        self.kind == TupleKind::Final
     }
 }
 
@@ -51,6 +76,13 @@ mod tests {
         let t = Tuple::seed(NodeId(4), StateId(0), 2);
         assert_eq!(t.start, t.node);
         assert_eq!(t.distance, 2);
-        assert!(!t.is_final);
+        assert!(!t.is_final());
+    }
+
+    #[test]
+    fn a_tuple_stays_twenty_bytes() {
+        // `D_R` holds these by the hundred thousand: the kind must pack into
+        // the padding two flags used to occupy.
+        assert_eq!(std::mem::size_of::<Tuple>(), 20);
     }
 }

@@ -145,6 +145,7 @@ pub fn put_stats(w: &mut Writer, stats: &EvalStats) {
     w.put_u64(stats.pruned_dead);
     w.put_u64(stats.pruned_bound);
     w.put_u64(stats.deferred_expansions);
+    w.put_u64(stats.cursor_blocks);
     w.put_u64(stats.worker_panics);
     w.put_u64(stats.sheds);
     w.put_bool(stats.degraded);
@@ -169,6 +170,7 @@ pub fn take_stats(r: &mut Reader<'_>) -> Result<EvalStats, ProtocolError> {
         pruned_dead: r.take_u64()?,
         pruned_bound: r.take_u64()?,
         deferred_expansions: r.take_u64()?,
+        cursor_blocks: r.take_u64()?,
         worker_panics: r.take_u64()?,
         sheds: r.take_u64()?,
         degraded: r.take_bool()?,
@@ -655,6 +657,7 @@ mod tests {
         let stats = EvalStats {
             tuples_added: 1,
             answers: 9,
+            cursor_blocks: 4,
             sheds: 2,
             degraded: true,
             truncation: Some(TruncationReason::PoolExhausted),

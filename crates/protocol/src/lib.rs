@@ -71,8 +71,9 @@ pub const MAGIC: [u8; 8] = *b"OMEGWIRE";
 
 /// The protocol version this crate speaks, and the only one it accepts:
 /// version 2 replaced version 1's per-answer `Answers` layout with the
-/// table layout, so a version-1 peer would misread every batch.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// table layout, and version 3 added `cursor_blocks` to the `EvalStats`
+/// block of `Finished`, so an older peer would misread a batch or a finish.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Ceiling on a frame's declared payload length (16 MiB). A prefix above
 /// this is treated as stream corruption ([`ProtocolError::Oversized`])

@@ -143,7 +143,7 @@ fn answer() -> BoxedStrategy<Answer> {
 
 fn eval_stats() -> BoxedStrategy<EvalStats> {
     (
-        prop::collection::vec(any::<u64>(), 12..13),
+        prop::collection::vec(any::<u64>(), 13..14),
         any::<bool>(),
         opt(prop_oneof![
             Just(TruncationReason::TupleBudget),
@@ -162,6 +162,7 @@ fn eval_stats() -> BoxedStrategy<EvalStats> {
             pruned_dead: counters[7],
             pruned_bound: counters[8],
             deferred_expansions: counters[9],
+            cursor_blocks: counters[12],
             worker_panics: counters[10],
             sheds: counters[11],
             degraded,

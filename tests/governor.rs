@@ -30,6 +30,8 @@ use omega::datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, yago_queries, L4AllConfig,
     YagoConfig,
 };
+use omega::graph::GraphStore;
+use omega::ontology::Ontology;
 
 fn gauge_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -212,7 +214,10 @@ fn yago_q4_q5_degrade_to_nonempty_bit_identical_prefixes() {
         // "Uncapped" means no tuple budget; the answer limit only bounds how
         // far down the ranked stream we compare, which is exactly what a
         // prefix check needs (APPROX streams on YAGO are near-unbounded).
-        let request = ExecOptions::new().with_limit(400);
+        // Cost guidance is pinned: unguided Q4 APPROX proves no answer
+        // inside the largest budget below (by design since PR 5, see the
+        // README), so `OMEGA_COST_GUIDED=0` must not reach this test.
+        let request = ExecOptions::new().with_limit(400).with_cost_guided(true);
         let reference = prepared.execute(&request).unwrap();
         assert!(!reference.is_empty(), "{id}: uncapped run must answer");
 
@@ -257,6 +262,37 @@ fn yago_q4_q5_degrade_to_nonempty_bit_identical_prefixes() {
             "{id}: no budget produced a non-empty degraded prefix"
         );
     }
+}
+
+/// The tuple budget counts the successor arena: without cost guidance every
+/// start that reaches a 2,000-instance hub at distance 0 copies the hub's
+/// run for its wildcard cursors at distance 1, and all of distance 0 is
+/// worked off before any of them is read. Those copies are what eager
+/// expansion queued as tuples, so the same budget must trip here too. With
+/// cost guidance the hub is read a block at a time and the budget holds.
+#[test]
+fn successor_cursors_count_their_arena_against_the_tuple_budget() {
+    let mut g = GraphStore::new();
+    for i in 0..200 {
+        g.add_triple(&format!("s{i}"), "p", "Hub");
+    }
+    for i in 0..2_000 {
+        g.add_triple(&format!("i{i}"), "type", "Hub");
+    }
+    let db = Database::new(g, Ontology::new());
+    let prepared = db.prepare("(?X, ?Y) <- APPROX (?X, p.q, ?Y)").unwrap();
+    let request = |cost_guided: bool| {
+        ExecOptions::new()
+            .with_limit(1)
+            .with_max_tuples(50_000)
+            .with_cost_guided(cost_guided)
+    };
+    assert!(matches!(
+        prepared.execute(&request(false)),
+        Err(OmegaError::ResourceExhausted { .. })
+    ));
+    let first = prepared.execute(&request(true)).unwrap();
+    assert_eq!(first.len(), 1);
 }
 
 /// Admission pacing at the service layer: a token bucket with zero refill
