@@ -33,7 +33,6 @@ pub mod approx;
 pub mod bounds;
 pub mod decompose;
 pub mod epsilon;
-pub mod error;
 pub mod label;
 pub mod nfa;
 pub mod relax;
@@ -45,7 +44,6 @@ pub use approx::{approximate, ApproxConfig};
 pub use bounds::MinCostToAccept;
 pub use decompose::decompose_alternation;
 pub use epsilon::remove_epsilons;
-pub use error::AutomatonError;
 pub use label::TransitionLabel;
 pub use nfa::{StateId, Transition, WeightedNfa};
 pub use relax::{relax, RelaxConfig};

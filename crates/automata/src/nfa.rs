@@ -280,18 +280,6 @@ impl WeightedNfa {
             .filter(|t| t.from == self.initial)
             .map(|t| &t.label)
     }
-
-    /// The smallest strictly positive cost among transitions and final-state
-    /// weights (`None` for an exact automaton). The distance-aware
-    /// optimisation uses this as its escalation step φ.
-    pub fn min_positive_cost(&self) -> Option<u32> {
-        self.transitions
-            .iter()
-            .map(|t| t.cost)
-            .chain(self.finals.iter().flatten().copied())
-            .filter(|&c| c > 0)
-            .min()
-    }
 }
 
 impl Default for WeightedNfa {
@@ -394,17 +382,6 @@ mod tests {
         let s1 = nfa.add_state();
         nfa.add_transition(nfa.initial(), sym("a"), 0, s1);
         let _ = nfa.transitions_from(nfa.initial());
-    }
-
-    #[test]
-    fn min_positive_cost() {
-        let mut nfa = WeightedNfa::new();
-        let s1 = nfa.add_state();
-        nfa.add_transition(nfa.initial(), sym("a"), 0, s1);
-        assert_eq!(nfa.min_positive_cost(), None);
-        nfa.add_transition(nfa.initial(), TransitionLabel::Any, 3, s1);
-        nfa.add_transition(nfa.initial(), TransitionLabel::AnyForward, 2, s1);
-        assert_eq!(nfa.min_positive_cost(), Some(2));
     }
 
     #[test]

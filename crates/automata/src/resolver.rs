@@ -1,9 +1,10 @@
-//! Resolution of label names and class-node names to graph identifiers.
+//! Resolution of label names to graph identifiers, and of identifiers back
+//! to names.
 //!
 //! Automaton construction happens at query-compilation time and needs to map
 //! the label strings appearing in a regular expression to the data graph's
-//! interned [`LabelId`]s (and, for RELAX, class names to [`NodeId`]s).
-//! Labels that do not occur in the graph resolve to `None`; the resulting
+//! interned [`LabelId`]s (and, for RELAX, to name the [`NodeId`]s and labels
+//! its transitions carry). Labels that do not occur in the graph resolve to `None`; the resulting
 //! transitions can never match an edge but are still subject to APPROX edit
 //! operations, exactly as in the paper (a mistyped label can be *substituted*
 //! into a matching one).
@@ -13,14 +14,10 @@ use std::sync::Arc;
 
 use omega_graph::{GraphStore, LabelId, NodeId};
 
-/// Maps label/class names to graph identifiers.
+/// Maps label names to graph identifiers, and identifiers to names.
 pub trait LabelResolver {
     /// Resolves an edge-label name.
     fn resolve_label(&self, name: &str) -> Option<LabelId>;
-    /// Resolves a node (typically a class node) by its unique label.
-    fn resolve_node(&self, name: &str) -> Option<NodeId>;
-    /// The id of the distinguished `type` label, if the graph has one.
-    fn type_label(&self) -> Option<LabelId>;
     /// The display name of a node, used when annotating RELAX transitions.
     fn node_name(&self, node: NodeId) -> Arc<str>;
     /// The display name of an edge label, used when annotating RELAX
@@ -31,14 +28,6 @@ pub trait LabelResolver {
 impl LabelResolver for GraphStore {
     fn resolve_label(&self, name: &str) -> Option<LabelId> {
         self.label_id(name)
-    }
-
-    fn resolve_node(&self, name: &str) -> Option<NodeId> {
-        self.node_by_label(name)
-    }
-
-    fn type_label(&self) -> Option<LabelId> {
-        Some(GraphStore::type_label(self))
     }
 
     fn node_name(&self, node: NodeId) -> Arc<str> {
@@ -81,14 +70,6 @@ impl LabelResolver for MapResolver {
         self.labels.get(name).copied()
     }
 
-    fn resolve_node(&self, name: &str) -> Option<NodeId> {
-        self.nodes.get(name).copied()
-    }
-
-    fn type_label(&self) -> Option<LabelId> {
-        self.labels.get("type").copied()
-    }
-
     fn node_name(&self, node: NodeId) -> Arc<str> {
         self.nodes
             .iter()
@@ -116,11 +97,6 @@ mod tests {
         g.add_triple("a", "knows", "b");
         assert_eq!(g.resolve_label("knows"), g.label_id("knows"));
         assert_eq!(g.resolve_label("missing"), None);
-        assert_eq!(g.resolve_node("a"), g.node_by_label("a"));
-        assert_eq!(
-            LabelResolver::type_label(&g),
-            Some(GraphStore::type_label(&g))
-        );
         assert_eq!(&*g.node_name(g.node_by_label("b").unwrap()), "b");
     }
 
@@ -131,7 +107,6 @@ mod tests {
         let a2 = r.add_label("a");
         assert_eq!(a, a2);
         let n = r.add_node("Person");
-        assert_eq!(r.resolve_node("Person"), Some(n));
         assert_eq!(r.resolve_label("b"), None);
         assert_eq!(&*r.node_name(n), "Person");
     }

@@ -64,11 +64,6 @@ pub fn accepts(nfa: &WeightedNfa, word: &[Symbol]) -> bool {
     min_accept_cost(nfa, word) == Some(0)
 }
 
-/// Whether `nfa` accepts `word` at any cost.
-pub fn accepts_at_any_cost(nfa: &WeightedNfa, word: &[Symbol]) -> bool {
-    min_accept_cost(nfa, word).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,7 +90,6 @@ mod tests {
         assert_eq!(min_accept_cost(&nfa, &w(&["a", "b"])), Some(3));
         assert_eq!(min_accept_cost(&nfa, &w(&["a"])), None);
         assert!(!accepts(&nfa, &w(&["a", "b"])));
-        assert!(accepts_at_any_cost(&nfa, &w(&["a", "b"])));
     }
 
     #[test]

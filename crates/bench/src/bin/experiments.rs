@@ -10,8 +10,7 @@
 //! experiments snapshot inspect PATH
 //!
 //! FIGURE: fig2 fig3 fig5 fig6 fig7 fig8 fig10 fig11 opt-distance
-//!         opt-disjunction opt-final opt-batching baseline parallel overload
-//!         all
+//!         opt-disjunction opt-final opt-batching baseline overload all
 //! ```
 //!
 //! `--quick` (the default) runs L4All scales L1–L2 and a quarter-scale YAGO
@@ -30,7 +29,7 @@ use omega_bench::*;
 use omega_core::EvalOptions;
 use omega_datagen::L4AllScale;
 
-const FIGURES: [&str; 16] = [
+const FIGURES: [&str; 15] = [
     "fig2",
     "fig3",
     "fig5",
@@ -44,7 +43,6 @@ const FIGURES: [&str; 16] = [
     "opt-final",
     "opt-batching",
     "baseline",
-    "parallel",
     "overload",
     "all",
 ];
@@ -167,12 +165,6 @@ fn main() {
     if wants("baseline") {
         println!("{}", baseline_comparison(&config));
     }
-    if wants("parallel") {
-        println!(
-            "{}",
-            parallel_comparison(&parallel_study(&config, &options))
-        );
-    }
     if wants("overload") {
         println!("{}", overload_comparison(&overload_study(&config)));
     }
@@ -256,6 +248,7 @@ mod tests {
             "startup",
             "prepared",
             "bench",
+            "parallel",
             "bnech",
         ] {
             assert!(parse(stale).is_err(), "{stale} must be rejected");

@@ -27,9 +27,8 @@ use std::time::{Duration, Instant};
 
 use omega_core::{Database, EvalOptions, EvalStats, ExecOptions, OmegaError, PreparedQuery};
 use omega_datagen::{
-    generate_l4all, generate_yago, l4all_multi_conjunct_queries, l4all_queries,
-    yago_multi_conjunct_queries, yago_queries, Dataset, L4AllConfig, L4AllScale, QuerySpec,
-    YagoConfig,
+    generate_l4all, generate_yago, l4all_queries, yago_queries, Dataset, L4AllConfig, L4AllScale,
+    QuerySpec, YagoConfig,
 };
 use omega_graph::GraphStats;
 use omega_obs::Histogram;
@@ -184,7 +183,7 @@ pub fn run_query_sampled(
     median
 }
 
-/// [`run_query`] with an explicit request (limit, deadline, parallelism
+/// [`run_query`] with an explicit request (limit, deadline, optimisation
 /// overrides, …). Single-shot: `samples` is 1.
 pub fn run_query_with(
     db: &Database,
@@ -519,90 +518,6 @@ pub fn ablations(cases: &[AblationCase<'_>], samples: usize) -> String {
             format_duration(on.elapsed),
             off.elapsed.as_secs_f64() / on.elapsed.as_secs_f64().max(1e-9),
             agreeing_answers(&off, &on),
-        ));
-    }
-    out
-}
-
-/// Runs the multi-conjunct query sets sequentially (`seq`) and with
-/// parallel conjunct workers (`par`), on the largest configured L4All scale
-/// and the YAGO graph. Both the exact and the APPROX variants (the operator
-/// applied to *every* conjunct) fetch the top [`TOP_K`] answers — the
-/// interactive workload the paper's methodology models; full exact drains
-/// of the rank join are quadratic in the buffered streams and not
-/// representative. Each row is tagged with its mode.
-pub fn parallel_study(config: &RunConfig, options: &EvalOptions) -> Vec<(String, QueryRun)> {
-    let l4all = l4all_dataset(config.scales().last().copied().unwrap_or(L4AllScale::L1));
-    let yago = yago_dataset(config.yago_scale);
-    let cases: Vec<(&Dataset, QuerySpec)> = l4all_multi_conjunct_queries()
-        .into_iter()
-        .map(|spec| (&l4all, spec))
-        .chain(
-            yago_multi_conjunct_queries()
-                .into_iter()
-                .map(|spec| (&yago, spec)),
-        )
-        .collect();
-    let mut rows = Vec::new();
-    for (mode, parallel) in [("seq", false), ("par", true)] {
-        let l4all_db = engine_for(&l4all, options.clone().with_parallel_conjuncts(parallel));
-        let yago_db = engine_for(&yago, options.clone().with_parallel_conjuncts(parallel));
-        for (dataset, spec) in &cases {
-            let db = if std::ptr::eq(*dataset, &l4all) {
-                &l4all_db
-            } else {
-                &yago_db
-            };
-            for operator in ["", "APPROX"] {
-                let text = spec.with_operator_everywhere(operator);
-                // Top-K in *both* modes: full exact drains of the rank join
-                // are quadratic in the buffered streams and not what the
-                // interactive workload looks like.
-                let request = ExecOptions::new().with_limit(TOP_K);
-                rows.push((
-                    mode.to_owned(),
-                    run_query_sampled(db, spec.id, operator, &text, &request, config.samples),
-                ));
-            }
-        }
-    }
-    rows
-}
-
-/// Formats the [`parallel_study`] rows as a sequential-vs-parallel
-/// comparison table, checking that both modes returned the same number of
-/// answers (they must: parallel evaluation ranks as sequential does).
-pub fn parallel_comparison(rows: &[(String, QueryRun)]) -> String {
-    let mut out = String::from(
-        "Parallel conjunct evaluation: multi-conjunct queries, sequential vs parallel (ms)\n",
-    );
-    out.push_str(&format!(
-        "{:<6} {:<8} {:>10} {:>10} {:>9} {:>9}\n",
-        "Query", "Mode", "seq", "par", "speed-up", "answers"
-    ));
-    let find = |mode: &str, id: &str, operator: &str| {
-        rows.iter()
-            .find(|(m, r)| m == mode && r.id == id && r.operator == operator)
-            .map(|(_, r)| r)
-    };
-    let mut seen: Vec<(&str, &str)> = Vec::new();
-    for (_, run) in rows {
-        let key = (run.id.as_str(), run.operator.as_str());
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
-        let (Some(seq), Some(par)) = (find("seq", key.0, key.1), find("par", key.0, key.1)) else {
-            continue;
-        };
-        out.push_str(&format!(
-            "{:<6} {:<8} {:>10} {:>10} {:>8.2}x {:>9}\n",
-            seq.id,
-            seq.operator,
-            format_duration(seq.elapsed),
-            format_duration(par.elapsed),
-            seq.elapsed.as_secs_f64() / par.elapsed.as_secs_f64().max(1e-9),
-            agreeing_answers(seq, par),
         ));
     }
     out

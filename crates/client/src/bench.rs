@@ -86,9 +86,6 @@ pub struct LoadReport {
     /// Completed requests whose result set was truncated (tuple budget or
     /// pool exhaustion under the `Degrade` policy).
     pub truncated: u64,
-    /// Conjunct worker panics absorbed server-side, summed over completed
-    /// requests.
-    pub worker_panics: u64,
     /// Total answers received.
     pub answers: u64,
     /// Backoff-and-retry cycles performed (0 without a [`RetryPolicy`]).
@@ -161,7 +158,6 @@ pub fn run_load(endpoint: &Endpoint, spec: &LoadSpec) -> Result<LoadReport> {
         report.failed += outcome.report.failed;
         report.degraded += outcome.report.degraded;
         report.truncated += outcome.report.truncated;
-        report.worker_panics += outcome.report.worker_panics;
         report.answers += outcome.report.answers;
         report.retries += outcome.report.retries;
     }
@@ -256,7 +252,6 @@ fn worker(
             if stats.truncation.is_some() {
                 out.report.truncated += 1;
             }
-            out.report.worker_panics += stats.worker_panics;
             // Retried requests are charged from their scheduled arrival, so
             // backoff time counts against latency — no coordinated omission.
             out.latencies.observe(arrival.elapsed());

@@ -35,12 +35,10 @@ pub enum OmegaError {
     /// [`crate::service::ExecOptions`]; answers produced before the deadline
     /// have already been yielded by the stream.
     DeadlineExceeded,
-    /// The execution's shared [`crate::eval::CancelToken`] was triggered —
-    /// normally because the answer stream finished, failed or was dropped
-    /// while parallel conjunct workers were still producing. Consumers never
-    /// observe this variant through [`crate::service::Answers`]; it exists so
-    /// a worker abandoning its stream mid-flight is distinguishable from a
-    /// genuine evaluation failure.
+    /// The client abandoned the execution. The engine never raises this
+    /// itself — dropping an [`crate::service::Answers`] stream is how an
+    /// execution is cancelled — but a server reports a client's `Cancel`
+    /// with it, so it has a place on the wire.
     Cancelled,
     /// The engine refused to admit the execution: the database-wide
     /// resource governor found the shared pools saturated (too many
@@ -68,8 +66,8 @@ pub enum OmegaError {
         /// Human-readable description of why durability degraded.
         message: String,
     },
-    /// An engine invariant was violated at runtime — e.g. a conjunct worker
-    /// thread panicked. Always a bug, never a user error; surfaced as a
+    /// An engine invariant was violated at runtime, or a write-ahead log or
+    /// its checkpoint could not be opened. Never a user error; surfaced as a
     /// typed value so a server in front of the engine degrades to a failed
     /// request instead of a crashed process.
     Internal {

@@ -379,11 +379,8 @@ impl<'a> ConjunctEvaluator<'a> {
 
     fn get_next_inner(&mut self) -> Result<Option<ConjunctAnswer>> {
         loop {
-            // Deadline and cancellation checks, paced to one clock read /
-            // atomic load per 64 tuples; the first iteration always checks so
-            // a 0-ms deadline (or pre-cancelled token) fails fast. This
-            // cadence is the bound on how long a worker deep inside a
-            // traversal can outlive its execution.
+            // Deadline check, paced to one clock read per 64 tuples; the
+            // first iteration always checks so a 0-ms deadline fails fast.
             if self.ticks & 63 == 0 {
                 if let Some(deadline) = self.options.deadline {
                     // The fault hook models a clock jumping past the
@@ -391,11 +388,6 @@ impl<'a> ConjunctEvaluator<'a> {
                     // treat it exactly like a genuinely expired deadline.
                     if Instant::now() >= deadline || fault_fire(FaultPoint::DeadlineClock) {
                         return Err(OmegaError::DeadlineExceeded);
-                    }
-                }
-                if let Some(cancel) = &self.options.cancel {
-                    if cancel.is_cancelled() {
-                        return Err(OmegaError::Cancelled);
                     }
                 }
             }

@@ -276,34 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_stops_evaluation_across_restarts() {
-        use crate::eval::cancel::CancelToken;
-        use crate::OmegaError;
-
-        let (g, o) = setup();
-        let token = CancelToken::new();
-        let options = EvalOptions::default().with_cancel_token(token.clone());
-        let mut aware = build("(?X) <- APPROX (a, p.r, ?X)", &g, &o, &options);
-        assert!(
-            aware.get_next().unwrap().is_some(),
-            "produces before cancel"
-        );
-        token.cancel();
-        // The token is polled every 64 tuples, so up to a check interval of
-        // answers may still arrive; this query escalates (see
-        // `escalation_counts_restarts`) and the restarted inner evaluator
-        // checks on its first iteration, so the error must surface before
-        // the stream can claim exhaustion.
-        let outcome = loop {
-            match aware.get_next() {
-                Ok(Some(_)) => continue,
-                other => break other,
-            }
-        };
-        assert!(matches!(outcome, Err(OmegaError::Cancelled)));
-    }
-
-    #[test]
     fn exact_conjuncts_never_escalate() {
         let (g, o) = setup();
         let mut aware = build("(?X) <- (a, p.p, ?X)", &g, &o, &EvalOptions::default());

@@ -10,49 +10,43 @@
 //! interesting path.
 //!
 //! The instrumented points ([`FaultPoint`]) cover the failure classes a
-//! serving deployment actually sees: snapshot IO reads, worker-thread
-//! spawning, bounded-channel sends, budget acquisition, the deadline
-//! clock, and write-ahead-log I/O (torn appends, failed fsyncs). Each hook compiles to a branch on an `AtomicPtr`-free global under
+//! serving deployment actually sees: snapshot IO reads, budget acquisition,
+//! the deadline clock, mutation apply, and write-ahead-log I/O (torn
+//! appends, failed fsyncs). Each hook compiles to a branch on an `AtomicPtr`-free global under
 //! `cfg(any(test, feature = "fault-injection"))` and to a constant `false`
 //! otherwise, so release library builds carry no chaos machinery at all.
 //!
 //! Installation is process-global (guarded, cleared on drop) because the
-//! injected paths run on worker threads that only share `EvalOptions` —
-//! chaos tests serialise on a mutex exactly like the concurrency suite.
+//! injected paths run wherever the engine does — a server's connection
+//! threads included — so chaos tests serialise on a mutex.
 
 /// A code path instrumented for fault injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
     /// Reading/validating a snapshot image on open.
     SnapshotRead = 0,
-    /// Dispatching a conjunct worker to the pool.
-    WorkerSpawn = 1,
-    /// A worker pushing an item into its bounded answer channel.
-    ChannelSend = 2,
     /// A budget check / shared-pool tuple reservation.
-    BudgetAcquire = 3,
+    BudgetAcquire = 1,
     /// The wall-clock deadline check (simulates clock jumps).
-    DeadlineClock = 4,
+    DeadlineClock = 2,
     /// Applying a mutation batch to the live graph (before the new epoch is
     /// published, so an injected failure leaves the graph unchanged).
-    MutationApply = 5,
+    MutationApply = 3,
     /// Appending a mutation record to the write-ahead log. Firing damages
     /// the on-disk record (torn write) and fails the append, exercising the
     /// degrade-to-read-only path and tail truncation on recovery.
-    WalAppend = 6,
+    WalAppend = 4,
     /// Fsyncing the write-ahead log: the record lands intact but the
     /// durability promise is broken (power loss before flush).
-    WalSync = 7,
+    WalSync = 5,
 }
 
 /// Number of distinct injection points.
-pub const FAULT_POINTS: usize = 8;
+pub const FAULT_POINTS: usize = 6;
 
 /// Every injection point, for tests that sweep them.
 pub const ALL_POINTS: [FaultPoint; FAULT_POINTS] = [
     FaultPoint::SnapshotRead,
-    FaultPoint::WorkerSpawn,
-    FaultPoint::ChannelSend,
     FaultPoint::BudgetAcquire,
     FaultPoint::DeadlineClock,
     FaultPoint::MutationApply,
@@ -221,15 +215,15 @@ mod tests {
         let a = FaultPlan::new(42, 0.3);
         let b = FaultPlan::new(42, 0.3);
         let decisions_a: Vec<bool> = (0..256)
-            .map(|_| a.should_fail(FaultPoint::ChannelSend))
+            .map(|_| a.should_fail(FaultPoint::DeadlineClock))
             .collect();
         let decisions_b: Vec<bool> = (0..256)
-            .map(|_| b.should_fail(FaultPoint::ChannelSend))
+            .map(|_| b.should_fail(FaultPoint::DeadlineClock))
             .collect();
         assert_eq!(decisions_a, decisions_b);
         assert!(a.total_fired() > 0, "rate 0.3 over 256 draws fires");
         assert!(
-            a.fired(FaultPoint::ChannelSend) < 256,
+            a.fired(FaultPoint::DeadlineClock) < 256,
             "rate 0.3 is not rate 1.0"
         );
     }
@@ -246,9 +240,9 @@ mod tests {
             .collect();
         assert_ne!(da, db, "seeds must produce distinct schedules");
         // A disabled point never fires even at rate 1.
-        let only = FaultPlan::new(7, 1.0).only(FaultPoint::WorkerSpawn);
+        let only = FaultPlan::new(7, 1.0).only(FaultPoint::MutationApply);
         assert!(!only.should_fail(FaultPoint::SnapshotRead));
-        assert!(only.should_fail(FaultPoint::WorkerSpawn));
+        assert!(only.should_fail(FaultPoint::MutationApply));
     }
 
     #[test]

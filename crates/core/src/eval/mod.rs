@@ -3,7 +3,6 @@
 //! ranked join and the exact baseline evaluator.
 
 pub mod baseline;
-pub mod cancel;
 pub mod conjunct;
 pub mod disjunction;
 pub mod distance_aware;
@@ -11,7 +10,6 @@ pub mod dr;
 pub mod fault;
 pub mod initial;
 pub mod options;
-pub mod parallel;
 pub mod plan;
 pub mod rank_join;
 pub mod stats;
@@ -20,12 +18,10 @@ pub mod tuple;
 pub mod visited;
 
 pub use baseline::BaselineEvaluator;
-pub use cancel::CancelToken;
 pub use conjunct::{evaluate_conjunct, ConjunctEvaluator};
 pub use disjunction::{compile_branches, DisjunctionEvaluator};
 pub use distance_aware::DistanceAwareEvaluator;
 pub use options::{EvalOptions, OverloadPolicy};
-pub use parallel::{live_parallel_workers, ParallelStream, WorkerPool};
 pub use plan::{compile_conjunct, ConjunctPlan, SeedSpec};
 pub use rank_join::RankJoin;
 pub use stats::{EvalStats, TruncationReason};

@@ -6,7 +6,6 @@ use std::time::Instant;
 
 use omega_automata::{ApproxConfig, RelaxConfig};
 
-use crate::eval::cancel::CancelToken;
 use crate::govern::GovernorHandle;
 
 /// What the engine does when a resource budget trips — at admission
@@ -34,22 +33,6 @@ pub enum OverloadPolicy {
     /// [`OverloadPolicy::Degrade`]. Each shed retry is counted in
     /// [`crate::EvalStats::sheds`].
     Shed,
-}
-
-/// Default bound of the per-conjunct answer channels in parallel evaluation.
-pub const DEFAULT_PARALLEL_CHANNEL_CAPACITY: usize = 256;
-
-/// Whether `parallel_conjuncts` defaults to on, read once from the
-/// `OMEGA_PARALLEL_CONJUNCTS` environment variable (`1` / `true` / `on`).
-/// This is how CI forces the whole test suite through the parallel path
-/// without touching every call site.
-fn parallel_conjuncts_default() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("OMEGA_PARALLEL_CONJUNCTS")
-            .map(|v| matches!(v.as_str(), "1" | "true" | "on"))
-            .unwrap_or(false)
-    })
 }
 
 /// Whether `cost_guided` defaults to on. `OMEGA_COST_GUIDED=0` (or `false` /
@@ -109,27 +92,6 @@ pub struct EvalOptions {
     /// past it fails with [`crate::OmegaError::DeadlineExceeded`]. Normally
     /// set per request through [`crate::service::ExecOptions`].
     pub deadline: Option<Instant>,
-    /// Evaluate the conjuncts of a multi-conjunct query on parallel worker
-    /// threads, feeding the ranked join through bounded channels. Answer
-    /// sequences are bit-identical to sequential evaluation; only wall-clock
-    /// behaviour changes. Defaults to off, or to the value of the
-    /// `OMEGA_PARALLEL_CONJUNCTS` environment variable when set.
-    pub parallel_conjuncts: bool,
-    /// Maximum number of conjunct worker threads per execution when
-    /// `parallel_conjuncts` is on; `0` means one worker per conjunct.
-    /// Conjuncts beyond the budget are evaluated inline on the caller's
-    /// thread, exactly as in sequential mode.
-    pub parallel_workers: usize,
-    /// Capacity of each worker's bounded answer channel. Small capacities
-    /// keep workers closely paced to the join's consumption (and are used by
-    /// the cancellation tests); larger ones decouple producers from the
-    /// consumer.
-    pub parallel_channel_capacity: usize,
-    /// Shared cancellation token for this execution. Installed automatically
-    /// per execution by the service layer; evaluator loops poll it at the
-    /// deadline-check cadence and bail out with
-    /// [`crate::OmegaError::Cancelled`] once triggered.
-    pub cancel: Option<CancelToken>,
     /// Cost-guided evaluation: order the tuple queue by `f = g + h` (the
     /// accumulated distance plus the compiled plan's admissible per-state
     /// accept lower bound), prune tuples that provably cannot beat the
@@ -164,10 +126,6 @@ impl Default for EvalOptions {
             max_psi_steps: 16,
             max_distance: None,
             deadline: None,
-            parallel_conjuncts: parallel_conjuncts_default(),
-            parallel_workers: 0,
-            parallel_channel_capacity: DEFAULT_PARALLEL_CHANNEL_CAPACITY,
-            cancel: None,
             cost_guided: cost_guided_default(),
             on_overload: OverloadPolicy::default(),
             govern: None,
@@ -218,30 +176,6 @@ impl EvalOptions {
         self
     }
 
-    /// Enables or disables parallel conjunct evaluation.
-    pub fn with_parallel_conjuncts(mut self, on: bool) -> Self {
-        self.parallel_conjuncts = on;
-        self
-    }
-
-    /// Caps the number of conjunct worker threads (`0` = one per conjunct).
-    pub fn with_parallel_workers(mut self, workers: usize) -> Self {
-        self.parallel_workers = workers;
-        self
-    }
-
-    /// Sets the per-worker answer channel capacity (clamped to at least 1).
-    pub fn with_parallel_channel_capacity(mut self, capacity: usize) -> Self {
-        self.parallel_channel_capacity = capacity.max(1);
-        self
-    }
-
-    /// Installs the execution's shared cancellation token.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Enables or disables cost-guided evaluation (A* ordering, bound and
     /// dead-state pruning, deferred expansion, stats-driven planning).
     pub fn with_cost_guided(mut self, on: bool) -> Self {
@@ -277,37 +211,22 @@ mod tests {
         assert!(!o.distance_aware);
         assert!(!o.disjunction_decomposition);
         assert_eq!(o.max_tuples, None);
-        assert_eq!(o.parallel_workers, 0);
-        assert_eq!(
-            o.parallel_channel_capacity,
-            DEFAULT_PARALLEL_CHANNEL_CAPACITY
-        );
-        assert!(o.cancel.is_none());
         assert_eq!(o.on_overload, OverloadPolicy::Fail);
         assert!(o.govern.is_none());
     }
 
     #[test]
     fn builder_methods() {
-        let token = CancelToken::new();
         let o = EvalOptions::default()
             .with_distance_aware(true)
             .with_disjunction_decomposition(true)
             .with_max_tuples(Some(10))
             .with_batch_size(0)
-            .without_final_prioritization()
-            .with_parallel_conjuncts(true)
-            .with_parallel_workers(2)
-            .with_parallel_channel_capacity(0)
-            .with_cancel_token(token.clone());
+            .without_final_prioritization();
         assert!(o.distance_aware);
         assert!(o.disjunction_decomposition);
         assert_eq!(o.max_tuples, Some(10));
         assert_eq!(o.batch_size, 1, "batch size is clamped to at least 1");
         assert!(!o.prioritize_final);
-        assert!(o.parallel_conjuncts);
-        assert_eq!(o.parallel_workers, 2);
-        assert_eq!(o.parallel_channel_capacity, 1, "capacity clamps to 1");
-        assert_eq!(o.cancel, Some(token));
     }
 }

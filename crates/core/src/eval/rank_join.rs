@@ -58,14 +58,7 @@
 //! join rests on — and only its order inside a distance, and with it which
 //! tied rows a `LIMIT` keeps, is the join's doing. A stream that declines
 //! (a constant-seeded conjunct, one whose seeds are all released, a §4.3
-//! driver, a worker thread) is not hinted again.
-//!
-//! Parallel conjunct evaluation ([`crate::eval::parallel`]) gets the pull
-//! rule and no hints: a channel-fed [`AnswerStream`] has the content and
-//! order of the unhinted evaluator it runs, so two parallel runs agree bit
-//! for bit however workers are scheduled, and a parallel and a sequential
-//! run agree on the distance sequence and on the set of rows at every
-//! distance — not on the order inside one.
+//! driver) is not hinted again.
 
 use std::collections::BinaryHeap;
 use std::hash::BuildHasher;

@@ -59,10 +59,6 @@ pub struct EvalStats {
     /// each is at most [`crate::eval::succ::BLOCK`] visits, which count in
     /// `tuples_added` as they go in (the cursor itself never does).
     pub cursor_blocks: u64,
-    /// Conjunct worker threads that panicked during this execution. Always
-    /// zero on a healthy engine; the panic also surfaces as
-    /// [`crate::OmegaError::Internal`] on the consuming stream.
-    pub worker_panics: u64,
     /// Shed retries performed: executions that were re-admitted with shrunk
     /// budgets after an initial overload rejection
     /// (`OverloadPolicy::Shed`).
@@ -91,7 +87,6 @@ impl AddAssign for EvalStats {
         self.pruned_bound += rhs.pruned_bound;
         self.deferred_expansions += rhs.deferred_expansions;
         self.cursor_blocks += rhs.cursor_blocks;
-        self.worker_panics += rhs.worker_panics;
         self.sheds += rhs.sheds;
         self.degraded |= rhs.degraded;
         self.truncation = self.truncation.or(rhs.truncation);
@@ -103,8 +98,7 @@ impl std::fmt::Display for EvalStats {
         write!(
             f,
             "added={} processed={} succ={} lookups={} answers={} suppressed={} restarts={} \
-             pruned_dead={} pruned_bound={} deferred={} cursor_blocks={} worker_panics={} sheds={} \
-             degraded={}",
+             pruned_dead={} pruned_bound={} deferred={} cursor_blocks={} sheds={} degraded={}",
             self.tuples_added,
             self.tuples_processed,
             self.succ_calls,
@@ -116,7 +110,6 @@ impl std::fmt::Display for EvalStats {
             self.pruned_bound,
             self.deferred_expansions,
             self.cursor_blocks,
-            self.worker_panics,
             self.sheds,
             self.degraded
         )
@@ -141,7 +134,6 @@ mod tests {
             pruned_bound: 9,
             deferred_expansions: 10,
             cursor_blocks: 13,
-            worker_panics: 11,
             sheds: 12,
             degraded: false,
             truncation: None,
@@ -153,7 +145,6 @@ mod tests {
         assert_eq!(a.pruned_bound, 18);
         assert_eq!(a.deferred_expansions, 20);
         assert_eq!(a.cursor_blocks, 26);
-        assert_eq!(a.worker_panics, 22);
         assert_eq!(a.sheds, 24);
         assert!(!a.degraded);
         assert!(a.to_string().contains("answers=10"));

@@ -1,5 +1,5 @@
 //! One execution of a prepared statement: stream construction
-//! (`PreparedInner::answers`, `stream_plan`) and [`Answers`], the handle that
+//! (`PreparedInner::answers`, `conjunct_stream`) and [`Answers`], the handle that
 //! pulls ranked candidates from a bypassed conjunct stream or the rank join,
 //! projects them onto the head, deduplicates, and enforces limit, deadline
 //! and distance ceiling. Public items are re-exported from `service`.
@@ -15,11 +15,11 @@ use omega_ontology::Ontology;
 
 use crate::answer::Answer;
 use crate::error::{OmegaError, Result};
-use crate::eval::cancel::CancelToken;
-use crate::eval::disjunction::compile_branches;
-use crate::eval::parallel::{ParallelStream, StreamPlan, WorkerPool};
 use crate::eval::rank_join::{JoinInput, RankJoin};
-use crate::eval::{AnswerStream, EvalOptions, EvalStats, OverloadPolicy};
+use crate::eval::{
+    compile_branches, AnswerStream, ConjunctEvaluator, DisjunctionEvaluator,
+    DistanceAwareEvaluator, EvalOptions, EvalStats, OverloadPolicy,
+};
 use crate::govern::{ExecutionPermit, GovernorHandle, ResourceGovernor};
 use crate::query::ast::QueryMode;
 use crate::service::{elapsed_ns, CoreMetrics, GraphData, Layout, PreparedConjunct, PreparedInner};
@@ -64,19 +64,8 @@ struct ProfileState {
 }
 
 impl PreparedInner {
-    /// Builds the ranked answer stream for one execution.
-    ///
-    /// Every execution gets a fresh shared [`CancelToken`] (unless the
-    /// caller installed one in `options`): the conjunct evaluators —
-    /// sequential or on worker threads — poll it, and the returned
-    /// [`Answers`] triggers it when the stream finishes, fails or is
-    /// dropped, so no conjunct worker outlives its execution.
-    ///
-    /// With `parallel_conjuncts` on and more than one conjunct, up to
-    /// `parallel_workers` conjuncts (all when `0`) evaluate on worker threads
-    /// feeding bounded channels, which the ranked join consumes by the same
-    /// pull rule: the same answers at the same distances either way, ties in
-    /// the order of streams that took no seed hints.
+    /// Builds the ranked answer stream for one execution. Every conjunct
+    /// evaluates on the caller's thread, pulled by the ranked join.
     ///
     /// A single-conjunct plan reads its rows straight off the conjunct
     /// stream, which is already ranked; `via_join` routes it through the
@@ -85,8 +74,7 @@ impl PreparedInner {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn answers<'a>(
         self: &Arc<Self>,
-        data: &'a Arc<GraphData>,
-        pool: &Arc<WorkerPool>,
+        data: &'a GraphData,
         govern: &Arc<ResourceGovernor>,
         metrics: &Arc<CoreMetrics>,
         mut options: EvalOptions,
@@ -133,39 +121,15 @@ impl PreparedInner {
         // Evaluators draw their live-tuple reservations from the shared pool
         // through this handle.
         options.govern = Some(GovernorHandle(Arc::clone(govern)));
-        // Every execution gets its own token; a caller-installed base token
-        // becomes the parent (an external kill switch), so finishing this
-        // execution never poisons the base options for later queries.
-        let cancel = match &options.cancel {
-            Some(external) => external.child(),
-            None => CancelToken::new(),
-        };
-        options.cancel = Some(cancel.clone());
         let options = Arc::new(options);
         let graph = &data.graph;
         let ontology = &data.ontology;
-        let parallel = options.parallel_conjuncts && self.conjuncts.len() > 1;
-        let worker_budget = if options.parallel_workers == 0 {
-            self.conjuncts.len()
-        } else {
-            options.parallel_workers
-        };
         let guided = options.cost_guided && self.guided.is_some();
         let layout = self.layout(guided);
         let bypass = self.conjuncts.len() == 1 && !via_join;
-        let mut streams = layout.order.iter().enumerate().map(|(pos, &i)| {
+        let mut streams = layout.order.iter().map(|&i| {
             let pc = &self.conjuncts[i];
-            let plan = stream_plan(pc, &self.query.conjuncts[i], graph, ontology, &options);
-            let stream: Box<dyn AnswerStream + 'a> = if parallel && pos < worker_budget {
-                match ParallelStream::spawn(plan, Arc::clone(data), Arc::clone(&options), pool) {
-                    Ok(stream) => Box::new(stream),
-                    // Spawn failure (thread exhaustion): evaluate this
-                    // conjunct inline — same answers, no parallelism.
-                    Err(plan) => plan.materialize(graph, ontology, Arc::clone(&options)),
-                }
-            } else {
-                plan.materialize(graph, ontology, Arc::clone(&options))
-            };
+            let stream = conjunct_stream(pc, &self.query.conjuncts[i], graph, ontology, &options);
             // Profiling wraps each conjunct stream in a timing adaptor,
             // keyed by the query's syntactic conjunct index so phases
             // read stably however cost-guided ordering shuffled them. On a
@@ -211,7 +175,6 @@ impl PreparedInner {
             yielded: 0,
             max_distance: options.max_distance,
             deadline: options.deadline,
-            cancel,
             finished: false,
             pending: None,
             permit: Some(permit),
@@ -234,17 +197,15 @@ impl PreparedInner {
     }
 }
 
-/// Chooses the evaluator recipe for one conjunct according to the request
-/// options. Selection (and branch-plan compilation/caching) always happens
-/// on the caller's thread; the returned [`StreamPlan`] is materialised
-/// either inline or inside a conjunct worker.
-fn stream_plan(
+/// Builds the evaluator for one conjunct that the request options select:
+/// the plain ranked evaluator, or one of the two Section 4.3 drivers.
+fn conjunct_stream<'a>(
     pc: &PreparedConjunct,
     conjunct: &crate::query::ast::Conjunct,
-    graph: &GraphStore,
-    ontology: &Ontology,
+    graph: &'a GraphStore,
+    ontology: &'a Ontology,
     options: &Arc<EvalOptions>,
-) -> StreamPlan {
+) -> Box<dyn AnswerStream + 'a> {
     if options.disjunction_decomposition && pc.mode == QueryMode::Approx {
         // Branch plans compile on first use and are cached for every later
         // execution. A compile failure cannot happen once the main plan
@@ -261,13 +222,20 @@ fn stream_plan(
             }
         });
         if let Some(branches) = branches {
-            return StreamPlan::Disjunction(branches.clone());
+            return Box::new(DisjunctionEvaluator::from_plans(
+                branches.clone(),
+                graph,
+                ontology,
+                Arc::clone(options),
+            ));
         }
     }
+    let plan = Arc::clone(&pc.plan);
+    let options = Arc::clone(options);
     if options.distance_aware && pc.mode != QueryMode::Exact {
-        return StreamPlan::DistanceAware(Arc::clone(&pc.plan));
+        return Box::new(DistanceAwareEvaluator::new(plan, graph, ontology, options));
     }
-    StreamPlan::Plain(Arc::clone(&pc.plan))
+    Box::new(ConjunctEvaluator::new(plan, graph, ontology, options, None))
 }
 
 /// Where an execution's ranked candidates come from. One per execution,
@@ -324,13 +292,8 @@ impl RowSet {
 /// [`NodeId`]s against [`Answers::columns`]: [`Answers::next_row`] lends the
 /// row as it is, [`Answers::next_answer`] (and the
 /// `Iterator<Item = Result<Answer>>` impl) materialises it into labels.
-/// After an error or exhaustion the stream is fused.
-///
-/// The handle owns the execution's shared [`CancelToken`]: it is triggered
-/// as soon as the stream finishes (limit reached, exhausted, or failed) and
-/// on drop, which promptly stops any parallel conjunct workers still
-/// producing — their threads are then joined when the stream's join inputs
-/// drop.
+/// After an error or exhaustion the stream is fused. Dropping it mid-flight
+/// ends the execution: nothing evaluates except inside a pull.
 pub struct Answers<'a> {
     graph: &'a GraphStore,
     /// The statement: head columns and slot layouts, resolved at prepare.
@@ -346,8 +309,6 @@ pub struct Answers<'a> {
     yielded: usize,
     max_distance: Option<u32>,
     deadline: Option<Instant>,
-    /// The execution's shared cancellation token.
-    cancel: CancelToken,
     finished: bool,
     /// Admission failure deferred to the first pull (the constructor is
     /// infallible by signature).
@@ -397,7 +358,6 @@ impl<'a> Answers<'a> {
             yielded: 0,
             max_distance: None,
             deadline: None,
-            cancel: CancelToken::new(),
             finished: false,
             pending: Some(err),
             permit: None,
@@ -411,13 +371,11 @@ impl<'a> Answers<'a> {
         }
     }
 
-    /// Marks the stream finished, cancels the execution's shared token so
-    /// any parallel conjunct workers stop producing promptly, and returns
-    /// the execution's governor resources (permit, gauge contribution). Also
-    /// what `Drop` does, so it must stay idempotent.
+    /// Marks the stream finished and returns the execution's governor
+    /// resources (permit, gauge contribution). Also what `Drop` does, so it
+    /// must stay idempotent.
     fn finish(&mut self) {
         self.finished = true;
-        self.cancel.cancel();
         self.sync_buffer_gauge(true);
         self.permit = None;
         self.observe_end();
@@ -664,9 +622,8 @@ impl Iterator for Answers<'_> {
 
 impl Drop for Answers<'_> {
     fn drop(&mut self) {
-        // Abandoning the stream mid-flight cancels the execution (the join's
-        // parallel inputs then join their workers as they drop), returns its
-        // governor resources and still lands it in the latency histogram.
+        // Abandoning the stream mid-flight returns the execution's governor
+        // resources and still lands it in the latency histogram.
         self.finish();
     }
 }

@@ -375,8 +375,8 @@ impl Drop for ExecutionPermit {
 /// A shared governor handle carried inside [`crate::eval::EvalOptions`].
 ///
 /// Wraps the `Arc` so the options struct keeps its derived `PartialEq`/`Eq`:
-/// like [`crate::eval::CancelToken`], equality is identity — two handles are
-/// equal exactly when they account against the same governor.
+/// equality is identity — two handles are equal exactly when they account
+/// against the same governor.
 #[derive(Debug, Clone)]
 pub struct GovernorHandle(pub(crate) Arc<ResourceGovernor>);
 

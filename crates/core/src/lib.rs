@@ -86,9 +86,8 @@ pub mod service;
 pub use answer::{Answer, ConjunctAnswer};
 pub use error::{OmegaError, Result};
 pub use eval::{
-    live_parallel_workers, AnswerStream, BaselineEvaluator, CancelToken, ConjunctEvaluator,
-    DisjunctionEvaluator, DistanceAwareEvaluator, EvalOptions, EvalStats, ParallelStream, RankJoin,
-    TruncationReason, WorkerPool,
+    AnswerStream, BaselineEvaluator, ConjunctEvaluator, DisjunctionEvaluator,
+    DistanceAwareEvaluator, EvalOptions, EvalStats, RankJoin, TruncationReason,
 };
 pub use govern::{
     ExecutionPermit, GovernorConfig, GovernorGauges, GovernorHandle, ResourceGovernor,

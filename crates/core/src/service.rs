@@ -58,49 +58,7 @@
 //! page-cache warm-up instead of a re-ingest. Corrupt images fail with a
 //! typed [`SnapshotError`].
 //!
-//! ## Parallel conjunct evaluation
-//!
-//! Multi-conjunct queries rank-join independent per-conjunct streams, so
-//! those streams can be produced on worker threads while the join consumes
-//! them on the caller's thread. Enable it per request with
-//! [`ExecOptions::with_parallel_conjuncts`] (or database-wide via
-//! [`EvalOptions::with_parallel_conjuncts`]); workers come from a small
-//! pool shared by every clone of the [`Database`]. The guarantees:
-//!
-//! * **Rank-identical**: the same distance sequence and, at every
-//!   distance, the same answers as sequential evaluation; two parallel runs
-//!   agree bit for bit, however workers are scheduled. The order *inside* a
-//!   distance — and so which ties a `LIMIT` keeps — is not sequential
-//!   evaluation's: inline, the rank join hints each conjunct with the
-//!   bindings of its neighbours ([`crate::eval::rank_join`]); a worker
-//!   evaluates on its own.
-//! * **Prompt cancellation**: each execution carries a shared
-//!   [`crate::eval::CancelToken`]; deadlines, `max_tuples`, limits and
-//!   dropping the [`Answers`] stream all cancel outstanding workers within
-//!   the evaluators' check interval, and the stream joins its workers so no
-//!   thread outlives it.
-//! * **Merged statistics**: [`Answers::stats`] aggregates worker counters;
-//!   on fully drained executions it equals the sequential counts exactly
-//!   (short of that, a worker runs ahead of the join by what the scheduler
-//!   gives it).
-//!
-//! ```
-//! use omega_core::{Database, ExecOptions};
-//! use omega_graph::GraphStore;
-//! use omega_ontology::Ontology;
-//!
-//! let mut graph = GraphStore::new();
-//! graph.add_triple("alice", "knows", "bob");
-//! graph.add_triple("bob", "worksAt", "acme");
-//! let db = Database::new(graph, Ontology::new());
-//! let prepared = db.prepare("(?X, ?W) <- (?X, knows, ?Y), (?Y, worksAt, ?W)").unwrap();
-//!
-//! let sequential = prepared.execute(&ExecOptions::new()).unwrap();
-//! let parallel = prepared
-//!     .execute(&ExecOptions::new().with_parallel_conjuncts(true))
-//!     .unwrap();
-//! assert_eq!(sequential, parallel);
-//! ```
+//! ## Example
 //!
 //! ```
 //! use omega_core::{Database, ExecOptions};
@@ -140,7 +98,6 @@ use omega_ontology::Ontology;
 use crate::answer::Answer;
 use crate::error::{OmegaError, Result};
 use crate::eval::fault::{fire as fault_fire, FaultPoint};
-use crate::eval::parallel::WorkerPool;
 use crate::eval::plan::{compile_conjunct, ConjunctPlan};
 use crate::eval::EvalOptions;
 use crate::govern::{GovernorConfig, ResourceGovernor};
@@ -282,9 +239,6 @@ struct DbInner {
     /// Number of plan compilations performed by [`Database::prepare`] cache
     /// misses (stampeded or stale entries each count once).
     compilations: AtomicU64,
-    /// Shared conjunct worker pool: parallel executions reuse parked threads
-    /// instead of spawning per conjunct.
-    pool: Arc<WorkerPool>,
     /// The database-wide resource governor: every execution against this
     /// storage — from any clone or reconfigured view — is admitted by it and
     /// draws its live tuples from its shared pool.
@@ -295,7 +249,7 @@ struct DbInner {
 
 /// A shared, thread-safe handle over one graph + ontology.
 ///
-/// Cloning is an `Arc` bump: hand clones to worker threads and serve queries
+/// Cloning is an `Arc` bump: hand clones to other threads and serve queries
 /// from all of them concurrently. The graph is frozen into its CSR
 /// representation on construction and never mutated afterwards.
 #[derive(Clone)]
@@ -358,7 +312,6 @@ impl Database {
                 cache: Mutex::new(PreparedCache::new(PREPARED_CACHE_CAPACITY)),
                 cache_ready: Condvar::new(),
                 compilations: AtomicU64::new(0),
-                pool: WorkerPool::with_default_size(),
                 govern,
                 metrics: CoreMetrics::new(registry),
             }),
@@ -377,7 +330,6 @@ impl Database {
                 cache: Mutex::new(PreparedCache::new(PREPARED_CACHE_CAPACITY)),
                 cache_ready: Condvar::new(),
                 compilations: AtomicU64::new(0),
-                pool: Arc::clone(&self.inner.pool),
                 govern: Arc::clone(&self.inner.govern),
                 metrics: Arc::clone(&self.inner.metrics),
             }),
@@ -424,8 +376,7 @@ impl Database {
         &self.inner.options
     }
 
-    /// The current storage epoch (graph + ontology), for execution paths
-    /// that hand clones to conjunct worker threads.
+    /// The current storage epoch (graph + ontology), pinned.
     pub(crate) fn data(&self) -> Arc<GraphData> {
         self.inner.storage.load()
     }
@@ -526,7 +477,6 @@ impl Database {
         Ok(PreparedQuery {
             data: Arc::clone(data),
             base: Arc::clone(&self.inner.options),
-            pool: Arc::clone(&self.inner.pool),
             govern: Arc::clone(&self.inner.govern),
             metrics: Arc::clone(&self.inner.metrics),
             inner: Arc::new(inner),
@@ -1353,7 +1303,6 @@ fn compile_prepared(
 pub struct PreparedQuery {
     data: Arc<GraphData>,
     base: Arc<EvalOptions>,
-    pool: Arc<WorkerPool>,
     govern: Arc<ResourceGovernor>,
     metrics: Arc<CoreMetrics>,
     inner: Arc<PreparedInner>,
@@ -1381,7 +1330,6 @@ impl PreparedQuery {
         let options = request.resolve(&self.base);
         self.inner.answers(
             &self.data,
-            &self.pool,
             &self.govern,
             &self.metrics,
             options,
@@ -1446,13 +1394,6 @@ pub struct ExecOptions {
     pub batch_size: Option<usize>,
     /// Final-tuple prioritisation override.
     pub prioritize_final: Option<bool>,
-    /// Parallel conjunct evaluation override (see
-    /// [`EvalOptions::parallel_conjuncts`]).
-    pub parallel_conjuncts: Option<bool>,
-    /// Conjunct worker budget override (`0` = one worker per conjunct).
-    pub parallel_workers: Option<usize>,
-    /// Per-worker answer channel capacity override.
-    pub parallel_channel_capacity: Option<usize>,
     /// Cost-guided evaluation override (see [`EvalOptions::cost_guided`]).
     pub cost_guided: Option<bool>,
     /// Overload policy override: what happens when a resource budget trips
@@ -1527,24 +1468,11 @@ impl ExecOptions {
         self
     }
 
-    /// Evaluates the conjuncts of a multi-conjunct query on parallel worker
-    /// threads. Distances, and the answers at each distance, are those of
-    /// sequential evaluation; the order inside a distance (and the ties a
-    /// limit keeps) need not be: workers take no seed hints from the join.
-    pub fn with_parallel_conjuncts(mut self, on: bool) -> Self {
-        self.parallel_conjuncts = Some(on);
-        self
-    }
-
-    /// Caps the number of conjunct worker threads (`0` = one per conjunct).
-    pub fn with_parallel_workers(mut self, workers: usize) -> Self {
-        self.parallel_workers = Some(workers);
-        self
-    }
-
-    /// Overrides the per-worker answer channel capacity.
-    pub fn with_parallel_channel_capacity(mut self, capacity: usize) -> Self {
-        self.parallel_channel_capacity = Some(capacity);
+    /// Has no effect: conjuncts always evaluate on the caller's thread.
+    /// Kept only because `benchmark/src/workloads/mod.rs` calls it; the next
+    /// `[benchmark]` PR deletes that call and then this method.
+    #[doc(hidden)]
+    pub fn with_parallel_conjuncts(self, _: bool) -> Self {
         self
     }
 
@@ -1591,15 +1519,6 @@ impl ExecOptions {
         if let Some(on) = self.prioritize_final {
             options.prioritize_final = on;
         }
-        if let Some(on) = self.parallel_conjuncts {
-            options.parallel_conjuncts = on;
-        }
-        if let Some(workers) = self.parallel_workers {
-            options.parallel_workers = workers;
-        }
-        if let Some(capacity) = self.parallel_channel_capacity {
-            options.parallel_channel_capacity = capacity.max(1);
-        }
         if let Some(on) = self.cost_guided {
             options.cost_guided = on;
         }
@@ -1642,7 +1561,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{CancelToken, EvalStats};
+    use crate::eval::EvalStats;
     use omega_graph::NodeId;
 
     fn db() -> Database {
@@ -1952,32 +1871,6 @@ mod tests {
     }
 
     #[test]
-    fn base_cancel_token_is_a_kill_switch_not_poisoned_by_completion() {
-        let mut g = GraphStore::new();
-        g.add_triple("alice", "knows", "bob");
-        g.add_triple("bob", "worksAt", "acme");
-        let token = CancelToken::new();
-        let db = Database::with_options(
-            g,
-            Ontology::new(),
-            EvalOptions::default().with_cancel_token(token.clone()),
-        );
-        let text = "(?X, ?W) <- (?X, knows, ?Y), (?Y, worksAt, ?W)";
-        // Completed executions must not cancel the caller's base token…
-        let first = db.execute(text, &ExecOptions::new()).unwrap();
-        assert!(!token.is_cancelled());
-        // …so later queries still run (sequentially and in parallel).
-        let again = db
-            .execute(text, &ExecOptions::new().with_parallel_conjuncts(true))
-            .unwrap();
-        assert_eq!(first, again);
-        // Cancelling the base token kills subsequent executions.
-        token.cancel();
-        let err = db.execute(text, &ExecOptions::new()).unwrap_err();
-        assert!(matches!(err, OmegaError::Cancelled));
-    }
-
-    #[test]
     fn max_tuples_override_aborts() {
         let db = db();
         let err = db
@@ -2115,10 +2008,7 @@ mod tests {
         ] {
             let prepared = db.prepare(text).unwrap();
             {
-                // Inline conjuncts: a worker may have finished — and returned
-                // its reservation — by the time the first row is out.
-                let request = ExecOptions::new().with_parallel_conjuncts(false);
-                let mut stream = prepared.answers(&request);
+                let mut stream = prepared.answers(&ExecOptions::new());
                 assert!(stream.next_row().unwrap().is_some());
                 let during = db.governor().gauges();
                 assert_eq!(during.executions, 1);

@@ -164,7 +164,7 @@ pub fn yago_queries() -> Vec<QuerySpec> {
     ]
 }
 
-/// Multi-conjunct L4All queries used by the parallel-conjunct study: star
+/// Multi-conjunct L4All queries used by the multi-conjunct study: star
 /// and chain joins over episode timelines with two to four conjuncts per
 /// query. Not part of the paper's query set (Figure 4 is single-conjunct
 /// throughout); they exercise the ranked join on the same generated data.
@@ -200,7 +200,7 @@ pub fn l4all_multi_conjunct_queries() -> Vec<QuerySpec> {
     ]
 }
 
-/// Multi-conjunct YAGO queries for the parallel-conjunct study: star and
+/// Multi-conjunct YAGO queries for the multi-conjunct study: star and
 /// path joins over the person-centric portion of the graph, shaped by the
 /// same join-cost rules as [`l4all_multi_conjunct_queries`].
 pub fn yago_multi_conjunct_queries() -> Vec<QuerySpec> {

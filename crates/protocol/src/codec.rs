@@ -146,7 +146,6 @@ pub fn put_stats(w: &mut Writer, stats: &EvalStats) {
     w.put_u64(stats.pruned_bound);
     w.put_u64(stats.deferred_expansions);
     w.put_u64(stats.cursor_blocks);
-    w.put_u64(stats.worker_panics);
     w.put_u64(stats.sheds);
     w.put_bool(stats.degraded);
     w.put_opt(stats.truncation, |w, reason| {
@@ -171,7 +170,6 @@ pub fn take_stats(r: &mut Reader<'_>) -> Result<EvalStats, ProtocolError> {
         pruned_bound: r.take_u64()?,
         deferred_expansions: r.take_u64()?,
         cursor_blocks: r.take_u64()?,
-        worker_panics: r.take_u64()?,
         sheds: r.take_u64()?,
         degraded: r.take_bool()?,
         truncation: r.take_opt(|r| match r.take_u8()? {
@@ -256,9 +254,6 @@ pub fn put_exec_options(w: &mut Writer, options: &ExecOptions) {
     w.put_opt(options.disjunction_decomposition, Writer::put_bool);
     w.put_opt(options.batch_size, Writer::put_usize);
     w.put_opt(options.prioritize_final, Writer::put_bool);
-    w.put_opt(options.parallel_conjuncts, Writer::put_bool);
-    w.put_opt(options.parallel_workers, Writer::put_usize);
-    w.put_opt(options.parallel_channel_capacity, Writer::put_usize);
     w.put_opt(options.cost_guided, Writer::put_bool);
     w.put_opt(options.on_overload, put_policy);
     w.put_bool(options.profile);
@@ -277,9 +272,6 @@ pub fn take_exec_options(r: &mut Reader<'_>) -> Result<ExecOptions, ProtocolErro
         disjunction_decomposition: r.take_opt(Reader::take_bool)?,
         batch_size: r.take_opt(Reader::take_usize)?,
         prioritize_final: r.take_opt(Reader::take_bool)?,
-        parallel_conjuncts: r.take_opt(Reader::take_bool)?,
-        parallel_workers: r.take_opt(Reader::take_usize)?,
-        parallel_channel_capacity: r.take_opt(Reader::take_usize)?,
         cost_guided: r.take_opt(Reader::take_bool)?,
         on_overload: r.take_opt(take_policy)?,
         profile: r.take_bool()?,
@@ -441,8 +433,6 @@ pub struct ServerStats {
     /// Requests that failed with a typed wire error (overload, shutdown,
     /// unknown statement, evaluation failure, …) since startup.
     pub rejected: u64,
-    /// Conjunct worker threads currently live in the engine's pool.
-    pub live_workers: u64,
     /// Storage epoch currently serving (mutations and compactions bump it).
     pub epoch: u64,
     /// Edges held in the current epoch's delta overlay (0 after compaction).
@@ -477,7 +467,6 @@ pub fn put_server_stats(w: &mut Writer, stats: &ServerStats) {
     w.put_u64(stats.sheds);
     w.put_u64(stats.degraded);
     w.put_u64(stats.rejected);
-    w.put_u64(stats.live_workers);
     let mut ext = Writer::new();
     ext.put_u64(stats.epoch);
     ext.put_u64(stats.overlay_edges);
@@ -509,7 +498,6 @@ pub fn take_server_stats(r: &mut Reader<'_>) -> Result<ServerStats, ProtocolErro
         sheds: r.take_u64()?,
         degraded: r.take_u64()?,
         rejected: r.take_u64()?,
-        live_workers: r.take_u64()?,
         ..ServerStats::default()
     };
     if r.remaining() > 0 {
@@ -562,12 +550,11 @@ impl std::fmt::Display for ServerStats {
         )?;
         write!(
             f,
-            "governor: live_tuples={} join_buffer={} executions={} rejected={}; live workers: {}",
+            "governor: live_tuples={} join_buffer={} executions={} rejected={}",
             self.gauges.live_tuples,
             self.gauges.join_buffer_entries,
             self.gauges.executions,
-            self.gauges.rejected,
-            self.live_workers
+            self.gauges.rejected
         )
     }
 }
@@ -612,7 +599,7 @@ mod tests {
                 retry_after: Duration::from_micros(12_345),
             },
             OmegaError::Internal {
-                message: "worker panicked".into(),
+                message: "invariant violated".into(),
             },
             OmegaError::MutationFailed {
                 message: "delta rejected".into(),

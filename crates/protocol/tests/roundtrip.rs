@@ -99,18 +99,12 @@ fn exec_options() -> BoxedStrategy<ExecOptions> {
         opt((0usize..1 << 16).boxed()),
         opt(any::<bool>().boxed()),
     );
-    let parallel = (
-        opt(any::<bool>().boxed()),
-        opt((0usize..64).boxed()),
-        opt((0usize..1 << 16).boxed()),
-        opt(any::<bool>().boxed()),
-    );
-    (knobs, toggles, parallel, (opt(policy()), any::<bool>()))
-        .prop_map(|(knobs, toggles, parallel, (on_overload, profile))| {
+    let guidance = (opt(any::<bool>().boxed()), opt(policy()), any::<bool>());
+    (knobs, toggles, guidance)
+        .prop_map(|(knobs, toggles, guidance)| {
             let (limit, timeout, max_distance, max_tuples) = knobs;
             let (distance_aware, disjunction_decomposition, batch_size, prioritize_final) = toggles;
-            let (parallel_conjuncts, parallel_workers, parallel_channel_capacity, cost_guided) =
-                parallel;
+            let (cost_guided, on_overload, profile) = guidance;
             ExecOptions {
                 limit,
                 timeout,
@@ -121,9 +115,6 @@ fn exec_options() -> BoxedStrategy<ExecOptions> {
                 disjunction_decomposition,
                 batch_size,
                 prioritize_final,
-                parallel_conjuncts,
-                parallel_workers,
-                parallel_channel_capacity,
                 cost_guided,
                 on_overload,
                 profile,
@@ -143,7 +134,7 @@ fn answer() -> BoxedStrategy<Answer> {
 
 fn eval_stats() -> BoxedStrategy<EvalStats> {
     (
-        prop::collection::vec(any::<u64>(), 13..14),
+        prop::collection::vec(any::<u64>(), 12..13),
         any::<bool>(),
         opt(prop_oneof![
             Just(TruncationReason::TupleBudget),
@@ -162,8 +153,7 @@ fn eval_stats() -> BoxedStrategy<EvalStats> {
             pruned_dead: counters[7],
             pruned_bound: counters[8],
             deferred_expansions: counters[9],
-            cursor_blocks: counters[12],
-            worker_panics: counters[10],
+            cursor_blocks: counters[10],
             sheds: counters[11],
             degraded,
             truncation,
@@ -174,7 +164,7 @@ fn eval_stats() -> BoxedStrategy<EvalStats> {
 fn server_stats() -> BoxedStrategy<ServerStats> {
     (
         (any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()),
-        prop::collection::vec(any::<u64>(), 15..16),
+        prop::collection::vec(any::<u64>(), 14..15),
     )
         .prop_map(|(gauges, counters)| ServerStats {
             gauges: GovernorGauges {
@@ -191,13 +181,12 @@ fn server_stats() -> BoxedStrategy<ServerStats> {
             sheds: counters[5],
             degraded: counters[6],
             rejected: counters[7],
-            live_workers: counters[8],
-            epoch: counters[9],
-            overlay_edges: counters[10],
-            uptime_secs: counters[11],
-            prepared_statements: counters[12],
-            wal_seq: counters[13],
-            durable_epoch: counters[14],
+            epoch: counters[8],
+            overlay_edges: counters[9],
+            uptime_secs: counters[10],
+            prepared_statements: counters[11],
+            wal_seq: counters[12],
+            durable_epoch: counters[13],
         })
         .boxed()
 }

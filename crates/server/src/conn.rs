@@ -492,8 +492,8 @@ impl Conn<'_> {
         };
         let stats = stream.stats();
         let profile = stream.take_profile();
-        // Drop before the terminal frame: cancels any conjunct workers and
-        // returns every governor resource, so a client observing `Finished`
+        // Drop before the terminal frame: returns every governor resource,
+        // so a client observing `Finished`
         // observes the gauges already settled.
         drop(stream);
         self.shared.metrics.sheds.add(stats.sheds);

@@ -24,10 +24,10 @@
 //!   gauges show), never the daemon. Batches are encoded straight from the
 //!   engine's id rows into one per-connection buffer; a full batch leaves at
 //!   once, the last one together with the terminal frame.
-//! * **Cancellation on disconnect** — dropping the server-side
-//!   [`omega_core::Answers`] stream triggers the execution's
-//!   [`omega_core::CancelToken`]; a vanished client cancels its in-flight
-//!   work within one evaluator check interval.
+//! * **Cancellation on disconnect** — an execution only runs while its
+//!   connection thread pulls the server-side [`omega_core::Answers`]
+//!   stream, so a `Cancel` frame or a vanished client ends it by dropping
+//!   that stream.
 //! * **Graceful drain** — [`ServerHandle::shutdown`] (or a client `Shutdown`
 //!   frame) stops the accept loops, ends in-flight streams at their next
 //!   batch boundary with `Finished { reason: Drained }` (the answers already
@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use omega_core::{live_parallel_workers, Database};
+use omega_core::Database;
 use omega_obs::{Counter as MetricCounter, Gauge, Histogram, Registry};
 use omega_protocol::{ServerStats, Transport};
 
@@ -188,7 +188,6 @@ impl Shared {
             sheds: m.sheds.get(),
             degraded: m.degraded.get(),
             rejected: m.rejected.get(),
-            live_workers: live_parallel_workers() as u64,
             epoch: self.db.epoch(),
             overlay_edges: self.db.graph().overlay_edges(),
             uptime_secs: self.started.elapsed().as_secs(),

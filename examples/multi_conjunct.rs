@@ -6,9 +6,7 @@
 //! cargo run --example multi_conjunct
 //! ```
 
-use std::collections::BTreeSet;
-
-use omega::core::{Answer, Database, ExecOptions};
+use omega::core::{Database, ExecOptions};
 use omega::datagen::{generate_l4all, L4AllConfig};
 
 fn main() {
@@ -46,33 +44,4 @@ fn main() {
         )
         .expect("query evaluates");
     println!("exact version: {} answers", exact.len());
-
-    // Multi-conjunct queries can evaluate their conjuncts on parallel worker
-    // threads: each conjunct's ranked stream is produced concurrently over
-    // the shared frozen graph and fed to the rank join through a bounded
-    // channel. The ranking is that of sequential evaluation: the same
-    // distances in the same order, and at every distance the limit did not
-    // cut into the same answers. Which ties come first may differ — inline,
-    // the join hints each conjunct with the bindings of the others; a worker
-    // evaluates on its own.
-    let parallel = prepared
-        .execute(
-            &ExecOptions::new()
-                .with_limit(20)
-                .with_parallel_conjuncts(true),
-        )
-        .expect("query evaluates");
-    let distances = |run: &[Answer]| run.iter().map(|a| a.distance).collect::<Vec<_>>();
-    assert_eq!(distances(&answers), distances(&parallel));
-    let last = answers.last().unwrap().distance;
-    let closed = |run: &[Answer]| {
-        let below = run.iter().filter(|a| a.distance < last);
-        below.map(|a| a.to_string()).collect::<BTreeSet<_>>()
-    };
-    assert_eq!(closed(&answers), closed(&parallel));
-    println!(
-        "parallel evaluation ranked its {} answers alike: distances {:?}",
-        parallel.len(),
-        distances(&parallel)
-    );
 }

@@ -14,22 +14,22 @@
 //! * **typed failures only** — an injected fault surfaces as the matching
 //!   [`OmegaError`] (or as a clean degraded stream under
 //!   `OverloadPolicy::Degrade`), never as a panic,
-//! * **no leaked workers** — `live_parallel_workers` returns to its
-//!   baseline after every schedule,
 //! * **no poisoned `Database`** — once the schedule is uninstalled, the
 //!   same database answers the same queries bit-identically to its
 //!   pre-chaos reference.
 //!
 //! The fault slot is process-global, so every test serialises on a
-//! file-local mutex (same discipline as the concurrency suite).
+//! file-local mutex.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use omega::core::eval::fault::{install, FaultPlan, FaultPoint};
+use omega::core::eval::fault::{install, FaultPlan, FaultPoint, ALL_POINTS};
 use omega::core::{
-    live_parallel_workers, Database, ExecOptions, OmegaError, OverloadPolicy, SnapshotError,
+    Database, EvalOptions, ExecOptions, FsyncPolicy, GovernorConfig, OmegaError, OverloadPolicy,
+    SnapshotError, WalConfig,
 };
 use omega::datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, yago_multi_conjunct_queries,
@@ -37,14 +37,11 @@ use omega::datagen::{
 };
 use omega::{Answer, GraphStore, Ontology};
 
-mod common;
-
 /// The committed chaos seeds. CI replays each one in its own job-matrix
 /// entry; locally the whole set runs in sequence.
 const SEEDS: [u64; 10] = [3, 7, 11, 42, 97, 1009, 4242, 31337, 65537, 999_983];
 
-/// Serialises the suite: the fault slot and the worker gauge are both
-/// process-global.
+/// Serialises the suite: the fault slot is process-global.
 fn chaos_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -61,22 +58,6 @@ fn seeds() -> Vec<u64> {
             vec![seed]
         }
         Err(_) => SEEDS.to_vec(),
-    }
-}
-
-/// Polls until the worker gauge drops back to `baseline`.
-fn assert_workers_settle(baseline: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let live = live_parallel_workers();
-        if live <= baseline {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "leaked conjunct workers: {live} live, expected {baseline}"
-        );
-        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -110,13 +91,12 @@ fn workloads(request: &ExecOptions) -> Vec<Workload> {
     out
 }
 
-/// A request bounded enough for a chaos sweep: top-50 answers, parallel
-/// conjuncts (so worker/channel faults have threads to hit), and a generous
-/// timeout so the deadline hook is armed without ever firing on its own.
+/// A request bounded enough for a chaos sweep: top-50 answers, and a
+/// generous timeout so the deadline hook is armed without ever firing on its
+/// own.
 fn chaos_request() -> ExecOptions {
     ExecOptions::new()
         .with_limit(50)
-        .with_parallel_conjuncts(true)
         .with_timeout(Duration::from_secs(120))
 }
 
@@ -144,13 +124,12 @@ fn assert_database_survives(workload: &Workload, request: &ExecOptions) {
 }
 
 /// Budget-acquisition faults: every failure is the typed
-/// `ResourceExhausted`, nothing hangs, nothing leaks, and the database
+/// `ResourceExhausted`, nothing hangs, and the database
 /// answers bit-identically once the schedule ends.
 #[test]
 fn budget_faults_surface_typed_resource_exhaustion() {
     let _guard = chaos_lock();
     let request = chaos_request();
-    let baseline = live_parallel_workers();
     for workload in workloads(&request) {
         for seed in seeds() {
             let plan = Arc::new(FaultPlan::new(seed, 0.002).only(FaultPoint::BudgetAcquire));
@@ -166,7 +145,6 @@ fn budget_faults_surface_typed_resource_exhaustion() {
                     }
                 }
             }
-            assert_workers_settle(baseline);
         }
         assert_database_survives(&workload, &request);
     }
@@ -182,7 +160,6 @@ fn degrade_turns_budget_faults_into_clean_streams() {
     let _guard = chaos_lock();
     let reference_request = chaos_request();
     let request = chaos_request().with_on_overload(OverloadPolicy::Degrade);
-    let baseline = live_parallel_workers();
     for workload in workloads(&reference_request) {
         for seed in seeds() {
             let plan = Arc::new(FaultPlan::new(seed, 0.002).only(FaultPoint::BudgetAcquire));
@@ -193,7 +170,6 @@ fn degrade_turns_budget_faults_into_clean_streams() {
                         .unwrap_or_else(|e| panic!("degrade must not fail ({text}): {e}"));
                 }
             }
-            assert_workers_settle(baseline);
         }
         assert_database_survives(&workload, &reference_request);
     }
@@ -205,7 +181,6 @@ fn degrade_turns_budget_faults_into_clean_streams() {
 fn clock_faults_surface_as_deadline_exceeded() {
     let _guard = chaos_lock();
     let request = chaos_request();
-    let baseline = live_parallel_workers();
     for workload in workloads(&request) {
         for seed in seeds() {
             let plan = Arc::new(FaultPlan::new(seed, 0.01).only(FaultPoint::DeadlineClock));
@@ -221,66 +196,6 @@ fn clock_faults_surface_as_deadline_exceeded() {
                     }
                 }
             }
-            assert_workers_settle(baseline);
-        }
-        assert_database_survives(&workload, &request);
-    }
-}
-
-/// Worker-spawn faults at rate 1.0: every spawn fails, every conjunct falls
-/// back inline, and the answers rank as the workers' do — spawn failure shows
-/// in wall-clock time and in which ties come first (inline conjuncts take the
-/// join's seed hints, workers do not), nowhere else.
-#[test]
-fn spawn_faults_fall_back_inline_with_the_same_ranking() {
-    let _guard = chaos_lock();
-    let request = chaos_request();
-    let baseline = live_parallel_workers();
-    for workload in workloads(&request) {
-        for seed in seeds() {
-            let plan = Arc::new(FaultPlan::new(seed, 1.0).only(FaultPoint::WorkerSpawn));
-            {
-                let _installed = install(Arc::clone(&plan));
-                for (text, reference) in &workload.cases {
-                    let answers = run_guarded(&workload.db, text, &request)
-                        .unwrap_or_else(|e| panic!("inline fallback must not fail ({text}): {e}"));
-                    common::assert_same_ranking(&answers, reference, Some(50), text);
-                }
-                assert!(
-                    plan.fired(FaultPoint::WorkerSpawn) > 0,
-                    "rate-1.0 spawn plan never consulted: the hook is wired wrong"
-                );
-            }
-            assert_workers_settle(baseline);
-        }
-        assert_database_survives(&workload, &request);
-    }
-}
-
-/// Channel-send faults: a worker abandoning its send looks like a
-/// disconnect to the consumer, which must report the typed cancellation
-/// (or run to completion if the schedule spared it) — never hang or panic.
-#[test]
-fn channel_faults_surface_cancelled_not_hung() {
-    let _guard = chaos_lock();
-    let request = chaos_request();
-    let baseline = live_parallel_workers();
-    for workload in workloads(&request) {
-        for seed in seeds() {
-            let plan = Arc::new(FaultPlan::new(seed, 0.05).only(FaultPoint::ChannelSend));
-            {
-                let _installed = install(Arc::clone(&plan));
-                for (text, reference) in &workload.cases {
-                    match run_guarded(&workload.db, text, &request) {
-                        Ok(answers) => {
-                            assert_eq!(&answers, reference, "lucky run diverged: {text}")
-                        }
-                        Err(OmegaError::Cancelled) | Err(OmegaError::DeadlineExceeded) => {}
-                        Err(other) => panic!("unexpected error under channel faults: {other}"),
-                    }
-                }
-            }
-            assert_workers_settle(baseline);
         }
         assert_database_survives(&workload, &request);
     }
@@ -353,39 +268,113 @@ fn mutation_faults_are_all_or_nothing_and_retryable() {
 }
 
 /// The full storm: every injection point armed at once under
-/// `OverloadPolicy::Degrade`. Any typed error (or clean prefix) is
-/// acceptable; panics, hangs, leaked workers and poisoned state are not.
+/// `OverloadPolicy::Degrade`, over the query workloads and then over the
+/// storage paths (snapshot opens, logged writes), each repeated until its
+/// points have fired. Any typed error (or clean prefix) is acceptable;
+/// panics, hangs and poisoned state are not.
 #[test]
 fn full_storm_only_typed_errors_and_full_recovery() {
     let _guard = chaos_lock();
     let reference_request = chaos_request();
     let request = chaos_request().with_on_overload(OverloadPolicy::Degrade);
-    let baseline = live_parallel_workers();
-    for workload in workloads(&reference_request) {
-        for seed in seeds() {
-            let plan = Arc::new(FaultPlan::new(seed, 0.01));
-            {
-                let _installed = install(Arc::clone(&plan));
-                for (text, _) in &workload.cases {
-                    match run_guarded(&workload.db, text, &request) {
-                        // Spared or degraded: a clean (possibly truncated)
-                        // stream.
-                        Ok(_) => {}
-                        Err(
-                            OmegaError::ResourceExhausted { .. }
-                            | OmegaError::DeadlineExceeded
-                            | OmegaError::Cancelled
-                            | OmegaError::Internal { .. }
-                            | OmegaError::Overloaded { .. },
-                        ) => {}
-                        Err(other) => panic!("untyped failure under the storm: {other}"),
+    let workloads = workloads(&reference_request);
+    let dir = std::env::temp_dir().join(format!("omega-chaos-storm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = dir.join("storm.snap");
+    let mut graph = GraphStore::new();
+    graph.add_triple("a", "p", "b");
+    Database::new(graph.clone(), Ontology::new())
+        .save_snapshot(&snapshot)
+        .unwrap();
+    for seed in seeds() {
+        let plan = Arc::new(FaultPlan::new(seed, 0.01));
+        {
+            let _installed = install(Arc::clone(&plan));
+            let query_points = [FaultPoint::BudgetAcquire, FaultPoint::DeadlineClock];
+            until_fired(&plan, &query_points, |_| {
+                for workload in &workloads {
+                    for (text, _) in &workload.cases {
+                        match run_guarded(&workload.db, text, &request) {
+                            // Spared or degraded: a clean (possibly
+                            // truncated) stream.
+                            Ok(_) => {}
+                            Err(
+                                OmegaError::ResourceExhausted { .. }
+                                | OmegaError::DeadlineExceeded
+                                | OmegaError::Overloaded { .. },
+                            ) => {}
+                            Err(other) => panic!("untyped failure under the storm: {other}"),
+                        }
                     }
                 }
-            }
-            assert_workers_settle(baseline);
+            });
+            storm_storage(&plan, &graph, &snapshot, &dir.join(format!("wal-{seed}")));
         }
-        assert_database_survives(&workload, &reference_request);
+        for point in ALL_POINTS {
+            assert!(
+                plan.fired(point) > 0,
+                "seed {seed}: the storm skipped {point:?}"
+            );
+        }
     }
+    for workload in &workloads {
+        assert_database_survives(workload, &reference_request);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `round` (with its index) until each of `points` has fired under
+/// `plan`.
+fn until_fired(plan: &FaultPlan, points: &[FaultPoint], mut round: impl FnMut(usize)) {
+    for n in 0..10_000 {
+        if points.iter().all(|&point| plan.fired(point) > 0) {
+            return;
+        }
+        round(n);
+    }
+    panic!("{points:?} did not all fire in 10,000 rounds");
+}
+
+/// The storm's storage half: a snapshot open and a logged write per round.
+/// A torn append or failed fsync leaves the database read-only, so the next
+/// write goes through a fresh WAL-backed one.
+fn storm_storage(plan: &FaultPlan, graph: &GraphStore, snapshot: &Path, wal_dir: &Path) {
+    let open_logged = |round: usize| {
+        Database::with_governor_durable(
+            graph.clone(),
+            Ontology::new(),
+            EvalOptions::default(),
+            GovernorConfig::default(),
+            &WalConfig::new(wal_dir.join(round.to_string())).with_fsync(FsyncPolicy::Never),
+        )
+        .expect("a fresh log directory opens")
+        .0
+    };
+    let mut db = open_logged(0);
+    let storage_points = [
+        FaultPoint::SnapshotRead,
+        FaultPoint::MutationApply,
+        FaultPoint::WalAppend,
+        FaultPoint::WalSync,
+    ];
+    until_fired(plan, &storage_points, |round| {
+        match Database::open_snapshot(snapshot) {
+            Ok(_) | Err(SnapshotError::Io(_)) => {}
+            Err(other) => panic!("untyped snapshot failure under the storm: {other}"),
+        }
+        let mut batch = db.begin_mutation();
+        if round % 2 == 0 {
+            batch.add("a", "q", "b");
+        } else {
+            batch.remove("a", "q", "b");
+        }
+        match db.apply(&batch) {
+            Ok(_) | Err(OmegaError::MutationFailed { .. }) => {}
+            Err(OmegaError::ReadOnly { .. }) => db = open_logged(round + 1),
+            Err(other) => panic!("untyped write failure under the storm: {other}"),
+        }
+    });
 }
 
 /// Sanity for the harness itself: `GraphStore`/`Ontology` construction has

@@ -197,7 +197,6 @@ fn l4all_l2_db() -> Database {
 fn m2_m3_top_100(db: &Database, profile: bool) -> Vec<Execution> {
     let request = ExecOptions::new()
         .with_limit(100)
-        .with_parallel_conjuncts(false)
         .with_cost_guided(true)
         .with_profile(profile);
     let mut out = Vec::new();
@@ -292,6 +291,47 @@ fn shared_database_matches_single_threaded_omega() {
                         .map(|a| (a.bindings, a.distance))
                         .collect();
                     assert_eq!(&got, reference, "worker {worker} diverged on {text}");
+                }
+            });
+        }
+    });
+}
+
+/// Eight threads hammer one shared `Database` with concurrent executions of
+/// every multi-conjunct query, exact and APPROX, in staggered orders; every
+/// execution must equal the single-threaded reference answer for answer.
+#[test]
+fn stress_concurrent_prepared_answers_on_one_database() {
+    const THREADS: usize = 8;
+    const ITERS: usize = 3;
+
+    let db = l4all_db();
+    let request = ExecOptions::new().with_limit(50);
+    let mut cases = Vec::new();
+    for spec in l4all_multi_conjunct_queries() {
+        for operator in ["", "APPROX"] {
+            let text = spec.with_operator_everywhere(operator);
+            let reference = db.execute(&text, &request).unwrap();
+            cases.push((text, reference));
+        }
+    }
+
+    std::thread::scope(|scope| {
+        for worker in 0..THREADS {
+            let db = db.clone();
+            let (cases, request) = (&cases, &request);
+            scope.spawn(move || {
+                for i in 0..ITERS {
+                    // Stagger the case order per thread so different queries
+                    // overlap in time.
+                    for (text, reference) in cases.iter().cycle().skip(worker + i).take(cases.len())
+                    {
+                        let got = db.prepare(text).unwrap().execute(request).unwrap();
+                        assert_eq!(
+                            &got, reference,
+                            "worker {worker} iteration {i} diverged on {text}"
+                        );
+                    }
                 }
             });
         }

@@ -15,16 +15,12 @@
 //!   cleanly with `degraded: true` and a truncation reason, and for
 //!   single-conjunct queries the partial answers are a bit-identical
 //!   prefix of the uncapped run.
-//!
-//! Tests asserting on the process-wide worker gauge serialise on a
-//! file-local lock, like the concurrency suite.
 
-use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use omega::core::{
-    live_parallel_workers, Database, EvalOptions, ExecOptions, GovernorConfig, OmegaError,
-    OverloadPolicy, TruncationReason,
+    Database, EvalOptions, ExecOptions, GovernorConfig, OmegaError, OverloadPolicy,
+    TruncationReason,
 };
 use omega::datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, yago_queries, L4AllConfig,
@@ -32,26 +28,6 @@ use omega::datagen::{
 };
 use omega::graph::GraphStore;
 use omega::ontology::Ontology;
-
-fn gauge_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn assert_workers_settle(baseline: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let live = live_parallel_workers();
-        if live <= baseline {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "leaked conjunct workers: {live} live, expected {baseline}"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
 
 fn governed_l4all(config: GovernorConfig) -> Database {
     let data = generate_l4all(&L4AllConfig::tiny());
@@ -65,13 +41,11 @@ fn governed_l4all(config: GovernorConfig) -> Database {
 /// execution.
 #[test]
 fn soak_100_executions_returns_the_pool_to_zero() {
-    let _guard = gauge_lock();
     let db = governed_l4all(
         GovernorConfig::default()
             .with_max_live_tuples(1 << 20)
             .with_max_concurrent(16),
     );
-    let baseline = live_parallel_workers();
     let specs = l4all_multi_conjunct_queries();
     let texts: Vec<String> = specs
         .iter()
@@ -91,10 +65,9 @@ fn soak_100_executions_returns_the_pool_to_zero() {
                     match i % 4 {
                         // Clean drain, bounded by an answer limit.
                         0 => {
-                            let request = ExecOptions::new()
-                                .with_limit(30)
-                                .with_parallel_conjuncts(i % 2 == 0);
-                            prepared.execute(&request).unwrap();
+                            prepared
+                                .execute(&ExecOptions::new().with_limit(30))
+                                .unwrap();
                         }
                         // Already-expired deadline: typed error, nothing
                         // retained.
@@ -108,8 +81,7 @@ fn soak_100_executions_returns_the_pool_to_zero() {
                         // Pull a single answer, then drop the stream
                         // mid-flight.
                         2 => {
-                            let request = ExecOptions::new().with_parallel_conjuncts(i % 2 == 0);
-                            let mut stream = prepared.answers(&request);
+                            let mut stream = prepared.answers(&ExecOptions::new());
                             let _ = stream.next_answer().unwrap();
                             drop(stream);
                         }
@@ -127,7 +99,6 @@ fn soak_100_executions_returns_the_pool_to_zero() {
         }
     });
 
-    assert_workers_settle(baseline);
     let gauges = db.governor().gauges();
     assert_eq!(gauges.executions, 0, "permits leaked");
     assert_eq!(gauges.live_tuples, 0, "tuple reservations leaked");

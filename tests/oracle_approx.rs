@@ -230,7 +230,6 @@ fn engine(db: &Database, text: &str, cost_guided: bool) -> (Vec<Answer>, EvalSta
     let prepared = db.prepare(text).unwrap();
     let request = ExecOptions::new()
         .with_max_distance(MAX_DISTANCE)
-        .with_parallel_conjuncts(false)
         .with_cost_guided(cost_guided);
     let mut stream = prepared.answers(&request);
     let answers = stream.collect_up_to(None).unwrap();

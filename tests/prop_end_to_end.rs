@@ -790,7 +790,7 @@ proptest! {
     /// here, and the engine's answers up to a distance cap must be exactly
     /// that — the same `(row, distance)` multiset, in non-decreasing
     /// distance order — under exact, APPROX and RELAX everywhere, cost-guided
-    /// or not, conjuncts in parallel or not.
+    /// or not.
     #[test]
     fn multi_conjunct_answers_equal_a_nested_loop_join_of_their_conjuncts(
         triples in graph_strategy(),
@@ -841,11 +841,8 @@ proptest! {
         expected.sort();
 
         let prepared = db.prepare(&join_text(head, conjuncts, operator)).unwrap();
-        for toggles in 0..4 {
-            let request = capped
-                .clone()
-                .with_cost_guided(toggles & 1 == 0)
-                .with_parallel_conjuncts(toggles & 2 != 0);
+        for cost_guided in [true, false] {
+            let request = capped.clone().with_cost_guided(cost_guided);
             let got = rows_of(prepared.answers(&request));
             prop_assert!(got.windows(2).all(|w| w[0].1 <= w[1].1), "{:?}", request);
             let mut got: Vec<(u32, Vec<_>)> = got.into_iter().map(|(r, d)| (d, r)).collect();

@@ -15,8 +15,8 @@
 //!   connection remains usable; graceful drain under load finishes or
 //!   drains every stream and returns every gauge to exactly zero.
 //!
-//! The suite serialises on a file-local mutex: the conjunct-worker gauge
-//! and the fault-injection slot are process-global.
+//! The suite serialises on a file-local mutex: the fault-injection slot is
+//! process-global.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,7 +24,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use omega::core::eval::fault::{install, FaultPlan, FaultPoint};
-use omega::core::{live_parallel_workers, Database, GovernorConfig, OmegaError};
+use omega::core::{Database, GovernorConfig, OmegaError};
 use omega::datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, l4all_queries,
     yago_multi_conjunct_queries, yago_queries, L4AllConfig, L4AllScale, QuerySpec, YagoConfig,
@@ -34,7 +34,7 @@ use omega_client::{ClientError, Connection, Mutation};
 use omega_protocol::{Frame, FrameReader, StatementRef, WireError, MAGIC};
 use omega_server::{Server, ServerConfig, ServerHandle};
 
-/// Serialises the suite (worker gauge and fault slot are process-global).
+/// Serialises the suite (the fault slot is process-global).
 fn serve_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -89,9 +89,7 @@ fn local_run(
 }
 
 /// Asserts that `text` answers bit-identically over the wire and in
-/// process — same answers, same order, same [`omega::core::EvalStats`]. The
-/// statistics of conjunct workers are left out: how far a worker runs ahead
-/// of a join that stops at its limit is the scheduler's to say.
+/// process — same answers, same order, same [`omega::core::EvalStats`].
 fn assert_wire_matches_local(
     db: &Database,
     conn: &mut Connection,
@@ -101,10 +99,7 @@ fn assert_wire_matches_local(
     let (local, local_stats) = local_run(db, text, options);
     let (remote, remote_stats) = conn.run(text, options).expect(text);
     assert_eq!(local, remote, "answer sequences differ for {text}");
-    let conjuncts = db.prepare(text).expect(text).query().conjuncts.len();
-    if !(db.options().parallel_conjuncts && conjuncts > 1) {
-        assert_eq!(local_stats, remote_stats, "EvalStats differ for {text}");
-    }
+    assert_eq!(local_stats, remote_stats, "EvalStats differ for {text}");
 }
 
 /// Every operator variant the committed study runs for `spec`.
@@ -120,19 +115,6 @@ fn variants(spec: &QuerySpec, everywhere: bool) -> Vec<String> {
         }
     }
     texts
-}
-
-/// Polls until the conjunct-worker gauge settles back to zero.
-fn assert_workers_settle() {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while live_parallel_workers() > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "leaked conjunct workers: {} live",
-            live_parallel_workers()
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
 }
 
 /// Polls until every connection thread has counted itself out: shortly
@@ -424,7 +406,6 @@ fn dropping_the_connection_cancels_in_flight_work() {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert_eq!(handle.stats().gauges.executions, 0);
-    assert_workers_settle();
     drain(&handle, joiner);
 }
 
@@ -631,8 +612,6 @@ fn shutdown_under_load_drains_streams_and_zeroes_gauges() {
         stats.gauges.join_buffer_entries, 0,
         "join buffers after drain"
     );
-    assert_eq!(stats.live_workers, 0, "leaked workers after drain");
-    assert_workers_settle();
 }
 
 // ---------------------------------------------------------------------------
@@ -842,7 +821,6 @@ fn mutations_under_traffic_stay_clean_and_background_compaction_runs() {
     assert_eq!(stats.gauges.executions, 0, "executions after soak");
     assert_eq!(stats.gauges.live_tuples, 0, "live tuples after soak");
     assert_eq!(stats.streams_in_flight, 0, "streams after soak");
-    assert_workers_settle();
 }
 
 // ---------------------------------------------------------------------------
@@ -1081,35 +1059,33 @@ fn stats_reply_reports_durability_state_for_a_wal_backed_database() {
 // Chaos: injected faults surface as typed wire errors
 // ---------------------------------------------------------------------------
 
+/// Injected budget faults at rate 1.0 fail every execution at its first
+/// budget check; the failure must arrive as the typed `ResourceExhausted`,
+/// over a connection that then serves clean traffic.
 #[test]
 fn injected_channel_faults_surface_as_typed_wire_errors() {
     let _guard = serve_lock();
     let db = l4all_db();
     let (handle, path, joiner) = spawn_unix(db.clone(), "chaos");
     let spec = &l4all_multi_conjunct_queries()[0];
-    let options = ExecOptions::new()
-        .with_limit(50)
-        .with_parallel_conjuncts(true)
-        .with_parallel_workers(2);
+    let options = ExecOptions::new().with_limit(50);
 
     for seed in [3u64, 42, 31337] {
-        let plan = std::sync::Arc::new(FaultPlan::new(seed, 1.0).only(FaultPoint::ChannelSend));
+        let plan = std::sync::Arc::new(FaultPlan::new(seed, 1.0).only(FaultPoint::BudgetAcquire));
         let guard = install(plan);
         let mut conn = Connection::connect_unix(&path).expect("connect");
         match conn.run(spec.text, &options) {
-            // Either the fault landed before any send (clean typed error)…
-            Err(ClientError::Remote(_)) => {}
-            // …or the engine absorbed/evaded it and the stream completed.
-            Ok(_) => {}
-            Err(other) => panic!("seed {seed}: transport-level failure {other}"),
+            Err(ClientError::Remote(WireError::Engine(OmegaError::ResourceExhausted {
+                ..
+            }))) => {}
+            other => panic!("seed {seed}: expected a typed ResourceExhausted, got {other:?}"),
         }
         drop(guard);
-        // The same connection (or a fresh one) serves clean traffic again.
+        // The same connection serves clean traffic again.
         conn.run(spec.text, &ExecOptions::new().with_limit(5))
             .expect("connection usable after injected fault");
         drop(conn);
     }
-    assert_workers_settle();
     assert_eq!(handle.stats().gauges.executions, 0);
     drain(&handle, joiner);
 }
