@@ -29,14 +29,62 @@
 //! memory until the last queued cursor is read out, when it is cleared. A
 //! run copied for `k` transitions is held once, where eager expansion
 //! queued it `k` times, so the budget trips no later than it did then.
+//!
+//! ## Keys that look one step ahead
+//!
+//! A hub's run can hold thousands of nodes at which the automaton cannot
+//! continue at cost 0 (the instances of a class without the query's next
+//! label): keyed at `g + h(q)`, each of them pops, expands and re-queues
+//! before the key can advance. So under cost guidance a visit a cursor
+//! releases is keyed by what can fire *at its node*:
+//!
+//! `h⁺(m, q) = min(final_weight(q), min over live transitions t out of q
+//! that may fire at m of cost(t) + h(t.to))`
+//!
+//! A plain symbol transition may fire at `m` iff `m`'s bit is set in the
+//! occupancy bitmap of its `(label, direction)` layer, or the overlay adds
+//! such an edge at `m` (`GraphStore::may_have_edge`); wildcards, `TypeTo`
+//! and symbols matched under inference always may. The probe runs in two
+//! passes: the transitions that keep `h(q)` first, returning at the first
+//! that may fire — the first such plain symbol's layer is looked up once
+//! per block, so a node that continues on it costs one bit test — and the
+//! others only when none does and `q` is not final, to tell a finite `h⁺`
+//! from a dead one (a raise is one key whatever `h⁺` is, below). When
+//! `h⁺(m, q) > h(q)` the visit goes in as [`TupleKind::Raised`] at `g +
+//! h(q) + 1`; when `h⁺` is dead it does not go in at all (`pruned_dead`).
+//! Only cursor releases are probed: a visit that is expanded anyway would
+//! pay for the probe and the lookup.
+//!
+//! *Admissible:* an accepting continuation of `(m, q)` either accepts at
+//! `(m, q)`, paying `final_weight(q)`, or takes a transition that fires at
+//! `m`, paying at least `cost(t) + h(t.to)`; so no answer below it has
+//! distance under `g + h⁺(m, q)`. *Consistent:* a step of cost `c` from
+//! `(m, q)` to `(m', q')` fires at `m`, so `h⁺(m, q) ≤ c + h(q') ≤ c +
+//! h⁺(m', q')`, and the final tuple of a raised visit has `g +
+//! final_weight(q) ≥ g + h⁺`. Keys therefore never fall along a derivation
+//! and `D_R` stays monotone: every stream emits the same `(x, y, distance)`
+//! multiset in non-decreasing distance, and only tie order moves. The
+//! deferred placeholder of a raised visit goes in at `max(g +
+//! defer_delta(q), g + h(q) + 1)`, which no positive-cost successor
+//! undercuts.
+//!
+//! *Why one key, and why raised visits pop first within it.* The visited
+//! set keeps the first pop of a `(start, node, state)`, which is the
+//! cheapest only if no costlier twin can be keyed at or below it. A plain
+//! twin at `g' > g` sits at `g' + h(q) ≥ g + h(q) + 1`: raising by one key,
+//! never more, keeps the raised visit at or below every costlier twin, and
+//! the queue pops raised visits before the plain tuples of a key (see
+//! `DrQueue`) for the tie. With unit edit costs `h⁺ ≤ h + 1` holds anyway
+//! (a substitution wildcard always may fire); the cap matters only for
+//! costlier edits.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use omega_graph::{GraphStore, NodeId};
+use omega_graph::{Direction, GraphStore, LabelId, NodeId};
 use omega_ontology::Ontology;
 
-use omega_automata::MinCostToAccept;
+use omega_automata::{MinCostToAccept, StateId, Transition, TransitionLabel};
 
 use crate::answer::ConjunctAnswer;
 use crate::error::{OmegaError, Result};
@@ -47,7 +95,7 @@ use crate::eval::options::{EvalOptions, OverloadPolicy};
 use crate::eval::plan::ConjunctPlan;
 use crate::eval::stats::{EvalStats, TruncationReason};
 use crate::eval::succ::{
-    succ, CostFilter, SuccScratch, SuccTransition, Successors, WideRun, BLOCK, RUN_END,
+    may_fire, succ, CostFilter, SuccScratch, SuccTransition, Successors, WideRun, BLOCK, RUN_END,
 };
 use crate::eval::tuple::{Tuple, TupleKind};
 use crate::eval::visited::{PairSet, VisitedSet};
@@ -200,13 +248,15 @@ impl<'a> ConjunctEvaluator<'a> {
             return Ok(());
         }
         self.stats.tuples_added += 1;
+        self.stats.raised_keys += u64::from(tuple.kind == TupleKind::Raised);
         self.check_budget()
     }
 
     /// Pushes `tuple` into `D_R` at its key — `g`, or `g + h[state]` when
-    /// cost-guided — unless a dead state or the ψ ceiling prunes it; whether
-    /// it went in. A cursor stands for visits in one state at one distance,
-    /// so it is pruned exactly when each of them would be.
+    /// cost-guided, one more for a raised visit — unless a dead state or the
+    /// ψ ceiling prunes it; whether it went in. A cursor stands for visits
+    /// in one state at one distance, so it is pruned exactly when each of
+    /// them would be.
     fn push(&mut self, tuple: Tuple) -> bool {
         let mut key = tuple.distance;
         if !tuple.is_final() && self.cost_guided {
@@ -218,7 +268,8 @@ impl<'a> ConjunctEvaluator<'a> {
                 self.stats.pruned_dead += 1;
                 return false;
             }
-            key = tuple.distance.saturating_add(h);
+            let raised = u32::from(tuple.kind == TupleKind::Raised);
+            key = tuple.distance.saturating_add(h).saturating_add(raised);
         }
         if let Some(psi) = self.psi {
             if tuple.distance > psi {
@@ -240,11 +291,15 @@ impl<'a> ConjunctEvaluator<'a> {
     }
 
     /// Enqueues the deferred positive-cost expansion of a just-visited
-    /// tuple, keyed at the first point any of its successors could matter.
+    /// tuple, keyed at the first point any of its successors could matter:
+    /// not below the visit's own key when it was raised.
     fn add_deferred(&mut self, tuple: &Tuple) -> Result<()> {
-        let delta = self.plan.defer_delta(tuple.state);
+        let mut delta = self.plan.defer_delta(tuple.state);
         if delta == u32::MAX {
             return Ok(()); // no live positive-cost transitions
+        }
+        if tuple.kind == TupleKind::Raised {
+            delta = delta.max(self.plan.bounds.get(tuple.state) + 1);
         }
         let key = tuple.distance.saturating_add(delta);
         if let Some(psi) = self.psi {
@@ -549,7 +604,7 @@ impl<'a> ConjunctEvaluator<'a> {
 
     /// A popped cursor: re-queue it at its own key for the rest of its run,
     /// then release the next [`BLOCK`] neighbours, which (LIFO within a
-    /// key) pop before it does.
+    /// key) pop before it does unless looking one step ahead raised them.
     fn next_block(&mut self, cursor: Tuple) -> Result<()> {
         self.stats.cursor_blocks += 1;
         let at = cursor.node.index();
@@ -571,10 +626,25 @@ impl<'a> ConjunctEvaluator<'a> {
         if !requeued {
             self.cursors -= 1;
         }
+        let first = self.first_tight(cursor.state);
         for i in at..at + len {
-            self.add_visit(Tuple {
-                node: self.successors.arena[i],
-                kind: TupleKind::Visit,
+            let node = self.successors.arena[i];
+            if self.visited.contains(cursor.start, node, cursor.state.0) {
+                continue;
+            }
+            let kind = if !self.cost_guided
+                || first.is_some_and(|(l, dir)| self.graph.may_have_edge(node, l, dir))
+            {
+                TupleKind::Visit
+            } else if let Some(kind) = self.lookahead(node, cursor.state) {
+                kind
+            } else {
+                self.stats.pruned_dead += 1;
+                continue;
+            };
+            self.add_tuple(Tuple {
+                node,
+                kind,
                 ..cursor
             })?;
         }
@@ -583,6 +653,63 @@ impl<'a> ConjunctEvaluator<'a> {
             self.successors.arena.clear();
         }
         Ok(())
+    }
+
+    /// The layer of the first plain symbol transition out of `state` that
+    /// keeps `h(state)`, looked up once per block: the bit a node's probe
+    /// tests first. `None` under inference (symbols then always may fire)
+    /// or when no such transition exists.
+    fn first_tight(&self, state: StateId) -> Option<(LabelId, Direction)> {
+        let bounds = &self.plan.bounds;
+        let h = bounds.get(state);
+        self.plan.nfa.transitions_from(state).iter().find_map(|t| {
+            if t.cost.saturating_add(bounds.get(t.to)) != h || self.plan.inference {
+                return None;
+            }
+            match &t.label {
+                TransitionLabel::Symbol {
+                    label: Some(l),
+                    inverse,
+                    ..
+                } => Some((
+                    *l,
+                    if *inverse {
+                        Direction::Incoming
+                    } else {
+                        Direction::Outgoing
+                    },
+                )),
+                _ => None,
+            }
+        })
+    }
+
+    /// How a cursor releases `node` in `state`, by `h⁺(node, state)` (see
+    /// "Keys that look one step ahead"): a plain visit when `h⁺ = h(state)`,
+    /// raised when `h⁺ > h(state)`, not at all (`None`) when `h⁺` is dead;
+    /// asked for the nodes that fail the block's [`Self::first_tight`] bit.
+    /// The transitions that keep `h(state)` are probed first, returning at
+    /// the first that may fire; the rest only matter when no final weight
+    /// bounds `h⁺`, to tell a raise from a dead end, since a raise is one
+    /// key whatever `h⁺` is.
+    fn lookahead(&self, node: NodeId, state: StateId) -> Option<TupleKind> {
+        let bounds = &self.plan.bounds;
+        let h = bounds.get(state);
+        let accept = self.plan.nfa.final_weight(state);
+        let transitions = self.plan.nfa.transitions_from(state);
+        let step = |t: &Transition| t.cost.saturating_add(bounds.get(t.to));
+        let fires = |t: &Transition| may_fire(self.graph, self.plan.inference, node, &t.label);
+        if accept == Some(h) || transitions.iter().any(|t| step(t) == h && fires(t)) {
+            Some(TupleKind::Visit)
+        } else if accept.is_some()
+            || transitions
+                .iter()
+                .any(|t| step(t) != MinCostToAccept::DEAD && fires(t))
+        {
+            Some(TupleKind::Raised)
+        } else {
+            None
+        }
     }
 
     /// Runs the evaluator to completion (or until `limit` answers), returning
@@ -1194,6 +1321,141 @@ mod tests {
         };
         let guided = drain(true);
         assert!(guided.len() > 5_000, "every instance is an answer");
+        assert_eq!(guided, drain(false));
+    }
+
+    /// `Class`, a class with 5,000 instances that have no `q` edge, then
+    /// 20 that have one (to their own `t{i}`): the run a cursor releases
+    /// starts with the 5,000.
+    fn hub_lacking_the_next_label() -> (GraphStore, Ontology) {
+        let mut g = GraphStore::new();
+        for i in 0..5_000 {
+            g.add_triple(&format!("i{i}"), "type", "Class");
+        }
+        for i in 0..20 {
+            g.add_triple(&format!("j{i}"), "type", "Class");
+            g.add_triple(&format!("j{i}"), "q", &format!("t{i}"));
+        }
+        g.freeze();
+        (g, Ontology::new())
+    }
+
+    const LACKING_QUERY: &str = "(?X) <- APPROX (Class, type-.q, ?X)";
+
+    #[test]
+    fn hub_members_without_the_next_label_are_queued_a_key_higher() {
+        let (g, o) = hub_lacking_the_next_label();
+        let q = parse_query(LACKING_QUERY).unwrap();
+        let options = EvalOptions::default().with_cost_guided(true);
+        let mut eval = evaluate_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap();
+        let top = eval.collect(Some(10)).unwrap();
+        assert_eq!(top.len(), 10);
+        assert!(top.iter().all(|a| a.distance == 0), "the t{{i}} are exact");
+        let stats = eval.stats();
+        // Keyed at their state's bound, every instance without `q` would
+        // pop, expand and find nothing before the exact answers could.
+        assert!(
+            stats.tuples_processed <= 1_000,
+            "a top-10 processed {} tuples",
+            stats.tuples_processed
+        );
+        assert!(stats.raised_keys >= 5_000, "{stats}");
+        // The occupancy probes behind the raises are not neighbour lookups.
+        assert!(stats.neighbour_lookups <= 1_000, "{stats}");
+    }
+
+    #[test]
+    fn draining_a_raised_hub_answers_as_the_unguided_drain_does() {
+        let (g, o) = hub_lacking_the_next_label();
+        let q = parse_query(LACKING_QUERY).unwrap();
+        let drain = |cost_guided: bool| {
+            let options = EvalOptions::default().with_cost_guided(cost_guided);
+            let mut eval = evaluate_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap();
+            let answers = eval.collect(None).unwrap();
+            assert!(answers.windows(2).all(|w| w[0].distance <= w[1].distance));
+            assert_eq!(eval.stats().raised_keys > 0, cost_guided);
+            let mut v: Vec<_> = answers.iter().map(|a| (a.x, a.y, a.distance)).collect();
+            v.sort_unstable();
+            v
+        };
+        let guided = drain(true);
+        assert!(guided.len() > 5_000, "every instance is an answer");
+        assert_eq!(guided, drain(false));
+    }
+
+    #[test]
+    fn a_raised_visit_pops_before_a_costlier_plain_twin_of_its_key() {
+        // `s` reaches `m0 … m99` over `h`, a cursor's run. Only `m99` has an
+        // `x` edge, so the others are raised to key 1 by the first block;
+        // `m99`, released by the second, pops at key 0, and its deferred
+        // insertion edit re-reaches `m0` over `y` at distance 1 and key 1,
+        // queued after `m0`'s raised visit at distance 0. If that plain twin
+        // popped first, `m0` would be visited one edit too dear and `w0`
+        // (`h.z`, one substitution from `h.x`) answered at 2.
+        let mut g = GraphStore::new();
+        for i in 0..100 {
+            g.add_triple("s", "h", &format!("m{i}"));
+            g.add_triple(&format!("m{i}"), "z", &format!("w{i}"));
+        }
+        g.add_triple("m99", "x", "t");
+        g.add_triple("m99", "y", "m0");
+        g.freeze();
+        let o = Ontology::new();
+        let q = parse_query("(?Y) <- APPROX (s, h.x, ?Y)").unwrap();
+        let drain = |cost_guided: bool| {
+            let options = EvalOptions::default().with_cost_guided(cost_guided);
+            let mut eval = evaluate_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap();
+            let mut v: Vec<_> = eval
+                .collect(None)
+                .unwrap()
+                .iter()
+                .map(|a| (g.node_label(a.y).to_owned(), a.distance))
+                .collect();
+            assert!(eval.stats().raised_keys > 0 || !cost_guided);
+            v.sort_unstable();
+            v
+        };
+        let guided = drain(true);
+        assert!(guided.contains(&("w0".to_owned(), 1)));
+        assert_eq!(guided, drain(false));
+    }
+
+    #[test]
+    fn a_raise_is_one_key_when_edits_cost_more_than_one() {
+        // With insertions, deletions and substitutions at 3 and inversions
+        // at 1, `h⁺(m0, after h) = 3`: `x` cannot fire at `m0`. But `m0` is
+        // also reached at distance 1 by inverting `h` along `m0 -h-> s`, at
+        // key 1. Keyed at 3, the raised visit at distance 0 would pop after
+        // that twin, and `w0` would be answered at 4 instead of 3.
+        let mut g = GraphStore::new();
+        for i in 0..100 {
+            g.add_triple("s", "h", &format!("m{i}"));
+            g.add_triple(&format!("m{i}"), "z", &format!("w{i}"));
+        }
+        g.add_triple("m99", "x", "t");
+        g.add_triple("m0", "h", "s");
+        g.freeze();
+        let o = Ontology::new();
+        let q = parse_query("(?Y) <- APPROX (s, h.x, ?Y)").unwrap();
+        let drain = |cost_guided: bool| {
+            let mut options = EvalOptions::default().with_cost_guided(cost_guided);
+            options.approx = omega_automata::ApproxConfig {
+                inversion: Some(1),
+                ..omega_automata::ApproxConfig::uniform(3)
+            };
+            let mut eval = evaluate_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap();
+            let mut v: Vec<_> = eval
+                .collect(None)
+                .unwrap()
+                .iter()
+                .map(|a| (g.node_label(a.y).to_owned(), a.distance))
+                .collect();
+            assert!(eval.stats().raised_keys > 0 || !cost_guided);
+            v.sort_unstable();
+            v
+        };
+        let guided = drain(true);
+        assert!(guided.contains(&("w0".to_owned(), 3)));
         assert_eq!(guided, drain(false));
     }
 

@@ -27,28 +27,32 @@
 //! Pathologically large keys (possible with user-configured costs) fall
 //! back to a sorted overflow map so memory stays bounded by the number of
 //! *distinct* keys, not their magnitude.
+//!
+//! Within a key, a visit a successor cursor queued above its state's bound
+//! ([`TupleKind::Raised`]) pops before the plain traversal tuples: such a
+//! visit may carry a smaller distance than a plain twin of the same
+//! `(start, node, state)` at the same key, and the first of them to pop is
+//! the one the visited set keeps (`crate::eval::conjunct`, "Keys that look
+//! one step ahead").
 
 use std::collections::BTreeMap;
 
-use crate::eval::tuple::Tuple;
+use crate::eval::tuple::{Tuple, TupleKind};
 
 /// Keys below this bound use the dense bucket array; anything larger
 /// (only reachable with exotic cost configurations) goes to the overflow
 /// map.
 const DENSE_LIMIT: u32 = 4096;
 
-/// One key's tuples, split by finality.
+/// One key's tuples by rank, each list popped LIFO and emptied before the
+/// next: final tuples (pending answers, when prioritised), raised visits,
+/// then everything else.
 #[derive(Debug, Default)]
-struct Bucket {
-    /// Final tuples (pending answers), popped first when prioritised.
-    fin: Vec<Tuple>,
-    /// Non-final traversal tuples.
-    other: Vec<Tuple>,
-}
+struct Bucket([Vec<Tuple>; 3]);
 
 impl Bucket {
     fn is_empty(&self) -> bool {
-        self.fin.is_empty() && self.other.is_empty()
+        self.0.iter().all(Vec::is_empty)
     }
 }
 
@@ -59,8 +63,7 @@ pub struct DrQueue {
     buckets: Vec<Bucket>,
     /// Lower bound on the smallest occupied key in `buckets`.
     cursor: usize,
-    /// Tuples at keys `>= DENSE_LIMIT`, keyed `(key, rank)` like the
-    /// original BTreeMap implementation.
+    /// Tuples at keys `>= DENSE_LIMIT`, keyed `(key, rank)`.
     overflow: BTreeMap<(u32, u8), Vec<Tuple>>,
     len: usize,
     /// When false, final and non-final tuples share a bucket (ablation of the
@@ -84,34 +87,33 @@ impl DrQueue {
     /// cost-guided mode).
     pub fn push(&mut self, tuple: Tuple, key: u32) {
         self.len += 1;
+        let rank = match tuple.kind {
+            TupleKind::Final if self.prioritize_final => 0,
+            TupleKind::Raised => 1,
+            _ => 2,
+        };
         if key < DENSE_LIMIT {
             let idx = key as usize;
             if idx >= self.buckets.len() {
                 self.buckets.resize_with(idx + 1, Bucket::default);
             }
-            if self.prioritize_final && tuple.is_final() {
-                self.buckets[idx].fin.push(tuple);
-            } else {
-                self.buckets[idx].other.push(tuple);
-            }
+            self.buckets[idx].0[rank].push(tuple);
             if idx < self.cursor {
                 self.cursor = idx;
             }
         } else {
-            let rank = if self.prioritize_final && tuple.is_final() {
-                0
-            } else {
-                1
-            };
-            self.overflow.entry((key, rank)).or_default().push(tuple);
+            self.overflow
+                .entry((key, rank as u8))
+                .or_default()
+                .push(tuple);
         }
     }
 
-    /// Removes a tuple from the minimum-key bucket, final tuples first.
+    /// Removes a tuple from the minimum-key bucket, by rank: final tuples
+    /// first, then raised visits.
     pub fn pop(&mut self) -> Option<Tuple> {
         while self.cursor < self.buckets.len() {
-            let bucket = &mut self.buckets[self.cursor];
-            if let Some(tuple) = bucket.fin.pop().or_else(|| bucket.other.pop()) {
+            if let Some(tuple) = self.buckets[self.cursor].0.iter_mut().find_map(Vec::pop) {
                 self.len -= 1;
                 return Some(tuple);
             }
@@ -226,6 +228,31 @@ mod tests {
         let next = q.pop().unwrap();
         assert!(next.is_final(), "final tuple must be popped first");
         assert!(!q.pop().unwrap().is_final());
+    }
+
+    #[test]
+    fn raised_visits_pop_after_finals_and_before_the_rest_of_their_key() {
+        for prioritize_final in [true, false] {
+            let mut q = DrQueue::new(prioritize_final);
+            let raised = Tuple {
+                kind: TupleKind::Raised,
+                ..tuple(0, false, 1)
+            };
+            push_g(&mut q, raised);
+            push_g(&mut q, tuple(1, false, 2));
+            q.push(raised, DENSE_LIMIT + 1);
+            push_g(&mut q, tuple(DENSE_LIMIT + 1, false, 3));
+            q.push(tuple(0, true, 4), 1);
+            q.push(tuple(1, false, 5), 1);
+            q.push(raised, 1);
+            let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|t| t.node.0).collect();
+            let expected = if prioritize_final {
+                [1, 4, 1, 5, 2, 1, 3]
+            } else {
+                [1, 1, 5, 4, 2, 1, 3]
+            };
+            assert_eq!(order, expected, "prioritize_final {prioritize_final}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use omega_graph::{GraphStore, NodeBitmap, NodeId};
 use omega_ontology::Ontology;
 
-use crate::eval::plan::{seed_nodes_for_label, ConjunctPlan, SeedSpec};
+use crate::eval::plan::{seed_nodes_for_label, union, ConjunctPlan, SeedSpec};
 
 /// A lazily drained supply of seeds: `(node, initial distance)`.
 ///
@@ -57,16 +57,11 @@ impl InitialNodeFeed {
             SeedSpec::Fixed(seeds) => (seeds.to_vec(), NodeBitmap::new()),
             SeedSpec::AllNodes { .. } => (Vec::new(), NodeBitmap::full(graph.node_count())),
             SeedSpec::MatchingInitial => {
-                let mut set = NodeBitmap::new();
-                for label in plan.nfa.initial_labels() {
-                    set.union_with(&seed_nodes_for_label(
-                        graph,
-                        ontology,
-                        plan.inference,
-                        label,
-                    ));
-                }
-                (Vec::new(), set)
+                let sets = plan
+                    .nfa
+                    .initial_labels()
+                    .map(|label| seed_nodes_for_label(graph, ontology, plan.inference, label));
+                (Vec::new(), union(sets))
             }
         };
         fixed.reverse();
@@ -185,6 +180,68 @@ mod tests {
         let released = batch(&mut feed);
         assert_eq!(released.len(), 5);
         assert!(released.iter().all(|&n| g.node_label(n).starts_with('n')));
+    }
+
+    #[test]
+    fn matching_initial_feeds_release_exactly_the_naive_seed_set() {
+        use omega_automata::TransitionLabel;
+        use omega_graph::{Direction, GraphDelta};
+        let (mut g, o) = chain_graph(150);
+        for i in (0..150).step_by(7) {
+            g.add_triple(&format!("n{i}"), "other", &format!("m{i}"));
+            g.add_triple(&format!("n{i}"), "type", "Class");
+        }
+        g.add_node("isolated");
+        g.freeze();
+        let (live, _) = g
+            .with_delta(
+                GraphDelta::new()
+                    .add("fresh", "next", "n3")
+                    .add("m7", "other", "late"),
+            )
+            .unwrap();
+        // Nodes with a live edge matching one of the plan's initial labels,
+        // found node by node.
+        let naive = |g: &GraphStore, plan: &ConjunctPlan| -> Vec<NodeId> {
+            let fires = |n: NodeId, label: &TransitionLabel| {
+                let dirs = [Direction::Outgoing, Direction::Incoming];
+                match label {
+                    TransitionLabel::Symbol {
+                        label: Some(l),
+                        inverse,
+                        ..
+                    } => g
+                        .neighbors_iter(n, *l, dirs[usize::from(*inverse)])
+                        .next()
+                        .is_some(),
+                    TransitionLabel::AnyForward => g.out_degree(n, None) > 0,
+                    other => panic!("no {other} in these plans"),
+                }
+            };
+            let labels: Vec<_> = plan.nfa.initial_labels().collect();
+            g.node_ids()
+                .filter(|&n| labels.iter().any(|l| fires(n, l)))
+                .collect()
+        };
+        for graph in [&g, &live] {
+            for text in [
+                "(?X, ?Y) <- (?X, next, ?Y)",
+                "(?X, ?Y) <- (?X, other-|next-, ?Y)",
+                "(?X, ?Y) <- (?X, _.next, ?Y)",
+                "(?X, ?Y) <- (?X, type|other, ?Y)",
+            ] {
+                let q = parse_query(text).unwrap();
+                let plan =
+                    compile_conjunct(&q.conjuncts[0], graph, &o, &EvalOptions::default()).unwrap();
+                assert_eq!(plan.seeds, SeedSpec::MatchingInitial, "{text}");
+                let mut feed = InitialNodeFeed::new(&plan, graph, &o, 64);
+                let released: Vec<NodeId> = std::iter::from_fn(|| Some(batch(&mut feed)))
+                    .take_while(|b| !b.is_empty())
+                    .flatten()
+                    .collect();
+                assert_eq!(released, naive(graph, &plan), "{text}");
+            }
+        }
     }
 
     #[test]

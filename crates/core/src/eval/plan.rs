@@ -22,7 +22,7 @@ use omega_automata::{
     approximate, build_nfa, relax, remove_epsilons, MinCostToAccept, StateId, TransitionLabel,
     WeightedNfa,
 };
-use omega_graph::{Direction, GraphStore, NodeId};
+use omega_graph::{Direction, GraphStore, NodeBitmap, NodeId};
 use omega_ontology::Ontology;
 
 use crate::error::{OmegaError, Result};
@@ -344,14 +344,15 @@ fn first_hop_fanout(base: &WeightedNfa, node: NodeId, graph: &GraphStore) -> u64
 }
 
 /// The node sets selected by an initial transition label, used both for
-/// seeding `(?X, R, ?Y)` conjuncts and by tests.
+/// seeding `(?X, R, ?Y)` conjuncts and by tests: for symbols and wildcards a
+/// copy of one occupancy bitmap, or an OR of copies (`GraphStore::tails` /
+/// `heads` / `nodes_with_any_edge`), never a scan of the graph.
 pub(crate) fn seed_nodes_for_label(
     graph: &GraphStore,
     ontology: &Ontology,
     inference: bool,
     label: &TransitionLabel,
-) -> omega_graph::NodeBitmap {
-    use omega_graph::NodeBitmap;
+) -> NodeBitmap {
     match label {
         TransitionLabel::Epsilon => NodeBitmap::new(),
         TransitionLabel::Symbol { label: None, .. } => NodeBitmap::new(),
@@ -365,15 +366,14 @@ pub(crate) fn seed_nodes_for_label(
             } else {
                 vec![*l]
             };
-            let mut set = NodeBitmap::new();
-            for l in labels {
-                let part = if *inverse {
+            let endpoints = |l| {
+                if *inverse {
                     graph.heads(l)
                 } else {
                     graph.tails(l)
-                };
-                set.union_with(&part);
-            }
+                }
+            };
+            let mut set = union(labels.into_iter().map(endpoints));
             // Under `sc` inference an inverse `type` traversal can also start
             // from superclasses whose only instances are inferred.
             if inference && *l == graph.type_label() && *inverse {
@@ -386,13 +386,7 @@ pub(crate) fn seed_nodes_for_label(
             }
             set
         }
-        TransitionLabel::AnyForward => {
-            let mut set = NodeBitmap::new();
-            for (l, _) in graph.labels() {
-                set.union_with(&graph.tails(l));
-            }
-            set
-        }
+        TransitionLabel::AnyForward => union(graph.labels().map(|(l, _)| graph.tails(l))),
         TransitionLabel::Any => graph.nodes_with_any_edge(),
         TransitionLabel::TypeTo { class, .. } => {
             let classes = if inference {
@@ -411,6 +405,14 @@ pub(crate) fn seed_nodes_for_label(
             set
         }
     }
+}
+
+/// The union of `sets`: the first moved, the rest ORed into it.
+pub(crate) fn union(sets: impl IntoIterator<Item = NodeBitmap>) -> NodeBitmap {
+    let mut sets = sets.into_iter();
+    let mut out = sets.next().unwrap_or_default();
+    sets.for_each(|set| out.union_with(&set));
+    out
 }
 
 #[cfg(test)]

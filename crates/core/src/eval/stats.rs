@@ -34,7 +34,9 @@ pub struct EvalStats {
     pub tuples_processed: u64,
     /// Calls to the `Succ` function.
     pub succ_calls: u64,
-    /// Neighbour-list lookups against the graph store.
+    /// Neighbour-list lookups against the graph store. The single-bit
+    /// occupancy probes behind `raised_keys` are not lookups and are not
+    /// counted here.
     pub neighbour_lookups: u64,
     /// Answers emitted.
     pub answers: u64,
@@ -59,6 +61,11 @@ pub struct EvalStats {
     /// each is at most [`crate::eval::succ::BLOCK`] visits, which count in
     /// `tuples_added` as they go in (the cursor itself never does).
     pub cursor_blocks: u64,
+    /// Visits a cursor queued one key above their state's bound, because
+    /// no transition that may fire at their node keeps it (cost-guided
+    /// evaluation; occupancy probes, see `crate::eval::conjunct`). Each is
+    /// also one of `tuples_added`.
+    pub raised_keys: u64,
     /// Shed retries performed: executions that were re-admitted with shrunk
     /// budgets after an initial overload rejection
     /// (`OverloadPolicy::Shed`).
@@ -87,6 +94,7 @@ impl AddAssign for EvalStats {
         self.pruned_bound += rhs.pruned_bound;
         self.deferred_expansions += rhs.deferred_expansions;
         self.cursor_blocks += rhs.cursor_blocks;
+        self.raised_keys += rhs.raised_keys;
         self.sheds += rhs.sheds;
         self.degraded |= rhs.degraded;
         self.truncation = self.truncation.or(rhs.truncation);
@@ -98,7 +106,8 @@ impl std::fmt::Display for EvalStats {
         write!(
             f,
             "added={} processed={} succ={} lookups={} answers={} suppressed={} restarts={} \
-             pruned_dead={} pruned_bound={} deferred={} cursor_blocks={} sheds={} degraded={}",
+             pruned_dead={} pruned_bound={} deferred={} cursor_blocks={} raised_keys={} sheds={} \
+             degraded={}",
             self.tuples_added,
             self.tuples_processed,
             self.succ_calls,
@@ -110,6 +119,7 @@ impl std::fmt::Display for EvalStats {
             self.pruned_bound,
             self.deferred_expansions,
             self.cursor_blocks,
+            self.raised_keys,
             self.sheds,
             self.degraded
         )
@@ -134,6 +144,7 @@ mod tests {
             pruned_bound: 9,
             deferred_expansions: 10,
             cursor_blocks: 13,
+            raised_keys: 11,
             sheds: 12,
             degraded: false,
             truncation: None,
@@ -145,11 +156,13 @@ mod tests {
         assert_eq!(a.pruned_bound, 18);
         assert_eq!(a.deferred_expansions, 20);
         assert_eq!(a.cursor_blocks, 26);
+        assert_eq!(a.raised_keys, 22);
         assert_eq!(a.sheds, 24);
         assert!(!a.degraded);
         assert!(a.to_string().contains("answers=10"));
         assert!(a.to_string().contains("pruned_dead=16"));
         assert!(a.to_string().contains("cursor_blocks=26"));
+        assert!(a.to_string().contains("raised_keys=22"));
     }
 
     #[test]

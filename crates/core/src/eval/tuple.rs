@@ -8,6 +8,12 @@ use omega_graph::NodeId;
 pub enum TupleKind {
     /// A traversal frontier entry: visit `node` in `state`.
     Visit,
+    /// A [`TupleKind::Visit`] a successor cursor released one key above its
+    /// state's bound `g + h(state)`, because no transition that could fire
+    /// at `node` keeps `h` (cost-guided evaluation; see "Keys that look one
+    /// step ahead" in `crate::eval::conjunct`). It pops before the plain
+    /// tuples of its key.
+    Raised,
     /// A complete answer waiting to be emitted (the paper's 'final' tuple).
     Final,
     /// Cost-guided evaluation: a placeholder re-queued at the key of the

@@ -38,6 +38,10 @@ fn a_compile_allocates_per_stage_not_per_transition() {
         .next()
         .expect("someone is married");
     let anchor = graph.node_label(anchor).to_owned();
+    // The index's label statistics are read off its occupancy bitmaps, one
+    // per layer, built on first use and kept for every later compile: not a
+    // cost of the compile.
+    graph.label_stats();
     for (operator, bound) in PREPARE_ALLOCS {
         let text = format!(
             "(?X) <- {operator}({anchor}, (marriedTo|hasChild|influences)+.(gradFrom|worksAt), ?X)"

@@ -58,6 +58,14 @@ impl NodeBitmap {
         NodeBitmap { words, len: count }
     }
 
+    /// The set whose word `w` holds the members `64·w .. 64·w + 63`, lowest
+    /// id in the lowest bit.
+    pub(crate) fn from_words(words: Vec<u64>) -> Self {
+        let mut set = NodeBitmap { words, len: 0 };
+        set.recount();
+        set
+    }
+
     /// The smallest member with an id `≥ from`.
     pub fn first_from(&self, from: NodeId) -> Option<NodeId> {
         let (w, b) = (from.index() / WORD_BITS, from.index() % WORD_BITS);

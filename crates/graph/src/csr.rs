@@ -24,9 +24,26 @@
 //! one discriminant test and are otherwise identical, so the evaluator hot
 //! paths never know (or care) whether the graph was built in process or
 //! mapped from disk.
+//!
+//! ## Occupancy bitmaps
+//!
+//! Each run array also answers "which nodes have a non-empty run?" — the
+//! paper's Sparksee `Tails` / `Heads` sets — with an occupancy
+//! [`NodeBitmap`] (`CsrRuns::occupancy`). It is built on first use, a
+//! word at a time from the offsets (one bit per node, 10 KB for 80k nodes),
+//! and then lives in the `Arc`-shared index beside its statistics, so every
+//! epoch layered over the index reads the same one. Seeding copies it
+//! instead of scanning the offsets, the statistics' distinct-endpoint counts
+//! are its popcounts, and the evaluator probes single bits to ask whether a
+//! transition can fire at a node. The bitmap is exact for the arrays; a
+//! store carrying a delta overlay ORs in the overlay's added endpoints and
+//! keeps the bits of nodes whose last edge the overlay deleted, so what it
+//! reports there is a superset of the live endpoints (see
+//! [`crate::GraphStore::tails`]).
 
 use std::sync::OnceLock;
 
+use crate::bitmap::NodeBitmap;
 use crate::ids::{Direction, LabelId, NodeId};
 use crate::overlay::{survives, DeltaOverlay};
 use crate::snapshot::error::SnapshotError;
@@ -189,6 +206,8 @@ pub struct CsrRuns<T> {
     /// entries.
     offsets: U32Store,
     items: ArrayStore<T>,
+    /// The nodes with a non-empty run, built on first use.
+    occupied: OnceLock<NodeBitmap>,
 }
 
 /// A `(label, direction)` adjacency: runs of neighbours.
@@ -208,7 +227,11 @@ impl<T> CsrRuns<T> {
     /// validated that the offsets are monotone and bounded by the item
     /// count.
     pub(crate) fn from_parts(offsets: U32Store, items: ArrayStore<T>) -> CsrRuns<T> {
-        CsrRuns { offsets, items }
+        CsrRuns {
+            offsets,
+            items,
+            occupied: OnceLock::new(),
+        }
     }
 
     /// The offsets array.
@@ -233,14 +256,24 @@ impl<T> CsrRuns<T> {
         &self.items.as_slice()[offsets[i] as usize..offsets[i + 1] as usize]
     }
 
-    /// Node ids with a non-empty run.
-    pub fn occupied_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.offsets
-            .as_slice()
-            .windows(2)
-            .enumerate()
-            .filter(|(_, w)| w[0] != w[1])
-            .map(|(i, _)| NodeId(i as u32))
+    /// The nodes with a non-empty run: built on first use, one 64-node word
+    /// of offsets at a time, then shared by every reader of these arrays.
+    pub(crate) fn occupancy(&self) -> &NodeBitmap {
+        self.occupied.get_or_init(|| {
+            let offsets = self.offsets.as_slice();
+            let nodes = offsets.len().saturating_sub(1);
+            let words = (0..nodes)
+                .step_by(64)
+                .map(|from| {
+                    let bounds = &offsets[from..=(from + 64).min(nodes)];
+                    bounds
+                        .windows(2)
+                        .enumerate()
+                        .fold(0u64, |word, (bit, w)| word | u64::from(w[0] != w[1]) << bit)
+                })
+                .collect();
+            NodeBitmap::from_words(words)
+        })
     }
 
     /// Total number of stored items.
@@ -415,22 +448,24 @@ impl CsrIndex {
         }
     }
 
-    /// Per-label statistics of these arrays, scanned on first use (one pass
-    /// over each layer's offsets, `O(labels · nodes)`) and then shared by
-    /// every epoch over this index.
+    /// Per-label statistics of these arrays, computed on first use (the
+    /// distinct endpoints are the popcounts of the layers' occupancy
+    /// bitmaps, so one `O(labels · nodes)` pass over the offsets builds
+    /// both) and then shared by every epoch over this index.
     pub(crate) fn stats(&self) -> &LabelStats {
         self.stats.get_or_init(|| self.scan_stats())
     }
 
-    /// The statistics [`CsrIndex::stats`] caches, computed afresh.
+    /// The statistics [`CsrIndex::stats`] caches, read off the occupancy
+    /// bitmaps.
     pub(crate) fn scan_stats(&self) -> LabelStats {
         let layers = self.out.iter().zip(&self.inc);
         LabelStats::from_entries(
             layers
                 .map(|(out, inc)| LabelEntry {
                     edges: out.len() as u64,
-                    distinct_tails: out.occupied_nodes().count() as u64,
-                    distinct_heads: inc.occupied_nodes().count() as u64,
+                    distinct_tails: out.occupancy().len() as u64,
+                    distinct_heads: inc.occupancy().len() as u64,
                 })
                 .collect(),
         )
@@ -466,7 +501,7 @@ mod tests {
         assert_eq!(layer.run(NodeId(100)), &[] as &[NodeId]);
         assert_eq!(layer.len(), 3);
         assert_eq!(layer.offsets(), [0, 2, 2, 3, 3]);
-        let occupied: Vec<_> = layer.occupied_nodes().collect();
+        let occupied: Vec<_> = layer.occupancy().iter().collect();
         assert_eq!(occupied, vec![NodeId(0), NodeId(2)]);
         let incoming = index.layer(LabelId(1), false).unwrap();
         assert_eq!(incoming.run(NodeId(0)), &[NodeId(2)]);
@@ -477,10 +512,26 @@ mod tests {
         assert!(index.out_all.run(NodeId(3)).is_empty());
         assert!(index.out_all.run(NodeId(9)).is_empty());
         assert_eq!(
-            index.out_all.occupied_nodes().collect::<Vec<_>>(),
+            index.out_all.occupancy().iter().collect::<Vec<_>>(),
             vec![NodeId(0), NodeId(1), NodeId(2)]
         );
         assert_eq!(index.stats().entry(LabelId(1)).distinct_tails, 2);
+    }
+
+    #[test]
+    fn occupancy_reads_every_word_of_offsets() {
+        // Runs at both edges of the first two words and on the last node of
+        // a partial third word.
+        let sources = [0, 63, 64, 127, 129];
+        let edges: Vec<_> = sources.iter().map(|&s| (s, 0, 1)).collect();
+        let index = CsrIndex::default().merged(&loaded(&edges), 130, 1);
+        let out = index.layer(LabelId(0), true).unwrap();
+        let occupied: Vec<u32> = out.occupancy().iter().map(|n| n.0).collect();
+        assert_eq!(occupied, sources);
+        assert_eq!(out.occupancy().len(), sources.len());
+        let inc = index.layer(LabelId(0), false).unwrap();
+        assert_eq!(inc.occupancy().iter().collect::<Vec<_>>(), [NodeId(1)]);
+        assert!(CsrLayer::default().occupancy().is_empty());
     }
 
     #[test]

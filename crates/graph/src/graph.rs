@@ -58,6 +58,16 @@ pub struct EdgeRef {
 /// (they cannot borrow a merged list), which overlay-free stores — the
 /// common case — serve unchanged.
 ///
+/// ## Endpoint sets
+///
+/// [`GraphStore::tails`], [`GraphStore::heads`] and
+/// [`GraphStore::nodes_with_any_edge`] copy the index's occupancy bitmaps
+/// (one per `(label, direction)` layer and per mixed view, built once per
+/// index, see [`crate::csr`]) and OR in the overlay's added endpoints;
+/// [`GraphStore::may_have_edge`] tests one bit of the same sets. On an
+/// overlay-carrying store they are conservative: a node whose last edge of
+/// a label the overlay deleted keeps its bit until compaction.
+///
 /// ## Mutating a frozen store in place
 ///
 /// The loading API keeps working after a freeze: adding an edge to a frozen
@@ -474,7 +484,7 @@ impl GraphStore {
             .as_ref()
             .into_iter()
             .flat_map(|csr| {
-                csr.out_all.occupied_nodes().flat_map(move |source| {
+                self.node_ids().flat_map(move |source| {
                     csr.out_all
                         .run(source)
                         .iter()
@@ -637,16 +647,34 @@ impl GraphStore {
     }
 
     /// Nodes with at least one base `label` edge in `dir` (sources for
-    /// `Outgoing`, targets for `Incoming`), plus the overlay-added ones.
+    /// `Outgoing`, targets for `Incoming`) — a copy of the layer's
+    /// occupancy bitmap — plus the overlay-added ones.
     fn endpoints(&self, label: LabelId, dir: Direction) -> NodeBitmap {
-        let mut set: NodeBitmap = self
+        let mut set = self
             .layer(label, dir == Direction::Outgoing)
-            .map(|layer| layer.occupied_nodes().collect())
+            .map(|layer| layer.occupancy().clone())
             .unwrap_or_default();
         if let Some(ov) = &self.overlay {
             set.extend(ov.added_endpoints(label, dir));
         }
         set
+    }
+
+    /// Whether `node` may have a `label` edge in `dir`: its bit in the base
+    /// layer's occupancy bitmap, or an overlay-added edge there. Never
+    /// `false` when such an edge exists; conservative like
+    /// [`GraphStore::heads`] (a node whose last base edge of the label the
+    /// overlay deleted still answers `true`). One bit test on a frozen
+    /// store, which is why the evaluator asks this instead of reading the
+    /// neighbours.
+    #[inline]
+    pub fn may_have_edge(&self, node: NodeId, label: LabelId, dir: Direction) -> bool {
+        self.layer(label, dir == Direction::Outgoing)
+            .is_some_and(|layer| layer.occupancy().contains(node))
+            || self
+                .overlay
+                .as_ref()
+                .is_some_and(|ov| !ov.adds_for(node, label, dir).is_empty())
     }
 
     /// All nodes that are the *target* of an edge labelled `label`
@@ -668,21 +696,14 @@ impl GraphStore {
         self.endpoints(label, Direction::Outgoing)
     }
 
-    /// Union of [`GraphStore::heads`] and [`GraphStore::tails`]
-    /// (the paper's `TailsAndHeads`).
-    pub fn tails_and_heads(&self, label: LabelId) -> NodeBitmap {
-        let mut t = self.tails(label);
-        t.union_with(&self.heads(label));
-        t
-    }
-
-    /// All nodes incident to at least one edge, in either direction.
-    /// Conservative on overlay stores like [`GraphStore::heads`].
+    /// All nodes incident to at least one edge, in either direction: the
+    /// mixed views' two occupancy bitmaps ORed. Conservative on overlay
+    /// stores like [`GraphStore::heads`].
     pub fn nodes_with_any_edge(&self) -> NodeBitmap {
         let mut set = NodeBitmap::default();
         if let Some(csr) = &self.csr {
-            set.extend(csr.out_all.occupied_nodes());
-            set.extend(csr.in_all.occupied_nodes());
+            set = csr.out_all.occupancy().clone();
+            set.union_with(csr.in_all.occupancy());
         }
         if let Some(ov) = &self.overlay {
             set.extend(ov.added_incident_nodes());
@@ -826,14 +847,23 @@ mod tests {
     }
 
     #[test]
-    fn heads_tails_and_union() {
+    fn heads_tails_and_edge_probes() {
         both_states(sample(), |g| {
             let knows = g.label_id("knows").unwrap();
             let heads = g.heads(knows);
             let tails = g.tails(knows);
             assert_eq!(heads.len(), 2); // b, c
             assert_eq!(tails.len(), 2); // a, b
-            assert_eq!(g.tails_and_heads(knows).len(), 3); // a, b, c
+            for node in g.node_ids() {
+                assert_eq!(
+                    g.may_have_edge(node, knows, Direction::Outgoing),
+                    tails.contains(node)
+                );
+                assert_eq!(
+                    g.may_have_edge(node, knows, Direction::Incoming),
+                    heads.contains(node)
+                );
+            }
         });
     }
 

@@ -11,9 +11,11 @@
 //! * edges are typed by an interned label (`LabelId`) and indexed per
 //!   `(label, direction)` so that [`GraphStore::neighbors`] is an indexed
 //!   lookup (the paper's `Neighbors`),
-//! * [`GraphStore::heads`] / [`GraphStore::tails`] /
-//!   [`GraphStore::tails_and_heads`] return bitmap node sets, mirroring
-//!   Sparksee's bitmap-vector indexes and supporting cheap set operations,
+//! * [`GraphStore::heads`] / [`GraphStore::tails`] return bitmap node sets
+//!   — copies of one occupancy bitmap kept per `(label, direction)` —
+//!   mirroring Sparksee's bitmap-vector indexes and supporting cheap set
+//!   operations, and [`GraphStore::may_have_edge`] tests a single bit of
+//!   one,
 //! * a generic "any label" adjacency supports the wildcard `*` transitions of
 //!   APPROX automata (the paper's synthetic `edge` type).
 //!

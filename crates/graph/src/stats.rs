@@ -35,10 +35,10 @@ pub struct LabelStats {
 }
 
 impl LabelStats {
-    /// Computes the statistics for `graph` from scratch: one pass over each
-    /// label's two offset arrays in the frozen index (none while loading)
-    /// and one over the overlay's touched nodes, counting endpoints rather
-    /// than trusting the overlay's counters. [`GraphStore::label_stats`]
+    /// Computes the statistics for `graph` from scratch: the popcounts of
+    /// each label's two occupancy bitmaps in the frozen index (none while
+    /// loading) and one pass over the overlay's touched nodes, counting
+    /// endpoints rather than trusting the overlay's counters. [`GraphStore::label_stats`]
     /// returns the same values in `O(labels)`; this is the reference it is
     /// tested against.
     pub fn compute(graph: &GraphStore) -> LabelStats {

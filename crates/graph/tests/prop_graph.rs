@@ -2,7 +2,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use omega_graph::{Direction, GraphDelta, GraphStore, LabelEntry, LabelStats, NodeBitmap, NodeId};
+use omega_graph::{
+    Direction, GraphDelta, GraphStore, LabelEntry, LabelId, LabelStats, NodeBitmap, NodeId,
+};
 use proptest::prelude::*;
 
 fn triple_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
@@ -110,7 +112,97 @@ fn expected_stats(
         .collect()
 }
 
+/// The per-node scan the occupancy bitmaps replaced: nodes whose base run
+/// over `label` (all labels when `None`) in `dir` is non-empty, plus those
+/// an overlay-added edge leaves — the base slice is `neighbors`, the live one
+/// `neighbors_iter`, and an overlay add is never a base edge.
+fn scanned(g: &GraphStore, label: Option<LabelId>, dir: Direction) -> BTreeSet<NodeId> {
+    g.node_ids()
+        .filter(|&n| match label {
+            Some(l) => {
+                let base = g.neighbors(n, l, dir);
+                !base.is_empty() || g.neighbors_iter(n, l, dir).any(|m| !base.contains(&m))
+            }
+            None => {
+                let base = g.neighbors_any(n, dir);
+                !base.is_empty() || g.neighbors_any_iter(n, dir).any(|e| !base.contains(&e))
+            }
+        })
+        .collect()
+}
+
+/// `tails` / `heads` / `nodes_with_any_edge` equal the per-node scan, and
+/// `may_have_edge` is a bit of the same set, which covers every live edge.
+fn check_endpoint_sets(g: &GraphStore) {
+    let set = |bitmap: NodeBitmap| bitmap.iter().collect::<BTreeSet<_>>();
+    let mut incident = scanned(g, None, Direction::Outgoing);
+    incident.extend(scanned(g, None, Direction::Incoming));
+    prop_assert_eq!(set(g.nodes_with_any_edge()), incident);
+    for (label, _) in g.labels() {
+        for dir in [Direction::Outgoing, Direction::Incoming] {
+            let got = set(match dir {
+                Direction::Outgoing => g.tails(label),
+                Direction::Incoming => g.heads(label),
+            });
+            prop_assert_eq!(&got, &scanned(g, Some(label), dir));
+            for node in g.node_ids() {
+                prop_assert_eq!(g.may_have_edge(node, label, dir), got.contains(&node));
+                if g.neighbors_iter(node, label, dir).next().is_some() {
+                    prop_assert!(got.contains(&node));
+                }
+            }
+        }
+    }
+}
+
+/// `g` written to a snapshot image and opened again (memory-mapped).
+fn reopened(g: &GraphStore, tag: &str) -> GraphStore {
+    use omega_graph::snapshot::{read_graph, write_graph_sections, SnapshotReader, SnapshotWriter};
+    let path = std::env::temp_dir().join(format!(
+        "omega-prop-graph-{}-{tag}.snapshot",
+        std::process::id()
+    ));
+    let mut writer = SnapshotWriter::new();
+    write_graph_sections(g, &mut writer).unwrap();
+    writer.write_to(&path).unwrap();
+    let opened = read_graph(&SnapshotReader::open(&path).unwrap()).unwrap();
+    std::fs::remove_file(&path).ok();
+    opened
+}
+
 proptest! {
+    /// The endpoint sets the occupancy bitmaps serve equal the per-node
+    /// scan they replaced on a frozen store, on every overlaid epoch (adds
+    /// and deletes, new nodes and labels), after compaction and on a
+    /// snapshot-opened store.
+    #[test]
+    fn endpoint_bitmaps_equal_the_per_node_scan_in_every_stage(
+        base in prop::collection::vec((0u8..70, 0u8..3, 0u8..70), 0..80),
+        script in prop::collection::vec(
+            prop::collection::vec((any::<bool>(), 0u8..75, 0u8..4, 0u8..75), 0..16),
+            1..4,
+        ),
+    ) {
+        let mut g = rebuilt(&base.iter().copied().collect());
+        check_endpoint_sets(&g);
+        for batch in &script {
+            let mut delta = GraphDelta::new();
+            for &(add, s, p, o) in batch {
+                let (s, p, o) = (format!("n{s}"), format!("p{p}"), format!("n{o}"));
+                if add {
+                    delta.add(&s, &p, &o);
+                } else {
+                    delta.remove(&s, &p, &o);
+                }
+            }
+            g = g.with_delta(&delta).unwrap().0;
+            check_endpoint_sets(&g);
+        }
+        let compact = g.compacted();
+        check_endpoint_sets(&compact);
+        check_endpoint_sets(&reopened(&compact, "endpoints"));
+    }
+
     /// A chain of epochs derived by `with_delta` (adds, removes, re-adds,
     /// new nodes, new labels), compacted part-way, reads like a from-scratch
     /// rebuild of the same triples on every epoch; its incremental

@@ -146,6 +146,7 @@ pub fn put_stats(w: &mut Writer, stats: &EvalStats) {
     w.put_u64(stats.pruned_bound);
     w.put_u64(stats.deferred_expansions);
     w.put_u64(stats.cursor_blocks);
+    w.put_u64(stats.raised_keys);
     w.put_u64(stats.sheds);
     w.put_bool(stats.degraded);
     w.put_opt(stats.truncation, |w, reason| {
@@ -170,6 +171,7 @@ pub fn take_stats(r: &mut Reader<'_>) -> Result<EvalStats, ProtocolError> {
         pruned_bound: r.take_u64()?,
         deferred_expansions: r.take_u64()?,
         cursor_blocks: r.take_u64()?,
+        raised_keys: r.take_u64()?,
         sheds: r.take_u64()?,
         degraded: r.take_bool()?,
         truncation: r.take_opt(|r| match r.take_u8()? {
@@ -645,6 +647,7 @@ mod tests {
             tuples_added: 1,
             answers: 9,
             cursor_blocks: 4,
+            raised_keys: 3,
             sheds: 2,
             degraded: true,
             truncation: Some(TruncationReason::PoolExhausted),

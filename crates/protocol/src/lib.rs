@@ -72,11 +72,12 @@ pub const MAGIC: [u8; 8] = *b"OMEGWIRE";
 /// The protocol version this crate speaks, and the only one it accepts:
 /// version 2 replaced version 1's per-answer `Answers` layout with the
 /// table layout, version 3 added `cursor_blocks` to the `EvalStats` block
-/// of `Finished`, and version 4 dropped the three parallel-conjunct fields
-/// of `ExecOptions`, the worker-panic counter of `EvalStats` and the live
-/// worker gauge of `StatsReply`, so an older peer would misread a batch, a
-/// request, a finish or a stats reply.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// of `Finished`, version 4 dropped the three parallel-conjunct fields of
+/// `ExecOptions`, the worker-panic counter of `EvalStats` and the live
+/// worker gauge of `StatsReply`, and version 5 added `raised_keys` to the
+/// `EvalStats` block, so an older peer would misread a batch, a request, a
+/// finish or a stats reply.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Ceiling on a frame's declared payload length (16 MiB). A prefix above
 /// this is treated as stream corruption ([`ProtocolError::Oversized`])

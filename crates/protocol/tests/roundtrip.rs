@@ -134,7 +134,7 @@ fn answer() -> BoxedStrategy<Answer> {
 
 fn eval_stats() -> BoxedStrategy<EvalStats> {
     (
-        prop::collection::vec(any::<u64>(), 12..13),
+        prop::collection::vec(any::<u64>(), 13..14),
         any::<bool>(),
         opt(prop_oneof![
             Just(TruncationReason::TupleBudget),
@@ -154,7 +154,8 @@ fn eval_stats() -> BoxedStrategy<EvalStats> {
             pruned_bound: counters[8],
             deferred_expansions: counters[9],
             cursor_blocks: counters[10],
-            sheds: counters[11],
+            raised_keys: counters[11],
+            sheds: counters[12],
             degraded,
             truncation,
         })

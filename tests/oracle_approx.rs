@@ -11,9 +11,15 @@
 //! breadth-first search over edited words, each candidate checked with
 //! `omega_regex::oracle::matches` (itself a naive matcher over the AST).
 //!
-//! The graphs are random layered DAGs over at most three labels, with one
-//! layer wider than two of the evaluator's 64-neighbour blocks and a hub
-//! linked to all of it, so that wide `Succ` runs become cursors.
+//! The graphs are layered DAGs over at most three labels, with one layer
+//! wider than two of the evaluator's 64-neighbour blocks and a hub linked to
+//! all of it, so that wide `Succ` runs become cursors: two random ones, and
+//! one built so that most of the wide layer lacks every label a query can
+//! continue on after the hub, so that the cursors' releases are keyed by
+//! what may fire at each member (`EvalStats::raised_keys`). Every stream is
+//! also checked to come out in non-decreasing distance: a raise the
+//! occupancy probe should not have made would emit an exact answer after an
+//! inexact one.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -225,7 +231,46 @@ fn oracle(
     best
 }
 
-/// Every answer the engine returns up to [`MAX_DISTANCE`], and its stats.
+/// The hub case: the wide layer hangs off `n0_0` over `p`. Of every sixteen
+/// members two have an outgoing `q`, two an incoming `q` from the rest of
+/// layer 0, one an outgoing and one an incoming `r`, and ten only the hub's
+/// edge.
+fn hub_case() -> Case {
+    let widths = [3, WIDE, 3, 2];
+    let layers: Vec<Vec<String>> = widths
+        .iter()
+        .enumerate()
+        .map(|(layer, &width)| (0..width).map(|i| format!("n{layer}_{i}")).collect())
+        .collect();
+    let node = |layer: usize, i: usize| layers[layer][i % widths[layer]].clone();
+    let mut triples = BTreeSet::new();
+    let mut edge = |s: String, p: &str, o: String| {
+        triples.insert((s, p.to_owned(), o));
+    };
+    for i in 0..WIDE {
+        let (member, other) = (node(1, i), node(0, 1 + i / 16 % 2));
+        edge(node(0, 0), "p", member.clone());
+        match i % 16 {
+            0 | 8 => edge(member, "q", node(2, i / 16)),
+            4 | 12 => edge(other, "q", member),
+            2 => edge(member, "r", node(2, i / 16)),
+            10 => edge(other, "r", member),
+            _ => {}
+        }
+    }
+    for k in 0..3 {
+        edge(node(2, k), "p", node(3, k));
+    }
+    edge(node(2, 0), "q", node(3, 1));
+    edge(node(2, 1), "r", node(3, 0));
+    Case {
+        layers,
+        triples: triples.into_iter().collect(),
+    }
+}
+
+/// Every answer the engine returns up to [`MAX_DISTANCE`], and its stats;
+/// asserts that they come out in non-decreasing distance.
 fn engine(db: &Database, text: &str, cost_guided: bool) -> (Vec<Answer>, EvalStats) {
     let prepared = db.prepare(text).unwrap();
     let request = ExecOptions::new()
@@ -233,6 +278,13 @@ fn engine(db: &Database, text: &str, cost_guided: bool) -> (Vec<Answer>, EvalSta
         .with_cost_guided(cost_guided);
     let mut stream = prepared.answers(&request);
     let answers = stream.collect_up_to(None).unwrap();
+    if let Some(i) = (1..answers.len()).find(|&i| answers[i].distance < answers[i - 1].distance) {
+        panic!(
+            "{text}, cost_guided {cost_guided}: answer {i} at distance {} follows one at {}",
+            answers[i].distance,
+            answers[i - 1].distance
+        );
+    }
     (answers, stream.stats())
 }
 
@@ -270,18 +322,26 @@ fn assert_same<K: Ord + std::fmt::Debug>(
 
 #[test]
 fn approx_distances_equal_the_oracle_with_a_root_hub() {
-    check(2);
+    let seed = 2;
+    check(&generate(seed), &format!("seed {seed}"), |i, k| i + k + 2);
 }
 
 #[test]
 fn approx_distances_equal_the_oracle_with_a_hub_one_layer_down() {
-    check(1);
+    let seed = 1;
+    check(&generate(seed), &format!("seed {seed}"), |i, k| i + k + 1);
 }
 
-/// Every shape over the case `seed` generates, from every node and from the
-/// first root, with cost guidance on and off.
-fn check(seed: u64) {
-    let case = generate(seed);
+#[test]
+fn approx_distances_equal_the_oracle_where_hub_members_mostly_lack_the_next_label() {
+    // `a` is always the hub's label `p`, `b` is `q`, `c` is `r`.
+    check(&hub_case(), "hub case", |_, k| k);
+}
+
+/// Every shape over `case`, with its labels `a`, `b`, `c` for shape `i` the
+/// present labels at `pick(i, 0..3)` (mod their number), from every node and
+/// from the first root, with cost guidance on and off.
+fn check(case: &Case, name: &str, pick: impl Fn(usize, usize) -> usize) {
     let mut graph = GraphStore::new();
     // Nodes without edges too: every node pairs with itself at the cost of
     // deleting the shortest query word.
@@ -297,9 +357,9 @@ fn check(seed: u64) {
         .filter(|l| case.triples.iter().any(|(_, p, _)| p == l))
         .collect();
     let root = &case.layers[0][0];
-    let mut cursor_blocks = 0;
+    let (mut cursor_blocks, mut raised_keys) = (0, 0);
     for (i, &(shape, bound)) in SHAPES.iter().enumerate() {
-        let pick = |k: usize| labels[(i + k + seed as usize) % labels.len()];
+        let pick = |k: usize| labels[pick(i, k) % labels.len()];
         let text: String = shape
             .chars()
             .map(|c| match c {
@@ -318,7 +378,7 @@ fn check(seed: u64) {
         let max_len = bound.map_or(depth - 1 + 2 * MAX_DISTANCE as usize, |m| {
             m + MAX_DISTANCE as usize
         });
-        let expected = oracle(&case, &regex, max_len, &mut HashMap::new());
+        let expected = oracle(case, &regex, max_len, &mut HashMap::new());
         let from_root: BTreeMap<String, u32> = expected
             .iter()
             .filter(|((x, _), _)| x == root)
@@ -328,21 +388,24 @@ fn check(seed: u64) {
             let all = format!("(?X, ?Y) <- APPROX (?X, {text}, ?Y)");
             let (answers, stats) = engine(&db, &all, cost_guided);
             cursor_blocks += stats.cursor_blocks;
+            raised_keys += stats.raised_keys;
             let got = distances(&answers, |a| {
                 (
                     a.get("X").unwrap().to_owned(),
                     a.get("Y").unwrap().to_owned(),
                 )
             });
-            let context = format!("seed {seed}, {all}, cost_guided {cost_guided}");
+            let context = format!("{name}, {all}, cost_guided {cost_guided}");
             assert_same(&got, &expected, &context);
             // A constant subject seeds one node instead of every node.
             let one = format!("(?Y) <- APPROX ({root}, {text}, ?Y)");
-            let (answers, _) = engine(&db, &one, cost_guided);
+            let (answers, stats) = engine(&db, &one, cost_guided);
+            raised_keys += stats.raised_keys;
             let got = distances(&answers, |a| a.get("Y").unwrap().to_owned());
-            let context = format!("seed {seed}, {one}, cost_guided {cost_guided}");
+            let context = format!("{name}, {one}, cost_guided {cost_guided}");
             assert_same(&got, &from_root, &context);
         }
     }
     assert!(cursor_blocks > 0, "no query read the hub through a cursor");
+    assert!(raised_keys > 0, "no cursor release was raised");
 }
