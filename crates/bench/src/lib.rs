@@ -23,9 +23,14 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use omega_core::{Database, EvalOptions, EvalStats, ExecOptions, OmegaError, PreparedQuery};
+use omega_core::eval::{compile_branches, compile_conjunct};
+use omega_core::{
+    AnswerStream, ConjunctEvaluator, Database, DisjunctionEvaluator, DistanceAwareEvaluator,
+    EvalOptions, EvalStats, ExecOptions, OmegaError, PreparedQuery,
+};
 use omega_datagen::{
     generate_l4all, generate_yago, l4all_queries, yago_queries, Dataset, L4AllConfig, L4AllScale,
     QuerySpec, YagoConfig,
@@ -91,7 +96,8 @@ impl RunConfig {
 pub struct QueryRun {
     /// Query identifier (paper numbering).
     pub id: String,
-    /// Operator applied ("exact", "APPROX" or "RELAX").
+    /// Operator applied ("exact", "APPROX" or "RELAX"), or the [`Driver`]
+    /// of an ablation arm.
     pub operator: String,
     /// Wall-clock time: the median over `samples` timed runs.
     pub elapsed: Duration,
@@ -169,22 +175,27 @@ pub fn run_query_sampled(
     request: &ExecOptions,
     samples: usize,
 ) -> QueryRun {
+    median_run(samples, || run_query_with(db, id, operator, text, request))
+}
+
+/// Runs `run` `samples` times (at least once) and reports the median run
+/// by latency, stamped with the sample count.
+fn median_run(samples: usize, mut run: impl FnMut() -> QueryRun) -> QueryRun {
     let samples = samples.max(1);
-    let mut runs: Vec<QueryRun> = (0..samples)
-        .map(|_| run_query_with(db, id, operator, text, request))
-        .collect();
+    let mut runs: Vec<QueryRun> = (0..samples).map(|_| run()).collect();
     runs.sort_by_key(|r| r.elapsed);
     debug_assert!(
         runs.iter().all(|r| r.answers == runs[0].answers),
-        "sampled runs of {id} disagree on answer counts"
+        "sampled runs of {} disagree on answer counts",
+        runs[0].id
     );
     let mut median = runs.swap_remove(runs.len() / 2);
     median.samples = samples;
     median
 }
 
-/// [`run_query`] with an explicit request (limit, deadline, optimisation
-/// overrides, …). Single-shot: `samples` is 1.
+/// [`run_query`] with an explicit request (limit, deadline, budgets, …).
+/// Single-shot: `samples` is 1.
 pub fn run_query_with(
     db: &Database,
     id: &str,
@@ -466,10 +477,26 @@ pub fn figure11(rows: &[QueryRun]) -> String {
     out
 }
 
+/// How one arm of an ablation evaluates the case's conjunct.
+#[derive(Debug, Clone, Copy)]
+pub enum Driver {
+    /// The plain ranked evaluator, the one every query execution runs.
+    Plain,
+    /// Section 4.3's distance-aware retrieval ([`DistanceAwareEvaluator`]).
+    DistanceAware,
+    /// Section 4.3's alternation replaced by disjunction
+    /// ([`DisjunctionEvaluator`]); the case's regex must be a top-level
+    /// alternation.
+    Disjunction,
+}
+
+/// One arm of an ablation: the driver, and the options it evaluates under.
+pub type Arm = (Driver, EvalOptions);
+
 /// One row of the ablation table: its label (the `experiments` verb that
-/// selects it, then the query), the dataset, the query text, and the engine
-/// options with the optimisation off and on.
-type AblationCase<'a> = (&'static str, &'a Dataset, String, EvalOptions, EvalOptions);
+/// selects it, then the query), the dataset, the single-conjunct query text,
+/// and the arm with the optimisation off, then on.
+pub type AblationCase<'a> = (&'static str, &'a Dataset, String, Arm, Arm);
 
 /// The paper's ablations: the two Section 4.3 query-execution optimisations
 /// (distance-aware retrieval; alternation replaced by disjunction on YAGO
@@ -480,11 +507,12 @@ pub fn ablation_cases<'a>(l4all: &'a Dataset, yago: &'a Dataset) -> Vec<Ablation
     let (l, y) = (l4all_queries(), yago_queries());
     let apx = |spec: &QuerySpec| spec.with_operator("APPROX");
     let q5 = l[4].text.to_owned();
-    let plain = EvalOptions::default;
-    let aware = || plain().with_distance_aware(true);
-    let arms = || plain().with_disjunction_decomposition(true);
-    let mixed = || plain().without_final_prioritization();
-    let unbatched = || plain().with_batch_size(usize::MAX);
+    let default = EvalOptions::default;
+    let plain = || (Driver::Plain, default());
+    let aware = || (Driver::DistanceAware, default());
+    let arms = || (Driver::Disjunction, default());
+    let mixed = || (Driver::Plain, default().without_final_prioritization());
+    let unbatched = || (Driver::Plain, default().with_batch_size(usize::MAX));
     vec![
         ("opt-distance L4All Q3", l4all, apx(&l[2]), plain(), aware()),
         ("opt-distance L4All Q9", l4all, apx(&l[8]), plain(), aware()),
@@ -497,7 +525,7 @@ pub fn ablation_cases<'a>(l4all: &'a Dataset, yago: &'a Dataset) -> Vec<Ablation
 }
 
 /// Runs every case's top-[`TOP_K`] fetch with its optimisation off and on
-/// (median of `samples`) and formats the off-vs-on table.
+/// (median of `samples`, see [`run_arm`]) and formats the off-vs-on table.
 pub fn ablations(cases: &[AblationCase<'_>], samples: usize) -> String {
     let mut out =
         format!("Sections 3.3/4.3 ablations: top-{TOP_K} time (ms), optimisation off vs on\n");
@@ -505,12 +533,8 @@ pub fn ablations(cases: &[AblationCase<'_>], samples: usize) -> String {
         "{:<26} {:>10} {:>10} {:>9} {:>9}\n",
         "Ablation", "off", "on", "speed-up", "answers"
     ));
-    let request = ExecOptions::new().with_limit(TOP_K);
     for (name, dataset, text, off, on) in cases {
-        let [off, on] = [off, on].map(|options| {
-            let db = engine_for(dataset, options.clone());
-            run_query_sampled(&db, name, "", text, &request, samples)
-        });
+        let [off, on] = [off, on].map(|arm| run_arm(name, dataset, text, arm, samples));
         out.push_str(&format!(
             "{:<26} {:>10} {:>10} {:>8.1}x {:>9}\n",
             name,
@@ -521,6 +545,72 @@ pub fn ablations(cases: &[AblationCase<'_>], samples: usize) -> String {
         ));
     }
     out
+}
+
+/// Times one ablation arm at evaluator level: the conjunct's plan (or, for
+/// [`Driver::Disjunction`], its branch plans) is compiled once, outside the
+/// timed region, and each of `samples` runs builds the arm's driver on it
+/// and fetches the top [`TOP_K`] answers under the [`MEMORY_BUDGET`]; the
+/// median run is reported.
+pub fn run_arm(
+    name: &str,
+    dataset: &Dataset,
+    text: &str,
+    (driver, options): &Arm,
+    samples: usize,
+) -> QueryRun {
+    // The frozen graph and ontology and the budgeted options of every table.
+    let db = engine_for(dataset, options.clone());
+    let (graph, ontology) = (&*db.graph(), db.ontology());
+    let options = Arc::new(db.options().clone());
+    let query = omega_core::parse_query(text).unwrap();
+    let conjunct = &query.conjuncts[0];
+    let plan = Arc::new(compile_conjunct(conjunct, graph, ontology, &options).unwrap());
+    let branches = match driver {
+        Driver::Disjunction => compile_branches(conjunct, graph, ontology, &options)
+            .unwrap()
+            .expect("the disjunction ablation needs a top-level alternation"),
+        _ => Vec::new(),
+    };
+    let stream = || -> Box<dyn AnswerStream + '_> {
+        let (plan, options) = (Arc::clone(&plan), Arc::clone(&options));
+        match driver {
+            Driver::Plain => Box::new(ConjunctEvaluator::new(plan, graph, ontology, options, None)),
+            Driver::DistanceAware => {
+                Box::new(DistanceAwareEvaluator::new(plan, graph, ontology, options))
+            }
+            Driver::Disjunction => Box::new(DisjunctionEvaluator::from_plans(
+                branches.clone(),
+                graph,
+                ontology,
+                options,
+            )),
+        }
+    };
+    median_run(samples, || {
+        let start = Instant::now();
+        let mut stream = stream();
+        let (answers, exhausted) = match stream.collect(Some(TOP_K)) {
+            Ok(answers) => (answers, false),
+            Err(OmegaError::ResourceExhausted { .. }) => (Vec::new(), true),
+            Err(other) => panic!("ablation {name} failed: {other}"),
+        };
+        let elapsed = start.elapsed();
+        let mut distances = BTreeMap::new();
+        answers
+            .iter()
+            .for_each(|a| *distances.entry(a.distance).or_insert(0) += 1);
+        QueryRun {
+            id: name.to_owned(),
+            operator: format!("{driver:?}"),
+            elapsed,
+            samples: 1,
+            answers: answers.len(),
+            distances,
+            exhausted,
+            stats: stream.stats(),
+        }
+    })
 }
 
 // ----------------------------------------------------------------------

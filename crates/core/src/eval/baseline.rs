@@ -155,6 +155,7 @@ impl<'a> BaselineEvaluator<'a> {
 mod tests {
     use super::*;
     use crate::eval::conjunct::evaluate_conjunct;
+    use crate::eval::AnswerStream;
     use crate::query::parser::parse_query;
 
     fn setup() -> (GraphStore, Ontology) {

@@ -101,7 +101,6 @@ use crate::eval::tuple::{Tuple, TupleKind};
 use crate::eval::visited::{PairSet, VisitedSet};
 use crate::eval::AnswerStream;
 use crate::govern::TupleReservation;
-use crate::query::ast::Term;
 
 /// Ranked, incremental evaluation of one compiled conjunct.
 ///
@@ -711,19 +710,6 @@ impl<'a> ConjunctEvaluator<'a> {
             None
         }
     }
-
-    /// Runs the evaluator to completion (or until `limit` answers), returning
-    /// the collected answers.
-    pub fn collect(&mut self, limit: Option<usize>) -> Result<Vec<ConjunctAnswer>> {
-        let mut out = Vec::new();
-        while limit.is_none_or(|l| out.len() < l) {
-            match self.get_next()? {
-                Some(answer) => out.push(answer),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl AnswerStream for ConjunctEvaluator<'_> {
@@ -744,8 +730,7 @@ impl AnswerStream for ConjunctEvaluator<'_> {
     }
 }
 
-/// Compiles and evaluates a conjunct in one call — the common path for
-/// single-conjunct queries without the escalating drivers.
+/// Compiles a conjunct and returns its plain evaluator in one call.
 pub fn evaluate_conjunct<'a>(
     conjunct: &crate::query::ast::Conjunct,
     graph: &'a GraphStore,
@@ -760,24 +745,6 @@ pub fn evaluate_conjunct<'a>(
         Arc::new(options.clone()),
         None,
     ))
-}
-
-/// Convenience used by tests and benches: projected bindings as strings.
-pub fn answer_labels(
-    graph: &GraphStore,
-    plan: &ConjunctPlan,
-    answer: &ConjunctAnswer,
-) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    if let Term::Variable(v) = &plan.subject {
-        out.push((v.clone(), graph.node_label(answer.x).to_owned()));
-    }
-    if let Term::Variable(v) = &plan.object {
-        if !out.iter().any(|(name, _)| name == v) {
-            out.push((v.clone(), graph.node_label(answer.y).to_owned()));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1101,19 +1068,19 @@ mod tests {
     #[test]
     fn batch_size_one_still_finds_all_answers() {
         let (g, o) = setup();
-        let default_answers = run("(?X, ?Y) <- (?X, knows+, ?Y)", &g, &o);
-        let small_batches = run_with(
-            "(?X, ?Y) <- (?X, knows+, ?Y)",
-            &g,
-            &o,
-            &EvalOptions::default().with_batch_size(1),
-        );
         let key = |answers: &[ConjunctAnswer]| {
             let mut v: Vec<_> = answers.iter().map(|a| (a.x, a.y, a.distance)).collect();
             v.sort_unstable();
             v
         };
-        assert_eq!(key(&default_answers), key(&small_batches));
+        for query in [
+            "(?X, ?Y) <- (?X, knows+, ?Y)",
+            "(?X, ?Y) <- APPROX (?X, (knows.knows)|(worksAt.type), ?Y)",
+        ] {
+            let default_answers = run(query, &g, &o);
+            let small_batches = run_with(query, &g, &o, &EvalOptions::default().with_batch_size(1));
+            assert_eq!(key(&default_answers), key(&small_batches), "{query}");
+        }
     }
 
     #[test]

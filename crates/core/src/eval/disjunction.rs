@@ -10,10 +10,10 @@
 //! already satisfied the user's `LIMIT`, the expensive ones are never touched
 //! at the higher cost at all.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use omega_graph::{GraphStore, NodeId};
+use omega_graph::GraphStore;
 use omega_ontology::Ontology;
 
 use crate::answer::ConjunctAnswer;
@@ -22,7 +22,8 @@ use crate::eval::conjunct::ConjunctEvaluator;
 use crate::eval::options::EvalOptions;
 use crate::eval::plan::{compile_conjunct, ConjunctPlan};
 use crate::eval::stats::EvalStats;
-use crate::eval::AnswerStream;
+use crate::eval::visited::PairSet;
+use crate::eval::{AnswerStream, MAX_PSI_STEPS};
 use crate::query::ast::Conjunct;
 use omega_automata::decompose_alternation;
 
@@ -63,7 +64,7 @@ pub struct DisjunctionEvaluator<'a> {
     level_queue: VecDeque<usize>,
     /// The branch currently being drained (index and its live evaluator).
     current: Option<(usize, ConjunctEvaluator<'a>)>,
-    emitted: HashSet<(NodeId, NodeId)>,
+    emitted: PairSet,
     stats: EvalStats,
     exhausted: bool,
 }
@@ -86,8 +87,8 @@ impl<'a> DisjunctionEvaluator<'a> {
         )))
     }
 
-    /// Builds the evaluator from already compiled branch plans (the prepared
-    /// query path: branches are compiled once at prepare time and reused).
+    /// Builds the evaluator from already compiled branch plans (see
+    /// [`compile_branches`]), so repeated runs compile the branches once.
     pub fn from_plans(
         plans: Vec<Arc<ConjunctPlan>>,
         graph: &'a GraphStore,
@@ -115,7 +116,7 @@ impl<'a> DisjunctionEvaluator<'a> {
             started: false,
             level_queue: VecDeque::new(),
             current: None,
-            emitted: HashSet::new(),
+            emitted: PairSet::new(),
             stats: EvalStats::default(),
             exhausted: false,
         }
@@ -136,7 +137,7 @@ impl<'a> DisjunctionEvaluator<'a> {
     /// produce answers.
     fn advance_level(&mut self) -> bool {
         if self.started {
-            if self.steps >= self.options.max_psi_steps
+            if self.steps >= MAX_PSI_STEPS
                 || self.branches.iter().all(|b| !b.may_have_more)
                 || self.options.max_distance.is_some_and(|max| self.psi >= max)
             {
@@ -156,19 +157,21 @@ impl<'a> DisjunctionEvaluator<'a> {
         self.level_queue = order.into();
         true
     }
+}
 
+impl AnswerStream for DisjunctionEvaluator<'_> {
     /// The next answer. Within a ψ-level, answers are produced branch by
     /// branch (cheapest-looking branch first) and pulled lazily from the
     /// branch's evaluator — a caller that stops early never pays for the
     /// remaining branches at that level. Across levels, answers are in
     /// non-decreasing distance order.
-    pub fn get_next(&mut self) -> Result<Option<ConjunctAnswer>> {
+    fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>> {
         loop {
             // Drain the branch currently being evaluated.
             if let Some((idx, mut evaluator)) = self.current.take() {
                 match evaluator.get_next()? {
                     Some(answer) => {
-                        let fresh = self.emitted.insert((answer.x, answer.y));
+                        let fresh = self.emitted.insert(answer.x, answer.y);
                         self.current = Some((idx, evaluator));
                         if fresh {
                             self.branches[idx].answers_last_level += 1;
@@ -215,24 +218,6 @@ impl<'a> DisjunctionEvaluator<'a> {
         }
     }
 
-    /// Runs to completion (or `limit` answers).
-    pub fn collect(&mut self, limit: Option<usize>) -> Result<Vec<ConjunctAnswer>> {
-        let mut out = Vec::new();
-        while limit.is_none_or(|l| out.len() < l) {
-            match self.get_next()? {
-                Some(a) => out.push(a),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
-}
-
-impl AnswerStream for DisjunctionEvaluator<'_> {
-    fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>> {
-        self.get_next()
-    }
-
     fn stats(&self) -> EvalStats {
         self.stats
     }
@@ -240,8 +225,8 @@ impl AnswerStream for DisjunctionEvaluator<'_> {
 
 /// Compiles one plan per branch of a top-level alternation, or `Ok(None)`
 /// when the conjunct's regular expression is not an alternation. Used by
-/// [`DisjunctionEvaluator::try_new`] and by prepared queries, which compile
-/// the branches once and reuse them across executions.
+/// [`DisjunctionEvaluator::try_new`], and by callers that compile the
+/// branches once for [`DisjunctionEvaluator::from_plans`] to reuse.
 pub fn compile_branches(
     conjunct: &Conjunct,
     graph: &GraphStore,

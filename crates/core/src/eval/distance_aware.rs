@@ -21,7 +21,7 @@ use crate::eval::options::EvalOptions;
 use crate::eval::plan::ConjunctPlan;
 use crate::eval::stats::EvalStats;
 use crate::eval::visited::PairSet;
-use crate::eval::AnswerStream;
+use crate::eval::{AnswerStream, MAX_PSI_STEPS};
 
 /// Escalating-ψ driver around [`ConjunctEvaluator`].
 ///
@@ -79,7 +79,7 @@ impl<'a> DistanceAwareEvaluator<'a> {
     fn escalate(&mut self) -> bool {
         // Nothing was suppressed: the bounded run was already complete, so a
         // higher ceiling cannot produce new answers.
-        if self.current.suppressed() == 0 || self.steps >= self.options.max_psi_steps {
+        if self.current.suppressed() == 0 || self.steps >= MAX_PSI_STEPS {
             return false;
         }
         // The bounded run ended by graceful degradation, not completion: a
@@ -107,9 +107,11 @@ impl<'a> DistanceAwareEvaluator<'a> {
         );
         true
     }
+}
 
+impl AnswerStream for DistanceAwareEvaluator<'_> {
     /// The next answer in non-decreasing distance order.
-    pub fn get_next(&mut self) -> Result<Option<ConjunctAnswer>> {
+    fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>> {
         if self.exhausted {
             return Ok(None);
         }
@@ -130,24 +132,6 @@ impl<'a> DistanceAwareEvaluator<'a> {
                 }
             }
         }
-    }
-
-    /// Runs to completion (or `limit` answers).
-    pub fn collect(&mut self, limit: Option<usize>) -> Result<Vec<ConjunctAnswer>> {
-        let mut out = Vec::new();
-        while limit.is_none_or(|l| out.len() < l) {
-            match self.get_next()? {
-                Some(a) => out.push(a),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
-}
-
-impl AnswerStream for DistanceAwareEvaluator<'_> {
-    fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>> {
-        self.get_next()
     }
 
     fn stats(&self) -> EvalStats {
@@ -194,6 +178,7 @@ mod tests {
             "(?X) <- APPROX (a, p.r, ?X)",
             "(?X) <- APPROX (a, q.q, ?X)",
             "(?X, ?Y) <- APPROX (?X, p.p, ?Y)",
+            "(?X) <- APPROX (a, (p.r)|(q.q), ?X)",
         ] {
             let q = parse_query(query).unwrap();
             let mut plain =
@@ -239,7 +224,7 @@ mod tests {
             &o,
             &EvalOptions::default(),
         );
-        let first = aware.get_next().unwrap().unwrap();
+        let first = aware.next_answer().unwrap().unwrap();
         assert_eq!(first.distance, 0);
         assert_eq!(
             aware.psi(),

@@ -1,6 +1,7 @@
 //! The ranked, incremental evaluator — the paper's `Open` / `GetNext` /
-//! `Succ` procedures, the optimisations of Section 4.3, the multi-conjunct
-//! ranked join and the exact baseline evaluator.
+//! `Succ` procedures, the multi-conjunct ranked join, the exact baseline
+//! evaluator, and the two Section 4.3 drivers, which the paper's ablations
+//! build around a compiled plan (a query execution never chooses them).
 
 pub mod baseline;
 pub mod conjunct;
@@ -31,12 +32,17 @@ use omega_graph::NodeId;
 use crate::answer::ConjunctAnswer;
 use crate::error::Result;
 
+/// How many times the two Section 4.3 drivers ([`DistanceAwareEvaluator`],
+/// [`DisjunctionEvaluator`]) raise their cost ceiling ψ by φ before they
+/// stop: answers costlier than `MAX_PSI_STEPS · φ` are out of their reach.
+pub const MAX_PSI_STEPS: u32 = 16;
+
 /// A stream of conjunct answers in non-decreasing distance order.
 ///
-/// Implemented by the plain evaluator ([`ConjunctEvaluator`]) and by the two
-/// optimised drivers ([`DistanceAwareEvaluator`], [`DisjunctionEvaluator`]);
-/// the ranked join consumes any mixture of them. Only the plain evaluator
-/// takes the join's seed hints.
+/// Implemented by the plain evaluator ([`ConjunctEvaluator`]), which is what
+/// every query execution and the ranked join run, and by the two Section 4.3
+/// drivers ([`DistanceAwareEvaluator`], [`DisjunctionEvaluator`]), which only
+/// the ablations drive. Only the plain evaluator takes the join's seed hints.
 pub trait AnswerStream {
     /// Produces the next answer, or `Ok(None)` when the stream is exhausted.
     fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>>;
@@ -54,4 +60,16 @@ pub trait AnswerStream {
 
     /// Evaluation statistics accumulated so far.
     fn stats(&self) -> EvalStats;
+
+    /// Pulls up to `limit` further answers (all remaining when `None`).
+    fn collect(&mut self, limit: Option<usize>) -> Result<Vec<ConjunctAnswer>> {
+        let mut out = Vec::new();
+        while limit.is_none_or(|l| out.len() < l) {
+            let Some(answer) = self.next_answer()? else {
+                break;
+            };
+            out.push(answer);
+        }
+        Ok(out)
+    }
 }

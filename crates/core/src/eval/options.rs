@@ -1,5 +1,5 @@
-//! Evaluation options: edit/relaxation costs, optimisation toggles and
-//! resource limits.
+//! Evaluation options: edit/relaxation costs, the Section 3.3 evaluation
+//! refinements and resource limits.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -28,8 +28,8 @@ pub enum OverloadPolicy {
     /// degrade before any work has run).
     Degrade,
     /// Load shedding: an admission rejection backs off for the governor's
-    /// `retry_after` hint, shrinks the request's budgets (live tuples, ψ
-    /// steps), and retries admission once; mid-query trips degrade as under
+    /// `retry_after` hint, halves the request's live-tuple budget, and
+    /// retries admission once; mid-query trips degrade as under
     /// [`OverloadPolicy::Degrade`]. Each shed retry is counted in
     /// [`crate::EvalStats::sheds`].
     Shed,
@@ -51,9 +51,10 @@ fn cost_guided_default() -> bool {
 ///
 /// The defaults correspond to the configuration used throughout the paper's
 /// performance study: unit edit and relaxation costs, final-tuple
-/// prioritisation on, initial nodes fed in batches of 100, and the two
-/// Section 4.3 optimisations (distance-aware retrieval, alternation
-/// decomposition) off so that they can be measured as ablations.
+/// prioritisation on and initial nodes fed in batches of 100. The two
+/// Section 4.3 optimisations are not options: they are drivers
+/// ([`crate::eval::DistanceAwareEvaluator`],
+/// [`crate::eval::DisjunctionEvaluator`]) built around a compiled plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Edit-operation costs for APPROX conjuncts.
@@ -70,20 +71,10 @@ pub struct EvalOptions {
     /// distance (the paper found this both faster and necessary for some
     /// queries to complete).
     pub prioritize_final: bool,
-    /// Distance-aware retrieval (Section 4.3): evaluate with a cost ceiling
-    /// ψ that escalates by φ only when more answers are required.
-    pub distance_aware: bool,
-    /// Replace a top-level alternation by a set of sub-automata scheduled
-    /// adaptively (Section 4.3). Applies to APPROX conjuncts.
-    pub disjunction_decomposition: bool,
     /// Maximum number of live tuples (`D_R` plus the visited set) before the
     /// evaluator aborts with `ResourceExhausted`. `None` means unlimited.
     /// This models the paper's out-of-memory failures deterministically.
     pub max_tuples: Option<usize>,
-    /// Upper bound on answer distance explored by the escalating drivers
-    /// (distance-aware and disjunction evaluation); plain evaluation does not
-    /// need it. Expressed in multiples of φ.
-    pub max_psi_steps: u32,
     /// Hard ceiling on answer distance: tuples beyond it are suppressed and
     /// the escalating drivers stop at it. Normally set per request through
     /// [`crate::service::ExecOptions::with_max_distance`].
@@ -120,10 +111,7 @@ impl Default for EvalOptions {
             inference: true,
             batch_size: 100,
             prioritize_final: true,
-            distance_aware: false,
-            disjunction_decomposition: false,
             max_tuples: None,
-            max_psi_steps: 16,
             max_distance: None,
             deadline: None,
             cost_guided: cost_guided_default(),
@@ -134,18 +122,6 @@ impl Default for EvalOptions {
 }
 
 impl EvalOptions {
-    /// Enables distance-aware retrieval.
-    pub fn with_distance_aware(mut self, on: bool) -> Self {
-        self.distance_aware = on;
-        self
-    }
-
-    /// Enables alternation→disjunction decomposition.
-    pub fn with_disjunction_decomposition(mut self, on: bool) -> Self {
-        self.disjunction_decomposition = on;
-        self
-    }
-
     /// Sets the live-tuple budget.
     pub fn with_max_tuples(mut self, max: Option<usize>) -> Self {
         self.max_tuples = max;
@@ -208,8 +184,6 @@ mod tests {
         assert_eq!(o.relax.beta, 1);
         assert_eq!(o.batch_size, 100);
         assert!(o.prioritize_final);
-        assert!(!o.distance_aware);
-        assert!(!o.disjunction_decomposition);
         assert_eq!(o.max_tuples, None);
         assert_eq!(o.on_overload, OverloadPolicy::Fail);
         assert!(o.govern.is_none());
@@ -218,13 +192,9 @@ mod tests {
     #[test]
     fn builder_methods() {
         let o = EvalOptions::default()
-            .with_distance_aware(true)
-            .with_disjunction_decomposition(true)
             .with_max_tuples(Some(10))
             .with_batch_size(0)
             .without_final_prioritization();
-        assert!(o.distance_aware);
-        assert!(o.disjunction_decomposition);
         assert_eq!(o.max_tuples, Some(10));
         assert_eq!(o.batch_size, 1, "batch size is clamped to at least 1");
         assert!(!o.prioritize_final);

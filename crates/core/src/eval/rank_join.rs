@@ -57,8 +57,8 @@
 //! `(x, y, distance)` answers in non-decreasing distance — the contract the
 //! join rests on — and only its order inside a distance, and with it which
 //! tied rows a `LIMIT` keeps, is the join's doing. A stream that declines
-//! (a constant-seeded conjunct, one whose seeds are all released, a §4.3
-//! driver) is not hinted again.
+//! (a constant-seeded conjunct, one whose seeds are all released) is not
+//! hinted again.
 
 use std::collections::BinaryHeap;
 use std::hash::BuildHasher;

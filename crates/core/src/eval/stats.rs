@@ -43,7 +43,8 @@ pub struct EvalStats {
     /// Tuples suppressed because their distance exceeded the current ψ bound
     /// (distance-aware evaluation only).
     pub suppressed: u64,
-    /// Number of evaluation restarts performed by the escalating drivers.
+    /// Number of evaluation restarts performed by the escalating drivers
+    /// (always 0 for a query execution, which never runs them).
     pub restarts: u64,
     /// Tuples (or transitions) dropped because their automaton state can
     /// never reach acceptance against this graph (cost-guided evaluation).

@@ -1,8 +1,9 @@
 //! One execution of a prepared statement: stream construction
-//! (`PreparedInner::answers`, `conjunct_stream`) and [`Answers`], the handle that
-//! pulls ranked candidates from a bypassed conjunct stream or the rank join,
-//! projects them onto the head, deduplicates, and enforces limit, deadline
-//! and distance ceiling. Public items are re-exported from `service`.
+//! (`PreparedInner::answers`, one [`ConjunctEvaluator`] per conjunct) and
+//! [`Answers`], the handle that pulls ranked candidates from a bypassed
+//! conjunct stream or the rank join, projects them onto the head,
+//! deduplicates, and enforces limit, deadline and distance ceiling. Public
+//! items are re-exported from `service`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,12 +18,10 @@ use crate::answer::Answer;
 use crate::error::{OmegaError, Result};
 use crate::eval::rank_join::{JoinInput, RankJoin};
 use crate::eval::{
-    compile_branches, AnswerStream, ConjunctEvaluator, DisjunctionEvaluator,
-    DistanceAwareEvaluator, EvalOptions, EvalStats, OverloadPolicy,
+    AnswerStream, ConjunctEvaluator, ConjunctPlan, EvalOptions, EvalStats, OverloadPolicy,
 };
 use crate::govern::{ExecutionPermit, GovernorHandle, ResourceGovernor};
-use crate::query::ast::QueryMode;
-use crate::service::{elapsed_ns, CoreMetrics, GraphData, Layout, PreparedConjunct, PreparedInner};
+use crate::service::{elapsed_ns, CoreMetrics, GraphData, Layout, PreparedInner};
 
 /// [`AnswerStream`] adaptor accumulating the wall-clock time spent inside
 /// one conjunct's `next_answer` calls, for the per-conjunct profile phases.
@@ -85,7 +84,7 @@ impl PreparedInner {
         let started = Instant::now();
         // Admission: the governor gates every execution before any evaluator
         // state is built. Under `Shed` a rejected request backs off once,
-        // shrinks its budgets and retries; otherwise the typed
+        // halves its tuple budget and retries; otherwise the typed
         // `Overloaded` error is deferred to the stream's first pull
         // (`answers` is infallible by signature).
         let mut sheds = 0u64;
@@ -102,7 +101,6 @@ impl PreparedInner {
                         if let Some(max) = options.max_tuples {
                             options.max_tuples = Some((max / 2).max(1));
                         }
-                        options.max_psi_steps = (options.max_psi_steps / 2).max(1);
                         continue;
                     }
                     return Answers::rejected(Arc::clone(self), &data.graph, err, sheds);
@@ -128,8 +126,7 @@ impl PreparedInner {
         let layout = self.layout(guided);
         let bypass = self.conjuncts.len() == 1 && !via_join;
         let mut streams = layout.order.iter().map(|&i| {
-            let pc = &self.conjuncts[i];
-            let stream = conjunct_stream(pc, &self.query.conjuncts[i], graph, ontology, &options);
+            let stream = conjunct_stream(&self.conjuncts[i], graph, ontology, &options);
             // Profiling wraps each conjunct stream in a timing adaptor,
             // keyed by the query's syntactic conjunct index so phases
             // read stably however cost-guided ordering shuffled them. On a
@@ -197,45 +194,22 @@ impl PreparedInner {
     }
 }
 
-/// Builds the evaluator for one conjunct that the request options select:
-/// the plain ranked evaluator, or one of the two Section 4.3 drivers.
+/// Builds the one evaluator an execution runs. A function of its own: built
+/// inline in `PreparedInner::answers`, the same work measured 12–17 % slower
+/// on `embed-flex` (2-CPU Xeon; code placement, not extra work).
 fn conjunct_stream<'a>(
-    pc: &PreparedConjunct,
-    conjunct: &crate::query::ast::Conjunct,
+    plan: &Arc<ConjunctPlan>,
     graph: &'a GraphStore,
     ontology: &'a Ontology,
     options: &Arc<EvalOptions>,
 ) -> Box<dyn AnswerStream + 'a> {
-    if options.disjunction_decomposition && pc.mode == QueryMode::Approx {
-        // Branch plans compile on first use and are cached for every later
-        // execution. A compile failure cannot happen once the main plan
-        // compiled (same constants, same costs); if it somehow did, falling
-        // back to plain evaluation is still correct — decomposition is an
-        // optimisation, not a semantics change.
-        let branches = pc.branches.get_or_init(|| {
-            match compile_branches(conjunct, graph, ontology, options) {
-                Ok(branches) => branches,
-                Err(e) => {
-                    debug_assert!(false, "branch compile failed after main plan compiled: {e}");
-                    None
-                }
-            }
-        });
-        if let Some(branches) = branches {
-            return Box::new(DisjunctionEvaluator::from_plans(
-                branches.clone(),
-                graph,
-                ontology,
-                Arc::clone(options),
-            ));
-        }
-    }
-    let plan = Arc::clone(&pc.plan);
-    let options = Arc::clone(options);
-    if options.distance_aware && pc.mode != QueryMode::Exact {
-        return Box::new(DistanceAwareEvaluator::new(plan, graph, ontology, options));
-    }
-    Box::new(ConjunctEvaluator::new(plan, graph, ontology, options, None))
+    Box::new(ConjunctEvaluator::new(
+        Arc::clone(plan),
+        graph,
+        ontology,
+        Arc::clone(options),
+        None,
+    ))
 }
 
 /// Where an execution's ranked candidates come from. One per execution,

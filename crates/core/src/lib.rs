@@ -41,7 +41,7 @@
 //!
 //! // …but APPROX repairs the query (substituting `gradFrom-`) at distance 1.
 //! // Prepared statements are cached by text, and every request brings its
-//! // own limit / deadline / toggles.
+//! // own limit / deadline / budgets.
 //! let approx = db.prepare("(?X) <- APPROX (UK, locatedIn-.gradFrom, ?X)").unwrap();
 //! let request = ExecOptions::new()
 //!     .with_limit(10)
@@ -65,9 +65,10 @@
 //!   `Open`),
 //! * [`eval::conjunct`] — the ranked evaluator (`GetNext` / `Succ`) over the
 //!   lazily built weighted product automaton,
-//! * [`eval::distance_aware`] and [`eval::disjunction`] — the two
-//!   optimisations of Section 4.3,
 //! * [`eval::rank_join`] — the multi-conjunct ranked join,
+//! * [`eval::distance_aware`] and [`eval::disjunction`] — the two
+//!   optimisations of Section 4.3, as drivers around a compiled plan that
+//!   the paper's ablations (`crates/bench`) build; no execution runs them,
 //! * [`eval::baseline`] — the plain product-automaton BFS baseline used for
 //!   comparison with other automaton-based approaches,
 //! * [`service`] — the shared [`Database`] / [`PreparedQuery`] /

@@ -9,14 +9,14 @@
 //!   graph and ontology. Clone it into as many threads as you like; every
 //!   clone shares the same CSR arrays and the same prepared-statement cache.
 //! * [`PreparedQuery`] — a query parsed, validated and compiled once
-//!   (Thompson NFA, APPROX/RELAX augmentation, ε-removal, conjunct plans,
-//!   decomposed alternation branches) and executable any number of times,
-//!   from any thread, without recompilation. [`Database::prepare`] keeps an
-//!   LRU cache of prepared queries keyed by query text.
+//!   (Thompson NFA, APPROX/RELAX augmentation, ε-removal, conjunct plans)
+//!   and executable any number of times, from any thread, without
+//!   recompilation. [`Database::prepare`] keeps an LRU cache of prepared
+//!   queries keyed by query text.
 //! * [`ExecOptions`] — per-request execution control: answer limit,
-//!   wall-clock deadline, distance ceiling, tuple budget and optimisation
-//!   toggles. Requests never mutate engine state, so concurrent requests
-//!   with different options are safe by construction.
+//!   wall-clock deadline, distance ceiling, tuple budget, cost guidance,
+//!   overload policy and profiling. Requests never mutate engine state, so
+//!   concurrent requests with different options are safe by construction.
 //! * [`Answers`] — a streaming `Iterator<Item = Result<Answer>>` over the
 //!   ranked answer sequence, carrying [`EvalStats`](crate::EvalStats) and enforcing the
 //!   request's limit, deadline and distance ceiling.
@@ -101,7 +101,7 @@ use crate::eval::fault::{fire as fault_fire, FaultPoint};
 use crate::eval::plan::{compile_conjunct, ConjunctPlan};
 use crate::eval::EvalOptions;
 use crate::govern::{GovernorConfig, ResourceGovernor};
-use crate::query::ast::{Query, QueryMode, Term};
+use crate::query::ast::{Query, Term};
 use crate::query::parser::parse_query;
 
 pub use crate::eval::options::OverloadPolicy;
@@ -1171,17 +1171,6 @@ impl PreparedCache {
     }
 }
 
-/// One compiled conjunct of a prepared query.
-pub(crate) struct PreparedConjunct {
-    pub(crate) plan: Arc<ConjunctPlan>,
-    /// Branch plans for an APPROX top-level alternation, compiled lazily the
-    /// first time a request enables the disjunction optimisation (so
-    /// requests that never use it pay nothing) and then reused by every
-    /// later execution, from any thread.
-    pub(crate) branches: std::sync::OnceLock<Option<Vec<Arc<ConjunctPlan>>>>,
-    pub(crate) mode: QueryMode,
-}
-
 /// Variable → slot resolution for one conjunct evaluation order, fixed at
 /// prepare so executions never touch variable names. Slots are numbered in
 /// order of first occurrence along `order`.
@@ -1241,7 +1230,8 @@ impl Layout {
 /// The compile-once state shared by every execution of a prepared query.
 pub(crate) struct PreparedInner {
     pub(crate) query: Query,
-    pub(crate) conjuncts: Vec<PreparedConjunct>,
+    /// One compiled plan per conjunct, in the query's syntactic order.
+    pub(crate) conjuncts: Vec<Arc<ConjunctPlan>>,
     /// Slot layout in the query's syntactic conjunct order.
     pub(crate) layout: Layout,
     /// Slot layout in cost-guided order — most selective conjunct first, by
@@ -1267,19 +1257,15 @@ fn compile_prepared(
     options: &EvalOptions,
 ) -> Result<PreparedInner> {
     query.validate()?;
-    let mut conjuncts = Vec::with_capacity(query.conjuncts.len());
-    for conjunct in &query.conjuncts {
-        let plan = Arc::new(compile_conjunct(conjunct, graph, ontology, options)?);
-        conjuncts.push(PreparedConjunct {
-            plan,
-            branches: std::sync::OnceLock::new(),
-            mode: conjunct.mode,
-        });
-    }
+    let conjuncts = query
+        .conjuncts
+        .iter()
+        .map(|conjunct| compile_conjunct(conjunct, graph, ontology, options).map(Arc::new))
+        .collect::<Result<Vec<_>>>()?;
     let syntactic: Vec<usize> = (0..conjuncts.len()).collect();
     // Stable sort: equal estimates keep the query's syntactic order.
     let mut by_estimate = syntactic.clone();
-    by_estimate.sort_by_key(|&i| conjuncts[i].plan.estimated_seed_count);
+    by_estimate.sort_by_key(|&i| conjuncts[i].estimated_seed_count);
     let guided = (by_estimate != syntactic)
         .then(|| Layout::new(&query, by_estimate))
         .transpose()?;
@@ -1369,7 +1355,7 @@ impl std::fmt::Debug for PreparedQuery {
 
 /// Per-request execution options: a builder carried alongside the query, so
 /// concurrent requests against one [`Database`] can each bring their own
-/// limit, deadline and toggles without touching shared state.
+/// limit, deadline and budgets without touching shared state.
 ///
 /// Every field is an *override*: unset fields inherit the database's base
 /// [`EvalOptions`].
@@ -1386,14 +1372,6 @@ pub struct ExecOptions {
     pub max_distance: Option<u32>,
     /// Live-tuple budget override (see [`EvalOptions::max_tuples`]).
     pub max_tuples: Option<usize>,
-    /// Distance-aware retrieval toggle override.
-    pub distance_aware: Option<bool>,
-    /// Alternation→disjunction decomposition toggle override.
-    pub disjunction_decomposition: Option<bool>,
-    /// Initial-node batch size override.
-    pub batch_size: Option<usize>,
-    /// Final-tuple prioritisation override.
-    pub prioritize_final: Option<bool>,
     /// Cost-guided evaluation override (see [`EvalOptions::cost_guided`]).
     pub cost_guided: Option<bool>,
     /// Overload policy override: what happens when a resource budget trips
@@ -1444,30 +1422,6 @@ impl ExecOptions {
         self
     }
 
-    /// Overrides the distance-aware retrieval toggle.
-    pub fn with_distance_aware(mut self, on: bool) -> Self {
-        self.distance_aware = Some(on);
-        self
-    }
-
-    /// Overrides the alternation→disjunction decomposition toggle.
-    pub fn with_disjunction_decomposition(mut self, on: bool) -> Self {
-        self.disjunction_decomposition = Some(on);
-        self
-    }
-
-    /// Overrides the initial-node batch size.
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.batch_size = Some(batch);
-        self
-    }
-
-    /// Overrides final-tuple prioritisation.
-    pub fn with_prioritize_final(mut self, on: bool) -> Self {
-        self.prioritize_final = Some(on);
-        self
-    }
-
     /// Has no effect: conjuncts always evaluate on the caller's thread.
     /// Kept only because `benchmark/src/workloads/mod.rs` calls it; the next
     /// `[benchmark]` PR deletes that call and then this method.
@@ -1503,39 +1457,22 @@ impl ExecOptions {
     /// Folds the overrides into `base`, resolving the relative timeout into
     /// an absolute deadline at call time (i.e. execution start).
     pub(crate) fn resolve(&self, base: &EvalOptions) -> EvalOptions {
-        let mut options = base.clone();
-        if let Some(max) = self.max_tuples {
-            options.max_tuples = Some(max);
-        }
-        if let Some(on) = self.distance_aware {
-            options.distance_aware = on;
-        }
-        if let Some(on) = self.disjunction_decomposition {
-            options.disjunction_decomposition = on;
-        }
-        if let Some(batch) = self.batch_size {
-            options.batch_size = batch.max(1);
-        }
-        if let Some(on) = self.prioritize_final {
-            options.prioritize_final = on;
-        }
-        if let Some(on) = self.cost_guided {
-            options.cost_guided = on;
-        }
-        if let Some(policy) = self.on_overload {
-            options.on_overload = policy;
-        }
-        if self.max_distance.is_some() {
-            options.max_distance = self.max_distance;
-        }
         let from_timeout = self.timeout.map(|t| Instant::now() + t);
-        options.deadline = match (self.deadline, from_timeout) {
-            (Some(d), Some(t)) => Some(d.min(t)),
-            (Some(d), None) => Some(d),
-            (None, Some(t)) => Some(t),
-            (None, None) => base.deadline,
-        };
-        options
+        EvalOptions {
+            max_tuples: self.max_tuples.or(base.max_tuples),
+            max_distance: self.max_distance.or(base.max_distance),
+            // The tighter of the two request deadlines; the base's only when
+            // the request sets neither.
+            deadline: self
+                .deadline
+                .into_iter()
+                .chain(from_timeout)
+                .min()
+                .or(base.deadline),
+            cost_guided: self.cost_guided.unwrap_or(base.cost_guided),
+            on_overload: self.on_overload.unwrap_or(base.on_overload),
+            ..base.clone()
+        }
     }
 }
 
@@ -1814,27 +1751,6 @@ mod tests {
         assert!(capped.iter().all(|a| a.distance <= 1));
         let expected = all.iter().filter(|a| a.distance <= 1).count();
         assert_eq!(capped.len(), expected);
-    }
-
-    #[test]
-    fn per_request_toggles_do_not_change_answers() {
-        let db = db();
-        let prepared = db
-            .prepare("(?X) <- APPROX (alice, (knows.knows)|(worksAt.locatedIn), ?X)")
-            .unwrap();
-        let sort = |mut v: Vec<Answer>| {
-            v.sort_by(|a, b| (&a.bindings, a.distance).cmp(&(&b.bindings, b.distance)));
-            v
-        };
-        let reference = sort(prepared.execute(&ExecOptions::new()).unwrap());
-        for request in [
-            ExecOptions::new().with_distance_aware(true),
-            ExecOptions::new().with_disjunction_decomposition(true),
-            ExecOptions::new().with_batch_size(1),
-            ExecOptions::new().with_prioritize_final(false),
-        ] {
-            assert_eq!(reference, sort(prepared.execute(&request).unwrap()));
-        }
     }
 
     #[test]
@@ -2302,14 +2218,12 @@ mod tests {
                 query in 0usize..QUERIES.len(),
                 operator in 0usize..3,
                 limit in 0usize..40,
-                toggles in 0usize..4,
+                toggles in 0usize..2,
             ) {
                 let db = database(&triples);
                 let text = QUERIES[query].replacen("<- (", ["<- (", "<- APPROX (", "<- RELAX ("][operator], 1);
                 let prepared = db.prepare(&text).unwrap();
-                let mut request = ExecOptions::new()
-                    .with_cost_guided(toggles & 1 == 0)
-                    .with_distance_aware(toggles & 2 == 0);
+                let mut request = ExecOptions::new().with_cost_guided(toggles == 0);
                 // A third of the cases run unlimited.
                 if limit % 3 != 0 {
                     request = request.with_limit(limit);

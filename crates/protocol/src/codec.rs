@@ -242,20 +242,11 @@ pub fn put_exec_options(w: &mut Writer, options: &ExecOptions) {
     let from_deadline = options
         .deadline
         .map(|d| d.saturating_duration_since(Instant::now()));
-    let budget = match (options.timeout, from_deadline) {
-        (Some(t), Some(d)) => Some(t.min(d)),
-        (Some(t), None) => Some(t),
-        (None, Some(d)) => Some(d),
-        (None, None) => None,
-    };
+    let budget = options.timeout.into_iter().chain(from_deadline).min();
     w.put_opt(options.limit, Writer::put_usize);
     w.put_opt(budget, |w, v| w.put_duration(v));
     w.put_opt(options.max_distance, Writer::put_u32);
     w.put_opt(options.max_tuples, Writer::put_usize);
-    w.put_opt(options.distance_aware, Writer::put_bool);
-    w.put_opt(options.disjunction_decomposition, Writer::put_bool);
-    w.put_opt(options.batch_size, Writer::put_usize);
-    w.put_opt(options.prioritize_final, Writer::put_bool);
     w.put_opt(options.cost_guided, Writer::put_bool);
     w.put_opt(options.on_overload, put_policy);
     w.put_bool(options.profile);
@@ -270,10 +261,6 @@ pub fn take_exec_options(r: &mut Reader<'_>) -> Result<ExecOptions, ProtocolErro
         deadline: None,
         max_distance: r.take_opt(Reader::take_u32)?,
         max_tuples: r.take_opt(Reader::take_usize)?,
-        distance_aware: r.take_opt(Reader::take_bool)?,
-        disjunction_decomposition: r.take_opt(Reader::take_bool)?,
-        batch_size: r.take_opt(Reader::take_usize)?,
-        prioritize_final: r.take_opt(Reader::take_bool)?,
         cost_guided: r.take_opt(Reader::take_bool)?,
         on_overload: r.take_opt(take_policy)?,
         profile: r.take_bool()?,

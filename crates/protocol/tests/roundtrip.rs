@@ -93,17 +93,10 @@ fn exec_options() -> BoxedStrategy<ExecOptions> {
         opt(any::<u32>().boxed()),
         opt((0usize..1 << 48).boxed()),
     );
-    let toggles = (
-        opt(any::<bool>().boxed()),
-        opt(any::<bool>().boxed()),
-        opt((0usize..1 << 16).boxed()),
-        opt(any::<bool>().boxed()),
-    );
     let guidance = (opt(any::<bool>().boxed()), opt(policy()), any::<bool>());
-    (knobs, toggles, guidance)
-        .prop_map(|(knobs, toggles, guidance)| {
+    (knobs, guidance)
+        .prop_map(|(knobs, guidance)| {
             let (limit, timeout, max_distance, max_tuples) = knobs;
-            let (distance_aware, disjunction_decomposition, batch_size, prioritize_final) = toggles;
             let (cost_guided, on_overload, profile) = guidance;
             ExecOptions {
                 limit,
@@ -111,10 +104,6 @@ fn exec_options() -> BoxedStrategy<ExecOptions> {
                 deadline: None,
                 max_distance,
                 max_tuples,
-                distance_aware,
-                disjunction_decomposition,
-                batch_size,
-                prioritize_final,
                 cost_guided,
                 on_overload,
                 profile,

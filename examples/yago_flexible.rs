@@ -3,23 +3,33 @@
 //! retrieval, alternation→disjunction) change execution time for the
 //! flexible queries.
 //!
-//! One shared `Database` serves both configurations: the optimisations are
-//! toggled per request through `ExecOptions`, not by rebuilding an engine.
+//! The optimisations are drivers, not request options: each conjunct is
+//! compiled once, then timed under the plain ranked evaluator and under a
+//! driver built around the same plan — the disjunction driver for an APPROX
+//! top-level alternation, the distance-aware driver otherwise.
 //!
 //! ```text
 //! cargo run --release --example yago_flexible [scale]
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use omega::core::{Database, ExecOptions, OmegaError};
+use omega::core::eval::{compile_branches, compile_conjunct};
+use omega::core::{
+    parse_query, AnswerStream, ConjunctEvaluator, DisjunctionEvaluator, DistanceAwareEvaluator,
+    EvalOptions, OmegaError,
+};
 use omega::datagen::{generate_yago, yago_queries, YagoConfig};
 
-fn timed(db: &Database, text: &str, request: &ExecOptions) -> (usize, f64, bool) {
+/// Fetches up to `limit` answers from `stream`: the answer count and the
+/// elapsed milliseconds, or `None` when the memory budget ran out (the
+/// paper's '?').
+fn timed(mut stream: Box<dyn AnswerStream + '_>, limit: Option<usize>) -> Option<(usize, f64)> {
     let start = Instant::now();
-    match db.execute(text, request) {
-        Ok(answers) => (answers.len(), start.elapsed().as_secs_f64() * 1e3, false),
-        Err(OmegaError::ResourceExhausted { .. }) => (0, start.elapsed().as_secs_f64() * 1e3, true),
+    match stream.collect(limit) {
+        Ok(answers) => Some((answers.len(), start.elapsed().as_secs_f64() * 1e3)),
+        Err(OmegaError::ResourceExhausted { .. }) => None,
         Err(other) => panic!("query failed: {other}"),
     }
 }
@@ -36,21 +46,17 @@ fn main() {
         data.graph.node_count(),
         data.graph.edge_count()
     );
-
-    let db = Database::new(data.graph, data.ontology);
+    let graph = &data.graph;
+    let mut ontology = data.ontology.clone();
+    ontology.freeze();
+    let ontology = &ontology;
 
     // A memory budget turns the paper's out-of-memory failures into clean
-    // errors (the '?' rows below). Like the optimisation toggles, it is a
-    // per-request override.
-    let budget = 2_000_000;
-    let plain = ExecOptions::new().with_max_tuples(budget);
-    let optimised = ExecOptions::new()
-        .with_max_tuples(budget)
-        .with_distance_aware(true)
-        .with_disjunction_decomposition(true);
+    // errors (the '?' rows below).
+    let options = Arc::new(EvalOptions::default().with_max_tuples(Some(2_000_000)));
 
     println!(
-        "{:<5} {:<8} {:>9} {:>12} {:>12}",
+        "{:<5} {:<8} {:>9} {:>12} {:>14}  driver",
         "query", "mode", "answers", "plain (ms)", "optimised (ms)"
     );
     for spec in yago_queries() {
@@ -58,40 +64,50 @@ fn main() {
             if !spec.flexible_in_study && !operator.is_empty() {
                 continue;
             }
-            let text = spec.with_operator(operator);
-            let (plain_req, opt_req) = if operator.is_empty() {
-                (plain.clone(), optimised.clone())
-            } else {
-                (
-                    plain.clone().with_limit(100),
-                    optimised.clone().with_limit(100),
-                )
+            let query = parse_query(&spec.with_operator(operator)).expect("query parses");
+            let conjunct = &query.conjuncts[0];
+            let plan = Arc::new(
+                compile_conjunct(conjunct, graph, ontology, &options).expect("query compiles"),
+            );
+            let branches = match operator {
+                "APPROX" => {
+                    compile_branches(conjunct, graph, ontology, &options).expect("branches compile")
+                }
+                _ => None,
             };
-            let (count, plain_ms, plain_oom) = timed(&db, &text, &plain_req);
-            let (_, opt_ms, opt_oom) = timed(&db, &text, &opt_req);
+            let opts = || Arc::clone(&options);
+            let limit = (!operator.is_empty()).then_some(100);
+            let plain = ConjunctEvaluator::new(Arc::clone(&plan), graph, ontology, opts(), None);
+            let plain = timed(Box::new(plain), limit);
+            let (driver, optimised): (_, Box<dyn AnswerStream>) = match branches {
+                Some(branches) => (
+                    "disjunction",
+                    Box::new(DisjunctionEvaluator::from_plans(
+                        branches,
+                        graph,
+                        ontology,
+                        opts(),
+                    )),
+                ),
+                None => (
+                    "distance-aware",
+                    Box::new(DistanceAwareEvaluator::new(plan, graph, ontology, opts())),
+                ),
+            };
+            let optimised = timed(optimised, limit);
+            let cell =
+                |run: Option<(usize, f64)>| run.map_or("?".into(), |(_, ms)| format!("{ms:.2}"));
+            let mode = if operator.is_empty() {
+                "exact"
+            } else {
+                operator
+            };
             println!(
-                "{:<5} {:<8} {:>9} {:>12} {:>12}",
+                "{:<5} {mode:<8} {:>9} {:>12} {:>14}  {driver}",
                 spec.id,
-                if operator.is_empty() {
-                    "exact"
-                } else {
-                    operator
-                },
-                if plain_oom {
-                    "?".into()
-                } else {
-                    count.to_string()
-                },
-                if plain_oom {
-                    "?".into()
-                } else {
-                    format!("{plain_ms:.2}")
-                },
-                if opt_oom {
-                    "?".into()
-                } else {
-                    format!("{opt_ms:.2}")
-                },
+                plain.map_or("?".into(), |(count, _)| count.to_string()),
+                cell(plain),
+                cell(optimised),
             );
         }
     }

@@ -4,9 +4,14 @@
 //! The suite drives the service API (`Database` / `PreparedQuery` /
 //! `ExecOptions`).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use omega::core::{Database, EvalOptions, ExecOptions, OmegaError};
+use omega::core::eval::{compile_conjunct, evaluate_conjunct};
+use omega::core::{
+    parse_query, AnswerStream, Database, DisjunctionEvaluator, DistanceAwareEvaluator, EvalOptions,
+    ExecOptions, OmegaError,
+};
 use omega::datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, l4all_queries, yago_queries,
     L4AllConfig, L4AllScale, YagoConfig,
@@ -100,34 +105,60 @@ fn approx_and_relax_only_add_answers() {
 
 #[test]
 fn optimisations_preserve_top_k_answer_multisets() {
-    // One database; the optimisations are toggled per request.
-    let db = l4all_db();
-    let plain = ExecOptions::new();
-    let optimised = ExecOptions::new()
-        .with_distance_aware(true)
-        .with_disjunction_decomposition(true);
+    // The Section 4.3 drivers are built around the compiled conjunct, as the
+    // paper's ablations run them, and each must emit exactly the plain
+    // evaluator's full drain (order-insensitive).
+    let data = generate_l4all(&L4AllConfig::tiny());
+    let (graph, ontology) = (&data.graph, &data.ontology);
+    let options = EvalOptions::default();
+    let multiset = |stream: &mut dyn AnswerStream| {
+        let mut v: Vec<_> = stream
+            .collect(None)
+            .unwrap()
+            .iter()
+            .map(|a| (a.x, a.y, a.distance))
+            .collect();
+        v.sort_unstable();
+        v
+    };
     for spec in l4all_queries() {
         if !spec.flexible_in_study {
             continue;
         }
         for operator in ["APPROX", "RELAX"] {
             let text = spec.with_operator(operator);
-            // Collect *all* answers so the comparison is order-insensitive.
-            let mut a: Vec<_> = db
-                .execute(&text, &plain)
-                .unwrap()
-                .into_iter()
-                .map(|ans| (ans.bindings, ans.distance))
-                .collect();
-            let mut b: Vec<_> = db
-                .execute(&text, &optimised)
-                .unwrap()
-                .into_iter()
-                .map(|ans| (ans.bindings, ans.distance))
-                .collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "{} {} differs under optimisations", spec.id, operator);
+            let query = parse_query(&text).unwrap();
+            let conjunct = &query.conjuncts[0];
+            let plain =
+                multiset(&mut evaluate_conjunct(conjunct, graph, ontology, &options).unwrap());
+            let plan = Arc::new(compile_conjunct(conjunct, graph, ontology, &options).unwrap());
+            let mut aware =
+                DistanceAwareEvaluator::new(plan, graph, ontology, Arc::new(options.clone()));
+            assert_eq!(
+                plain,
+                multiset(&mut aware),
+                "{} {} distance-aware",
+                spec.id,
+                operator
+            );
+            if operator == "APPROX" {
+                let arms = DisjunctionEvaluator::try_new(
+                    conjunct,
+                    graph,
+                    ontology,
+                    Arc::new(options.clone()),
+                )
+                .unwrap();
+                if let Some(mut arms) = arms {
+                    assert_eq!(
+                        plain,
+                        multiset(&mut arms),
+                        "{} {} disjunction",
+                        spec.id,
+                        operator
+                    );
+                }
+            }
         }
     }
 }

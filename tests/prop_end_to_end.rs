@@ -176,7 +176,7 @@ proptest! {
     /// query mode.
     #[test]
     fn csr_backend_matches_builder_adjacency(triples in graph_strategy(), qi in 0usize..QUERIES.len()) {
-        use omega::core::ConjunctEvaluator;
+        use omega::core::{AnswerStream, ConjunctEvaluator};
         use omega::graph::Direction;
 
         let (builder_graph, o) = build(&triples);
@@ -476,31 +476,39 @@ proptest! {
         check_epoch(&hydrated, &after);
     }
 
-    /// The distance-aware and disjunction drivers — toggled per request
-    /// through `ExecOptions` — return the same answer multiset as plain
-    /// evaluation on one shared database.
+    /// The two Section 4.3 drivers, built around the compiled conjunct,
+    /// return the answer multiset of the plain evaluator's full drain: the
+    /// distance-aware driver on every APPROX query, the disjunction driver on
+    /// the top-level alternation (the last query).
     #[test]
-    fn optimised_drivers_agree_with_plain(triples in graph_strategy(), qi in 0usize..QUERIES.len()) {
+    fn optimised_drivers_agree_with_plain(triples in graph_strategy(), qi in 0usize..QUERIES.len() + 1) {
+        use omega::core::eval::{compile_conjunct, evaluate_conjunct};
+        use omega::core::{AnswerStream, DisjunctionEvaluator, DistanceAwareEvaluator};
         let (g, o) = build(&triples);
-        let db = Database::new(g, o);
-        let approx_text = QUERIES[qi].replacen("<- (", "<- APPROX (", 1);
-        let collect = |request: &ExecOptions| {
-            let mut v: Vec<_> = db
-                .execute(&approx_text, request)
+        let exact = QUERIES.get(qi).copied().unwrap_or("(?X, ?Y) <- (?X, (p.q)|r, ?Y)");
+        let approx_text = exact.replacen("<- (", "<- APPROX (", 1);
+        let query = parse_query(&approx_text).unwrap();
+        let conjunct = &query.conjuncts[0];
+        let options = EvalOptions::default();
+        let multiset = |stream: &mut dyn AnswerStream| {
+            let mut v: Vec<_> = stream
+                .collect(None)
                 .unwrap()
-                .into_iter()
-                .map(|a| (a.bindings, a.distance))
+                .iter()
+                .map(|a| (a.x, a.y, a.distance))
                 .collect();
-            v.sort();
+            v.sort_unstable();
             v
         };
-        let plain = collect(&ExecOptions::new());
-        let optimised = collect(
-            &ExecOptions::new()
-                .with_distance_aware(true)
-                .with_disjunction_decomposition(true),
-        );
-        prop_assert_eq!(plain, optimised);
+        let plain = multiset(&mut evaluate_conjunct(conjunct, &g, &o, &options).unwrap());
+        let plan = Arc::new(compile_conjunct(conjunct, &g, &o, &options).unwrap());
+        let mut aware = DistanceAwareEvaluator::new(plan, &g, &o, Arc::new(options.clone()));
+        prop_assert_eq!(&plain, &multiset(&mut aware), "{}", approx_text);
+        let arms = DisjunctionEvaluator::try_new(conjunct, &g, &o, Arc::new(options.clone())).unwrap();
+        prop_assert_eq!(arms.is_some(), qi == QUERIES.len(), "{}", approx_text);
+        if let Some(mut arms) = arms {
+            prop_assert_eq!(&plain, &multiset(&mut arms), "{}", approx_text);
+        }
     }
 }
 
