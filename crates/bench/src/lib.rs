@@ -32,8 +32,8 @@ use omega_core::{
     EvalOptions, EvalStats, ExecOptions, OmegaError, PreparedQuery,
 };
 use omega_datagen::{
-    generate_l4all, generate_yago, l4all_queries, yago_queries, Dataset, L4AllConfig, L4AllScale,
-    QuerySpec, YagoConfig,
+    generate_l4all, generate_yago, l4all_multi_conjunct_queries, l4all_queries, yago_queries,
+    Dataset, L4AllConfig, L4AllScale, QuerySpec, YagoConfig,
 };
 use omega_graph::GraphStats;
 use omega_obs::Histogram;
@@ -614,6 +614,67 @@ pub fn run_arm(
 }
 
 // ----------------------------------------------------------------------
+// Per-statement work (the yardstick's in-process study mix)
+// ----------------------------------------------------------------------
+
+/// The nine statements of the yardstick's `embed-flex` workload, named: Q8
+/// and Q9 APPROX, Q3 RELAX, Q3 and Q11 exact, and the multi-conjunct M2 and
+/// M3 exact and APPROX.
+pub fn work_statements() -> Vec<(String, String)> {
+    let (q, m) = (l4all_queries(), l4all_multi_conjunct_queries());
+    let mut out = vec![
+        ("Q8 APPROX".to_owned(), q[7].with_operator("APPROX")),
+        ("Q9 APPROX".to_owned(), q[8].with_operator("APPROX")),
+        ("Q3 RELAX".to_owned(), q[2].with_operator("RELAX")),
+        ("Q3".to_owned(), q[2].text.to_owned()),
+        ("Q11".to_owned(), q[10].text.to_owned()),
+    ];
+    for spec in &m[1..3] {
+        out.push((spec.id.to_owned(), spec.text.to_owned()));
+        out.push((
+            format!("{} APPROX", spec.id),
+            spec.with_operator_everywhere("APPROX"),
+        ));
+    }
+    out
+}
+
+/// Where each [`work_statements`] statement spends its work on L4All at the
+/// configured largest scale: the top-[`TOP_K`] fetch under cost guidance
+/// (median of `samples` runs, prepared once) with its evaluator counters.
+pub fn work_table(config: &RunConfig) -> String {
+    let dataset = l4all_dataset(config.max_scale);
+    let db = Database::new(dataset.graph, dataset.ontology);
+    let request = ExecOptions::new().with_limit(TOP_K).with_cost_guided(true);
+    let mut out = format!(
+        "Work per statement: L4All {}, top-{TOP_K}, median of {} (ms)\n",
+        config.max_scale.name(),
+        config.samples
+    );
+    out.push_str(&format!(
+        "{:<10} {:>8} {:>7} {:>8} {:>9} {:>7} {:>8} {:>7} {:>7}\n",
+        "Statement", "ms", "answers", "added", "processed", "succ", "lookups", "blocks", "raised"
+    ));
+    for (name, text) in work_statements() {
+        let run = run_query_sampled(&db, &name, "", &text, &request, config.samples);
+        let stats = &run.stats;
+        out.push_str(&format!(
+            "{:<10} {:>8.3} {:>7} {:>8} {:>9} {:>7} {:>8} {:>7} {:>7}\n",
+            name,
+            run.elapsed.as_secs_f64() * 1e3,
+            answers_cell(&run),
+            stats.tuples_added,
+            stats.tuples_processed,
+            stats.succ_calls,
+            stats.neighbour_lookups,
+            stats.cursor_blocks,
+            stats.raised_keys,
+        ));
+    }
+    out
+}
+
+// ----------------------------------------------------------------------
 // Overload study (the resource governor under concurrent clients)
 // ----------------------------------------------------------------------
 
@@ -1117,6 +1178,27 @@ mod tests {
                 assert!(!g.exhausted, "only the guided run exhausted: {g:?}");
                 assert_eq!(g.answers, u.answers, "{} {} diverged", g.id, g.operator);
             }
+        }
+    }
+
+    #[test]
+    fn work_table_has_one_row_per_statement() {
+        let config = RunConfig {
+            max_scale: L4AllScale::L1,
+            yago_scale: 0.05,
+            samples: 1,
+        };
+        let table = work_table(&config);
+        let statements = work_statements();
+        assert_eq!(statements.len(), 9);
+        assert_eq!(table.lines().count(), 2 + statements.len(), "{table}");
+        for (name, _) in &statements {
+            assert!(
+                table
+                    .lines()
+                    .any(|line| line.starts_with(&format!("{name} "))),
+                "no row for {name}:\n{table}"
+            );
         }
     }
 

@@ -19,7 +19,7 @@ use crate::error::Result;
 use crate::eval::options::EvalOptions;
 use crate::eval::plan::{compile_conjunct, ConjunctPlan, SeedSpec};
 use crate::eval::stats::EvalStats;
-use crate::eval::succ::{succ, CostFilter, SuccScratch, Successors};
+use crate::eval::succ::{succ, CostFilter, Successors};
 use crate::query::ast::Conjunct;
 
 /// Exhaustive BFS evaluation of one conjunct (exact semantics only: all
@@ -96,7 +96,6 @@ impl<'a> BaselineEvaluator<'a> {
             }
         }
         let mut successors = Successors::default();
-        let mut scratch = SuccScratch::new();
         while let Some((start, node, state)) = queue.pop_front() {
             self.stats.tuples_processed += 1;
             if self.plan.nfa.final_weight(state) == Some(0) && self.accepts(start, node) {
@@ -110,20 +109,18 @@ impl<'a> BaselineEvaluator<'a> {
                     self.stats.answers += 1;
                 }
             }
-            // Exact semantics: only zero-cost transitions participate, so
-            // the positive-cost runs (and their lookups) are filtered out
-            // at the source.
+            // Every transition, dead targets included: the textbook product
+            // knows nothing of the accept bounds.
             succ(
                 self.graph,
                 self.ontology,
                 self.plan.inference,
                 &self.plan.nfa,
+                &self.plan.expansion,
                 state,
-                node,
-                CostFilter::ZeroOnly,
-                None,
+                &[node],
+                CostFilter::All,
                 &mut successors,
-                &mut scratch,
                 &mut self.stats,
             );
             for t in successors.transitions() {

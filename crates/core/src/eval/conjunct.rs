@@ -10,33 +10,39 @@
 //! run is copied once into the evaluator's arena and each of its transitions
 //! enters `D_R` as one *cursor* tuple ([`TupleKind::Cursor`]) at the key its
 //! visits would have had. Popping a cursor re-queues it at that same key
-//! *first*, then releases its next block through the ordinary
-//! `visited` / `add_tuple` path.
+//! *first*, then handles its next block of members as a set: each member not
+//! visited yet (and, under cost guidance, kept at this key by the probe
+//! below) is inserted into `visited` and expanded right there, *in place*;
+//! what those visits still owe goes in once per block, over one arena copy
+//! of them — their deferred edits as a [`TupleKind::DeferredRun`] at `g +
+//! defer_delta(q)`, their pending answers as a [`TupleKind::FinalRun`] at
+//! `g + final_weight(q)`, which checks each member's final annotation and
+//! `answers_R` as it pops.
 //!
-//! The invariant that makes this safe: `D_R` is LIFO within a key, so the
-//! block pops before the rest of its run does, and a top-`k` that completes
-//! leaves the remainder unread. A fixed state at a fixed key `f = g + h`
-//! has a fixed `g`, so a visit released late still carries the distance it
-//! would have carried early: every stream emits the same `(x, y, distance)`
-//! multiset in non-decreasing distance, and only the order of ties within a
-//! distance moves. There is one expansion path — runs up to a block are
-//! pushed per neighbour, wider ones as cursors; nothing switches it off.
+//! *Why in place is sound.* The block's members share one state, one
+//! distance and so one key: queued, LIFO would have popped them next, one
+//! after another, everything they queued in between lying at that key or
+//! above. And a cursor pops at plain rank, so every raised run of its key —
+//! released at the key below — has popped before it: no cheaper twin of a
+//! member still waits at that key. A fixed state at a fixed key `f = g + h`
+//! has a fixed `g`, so the visits carry the distances they would have
+//! carried one by one, and the runs sit at their members' own keys and
+//! ranks: every stream emits the same `(x, y, distance)` multiset in
+//! non-decreasing distance, and only tie order within a distance moves.
 //!
-//! What the counters and the governor see: `tuples_added` counts only the
-//! visits a block releases (never a cursor push or re-push), and
-//! `cursor_blocks` the blocks. To the tuple budget a queued cursor is one
-//! live `D_R` entry, and every arena entry is one more: the arena is live
-//! memory until the last queued cursor is read out, when it is cleared. A
-//! run copied for `k` transitions is held once, where eager expansion
-//! queued it `k` times, so the budget trips no later than it did then.
+//! To the tuple budget a queued run is one live `D_R` entry, and every arena
+//! entry one more, until the last queued run is read out and the arena is
+//! cleared. A wide run copied for `k` transitions is held once, where eager
+//! expansion queued it `k` times, and a block's members once more, where
+//! they queued two tuples each: the budget trips no later than it did then.
 //!
 //! ## Keys that look one step ahead
 //!
 //! A hub's run can hold thousands of nodes at which the automaton cannot
 //! continue at cost 0 (the instances of a class without the query's next
-//! label): keyed at `g + h(q)`, each of them pops, expands and re-queues
-//! before the key can advance. So under cost guidance a visit a cursor
-//! releases is keyed by what can fire *at its node*:
+//! label): keyed at `g + h(q)`, each of them is visited and expanded to no
+//! effect before the key can advance. So under cost guidance a cursor block
+//! keys each member by what can fire *at its node*:
 //!
 //! `h⁺(m, q) = min(final_weight(q), min over live transitions t out of q
 //! that may fire at m of cost(t) + h(t.to))`
@@ -46,45 +52,42 @@
 //! such an edge at `m` (`GraphStore::may_have_edge`); wildcards, `TypeTo`
 //! and symbols matched under inference always may. The probe runs in two
 //! passes: the transitions that keep `h(q)` first, returning at the first
-//! that may fire — the first such plain symbol's layer is looked up once
-//! per block, so a node that continues on it costs one bit test — and the
-//! others only when none does and `q` is not final, to tell a finite `h⁺`
-//! from a dead one (a raise is one key whatever `h⁺` is, below). When
-//! `h⁺(m, q) > h(q)` the visit goes in as [`TupleKind::Raised`] at `g +
-//! h(q) + 1`; when `h⁺` is dead it does not go in at all (`pruned_dead`).
-//! Only cursor releases are probed: a visit that is expanded anyway would
-//! pay for the probe and the lookup.
+//! that may fire, and the others only when none does and `q` is not final,
+//! to tell a finite `h⁺` from a dead one (a raise is one key whatever `h⁺`
+//! is, below). Members
+//! with `h⁺(m, q) > h(q)` go into one [`TupleKind::RaisedRun`] per block,
+//! keyed `g + h(q) + 1`; those whose `h⁺` is dead are dropped
+//! (`pruned_dead`). Only cursor blocks are probed: a visit that is expanded
+//! anyway would pay for the probe and the lookup. A raised run's pop visits
+//! its members in place, as a cursor's does, for the same two reasons.
 //!
 //! *Admissible:* an accepting continuation of `(m, q)` either accepts at
 //! `(m, q)`, paying `final_weight(q)`, or takes a transition that fires at
 //! `m`, paying at least `cost(t) + h(t.to)`; so no answer below it has
 //! distance under `g + h⁺(m, q)`. *Consistent:* a step of cost `c` from
 //! `(m, q)` to `(m', q')` fires at `m`, so `h⁺(m, q) ≤ c + h(q') ≤ c +
-//! h⁺(m', q')`, and the final tuple of a raised visit has `g +
+//! h⁺(m', q')`, and the pending answer of a raised visit has `g +
 //! final_weight(q) ≥ g + h⁺`. Keys therefore never fall along a derivation
-//! and `D_R` stays monotone: every stream emits the same `(x, y, distance)`
-//! multiset in non-decreasing distance, and only tie order moves. The
-//! deferred placeholder of a raised visit goes in at `max(g +
-//! defer_delta(q), g + h(q) + 1)`, which no positive-cost successor
+//! and `D_R` stays monotone. The deferred run of raised visits goes in at
+//! `max(g + defer_delta(q), g + h(q) + 1)`, which no positive-cost successor
 //! undercuts.
 //!
-//! *Why one key, and why raised visits pop first within it.* The visited
-//! set keeps the first pop of a `(start, node, state)`, which is the
-//! cheapest only if no costlier twin can be keyed at or below it. A plain
-//! twin at `g' > g` sits at `g' + h(q) ≥ g + h(q) + 1`: raising by one key,
-//! never more, keeps the raised visit at or below every costlier twin, and
-//! the queue pops raised visits before the plain tuples of a key (see
-//! `DrQueue`) for the tie. With unit edit costs `h⁺ ≤ h + 1` holds anyway
-//! (a substitution wildcard always may fire); the cap matters only for
-//! costlier edits.
+//! *Why one key, and why raised runs pop first within it.* The visited set
+//! keeps the first visit of a `(start, node, state)`, which is the cheapest
+//! only if no costlier twin can be keyed at or below it. A plain twin at
+//! `g' > g` sits at `g' + h(q) ≥ g + h(q) + 1`: raising by one key, never
+//! more, keeps the raised run at or below every costlier twin, and the queue
+//! pops raised runs before the plain tuples of a key (see `DrQueue`) for the
+//! tie. With unit edit costs `h⁺ ≤ h + 1` holds anyway (a substitution
+//! wildcard always may fire); the cap matters only for costlier edits.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use omega_graph::{Direction, GraphStore, LabelId, NodeId};
+use omega_graph::{GraphStore, NodeId};
 use omega_ontology::Ontology;
 
-use omega_automata::{MinCostToAccept, StateId, Transition, TransitionLabel};
+use omega_automata::{MinCostToAccept, StateId, Transition};
 
 use crate::answer::ConjunctAnswer;
 use crate::error::{OmegaError, Result};
@@ -95,7 +98,7 @@ use crate::eval::options::{EvalOptions, OverloadPolicy};
 use crate::eval::plan::ConjunctPlan;
 use crate::eval::stats::{EvalStats, TruncationReason};
 use crate::eval::succ::{
-    may_fire, succ, CostFilter, SuccScratch, SuccTransition, Successors, WideRun, BLOCK, RUN_END,
+    may_fire, succ, CostFilter, SuccTransition, Successors, WideRun, BLOCK, RUN_END,
 };
 use crate::eval::tuple::{Tuple, TupleKind};
 use crate::eval::visited::{PairSet, VisitedSet};
@@ -157,12 +160,11 @@ pub struct ConjunctEvaluator<'a> {
     emitted: PairSet,
     feed: InitialNodeFeed,
     /// `Succ`'s output buffers, reused by every expansion, and the arena the
-    /// queued cursors read their wide runs from.
+    /// queued runs read their members from.
     successors: Successors,
-    /// Cursors queued in `D_R`; the arena is cleared whenever none is.
+    /// Runs (cursors and the three kinds of block run) queued in `D_R`; the
+    /// arena is cleared whenever none is.
     cursors: usize,
-    /// Reusable scratch for neighbour-set computation.
-    scratch: SuccScratch,
     /// This evaluator's chunked claim on the database-wide tuple pool (when
     /// a governor handle is installed); releases on drop.
     reservation: Option<TupleReservation>,
@@ -222,7 +224,6 @@ impl<'a> ConjunctEvaluator<'a> {
             feed,
             successors: Successors::default(),
             cursors: 0,
-            scratch: SuccScratch::new(),
             reservation,
             trip_reason: None,
             degraded: false,
@@ -247,15 +248,14 @@ impl<'a> ConjunctEvaluator<'a> {
             return Ok(());
         }
         self.stats.tuples_added += 1;
-        self.stats.raised_keys += u64::from(tuple.kind == TupleKind::Raised);
         self.check_budget()
     }
 
     /// Pushes `tuple` into `D_R` at its key — `g`, or `g + h[state]` when
-    /// cost-guided, one more for a raised visit — unless a dead state or the
-    /// ψ ceiling prunes it; whether it went in. A cursor stands for visits
-    /// in one state at one distance, so it is pruned exactly when each of
-    /// them would be.
+    /// cost-guided, one more for a raised run — unless a dead state or the
+    /// ψ ceiling prunes it; whether it went in. A run stands for members in
+    /// one state at one distance, so it is pruned exactly when each of them
+    /// would be.
     fn push(&mut self, tuple: Tuple) -> bool {
         let mut key = tuple.distance;
         if !tuple.is_final() && self.cost_guided {
@@ -267,7 +267,7 @@ impl<'a> ConjunctEvaluator<'a> {
                 self.stats.pruned_dead += 1;
                 return false;
             }
-            let raised = u32::from(tuple.kind == TupleKind::Raised);
+            let raised = u32::from(tuple.kind == TupleKind::RaisedRun);
             key = tuple.distance.saturating_add(h).saturating_add(raised);
         }
         if let Some(psi) = self.psi {
@@ -289,35 +289,32 @@ impl<'a> ConjunctEvaluator<'a> {
         true
     }
 
-    /// Enqueues the deferred positive-cost expansion of a just-visited
-    /// tuple, keyed at the first point any of its successors could matter:
-    /// not below the visit's own key when it was raised.
-    fn add_deferred(&mut self, tuple: &Tuple) -> Result<()> {
-        let mut delta = self.plan.defer_delta(tuple.state);
+    /// Enqueues a placeholder of `kind` — [`TupleKind::Deferred`] or
+    /// [`TupleKind::DeferredRun`] — for the positive-cost expansion of the
+    /// visits `visits` stands for, keyed at the first point any of their
+    /// successors could matter: not below the visits' own key when they
+    /// were `raised`. Whether it went in.
+    fn add_deferred(&mut self, visits: Tuple, kind: TupleKind, raised: bool) -> Result<bool> {
+        let mut delta = self.plan.defer_delta(visits.state);
         if delta == u32::MAX {
-            return Ok(()); // no live positive-cost transitions
+            return Ok(false); // no live positive-cost transitions
         }
-        if tuple.kind == TupleKind::Raised {
-            delta = delta.max(self.plan.bounds.get(tuple.state) + 1);
+        if raised {
+            delta = delta.max(self.plan.bounds.get(visits.state) + 1);
         }
-        let key = tuple.distance.saturating_add(delta);
+        let key = visits.distance.saturating_add(delta);
         if let Some(psi) = self.psi {
             if key > psi {
                 // Every deferred successor has g + h ≥ key > ψ: prunable
                 // now, possibly relevant after an escalation.
                 self.stats.suppressed += 1;
                 self.stats.pruned_bound += 1;
-                return Ok(());
+                return Ok(false);
             }
         }
-        self.dr.push(
-            Tuple {
-                kind: TupleKind::Deferred,
-                ..*tuple
-            },
-            key,
-        );
-        self.check_budget()
+        self.dr.push(Tuple { kind, ..visits }, key);
+        self.check_budget()?;
+        Ok(true)
     }
 
     fn check_budget(&mut self) -> Result<()> {
@@ -446,6 +443,10 @@ impl<'a> ConjunctEvaluator<'a> {
                 }
             }
             self.ticks = self.ticks.wrapping_add(1);
+            if self.cursors == 0 {
+                // Nothing queued reads the arena any more.
+                self.successors.arena.clear();
+            }
             // Incrementally add the next batch of initial nodes when the
             // frontier at the seeds' entry key has been consumed (lines
             // 15–17; seeds enter at key `h(initial)`, which is 0 without
@@ -461,76 +462,121 @@ impl<'a> ConjunctEvaluator<'a> {
                 }
                 return Ok(None);
             };
-            if tuple.kind == TupleKind::Cursor {
-                // Not a tuple of the traversal: it releases some.
-                self.next_block(tuple)?;
-                continue;
-            }
-            self.stats.tuples_processed += 1;
-
-            if tuple.kind == TupleKind::Final {
-                if self.answers_seen.insert(tuple.start, tuple.node) {
-                    if let Some(answer) = self.make_answer(tuple) {
+            match tuple.kind {
+                // Not tuples of the traversal: they make some visits.
+                TupleKind::Cursor | TupleKind::RaisedRun => self.next_block(tuple)?,
+                TupleKind::Final | TupleKind::FinalRun => {
+                    self.stats.tuples_processed += 1;
+                    if let Some(answer) = self.next_pending(tuple) {
                         self.stats.answers += 1;
                         return Ok(Some(answer));
                     }
                 }
-                continue;
-            }
-
-            if tuple.kind == TupleKind::Deferred {
-                // The postponed positive-cost expansion of an already
-                // visited tuple: the distance cursor has reached the first
-                // key at which any of its wildcard/edit/relaxation
-                // successors can matter. No visited insert and no final
-                // enqueue — the fresh pop already did both.
-                self.stats.deferred_expansions += 1;
-                self.expand(&tuple, CostFilter::PositiveOnly)?;
-                continue;
-            }
-
-            if !self.visited.insert(tuple.start, tuple.node, tuple.state.0) {
-                continue;
-            }
-            if self.cost_guided {
-                // Fresh pop: only the 0-cost skeleton successors enter the
-                // queue now; everything with positive cost is represented by
-                // one deferred placeholder until the cursor needs it.
-                self.expand(&tuple, CostFilter::ZeroOnly)?;
-                self.add_deferred(&tuple)?;
-            } else {
-                self.expand(&tuple, CostFilter::All)?;
-            }
-            // Enqueue a pending answer when the state is final (lines 12–13).
-            if let Some(weight) = self.plan.nfa.final_weight(tuple.state) {
-                if self.final_annotation_matches(&tuple)
-                    && !self.answers_seen.contains(tuple.start, tuple.node)
-                {
-                    self.add_tuple(Tuple {
-                        kind: TupleKind::Final,
-                        distance: tuple.distance + weight,
-                        ..tuple
-                    })?;
+                TupleKind::Deferred | TupleKind::DeferredRun => {
+                    self.stats.tuples_processed += 1;
+                    self.expand_deferred(tuple)?;
+                }
+                TupleKind::Visit => {
+                    self.stats.tuples_processed += 1;
+                    if !self.visited.insert(tuple.start, tuple.node, tuple.state.0) {
+                        continue;
+                    }
+                    if self.cost_guided {
+                        // Fresh pop: only the 0-cost skeleton successors
+                        // enter the queue now; everything with positive cost
+                        // is represented by one deferred placeholder until
+                        // the cursor needs it.
+                        self.expand(tuple, &[tuple.node], CostFilter::ZeroOnly)?;
+                        self.add_deferred(tuple, TupleKind::Deferred, false)?;
+                    } else {
+                        self.expand(tuple, &[tuple.node], CostFilter::All)?;
+                    }
+                    // Enqueue a pending answer when the state is final
+                    // (lines 12–13).
+                    if let Some(weight) = self.plan.nfa.final_weight(tuple.state) {
+                        if self.final_annotation_matches(&tuple)
+                            && !self.answers_seen.contains(tuple.start, tuple.node)
+                        {
+                            self.add_tuple(Tuple {
+                                kind: TupleKind::Final,
+                                distance: tuple.distance + weight,
+                                ..tuple
+                            })?;
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// Expands `tuple` through the product automaton (lines 10–11 of the
-    /// paper's `GetNext`), pushing the successors `filter` admits: narrow
-    /// runs one tuple per neighbour, wide runs one cursor per transition.
-    fn expand(&mut self, tuple: &Tuple, filter: CostFilter) -> Result<()> {
+    /// A popped pending answer, or a [`TupleKind::FinalRun`]'s next: its
+    /// first member the final annotation and `answers_R` admit with a new
+    /// answer. The rest of the run is re-queued at its key and rank first.
+    fn next_pending(&mut self, tuple: Tuple) -> Option<ConjunctAnswer> {
+        if tuple.kind == TupleKind::Final {
+            // Annotation checked when it was queued.
+            let new = self.answers_seen.insert(tuple.start, tuple.node);
+            return new.then(|| self.make_answer(tuple)).flatten();
+        }
+        let mut at = tuple.node.index();
+        while self.successors.arena[at] != RUN_END {
+            let member = Tuple {
+                node: self.successors.arena[at],
+                kind: TupleKind::Final,
+                ..tuple
+            };
+            at += 1;
+            if self.final_annotation_matches(&member)
+                && self.answers_seen.insert(member.start, member.node)
+            {
+                if let Some(answer) = self.make_answer(member) {
+                    let mut rest = tuple;
+                    rest.node = NodeId(at as u32);
+                    self.dr.push(rest, rest.distance);
+                    return Some(answer);
+                }
+            }
+        }
+        self.cursors -= 1;
+        None
+    }
+
+    /// A popped deferred placeholder, or the members of a
+    /// [`TupleKind::DeferredRun`]: the postponed positive-cost expansion of
+    /// visits already made — the cursor has reached the first key at which
+    /// any of their wildcard / edit / relaxation successors can matter. No
+    /// visited insert and no pending answer: the visits did both.
+    fn expand_deferred(&mut self, tuple: Tuple) -> Result<()> {
+        if tuple.kind == TupleKind::Deferred {
+            self.stats.deferred_expansions += 1;
+            return self.expand(tuple, &[tuple.node], CostFilter::PositiveOnly);
+        }
+        self.cursors -= 1;
+        // Copied out: the expansion may append to the arena.
+        let run = &self.successors.arena[tuple.node.index()..];
+        let len = run.iter().position(|&m| m == RUN_END).unwrap_or(0);
+        let mut members = [RUN_END; BLOCK];
+        members[..len].copy_from_slice(&run[..len]);
+        self.stats.deferred_expansions += len as u64;
+        self.expand(tuple, &members[..len], CostFilter::PositiveOnly)
+    }
+
+    /// Expands `nodes`, each visited in `run`'s state at `run`'s distance
+    /// from `run`'s start, through the product automaton (lines 10–11 of
+    /// the paper's `GetNext`), pushing the successors `filter` admits:
+    /// narrow runs one tuple per neighbour, wide runs one cursor per
+    /// transition.
+    fn expand(&mut self, run: Tuple, nodes: &[NodeId], filter: CostFilter) -> Result<()> {
         succ(
             self.graph,
             self.ontology,
             self.plan.inference,
             &self.plan.nfa,
-            tuple.state,
-            tuple.node,
+            &self.plan.expansion,
+            run.state,
+            nodes,
             filter,
-            self.cost_guided.then_some(&self.plan.bounds),
             &mut self.successors,
-            &mut self.scratch,
             &mut self.stats,
         );
         // The step and run buffers are moved out for the duration of the
@@ -538,43 +584,37 @@ impl<'a> ConjunctEvaluator<'a> {
         // capacity is kept, and the arena stays where the budget counts it.
         let steps = std::mem::take(&mut self.successors.steps);
         let wide = std::mem::take(&mut self.successors.wide);
-        let pushed = self.push_successors(tuple, &steps, &wide);
+        let pushed = self.push_successors(&run, &steps, &wide);
         self.successors.steps = steps;
         self.successors.wide = wide;
-        if self.cursors == 0 {
-            // Every run this expansion copied was pruned.
-            self.successors.arena.clear();
-        }
         pushed
     }
 
-    /// Queues `succ`'s output for `tuple`: each step as a visit, each wide
-    /// run as a cursor.
+    /// Queues `succ`'s output for visits from `tuple`'s start at its
+    /// distance: each step as a visit, each wide run as a cursor.
     fn push_successors(
         &mut self,
         tuple: &Tuple,
         steps: &[SuccTransition],
         wide: &[WideRun],
     ) -> Result<()> {
-        let arena = self.successors.arena.len();
-        if !wide.is_empty() && arena > RUN_END.index() {
-            // A cursor's arena position is a `u32`: past that, trip as an
-            // exceeded budget does rather than wrap.
-            self.trip_reason = Some(TruncationReason::TupleBudget);
-            return Err(OmegaError::ResourceExhausted { tuples: arena });
+        if !wide.is_empty() {
+            self.check_arena()?;
         }
         for t in steps {
-            self.add_visit(Tuple {
-                start: tuple.start,
-                node: t.node,
-                state: t.state,
-                distance: tuple.distance + t.cost,
-                kind: TupleKind::Visit,
-            })?;
+            if !self.visited.contains(tuple.start, t.node, t.state.0) {
+                self.add_tuple(Tuple {
+                    start: tuple.start,
+                    node: t.node,
+                    state: t.state,
+                    distance: tuple.distance + t.cost,
+                    kind: TupleKind::Visit,
+                })?;
+            }
         }
         for w in wide {
             // Queued where the run's visits would be; `tuples_added` counts
-            // them only as blocks release them.
+            // them only as blocks visit them.
             let cursor = Tuple {
                 start: tuple.start,
                 node: NodeId(w.at),
@@ -590,103 +630,143 @@ impl<'a> ConjunctEvaluator<'a> {
         Ok(())
     }
 
-    /// Adds a visit unless its `(start, node, state)` was already visited.
-    fn add_visit(&mut self, visit: Tuple) -> Result<()> {
-        if self
-            .visited
-            .contains(visit.start, visit.node, visit.state.0)
-        {
-            return Ok(());
-        }
-        self.add_tuple(visit)
-    }
-
-    /// A popped cursor: re-queue it at its own key for the rest of its run,
-    /// then release the next [`BLOCK`] neighbours, which (LIFO within a
-    /// key) pop before it does unless looking one step ahead raised them.
-    fn next_block(&mut self, cursor: Tuple) -> Result<()> {
-        self.stats.cursor_blocks += 1;
-        let at = cursor.node.index();
-        let run = &self.successors.arena[at..];
-        let len = run
-            .iter()
-            .take(BLOCK)
-            .position(|&m| m == RUN_END)
-            .unwrap_or(BLOCK);
-        // `run[len]` exists: either the end marker stopped the block, or a
-        // full block still lies before it. The re-push cannot be pruned: the
-        // same state at the same distance was admitted under the same ψ.
-        // `at + len` is below the arena's length, which fits a `u32`.
-        let requeued = run[len] != RUN_END
-            && self.push(Tuple {
-                node: NodeId((at + len) as u32),
-                ..cursor
-            });
-        if !requeued {
-            self.cursors -= 1;
-        }
-        let first = self.first_tight(cursor.state);
-        for i in at..at + len {
-            let node = self.successors.arena[i];
-            if self.visited.contains(cursor.start, node, cursor.state.0) {
-                continue;
-            }
-            let kind = if !self.cost_guided
-                || first.is_some_and(|(l, dir)| self.graph.may_have_edge(node, l, dir))
-            {
-                TupleKind::Visit
-            } else if let Some(kind) = self.lookahead(node, cursor.state) {
-                kind
-            } else {
-                self.stats.pruned_dead += 1;
-                continue;
-            };
-            self.add_tuple(Tuple {
-                node,
-                kind,
-                ..cursor
-            })?;
-        }
-        if self.cursors == 0 {
-            // Nothing queued reads the arena any more.
-            self.successors.arena.clear();
+    /// Trips as an exceeded budget does once the arena's length no longer
+    /// fits the `u32` position a run holds, before one is queued.
+    fn check_arena(&mut self) -> Result<()> {
+        let arena = self.successors.arena.len();
+        if arena > RUN_END.index() {
+            self.trip_reason = Some(TruncationReason::TupleBudget);
+            return Err(OmegaError::ResourceExhausted { tuples: arena });
         }
         Ok(())
     }
 
-    /// The layer of the first plain symbol transition out of `state` that
-    /// keeps `h(state)`, looked up once per block: the bit a node's probe
-    /// tests first. `None` under inference (symbols then always may fire)
-    /// or when no such transition exists.
-    fn first_tight(&self, state: StateId) -> Option<(LabelId, Direction)> {
-        let bounds = &self.plan.bounds;
-        let h = bounds.get(state);
-        self.plan.nfa.transitions_from(state).iter().find_map(|t| {
-            if t.cost.saturating_add(bounds.get(t.to)) != h || self.plan.inference {
-                return None;
-            }
-            match &t.label {
-                TransitionLabel::Symbol {
-                    label: Some(l),
-                    inverse,
-                    ..
-                } => Some((
-                    *l,
-                    if *inverse {
-                        Direction::Incoming
-                    } else {
-                        Direction::Outgoing
-                    },
-                )),
-                _ => None,
-            }
-        })
+    /// Copies `members` into the arena, closed by [`RUN_END`]: the position
+    /// a run over them holds.
+    fn copy_run(&mut self, members: &[NodeId]) -> Result<NodeId> {
+        self.check_arena()?;
+        let arena = &mut self.successors.arena;
+        let at = NodeId(arena.len() as u32);
+        arena.extend_from_slice(members);
+        arena.push(RUN_END);
+        Ok(at)
     }
 
-    /// How a cursor releases `node` in `state`, by `h⁺(node, state)` (see
-    /// "Keys that look one step ahead"): a plain visit when `h⁺ = h(state)`,
-    /// raised when `h⁺ > h(state)`, not at all (`None`) when `h⁺` is dead;
-    /// asked for the nodes that fail the block's [`Self::first_tight`] bit.
+    /// A popped cursor or raised run: its next [`BLOCK`] members, handled as
+    /// a set (see "Successors as cursors"), after a cursor has re-queued the
+    /// rest of its run. Members not visited yet are visited in place — a
+    /// cursor's as the occupancy probe says — or raised together, or
+    /// dropped as dead.
+    fn next_block(&mut self, run: Tuple) -> Result<()> {
+        let cursor = run.kind == TupleKind::Cursor;
+        self.stats.cursor_blocks += u64::from(cursor);
+        let at = run.node.index();
+        let members = &self.successors.arena[at..];
+        let len = members
+            .iter()
+            .take(BLOCK)
+            .position(|&m| m == RUN_END)
+            .unwrap_or(BLOCK);
+        // `members[len]` exists: the end marker stopped the block, or a full
+        // block lies before it (a raised run holds one at most). The re-push
+        // cannot be pruned: this state and distance were admitted under this
+        // ψ. `at + len` is below the arena's length, which fits a `u32`.
+        let requeued = members[len] != RUN_END
+            && self.push(Tuple {
+                node: NodeId((at + len) as u32),
+                ..run
+            });
+        if !requeued {
+            self.cursors -= 1;
+        }
+        let (probe, filter) = if self.cost_guided {
+            (cursor, CostFilter::ZeroOnly)
+        } else {
+            (false, CostFilter::All)
+        };
+        let mut fresh = [RUN_END; BLOCK];
+        let mut raised = [RUN_END; BLOCK];
+        let (mut fresh_len, mut raised_len) = (0, 0);
+        for i in at..at + len {
+            let node = self.successors.arena[i];
+            let kind = if probe {
+                self.lookahead(node, run.state)
+            } else {
+                Some(TupleKind::Visit)
+            };
+            match kind {
+                Some(TupleKind::Visit) => {
+                    if self.visited.insert(run.start, node, run.state.0) {
+                        fresh[fresh_len] = node;
+                        fresh_len += 1;
+                    }
+                }
+                _ if self.visited.contains(run.start, node, run.state.0) => {}
+                Some(_) => {
+                    raised[raised_len] = node;
+                    raised_len += 1;
+                }
+                None => self.stats.pruned_dead += 1,
+            }
+        }
+        let fresh = &fresh[..fresh_len];
+        // A raised member was counted as added when it was raised.
+        self.stats.tuples_added += fresh_len as u64 * u64::from(cursor);
+        self.stats.tuples_processed += fresh_len as u64;
+        self.expand(run, fresh, filter)?;
+        self.queue_owed(run, fresh)?;
+        if raised_len > 0 {
+            self.stats.tuples_added += raised_len as u64;
+            self.stats.raised_keys += raised_len as u64;
+            let raised = Tuple {
+                node: self.copy_run(&raised[..raised_len])?,
+                kind: TupleKind::RaisedRun,
+                ..run
+            };
+            if self.push(raised) {
+                self.cursors += 1;
+            }
+            self.check_budget()?;
+        }
+        Ok(())
+    }
+
+    /// Queues what the `members` of `run` visited in place still owe, over
+    /// one arena copy: a [`TupleKind::DeferredRun`] (raised after a raised
+    /// run) and a [`TupleKind::FinalRun`].
+    fn queue_owed(&mut self, run: Tuple, members: &[NodeId]) -> Result<()> {
+        let defers = self.cost_guided && self.plan.defer_delta(run.state) != u32::MAX;
+        let weight = self.plan.nfa.final_weight(run.state);
+        if members.is_empty() || (!defers && weight.is_none()) {
+            return Ok(());
+        }
+        let owed = Tuple {
+            node: self.copy_run(members)?,
+            ..run
+        };
+        let raised = run.kind == TupleKind::RaisedRun;
+        if defers && self.add_deferred(owed, TupleKind::DeferredRun, raised)? {
+            self.cursors += 1;
+        }
+        if let Some(weight) = weight {
+            let pending = Tuple {
+                kind: TupleKind::FinalRun,
+                distance: owed.distance + weight,
+                ..owed
+            };
+            if self.push(pending) {
+                self.cursors += 1;
+                self.stats.tuples_added += 1;
+            }
+        }
+        self.check_budget()
+    }
+
+    /// How a cursor block takes `node` in `state`, by `h⁺(node, state)` (see
+    /// "Keys that look one step ahead"): visited in place
+    /// ([`TupleKind::Visit`]) when `h⁺ = h(state)`, into the block's
+    /// [`TupleKind::RaisedRun`] when `h⁺ > h(state)`, not at all (`None`)
+    /// when `h⁺` is dead.
     /// The transitions that keep `h(state)` are probed first, returning at
     /// the first that may fire; the rest only matter when no final weight
     /// bounds `h⁺`, to tell a raise from a dead end, since a raise is one
@@ -705,7 +785,7 @@ impl<'a> ConjunctEvaluator<'a> {
                 .iter()
                 .any(|t| step(t) != MinCostToAccept::DEAD && fires(t))
         {
-            Some(TupleKind::Raised)
+            Some(TupleKind::RaisedRun)
         } else {
             None
         }
@@ -1424,6 +1504,99 @@ mod tests {
         let guided = drain(true);
         assert!(guided.contains(&("w0".to_owned(), 3)));
         assert_eq!(guided, drain(false));
+    }
+
+    /// Drains `query`'s last conjunct, asserting that a cursor read a wide
+    /// run.
+    fn drain_through_a_cursor(
+        query: &str,
+        g: &GraphStore,
+        options: &EvalOptions,
+    ) -> (Vec<ConjunctAnswer>, EvalStats) {
+        let q = parse_query(query).unwrap();
+        let o = Ontology::new();
+        let conjunct = q.conjuncts.last().unwrap();
+        let mut eval = evaluate_conjunct(conjunct, g, &o, options).unwrap();
+        let answers = eval.collect(None).unwrap();
+        assert!(eval.stats().cursor_blocks > 0, "{query}: no cursor block");
+        (answers, eval.stats())
+    }
+
+    #[test]
+    fn a_final_run_honours_a_constant_object_and_equal_endpoints() {
+        // `hub` reaches 200 members over `p`, `hub` itself among them, so
+        // the members' pending answers are final runs wider than a block.
+        // `m150` has as many `p` edges in as `hub` has out, so a doubly
+        // constant conjunct keeps the forward direction.
+        let mut g = GraphStore::new();
+        for i in 0..200 {
+            g.add_triple("hub", "p", &format!("m{i}"));
+            g.add_triple(&format!("z{i}"), "p", "m150");
+        }
+        g.add_triple("hub", "p", "hub");
+        g.freeze();
+        let node = |name: &str| g.node_by_label(name).unwrap();
+        for cost_guided in [true, false] {
+            let options = EvalOptions::default().with_cost_guided(cost_guided);
+            let (answers, _) =
+                drain_through_a_cursor("(?X) <- (?X, p, ?X), (hub, p, m150)", &g, &options);
+            let pairs: Vec<_> = answers.iter().map(|a| (a.x, a.y, a.distance)).collect();
+            assert_eq!(pairs, [(node("hub"), node("m150"), 0)]);
+            let (answers, _) = drain_through_a_cursor("(?X) <- (?X, p, ?X)", &g, &options);
+            let pairs: Vec<_> = answers.iter().map(|a| (a.x, a.y, a.distance)).collect();
+            assert_eq!(pairs, [(node("hub"), node("hub"), 0)]);
+        }
+    }
+
+    #[test]
+    fn a_distance_ceiling_prunes_one_placeholder_per_run() {
+        // `s` reaches 100 members over `h`: two blocks, visited in place at
+        // distance 0 and key 0. Under ψ = 0 each block's deferred run (key
+        // 1) is pruned once, beside the seed's own deferred tuple (key 1)
+        // and pending answer (distance 1, deleting `h`); one pruning per
+        // member would read 100 more.
+        let mut g = GraphStore::new();
+        for i in 0..100 {
+            g.add_triple("s", "h", &format!("m{i}"));
+        }
+        g.freeze();
+        let options = EvalOptions::default()
+            .with_cost_guided(true)
+            .with_max_distance(Some(0));
+        let (answers, stats) = drain_through_a_cursor("(?Y) <- APPROX (s, h, ?Y)", &g, &options);
+        assert_eq!(answers.len(), 100);
+        assert!(answers.iter().all(|a| a.distance == 0));
+        assert_eq!(stats.cursor_blocks, 2);
+        assert_eq!(stats.pruned_bound, 1 + stats.cursor_blocks, "{stats}");
+        assert_eq!(stats.suppressed, stats.pruned_bound + 1, "{stats}");
+    }
+
+    #[test]
+    fn a_tuple_budget_trips_inside_runs_and_degrades_to_a_prefix() {
+        let (g, o) = hub_graph();
+        let q = parse_query(HUB_QUERY).unwrap();
+        let run = |options: EvalOptions| {
+            let mut eval = evaluate_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap();
+            let answers = eval.collect(None);
+            (answers, eval.stats())
+        };
+        for cost_guided in [true, false] {
+            let options = EvalOptions::default().with_cost_guided(cost_guided);
+            let (full, _) = run(options.clone());
+            let full = full.unwrap();
+            let capped = options.with_max_tuples(Some(8_000));
+            let (tripped, _) = run(capped.clone());
+            assert!(
+                matches!(tripped, Err(OmegaError::ResourceExhausted { .. })),
+                "cost_guided {cost_guided}: the budget did not trip"
+            );
+            let (prefix, stats) = run(capped.with_on_overload(OverloadPolicy::Degrade));
+            let prefix = prefix.unwrap();
+            assert!(stats.degraded && stats.cursor_blocks > 0, "{stats}");
+            assert_eq!(stats.truncation, Some(TruncationReason::TupleBudget));
+            assert!(!prefix.is_empty() && prefix.len() < full.len());
+            assert_eq!(prefix, full[..prefix.len()], "cost_guided {cost_guided}");
+        }
     }
 
     #[test]

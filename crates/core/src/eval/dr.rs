@@ -28,12 +28,12 @@
 //! back to a sorted overflow map so memory stays bounded by the number of
 //! *distinct* keys, not their magnitude.
 //!
-//! Within a key, a visit a successor cursor queued above its state's bound
-//! ([`TupleKind::Raised`]) pops before the plain traversal tuples: such a
-//! visit may carry a smaller distance than a plain twin of the same
-//! `(start, node, state)` at the same key, and the first of them to pop is
-//! the one the visited set keeps (`crate::eval::conjunct`, "Keys that look
-//! one step ahead").
+//! Within a key, a run of visits a successor cursor queued above their
+//! state's bound ([`TupleKind::RaisedRun`]) pops before the plain traversal
+//! tuples: its members may carry a smaller distance than a plain twin of the
+//! same `(start, node, state)` at the same key, and the first of them to be
+//! visited is the one the visited set keeps (`crate::eval::conjunct`, "Keys
+//! that look one step ahead").
 
 use std::collections::BTreeMap;
 
@@ -45,8 +45,8 @@ use crate::eval::tuple::{Tuple, TupleKind};
 const DENSE_LIMIT: u32 = 4096;
 
 /// One key's tuples by rank, each list popped LIFO and emptied before the
-/// next: final tuples (pending answers, when prioritised), raised visits,
-/// then everything else.
+/// next: final tuples and runs (pending answers, when prioritised), raised
+/// runs, then everything else.
 #[derive(Debug, Default)]
 struct Bucket([Vec<Tuple>; 3]);
 
@@ -88,8 +88,8 @@ impl DrQueue {
     pub fn push(&mut self, tuple: Tuple, key: u32) {
         self.len += 1;
         let rank = match tuple.kind {
-            TupleKind::Final if self.prioritize_final => 0,
-            TupleKind::Raised => 1,
+            TupleKind::Final | TupleKind::FinalRun if self.prioritize_final => 0,
+            TupleKind::RaisedRun => 1,
             _ => 2,
         };
         if key < DENSE_LIMIT {
@@ -110,7 +110,7 @@ impl DrQueue {
     }
 
     /// Removes a tuple from the minimum-key bucket, by rank: final tuples
-    /// first, then raised visits.
+    /// first, then raised runs.
     pub fn pop(&mut self) -> Option<Tuple> {
         while self.cursor < self.buckets.len() {
             if let Some(tuple) = self.buckets[self.cursor].0.iter_mut().find_map(Vec::pop) {
@@ -231,11 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn raised_visits_pop_after_finals_and_before_the_rest_of_their_key() {
+    fn raised_runs_pop_after_finals_and_before_the_rest_of_their_key() {
         for prioritize_final in [true, false] {
             let mut q = DrQueue::new(prioritize_final);
             let raised = Tuple {
-                kind: TupleKind::Raised,
+                kind: TupleKind::RaisedRun,
                 ..tuple(0, false, 1)
             };
             push_g(&mut q, raised);

@@ -27,6 +27,7 @@ use omega_ontology::Ontology;
 
 use crate::error::{OmegaError, Result};
 use crate::eval::options::EvalOptions;
+use crate::eval::succ::ExpansionTable;
 use crate::query::ast::{Conjunct, QueryMode, Term};
 
 /// Where a conjunct's evaluation starts.
@@ -91,6 +92,9 @@ pub struct ConjunctPlan {
     /// `g + defer_delta[state]` — the earliest key at which any of those
     /// successors could matter.
     defer_delta: Vec<u32>,
+    /// Every state's transitions grouped by label, dead targets marked:
+    /// the one table `Succ` expands from.
+    pub expansion: ExpansionTable,
     /// Estimated number of seed nodes this conjunct's evaluation starts
     /// from, read off the frozen label statistics. The rank join orders its
     /// input streams by this estimate (most selective first).
@@ -262,6 +266,7 @@ pub fn compile_conjunct(
                 .unwrap_or(u32::MAX)
         })
         .collect();
+    let expansion = ExpansionTable::compile(&nfa, &bounds);
 
     // Seed-cardinality estimate for the rank join's stream ordering.
     let estimated_seed_count = match &seeds {
@@ -306,6 +311,7 @@ pub fn compile_conjunct(
         phi,
         bounds,
         defer_delta,
+        expansion,
         estimated_seed_count,
     })
 }

@@ -28,9 +28,12 @@ impl TruncationReason {
 /// Counters accumulated during evaluation of a conjunct or query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Tuples added to the distance dictionary `D_R`.
+    /// Tuples added to the distance dictionary `D_R`: a visit however it
+    /// goes in (on its own, in place, or raised), and a pending answer or
+    /// run of them; never a cursor or a deferred placeholder.
     pub tuples_added: u64,
-    /// Tuples removed from `D_R` and processed by `GetNext`.
+    /// Tuples removed from `D_R` and processed by `GetNext`; a visit a
+    /// cursor block makes in place counts here too.
     pub tuples_processed: u64,
     /// Calls to the `Succ` function.
     pub succ_calls: u64,
@@ -58,14 +61,13 @@ pub struct EvalStats {
     /// edit / relaxation successors were materialised only once the distance
     /// cursor reached them (cost-guided evaluation).
     pub deferred_expansions: u64,
-    /// Blocks of a wide run's neighbours released by popping its cursor:
-    /// each is at most [`crate::eval::succ::BLOCK`] visits, which count in
-    /// `tuples_added` as they go in (the cursor itself never does).
+    /// Blocks of a wide run's neighbours handled by popping its cursor:
+    /// each is at most [`crate::eval::succ::BLOCK`] visits.
     pub cursor_blocks: u64,
-    /// Visits a cursor queued one key above their state's bound, because
-    /// no transition that may fire at their node keeps it (cost-guided
-    /// evaluation; occupancy probes, see `crate::eval::conjunct`). Each is
-    /// also one of `tuples_added`.
+    /// Visits a cursor block queued one key above their state's bound,
+    /// because no transition that may fire at their node keeps it
+    /// (cost-guided evaluation; occupancy probes, see
+    /// `crate::eval::conjunct`). Each is also one of `tuples_added`.
     pub raised_keys: u64,
     /// Shed retries performed: executions that were re-admitted with shrunk
     /// budgets after an initial overload rejection

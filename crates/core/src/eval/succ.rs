@@ -8,6 +8,9 @@
 //! carrying the same label reuse a single neighbour lookup (the paper's
 //! `prevlabel` refinement).
 //!
+//! Which transitions share a lookup does not depend on `n`: the plan's
+//! [`ExpansionTable`] groups them once, and [`succ`] walks its groups.
+//!
 //! This is the hottest code in the engine, so it is written to avoid heap
 //! allocation entirely on the common path: [`neighbours_by_edge`] returns a
 //! borrowed `&[NodeId]` — for plain symbol transitions that is the graph's
@@ -22,7 +25,7 @@
 //! as one [`WideRun`] per transition, which the evaluator turns into a
 //! cursor that releases the neighbours a block at a time.
 
-use omega_automata::{MinCostToAccept, StateId, TransitionLabel, WeightedNfa};
+use omega_automata::{MinCostToAccept, StateId, Transition, TransitionLabel, WeightedNfa};
 use omega_graph::{Direction, GraphStore, LabelId, NodeId};
 use omega_ontology::Ontology;
 
@@ -35,7 +38,8 @@ use crate::eval::stats::EvalStats;
 /// positive-cost successors (wildcard edits, relaxations) only when a
 /// deferred placeholder re-pops at the key where they can first matter —
 /// so a label whose transitions are all filtered out never even pays its
-/// neighbour lookup.
+/// neighbour lookup. The cost-guided filters also drop the transitions into
+/// dead states (`pruned_dead`); the unguided [`CostFilter::All`] keeps them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostFilter {
     /// Every transition (plain, non-guided evaluation).
@@ -46,14 +50,65 @@ pub enum CostFilter {
     PositiveOnly,
 }
 
-impl CostFilter {
-    #[inline]
-    fn admits(self, cost: u32) -> bool {
-        match self {
-            CostFilter::All => true,
-            CostFilter::ZeroOnly => cost == 0,
-            CostFilter::PositiveOnly => cost > 0,
+/// One group of a state's transitions sharing a label:
+/// `transitions_from(state)[first..end]`, cost-0 ones before `zero_end` (the
+/// automaton sorts each state's transitions by label, then cost).
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    first: u32,
+    zero_end: u32,
+    end: u32,
+    /// How many of its cost-0 and of its positive-cost transitions lead
+    /// into dead states.
+    dead: [u32; 2],
+}
+
+/// Every state's transitions grouped by label, with their dead targets
+/// marked: what [`succ`] walks, compiled once per plan.
+#[derive(Debug, Clone, Default)]
+pub struct ExpansionTable {
+    /// The groups of `state` are `groups[index[state] .. index[state + 1]]`.
+    index: Vec<u32>,
+    groups: Vec<Group>,
+    /// Whether each state can never reach acceptance against this graph.
+    dead: Vec<bool>,
+}
+
+impl ExpansionTable {
+    /// Groups `nfa`'s transitions by label and marks the states `bounds`
+    /// calls dead.
+    pub fn compile(nfa: &WeightedNfa, bounds: &MinCostToAccept) -> ExpansionTable {
+        let mut table = ExpansionTable {
+            index: Vec::with_capacity(nfa.state_count() + 1),
+            groups: Vec::with_capacity(nfa.transition_count()),
+            dead: nfa.states().map(|s| bounds.is_dead(s)).collect(),
+        };
+        let dead = |ts: &[Transition]| ts.iter().filter(|t| bounds.is_dead(t.to)).count() as u32;
+        table.index.push(0);
+        for state in nfa.states() {
+            let transitions = nfa.transitions_from(state);
+            let mut first = 0;
+            for run in transitions.chunk_by(|a, b| a.label == b.label) {
+                debug_assert!(run.is_sorted_by_key(|t| t.cost));
+                let zero = run.partition_point(|t| t.cost == 0);
+                table.groups.push(Group {
+                    first,
+                    zero_end: first + zero as u32,
+                    end: first + run.len() as u32,
+                    dead: [dead(&run[..zero]), dead(&run[zero..])],
+                });
+                first += run.len() as u32;
+            }
+            table.index.push(table.groups.len() as u32);
         }
+        table
+    }
+
+    /// The groups out of `state`.
+    #[inline]
+    fn groups(&self, state: StateId) -> &[Group] {
+        let at = state.index();
+        &self.groups[self.index[at] as usize..self.index[at + 1] as usize]
     }
 }
 
@@ -94,7 +149,8 @@ pub struct WideRun {
     pub at: u32,
 }
 
-/// What [`succ`] produces, in buffers its caller reuses.
+/// What [`succ`] produces, in buffers its caller reuses: after the first
+/// few calls they stop growing and every expansion is allocation-free.
 #[derive(Debug, Default)]
 pub struct Successors {
     /// One entry per transition and neighbour of every run of at most
@@ -107,6 +163,8 @@ pub struct Successors {
     /// cursors read it long after the call that filled it; the caller
     /// clears it once nothing does, and keeps its length within `u32`.
     pub arena: Vec<NodeId>,
+    /// Computed neighbour sets (wildcards, inference, `TypeTo`).
+    neighbours: Vec<NodeId>,
 }
 
 impl Successors {
@@ -123,25 +181,6 @@ impl Successors {
                 })
         });
         self.steps.iter().copied().chain(wide)
-    }
-}
-
-/// Reusable buffers for [`succ`].
-///
-/// One instance lives in each evaluator; after the first few calls the
-/// buffers stop growing and every expansion is allocation-free.
-#[derive(Debug, Default)]
-pub struct SuccScratch {
-    /// Computed neighbour sets (wildcards, inference, `TypeTo`).
-    neighbours: Vec<NodeId>,
-    /// `(cost, state)` pairs of the current same-label transition run.
-    run: Vec<(u32, StateId)>,
-}
-
-impl SuccScratch {
-    /// Creates empty scratch buffers.
-    pub fn new() -> SuccScratch {
-        SuccScratch::default()
     }
 }
 
@@ -358,82 +397,84 @@ fn extend_counting<I: Iterator<Item = NodeId>>(
     contributors
 }
 
-/// The paper's `Succ(s, n)`: the product-automaton transitions leaving
-/// `(s, n)` that `filter` admits, into `out` (`steps` and `wide` cleared
-/// first; `arena` only appended to).
+/// The paper's `Succ(s, n)` for every `n` of `nodes` at once: the
+/// product-automaton transitions leaving each `(s, n)` that `filter`
+/// admits, into `out` (`steps` and `wide` cleared first; `arena` only
+/// appended to). A popped tuple passes its one node; a cursor block, the
+/// members it visits.
 ///
-/// Consecutive automaton transitions with the same label (the automaton keeps
-/// its transitions label-sorted) share one `neighbours_by_edge` call, and the
-/// caller's `out` / `scratch` buffers are reused so the steady state performs
-/// no allocation. A run whose lookup reaches more than [`BLOCK`] neighbours
-/// copies them once into `out.arena` and yields one [`WideRun`] per
-/// transition instead of one step per transition and neighbour. When
-/// `bounds` is supplied (cost-guided evaluation), transitions into dead
-/// automaton states — states that can never reach acceptance against this
-/// graph — are dropped before any adjacency is touched, and a label whose
-/// entire run is filtered out skips its neighbour lookup altogether.
+/// The transitions `filter` admits from each of `table`'s groups for `s`
+/// share one `neighbours_by_edge` call per node, and `out`'s buffers are
+/// reused so the steady state performs no allocation. A group whose lookup reaches more
+/// than [`BLOCK`] neighbours copies them once into `out.arena` and yields
+/// one [`WideRun`] per transition instead of one step per transition and
+/// neighbour. A group whose admitted transitions all lead into dead states
+/// (cost-guided filters only) skips its neighbour lookups altogether.
 #[allow(clippy::too_many_arguments)]
 pub fn succ(
     graph: &GraphStore,
     ontology: &Ontology,
     inference: bool,
     nfa: &WeightedNfa,
+    table: &ExpansionTable,
     state: StateId,
-    node: NodeId,
+    nodes: &[NodeId],
     filter: CostFilter,
-    bounds: Option<&MinCostToAccept>,
     out: &mut Successors,
-    scratch: &mut SuccScratch,
     stats: &mut EvalStats,
 ) {
-    stats.succ_calls += 1;
-    out.steps.clear();
-    out.wide.clear();
-    let SuccScratch { neighbours, run } = scratch;
-    let mut transitions = nfa.transitions_from(state).iter().peekable();
-    while let Some(first) = transitions.next() {
-        // Gather the admitted run of transitions sharing `first.label`.
-        run.clear();
-        for t in std::iter::once(first).chain(std::iter::from_fn(|| {
-            transitions.next_if(|next| next.label == first.label)
-        })) {
-            if !filter.admits(t.cost) {
+    stats.succ_calls += nodes.len() as u64;
+    let Successors {
+        steps,
+        wide,
+        arena,
+        neighbours,
+    } = out;
+    steps.clear();
+    wide.clear();
+    let transitions = nfa.transitions_from(state);
+    for group in table.groups(state) {
+        let (from, to, dead) = match filter {
+            CostFilter::All => (group.first, group.end, 0),
+            CostFilter::ZeroOnly => (group.first, group.zero_end, group.dead[0]),
+            CostFilter::PositiveOnly => (group.zero_end, group.end, group.dead[1]),
+        };
+        stats.pruned_dead += u64::from(dead) * nodes.len() as u64;
+        let run = &transitions[from as usize..to as usize];
+        if run.len() == dead as usize {
+            continue; // nothing admitted, or only transitions into dead states
+        }
+        let live = |t: &&Transition| dead == 0 || !table.dead[t.to.index()];
+        for &node in nodes {
+            let reached = neighbours_by_edge(
+                graph,
+                ontology,
+                inference,
+                node,
+                &run[0].label,
+                neighbours,
+                stats,
+            );
+            if reached.len() > BLOCK {
+                debug_assert!(!reached.contains(&RUN_END));
+                let at = arena.len() as u32;
+                arena.extend_from_slice(reached);
+                arena.push(RUN_END);
+                wide.extend(run.iter().filter(live).map(|t| WideRun {
+                    cost: t.cost,
+                    state: t.to,
+                    at,
+                }));
                 continue;
             }
-            if bounds.is_some_and(|b| b.is_dead(t.to)) {
-                stats.pruned_dead += 1;
-                continue;
-            }
-            run.push((t.cost, t.to));
-        }
-        if run.is_empty() {
-            continue;
-        }
-        let reached = neighbours_by_edge(
-            graph,
-            ontology,
-            inference,
-            node,
-            &first.label,
-            &mut *neighbours,
-            stats,
-        );
-        if reached.len() > BLOCK {
-            debug_assert!(!reached.contains(&RUN_END));
-            let at = out.arena.len() as u32;
-            out.arena.extend_from_slice(reached);
-            out.arena.push(RUN_END);
-            out.wide
-                .extend(run.iter().map(|&(cost, state)| WideRun { cost, state, at }));
-            continue;
-        }
-        for &(cost, to) in run.iter() {
-            for &m in reached {
-                out.steps.push(SuccTransition {
-                    cost,
-                    state: to,
-                    node: m,
-                });
+            for t in run.iter().filter(live) {
+                for &m in reached {
+                    steps.push(SuccTransition {
+                        cost: t.cost,
+                        state: t.to,
+                        node: m,
+                    });
+                }
             }
         }
     }
@@ -473,6 +514,11 @@ mod tests {
         neighbours_by_edge(graph, ontology, inference, node, label, &mut buf, stats).to_vec()
     }
 
+    /// `nfa`'s table, with the bounds of a graph that fires every label.
+    fn table(nfa: &WeightedNfa) -> ExpansionTable {
+        ExpansionTable::compile(nfa, &MinCostToAccept::compute(nfa))
+    }
+
     fn run_succ(
         graph: &GraphStore,
         ontology: &Ontology,
@@ -482,18 +528,16 @@ mod tests {
         stats: &mut EvalStats,
     ) -> Vec<SuccTransition> {
         let mut out = Successors::default();
-        let mut scratch = SuccScratch::new();
         succ(
             graph,
             ontology,
             false,
             nfa,
+            &table(nfa),
             state,
-            node,
+            &[node],
             CostFilter::All,
-            None,
             &mut out,
-            &mut scratch,
             stats,
         );
         out.transitions().collect()
@@ -741,12 +785,11 @@ mod tests {
             &o,
             false,
             &nfa,
+            &table(&nfa),
             nfa.initial(),
-            hub,
+            &[hub],
             CostFilter::All,
-            None,
             &mut out,
-            &mut SuccScratch::new(),
             &mut stats,
         );
         assert!(out.steps.is_empty());
@@ -846,19 +889,18 @@ mod tests {
         let mut stats = EvalStats::default();
         let nfa = omega_automata::remove_epsilons(&build_nfa(&parse("knows").unwrap(), &g));
         let a = g.node_by_label("a").unwrap();
+        let table = table(&nfa);
         let mut out = Successors::default();
-        let mut scratch = SuccScratch::new();
         succ(
             &g,
             &o,
             false,
             &nfa,
+            &table,
             nfa.initial(),
-            a,
+            &[a],
             CostFilter::All,
-            None,
             &mut out,
-            &mut scratch,
             &mut stats,
         );
         let first = out.steps.clone();
@@ -867,12 +909,11 @@ mod tests {
             &o,
             false,
             &nfa,
+            &table,
             nfa.initial(),
-            a,
+            &[a],
             CostFilter::All,
-            None,
             &mut out,
-            &mut scratch,
             &mut stats,
         );
         assert_eq!(out.steps, first, "stale entries must not accumulate");
@@ -887,20 +928,19 @@ mod tests {
             &ApproxConfig::default(),
         ));
         let a = g.node_by_label("a").unwrap();
-        let mut scratch = SuccScratch::new();
-        let mut run = |filter: CostFilter, stats: &mut EvalStats| {
+        let table = table(&nfa);
+        let run = |filter: CostFilter, stats: &mut EvalStats| {
             let mut out = Successors::default();
             succ(
                 &g,
                 &o,
                 false,
                 &nfa,
+                &table,
                 nfa.initial(),
-                a,
+                &[a],
                 filter,
-                None,
                 &mut out,
-                &mut scratch,
                 stats,
             );
             out.transitions().collect::<Vec<_>>()
@@ -927,7 +967,6 @@ mod tests {
 
     #[test]
     fn dead_states_are_pruned_before_the_lookup() {
-        use omega_automata::MinCostToAccept;
         let (g, o) = setup();
         let nfa = omega_automata::remove_epsilons(&build_nfa(&parse("knows.ghost").unwrap(), &g));
         let a = g.node_by_label("a").unwrap();
@@ -936,20 +975,19 @@ mod tests {
         let bounds = MinCostToAccept::compute_with(&nfa, |l| {
             !matches!(l, TransitionLabel::Symbol { label: None, .. })
         });
+        let table = ExpansionTable::compile(&nfa, &bounds);
         let mut out = Successors::default();
-        let mut scratch = SuccScratch::new();
         let mut stats = EvalStats::default();
         succ(
             &g,
             &o,
             false,
             &nfa,
+            &table,
             nfa.initial(),
-            a,
-            CostFilter::All,
-            Some(&bounds),
+            &[a],
+            CostFilter::ZeroOnly,
             &mut out,
-            &mut scratch,
             &mut stats,
         );
         assert!(
@@ -961,5 +999,21 @@ mod tests {
             stats.neighbour_lookups, 0,
             "the adjacency must never be touched for a fully dead run"
         );
+        // The unguided ablation follows it anyway.
+        let mut stats = EvalStats::default();
+        succ(
+            &g,
+            &o,
+            false,
+            &nfa,
+            &table,
+            nfa.initial(),
+            &[a],
+            CostFilter::All,
+            &mut out,
+            &mut stats,
+        );
+        assert_eq!(out.transitions().count(), 1);
+        assert_eq!(stats.pruned_dead, 0);
     }
 }

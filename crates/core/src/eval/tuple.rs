@@ -4,16 +4,16 @@ use omega_automata::StateId;
 use omega_graph::NodeId;
 
 /// What a [`Tuple`] in `D_R` stands for.
+///
+/// The last four kinds are *runs*: `node` is an arena position, and the
+/// tuple stands for every member from there to the run's end marker, with
+/// its `start`, `state` and `distance` (see `crate::eval::conjunct`,
+/// "Successors as cursors"). To the governor a run is one live `D_R` entry
+/// and its members one each, until the arena is cleared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TupleKind {
     /// A traversal frontier entry: visit `node` in `state`.
     Visit,
-    /// A [`TupleKind::Visit`] a successor cursor released one key above its
-    /// state's bound `g + h(state)`, because no transition that could fire
-    /// at `node` keeps `h` (cost-guided evaluation; see "Keys that look one
-    /// step ahead" in `crate::eval::conjunct`). It pops before the plain
-    /// tuples of its key.
-    Raised,
     /// A complete answer waiting to be emitted (the paper's 'final' tuple).
     Final,
     /// Cost-guided evaluation: a placeholder re-queued at the key of the
@@ -24,28 +24,32 @@ pub enum TupleKind {
     Deferred,
     /// The unread rest of one wide `Succ` run (more than
     /// [`crate::eval::succ::BLOCK`] neighbours over one label, for one
-    /// automaton transition): the visits `(v, m, s, d)` for every `m` from
-    /// arena position `node` up to the run's end marker. It sits at the key
-    /// those visits would have had — one `state`, one `distance`, so one key
-    /// — and each pop re-queues it there *first* and then releases the next
-    /// block. `D_R` is LIFO within a key, so the block pops before the rest
-    /// of its run, and a top-`k` that completes never reads the remainder.
-    /// To the governor it is one live `D_R` entry, and its run one more per
-    /// arena entry until the evaluator clears the arena.
+    /// automaton transition), at the key its visits would have had. Each
+    /// pop re-queues it there *first*, then handles the next block as a set.
     Cursor,
+    /// The [`TupleKind::Deferred`] placeholders of one block's visits.
+    DeferredRun,
+    /// The [`TupleKind::Final`] tuples of one block's visits, each checked
+    /// against the final annotation and `answers_R` as the run pops, one
+    /// answer per pop.
+    FinalRun,
+    /// One cursor block's members that the occupancy probe keyed one above
+    /// `g + h(s)`: it pops before the plain tuples of its key and visits
+    /// them.
+    RaisedRun,
 }
 
 /// A traversal tuple `(v, n, s, d, f)` as described in Section 3.3 of the
 /// paper: visiting node `n` in automaton state `s`, having started from node
 /// `v`, at distance `d`; `kind` says whether it is a frontier entry, a
-/// complete answer waiting to be emitted, or one of the evaluator's two
-/// placeholders for successors not materialised yet.
+/// complete answer waiting to be emitted, a placeholder for successors not
+/// materialised yet, or a run of any of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tuple {
     /// The node evaluation started from (`v`).
     pub start: NodeId,
-    /// The node currently being visited (`n`); for a
-    /// [`TupleKind::Cursor`], the arena position of its next neighbour.
+    /// The node currently being visited (`n`); for a run, the arena
+    /// position of its next member.
     pub node: NodeId,
     /// The automaton state (`s`).
     pub state: StateId,
@@ -67,9 +71,10 @@ impl Tuple {
         }
     }
 
-    /// Whether this is a pending answer rather than traversal work.
+    /// Whether this is a pending answer (or a run of them) rather than
+    /// traversal work.
     pub fn is_final(&self) -> bool {
-        self.kind == TupleKind::Final
+        matches!(self.kind, TupleKind::Final | TupleKind::FinalRun)
     }
 }
 

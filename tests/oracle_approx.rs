@@ -13,13 +13,16 @@
 //!
 //! The graphs are layered DAGs over at most three labels, with one layer
 //! wider than two of the evaluator's 64-neighbour blocks and a hub linked to
-//! all of it, so that wide `Succ` runs become cursors: two random ones, and
-//! one built so that most of the wide layer lacks every label a query can
-//! continue on after the hub, so that the cursors' releases are keyed by
-//! what may fire at each member (`EvalStats::raised_keys`). Every stream is
-//! also checked to come out in non-decreasing distance: a raise the
-//! occupancy probe should not have made would emit an exact answer after an
-//! inexact one.
+//! all of it, so that wide `Succ` runs become cursors: two random ones; one
+//! built so that most of the wide layer lacks every label a query can
+//! continue on after the hub, so that the cursors' blocks are keyed by what
+//! may fire at each member (`EvalStats::raised_keys`); and one shaped like
+//! the paper's Q8, a class whose instances only a wildcard edit reaches and
+//! whose instances' classes lack the next label, so that whole blocks are
+//! visited in place, owe one deferred and one final run each, or are
+//! raised together. Every stream is also checked to come out in
+//! non-decreasing distance: a raise the occupancy probe should not have
+//! made would emit an exact answer after an inexact one.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -269,6 +272,41 @@ fn hub_case() -> Case {
     }
 }
 
+/// A class `n0_0` with [`WIDE`] instances over `p`, shaped like the paper's
+/// L4All Q8 under APPROX, `(class, type.prereq+, ?X)` with `q` for `type`
+/// and `r` for `prereq`: the class has no `q` edge, so only an insertion or
+/// a substitution wildcard reaches its instances, a block at a time, at
+/// distance 1. Each instance is typed (`q`) to one of three classes of
+/// layer 2 that lack `r`; one in sixteen also has an `r` edge of its own,
+/// and `r` continues from layer 2's last node.
+fn typed_instances_case() -> Case {
+    let widths = [2, WIDE, 4, 2];
+    let layers: Vec<Vec<String>> = widths
+        .iter()
+        .enumerate()
+        .map(|(layer, &width)| (0..width).map(|i| format!("n{layer}_{i}")).collect())
+        .collect();
+    let node = |layer: usize, i: usize| layers[layer][i].clone();
+    let mut triples = BTreeSet::new();
+    let mut edge = |s: String, p: &str, o: String| {
+        triples.insert((s, p.to_owned(), o));
+    };
+    for i in 0..WIDE {
+        edge(node(0, 0), "p", node(1, i));
+        edge(node(1, i), "q", node(2, i % 3));
+        if i % 16 == 5 {
+            edge(node(1, i), "r", node(2, 3));
+        }
+    }
+    edge(node(0, 1), "q", node(1, 0));
+    edge(node(2, 0), "p", node(3, 0));
+    edge(node(2, 3), "r", node(3, 1));
+    Case {
+        layers,
+        triples: triples.into_iter().collect(),
+    }
+}
+
 /// Every answer the engine returns up to [`MAX_DISTANCE`], and its stats;
 /// asserts that they come out in non-decreasing distance.
 fn engine(db: &Database, text: &str, cost_guided: bool) -> (Vec<Answer>, EvalStats) {
@@ -336,6 +374,14 @@ fn approx_distances_equal_the_oracle_with_a_hub_one_layer_down() {
 fn approx_distances_equal_the_oracle_where_hub_members_mostly_lack_the_next_label() {
     // `a` is always the hub's label `p`, `b` is `q`, `c` is `r`.
     check(&hub_case(), "hub case", |_, k| k);
+}
+
+#[test]
+fn approx_distances_equal_the_oracle_where_an_insertion_reaches_typed_instances() {
+    // `a` is `q` (the type edge), `b` is `r`, `c` is `p`: shape `a.b+` is Q8.
+    check(&typed_instances_case(), "typed instances case", |_, k| {
+        k + 1
+    });
 }
 
 /// Every shape over `case`, with its labels `a`, `b`, `c` for shape `i` the
