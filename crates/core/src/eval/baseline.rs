@@ -69,7 +69,7 @@ impl<'a> BaselineEvaluator<'a> {
                 .filter(|&&(_, d)| d == 0)
                 .map(|&(n, _)| n)
                 .collect(),
-            SeedSpec::AllNodes { .. } => self.graph.node_ids().collect(),
+            SeedSpec::AllNodes => self.graph.node_ids().collect(),
             SeedSpec::MatchingInitial => {
                 let mut set = omega_graph::NodeBitmap::new();
                 for label in self.plan.nfa.initial_labels() {

@@ -1,10 +1,24 @@
 //! The single-conjunct ranked evaluator — the paper's `GetNext` procedure
 //! over the lazily constructed weighted product automaton `H_R`.
 //!
+//! ## Seeds as a cursor
+//!
+//! Section 3.3 releases initial nodes into `D_R` in batches, each only once
+//! `D_R` holds no distance-0 tuple. The evaluator queues the
+//! [`InitialNodeFeed`] as one tuple for that, a [`TupleKind::Seeds`] cursor
+//! in the initial state at distance 0, through the ordinary `push`: at the
+//! key every seed enters at, `h(initial)` (0 without cost guidance). A dead
+//! initial state or a ψ below that key prunes it once, for every seed.
+//! Popping it re-queues it *first*, while the feed has seeds left, then
+//! pushes the feed's next `batch_size` seeds above it as visits (hinted
+//! seeds first and alone). Nothing is keyed below the seeds (`h` is
+//! consistent), and `D_R` is LIFO within a key, so the cursor pops again
+//! exactly when no other work at or below its key is left: when the
+//! paper's condition holds.
+//!
 //! ## Successors as cursors
 //!
-//! Section 3.3 releases initial nodes into `D_R` in batches, only when the
-//! frontier at their key runs dry; successors get the same treatment. When
+//! Successors get the same treatment one level down. When
 //! one same-label run of `Succ` reaches more than [`BLOCK`] neighbours (a
 //! class hub's instances behind `type-`, or a wildcard edit at a hub), the
 //! run is copied once into the evaluator's arena and each of its transitions
@@ -109,8 +123,9 @@ use crate::govern::TupleReservation;
 ///
 /// Answers are produced in non-decreasing distance order. The evaluator is a
 /// pull-based iterator: nothing beyond what is needed for the next answer is
-/// computed, and the initial-node feed is drained in batches only when the
-/// distance-0 frontier empties (Section 3.3 / 3.4 of the paper).
+/// computed, and a seed cursor in `D_R` releases the initial nodes a batch
+/// at a time, each once the work at the seeds' key has run out (Section
+/// 3.3 / 3.4 of the paper; see "Seeds as a cursor").
 ///
 /// ## Cost-guided mode
 ///
@@ -142,12 +157,6 @@ pub struct ConjunctEvaluator<'a> {
     psi: Option<u32>,
     /// Whether cost-guided evaluation (f-ordering, pruning, deferral) is on.
     cost_guided: bool,
-    /// The key fresh seeds enter the queue at (`h(initial)`; 0 when not
-    /// cost-guided). The next seed batch is due only once no work at or
-    /// below this key remains — with f-keys, gating on key 0 alone would
-    /// leave the gate permanently open whenever `h(initial) > 0` and flood
-    /// the whole feed in.
-    seed_key_floor: u32,
     /// Loop counter used to pace the wall-clock deadline checks.
     ticks: u64,
     dr: DrQueue,
@@ -197,25 +206,14 @@ impl<'a> ConjunctEvaluator<'a> {
         let dr = DrQueue::new(options.prioritize_final);
         let visited = VisitedSet::new(graph.node_count(), plan.nfa.state_count(), &plan.seeds);
         let cost_guided = options.cost_guided;
-        let seed_key_floor = if cost_guided {
-            match plan.bounds.get(plan.nfa.initial()) {
-                // A dead initial state prunes every seed anyway; keep the
-                // gate at 0 so the feed still drains promptly.
-                MinCostToAccept::DEAD => 0,
-                h => h,
-            }
-        } else {
-            0
-        };
         let reservation = options.govern.as_ref().map(|h| h.reservation());
-        ConjunctEvaluator {
+        let mut evaluator = ConjunctEvaluator {
             graph,
             ontology,
             plan,
             options,
             psi,
             cost_guided,
-            seed_key_floor,
             ticks: 0,
             dr,
             visited,
@@ -228,7 +226,13 @@ impl<'a> ConjunctEvaluator<'a> {
             trip_reason: None,
             degraded: false,
             stats: EvalStats::default(),
-        }
+        };
+        let initial = evaluator.plan.nfa.initial();
+        evaluator.push(Tuple {
+            kind: TupleKind::Seeds,
+            ..Tuple::seed(NodeId(0), initial, 0)
+        });
+        evaluator
     }
 
     /// The compiled plan driving this evaluator.
@@ -341,16 +345,19 @@ impl<'a> ConjunctEvaluator<'a> {
         Ok(())
     }
 
-    /// Releases the feed's next batch into `D_R`; whether there was one.
-    fn refill_initial(&mut self) -> Result<bool> {
-        let initial = self.plan.nfa.initial();
-        let mut added = false;
-        self.feed.open_batch();
-        while let Some((node, distance)) = self.feed.next_seed() {
-            added = true;
-            self.add_tuple(Tuple::seed(node, initial, distance))?;
+    /// A popped seed cursor: re-queued first while the feed has seeds, then
+    /// the feed's next batch goes in above it (see "Seeds as a cursor").
+    fn release_seeds(&mut self, cursor: Tuple) -> Result<()> {
+        if self.feed.has_more() {
+            // Cannot be pruned: it was admitted once already.
+            self.push(cursor);
         }
-        Ok(added)
+        // Moved out for the batch so that `add_tuple` can borrow `self`.
+        let mut feed = std::mem::take(&mut self.feed);
+        let released = feed
+            .release(|node, distance| self.add_tuple(Tuple::seed(node, cursor.state, distance)));
+        self.feed = feed;
+        released
     }
 
     /// Whether the final-state annotation accepts `node` (the constant-object
@@ -447,22 +454,12 @@ impl<'a> ConjunctEvaluator<'a> {
                 // Nothing queued reads the arena any more.
                 self.successors.arena.clear();
             }
-            // Incrementally add the next batch of initial nodes when the
-            // frontier at the seeds' entry key has been consumed (lines
-            // 15–17; seeds enter at key `h(initial)`, which is 0 without
-            // cost guidance). Performing the refill before every pop keeps
-            // the queue's minimum key a true global minimum: unreleased
-            // seeds can only enter at keys the cursor has not passed.
-            if self.feed.has_more() && !self.dr.has_key_at_most(self.seed_key_floor) {
-                self.refill_initial()?;
-            }
             let Some(tuple) = self.dr.pop() else {
-                if self.refill_initial()? {
-                    continue;
-                }
                 return Ok(None);
             };
             match tuple.kind {
+                // The next batch of initial nodes (lines 15–17).
+                TupleKind::Seeds => self.release_seeds(tuple)?,
                 // Not tuples of the traversal: they make some visits.
                 TupleKind::Cursor | TupleKind::RaisedRun => self.next_block(tuple)?,
                 TupleKind::Final | TupleKind::FinalRun => {
@@ -797,8 +794,8 @@ impl AnswerStream for ConjunctEvaluator<'_> {
         self.get_next()
     }
 
-    /// The hinted nodes that are seeds still to be released go in as this
-    /// evaluator's next batch(es): see [`InitialNodeFeed::prefer`]. They enter
+    /// The hinted nodes that are seeds still to be released go in at the
+    /// seed cursor's next pop(s): see [`InitialNodeFeed::prefer`]. They enter
     /// `D_R` at the distance every seed enters at, so what is emitted at each
     /// distance is unchanged; only the order inside distance 0's work is.
     fn prefer_seeds(&mut self, nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
@@ -1290,9 +1287,10 @@ mod tests {
     fn seed_batching_stays_lazy_when_the_initial_bound_is_positive() {
         // `ghost` labels no edge, so under APPROX every accepting run needs
         // ≥ 1 edit and h(initial) = 1: seeds enter the queue at key 1, not
-        // 0. The refill gate must pace on the seeds' entry key — gating on
-        // key 0 alone would release a batch on *every* loop iteration and
-        // flood the whole feed in before the first answer.
+        // 0. The seed cursor waits at that key, so it pops again only once
+        // the work there is done — a release paced on key 0 alone would
+        // let a batch in on *every* loop iteration and flood the whole feed
+        // in before the first answer.
         let mut g = GraphStore::new();
         for i in 0..500 {
             g.add_triple(&format!("n{i}"), "p", &format!("m{i}"));

@@ -132,6 +132,11 @@ impl<'a> DisjunctionEvaluator<'a> {
         self.psi
     }
 
+    /// Number of ψ-levels started after the first.
+    pub fn restarts(&self) -> u32 {
+        self.steps
+    }
+
     /// Advances to the next ψ-level, placing its branches (in adaptive
     /// order) on the level queue. Returns `false` when no further level can
     /// produce answers.
@@ -145,7 +150,6 @@ impl<'a> DisjunctionEvaluator<'a> {
             }
             self.psi += self.phi;
             self.steps += 1;
-            self.stats.restarts += 1;
         }
         self.started = true;
         // Adaptive order: fewest answers at the previous level first; the
@@ -362,5 +366,6 @@ mod tests {
         let answers = decomposed.collect(Some(2)).unwrap();
         assert_eq!(answers.len(), 2);
         assert_eq!(decomposed.psi(), 0);
+        assert_eq!(decomposed.restarts(), 0);
     }
 }

@@ -50,12 +50,6 @@ const DENSE_LIMIT: u32 = 4096;
 #[derive(Debug, Default)]
 struct Bucket([Vec<Tuple>; 3]);
 
-impl Bucket {
-    fn is_empty(&self) -> bool {
-        self.0.iter().all(Vec::is_empty)
-    }
-}
-
 /// Indexed bucket priority queue over evaluation tuples.
 #[derive(Debug, Default)]
 pub struct DrQueue {
@@ -138,35 +132,6 @@ impl DrQueue {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The smallest key currently queued.
-    pub fn min_key(&self) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        let dense = self.buckets[self.cursor..]
-            .iter()
-            .position(|b| !b.is_empty())
-            .map(|off| (self.cursor + off) as u32);
-        dense.or_else(|| self.overflow.keys().next().map(|&(d, _)| d))
-    }
-
-    /// Whether any tuple with key `≤ key` is queued. The evaluator paces
-    /// its seed releases with this: seeds enter at key `h(initial)` (0
-    /// without cost guidance — the paper's "a distance-0 tuple is queued"
-    /// condition is exactly the `key = 0` case), so the next batch is due
-    /// only once no work at or below that key remains.
-    pub fn has_key_at_most(&self, key: u32) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        // Buckets below the cursor are empty by the cursor invariant.
-        let cap = ((key as usize).saturating_add(1)).min(self.buckets.len());
-        if self.cursor < cap && self.buckets[self.cursor..cap].iter().any(|b| !b.is_empty()) {
-            return true;
-        }
-        key >= DENSE_LIMIT && self.overflow.keys().next().is_some_and(|&(d, _)| d <= key)
     }
 }
 
@@ -278,40 +243,8 @@ mod tests {
     }
 
     #[test]
-    fn key_threshold_probe_tracks_queued_keys() {
-        let mut q = DrQueue::new(true);
-        assert!(!q.has_key_at_most(5));
-        push_g(&mut q, tuple(3, false, 1));
-        assert!(!q.has_key_at_most(2));
-        assert!(q.has_key_at_most(3));
-        assert!(q.has_key_at_most(9));
-        q.pop();
-        assert!(!q.has_key_at_most(u32::MAX));
-        // Overflow keys participate when the threshold reaches them.
-        push_g(&mut q, tuple(DENSE_LIMIT + 3, false, 2));
-        assert!(!q.has_key_at_most(DENSE_LIMIT));
-        assert!(q.has_key_at_most(DENSE_LIMIT + 3));
-    }
-
-    #[test]
-    fn key_zero_probe_and_len() {
-        let mut q = DrQueue::new(true);
-        assert!(!q.has_key_at_most(0));
-        push_g(&mut q, tuple(2, false, 1));
-        assert!(!q.has_key_at_most(0));
-        assert_eq!(q.min_key(), Some(2));
-        push_g(&mut q, tuple(0, false, 2));
-        assert!(q.has_key_at_most(0));
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert!(!q.has_key_at_most(0));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn cursor_rewinds_when_cheaper_tuples_arrive_late() {
-        // The refill of initial nodes can add key-0 tuples after the
-        // queue has already popped larger keys.
+        // A push below the smallest key popped so far goes before the rest.
         let mut q = DrQueue::new(true);
         push_g(&mut q, tuple(5, false, 1));
         assert_eq!(q.pop().unwrap().distance, 5);
@@ -328,14 +261,11 @@ mod tests {
         push_g(&mut q, tuple(1_000_000, false, 1));
         push_g(&mut q, tuple(2, false, 2));
         push_g(&mut q, tuple(DENSE_LIMIT + 7, true, 3));
-        assert_eq!(q.min_key(), Some(2));
         assert_eq!(q.pop().unwrap().distance, 2);
-        assert_eq!(q.min_key(), Some(DENSE_LIMIT + 7));
         let t = q.pop().unwrap();
         assert_eq!(t.distance, DENSE_LIMIT + 7);
         assert!(t.is_final());
         assert_eq!(q.pop().unwrap().distance, 1_000_000);
         assert!(q.is_empty());
-        assert_eq!(q.min_key(), None);
     }
 }

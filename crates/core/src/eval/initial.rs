@@ -4,7 +4,9 @@
 //! through coroutines that release them in batches (100 by default): new
 //! batches are only pulled when `D_R` has run out of distance-0 tuples, so
 //! queries answered from the first few start nodes never touch the rest of
-//! the graph. [`InitialNodeFeed`] is the iterator equivalent.
+//! the graph. [`InitialNodeFeed`] is the supply behind that; the evaluator
+//! releases it through one seed cursor in `D_R`, a batch per pop
+//! (`crate::eval::conjunct`, "Seeds as a cursor").
 //!
 //! Which candidates go first is free — they all enter at distance 0 — so a
 //! rank join may *hint* the feed with the nodes its other inputs have bound
@@ -17,6 +19,7 @@ use std::collections::VecDeque;
 use omega_graph::{GraphStore, NodeBitmap, NodeId};
 use omega_ontology::Ontology;
 
+use crate::error::Result;
 use crate::eval::plan::{seed_nodes_for_label, union, ConjunctPlan, SeedSpec};
 
 /// A lazily drained supply of seeds: `(node, initial distance)`.
@@ -25,7 +28,7 @@ use crate::eval::plan::{seed_nodes_for_label, union, ConjunctPlan, SeedSpec};
 /// final, `GetNext` itself enqueues the corresponding answer tuple while
 /// processing the seed (line 13 of the paper's pseudocode), which both emits
 /// the `(n, n)` answer and keeps expanding paths out of `n`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct InitialNodeFeed {
     /// The seeds of a constant-seeded conjunct not yet released, in reverse
     /// release order (so `pop` yields the constant first, then its ancestors
@@ -34,15 +37,11 @@ pub struct InitialNodeFeed {
     /// The candidate seeds of a `(?X, R, ?Y)` conjunct that are neither
     /// released nor hinted yet; released in id order from `cursor` on.
     candidates: NodeBitmap,
-    cursor: NodeId,
+    cursor: u32,
     /// Hinted candidates, taken out of `candidates`, in hint order. While
     /// there are any, a batch is made of them alone.
     hinted: VecDeque<NodeId>,
     batch_size: usize,
-    /// Seeds the open batch may still release.
-    batch_left: usize,
-    /// Whether the open batch draws on `hinted`.
-    batch_hinted: bool,
 }
 
 impl InitialNodeFeed {
@@ -55,7 +54,7 @@ impl InitialNodeFeed {
     ) -> InitialNodeFeed {
         let (mut fixed, candidates) = match &plan.seeds {
             SeedSpec::Fixed(seeds) => (seeds.to_vec(), NodeBitmap::new()),
-            SeedSpec::AllNodes { .. } => (Vec::new(), NodeBitmap::full(graph.node_count())),
+            SeedSpec::AllNodes => (Vec::new(), NodeBitmap::full(graph.node_count())),
             SeedSpec::MatchingInitial => {
                 let sets = plan
                     .nfa
@@ -68,22 +67,15 @@ impl InitialNodeFeed {
         InitialNodeFeed {
             fixed,
             candidates,
-            cursor: NodeId(0),
+            cursor: 0,
             hinted: VecDeque::new(),
             batch_size: batch_size.max(1),
-            batch_left: 0,
-            batch_hinted: false,
         }
     }
 
     /// Whether any seed remains to be released.
     pub fn has_more(&self) -> bool {
         !(self.candidates.is_empty() && self.hinted.is_empty() && self.fixed.is_empty())
-    }
-
-    /// Total number of seeds not yet released.
-    pub fn remaining(&self) -> usize {
-        self.fixed.len() + self.candidates.len() + self.hinted.len()
     }
 
     /// Moves the `nodes` that are candidates still to be released to the
@@ -99,26 +91,29 @@ impl InitialNodeFeed {
         !self.candidates.is_empty()
     }
 
-    /// Opens the next batch, to be drawn with [`InitialNodeFeed::next_seed`]:
-    /// the hinted seeds if there are any, the next ones in order otherwise.
-    pub fn open_batch(&mut self) {
-        self.batch_left = self.batch_size;
-        self.batch_hinted = !self.hinted.is_empty();
-    }
-
-    /// Releases the next seed of the open batch; `None` once the batch has
-    /// released `batch_size` seeds or its supply is empty.
-    pub fn next_seed(&mut self) -> Option<(NodeId, u32)> {
-        self.batch_left = self.batch_left.checked_sub(1)?;
-        if self.batch_hinted {
-            return self.hinted.pop_front().map(|node| (node, 0));
+    /// Releases the next batch to `seed`, in release order, and stops at
+    /// the first error: the hinted seeds if there are any, at most
+    /// `batch_size` of them and not padded; the next `batch_size` in order
+    /// otherwise. An empty feed releases nothing.
+    pub fn release(&mut self, mut seed: impl FnMut(NodeId, u32) -> Result<()>) -> Result<()> {
+        let hinted = !self.hinted.is_empty();
+        for _ in 0..self.batch_size {
+            let next = if hinted {
+                self.hinted.pop_front().map(|node| (node, 0))
+            } else {
+                self.fixed.pop().or_else(|| {
+                    let node = self.candidates.first_from(NodeId(self.cursor))?;
+                    self.candidates.remove(node);
+                    self.cursor = node.0 + 1;
+                    Some((node, 0))
+                })
+            };
+            let Some((node, distance)) = next else {
+                break;
+            };
+            seed(node, distance)?;
         }
-        self.fixed.pop().or_else(|| {
-            let node = self.candidates.first_from(self.cursor)?;
-            self.candidates.remove(node);
-            self.cursor = NodeId(node.0 + 1);
-            Some((node, 0))
-        })
+        Ok(())
     }
 }
 
@@ -151,12 +146,21 @@ mod tests {
 
     /// Draws one whole batch.
     fn batch(feed: &mut InitialNodeFeed) -> Vec<NodeId> {
-        feed.open_batch();
-        std::iter::from_fn(|| feed.next_seed())
-            .map(|(node, distance)| {
-                assert_eq!(distance, 0);
-                node
-            })
+        let mut released = Vec::new();
+        feed.release(|node, distance| {
+            assert_eq!(distance, 0);
+            released.push(node);
+            Ok(())
+        })
+        .unwrap();
+        released
+    }
+
+    /// Draws batches until one comes out empty.
+    fn drain(feed: &mut InitialNodeFeed) -> Vec<NodeId> {
+        std::iter::from_fn(|| Some(batch(feed)))
+            .take_while(|b| !b.is_empty())
+            .flatten()
             .collect()
     }
 
@@ -164,7 +168,6 @@ mod tests {
     fn fixed_seeds_come_out_in_order() {
         let (g, o) = chain_graph(3);
         let mut feed = feed_for("(?X) <- (n0, next, ?X)", &g, &o, 10);
-        assert_eq!(feed.remaining(), 1);
         assert_eq!(batch(&mut feed), [g.node_by_label("n0").unwrap()]);
         assert!(!feed.has_more());
         assert!(batch(&mut feed).is_empty());
@@ -176,9 +179,9 @@ mod tests {
         g.add_node("isolated");
         let mut feed = feed_for("(?X, ?Y) <- (?X, next, ?Y)", &g, &o, 100);
         // nodes n0..n4 have outgoing `next`; n5 and `isolated` do not.
-        assert_eq!(feed.remaining(), 5);
         let released = batch(&mut feed);
         assert_eq!(released.len(), 5);
+        assert!(!feed.has_more());
         assert!(released.iter().all(|&n| g.node_label(n).starts_with('n')));
     }
 
@@ -235,11 +238,7 @@ mod tests {
                     compile_conjunct(&q.conjuncts[0], graph, &o, &EvalOptions::default()).unwrap();
                 assert_eq!(plan.seeds, SeedSpec::MatchingInitial, "{text}");
                 let mut feed = InitialNodeFeed::new(&plan, graph, &o, 64);
-                let released: Vec<NodeId> = std::iter::from_fn(|| Some(batch(&mut feed)))
-                    .take_while(|b| !b.is_empty())
-                    .flatten()
-                    .collect();
-                assert_eq!(released, naive(graph, &plan), "{text}");
+                assert_eq!(drain(&mut feed), naive(graph, &plan), "{text}");
             }
         }
     }
@@ -249,7 +248,6 @@ mod tests {
         let (g, o) = chain_graph(25);
         let mut feed = feed_for("(?X, ?Y) <- (?X, next, ?Y)", &g, &o, 10);
         assert_eq!(batch(&mut feed).len(), 10);
-        assert_eq!(feed.remaining(), 15);
         assert_eq!(batch(&mut feed).len(), 10);
         assert_eq!(batch(&mut feed).len(), 5);
         assert!(!feed.has_more());
@@ -259,8 +257,8 @@ mod tests {
     fn nullable_regex_feeds_every_node() {
         let (g, o) = chain_graph(4);
         let mut feed = feed_for("(?X, ?Y) <- (?X, next*, ?Y)", &g, &o, 100);
-        assert_eq!(feed.remaining(), g.node_count());
         assert_eq!(batch(&mut feed), g.node_ids().collect::<Vec<_>>());
+        assert!(!feed.has_more());
     }
 
     #[test]
@@ -273,14 +271,10 @@ mod tests {
         // comes twice: only n20 and n7 move, in hint order.
         let hint = ["n20", "n25", "n1", "n7", "n20"].map(node);
         assert!(feed.prefer(&mut hint.into_iter()));
-        assert_eq!(feed.remaining(), 21);
         assert_eq!(batch(&mut feed), ["n20", "n7"].map(node), "not padded");
         // The id order resumes where it stopped and skips what was hinted.
         assert_eq!(batch(&mut feed), ["n4", "n5", "n6", "n8"].map(node));
-        let rest: Vec<NodeId> = std::iter::from_fn(|| Some(batch(&mut feed)))
-            .take_while(|b| !b.is_empty())
-            .flatten()
-            .collect();
+        let rest = drain(&mut feed);
         assert_eq!(rest.len(), 15);
         assert!(!rest.contains(&node("n20")) && !feed.has_more());
         assert!(!feed.prefer(&mut hint.into_iter()), "nothing left to move");
@@ -296,6 +290,6 @@ mod tests {
         assert_eq!(batch(&mut feed), hint[3..]);
         let mut fixed = feed_for("(?X) <- (n0, next, ?X)", &g, &o, 3);
         assert!(!fixed.prefer(&mut hint.iter().copied()));
-        assert_eq!(fixed.remaining(), 1);
+        assert_eq!(batch(&mut fixed), [g.node_by_label("n0").unwrap()]);
     }
 }

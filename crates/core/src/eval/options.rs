@@ -64,8 +64,9 @@ pub struct EvalOptions {
     /// Whether RELAX conjuncts match under RDFS inference (subproperty /
     /// subclass closure) in addition to the relaxation transitions.
     pub inference: bool,
-    /// Number of initial nodes released into `D_R` per batch for
-    /// `(?X, R, ?Y)` conjuncts (the paper's coroutine batching, default 100).
+    /// Number of initial nodes each pop of the seed cursor releases into
+    /// `D_R` (the paper's coroutine batching, default 100): the block size
+    /// of the one cursor that releases a conjunct's seeds.
     pub batch_size: usize,
     /// Whether final tuples are removed before non-final tuples at the same
     /// distance (the paper found this both faster and necessary for some

@@ -36,13 +36,9 @@ pub enum SeedSpec {
     /// Start from fixed nodes, each with an initial distance (the constant
     /// itself at 0 and, under RELAX, its class ancestors at `k·β`).
     Fixed(Vec<(NodeId, u32)>),
-    /// Start from every node of the graph; `as_final` is set when the
-    /// initial state is final with weight 0, in which case every node is
-    /// already an answer `(n, n)` at distance 0.
-    AllNodes {
-        /// Whether seed tuples are immediately final.
-        as_final: bool,
-    },
+    /// Start from every node of the graph: the initial state is final, so
+    /// every node is an answer `(n, n)` at its final weight.
+    AllNodes,
     /// Start from the nodes that have at least one edge matching one of the
     /// automaton's initial-transition labels.
     MatchingInitial,
@@ -186,14 +182,8 @@ pub fn compile_conjunct(
             }
             SeedSpec::Fixed(fixed)
         }
-        None => {
-            let initial_final_weight = nfa.final_weight(nfa.initial());
-            match initial_final_weight {
-                Some(0) => SeedSpec::AllNodes { as_final: true },
-                Some(_) => SeedSpec::AllNodes { as_final: false },
-                None => SeedSpec::MatchingInitial,
-            }
-        }
+        None if nfa.final_weight(nfa.initial()).is_some() => SeedSpec::AllNodes,
+        None => SeedSpec::MatchingInitial,
     };
 
     // A constant at the non-start end becomes a final-state constraint.
@@ -271,7 +261,7 @@ pub fn compile_conjunct(
     // Seed-cardinality estimate for the rank join's stream ordering.
     let estimated_seed_count = match &seeds {
         SeedSpec::Fixed(fixed) => fixed.len() as u64,
-        SeedSpec::AllNodes { .. } => graph.node_count() as u64,
+        SeedSpec::AllNodes => graph.node_count() as u64,
         SeedSpec::MatchingInitial => nfa
             .initial_labels()
             .map(|label| match label {
@@ -523,13 +513,15 @@ mod tests {
     #[test]
     fn nullable_regex_seeds_all_nodes_as_final() {
         let plan = plan_for("(?X, ?Y) <- (?X, knows*, ?Y)");
-        assert_eq!(plan.seeds, SeedSpec::AllNodes { as_final: true });
+        assert_eq!(plan.seeds, SeedSpec::AllNodes);
+        assert_eq!(plan.nfa.final_weight(plan.nfa.initial()), Some(0));
     }
 
     #[test]
     fn approx_of_nullable_regex_keeps_zero_weight_finality() {
         let plan = plan_for("(?X, ?Y) <- APPROX (?X, knows*, ?Y)");
-        assert_eq!(plan.seeds, SeedSpec::AllNodes { as_final: true });
+        assert_eq!(plan.seeds, SeedSpec::AllNodes);
+        assert_eq!(plan.nfa.final_weight(plan.nfa.initial()), Some(0));
         assert_eq!(plan.phi, 1);
     }
 

@@ -46,9 +46,6 @@ pub struct EvalStats {
     /// Tuples suppressed because their distance exceeded the current ψ bound
     /// (distance-aware evaluation only).
     pub suppressed: u64,
-    /// Number of evaluation restarts performed by the escalating drivers
-    /// (always 0 for a query execution, which never runs them).
-    pub restarts: u64,
     /// Tuples (or transitions) dropped because their automaton state can
     /// never reach acceptance against this graph (cost-guided evaluation).
     pub pruned_dead: u64,
@@ -92,7 +89,6 @@ impl AddAssign for EvalStats {
         self.neighbour_lookups += rhs.neighbour_lookups;
         self.answers += rhs.answers;
         self.suppressed += rhs.suppressed;
-        self.restarts += rhs.restarts;
         self.pruned_dead += rhs.pruned_dead;
         self.pruned_bound += rhs.pruned_bound;
         self.deferred_expansions += rhs.deferred_expansions;
@@ -108,16 +104,14 @@ impl std::fmt::Display for EvalStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "added={} processed={} succ={} lookups={} answers={} suppressed={} restarts={} \
-             pruned_dead={} pruned_bound={} deferred={} cursor_blocks={} raised_keys={} sheds={} \
-             degraded={}",
+            "added={} processed={} succ={} lookups={} answers={} suppressed={} pruned_dead={} \
+             pruned_bound={} deferred={} cursor_blocks={} raised_keys={} sheds={} degraded={}",
             self.tuples_added,
             self.tuples_processed,
             self.succ_calls,
             self.neighbour_lookups,
             self.answers,
             self.suppressed,
-            self.restarts,
             self.pruned_dead,
             self.pruned_bound,
             self.deferred_expansions,
@@ -142,7 +136,6 @@ mod tests {
             neighbour_lookups: 4,
             answers: 5,
             suppressed: 6,
-            restarts: 7,
             pruned_dead: 8,
             pruned_bound: 9,
             deferred_expansions: 10,
@@ -154,7 +147,7 @@ mod tests {
         };
         a += a;
         assert_eq!(a.tuples_added, 2);
-        assert_eq!(a.restarts, 14);
+        assert_eq!(a.suppressed, 12);
         assert_eq!(a.pruned_dead, 16);
         assert_eq!(a.pruned_bound, 18);
         assert_eq!(a.deferred_expansions, 20);

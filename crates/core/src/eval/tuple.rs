@@ -22,6 +22,13 @@ pub enum TupleKind {
     /// original `(v, n, s)` tuple — whose `distance` this tuple still
     /// carries — are expanded; until then none of them occupy `D_R`.
     Deferred,
+    /// The seed cursor: the initial nodes not released yet, queued once in
+    /// the initial state at distance 0, the key every seed enters at. Each
+    /// pop re-queues it *first*, while the feed has seeds, then releases
+    /// the feed's next batch above it as visits (see
+    /// `crate::eval::conjunct`, "Seeds as a cursor"). It holds no arena
+    /// position and counts in no `EvalStats` field.
+    Seeds,
     /// The unread rest of one wide `Succ` run (more than
     /// [`crate::eval::succ::BLOCK`] neighbours over one label, for one
     /// automaton transition), at the key its visits would have had. Each

@@ -141,7 +141,6 @@ pub fn put_stats(w: &mut Writer, stats: &EvalStats) {
     w.put_u64(stats.neighbour_lookups);
     w.put_u64(stats.answers);
     w.put_u64(stats.suppressed);
-    w.put_u64(stats.restarts);
     w.put_u64(stats.pruned_dead);
     w.put_u64(stats.pruned_bound);
     w.put_u64(stats.deferred_expansions);
@@ -166,7 +165,6 @@ pub fn take_stats(r: &mut Reader<'_>) -> Result<EvalStats, ProtocolError> {
         neighbour_lookups: r.take_u64()?,
         answers: r.take_u64()?,
         suppressed: r.take_u64()?,
-        restarts: r.take_u64()?,
         pruned_dead: r.take_u64()?,
         pruned_bound: r.take_u64()?,
         deferred_expansions: r.take_u64()?,

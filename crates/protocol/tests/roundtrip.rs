@@ -123,7 +123,7 @@ fn answer() -> BoxedStrategy<Answer> {
 
 fn eval_stats() -> BoxedStrategy<EvalStats> {
     (
-        prop::collection::vec(any::<u64>(), 13..14),
+        prop::collection::vec(any::<u64>(), 12..13),
         any::<bool>(),
         opt(prop_oneof![
             Just(TruncationReason::TupleBudget),
@@ -138,13 +138,12 @@ fn eval_stats() -> BoxedStrategy<EvalStats> {
             neighbour_lookups: counters[3],
             answers: counters[4],
             suppressed: counters[5],
-            restarts: counters[6],
-            pruned_dead: counters[7],
-            pruned_bound: counters[8],
-            deferred_expansions: counters[9],
-            cursor_blocks: counters[10],
-            raised_keys: counters[11],
-            sheds: counters[12],
+            pruned_dead: counters[6],
+            pruned_bound: counters[7],
+            deferred_expansions: counters[8],
+            cursor_blocks: counters[9],
+            raised_keys: counters[10],
+            sheds: counters[11],
             degraded,
             truncation,
         })
