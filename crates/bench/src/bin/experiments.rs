@@ -10,7 +10,8 @@
 //! experiments snapshot inspect PATH
 //!
 //! FIGURE: fig2 fig3 fig5 fig6 fig7 fig8 fig10 fig11 opt-distance
-//!         opt-disjunction opt-final opt-batching baseline overload work all
+//!         opt-disjunction opt-final opt-batching opt-guidance baseline
+//!         overload work all
 //! ```
 //!
 //! `--quick` (the default) runs L4All scales L1–L2 and a quarter-scale YAGO
@@ -33,7 +34,7 @@ use omega_bench::*;
 use omega_core::EvalOptions;
 use omega_datagen::L4AllScale;
 
-const FIGURES: [&str; 16] = [
+const FIGURES: [&str; 17] = [
     "fig2",
     "fig3",
     "fig5",
@@ -46,6 +47,7 @@ const FIGURES: [&str; 16] = [
     "opt-disjunction",
     "opt-final",
     "opt-batching",
+    "opt-guidance",
     "baseline",
     "overload",
     "work",

@@ -502,7 +502,9 @@ pub type AblationCase<'a> = (&'static str, &'a Dataset, String, Arm, Arm);
 /// (distance-aware retrieval; alternation replaced by disjunction on YAGO
 /// Q9, the paper's example) and the two Section 3.3 refinements (final
 /// tuples dequeued first; initial nodes released in batches instead of all
-/// at once).
+/// at once); and cost guidance (`D_R` keyed by `g + h` with deferred edits,
+/// against the paper's plain distance order), on the two flexible study
+/// queries both arms complete — unguided YAGO Q4 APPROX exhausts its budget.
 pub fn ablation_cases<'a>(l4all: &'a Dataset, yago: &'a Dataset) -> Vec<AblationCase<'a>> {
     let (l, y) = (l4all_queries(), yago_queries());
     let apx = |spec: &QuerySpec| spec.with_operator("APPROX");
@@ -513,6 +515,7 @@ pub fn ablation_cases<'a>(l4all: &'a Dataset, yago: &'a Dataset) -> Vec<Ablation
     let arms = || (Driver::Disjunction, default());
     let mixed = || (Driver::Plain, default().without_final_prioritization());
     let unbatched = || (Driver::Plain, default().with_batch_size(usize::MAX));
+    let unguided = || (Driver::Plain, default().with_cost_guided(false));
     vec![
         ("opt-distance L4All Q3", l4all, apx(&l[2]), plain(), aware()),
         ("opt-distance L4All Q9", l4all, apx(&l[8]), plain(), aware()),
@@ -521,6 +524,20 @@ pub fn ablation_cases<'a>(l4all: &'a Dataset, yago: &'a Dataset) -> Vec<Ablation
         ("opt-disjunction YAGO Q9", yago, apx(&y[8]), plain(), arms()),
         ("opt-final L4All Q9", l4all, apx(&l[8]), mixed(), plain()),
         ("opt-batching L4All Q5", l4all, q5, unbatched(), plain()),
+        (
+            "opt-guidance L4All Q9",
+            l4all,
+            apx(&l[8]),
+            unguided(),
+            plain(),
+        ),
+        (
+            "opt-guidance YAGO Q5",
+            yago,
+            apx(&y[4]),
+            unguided(),
+            plain(),
+        ),
     ]
 }
 
@@ -528,7 +545,7 @@ pub fn ablation_cases<'a>(l4all: &'a Dataset, yago: &'a Dataset) -> Vec<Ablation
 /// (median of `samples`, see [`run_arm`]) and formats the off-vs-on table.
 pub fn ablations(cases: &[AblationCase<'_>], samples: usize) -> String {
     let mut out =
-        format!("Sections 3.3/4.3 ablations: top-{TOP_K} time (ms), optimisation off vs on\n");
+        format!("Sections 3.3/4.3 and cost-guidance ablations: top-{TOP_K} time (ms), off vs on\n");
     out.push_str(&format!(
         "{:<26} {:>10} {:>10} {:>9} {:>9}\n",
         "Ablation", "off", "on", "speed-up", "answers"
@@ -645,7 +662,7 @@ pub fn work_statements() -> Vec<(String, String)> {
 pub fn work_table(config: &RunConfig) -> String {
     let dataset = l4all_dataset(config.max_scale);
     let db = Database::new(dataset.graph, dataset.ontology);
-    let request = ExecOptions::new().with_limit(TOP_K).with_cost_guided(true);
+    let request = ExecOptions::new().with_limit(TOP_K);
     let mut out = format!(
         "Work per statement: L4All {}, top-{TOP_K}, median of {} (ms)\n",
         config.max_scale.name(),
@@ -1212,6 +1229,7 @@ mod tests {
             "opt-disjunction",
             "opt-final",
             "opt-batching",
+            "opt-guidance",
         ] {
             assert!(
                 cases.iter().any(|c| c.0.starts_with(verb)),

@@ -144,6 +144,9 @@ use crate::govern::TupleReservation;
 /// (see the module tests and `tests/prop_end_to_end.rs`). Only the relative
 /// order of answers *within* one distance (and the work counters) may
 /// differ between the two orderings.
+///
+/// Every request runs cost-guided; plain `g`-ordering is the evaluator-level
+/// ablation, and this evaluator is the switch's only reader.
 pub struct ConjunctEvaluator<'a> {
     graph: &'a GraphStore,
     ontology: &'a Ontology,

@@ -1,7 +1,6 @@
 //! Evaluation options: edit/relaxation costs, the Section 3.3 evaluation
 //! refinements and resource limits.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use omega_automata::{ApproxConfig, RelaxConfig};
@@ -33,18 +32,6 @@ pub enum OverloadPolicy {
     /// [`OverloadPolicy::Degrade`]. Each shed retry is counted in
     /// [`crate::EvalStats::sheds`].
     Shed,
-}
-
-/// Whether `cost_guided` defaults to on. `OMEGA_COST_GUIDED=0` (or `false` /
-/// `off`) disables it suite-wide — the CI matrix runs the workspace tests in
-/// both configurations, and perf comparisons use it to measure the ablation.
-fn cost_guided_default() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("OMEGA_COST_GUIDED")
-            .map(|v| !matches!(v.as_str(), "0" | "false" | "off"))
-            .unwrap_or(true)
-    })
 }
 
 /// Options controlling query evaluation.
@@ -87,13 +74,12 @@ pub struct EvalOptions {
     /// Cost-guided evaluation: order the tuple queue by `f = g + h` (the
     /// accumulated distance plus the compiled plan's admissible per-state
     /// accept lower bound), prune tuples that provably cannot beat the
-    /// distance ceiling, skip expansions into dead automaton states, defer
-    /// positive-cost expansions until the distance cursor needs them, and
-    /// let compilation / the rank join use the frozen label statistics for
-    /// seed-side planning. Answers keep their non-decreasing distance
-    /// order and their per-distance sets exactly; only work (and tie order
-    /// within one distance) changes. Defaults to on; `OMEGA_COST_GUIDED=0`
-    /// turns it off suite-wide.
+    /// distance ceiling, skip expansions into dead automaton states and
+    /// defer positive-cost expansions until the distance cursor needs
+    /// them. Answers keep their distance order and per-distance sets
+    /// exactly; only work (and tie order within one distance) changes. On
+    /// by default; an ablation switch like `batch_size`, with no request
+    /// override (the `opt-guidance` study and reference tests turn it off).
     pub cost_guided: bool,
     /// Reaction to tripped resource budgets (see [`OverloadPolicy`]).
     pub on_overload: OverloadPolicy,
@@ -115,7 +101,7 @@ impl Default for EvalOptions {
             max_tuples: None,
             max_distance: None,
             deadline: None,
-            cost_guided: cost_guided_default(),
+            cost_guided: true,
             on_overload: OverloadPolicy::default(),
             govern: None,
         }
@@ -154,7 +140,7 @@ impl EvalOptions {
     }
 
     /// Enables or disables cost-guided evaluation (A* ordering, bound and
-    /// dead-state pruning, deferred expansion, stats-driven planning).
+    /// dead-state pruning, deferred expansion) — for ablation benchmarks.
     pub fn with_cost_guided(mut self, on: bool) -> Self {
         self.cost_guided = on;
         self
@@ -185,6 +171,7 @@ mod tests {
         assert_eq!(o.relax.beta, 1);
         assert_eq!(o.batch_size, 100);
         assert!(o.prioritize_final);
+        assert!(o.cost_guided);
         assert_eq!(o.max_tuples, None);
         assert_eq!(o.on_overload, OverloadPolicy::Fail);
         assert!(o.govern.is_none());

@@ -142,9 +142,7 @@ pub fn compile_conjunct(
         // forward direction, the historical behaviour). RELAX is excluded
         // because its seed-side class relaxation is tied to the start
         // constant.
-        (Some(subject), Some(object))
-            if options.cost_guided && conjunct.mode != QueryMode::Relax =>
-        {
+        (Some(subject), Some(object)) if conjunct.mode != QueryMode::Relax => {
             let forward = build_nfa(&conjunct.regex, graph);
             let backward = build_nfa(&conjunct.regex.reverse(), graph);
             if first_hop_fanout(&backward, object, graph)
@@ -483,10 +481,7 @@ mod tests {
         }
         g.add_triple("f1", "likes", "leaf");
         let o = Ontology::new();
-        // Choosing the end by fan-out is cost-guided planning (the frozen
-        // label statistics); pinned so `OMEGA_COST_GUIDED=0` cannot turn the
-        // behaviour under test off.
-        let options = EvalOptions::default().with_cost_guided(true);
+        let options = EvalOptions::default();
         let compile = |text: &str| {
             let q = parse_query(text).unwrap();
             compile_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap()

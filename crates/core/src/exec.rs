@@ -21,7 +21,7 @@ use crate::eval::{
     AnswerStream, ConjunctEvaluator, ConjunctPlan, EvalOptions, EvalStats, OverloadPolicy,
 };
 use crate::govern::{ExecutionPermit, GovernorHandle, ResourceGovernor};
-use crate::service::{elapsed_ns, CoreMetrics, GraphData, Layout, PreparedInner};
+use crate::service::{elapsed_ns, CoreMetrics, GraphData, PreparedInner};
 
 /// [`AnswerStream`] adaptor accumulating the wall-clock time spent inside
 /// one conjunct's `next_answer` calls, for the per-conjunct profile phases.
@@ -122,14 +122,13 @@ impl PreparedInner {
         let options = Arc::new(options);
         let graph = &data.graph;
         let ontology = &data.ontology;
-        let guided = options.cost_guided && self.guided.is_some();
-        let layout = self.layout(guided);
+        let layout = &self.layout;
         let bypass = self.conjuncts.len() == 1 && !via_join;
         let mut streams = layout.order.iter().map(|&i| {
             let stream = conjunct_stream(&self.conjuncts[i], graph, ontology, &options);
             // Profiling wraps each conjunct stream in a timing adaptor,
             // keyed by the query's syntactic conjunct index so phases
-            // read stably however cost-guided ordering shuffled them. On a
+            // read stably however the estimate order shuffled them. On a
             // bypassed plan the pull *is* the conjunct: one timer, not two.
             match profile_state.as_mut() {
                 Some(state) if !bypass => {
@@ -155,7 +154,7 @@ impl PreparedInner {
                 let mut join = RankJoin::new(inputs, layout.slot_count);
                 // Top-k threshold pushdown: streams provably past the k-th
                 // distance stop being pulled.
-                if options.cost_guided && layout.head_covers_slots {
+                if layout.head_covers_slots {
                     join.set_limit(limit);
                 }
                 Source::Join(join)
@@ -164,7 +163,6 @@ impl PreparedInner {
         Answers {
             graph,
             prepared: Arc::clone(self),
-            guided,
             source,
             row: Vec::with_capacity(layout.head_slots.len()),
             emitted: RowSet::new(layout.head_slots.len(), limit),
@@ -183,14 +181,6 @@ impl PreparedInner {
             profile: profile_state,
             profile_out: None,
         }
-    }
-
-    /// The slot layout an execution runs under.
-    fn layout(&self, guided: bool) -> &Layout {
-        self.guided
-            .as_ref()
-            .filter(|_| guided)
-            .unwrap_or(&self.layout)
     }
 }
 
@@ -270,10 +260,8 @@ impl RowSet {
 /// ends the execution: nothing evaluates except inside a pull.
 pub struct Answers<'a> {
     graph: &'a GraphStore,
-    /// The statement: head columns and slot layouts, resolved at prepare.
+    /// The statement: head columns and slot layout, resolved at prepare.
     prepared: Arc<PreparedInner>,
-    /// Whether this execution runs under the cost-guided layout.
-    guided: bool,
     source: Source<'a>,
     /// The current row: one id per head column. Lent out by `next_row`.
     row: Vec<NodeId>,
@@ -324,7 +312,6 @@ impl<'a> Answers<'a> {
         Answers {
             graph,
             prepared,
-            guided: false,
             source: Source::Join(RankJoin::new(Vec::new(), 0)),
             row: Vec::new(),
             emitted: RowSet::new(0, None),
@@ -437,7 +424,7 @@ impl<'a> Answers<'a> {
     /// Pulls the next ranked candidate and projects it onto `self.row`;
     /// returns its distance.
     fn pull(&mut self) -> Result<Option<u32>> {
-        let layout = self.prepared.layout(self.guided);
+        let layout = &self.prepared.layout;
         self.row.clear();
         match &mut self.source {
             Source::Single { stream, answers } => {

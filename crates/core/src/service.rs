@@ -1232,15 +1232,13 @@ pub(crate) struct PreparedInner {
     pub(crate) query: Query,
     /// One compiled plan per conjunct, in the query's syntactic order.
     pub(crate) conjuncts: Vec<Arc<ConjunctPlan>>,
-    /// Slot layout in the query's syntactic conjunct order.
+    /// Slot layout in evaluation order — most selective conjunct first, by
+    /// the compile-time seed-cardinality estimate; ties keep the query's
+    /// order. The join pulls tied inputs in turn, earlier ones first, and
+    /// hints each with what the others have bound: with the sparse stream
+    /// in front, its first bindings steer the big ones from their first
+    /// pull; answer *sets* are order-independent.
     pub(crate) layout: Layout,
-    /// Slot layout in cost-guided order — most selective conjunct first, by
-    /// the compile-time seed-cardinality estimate — when that order differs
-    /// from the syntactic one. The join pulls tied inputs in turn, earlier
-    /// ones first, and hints each with what the others have bound: with the
-    /// sparse stream in front, its first bindings steer the big ones from
-    /// their first pull; answer *sets* are order-independent.
-    pub(crate) guided: Option<Layout>,
     /// Time [`Database::prepare`] spent parsing the query text, reported in
     /// the `parse` phase of every execution's [`QueryProfile`].
     pub(crate) parse_ns: u64,
@@ -1262,17 +1260,12 @@ fn compile_prepared(
         .iter()
         .map(|conjunct| compile_conjunct(conjunct, graph, ontology, options).map(Arc::new))
         .collect::<Result<Vec<_>>>()?;
-    let syntactic: Vec<usize> = (0..conjuncts.len()).collect();
     // Stable sort: equal estimates keep the query's syntactic order.
-    let mut by_estimate = syntactic.clone();
-    by_estimate.sort_by_key(|&i| conjuncts[i].estimated_seed_count);
-    let guided = (by_estimate != syntactic)
-        .then(|| Layout::new(&query, by_estimate))
-        .transpose()?;
+    let mut order: Vec<usize> = (0..conjuncts.len()).collect();
+    order.sort_by_key(|&i| conjuncts[i].estimated_seed_count);
     Ok(PreparedInner {
-        layout: Layout::new(&query, syntactic)?,
+        layout: Layout::new(&query, order)?,
         query,
-        guided,
         conjuncts,
         parse_ns: 0,
         compile_ns: 0,
@@ -1372,8 +1365,6 @@ pub struct ExecOptions {
     pub max_distance: Option<u32>,
     /// Live-tuple budget override (see [`EvalOptions::max_tuples`]).
     pub max_tuples: Option<usize>,
-    /// Cost-guided evaluation override (see [`EvalOptions::cost_guided`]).
-    pub cost_guided: Option<bool>,
     /// Overload policy override: what happens when a resource budget trips
     /// mid-query or the governor rejects the execution at admission (see
     /// [`OverloadPolicy`]).
@@ -1430,12 +1421,12 @@ impl ExecOptions {
         self
     }
 
-    /// Enables or disables cost-guided evaluation (A* queue ordering,
-    /// bound/dead-state pruning, deferred expansion, stats-driven planning)
-    /// for this request. Answer sets, distances and the non-decreasing
-    /// distance order are identical either way; only work changes.
-    pub fn with_cost_guided(mut self, on: bool) -> Self {
-        self.cost_guided = Some(on);
+    /// Has no effect: every request runs cost-guided (the unguided engine
+    /// is the evaluator-level ablation [`EvalOptions::cost_guided`]). Kept
+    /// only because `benchmark/src/workloads/mod.rs` calls it; the next
+    /// `[benchmark]` PR deletes that call and then this method.
+    #[doc(hidden)]
+    pub fn with_cost_guided(self, _: bool) -> Self {
         self
     }
 
@@ -1469,7 +1460,6 @@ impl ExecOptions {
                 .chain(from_timeout)
                 .min()
                 .or(base.deadline),
-            cost_guided: self.cost_guided.unwrap_or(base.cost_guided),
             on_overload: self.on_overload.unwrap_or(base.on_overload),
             ..base.clone()
         }
@@ -2220,10 +2210,13 @@ mod tests {
                 limit in 0usize..40,
                 toggles in 0usize..2,
             ) {
-                let db = database(&triples);
+                let mut db = database(&triples);
+                if toggles == 1 {
+                    db = db.reconfigured(EvalOptions { cost_guided: false, ..db.options().clone() });
+                }
                 let text = QUERIES[query].replacen("<- (", ["<- (", "<- APPROX (", "<- RELAX ("][operator], 1);
                 let prepared = db.prepare(&text).unwrap();
-                let mut request = ExecOptions::new().with_cost_guided(toggles == 0);
+                let mut request = ExecOptions::new();
                 // A third of the cases run unlimited.
                 if limit % 3 != 0 {
                     request = request.with_limit(limit);

@@ -51,9 +51,7 @@ fn m3_top_100_buffers_without_allocating_and_drops_in_a_handful_of_frees() {
     let db = Database::new(data.graph, data.ontology);
     let m3 = &l4all_multi_conjunct_queries()[2];
     assert_eq!(m3.id, "M3");
-    // Cost guidance pinned like the yardstick's requests, so the environment
-    // cannot flip it.
-    let request = ExecOptions::new().with_limit(100).with_cost_guided(true);
+    let request = ExecOptions::new().with_limit(100);
 
     for text in [m3.text.to_owned(), m3.with_operator_everywhere("APPROX")] {
         let prepared = db.prepare(&text).expect("M3 compiles");

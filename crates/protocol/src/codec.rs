@@ -245,7 +245,6 @@ pub fn put_exec_options(w: &mut Writer, options: &ExecOptions) {
     w.put_opt(budget, |w, v| w.put_duration(v));
     w.put_opt(options.max_distance, Writer::put_u32);
     w.put_opt(options.max_tuples, Writer::put_usize);
-    w.put_opt(options.cost_guided, Writer::put_bool);
     w.put_opt(options.on_overload, put_policy);
     w.put_bool(options.profile);
 }
@@ -259,7 +258,6 @@ pub fn take_exec_options(r: &mut Reader<'_>) -> Result<ExecOptions, ProtocolErro
         deadline: None,
         max_distance: r.take_opt(Reader::take_u32)?,
         max_tuples: r.take_opt(Reader::take_usize)?,
-        cost_guided: r.take_opt(Reader::take_bool)?,
         on_overload: r.take_opt(take_policy)?,
         profile: r.take_bool()?,
     })

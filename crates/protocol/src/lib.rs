@@ -77,10 +77,11 @@ pub const MAGIC: [u8; 8] = *b"OMEGWIRE";
 /// worker gauge of `StatsReply`, version 5 added `raised_keys` to the
 /// `EvalStats` block, version 6 dropped the four Section 4.3 and ablation
 /// toggles of `ExecOptions` (distance-aware, disjunction, batch size,
-/// final-tuple priority), and version 7 dropped `restarts` from the
-/// `EvalStats` block, so an older peer would misread a batch, a request, a
-/// finish or a stats reply.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// final-tuple priority), version 7 dropped `restarts` from the
+/// `EvalStats` block, and version 8 dropped the cost-guidance override of
+/// `ExecOptions` (every request runs cost-guided), so an older peer would
+/// misread a batch, a request, a finish or a stats reply.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Ceiling on a frame's declared payload length (16 MiB). A prefix above
 /// this is treated as stream corruption ([`ProtocolError::Oversized`])

@@ -93,18 +93,15 @@ fn exec_options() -> BoxedStrategy<ExecOptions> {
         opt(any::<u32>().boxed()),
         opt((0usize..1 << 48).boxed()),
     );
-    let guidance = (opt(any::<bool>().boxed()), opt(policy()), any::<bool>());
-    (knobs, guidance)
-        .prop_map(|(knobs, guidance)| {
+    (knobs, opt(policy()), any::<bool>())
+        .prop_map(|(knobs, on_overload, profile)| {
             let (limit, timeout, max_distance, max_tuples) = knobs;
-            let (cost_guided, on_overload, profile) = guidance;
             ExecOptions {
                 limit,
                 timeout,
                 deadline: None,
                 max_distance,
                 max_tuples,
-                cost_guided,
                 on_overload,
                 profile,
             }

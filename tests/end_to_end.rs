@@ -226,10 +226,7 @@ fn l4all_l2_db() -> Database {
 /// requests: every row and every work counter of an execution, profiled or
 /// not.
 fn m2_m3_top_100(db: &Database, profile: bool) -> Vec<Execution> {
-    let request = ExecOptions::new()
-        .with_limit(100)
-        .with_cost_guided(true)
-        .with_profile(profile);
+    let request = ExecOptions::new().with_limit(100).with_profile(profile);
     let mut out = Vec::new();
     for spec in &l4all_multi_conjunct_queries()[1..3] {
         for operator in ["", "APPROX"] {

@@ -185,10 +185,7 @@ fn yago_q4_q5_degrade_to_nonempty_bit_identical_prefixes() {
         // "Uncapped" means no tuple budget; the answer limit only bounds how
         // far down the ranked stream we compare, which is exactly what a
         // prefix check needs (APPROX streams on YAGO are near-unbounded).
-        // Cost guidance is pinned: unguided Q4 APPROX proves no answer
-        // inside the largest budget below (by design since PR 5, see the
-        // README), so `OMEGA_COST_GUIDED=0` must not reach this test.
-        let request = ExecOptions::new().with_limit(400).with_cost_guided(true);
+        let request = ExecOptions::new().with_limit(400);
         let reference = prepared.execute(&request).unwrap();
         assert!(!reference.is_empty(), "{id}: uncapped run must answer");
 
@@ -233,6 +230,22 @@ fn yago_q4_q5_degrade_to_nonempty_bit_identical_prefixes() {
             "{id}: no budget produced a non-empty degraded prefix"
         );
     }
+    // The unguided ablation proves no Q4 answer inside the largest budget:
+    // the `?` the figures print for unguided Q4 APPROX, which is why no
+    // request can turn cost guidance off.
+    let unguided = db.reconfigured(EvalOptions {
+        cost_guided: false,
+        ..db.options().clone()
+    });
+    let q4 = queries.iter().find(|q| q.id == "Q4").unwrap();
+    let prepared = unguided.prepare(&q4.with_operator("APPROX")).unwrap();
+    let request = ExecOptions::new()
+        .with_limit(400)
+        .with_max_tuples(262_144)
+        .with_on_overload(OverloadPolicy::Degrade);
+    let mut stream = prepared.answers(&request);
+    assert!(stream.collect_up_to(None).unwrap().is_empty());
+    assert!(stream.stats().degraded);
 }
 
 /// The tuple budget counts the successor arena: without cost guidance every
@@ -251,18 +264,17 @@ fn successor_cursors_count_their_arena_against_the_tuple_budget() {
         g.add_triple(&format!("i{i}"), "type", "Hub");
     }
     let db = Database::new(g, Ontology::new());
-    let prepared = db.prepare("(?X, ?Y) <- APPROX (?X, p.q, ?Y)").unwrap();
-    let request = |cost_guided: bool| {
-        ExecOptions::new()
-            .with_limit(1)
-            .with_max_tuples(50_000)
-            .with_cost_guided(cost_guided)
-    };
+    let unguided = db.reconfigured(EvalOptions {
+        cost_guided: false,
+        ..db.options().clone()
+    });
+    let text = "(?X, ?Y) <- APPROX (?X, p.q, ?Y)";
+    let request = ExecOptions::new().with_limit(1).with_max_tuples(50_000);
     assert!(matches!(
-        prepared.execute(&request(false)),
+        unguided.prepare(text).unwrap().execute(&request),
         Err(OmegaError::ResourceExhausted { .. })
     ));
-    let first = prepared.execute(&request(true)).unwrap();
+    let first = db.prepare(text).unwrap().execute(&request).unwrap();
     assert_eq!(first.len(), 1);
 }
 

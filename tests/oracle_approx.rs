@@ -1,15 +1,22 @@
 //! An oracle for APPROX distances that owes nothing to the engine.
 //!
 //! The paper's contribution is the distance an APPROX answer carries: the
-//! fewest unit edits (insert, delete or substitute one symbol, either
-//! direction — the costs `ApproxConfig::default()` documents) that turn the
-//! label word of some path from `x` to `y` into a word of `L(R)`. This file
-//! computes that number the slow way and compares it with what the engine
-//! returns, up to distance 2, with cost guidance on and off. It shares no
-//! code with `omega_automata` or `omega_core::eval`: paths are enumerated
-//! over its own adjacency lists, and each path word's distance is found by
-//! breadth-first search over edited words, each candidate checked with
-//! `omega_regex::oracle::matches` (itself a naive matcher over the AST).
+//! cheapest edits that turn the label word of some path from `x` to `y`
+//! into a word of `L(R)`, one cost per operation (`ApproxConfig`'s names,
+//! which are the query's view): *insertion* — the path takes an extra edge
+//! no query symbol matches; *deletion* — a query symbol is skipped;
+//! *substitution* — a query symbol is matched by an edge of any label, in
+//! either direction; and, when enabled, *inversion* — by the edge of its own
+//! label the other way round, so that replacing a symbol by its own inverse
+//! costs `min(substitution, inversion)`. This file computes that number the
+//! slow way and compares it with what the engine returns, up to two edits
+//! at the largest cost, with cost guidance on and off. It shares no code
+//! with `omega_automata` or `omega_core::eval`: the words of `L(R)` are
+//! generated from the AST by the regex's own semantics (each one checked
+//! with `omega_regex::oracle::matches`, a naive matcher over the AST) and
+//! shared as a prefix trie, and a cheapest-first search over `(node, trie
+//! node)` — its own adjacency lists on one side, edits priced one by one
+//! on the other — aligns every path with every such word at once.
 //!
 //! The graphs are layered DAGs over at most three labels, with one layer
 //! wider than two of the evaluator's 64-neighbour blocks and a hub linked to
@@ -20,22 +27,29 @@
 //! the paper's Q8, a class whose instances only a wildcard edit reaches and
 //! whose instances' classes lack the next label, so that whole blocks are
 //! visited in place, owe one deferred and one final run each, or are
-//! raised together. Every stream is also checked to come out in
+//! raised together. Each runs at unit costs; three run again at uniform
+//! cost 2, at `{insertion 1, deletion 2, substitution 3}` and at uniform
+//! cost 3 with inversion at 1 — the last with one back edge from a hub
+//! member to the hub, so that an inverted step reaches a raised member a
+//! key later than the hub does (a raise by more than one key would let it
+//! claim the member first). Every stream is also checked to come out in
 //! non-decreasing distance: a raise the occupancy probe should not have
 //! made would emit an exact answer after an inexact one.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
+use omega::automata::ApproxConfig;
 use omega::core::EvalStats;
 use omega::regex::oracle::matches;
 use omega::regex::{parse, RpqRegex, Symbol};
-use omega::{Answer, Database, ExecOptions, GraphStore, Ontology};
-
-/// The distance ceiling compared.
-const MAX_DISTANCE: u32 = 2;
+use omega::{Answer, Database, EvalOptions, ExecOptions, GraphStore, Ontology};
 
 /// Nodes in the wide layer: more than two blocks of 64.
 const WIDE: usize = 2 * 64 + 5;
+
+/// Node layers; edges only run from one layer to the next.
+const DEPTH: usize = 4;
 
 /// A tiny deterministic generator (xorshift64*), so the cases are the same
 /// on every run and need nothing outside this file.
@@ -66,7 +80,7 @@ fn generate(seed: u64) -> Case {
     let label_count = 2 + rng.below(2);
     // The hub is a root for even seeds, one layer down for odd ones.
     let wide_layer = 1 + (seed % 2) as usize;
-    let layers: Vec<Vec<String>> = (0..4)
+    let layers: Vec<Vec<String>> = (0..DEPTH)
         .map(|layer| {
             let width = if layer == wide_layer {
                 WIDE
@@ -107,128 +121,188 @@ fn generate(seed: u64) -> Case {
     }
 }
 
-/// Query shapes over `a`, `b`, `c` (bound to labels per case), with the
-/// longest path word that can be within [`MAX_DISTANCE`] of `L(R)`:
-/// `None` for the forward-only closures, bounded by the DAG instead.
-const SHAPES: &[(&str, Option<usize>)] = &[
-    ("a", Some(1)),
-    ("a.b", Some(2)),
-    ("a-.b", Some(2)),
-    ("a.b-.c", Some(3)),
-    ("(a|b-).c", Some(2)),
-    ("a+", None),
-    ("a.b+", None),
-];
+/// Query shapes over `a`, `b`, `c` (bound to labels per case). The
+/// closures are forward-only, which bounds the words of `L(R)` worth
+/// aligning (see [`Costs::longest_word`]).
+const SHAPES: &[&str] = &["a", "a.b", "a-.b", "a.b-.c", "(a|b-).c", "a+", "a.b+"];
 
-/// Every symbol of `regex`: the only symbols an edit that can help
-/// introduces (one that `R` cannot match would have to be edited out again).
-fn symbols(regex: &RpqRegex, out: &mut BTreeSet<Symbol>) {
+/// One run's edit costs and the distance ceiling compared.
+#[derive(Debug)]
+struct Costs {
+    config: ApproxConfig,
+    /// Two edits at the largest cost.
+    ceiling: u32,
+}
+
+impl Costs {
+    fn new(config: ApproxConfig) -> Costs {
+        let largest = config
+            .insertion
+            .max(config.deletion)
+            .max(config.substitution);
+        Costs {
+            config,
+            ceiling: 2 * largest,
+        }
+    }
+
+    /// What aligning a path step labelled `step` with the query symbol
+    /// `symbol` costs.
+    fn align(&self, step: &Symbol, symbol: &Symbol) -> u32 {
+        let ApproxConfig {
+            substitution,
+            inversion,
+            ..
+        } = self.config;
+        if step == symbol {
+            0
+        } else if step.label == symbol.label {
+            inversion.map_or(substitution, |inversion| inversion.min(substitution))
+        } else {
+            substitution
+        }
+    }
+
+    /// The longest word of a forward-only `L(R)` that can be within the
+    /// ceiling of a path on a layered graph whose edges over `R`'s labels
+    /// all run one layer down. Each step `R` matches as it stands goes one
+    /// layer down, so a path with `b` other steps has at most `DEPTH − 1 +
+    /// b` of them; each other step is removed or replaced at no less than
+    /// the cheapest of insertion, substitution and inversion, and so is
+    /// every replaced query symbol; every skipped one costs a deletion.
+    fn longest_word(&self) -> usize {
+        let ApproxConfig {
+            insertion,
+            deletion,
+            substitution,
+            inversion,
+        } = self.config;
+        let unmatched = insertion
+            .min(substitution)
+            .min(inversion.unwrap_or(u32::MAX));
+        let edits = |cost: u32| (self.ceiling / cost) as usize;
+        DEPTH - 1 + 2 * edits(unmatched) + edits(deletion)
+    }
+}
+
+/// The words of `L(regex)` of at most `max` symbols, by the semantics of
+/// each operator.
+fn language(regex: &RpqRegex, max: usize) -> BTreeSet<Vec<Symbol>> {
+    let concat = |left: &BTreeSet<Vec<Symbol>>, right: &RpqRegex| {
+        let mut out = BTreeSet::new();
+        for u in left {
+            for v in language(right, max - u.len()) {
+                out.insert([u.as_slice(), &v].concat());
+            }
+        }
+        out
+    };
     match regex {
-        RpqRegex::Label(symbol) => {
-            out.insert(symbol.clone());
+        RpqRegex::Epsilon => BTreeSet::from([Vec::new()]),
+        RpqRegex::Label(symbol) if max > 0 => BTreeSet::from([vec![symbol.clone()]]),
+        RpqRegex::Label(_) => BTreeSet::new(),
+        RpqRegex::Wildcard => panic!("no shape uses the wildcard"),
+        RpqRegex::Alt(a, b) => &language(a, max) | &language(b, max),
+        RpqRegex::Concat(a, b) => concat(&language(a, max), b),
+        RpqRegex::Plus(a) => concat(&language(a, max), &RpqRegex::Star(a.clone())),
+        RpqRegex::Star(a) => {
+            // Iterate to the fixpoint: words only grow, up to `max`.
+            let mut words = BTreeSet::from([Vec::new()]);
+            loop {
+                let more = &words | &concat(&words, a);
+                if more.len() == words.len() {
+                    return words;
+                }
+                words = more;
+            }
         }
-        RpqRegex::Concat(a, b) | RpqRegex::Alt(a, b) => {
-            symbols(a, out);
-            symbols(b, out);
-        }
-        RpqRegex::Star(a) | RpqRegex::Plus(a) => symbols(a, out),
-        RpqRegex::Epsilon | RpqRegex::Wildcard => {}
     }
 }
 
-/// The fewest unit edits turning `word` into a word of `L(regex)`, if at
-/// most [`MAX_DISTANCE`]: breadth-first over edited words.
-fn edit_distance(regex: &RpqRegex, alphabet: &[Symbol], word: &[Symbol]) -> Option<u32> {
-    if matches(regex, word) {
-        return Some(0);
-    }
-    let mut seen: BTreeSet<Vec<Symbol>> = BTreeSet::from([word.to_vec()]);
-    let mut frontier = vec![word.to_vec()];
-    for distance in 1..=MAX_DISTANCE {
-        let mut next = Vec::new();
-        for w in &frontier {
-            let mut edits = Vec::new();
-            for i in 0..w.len() {
-                let mut deleted = w.clone();
-                deleted.remove(i);
-                edits.push(deleted);
-                for s in alphabet {
-                    let mut substituted = w.clone();
-                    substituted[i] = s.clone();
-                    edits.push(substituted);
-                }
-            }
-            for i in 0..=w.len() {
-                for s in alphabet {
-                    let mut inserted = w.clone();
-                    inserted.insert(i, s.clone());
-                    edits.push(inserted);
-                }
-            }
-            for edited in edits {
-                if seen.insert(edited.clone()) {
-                    if matches(regex, &edited) {
-                        return Some(distance);
+/// The words of `L(R)` as a prefix trie: node 0 is the empty prefix.
+struct Trie {
+    children: Vec<Vec<(Symbol, usize)>>,
+    /// Whether the prefix a node spells is a word of `L(R)`.
+    word: Vec<bool>,
+}
+
+impl Trie {
+    fn new(words: &BTreeSet<Vec<Symbol>>) -> Trie {
+        let mut trie = Trie {
+            children: vec![Vec::new()],
+            word: vec![false],
+        };
+        for w in words {
+            let mut at = 0;
+            for symbol in w {
+                at = match trie.children[at].iter().find(|(s, _)| s == symbol) {
+                    Some(&(_, child)) => child,
+                    None => {
+                        trie.children.push(Vec::new());
+                        trie.word.push(false);
+                        let child = trie.children.len() - 1;
+                        trie.children[at].push((symbol.clone(), child));
+                        child
                     }
-                    next.push(edited);
-                }
+                };
             }
+            trie.word[at] = true;
         }
-        frontier = next;
+        trie
     }
-    None
 }
 
-/// `(x, y) → min distance ≤ MAX_DISTANCE` for every start node: every path
-/// word from each start, each with the nodes it can end at, up to `max_len`
-/// symbols and at most [`MAX_DISTANCE`] symbols `R` cannot match.
-fn oracle(
-    case: &Case,
-    regex: &RpqRegex,
-    max_len: usize,
-    memo: &mut HashMap<Vec<Symbol>, Option<u32>>,
-) -> BTreeMap<(String, String), u32> {
-    let mut alphabet = BTreeSet::new();
-    symbols(regex, &mut alphabet);
-    let alphabet: Vec<Symbol> = alphabet.into_iter().collect();
-    let mut steps: BTreeMap<&str, Vec<(Symbol, &str)>> = BTreeMap::new();
+/// `(x, y) → distance` for every pair within the ceiling: from each start
+/// `x`, a cheapest-first search over `(node, trie node)`, that is over a
+/// path walked so far and the prefix of a word of `L(R)` it has been
+/// aligned with. A step of the path is either an insertion (the prefix
+/// stays) or aligned with the prefix's next symbol (`Costs::align`); a
+/// deletion skips that symbol, extending the prefix where the path stands.
+/// Where the prefix is a word of `L(R)`, the path's end is an answer.
+fn oracle(case: &Case, regex: &RpqRegex, costs: &Costs) -> BTreeMap<(String, String), u32> {
+    let words = language(regex, costs.longest_word());
+    assert!(words.iter().all(|w| matches(regex, w)), "{regex:?}");
+    let trie = Trie::new(&words);
+    let nodes: Vec<&String> = case.layers.iter().flatten().collect();
+    let index: HashMap<&String, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+    let mut steps: Vec<Vec<(Symbol, usize)>> = vec![Vec::new(); nodes.len()];
     for (s, p, o) in &case.triples {
-        steps.entry(s).or_default().push((Symbol::forward(p), o));
-        steps.entry(o).or_default().push((Symbol::inverse(p), s));
+        steps[index[s]].push((Symbol::forward(p), index[o]));
+        steps[index[o]].push((Symbol::inverse(p), index[s]));
     }
+    let ApproxConfig {
+        insertion,
+        deletion,
+        ..
+    } = costs.config;
     let mut best = BTreeMap::new();
-    for start in case.layers.iter().flatten() {
-        // Words as keys, the nodes each one can end at as values: paths
-        // sharing a word share its distance.
-        let mut level: BTreeMap<Vec<Symbol>, BTreeSet<&str>> =
-            BTreeMap::from([(Vec::new(), BTreeSet::from([start.as_str()]))]);
-        for length in 0..=max_len {
-            let mut next: BTreeMap<Vec<Symbol>, BTreeSet<&str>> = BTreeMap::new();
-            for (word, ends) in &level {
-                let d = *memo
-                    .entry(word.clone())
-                    .or_insert_with(|| edit_distance(regex, &alphabet, word));
-                if let Some(d) = d {
-                    for end in ends {
-                        let slot = best.entry((start.clone(), end.to_string())).or_insert(d);
-                        *slot = (*slot).min(d);
-                    }
+    for (start, &x) in nodes.iter().enumerate() {
+        // `settled[node * tries + trie node]`.
+        let tries = trie.word.len();
+        let mut settled = vec![false; nodes.len() * tries];
+        let mut queue = BinaryHeap::from([Reverse((0, start, 0))]);
+        while let Some(Reverse((d, node, at))) = queue.pop() {
+            if std::mem::replace(&mut settled[node * tries + at], true) {
+                continue;
+            }
+            if trie.word[at] {
+                best.entry((x.clone(), nodes[node].clone())).or_insert(d);
+            }
+            let mut push = |cost: u32, to: usize, next: usize| {
+                let d = d + cost;
+                if d <= costs.ceiling && !settled[to * tries + next] {
+                    queue.push(Reverse((d, to, next)));
                 }
-                if length == max_len {
-                    continue;
-                }
-                for end in ends {
-                    for (symbol, to) in steps.get(end).into_iter().flatten() {
-                        let mut extended = word.clone();
-                        extended.push(symbol.clone());
-                        let foreign = extended.iter().filter(|s| !alphabet.contains(s)).count();
-                        if foreign as u32 <= MAX_DISTANCE {
-                            next.entry(extended).or_default().insert(to);
-                        }
-                    }
+            };
+            for &(_, next) in &trie.children[at] {
+                push(deletion, node, next);
+            }
+            for (step, to) in &steps[node] {
+                push(insertion, *to, at);
+                for (symbol, next) in &trie.children[at] {
+                    push(costs.align(step, symbol), *to, *next);
                 }
             }
-            level = next;
         }
     }
     best
@@ -272,6 +346,18 @@ fn hub_case() -> Case {
     }
 }
 
+/// The hub case plus one back edge, `n1_1 -p-> n0_0`. The hub reaches its
+/// member `n1_1` over `p` at no cost, and, reading the back edge as `p-`,
+/// again at the cost of an inversion. `n1_1` has no label a query goes on
+/// with, so its cursor block raises it: past one key, and the costlier
+/// inverted visit would pop first and claim it.
+fn hub_with_a_back_edge_case() -> Case {
+    let mut case = hub_case();
+    case.triples
+        .push(("n1_1".to_owned(), "p".to_owned(), "n0_0".to_owned()));
+    case
+}
+
 /// A class `n0_0` with [`WIDE`] instances over `p`, shaped like the paper's
 /// L4All Q8 under APPROX, `(class, type.prereq+, ?X)` with `q` for `type`
 /// and `r` for `prereq`: the class has no `q` edge, so only an insertion or
@@ -307,18 +393,16 @@ fn typed_instances_case() -> Case {
     }
 }
 
-/// Every answer the engine returns up to [`MAX_DISTANCE`], and its stats;
-/// asserts that they come out in non-decreasing distance.
-fn engine(db: &Database, text: &str, cost_guided: bool) -> (Vec<Answer>, EvalStats) {
+/// Every answer the engine returns up to `ceiling`, and its stats; asserts
+/// that they come out in non-decreasing distance.
+fn engine(db: &Database, text: &str, ceiling: u32) -> (Vec<Answer>, EvalStats) {
     let prepared = db.prepare(text).unwrap();
-    let request = ExecOptions::new()
-        .with_max_distance(MAX_DISTANCE)
-        .with_cost_guided(cost_guided);
-    let mut stream = prepared.answers(&request);
+    let mut stream = prepared.answers(&ExecOptions::new().with_max_distance(ceiling));
     let answers = stream.collect_up_to(None).unwrap();
     if let Some(i) = (1..answers.len()).find(|&i| answers[i].distance < answers[i - 1].distance) {
         panic!(
-            "{text}, cost_guided {cost_guided}: answer {i} at distance {} follows one at {}",
+            "{text}, cost_guided {}: answer {i} at distance {} follows one at {}",
+            db.options().cost_guided,
             answers[i].distance,
             answers[i - 1].distance
         );
@@ -361,33 +445,88 @@ fn assert_same<K: Ord + std::fmt::Debug>(
 #[test]
 fn approx_distances_equal_the_oracle_with_a_root_hub() {
     let seed = 2;
-    check(&generate(seed), &format!("seed {seed}"), |i, k| i + k + 2);
+    check(
+        &generate(seed),
+        &format!("seed {seed}"),
+        ApproxConfig::default(),
+        |i, k| i + k + 2,
+    );
 }
 
 #[test]
 fn approx_distances_equal_the_oracle_with_a_hub_one_layer_down() {
     let seed = 1;
-    check(&generate(seed), &format!("seed {seed}"), |i, k| i + k + 1);
+    check(
+        &generate(seed),
+        &format!("seed {seed}"),
+        ApproxConfig::default(),
+        |i, k| i + k + 1,
+    );
 }
 
 #[test]
 fn approx_distances_equal_the_oracle_where_hub_members_mostly_lack_the_next_label() {
     // `a` is always the hub's label `p`, `b` is `q`, `c` is `r`.
-    check(&hub_case(), "hub case", |_, k| k);
+    check(&hub_case(), "hub case", ApproxConfig::default(), |_, k| k);
 }
 
 #[test]
 fn approx_distances_equal_the_oracle_where_an_insertion_reaches_typed_instances() {
     // `a` is `q` (the type edge), `b` is `r`, `c` is `p`: shape `a.b+` is Q8.
-    check(&typed_instances_case(), "typed instances case", |_, k| {
-        k + 1
+    check(
+        &typed_instances_case(),
+        "typed instances case",
+        ApproxConfig::default(),
+        |_, k| k + 1,
+    );
+}
+
+#[test]
+fn approx_distances_equal_the_oracle_when_every_edit_costs_two() {
+    let seed = 2;
+    let costs = ApproxConfig::uniform(2);
+    check(&generate(seed), &format!("seed {seed}"), costs, |i, k| {
+        i + k + 2
     });
 }
 
-/// Every shape over `case`, with its labels `a`, `b`, `c` for shape `i` the
-/// present labels at `pick(i, 0..3)` (mod their number), from every node and
-/// from the first root, with cost guidance on and off.
-fn check(case: &Case, name: &str, pick: impl Fn(usize, usize) -> usize) {
+#[test]
+fn approx_distances_equal_the_oracle_when_insertion_deletion_and_substitution_cost_one_two_three() {
+    let costs = ApproxConfig {
+        insertion: 1,
+        deletion: 2,
+        substitution: 3,
+        inversion: None,
+    };
+    check(
+        &typed_instances_case(),
+        "typed instances case",
+        costs,
+        |_, k| k + 1,
+    );
+}
+
+#[test]
+fn approx_distances_equal_the_oracle_when_an_inversion_costs_less_than_an_edit() {
+    let costs = ApproxConfig {
+        inversion: Some(1),
+        ..ApproxConfig::uniform(3)
+    };
+    // `a` is `p`, `b` is `q`, `c` is `r`, except that the closures start
+    // at `q`: `p` now has a back edge (see `Costs::longest_word`).
+    check(
+        &hub_with_a_back_edge_case(),
+        "back edge case",
+        costs,
+        |i, k| k + usize::from(i >= 5),
+    );
+}
+
+/// Every shape over `case` at edit costs `config`, with its labels `a`,
+/// `b`, `c` for shape `i` the present labels at `pick(i, 0..3)` (mod their
+/// number), from every node and from the first root, with cost guidance on
+/// and off.
+fn check(case: &Case, name: &str, config: ApproxConfig, pick: impl Fn(usize, usize) -> usize) {
     let mut graph = GraphStore::new();
     // Nodes without edges too: every node pairs with itself at the cost of
     // deleting the shortest query word.
@@ -397,14 +536,23 @@ fn check(case: &Case, name: &str, pick: impl Fn(usize, usize) -> usize) {
     for (s, p, o) in &case.triples {
         graph.add_triple(s, p, o);
     }
-    let db = Database::new(graph, Ontology::new());
+    let options = EvalOptions {
+        approx: config,
+        ..EvalOptions::default()
+    };
+    let guided = Database::with_options(graph, Ontology::new(), options.clone());
+    let unguided = guided.reconfigured(EvalOptions {
+        cost_guided: false,
+        ..options
+    });
+    let costs = Costs::new(config);
     let labels: Vec<&str> = ["p", "q", "r"]
         .into_iter()
         .filter(|l| case.triples.iter().any(|(_, p, _)| p == l))
         .collect();
     let root = &case.layers[0][0];
     let (mut cursor_blocks, mut raised_keys) = (0, 0);
-    for (i, &(shape, bound)) in SHAPES.iter().enumerate() {
+    for (i, &shape) in SHAPES.iter().enumerate() {
         let pick = |k: usize| labels[pick(i, k) % labels.len()];
         let text: String = shape
             .chars()
@@ -415,24 +563,16 @@ fn check(case: &Case, name: &str, pick: impl Fn(usize, usize) -> usize) {
                 other => other.to_string(),
             })
             .collect();
-        let regex = parse(&text).unwrap();
-        // Each edit changes a word's length by at most one. A forward-only
-        // closure matches forward paths, at most depth − 1 long; each of the
-        // ≤ 2 unmatched symbols can step back a layer, buying one more
-        // forward step.
-        let depth = case.layers.len();
-        let max_len = bound.map_or(depth - 1 + 2 * MAX_DISTANCE as usize, |m| {
-            m + MAX_DISTANCE as usize
-        });
-        let expected = oracle(case, &regex, max_len, &mut HashMap::new());
+        let expected = oracle(case, &parse(&text).unwrap(), &costs);
         let from_root: BTreeMap<String, u32> = expected
             .iter()
             .filter(|((x, _), _)| x == root)
             .map(|((_, y), &d)| (y.clone(), d))
             .collect();
-        for cost_guided in [true, false] {
+        for db in [&guided, &unguided] {
+            let mode = format!("{costs:?}, cost_guided {}", db.options().cost_guided);
             let all = format!("(?X, ?Y) <- APPROX (?X, {text}, ?Y)");
-            let (answers, stats) = engine(&db, &all, cost_guided);
+            let (answers, stats) = engine(db, &all, costs.ceiling);
             cursor_blocks += stats.cursor_blocks;
             raised_keys += stats.raised_keys;
             let got = distances(&answers, |a| {
@@ -441,15 +581,13 @@ fn check(case: &Case, name: &str, pick: impl Fn(usize, usize) -> usize) {
                     a.get("Y").unwrap().to_owned(),
                 )
             });
-            let context = format!("{name}, {all}, cost_guided {cost_guided}");
-            assert_same(&got, &expected, &context);
+            assert_same(&got, &expected, &format!("{name}, {all}, {mode}"));
             // A constant subject seeds one node instead of every node.
             let one = format!("(?Y) <- APPROX ({root}, {text}, ?Y)");
-            let (answers, stats) = engine(&db, &one, cost_guided);
+            let (answers, stats) = engine(db, &one, costs.ceiling);
             raised_keys += stats.raised_keys;
             let got = distances(&answers, |a| a.get("Y").unwrap().to_owned());
-            let context = format!("{name}, {one}, cost_guided {cost_guided}");
-            assert_same(&got, &from_root, &context);
+            assert_same(&got, &from_root, &format!("{name}, {one}, {mode}"));
         }
     }
     assert!(cursor_blocks > 0, "no query read the hub through a cursor");

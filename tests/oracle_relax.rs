@@ -468,15 +468,14 @@ fn database(world: &World, costs: Costs, batch_size: usize) -> Database {
 
 /// Every answer the engine returns up to [`MAX_DISTANCE`]; asserts that
 /// they come out in non-decreasing distance.
-fn engine(db: &Database, text: &str, cost_guided: bool) -> Vec<Answer> {
+fn engine(db: &Database, text: &str) -> Vec<Answer> {
     let prepared = db.prepare(text).unwrap();
-    let request = ExecOptions::new()
-        .with_max_distance(MAX_DISTANCE)
-        .with_cost_guided(cost_guided);
+    let request = ExecOptions::new().with_max_distance(MAX_DISTANCE);
     let answers = prepared.answers(&request).collect_up_to(None).unwrap();
     if let Some(i) = (1..answers.len()).find(|&i| answers[i].distance < answers[i - 1].distance) {
         panic!(
-            "{text}, cost_guided {cost_guided}: answer {i} at distance {} follows one at {}",
+            "{text}, cost_guided {}: answer {i} at distance {} follows one at {}",
+            db.options().cost_guided,
             answers[i].distance,
             answers[i - 1].distance
         );
@@ -520,32 +519,33 @@ fn assert_same<K: Ord + std::fmt::Debug>(
 /// with cost guidance on and off; and some answer at each distance up to
 /// the ceiling, so that no kind of step goes unpriced.
 fn check(world: &World, costs: Costs, batch_size: usize) {
-    let db = database(world, costs, batch_size);
+    let guided = database(world, costs, batch_size);
+    let unguided = guided.reconfigured(EvalOptions {
+        cost_guided: false,
+        ..guided.options().clone()
+    });
     let mut seen = BTreeSet::new();
     for &(text, bound) in SHAPES {
         let regex = parse(text).unwrap();
         let mut oracle = Oracle::new(&regex, costs);
         let pairs = all_pairs(world, &mut oracle, bound.unwrap_or(DEPTH));
         seen.extend(pairs.values().copied());
-        for cost_guided in [true, false] {
+        for db in [&guided, &unguided] {
+            let mode = format!("{costs:?}, cost_guided {}", db.options().cost_guided);
             let all = format!("(?X, ?Y) <- RELAX (?X, {text}, ?Y)");
-            let got = distances(&engine(&db, &all, cost_guided), |a| {
+            let got = distances(&engine(db, &all), |a| {
                 (
                     a.get("X").unwrap().to_owned(),
                     a.get("Y").unwrap().to_owned(),
                 )
             });
-            let context = format!("{costs:?}, {all}, cost_guided {cost_guided}");
-            assert_same(&got, &pairs, &context);
+            assert_same(&got, &pairs, &format!("{all}, {mode}"));
             for class in CONSTANTS {
                 let one = format!("(?Y) <- RELAX ({class}, {text}, ?Y)");
                 let want = from_class(&pairs, class, costs);
                 seen.extend(want.values().copied());
-                let got = distances(&engine(&db, &one, cost_guided), |a| {
-                    a.get("Y").unwrap().to_owned()
-                });
-                let context = format!("{costs:?}, {one}, cost_guided {cost_guided}");
-                assert_same(&got, &want, &context);
+                let got = distances(&engine(db, &one), |a| a.get("Y").unwrap().to_owned());
+                assert_same(&got, &want, &format!("{one}, {mode}"));
             }
         }
     }

@@ -241,27 +241,28 @@ proptest! {
     }
 
     /// Bound admissibility, end to end: cost-guided evaluation (A* `f = g+h`
-    /// ordering, dead-state and `g+h` pruning, deferred expansion,
-    /// stats-driven planning) and plain `g`-ordered evaluation produce the
-    /// same answers at the same distances, in the same non-decreasing
-    /// distance sequence rank by rank, with equal `EvalStats.answers` — on
-    /// random graphs, in every operator mode. Order *within* one distance
+    /// ordering, dead-state and `g+h` pruning, deferred expansion) and plain
+    /// `g`-ordered evaluation (the ablation, set on the base options)
+    /// produce the same answers at the same distances, in the same
+    /// non-decreasing distance sequence rank by rank, with equal
+    /// `EvalStats.answers` — on random graphs, in every operator mode.
+    /// Order *within* one distance
     /// class is the only thing allowed to differ (both orderings emit each
     /// distance class completely before the next).
     #[test]
     fn cost_guided_matches_unguided(triples in graph_strategy(), qi in 0usize..QUERIES.len(), flex in 0usize..3) {
         let (g, o) = build(&triples);
         let db = Database::new(g, o);
+        let unguided = unguided(&db);
         let operator = ["", "APPROX ", "RELAX "][flex];
         let text = QUERIES[qi].replacen("<- (", &format!("<- {operator}("), 1);
-        let prepared = db.prepare(&text).unwrap();
         // Flexible full drains are huge on some random graphs; a generous
         // limit keeps the test fast while still crossing several distance
         // classes.
         let cap = 300usize;
-        let collect = |guided: bool| {
-            let request = ExecOptions::new().with_limit(cap).with_cost_guided(guided);
-            let mut stream = prepared.answers(&request);
+        let collect = |db: &Database| {
+            let prepared = db.prepare(&text).unwrap();
+            let mut stream = prepared.answers(&ExecOptions::new().with_limit(cap));
             let mut rows = Vec::new();
             for answer in stream.by_ref() {
                 let a = answer.unwrap();
@@ -269,8 +270,8 @@ proptest! {
             }
             (rows, stream.stats())
         };
-        let (on, on_stats) = collect(true);
-        let (off, off_stats) = collect(false);
+        let (on, on_stats) = collect(&db);
+        let (off, off_stats) = collect(&unguided);
 
         // Identical distance sequence, rank by rank.
         let dist = |rows: &[(std::collections::BTreeMap<String, String>, u32)]| {
@@ -310,15 +311,18 @@ proptest! {
         let (g, o) = build(&triples);
         let db = Database::new(g, o);
         let text = QUERIES[qi].replacen("<- (", "<- APPROX (", 1);
-        let prepared = db.prepare(&text).unwrap();
-        let full: Vec<_> = prepared
-            .execute(&ExecOptions::new().with_limit(500).with_cost_guided(false))
+        let full: Vec<_> = unguided(&db)
+            .prepare(&text)
+            .unwrap()
+            .execute(&ExecOptions::new().with_limit(500))
             .unwrap()
             .into_iter()
             .map(|a| (a.bindings, a.distance))
             .collect();
-        let limited: Vec<_> = prepared
-            .execute(&ExecOptions::new().with_limit(k).with_cost_guided(true))
+        let limited: Vec<_> = db
+            .prepare(&text)
+            .unwrap()
+            .execute(&ExecOptions::new().with_limit(k))
             .unwrap()
             .into_iter()
             .map(|a| (a.bindings, a.distance))
@@ -780,6 +784,15 @@ fn join_text(head: &[&str], conjuncts: &[(&str, &str, &str)], operator: &str) ->
     format!("({}) <- {}", head.join(", "), body.join(", "))
 }
 
+/// A view of `db` that evaluates every request unguided (plain
+/// `g`-ordering): the ablation, set on the base options.
+fn unguided(db: &Database) -> Database {
+    db.reconfigured(EvalOptions {
+        cost_guided: false,
+        ..db.options().clone()
+    })
+}
+
 /// Every `(row, distance)` of a stream, through `next_row`.
 fn rows_of(mut stream: omega::core::Answers<'_>) -> Vec<(Vec<omega::core::NodeId>, u32)> {
     let mut rows = Vec::new();
@@ -848,14 +861,14 @@ proptest! {
         let mut expected: Vec<(u32, Vec<_>)> = cheapest.into_iter().map(|(r, d)| (d, r)).collect();
         expected.sort();
 
-        let prepared = db.prepare(&join_text(head, conjuncts, operator)).unwrap();
-        for cost_guided in [true, false] {
-            let request = capped.clone().with_cost_guided(cost_guided);
-            let got = rows_of(prepared.answers(&request));
-            prop_assert!(got.windows(2).all(|w| w[0].1 <= w[1].1), "{:?}", request);
+        let text = join_text(head, conjuncts, operator);
+        for db in [db.clone(), unguided(&db)] {
+            let got = rows_of(db.prepare(&text).unwrap().answers(&capped));
+            let context = format!("{text}, cost_guided {}", db.options().cost_guided);
+            prop_assert!(got.windows(2).all(|w| w[0].1 <= w[1].1), "{}", context);
             let mut got: Vec<(u32, Vec<_>)> = got.into_iter().map(|(r, d)| (d, r)).collect();
             got.sort();
-            prop_assert_eq!(&got, &expected, "{} under {:?}", prepared.query().head.join(","), request);
+            prop_assert_eq!(&got, &expected, "{}", context);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! RELAX query sets — while corruption of the image in any form surfaces as
 //! a typed [`SnapshotError`] at open time, never a panic or a wrong answer.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use omega::core::{EvalStats, SnapshotError};
@@ -223,35 +223,95 @@ fn small_snapshot(tag: &str) -> (Vec<u8>, TempFile) {
     (bytes, TempFile(path))
 }
 
+/// The three fixed queries a damaged image that still opens must answer as
+/// the intact one does: exact, RELAX and APPROX.
+const PROBES: [&str; 3] = [
+    "(?X, ?Y) <- (?X, knows.worksAt, ?Y)",
+    "(?X) <- RELAX (alice, type, ?X)",
+    "(?X, ?Y) <- APPROX (?X, knows, ?Y)",
+];
+
+fn probe_answers(db: &Database) -> Vec<Vec<Answer>> {
+    PROBES
+        .iter()
+        .map(|text| {
+            db.prepare(text)
+                .unwrap()
+                .execute(&ExecOptions::new())
+                .unwrap()
+        })
+        .collect()
+}
+
+/// Writes `bytes` to `path` and opens it: a typed [`SnapshotError`], or a
+/// database answering [`PROBES`] as `intact` does. Returns the error.
+fn open_damaged(
+    path: &Path,
+    bytes: &[u8],
+    intact: &[Vec<Answer>],
+    what: &str,
+) -> Option<SnapshotError> {
+    std::fs::write(path, bytes).unwrap();
+    match Database::open_snapshot(path) {
+        Ok(db) => {
+            assert_eq!(
+                probe_answers(&db),
+                intact,
+                "{what} opened with other answers"
+            );
+            None
+        }
+        Err(err) => Some(err),
+    }
+}
+
 #[test]
 fn truncated_snapshots_fail_typed() {
     let (bytes, guard) = small_snapshot("truncate");
-    // Cut at several depths: inside the header, inside the section table,
-    // and inside the last payload.
-    for keep in [4, 20, bytes.len() / 2, bytes.len() - 3] {
-        std::fs::write(&guard.0, &bytes[..keep]).unwrap();
-        let err = Database::open_snapshot(&guard.0).unwrap_err();
+    let intact = probe_answers(&Database::open_snapshot(&guard.0).unwrap());
+    // Cut at every length: inside the header, the section table and every
+    // payload.
+    for keep in 0..bytes.len() {
+        let what = format!("keep={keep}");
+        let err = open_damaged(&guard.0, &bytes[..keep], &intact, &what);
         assert!(
             matches!(
                 err,
-                SnapshotError::Truncated { .. } | SnapshotError::ChecksumMismatch { .. }
+                Some(
+                    SnapshotError::Truncated { .. }
+                        | SnapshotError::ChecksumMismatch { .. }
+                        | SnapshotError::BadMagic { .. }
+                )
             ),
-            "keep={keep} gave {err:?}"
+            "{what} gave {err:?}"
         );
     }
 }
 
 #[test]
 fn flipped_checksum_byte_fails_typed() {
-    let (mut bytes, guard) = small_snapshot("bitflip");
-    // Flip one byte in the last payload (well past the section table).
-    let target = bytes.len() - 9;
-    bytes[target] ^= 0x01;
-    std::fs::write(&guard.0, &bytes).unwrap();
+    let (bytes, guard) = small_snapshot("bitflip");
+    let intact = probe_answers(&Database::open_snapshot(&guard.0).unwrap());
+    // Flip a low and a high bit of every byte: each open fails typed or
+    // answers as the intact image does.
+    let mut failed = 0;
+    for at in 0..bytes.len() {
+        for mask in [0x01, 0x80] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= mask;
+            let what = format!("byte {at} ^ {mask:#04x}");
+            failed += usize::from(open_damaged(&guard.0, &flipped, &intact, &what).is_some());
+        }
+    }
+    // A flip in the last payload (well past the section table) is caught by
+    // its checksum.
+    let mut flipped = bytes.clone();
+    flipped[bytes.len() - 9] ^= 0x01;
     assert!(matches!(
-        Database::open_snapshot(&guard.0),
-        Err(SnapshotError::ChecksumMismatch { .. })
+        open_damaged(&guard.0, &flipped, &intact, "the last payload"),
+        Some(SnapshotError::ChecksumMismatch { .. })
     ));
+    assert!(failed > bytes.len(), "only {failed} flips failed to open");
 }
 
 #[test]
