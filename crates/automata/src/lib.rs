@@ -14,10 +14,7 @@
 //!   relaxation transitions (superproperty steps at cost β, property →
 //!   `type`-edge-to-domain/range at cost γ),
 //! * [`epsilon::remove_epsilons`] performs weighted ε-removal, which may
-//!   leave final states carrying a positive weight,
-//! * [`decompose::decompose_alternation`] splits a top-level alternation
-//!   into sub-automata for the "replacing alternation by disjunction"
-//!   optimisation of Section 4.3.
+//!   leave final states carrying a positive weight.
 //!
 //! A [`WeightedNfa`] is flat: one transition vector plus `u32` index vectors.
 //! While it is built, a chain per source state finds a duplicate
@@ -31,7 +28,6 @@
 
 pub mod approx;
 pub mod bounds;
-pub mod decompose;
 pub mod epsilon;
 pub mod label;
 pub mod nfa;
@@ -42,7 +38,6 @@ pub mod thompson;
 
 pub use approx::{approximate, ApproxConfig};
 pub use bounds::MinCostToAccept;
-pub use decompose::decompose_alternation;
 pub use epsilon::remove_epsilons;
 pub use label::TransitionLabel;
 pub use nfa::{StateId, Transition, WeightedNfa};

@@ -248,4 +248,34 @@ mod tests {
             }
         }
     }
+
+    /// The Section 4.3 disjunction driver evaluates a top-level alternation
+    /// branch by branch: the branches' automata together accept exactly
+    /// the words the whole expression's automaton does.
+    #[test]
+    fn union_of_branch_languages_equals_original() {
+        let resolver = MapResolver::new();
+        let r = parse("a.b|c|d.e*").unwrap();
+        let parts = r.top_level_branches();
+        assert_eq!(parts.len(), 3);
+        let whole = build_nfa(&r, &resolver);
+        let part_nfas: Vec<_> = parts.iter().map(|p| build_nfa(p, &resolver)).collect();
+        let words: Vec<Vec<Symbol>> = vec![
+            vec![],
+            vec![Symbol::forward("a"), Symbol::forward("b")],
+            vec![Symbol::forward("c")],
+            vec![Symbol::forward("d")],
+            vec![
+                Symbol::forward("d"),
+                Symbol::forward("e"),
+                Symbol::forward("e"),
+            ],
+            vec![Symbol::forward("a")],
+        ];
+        for w in &words {
+            let whole_accepts = accepts(&whole, w);
+            let any_part = part_nfas.iter().any(|n| accepts(n, w));
+            assert_eq!(whole_accepts, any_part, "mismatch on {w:?}");
+        }
+    }
 }

@@ -10,17 +10,12 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use omega_automata::StateId;
-use omega_graph::{GraphStore, NodeId};
+use omega_core::eval::initial::InitialNodeFeed;
+use omega_core::eval::succ::{succ, CostFilter, Successors};
+use omega_core::eval::{compile_conjunct, ConjunctPlan};
+use omega_core::{Conjunct, ConjunctAnswer, EvalOptions, EvalStats, NodeId, Result};
+use omega_graph::GraphStore;
 use omega_ontology::Ontology;
-
-use crate::answer::ConjunctAnswer;
-use crate::error::Result;
-use crate::eval::options::EvalOptions;
-use crate::eval::plan::{compile_conjunct, ConjunctPlan, SeedSpec};
-use crate::eval::stats::EvalStats;
-use crate::eval::succ::{succ, CostFilter, Successors};
-use crate::query::ast::Conjunct;
 
 /// Exhaustive BFS evaluation of one conjunct (exact semantics only: all
 /// APPROX/RELAX transitions are still followed, but answers are not ranked
@@ -63,38 +58,22 @@ impl<'a> BaselineEvaluator<'a> {
     /// distance 0 (exact answers). Flexible-operator transitions are ignored
     /// by construction because any positive-cost step is pruned.
     pub fn run(&mut self) -> Vec<ConjunctAnswer> {
-        let seeds: Vec<NodeId> = match &self.plan.seeds {
-            SeedSpec::Fixed(seed) => seed
-                .iter()
-                .filter(|&&(_, d)| d == 0)
-                .map(|&(n, _)| n)
-                .collect(),
-            SeedSpec::AllNodes => self.graph.node_ids().collect(),
-            SeedSpec::MatchingInitial => {
-                let mut set = omega_graph::NodeBitmap::new();
-                for label in self.plan.nfa.initial_labels() {
-                    set.union_with(&crate::eval::plan::seed_nodes_for_label(
-                        self.graph,
-                        self.ontology,
-                        self.plan.inference,
-                        label,
-                    ));
-                }
-                set.iter().collect()
-            }
-        };
-
         let mut answers = Vec::new();
         let mut emitted: HashSet<(NodeId, NodeId)> = HashSet::new();
-        let mut visited: HashSet<(NodeId, NodeId, StateId)> = HashSet::new();
-        let mut queue: VecDeque<(NodeId, NodeId, StateId)> = VecDeque::new();
+        let mut visited = HashSet::new();
+        let mut queue = VecDeque::new();
 
+        // The plan's seeds at distance 0, all at once: the constant (not its
+        // RELAX ancestors), every node, or those matching an initial label.
         let initial = self.plan.nfa.initial();
-        for seed in seeds {
-            if visited.insert((seed, seed, initial)) {
+        let mut feed = InitialNodeFeed::new(&self.plan, self.graph, self.ontology, usize::MAX);
+        // One release of `usize::MAX` drains the feed; the closure never fails.
+        let _ = feed.release(|seed, distance| {
+            if distance == 0 && visited.insert((seed, seed, initial)) {
                 queue.push_back((seed, seed, initial));
             }
-        }
+            Ok(())
+        });
         let mut successors = Successors::default();
         while let Some((start, node, state)) = queue.pop_front() {
             self.stats.tuples_processed += 1;
@@ -151,9 +130,8 @@ impl<'a> BaselineEvaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::conjunct::evaluate_conjunct;
-    use crate::eval::AnswerStream;
-    use crate::query::parser::parse_query;
+    use omega_core::eval::evaluate_conjunct;
+    use omega_core::{parse_query, AnswerStream};
 
     fn setup() -> (GraphStore, Ontology) {
         let mut g = GraphStore::new();

@@ -2,8 +2,11 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation (Section 4) and the Section 3.3/4.3 ablations, plus the
-//! `snapshot build|inspect` tooling. Timing the *system* (serving, writes,
-//! recovery, per-layer costs) is the job of the yardstick in `benchmark/`.
+//! `snapshot build|inspect` tooling. The Section 4 comparisons the engine
+//! does not run itself live here: the two Section 4.3 drivers ([`drivers`])
+//! and the product-automaton BFS baseline ([`baseline`]). Timing the
+//! *system* (serving, writes, recovery, per-layer costs) is the job of the
+//! yardstick in `benchmark/`.
 //!
 //! The `experiments` binary prints the figures as text tables:
 //!
@@ -22,14 +25,20 @@
 // engine-side lints (unwrap/expect denied) do not apply.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+pub mod baseline;
+pub mod drivers;
+
+pub use baseline::BaselineEvaluator;
+pub use drivers::{compile_branches, DisjunctionEvaluator, DistanceAwareEvaluator, MAX_PSI_STEPS};
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use omega_core::eval::{compile_branches, compile_conjunct};
+use omega_core::eval::compile_conjunct;
 use omega_core::{
-    AnswerStream, ConjunctEvaluator, Database, DisjunctionEvaluator, DistanceAwareEvaluator,
-    EvalOptions, EvalStats, ExecOptions, OmegaError, PreparedQuery,
+    AnswerStream, ConjunctEvaluator, Database, EvalOptions, EvalStats, ExecOptions, OmegaError,
+    PreparedQuery,
 };
 use omega_datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, l4all_queries, yago_queries,
@@ -592,7 +601,7 @@ pub fn run_arm(
     let stream = || -> Box<dyn AnswerStream + '_> {
         let (plan, options) = (Arc::clone(&plan), Arc::clone(&options));
         match driver {
-            Driver::Plain => Box::new(ConjunctEvaluator::new(plan, graph, ontology, options, None)),
+            Driver::Plain => Box::new(ConjunctEvaluator::new(plan, graph, ontology, options)),
             Driver::DistanceAware => {
                 Box::new(DistanceAwareEvaluator::new(plan, graph, ontology, options))
             }
@@ -915,8 +924,6 @@ pub fn overload_comparison(rows: &[OverloadRun]) -> String {
 /// NFA-based approaches: Omega's ranked evaluator vs the BFS baseline on the
 /// exact L4All queries.
 pub fn baseline_comparison(config: &RunConfig) -> String {
-    use omega_core::BaselineEvaluator;
-
     let mut out = String::from(
         "Baseline comparison: exact queries, ranked evaluator vs product-automaton BFS (ms)\n",
     );

@@ -8,7 +8,8 @@
 //! [`InitialNodeFeed`] as one tuple for that, a [`TupleKind::Seeds`] cursor
 //! in the initial state at distance 0, through the ordinary `push`: at the
 //! key every seed enters at, `h(initial)` (0 without cost guidance). A dead
-//! initial state or a ψ below that key prunes it once, for every seed.
+//! initial state or a `max_distance` below that key prunes it once, for
+//! every seed.
 //! Popping it re-queues it *first*, while the feed has seeds left, then
 //! pushes the feed's next `batch_size` seeds above it as visits (hinted
 //! seeds first and alone). Nothing is keyed below the seeds (`h` is
@@ -150,14 +151,15 @@ use crate::govern::TupleReservation;
 pub struct ConjunctEvaluator<'a> {
     graph: &'a GraphStore,
     ontology: &'a Ontology,
-    /// The compiled plan, shared with the prepared query (and, for the
-    /// escalating drivers, across restarts) instead of cloned per run.
+    /// The compiled plan, shared with the prepared query instead of cloned
+    /// per run.
     plan: Arc<ConjunctPlan>,
     /// Shared evaluation options: one `Arc` per request, not one clone per
     /// evaluator.
     options: Arc<EvalOptions>,
-    /// Distance ceiling ψ for distance-aware evaluation (`None` = unbounded).
-    psi: Option<u32>,
+    /// The distance ceiling, [`EvalOptions::max_distance`] copied out of the
+    /// options so that `push` reads a field of its own (`None` = unbounded).
+    max_distance: Option<u32>,
     /// Whether cost-guided evaluation (f-ordering, pruning, deferral) is on.
     cost_guided: bool,
     /// Loop counter used to pace the wall-clock deadline checks.
@@ -190,21 +192,15 @@ pub struct ConjunctEvaluator<'a> {
 }
 
 impl<'a> ConjunctEvaluator<'a> {
-    /// Creates an evaluator for `plan` with an optional distance ceiling.
-    ///
-    /// The ceiling is the tighter of `psi` (the escalating drivers' bound)
-    /// and the request's `max_distance`.
+    /// Creates an evaluator for `plan`, its distance ceiling the options'
+    /// `max_distance`.
     pub fn new(
         plan: Arc<ConjunctPlan>,
         graph: &'a GraphStore,
         ontology: &'a Ontology,
         options: Arc<EvalOptions>,
-        psi: Option<u32>,
     ) -> ConjunctEvaluator<'a> {
-        let psi = match (psi, options.max_distance) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        let max_distance = options.max_distance;
         let feed = InitialNodeFeed::new(&plan, graph, ontology, options.batch_size);
         let dr = DrQueue::new(options.prioritize_final);
         let visited = VisitedSet::new(graph.node_count(), plan.nfa.state_count(), &plan.seeds);
@@ -215,7 +211,7 @@ impl<'a> ConjunctEvaluator<'a> {
             ontology,
             plan,
             options,
-            psi,
+            max_distance,
             cost_guided,
             ticks: 0,
             dr,
@@ -243,12 +239,6 @@ impl<'a> ConjunctEvaluator<'a> {
         &self.plan
     }
 
-    /// Number of tuples suppressed by the ψ ceiling so far; a non-zero value
-    /// means answers may exist beyond the ceiling.
-    pub fn suppressed(&self) -> u64 {
-        self.stats.suppressed
-    }
-
     /// Counts and enqueues a traversal or final tuple.
     fn add_tuple(&mut self, tuple: Tuple) -> Result<()> {
         if !self.push(tuple) {
@@ -260,16 +250,16 @@ impl<'a> ConjunctEvaluator<'a> {
 
     /// Pushes `tuple` into `D_R` at its key — `g`, or `g + h[state]` when
     /// cost-guided, one more for a raised run — unless a dead state or the
-    /// ψ ceiling prunes it; whether it went in. A run stands for members in
-    /// one state at one distance, so it is pruned exactly when each of them
-    /// would be.
+    /// distance ceiling prunes it; whether it went in. A run stands for
+    /// members in one state at one distance, so it is pruned exactly when
+    /// each of them would be.
     fn push(&mut self, tuple: Tuple) -> bool {
         let mut key = tuple.distance;
         if !tuple.is_final() && self.cost_guided {
             let h = self.plan.bounds.get(tuple.state);
             // A dead state can never reach acceptance on this graph: the
             // tuple is dropped outright (it is *not* `suppressed` — no
-            // ceiling escalation can ever recover an answer from it).
+            // higher ceiling can ever recover an answer from it).
             if h == MinCostToAccept::DEAD {
                 self.stats.pruned_dead += 1;
                 return false;
@@ -277,16 +267,16 @@ impl<'a> ConjunctEvaluator<'a> {
             let raised = u32::from(tuple.kind == TupleKind::RaisedRun);
             key = tuple.distance.saturating_add(h).saturating_add(raised);
         }
-        if let Some(psi) = self.psi {
-            if tuple.distance > psi {
+        if let Some(max) = self.max_distance {
+            if tuple.distance > max {
                 self.stats.suppressed += 1;
                 return false;
             }
             // Admissible bound pruning: every answer derived from this
-            // tuple has final distance ≥ g + h, so beyond ψ it cannot
-            // contribute under the current ceiling (but might after an
-            // escalation — hence also `suppressed`).
-            if key > psi {
+            // tuple has final distance ≥ g + h, so beyond the ceiling it
+            // cannot contribute (but might under a higher one — hence also
+            // `suppressed`).
+            if key > max {
                 self.stats.suppressed += 1;
                 self.stats.pruned_bound += 1;
                 return false;
@@ -310,10 +300,10 @@ impl<'a> ConjunctEvaluator<'a> {
             delta = delta.max(self.plan.bounds.get(visits.state) + 1);
         }
         let key = visits.distance.saturating_add(delta);
-        if let Some(psi) = self.psi {
-            if key > psi {
-                // Every deferred successor has g + h ≥ key > ψ: prunable
-                // now, possibly relevant after an escalation.
+        if let Some(max) = self.max_distance {
+            if key > max {
+                // Every deferred successor has g + h ≥ key > the ceiling:
+                // prunable now, possibly relevant under a higher one.
                 self.stats.suppressed += 1;
                 self.stats.pruned_bound += 1;
                 return Ok(false);
@@ -670,7 +660,7 @@ impl<'a> ConjunctEvaluator<'a> {
         // `members[len]` exists: the end marker stopped the block, or a full
         // block lies before it (a raised run holds one at most). The re-push
         // cannot be pruned: this state and distance were admitted under this
-        // ψ. `at + len` is below the arena's length, which fits a `u32`.
+        // ceiling. `at + len` is below the arena's length, which fits a `u32`.
         let requeued = members[len] != RUN_END
             && self.push(Tuple {
                 node: NodeId((at + len) as u32),
@@ -823,7 +813,6 @@ pub fn evaluate_conjunct<'a>(
         graph,
         ontology,
         Arc::new(options.clone()),
-        None,
     ))
 }
 
@@ -1088,25 +1077,6 @@ mod tests {
     }
 
     #[test]
-    fn psi_ceiling_limits_distances_and_counts_suppressed() {
-        let (g, o) = setup();
-        let q = parse_query("(?X) <- APPROX (alice, worksAt.worksAt, ?X)").unwrap();
-        let plan =
-            crate::eval::plan::compile_conjunct(&q.conjuncts[0], &g, &o, &EvalOptions::default())
-                .unwrap();
-        let mut bounded = ConjunctEvaluator::new(
-            Arc::new(plan),
-            &g,
-            &o,
-            Arc::new(EvalOptions::default()),
-            Some(0),
-        );
-        let answers = bounded.collect(None).unwrap();
-        assert!(answers.iter().all(|a| a.distance == 0));
-        assert!(bounded.suppressed() > 0, "some tuples lie beyond ψ = 0");
-    }
-
-    #[test]
     fn deadline_in_the_past_aborts_immediately() {
         let (g, o) = setup();
         let options = EvalOptions::default().with_deadline(Some(Instant::now()));
@@ -1132,17 +1102,22 @@ mod tests {
     #[test]
     fn max_distance_caps_answer_distances() {
         let (g, o) = setup();
-        let unbounded = run("(?X) <- APPROX (alice, worksAt.worksAt, ?X)", &g, &o);
+        let query = "(?X) <- APPROX (alice, worksAt.worksAt, ?X)";
+        let unbounded = run(query, &g, &o);
         assert!(unbounded.iter().any(|a| a.distance > 1));
-        let bounded = run_with(
-            "(?X) <- APPROX (alice, worksAt.worksAt, ?X)",
-            &g,
-            &o,
-            &EvalOptions::default().with_max_distance(Some(1)),
-        );
-        assert!(bounded.iter().all(|a| a.distance <= 1));
-        let expected: Vec<_> = unbounded.iter().filter(|a| a.distance <= 1).collect();
-        assert_eq!(bounded.len(), expected.len());
+        let q = parse_query(query).unwrap();
+        for max in [0, 1] {
+            let options = EvalOptions::default().with_max_distance(Some(max));
+            let mut eval = evaluate_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap();
+            let bounded = eval.collect(None).unwrap();
+            assert!(bounded.iter().all(|a| a.distance <= max));
+            let expected: Vec<_> = unbounded.iter().filter(|a| a.distance <= max).collect();
+            assert_eq!(bounded.len(), expected.len());
+            assert!(
+                eval.stats().suppressed > 0,
+                "some tuples lie beyond the ceiling {max}"
+            );
+        }
     }
 
     #[test]
@@ -1236,7 +1211,7 @@ mod tests {
         assert!(stats.pruned_bound > 0, "g + h must exceed the ceiling");
         assert!(
             stats.suppressed >= stats.pruned_bound,
-            "bound-pruned tuples also count as suppressed (escalation signal)"
+            "bound-pruned tuples also count as suppressed (a higher ceiling could admit them)"
         );
         // Without the ceiling the same query has answers at distance 1.
         let unbounded = run_with(
@@ -1552,7 +1527,7 @@ mod tests {
     #[test]
     fn a_distance_ceiling_prunes_one_placeholder_per_run() {
         // `s` reaches 100 members over `h`: two blocks, visited in place at
-        // distance 0 and key 0. Under ψ = 0 each block's deferred run (key
+        // distance 0 and key 0. Under a ceiling of 0 each block's deferred run (key
         // 1) is pruned once, beside the seed's own deferred tuple (key 1)
         // and pending answer (distance 1, deleting `h`); one pruning per
         // member would read 100 more.

@@ -1,12 +1,9 @@
 //! The ranked, incremental evaluator — the paper's `Open` / `GetNext` /
-//! `Succ` procedures, the multi-conjunct ranked join, the exact baseline
-//! evaluator, and the two Section 4.3 drivers, which the paper's ablations
-//! build around a compiled plan (a query execution never chooses them).
+//! `Succ` procedures — and the multi-conjunct ranked join. The Section 4.3
+//! drivers and the product-automaton BFS baseline, which the paper's
+//! comparisons build around a compiled plan, live in `omega-bench`.
 
-pub mod baseline;
 pub mod conjunct;
-pub mod disjunction;
-pub mod distance_aware;
 pub mod dr;
 pub mod fault;
 pub mod initial;
@@ -18,10 +15,7 @@ pub mod succ;
 pub mod tuple;
 pub mod visited;
 
-pub use baseline::BaselineEvaluator;
 pub use conjunct::{evaluate_conjunct, ConjunctEvaluator};
-pub use disjunction::{compile_branches, DisjunctionEvaluator};
-pub use distance_aware::DistanceAwareEvaluator;
 pub use options::{EvalOptions, OverloadPolicy};
 pub use plan::{compile_conjunct, ConjunctPlan, SeedSpec};
 pub use rank_join::RankJoin;
@@ -32,17 +26,12 @@ use omega_graph::NodeId;
 use crate::answer::ConjunctAnswer;
 use crate::error::Result;
 
-/// How many times the two Section 4.3 drivers ([`DistanceAwareEvaluator`],
-/// [`DisjunctionEvaluator`]) raise their cost ceiling ψ by φ before they
-/// stop: answers costlier than `MAX_PSI_STEPS · φ` are out of their reach.
-pub const MAX_PSI_STEPS: u32 = 16;
-
 /// A stream of conjunct answers in non-decreasing distance order.
 ///
-/// Implemented by the plain evaluator ([`ConjunctEvaluator`]), which is what
-/// every query execution and the ranked join run, and by the two Section 4.3
-/// drivers ([`DistanceAwareEvaluator`], [`DisjunctionEvaluator`]), which only
-/// the ablations drive. Only the plain evaluator takes the join's seed hints.
+/// Implemented by the evaluator ([`ConjunctEvaluator`]), which is what every
+/// query execution and the ranked join run, and by the drivers the paper's
+/// ablations build around it (in `omega-bench`). Only the evaluator takes the
+/// join's seed hints.
 pub trait AnswerStream {
     /// Produces the next answer, or `Ok(None)` when the stream is exhausted.
     fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>>;

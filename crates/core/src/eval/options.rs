@@ -39,9 +39,9 @@ pub enum OverloadPolicy {
 /// The defaults correspond to the configuration used throughout the paper's
 /// performance study: unit edit and relaxation costs, final-tuple
 /// prioritisation on and initial nodes fed in batches of 100. The two
-/// Section 4.3 optimisations are not options: they are drivers
-/// ([`crate::eval::DistanceAwareEvaluator`],
-/// [`crate::eval::DisjunctionEvaluator`]) built around a compiled plan.
+/// Section 4.3 optimisations are not options: they are drivers the paper's
+/// ablations (`omega-bench`) build around a compiled plan, each of its runs
+/// an evaluator under its own `max_distance`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Edit-operation costs for APPROX conjuncts.
@@ -59,12 +59,12 @@ pub struct EvalOptions {
     /// distance (the paper found this both faster and necessary for some
     /// queries to complete).
     pub prioritize_final: bool,
-    /// Maximum number of live tuples (`D_R` plus the visited set) before the
-    /// evaluator aborts with `ResourceExhausted`. `None` means unlimited.
+    /// Maximum number of live tuples (`D_R`, the visited set and the
+    /// successor arena) before the evaluator aborts with `ResourceExhausted`. `None` means unlimited.
     /// This models the paper's out-of-memory failures deterministically.
     pub max_tuples: Option<usize>,
-    /// Hard ceiling on answer distance: tuples beyond it are suppressed and
-    /// the escalating drivers stop at it. Normally set per request through
+    /// Hard ceiling on answer distance: tuples beyond it are suppressed. The
+    /// evaluator's one distance ceiling. Normally set per request through
     /// [`crate::service::ExecOptions::with_max_distance`].
     pub max_distance: Option<u32>,
     /// Wall-clock deadline enforced inside the evaluator loops; evaluation

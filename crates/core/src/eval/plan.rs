@@ -13,9 +13,9 @@
 //!    node (plus its class ancestors under RELAX), or the nodes selected by
 //!    the initial transitions' labels for `(?X, R, ?Y)` conjuncts.
 //!
-//! The plan is independent of evaluation state, so the escalating drivers
-//! (distance-aware, disjunction) can run it several times without paying the
-//! compilation cost again.
+//! The plan is independent of evaluation state, so a prepared statement (and
+//! the paper's Section 4.3 drivers, in `omega-bench`) can run it several
+//! times without paying the compilation cost again.
 
 use omega_automata::epsilon::first_labels;
 use omega_automata::{
@@ -73,9 +73,6 @@ pub struct ConjunctPlan {
     pub object_node: Option<NodeId>,
     /// Whether RDFS inference applies when matching transitions (RELAX only).
     pub inference: bool,
-    /// The escalation step φ: the smallest positive cost in the automaton
-    /// (1 when no flexible operator applies, so escalation terminates).
-    pub phi: u32,
     /// Admissible per-state accept lower bounds `h`, computed against what
     /// the data graph can actually fire (labels with zero edges are treated
     /// as absent). Cost-guided evaluation orders the tuple queue by
@@ -194,12 +191,6 @@ pub fn compile_conjunct(
         _ => false,
     };
 
-    let phi = match conjunct.mode {
-        QueryMode::Exact => 1,
-        QueryMode::Approx => options.approx.min_cost().max(1),
-        QueryMode::Relax => options.relax.min_cost().max(1),
-    };
-
     // Graph-aware accept lower bounds: a transition whose label can never
     // match an edge of *this* graph is treated as absent, so states whose
     // remaining path depends on such labels become dead (or acquire a
@@ -296,7 +287,6 @@ pub fn compile_conjunct(
         subject_node,
         object_node,
         inference,
-        phi,
         bounds,
         defer_delta,
         expansion,
@@ -442,7 +432,7 @@ mod tests {
             other => panic!("unexpected seeds {other:?}"),
         }
         assert_eq!(plan.final_constraint, None);
-        assert_eq!(plan.phi, 1);
+        assert_eq!(plan.variables(), ["X"]);
     }
 
     #[test]
@@ -517,7 +507,6 @@ mod tests {
         let plan = plan_for("(?X, ?Y) <- APPROX (?X, knows*, ?Y)");
         assert_eq!(plan.seeds, SeedSpec::AllNodes);
         assert_eq!(plan.nfa.final_weight(plan.nfa.initial()), Some(0));
-        assert_eq!(plan.phi, 1);
     }
 
     #[test]

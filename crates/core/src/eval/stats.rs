@@ -43,8 +43,9 @@ pub struct EvalStats {
     pub neighbour_lookups: u64,
     /// Answers emitted.
     pub answers: u64,
-    /// Tuples suppressed because their distance exceeded the current ψ bound
-    /// (distance-aware evaluation only).
+    /// Tuples suppressed because their distance (or, cost-guided, their key
+    /// `g + h`) exceeded the distance ceiling `max_distance`; non-zero means
+    /// a higher ceiling could admit more answers.
     pub suppressed: u64,
     /// Tuples (or transitions) dropped because their automaton state can
     /// never reach acceptance against this graph (cost-guided evaluation).

@@ -198,7 +198,6 @@ fn conjunct_stream<'a>(
         graph,
         ontology,
         Arc::clone(options),
-        None,
     ))
 }
 

@@ -64,17 +64,17 @@
 //!   RELAX augmentation, conjunct reversal, seed selection: the paper's
 //!   `Open`),
 //! * [`eval::conjunct`] — the ranked evaluator (`GetNext` / `Succ`) over the
-//!   lazily built weighted product automaton,
+//!   lazily built weighted product automaton: the one evaluator every
+//!   execution runs,
 //! * [`eval::rank_join`] — the multi-conjunct ranked join,
-//! * [`eval::distance_aware`] and [`eval::disjunction`] — the two
-//!   optimisations of Section 4.3, as drivers around a compiled plan that
-//!   the paper's ablations (`crates/bench`) build; no execution runs them,
-//! * [`eval::baseline`] — the plain product-automaton BFS baseline used for
-//!   comparison with other automaton-based approaches,
 //! * [`service`] — the shared [`Database`] / [`PreparedQuery`] /
 //!   [`ExecOptions`] service surface (storage epochs, prepared cache),
 //! * [`exec`] — one execution of a prepared statement: stream construction
 //!   and the [`Answers`] handle.
+//!
+//! This crate is the paper's Section 3. The Section 4 comparisons — the two
+//! Section 4.3 optimisations, as drivers around a compiled plan, and the
+//! product-automaton BFS baseline — live in `omega-bench`, which runs them.
 
 pub mod answer;
 pub mod error;
@@ -87,8 +87,7 @@ pub mod service;
 pub use answer::{Answer, ConjunctAnswer};
 pub use error::{OmegaError, Result};
 pub use eval::{
-    AnswerStream, BaselineEvaluator, ConjunctEvaluator, DisjunctionEvaluator,
-    DistanceAwareEvaluator, EvalOptions, EvalStats, RankJoin, TruncationReason,
+    AnswerStream, ConjunctEvaluator, EvalOptions, EvalStats, RankJoin, TruncationReason,
 };
 pub use govern::{
     ExecutionPermit, GovernorConfig, GovernorGauges, GovernorHandle, ResourceGovernor,
@@ -101,6 +100,6 @@ pub use omega_graph::{FxHashMap, NodeId};
 pub use omega_obs::{ProfilePhase, QueryProfile, Registry as MetricsRegistry};
 pub use query::{parse_query, Conjunct, Query, QueryMode, Term};
 pub use service::{
-    conjunct_variables, Answers, Database, ExecOptions, GraphRef, MutationBatch, MutationReport,
-    OverloadPolicy, PreparedQuery, RecoveryReport,
+    Answers, Database, ExecOptions, GraphRef, MutationBatch, MutationReport, OverloadPolicy,
+    PreparedQuery, RecoveryReport,
 };

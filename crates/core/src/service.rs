@@ -14,8 +14,8 @@
 //!   recompilation. [`Database::prepare`] keeps an LRU cache of prepared
 //!   queries keyed by query text.
 //! * [`ExecOptions`] — per-request execution control: answer limit,
-//!   wall-clock deadline, distance ceiling, tuple budget, cost guidance,
-//!   overload policy and profiling. Requests never mutate engine state, so
+//!   wall-clock deadline, distance ceiling, tuple budget, overload policy
+//!   and profiling. Requests never mutate engine state, so
 //!   concurrent requests with different options are safe by construction.
 //! * [`Answers`] — a streaming `Iterator<Item = Result<Answer>>` over the
 //!   ranked answer sequence, carrying [`EvalStats`](crate::EvalStats) and enforcing the
@@ -1466,16 +1466,6 @@ impl ExecOptions {
     }
 }
 
-/// Convenience: the variables a conjunct binds, in `(subject, object)`
-/// order, for callers that drive [`crate::eval::ConjunctEvaluator`]
-/// directly.
-pub fn conjunct_variables(conjunct: &crate::query::ast::Conjunct) -> Vec<&str> {
-    [&conjunct.subject, &conjunct.object]
-        .into_iter()
-        .filter_map(Term::as_variable)
-        .collect()
-}
-
 // `Database`, `PreparedQuery` and the request/stream types are the shared
 // service surface: hold the compiler to it.
 const _: () = {
@@ -1546,8 +1536,6 @@ mod tests {
         assert!(db.execute("not a query", &ExecOptions::new()).is_err());
         let unknown_constant = "(?X) <- (ghost, knows, ?X)";
         assert!(db.execute(unknown_constant, &ExecOptions::new()).is_err());
-        let q = parse_query("(?X) <- (alice, knows, ?X)").unwrap();
-        assert_eq!(conjunct_variables(&q.conjuncts[0]), vec!["X"]);
     }
 
     #[test]

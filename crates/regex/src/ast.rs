@@ -295,6 +295,22 @@ mod tests {
         ]);
         assert_eq!(r.top_level_branches().len(), 3);
         assert_eq!(RpqRegex::label("a").top_level_branches().len(), 1);
+        let branches = |text: &str| -> Vec<String> {
+            let r = crate::parse(text).unwrap();
+            r.top_level_branches()
+                .iter()
+                .map(|b| b.to_string())
+                .collect()
+        };
+        assert_eq!(
+            branches("(livesIn-.hasCurrency)|(locatedIn-.gradFrom)"),
+            ["livesIn-.hasCurrency", "locatedIn-.gradFrom"]
+        );
+        assert_eq!(branches("a|b.c|d*"), ["a", "b.c", "d*"]);
+        // Alternations below the top level are not split.
+        for text in ["a.b", "(a|b).c", "(a|b)*"] {
+            assert_eq!(branches(text), [text]);
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! The optimisations are drivers, not request options: each conjunct is
 //! compiled once, then timed under the plain ranked evaluator and under a
 //! driver built around the same plan — the disjunction driver for an APPROX
-//! top-level alternation, the distance-aware driver otherwise.
+//! top-level alternation, the distance-aware driver otherwise. The drivers
+//! live in the experiment harness (`omega-bench`), not in the engine.
 //!
 //! ```text
 //! cargo run --release --example yago_flexible [scale]
@@ -15,12 +16,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use omega::core::eval::{compile_branches, compile_conjunct};
-use omega::core::{
-    parse_query, AnswerStream, ConjunctEvaluator, DisjunctionEvaluator, DistanceAwareEvaluator,
-    EvalOptions, OmegaError,
-};
+use omega::core::eval::compile_conjunct;
+use omega::core::{parse_query, AnswerStream, ConjunctEvaluator, EvalOptions, OmegaError};
 use omega::datagen::{generate_yago, yago_queries, YagoConfig};
+use omega_bench::{compile_branches, DisjunctionEvaluator, DistanceAwareEvaluator};
 
 /// Fetches up to `limit` answers from `stream`: the answer count and the
 /// elapsed milliseconds, or `None` when the memory budget ran out (the
@@ -77,7 +76,7 @@ fn main() {
             };
             let opts = || Arc::clone(&options);
             let limit = (!operator.is_empty()).then_some(100);
-            let plain = ConjunctEvaluator::new(Arc::clone(&plan), graph, ontology, opts(), None);
+            let plain = ConjunctEvaluator::new(Arc::clone(&plan), graph, ontology, opts());
             let plain = timed(Box::new(plain), limit);
             let (driver, optimised): (_, Box<dyn AnswerStream>) = match branches {
                 Some(branches) => (

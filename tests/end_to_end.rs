@@ -8,14 +8,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use omega::core::eval::{compile_conjunct, evaluate_conjunct};
-use omega::core::{
-    parse_query, AnswerStream, Database, DisjunctionEvaluator, DistanceAwareEvaluator, EvalOptions,
-    ExecOptions, OmegaError,
-};
+use omega::core::{parse_query, AnswerStream, Database, EvalOptions, ExecOptions, OmegaError};
 use omega::datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, l4all_queries, yago_queries,
     L4AllConfig, L4AllScale, YagoConfig,
 };
+use omega_bench::{DisjunctionEvaluator, DistanceAwareEvaluator};
 
 fn l4all_db() -> Database {
     let data = generate_l4all(&L4AllConfig::tiny());

@@ -5,9 +5,10 @@
 
 use std::sync::Arc;
 
-use omega::core::{parse_query, BaselineEvaluator, Database, EvalOptions, ExecOptions};
+use omega::core::{parse_query, Database, EvalOptions, ExecOptions};
 use omega::graph::GraphStore;
 use omega::ontology::Ontology;
+use omega_bench::BaselineEvaluator;
 use proptest::prelude::*;
 
 const LABELS: [&str; 4] = ["p", "q", "r", "type"];
@@ -222,7 +223,7 @@ proptest! {
                 )
                 .unwrap();
                 let mut eval =
-                    ConjunctEvaluator::new(Arc::new(plan), g, &o, Arc::clone(&options), None);
+                    ConjunctEvaluator::new(Arc::new(plan), g, &o, Arc::clone(&options));
                 let mut v: Vec<_> = eval
                     .collect(Some(500))
                     .unwrap()
@@ -487,7 +488,8 @@ proptest! {
     #[test]
     fn optimised_drivers_agree_with_plain(triples in graph_strategy(), qi in 0usize..QUERIES.len() + 1) {
         use omega::core::eval::{compile_conjunct, evaluate_conjunct};
-        use omega::core::{AnswerStream, DisjunctionEvaluator, DistanceAwareEvaluator};
+        use omega::core::AnswerStream;
+        use omega_bench::{DisjunctionEvaluator, DistanceAwareEvaluator};
         let (g, o) = build(&triples);
         let exact = QUERIES.get(qi).copied().unwrap_or("(?X, ?Y) <- (?X, (p.q)|r, ?Y)");
         let approx_text = exact.replacen("<- (", "<- APPROX (", 1);

@@ -314,6 +314,69 @@ fn flipped_checksum_byte_fails_typed() {
     assert!(failed > bytes.len(), "only {failed} flips failed to open");
 }
 
+/// Corruption the checksums cannot see: every payload byte XORed with three
+/// masks and its section's checksum resealed, so each forgery reaches the
+/// section decoders. Each open fails with a typed error, or opens a database
+/// that runs [`PROBES`] without a panic; its answers may differ, since a
+/// well-formed forgery is another graph. Every section kind's decoder
+/// rejects at least one of its forgeries as `Malformed`.
+#[test]
+fn resealed_payload_flips_reach_the_decoders_and_fail_typed() {
+    use omega::graph::snapshot::format::{checksum, SectionKind};
+    let (bytes, guard) = small_snapshot("reseal");
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let mut malformed = std::collections::BTreeMap::new();
+    let (mut opened, mut other) = (0, 0);
+    for section in 0..word(16) {
+        // Table row: kind u32, param u32, offset u64, length u64, checksum u64.
+        let row = 24 + 32 * section;
+        let tag = u32::from_le_bytes(bytes[row..row + 4].try_into().unwrap());
+        let kind = SectionKind::from_tag(tag).unwrap();
+        let payload = word(row + 8)..word(row + 8) + word(row + 16);
+        for at in payload.clone() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut forged = bytes.clone();
+                forged[at] ^= mask;
+                let sum = checksum(&forged[payload.clone()]);
+                forged[row + 24..row + 32].copy_from_slice(&sum.to_le_bytes());
+                std::fs::write(&guard.0, &forged).unwrap();
+                match Database::open_snapshot(&guard.0) {
+                    Ok(db) => {
+                        opened += 1;
+                        for text in PROBES {
+                            let _ = db
+                                .prepare(text)
+                                .and_then(|p| p.execute(&ExecOptions::new()));
+                        }
+                    }
+                    Err(SnapshotError::Malformed { .. }) => {
+                        *malformed.entry(kind).or_insert(0usize) += 1;
+                    }
+                    Err(err) => {
+                        let what = format!("{kind} byte {at} ^ {mask:#04x}");
+                        assert!(
+                            !matches!(err, SnapshotError::ChecksumMismatch { .. }),
+                            "{what} was not resealed"
+                        );
+                        other += 1;
+                    }
+                }
+            }
+        }
+    }
+    let kinds: Vec<_> = (0..=10)
+        .map(|tag| SectionKind::from_tag(tag).unwrap())
+        .collect();
+    let missing: Vec<_> = kinds
+        .iter()
+        .filter(|k| !malformed.contains_key(k))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "no Malformed from {missing:?}; {malformed:?}, {other} other errors, {opened} opened"
+    );
+}
+
 #[test]
 fn wrong_version_fails_typed() {
     let (mut bytes, guard) = small_snapshot("version");
