@@ -1,24 +1,31 @@
 //! APPROX: edit-distance augmentation of a query automaton.
 //!
 //! Following [Hurtado, Poulovassilis & Wood, ESWC 2009] and Section 3.3 of
-//! the paper, the automaton `A_R` is obtained from `M_R` by adding, for a
-//! user-configurable cost each:
+//! the paper, the automaton `A_R` is obtained from an automaton of `L(R)` by
+//! adding, for a user-configurable cost each:
 //!
 //! * **insertion** — an extra edge may be traversed at any point without
 //!   consuming a query symbol: a wildcard `*` self-loop on every state,
-//! * **deletion** — a query symbol may be skipped: an ε-transition parallel
-//!   to every symbol transition (the ε is later removed by weighted
-//!   ε-elimination, possibly surfacing as a final-state weight),
+//! * **deletion** — a query symbol may be skipped: a run of `k` skipped
+//!   symbols costs `k` deletions, and it is closed here rather than written
+//!   as ε-transitions — a state gains a direct copy of every transition
+//!   leaving the end of each of its deletion runs, and becomes final where
+//!   one ends in a final state,
 //! * **substitution** — a query symbol may be matched by any edge label in
 //!   either direction: a wildcard `*` transition parallel to every symbol
 //!   transition,
 //! * **inversion** (optional) — a query symbol may be matched by the same
 //!   label traversed in the opposite direction.
 //!
+//! Edit distance to `L(R)` is a property of the language, not of the
+//! automaton it is read from [Grahne & Thomo, AMAI 2006], so the edits go on
+//! the small ε-free automaton of `R`, not on the Thompson one.
+//!
 //! The paper represents the "one transition per label in `Σ ∪ {type}` and
 //! their reversals" explosion compactly with the single wildcard label `*`;
 //! [`crate::TransitionLabel::Any`] is that wildcard.
 
+use crate::epsilon::remove_epsilons;
 use crate::label::TransitionLabel;
 use crate::nfa::WeightedNfa;
 
@@ -75,41 +82,81 @@ impl ApproxConfig {
     }
 }
 
-/// Builds the APPROX automaton `A_R` from `M_R`.
+/// Builds the APPROX automaton `A_R` from an exact automaton `M_R` (every
+/// transition of cost 0, as [`crate::build_nfa`] makes them), in one stage
+/// whose output is ε-free.
 ///
-/// The input may contain ε-transitions (it usually comes straight from the
-/// Thompson construction); the output generally does too, so callers run
-/// [`crate::remove_epsilons`] afterwards.
+/// An input with ε-transitions, or one not frozen, is
+/// [`crate::remove_epsilons`]-ed first; a frozen ε-free one keeps its
+/// numbering. From each state `s` a breadth-first walk
+/// over the input's transitions finds every state `t` a deletion run reaches,
+/// at `hops × deletion`; `s` then gets, at that cost added, each transition
+/// leaving `t`, its substitution and inversion, the insertion loop on `t`,
+/// and `t`'s final weight. One transition per `(label, target)` is kept, at
+/// the minimum cost: the automaton weighted ε-removal would make of the
+/// deletions as ε-transitions.
 pub fn approximate(nfa: &WeightedNfa, config: &ApproxConfig) -> WeightedNfa {
-    let mut out = nfa.clone();
-
-    // Deletion, substitution and inversion apply to every edge-consuming
-    // transition of the original automaton.
-    for t in nfa.transitions().iter().filter(|t| t.label.consumes_edge()) {
-        out.add_transition(
-            t.from,
-            TransitionLabel::Epsilon,
-            t.cost.saturating_add(config.deletion),
-            t.to,
-        );
-        out.add_transition(
-            t.from,
-            TransitionLabel::Any,
-            t.cost.saturating_add(config.substitution),
-            t.to,
-        );
-        if let Some(inversion) = config.inversion {
-            out.add_transition(
-                t.from,
-                t.label.flipped(),
-                t.cost.saturating_add(inversion),
-                t.to,
-            );
-        }
+    if nfa.has_epsilon_transitions() || !nfa.is_frozen() {
+        return approximate(&remove_epsilons(nfa), config);
     }
-    // Insertion: a wildcard self-loop on every state.
-    for state in nfa.states() {
-        out.add_transition(state, TransitionLabel::Any, config.insertion, state);
+    // Room for four transitions per input transition and two per state: the
+    // YAGO study's APPROX automata have about 3.6 per input transition, and
+    // a larger one grows as it is built.
+    let mut out = WeightedNfa::with_capacity(
+        nfa.state_count(),
+        4 * nfa.transition_count() + 2 * nfa.state_count(),
+    );
+    for _ in 1..nfa.state_count() {
+        out.add_state();
+    }
+    out.set_initial(nfa.initial());
+    // Hops from the current state, `u32::MAX` outside its deletion runs; the
+    // walk's queue lists the states to reset.
+    let mut hops = vec![u32::MAX; nfa.state_count()];
+    let mut queue = Vec::with_capacity(nfa.state_count());
+    for s in nfa.states() {
+        hops[s.index()] = 0;
+        queue.push(s);
+        let mut head = 0;
+        while let Some(&t) = queue.get(head) {
+            head += 1;
+            let reached = hops[t.index()];
+            let run = reached.saturating_mul(config.deletion);
+            if let Some(weight) = nfa.final_weight(t) {
+                out.add_final(s, run.saturating_add(weight));
+            }
+            out.add_transition(
+                s,
+                TransitionLabel::Any,
+                run.saturating_add(config.insertion),
+                t,
+            );
+            for edge in nfa.transitions_from(t) {
+                debug_assert_eq!(edge.cost, 0, "approximate takes an exact automaton");
+                out.add_transition(s, edge.label.clone(), run, edge.to);
+                out.add_transition(
+                    s,
+                    TransitionLabel::Any,
+                    run.saturating_add(config.substitution),
+                    edge.to,
+                );
+                if let Some(inversion) = config.inversion {
+                    out.add_transition(
+                        s,
+                        edge.label.flipped(),
+                        run.saturating_add(inversion),
+                        edge.to,
+                    );
+                }
+                if hops[edge.to.index()] == u32::MAX {
+                    hops[edge.to.index()] = reached + 1;
+                    queue.push(edge.to);
+                }
+            }
+        }
+        for t in queue.drain(..) {
+            hops[t.index()] = u32::MAX;
+        }
     }
     out.freeze();
     out
@@ -118,7 +165,6 @@ pub fn approximate(nfa: &WeightedNfa, config: &ApproxConfig) -> WeightedNfa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epsilon::remove_epsilons;
     use crate::resolver::MapResolver;
     use crate::simulate::min_accept_cost;
     use crate::thompson::build_nfa;
@@ -126,8 +172,8 @@ mod tests {
 
     fn approx_nfa(expr: &str, config: &ApproxConfig) -> WeightedNfa {
         let resolver = MapResolver::new();
-        let nfa = build_nfa(&parse(expr).unwrap(), &resolver);
-        remove_epsilons(&approximate(&nfa, config))
+        let nfa = remove_epsilons(&build_nfa(&parse(expr).unwrap(), &resolver));
+        approximate(&nfa, config)
     }
 
     fn w(specs: &[(&str, bool)]) -> Vec<Symbol> {
@@ -138,6 +184,37 @@ mod tests {
                 inverse: inv,
             })
             .collect()
+    }
+
+    /// The output is ε-free whether or not the input was, and a Thompson
+    /// input gives what its ε-removed form gives.
+    #[test]
+    fn output_is_epsilon_free() {
+        let resolver = MapResolver::new();
+        for expr in ["a.b", "(a|b)*.c", "a*.b*", "()"] {
+            let thompson = build_nfa(&parse(expr).unwrap(), &resolver);
+            let config = ApproxConfig::default();
+            let from_thompson = approximate(&thompson, &config);
+            let from_base = approximate(&remove_epsilons(&thompson), &config);
+            assert!(!from_thompson.has_epsilon_transitions(), "{expr}");
+            assert_eq!(
+                from_thompson.transitions(),
+                from_base.transitions(),
+                "{expr}"
+            );
+        }
+    }
+
+    /// A deletion run that reaches a final state through a loop makes its
+    /// start final at the run's cost.
+    #[test]
+    fn deletion_runs_end_in_final_weights() {
+        let a = approx_nfa("a*.b.c", &ApproxConfig::uniform(2));
+        assert_eq!(a.final_weight(a.initial()), Some(4));
+        assert_eq!(
+            min_accept_cost(&a, &w(&[("a", false), ("a", false)])),
+            Some(4)
+        );
     }
 
     #[test]

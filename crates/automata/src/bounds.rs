@@ -282,11 +282,9 @@ mod tests {
 
         let resolver = MapResolver::new();
         for expr in ["a.b", "a*|b.c", "a-.b+", "(a.b)|(c.d.a)"] {
-            let base = build_nfa(&parse(expr).unwrap(), &resolver);
-            for nfa in [
-                remove_epsilons(&base),
-                remove_epsilons(&approximate(&base, &ApproxConfig::default())),
-            ] {
+            let base = remove_epsilons(&build_nfa(&parse(expr).unwrap(), &resolver));
+            let approx = approximate(&base, &ApproxConfig::default());
+            for nfa in [base, approx] {
                 let h = MinCostToAccept::compute(&nfa);
                 for t in nfa.transitions() {
                     let (hs, ht) = (h.get(t.from), h.get(t.to));

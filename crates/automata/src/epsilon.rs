@@ -1,9 +1,10 @@
 //! Weighted ε-removal.
 //!
-//! After APPROX augmentation the automaton contains weighted ε-transitions
-//! (the deletion edit consumes no graph edge but costs `deletion`), and the
-//! Thompson construction contributes zero-cost ε-transitions. The evaluator
-//! requires an ε-free automaton; removal follows the weighted-automata
+//! The Thompson construction contributes zero-cost ε-transitions, and a
+//! compile removes them once, before APPROX or RELAX augments the automaton
+//! (neither adds an ε). Removal takes weighted ε-transitions too, as a
+//! hand-built automaton may have them. The evaluator requires an ε-free
+//! automaton; removal follows the weighted-automata
 //! construction the paper cites (Droste, Kuich & Vogler, *Handbook of
 //! Weighted Automata*): every state gains direct copies of the transitions
 //! reachable through its ε-closure (with the closure cost added), and a
@@ -279,7 +280,7 @@ mod tests {
         let resolver = MapResolver::new();
         let compile = || {
             let base = build_nfa(&parse("(a|b|c)+.(a|d)").unwrap(), &resolver);
-            remove_epsilons(&approximate(&base, &ApproxConfig::default()))
+            approximate(&remove_epsilons(&base), &ApproxConfig::default())
         };
         let first = compile();
         for _ in 0..8 {

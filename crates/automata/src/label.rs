@@ -24,8 +24,9 @@ use omega_regex::Symbol;
 /// * [`TransitionLabel::TypeTo`] — a `type` edge whose target must be the
 ///   given class node; produced by RELAX rule (ii) (replace a property edge
 ///   by a `type` edge to the property's domain/range class).
-/// * [`TransitionLabel::Epsilon`] — the empty transition; removed before
-///   evaluation by weighted ε-elimination.
+/// * [`TransitionLabel::Epsilon`] — the empty transition of the Thompson
+///   construction; removed by weighted ε-elimination before APPROX or RELAX
+///   augments the automaton, so no evaluated automaton carries it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TransitionLabel {
     /// ε — consumes no edge.

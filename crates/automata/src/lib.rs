@@ -6,15 +6,16 @@
 //!
 //! * [`thompson::build_nfa`] constructs the weighted NFA `M_R` for a regular
 //!   expression `R` (all weights 0, ε-transitions present),
-//! * [`approx::approximate`] augments `M_R` into `A_R` with edit-operation
-//!   transitions (insertion/deletion/substitution, optionally inversion),
-//!   representing insertions/substitutions compactly with the wildcard `*`
-//!   label,
-//! * [`relax::relax`] augments `M_R` into `M_R^K` with ontology-driven
-//!   relaxation transitions (superproperty steps at cost β, property →
-//!   `type`-edge-to-domain/range at cost γ),
-//! * [`epsilon::remove_epsilons`] performs weighted ε-removal, which may
-//!   leave final states carrying a positive weight.
+//! * [`epsilon::remove_epsilons`] performs weighted ε-removal; a compile runs
+//!   it once, on `M_R`, before any augmentation,
+//! * [`approx::approximate`] augments the ε-free `M_R` into `A_R` with
+//!   edit-operation transitions (insertion/deletion/substitution, optionally
+//!   inversion), representing insertions/substitutions compactly with the
+//!   wildcard `*` label and closing deletion runs itself, so its output is
+//!   ε-free and its final states may carry a positive weight,
+//! * [`relax::relax`] augments the ε-free `M_R` into `M_R^K` with
+//!   ontology-driven relaxation transitions (superproperty steps at cost β,
+//!   property → `type`-edge-to-domain/range at cost γ), adding no ε.
 //!
 //! A [`WeightedNfa`] is flat: one transition vector plus `u32` index vectors.
 //! While it is built, a chain per source state finds a duplicate

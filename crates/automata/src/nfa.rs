@@ -52,7 +52,8 @@ const NONE: u32 = u32::MAX;
 /// Final-state weights arise from weighted ε-removal (a path of ε-transitions
 /// with positive cost into a final state becomes a weight on the state
 /// itself, per the Handbook of Weighted Automata construction the paper
-/// cites).
+/// cites) and from APPROX deletion runs (a state from which skipping query
+/// symbols reaches a final state becomes final at the deletions' cost).
 ///
 /// The layout is flat: one transition vector, which [`WeightedNfa::freeze`]
 /// groups by source state and sorts, plus three `u32` vectors indexing it.

@@ -19,6 +19,7 @@
 //! what [`RelaxConfig::default`] does; rule (ii) is available through
 //! [`RelaxConfig::with_domain_range`].
 
+use omega_graph::LabelId;
 use omega_ontology::Ontology;
 
 use crate::label::TransitionLabel;
@@ -67,7 +68,8 @@ impl RelaxConfig {
 }
 
 /// Builds the RELAX automaton `M_R^K` from `M_R`, the ontology and the
-/// relaxation costs.
+/// relaxation costs. It adds no ε-transition, so an ε-free input gives an
+/// ε-free output.
 pub fn relax<R: LabelResolver>(
     nfa: &WeightedNfa,
     ontology: &Ontology,
@@ -75,69 +77,74 @@ pub fn relax<R: LabelResolver>(
     resolver: &R,
 ) -> WeightedNfa {
     let mut out = nfa.clone();
+    // An ε-free automaton repeats a label on several states: each property
+    // and direction that relaxes at all is relaxed once, and later
+    // transitions over it copy what that gave (a compile allocates per label,
+    // not per transition). One entry per relaxed label: `(property, inverse,
+    // label, cost)`.
+    let mut relaxed: Vec<(LabelId, bool, TransitionLabel, u32)> = Vec::new();
     for t in nfa.transitions() {
         let TransitionLabel::Symbol {
             label: Some(property),
             inverse,
             ..
-        } = &t.label
+        } = t.label
         else {
             continue;
         };
-        if !ontology.is_property(*property) {
+        if !ontology.is_property(property) {
             continue;
         }
-
-        // Rule (i): superproperty steps, cascading with distance.
-        for (sup, dist) in ontology.superproperties(*property) {
-            let cost = t.cost.saturating_add(dist.saturating_mul(config.beta));
-            out.add_transition(
-                t.from,
-                TransitionLabel::Symbol {
-                    label: Some(sup),
-                    inverse: *inverse,
-                    name: resolver.label_name(sup),
-                },
-                cost,
-                t.to,
-            );
+        let step = (property, inverse);
+        if !relaxed.iter().any(|r| (r.0, r.1) == step) {
+            relax_step(property, inverse, ontology, config, resolver, &mut relaxed);
         }
-
-        // Rule (ii): replace the property edge by a `type` edge to its
-        // domain (forward traversal) or range (reverse traversal) class.
-        if let Some(gamma) = config.gamma {
-            let class = if *inverse {
-                ontology.range(*property)
-            } else {
-                ontology.domain(*property)
-            };
-            if let Some(class) = class {
-                let base = t.cost.saturating_add(gamma);
-                out.add_transition(
-                    t.from,
-                    TransitionLabel::TypeTo {
-                        class,
-                        name: resolver.node_name(class),
-                    },
-                    base,
-                    t.to,
-                );
-                for (sup, dist) in ontology.superclasses(class) {
-                    out.add_transition(
-                        t.from,
-                        TransitionLabel::TypeTo {
-                            class: sup,
-                            name: resolver.node_name(sup),
-                        },
-                        base.saturating_add(dist.saturating_mul(config.beta)),
-                        t.to,
-                    );
-                }
-            }
+        for (.., label, cost) in relaxed.iter().filter(|r| (r.0, r.1) == step) {
+            out.add_transition(t.from, label.clone(), t.cost.saturating_add(*cost), t.to);
         }
     }
     out.freeze();
     out
+}
+
+/// Appends to `relaxed` what a `property` step (traversed in reverse when
+/// `inverse`) may be relaxed to, each label with its cost.
+fn relax_step<R: LabelResolver>(
+    property: LabelId,
+    inverse: bool,
+    ontology: &Ontology,
+    config: &RelaxConfig,
+    resolver: &R,
+    relaxed: &mut Vec<(LabelId, bool, TransitionLabel, u32)>,
+) {
+    let mut push = |label, cost| relaxed.push((property, inverse, label, cost));
+    // Rule (i): superproperty steps, cascading with distance.
+    for (sup, dist) in ontology.superproperties(property) {
+        let label = TransitionLabel::Symbol {
+            label: Some(sup),
+            inverse,
+            name: resolver.label_name(sup),
+        };
+        push(label, dist.saturating_mul(config.beta));
+    }
+    // Rule (ii): replace the property edge by a `type` edge to its domain
+    // (forward traversal) or range (reverse traversal) class.
+    let class = if inverse {
+        ontology.range(property)
+    } else {
+        ontology.domain(property)
+    };
+    if let (Some(gamma), Some(class)) = (config.gamma, class) {
+        let type_to = |class| TransitionLabel::TypeTo {
+            class,
+            name: resolver.node_name(class),
+        };
+        push(type_to(class), gamma);
+        for (sup, dist) in ontology.superclasses(class) {
+            let cost = gamma.saturating_add(dist.saturating_mul(config.beta));
+            push(type_to(sup), cost);
+        }
+    }
 }
 
 #[cfg(test)]

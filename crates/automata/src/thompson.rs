@@ -1,6 +1,6 @@
 //! Thompson-style construction of the weighted NFA `M_R` for a regular
 //! expression `R`. All transitions produced here have cost 0; positive costs
-//! only appear after APPROX/RELAX augmentation or weighted ε-removal.
+//! only appear after APPROX/RELAX augmentation.
 
 use omega_regex::RpqRegex;
 
@@ -12,8 +12,8 @@ use crate::resolver::LabelResolver;
 ///
 /// The returned automaton has a single initial state, a single final state of
 /// weight 0, and may contain ε-transitions; callers typically follow up with
-/// [`crate::approximate`]/[`crate::relax()`] and then
-/// [`crate::remove_epsilons`].
+/// [`crate::remove_epsilons`] and then [`crate::approximate`] /
+/// [`crate::relax()`].
 pub fn build_nfa<R: LabelResolver>(regex: &RpqRegex, resolver: &R) -> WeightedNfa {
     // No node of the expression adds more than three states or four
     // transitions.

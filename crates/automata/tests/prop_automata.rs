@@ -1,7 +1,8 @@
 //! Property-based tests: NFA construction, ε-removal, regex reversal and the
 //! APPROX/RELAX augmentations agree with reference semantics on randomly
-//! generated regular expressions and words, and ε-removal builds exactly the
-//! automaton its predecessor built.
+//! generated regular expressions and words; ε-removal builds exactly the
+//! automaton its predecessor built, and APPROX exactly the automaton its
+//! predecessor built once ε-removed.
 
 use omega_automata::simulate::{accepts, min_accept_cost};
 use omega_automata::{
@@ -79,7 +80,9 @@ fn relax_setup() -> (GraphStore, Ontology) {
 
 /// `M_R` for `regex` and its four augmentations: APPROX at the default and
 /// at non-uniform costs with inversion, RELAX rule (i) alone and with rule
-/// (ii). Deletion edits put positive-cost ε-cycles around nested stars.
+/// (ii). APPROX is the predecessor's (`reference::approximate`), whose
+/// deletion edits put positive-cost ε-cycles around nested stars for
+/// ε-removal to close.
 fn augmentations(regex: &RpqRegex) -> [WeightedNfa; 5] {
     let (g, o) = relax_setup();
     let base = build_nfa(regex, &g);
@@ -91,8 +94,8 @@ fn augmentations(regex: &RpqRegex) -> [WeightedNfa; 5] {
     };
     let both_rules = RelaxConfig::hierarchy_only(2).with_domain_range(3);
     [
-        approximate(&base, &ApproxConfig::default()),
-        approximate(&base, &skewed),
+        reference::approximate(&base, &ApproxConfig::default()),
+        reference::approximate(&base, &skewed),
         relax(&base, &o, &RelaxConfig::default(), &g),
         relax(&base, &o, &both_rules, &g),
         base,
@@ -163,8 +166,71 @@ proptest! {
     }
 }
 
+/// The edit costs `approximate_matches_its_predecessor` runs: the default,
+/// skewed, uniform 3 with inversion 1, and uniform 2³¹, where two edits
+/// saturate.
+fn approx_configs() -> [ApproxConfig; 4] {
+    [
+        ApproxConfig::default(),
+        ApproxConfig {
+            insertion: 3,
+            deletion: 2,
+            substitution: 5,
+            inversion: Some(1),
+        },
+        ApproxConfig {
+            inversion: Some(1),
+            ..ApproxConfig::uniform(3)
+        },
+        ApproxConfig::uniform(1 << 31),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `approximate` on the ε-free `M_R` builds, in one stage and without an
+    /// ε-transition, the automaton its predecessor's edits on the same input
+    /// become once ε-removed. The reference ε-removal adds without
+    /// saturating, so at 2³¹ per edit the predecessor's output goes through
+    /// this crate's `remove_epsilons`, which
+    /// `epsilon_removal_matches_its_predecessor` holds to the reference.
+    #[test]
+    fn approximate_matches_its_predecessor(regex in arb_regex()) {
+        let base = remove_epsilons(&build_nfa(&regex, &resolver()));
+        for config in approx_configs() {
+            let new = approximate(&base, &config);
+            prop_assert!(!new.has_epsilon_transitions());
+            let old = reference::approximate(&base, &config);
+            let old = if config.deletion < 1 << 31 {
+                reference::remove_epsilons(&old)
+            } else {
+                remove_epsilons(&old)
+            };
+            assert_same_automaton(&new, &old);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// RELAX adds no ε-transitions, so relaxing the ε-free `M_R` gives what
+    /// ε-removing the relaxed Thompson automaton gives: the same automaton,
+    /// and so the same cost on every word.
+    #[test]
+    fn relax_commutes_with_epsilon_removal(regex in arb_regex(), word in arb_word()) {
+        let (g, o) = relax_setup();
+        let thompson = build_nfa(&regex, &g);
+        let base = remove_epsilons(&thompson);
+        for config in [RelaxConfig::default(), RelaxConfig::hierarchy_only(2).with_domain_range(3)] {
+            let new = relax(&base, &o, &config, &g);
+            let old = remove_epsilons(&relax(&thompson, &o, &config, &g));
+            prop_assert!(!new.has_epsilon_transitions());
+            prop_assert_eq!(min_accept_cost(&new, &word), min_accept_cost(&old, &word));
+            assert_same_automaton(&new, &old);
+        }
+    }
 
     /// The Thompson NFA accepts exactly the words the naive oracle accepts.
     #[test]

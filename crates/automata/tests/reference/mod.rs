@@ -1,12 +1,58 @@
-//! The ε-removal this crate shipped before the one-pass rewrite, verbatim: a
-//! closure per state of the input, a copy of every transition through it,
-//! then a prune of what the initial state cannot reach. Kept as the
-//! reference `epsilon_removal_matches_its_predecessor` compares against.
+//! Two stages this crate shipped before they were rewritten, verbatim.
+//!
+//! * The ε-removal before the one-pass rewrite: a closure per state of the
+//!   input, a copy of every transition through it, then a prune of what the
+//!   initial state cannot reach. `epsilon_removal_matches_its_predecessor`
+//!   compares against it.
+//! * The APPROX augmentation before it closed its own deletions: every edit
+//!   as a transition of the input, deletions as weighted ε-transitions left
+//!   for ε-removal. `approximate_matches_its_predecessor` compares against
+//!   the two composed.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use omega_automata::{StateId, WeightedNfa};
+use omega_automata::{ApproxConfig, StateId, TransitionLabel, WeightedNfa};
+
+/// Builds the APPROX automaton `A_R` from `M_R`.
+///
+/// The input may contain ε-transitions (it usually comes straight from the
+/// Thompson construction); the output generally does too, so callers run
+/// [`crate::remove_epsilons`] afterwards.
+pub fn approximate(nfa: &WeightedNfa, config: &ApproxConfig) -> WeightedNfa {
+    let mut out = nfa.clone();
+
+    // Deletion, substitution and inversion apply to every edge-consuming
+    // transition of the original automaton.
+    for t in nfa.transitions().iter().filter(|t| t.label.consumes_edge()) {
+        out.add_transition(
+            t.from,
+            TransitionLabel::Epsilon,
+            t.cost.saturating_add(config.deletion),
+            t.to,
+        );
+        out.add_transition(
+            t.from,
+            TransitionLabel::Any,
+            t.cost.saturating_add(config.substitution),
+            t.to,
+        );
+        if let Some(inversion) = config.inversion {
+            out.add_transition(
+                t.from,
+                t.label.flipped(),
+                t.cost.saturating_add(inversion),
+                t.to,
+            );
+        }
+    }
+    // Insertion: a wildcard self-loop on every state.
+    for state in nfa.states() {
+        out.add_transition(state, TransitionLabel::Any, config.insertion, state);
+    }
+    out.freeze();
+    out
+}
 
 /// Returns an equivalent automaton without ε-transitions.
 ///

@@ -1,7 +1,6 @@
 //! The serving-layer load generator: closed- and open-loop driving of an
 //! `omega-server` daemon over concurrent connections, with per-query latency
-//! percentiles (p50/p99/p999). Backs both the `omega-client bench`
-//! subcommand and the benchmark harness's `serve` suite.
+//! percentiles (p50/p99/p999). Backs the `omega-client bench` subcommand.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -3,9 +3,9 @@
 //!
 //! Compiling a conjunct `(X, R, Y)` produces a [`ConjunctPlan`]:
 //!
-//! 1. the weighted NFA for `R` is built (Thompson construction), augmented
-//!    for APPROX or RELAX if the conjunct is prefixed by one of them, and
-//!    ε-freed;
+//! 1. the weighted NFA for `R` is built (Thompson construction), ε-freed,
+//!    and augmented for APPROX or RELAX if the conjunct is prefixed by one
+//!    of them (both augmentations keep it ε-free);
 //! 2. a conjunct `(?X, R, C)` is transformed into `(C, R-, ?X)` by reversing
 //!    the regular expression, so that evaluation always starts from a
 //!    constant when one is available (Case 2 of `Open`);
@@ -131,7 +131,7 @@ pub fn compile_conjunct(
     let subject_node = subject_const.map(&resolve).transpose()?;
     let object_node = object_const.map(&resolve).transpose()?;
 
-    let (reversed, base) = match (subject_node, object_node) {
+    let (reversed, thompson) = match (subject_node, object_node) {
         // (?X, R, C): evaluate (C, R-, ?X).
         (None, Some(_)) => (true, build_nfa(&conjunct.regex.reverse(), graph)),
         // (C1, R, C2): both directions are available — pick the one whose
@@ -153,13 +153,14 @@ pub fn compile_conjunct(
         _ => (false, build_nfa(&conjunct.regex, graph)),
     };
 
-    // Augment and ε-free the automaton.
-    let augmented = match conjunct.mode {
+    // ε-free the chosen direction once, then augment it: neither
+    // augmentation adds an ε-transition.
+    let base = remove_epsilons(&thompson);
+    let nfa = match conjunct.mode {
         QueryMode::Exact => base,
         QueryMode::Approx => approximate(&base, &options.approx),
         QueryMode::Relax => relax(&base, ontology, &options.relax, graph),
     };
-    let nfa = remove_epsilons(&augmented);
 
     // Seeds: the start constant (after reversal this is the object constant
     // when only the object was constant), or label-guided seeding.

@@ -923,10 +923,10 @@ mod tests {
     fn cost_filter_splits_expansions_without_losing_any() {
         use omega_automata::{approximate, ApproxConfig};
         let (g, o) = setup();
-        let nfa = omega_automata::remove_epsilons(&approximate(
-            &build_nfa(&parse("knows").unwrap(), &g),
+        let nfa = approximate(
+            &omega_automata::remove_epsilons(&build_nfa(&parse("knows").unwrap(), &g)),
             &ApproxConfig::default(),
-        ));
+        );
         let a = g.node_by_label("a").unwrap();
         let table = table(&nfa);
         let run = |filter: CostFilter, stats: &mut EvalStats| {

@@ -16,7 +16,10 @@
 //! with `omega_regex::oracle::matches`, a naive matcher over the AST) and
 //! shared as a prefix trie, and a cheapest-first search over `(node, trie
 //! node)` — its own adjacency lists on one side, edits priced one by one
-//! on the other — aligns every path with every such word at once.
+//! on the other — aligns every path with every such word at once. The
+//! shapes include nullable and stacked closures, where a run of deletions
+//! reaches a final state through a loop, and the wildcard `_`, a trie step
+//! of its own that matches any label forwards.
 //!
 //! The graphs are layered DAGs over at most three labels, with one layer
 //! wider than two of the evaluator's 64-neighbour blocks and a hub linked to
@@ -121,10 +124,20 @@ fn generate(seed: u64) -> Case {
     }
 }
 
-/// Query shapes over `a`, `b`, `c` (bound to labels per case). The
-/// closures are forward-only, which bounds the words of `L(R)` worth
-/// aligning (see [`Costs::longest_word`]).
-const SHAPES: &[&str] = &["a", "a.b", "a-.b", "a.b-.c", "(a|b-).c", "a+", "a.b+"];
+/// Query shapes over `a`, `b`, `c` (bound to labels per case) and the
+/// wildcard `_`. The closures are forward-only, which bounds the words of
+/// `L(R)` worth aligning (see [`Costs::longest_word`]). The nullable and
+/// stacked closures are where a run of deletions reaches a final state
+/// through a loop.
+const SHAPES: &[&str] = &[
+    "a", "a.b", "a-.b", "a.b-.c", "(a|b-).c", "a+", "a.b+", "a*.b", "(a|b)*.c", "(a.b)+", "a._",
+];
+
+/// The trie's symbol for the wildcard `_`, which no graph label spells. The
+/// regex's own matcher reads it as what `_` matches, any forward label.
+fn wildcard() -> Symbol {
+    Symbol::forward("_")
+}
 
 /// One run's edit costs and the distance ceiling compared.
 #[derive(Debug)]
@@ -147,17 +160,25 @@ impl Costs {
     }
 
     /// What aligning a path step labelled `step` with the query symbol
-    /// `symbol` costs.
+    /// `symbol` costs. The wildcard `_` is any label forwards, so flipped it
+    /// is any label backwards: a backward step costs what an inversion does.
     fn align(&self, step: &Symbol, symbol: &Symbol) -> u32 {
         let ApproxConfig {
             substitution,
             inversion,
             ..
         } = self.config;
-        if step == symbol {
+        let flipped = inversion.map_or(substitution, |inversion| inversion.min(substitution));
+        if *symbol == wildcard() {
+            if step.inverse {
+                flipped
+            } else {
+                0
+            }
+        } else if step == symbol {
             0
         } else if step.label == symbol.label {
-            inversion.map_or(substitution, |inversion| inversion.min(substitution))
+            flipped
         } else {
             substitution
         }
@@ -166,10 +187,13 @@ impl Costs {
     /// The longest word of a forward-only `L(R)` that can be within the
     /// ceiling of a path on a layered graph whose edges over `R`'s labels
     /// all run one layer down. Each step `R` matches as it stands goes one
-    /// layer down, so a path with `b` other steps has at most `DEPTH − 1 +
-    /// b` of them; each other step is removed or replaced at no less than
-    /// the cheapest of insertion, substitution and inversion, and so is
-    /// every replaced query symbol; every skipped one costs a deletion.
+    /// layer down, so a path with `i + r` other steps has at most `DEPTH −
+    /// 1 + i + r` of them: `i` inserted, at `insertion` each, and `r` that
+    /// replace a query symbol, at no less than the cheaper of substitution
+    /// and inversion each. The word has those symbols, the `r` replaced ones
+    /// and `d` skipped ones, at a deletion each. All of these share one
+    /// ceiling, so `i + 2r + d` is at most the largest of what it allows
+    /// each kind alone.
     fn longest_word(&self) -> usize {
         let ApproxConfig {
             insertion,
@@ -177,11 +201,12 @@ impl Costs {
             substitution,
             inversion,
         } = self.config;
-        let unmatched = insertion
-            .min(substitution)
-            .min(inversion.unwrap_or(u32::MAX));
-        let edits = |cost: u32| (self.ceiling / cost) as usize;
-        DEPTH - 1 + 2 * edits(unmatched) + edits(deletion)
+        let replaced = substitution.min(inversion.unwrap_or(u32::MAX));
+        let ceiling = self.ceiling;
+        let extra = (ceiling / insertion)
+            .max(2 * ceiling / replaced)
+            .max(ceiling / deletion);
+        DEPTH - 1 + extra as usize
     }
 }
 
@@ -200,8 +225,8 @@ fn language(regex: &RpqRegex, max: usize) -> BTreeSet<Vec<Symbol>> {
     match regex {
         RpqRegex::Epsilon => BTreeSet::from([Vec::new()]),
         RpqRegex::Label(symbol) if max > 0 => BTreeSet::from([vec![symbol.clone()]]),
-        RpqRegex::Label(_) => BTreeSet::new(),
-        RpqRegex::Wildcard => panic!("no shape uses the wildcard"),
+        RpqRegex::Wildcard if max > 0 => BTreeSet::from([vec![wildcard()]]),
+        RpqRegex::Label(_) | RpqRegex::Wildcard => BTreeSet::new(),
         RpqRegex::Alt(a, b) => &language(a, max) | &language(b, max),
         RpqRegex::Concat(a, b) => concat(&language(a, max), b),
         RpqRegex::Plus(a) => concat(&language(a, max), &RpqRegex::Star(a.clone())),
@@ -512,13 +537,14 @@ fn approx_distances_equal_the_oracle_when_an_inversion_costs_less_than_an_edit()
         inversion: Some(1),
         ..ApproxConfig::uniform(3)
     };
-    // `a` is `p`, `b` is `q`, `c` is `r`, except that the closures start
-    // at `q`: `p` now has a back edge (see `Costs::longest_word`).
+    // `a` is `p`, `b` is `q`, `c` is `r`, except that the shapes with a
+    // closure (from `a+` on) use only `q` and `r`, `a` and `c` being `q`:
+    // `p` now has a back edge (see `Costs::longest_word`).
     check(
         &hub_with_a_back_edge_case(),
         "back edge case",
         costs,
-        |i, k| k + usize::from(i >= 5),
+        |i, k| if i >= 5 { 1 + k % 2 } else { k },
     );
 }
 
