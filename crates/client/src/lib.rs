@@ -15,13 +15,12 @@
 //!     .execute_text("(?X) <- (Work Episode, type-, ?X)", &ExecOptions::new().with_limit(10))
 //!     .unwrap();
 //! while let Some(answer) = stream.next_answer().unwrap() {
-//!     println!("{} {:?}", answer.distance, answer.bindings);
+//!     println!("{} {:?}", answer.distance, answer.get("X"));
 //! }
 //! ```
 
 pub mod bench;
 
-use std::collections::VecDeque;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -463,7 +462,7 @@ impl Connection {
             conn: self,
             window,
             outstanding: window,
-            buffer: VecDeque::new(),
+            batch: Vec::new().into_iter(),
             finished: None,
             failed: false,
         })
@@ -484,7 +483,8 @@ impl Connection {
 
 /// A streaming result set: pulls `Answers` batches off the wire, granting
 /// credit top-ups as the local buffer drains, until the terminal `Finished`
-/// or `Fail` frame.
+/// or `Fail` frame. Each answer is handed out as the frame decoded it: a
+/// row of label indexes sharing the frame's label table, never copied.
 ///
 /// Dropping the stream before exhaustion sends `Cancel` and drains to the
 /// terminal frame, so the connection is immediately reusable and the
@@ -494,7 +494,8 @@ pub struct AnswerStream<'a> {
     window: u32,
     /// Credits the server may still spend (granted minus received).
     outstanding: u32,
-    buffer: VecDeque<Answer>,
+    /// The answers of the last `Answers` frame not yet handed out.
+    batch: std::vec::IntoIter<Answer>,
     finished: Option<Finished>,
     failed: bool,
 }
@@ -510,7 +511,7 @@ impl AnswerStream<'_> {
     /// The next ranked answer, or `None` after the stream finished.
     pub fn next_answer(&mut self) -> Result<Option<Answer>> {
         loop {
-            if let Some(answer) = self.buffer.pop_front() {
+            if let Some(answer) = self.batch.next() {
                 return Ok(Some(answer));
             }
             if self.finished.is_some() {
@@ -532,7 +533,7 @@ impl AnswerStream<'_> {
                     self.outstanding = self
                         .outstanding
                         .saturating_sub(u32::try_from(answers.len()).unwrap_or(u32::MAX));
-                    self.buffer.extend(answers);
+                    self.batch = answers.into_iter();
                 }
                 Frame::Finished {
                     stats,

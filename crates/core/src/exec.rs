@@ -5,7 +5,6 @@
 //! deduplicates, and enforces limit, deadline and distance ceiling. Public
 //! items are re-exported from `service`.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -14,7 +13,7 @@ use omega_graph::{FxHashSet, GraphStore, NodeId};
 use omega_obs::QueryProfile;
 use omega_ontology::Ontology;
 
-use crate::answer::Answer;
+use crate::answer::{Answer, AnswerBatch};
 use crate::error::{OmegaError, Result};
 use crate::eval::rank_join::{JoinInput, RankJoin};
 use crate::eval::{
@@ -73,7 +72,7 @@ impl PreparedInner {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn answers<'a>(
         self: &Arc<Self>,
-        data: &'a GraphData,
+        data: &'a Arc<GraphData>,
         govern: &Arc<ResourceGovernor>,
         metrics: &Arc<CoreMetrics>,
         mut options: EvalOptions,
@@ -103,7 +102,7 @@ impl PreparedInner {
                         }
                         continue;
                     }
-                    return Answers::rejected(Arc::clone(self), &data.graph, err, sheds);
+                    return Answers::rejected(Arc::clone(self), data, err, sheds);
                 }
             }
         };
@@ -161,9 +160,10 @@ impl PreparedInner {
             }
         };
         Answers {
-            graph,
+            data,
             prepared: Arc::clone(self),
             source,
+            batch: None,
             row: Vec::with_capacity(layout.head_slots.len()),
             emitted: RowSet::new(layout.head_slots.len(), limit),
             limit,
@@ -254,14 +254,19 @@ impl RowSet {
 /// request's limit, distance ceiling and deadline. An answer is a row of
 /// [`NodeId`]s against [`Answers::columns`]: [`Answers::next_row`] lends the
 /// row as it is, [`Answers::next_answer`] (and the
-/// `Iterator<Item = Result<Answer>>` impl) materialises it into labels.
+/// `Iterator<Item = Result<Answer>>` impl) copies it into an [`Answer`] that
+/// reads its labels from the stream's pinned epoch.
 /// After an error or exhaustion the stream is fused. Dropping it mid-flight
 /// ends the execution: nothing evaluates except inside a pull.
 pub struct Answers<'a> {
-    graph: &'a GraphStore,
+    /// The pinned epoch the rows' ids belong to.
+    data: &'a Arc<GraphData>,
     /// The statement: head columns and slot layout, resolved at prepare.
     prepared: Arc<PreparedInner>,
     source: Source<'a>,
+    /// What every [`Answer`] of the stream shares: built by the first
+    /// `next_answer`, so a stream read by `next_row` alone never builds it.
+    batch: Option<AnswerBatch>,
     /// The current row: one id per head column. Lent out by `next_row`.
     row: Vec<NodeId>,
     /// Rows already yielded.
@@ -304,14 +309,15 @@ impl<'a> Answers<'a> {
     /// its first pull returns the admission error, then it is fused.
     fn rejected(
         prepared: Arc<PreparedInner>,
-        graph: &'a GraphStore,
+        data: &'a Arc<GraphData>,
         err: OmegaError,
         sheds: u64,
     ) -> Answers<'a> {
         Answers {
-            graph,
+            data,
             prepared,
             source: Source::Join(RankJoin::new(Vec::new(), 0)),
+            batch: None,
             row: Vec::new(),
             emitted: RowSet::new(0, None),
             limit: None,
@@ -417,7 +423,7 @@ impl<'a> Answers<'a> {
 
     /// The label of a node id taken from a row of this stream.
     pub fn label(&self, id: NodeId) -> &'a str {
-        self.graph.node_label(id)
+        self.data.graph.node_label(id)
     }
 
     /// Pulls the next ranked candidate and projects it onto `self.row`;
@@ -523,19 +529,18 @@ impl<'a> Answers<'a> {
         }
     }
 
-    /// The next answer with its ids resolved to labels, `Ok(None)` when the
-    /// stream is exhausted (or the limit/distance ceiling has been reached).
+    /// The next answer, `Ok(None)` when the stream is exhausted (or the
+    /// limit/distance ceiling has been reached). The answer is the row's ids
+    /// and one shared handle on the stream's schema and pinned epoch: its
+    /// labels are read when its bindings are, and it keeps the epoch alive.
     pub fn next_answer(&mut self) -> Result<Option<Answer>> {
         let Some((_, distance)) = self.next_row()? else {
             return Ok(None);
         };
-        let bindings: BTreeMap<String, String> = self
-            .columns()
-            .iter()
-            .zip(&self.row)
-            .map(|(var, &id)| (var.clone(), self.label(id).to_owned()))
-            .collect();
-        Ok(Some(Answer { bindings, distance }))
+        let batch = self.batch.get_or_insert_with(|| {
+            AnswerBatch::epoch(&self.prepared.query.head, Arc::clone(self.data))
+        });
+        Ok(Some(batch.row(&self.row, |id| id.0, distance)))
     }
 
     /// Collects up to `limit` further answers (all remaining when `None`),

@@ -84,7 +84,7 @@ pub mod govern;
 pub mod query;
 pub mod service;
 
-pub use answer::{Answer, ConjunctAnswer};
+pub use answer::{Answer, AnswerBatch, Bindings, ConjunctAnswer, UNBOUND};
 pub use error::{OmegaError, Result};
 pub use eval::{
     AnswerStream, ConjunctEvaluator, EvalOptions, EvalStats, RankJoin, TruncationReason,

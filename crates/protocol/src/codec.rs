@@ -5,12 +5,12 @@
 //! pair over [`Writer`] / [`Reader`]; the framing layer
 //! ([`crate::frame`]) composes them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Instant;
 
 use omega_core::{
-    Answer, EvalStats, ExecOptions, GovernorGauges, OmegaError, OverloadPolicy, QueryProfile,
-    TruncationReason,
+    Answer, AnswerBatch, EvalStats, ExecOptions, GovernorGauges, OmegaError, OverloadPolicy,
+    QueryProfile, TruncationReason, UNBOUND,
 };
 use omega_regex::RegexParseError;
 
@@ -21,11 +21,6 @@ use crate::wire::{Reader, Writer};
 // Answers
 // ---------------------------------------------------------------------------
 
-/// Cell of a column the row's answer does not bind. The server's rows bind
-/// every head column; only a hand-built [`Answer`] batch whose answers
-/// disagree on their variables produces it.
-const UNBOUND: u32 = u32::MAX;
-
 /// Encodes an `Answers` body — the one layout every encoder shares:
 ///
 /// ```text
@@ -35,8 +30,10 @@ const UNBOUND: u32 = u32::MAX;
 /// ```
 ///
 /// Names and labels appear once per frame; a row is its distance plus one
-/// index into the label table per column. `cells` is row-major, one row of
-/// `columns.len()` per distance.
+/// index into the label table per column, or [`UNBOUND`] where the answer
+/// binds no value: the server's rows bind every head column, and only a
+/// batch of answers that disagree on their variables has such cells.
+/// `cells` is row-major, one row of `columns.len()` per distance.
 pub(crate) fn put_answer_table<'s>(
     w: &mut Writer,
     columns: impl ExactSizeIterator<Item = &'s str>,
@@ -58,27 +55,47 @@ pub(crate) fn put_answer_table<'s>(
     }
 }
 
-/// Encodes a batch of materialised answers. The columns are the variables
-/// the answers bind, in order of first appearance.
+/// Encodes a batch of answers. The columns are the variables of the
+/// answers' batches ([`omega_core::Bindings::columns`]), in order of first
+/// appearance. Names are looked up once per run of answers that share a
+/// batch; within a run, each answer's labels go by position to the columns
+/// its batch's names map to.
 pub fn put_answers(w: &mut Writer, answers: &[Answer]) {
+    let same_batch = |a: &Answer, b: &Answer| a.bindings.shares_batch(&b.bindings);
     let mut columns: Vec<&str> = Vec::new();
-    for var in answers.iter().flat_map(|a| a.bindings.keys()) {
-        if !columns.contains(&var.as_str()) {
-            columns.push(var);
-        }
+    // Per run, the frame column of each of its batch's names, runs
+    // concatenated.
+    let mut slots: Vec<usize> = Vec::new();
+    for run in answers.chunk_by(same_batch) {
+        slots.extend(run[0].bindings.columns().map(|name| {
+            columns.iter().position(|c| *c == name).unwrap_or_else(|| {
+                columns.push(name);
+                columns.len() - 1
+            })
+        }));
     }
     let mut labels: Vec<&str> = Vec::new();
     let mut index: HashMap<&str, u32> = HashMap::with_capacity(answers.len());
     let mut cells = Vec::with_capacity(answers.len() * columns.len());
-    for answer in answers {
-        cells.extend(columns.iter().map(|column| {
-            answer.bindings.get(*column).map_or(UNBOUND, |value| {
-                *index.entry(value).or_insert_with(|| {
-                    labels.push(value);
-                    labels.len() as u32 - 1
+    let mut row: Vec<Option<&str>> = vec![None; columns.len()];
+    let mut rest = &slots[..];
+    for run in answers.chunk_by(same_batch) {
+        let (run_slots, tail) = rest.split_at(run[0].bindings.columns().len());
+        rest = tail;
+        for answer in run {
+            row.fill(None);
+            for (&slot, label) in run_slots.iter().zip(answer.bindings.labels()) {
+                row[slot] = label;
+            }
+            cells.extend(row.iter().map(|label| {
+                label.map_or(UNBOUND, |label| {
+                    *index.entry(label).or_insert_with(|| {
+                        labels.push(label);
+                        labels.len() as u32 - 1
+                    })
                 })
-            })
-        }));
+            }));
+        }
     }
     put_answer_table(
         w,
@@ -100,30 +117,30 @@ fn take_strs<'a>(r: &mut Reader<'a>, count: u32) -> Result<Vec<&'a str>, Protoco
     Ok(out)
 }
 
-/// Decodes an `Answers` body: the frame's header (names, label table) is
-/// read once, in place, and every row materialises an [`Answer`] from it. A
-/// label index outside the table is [`ProtocolError::Malformed`].
+/// Decodes an `Answers` body: the frame's names and label table become one
+/// [`AnswerBatch`], and every row an [`Answer`] of it — its cells, checked
+/// against the table here, and one shared handle. A label index outside the
+/// table is [`ProtocolError::Malformed`].
 pub fn take_answers(r: &mut Reader<'_>) -> Result<Vec<Answer>, ProtocolError> {
     let columns = r.take_u32()?;
     let columns = take_strs(r, columns)?;
     let labels = r.take_u32()?;
     let labels = take_strs(r, labels)?;
+    let batch = AnswerBatch::table(&columns, &labels);
     let rows = r.take_u32()? as usize;
     let row_bytes = 4 + 4 * columns.len();
     let mut answers = Vec::with_capacity(rows.min(r.remaining() / row_bytes));
+    let mut row = Vec::with_capacity(columns.len());
     for _ in 0..rows {
         let distance = r.take_u32()?;
-        let mut bindings = BTreeMap::new();
-        for column in &columns {
-            let cell = r.take_u32()?;
-            if cell != UNBOUND {
-                let label = labels
-                    .get(cell as usize)
-                    .ok_or(ProtocolError::Malformed("label index out of range"))?;
-                bindings.insert((*column).to_owned(), (*label).to_owned());
-            }
+        row.clear();
+        for _ in 0..columns.len() {
+            row.push(r.take_u32()?);
         }
-        answers.push(Answer { bindings, distance });
+        let answer = batch
+            .answer(&row, distance)
+            .ok_or(ProtocolError::Malformed("label index out of range"))?;
+        answers.push(answer);
     }
     Ok(answers)
 }

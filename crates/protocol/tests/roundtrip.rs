@@ -7,12 +7,11 @@
 //! [`ProtocolError`]. The `Answers` table layout gets the write-ahead log
 //! soak's treatment on top: cut at every byte, corrupt every byte.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use omega_core::{
-    Answer, EvalStats, ExecOptions, GovernorGauges, OmegaError, OverloadPolicy, QueryProfile,
-    TruncationReason,
+    Answer, Bindings, EvalStats, ExecOptions, GovernorGauges, OmegaError, OverloadPolicy,
+    QueryProfile, TruncationReason,
 };
 use omega_protocol::{
     write_frame, FinishReason, Frame, FrameReader, ProtocolError, RowFrame, ServerStats,
@@ -112,7 +111,7 @@ fn exec_options() -> BoxedStrategy<ExecOptions> {
 fn answer() -> BoxedStrategy<Answer> {
     (prop::collection::vec((text(), text()), 0..5), any::<u32>())
         .prop_map(|(pairs, distance)| Answer {
-            bindings: pairs.into_iter().collect::<BTreeMap<_, _>>(),
+            bindings: pairs.into_iter().collect::<Bindings>(),
             distance,
         })
         .boxed()
@@ -420,7 +419,7 @@ fn answers_payloads() -> Vec<Vec<u8>> {
                 distance: 2,
             },
             Answer {
-                bindings: BTreeMap::new(),
+                bindings: Bindings::from([]),
                 distance: 3,
             },
         ],
@@ -446,7 +445,8 @@ fn answers_frames_cut_or_corrupted_at_every_byte_fail_typed() {
         }
         // Every byte of the body, flipped three ways: the result is the
         // same frame kind (the flip hit a distance, or text that stayed
-        // valid) or a typed error — nothing else, and never a panic.
+        // valid) or a typed error — nothing else, and never a panic, then
+        // or when a decoded answer's labels are read.
         for pos in 1..payload.len() {
             for mask in [0x01, 0x80, 0xFF] {
                 let mut bent = payload.clone();
@@ -460,6 +460,15 @@ fn answers_frames_cut_or_corrupted_at_every_byte_fail_typed() {
                     ),
                     "byte {pos} ^ {mask:#04x} gave {got:?}"
                 );
+                if let Ok(Frame::Answers { answers }) = got {
+                    for answer in &answers {
+                        let pairs: Vec<(&str, &str)> = answer.bindings.iter().collect();
+                        for (name, label) in &pairs {
+                            assert_eq!(answer.bindings.get(name), Some(*label));
+                        }
+                        assert_eq!(answer.bindings.labels().flatten().count(), pairs.len());
+                    }
+                }
             }
         }
     }

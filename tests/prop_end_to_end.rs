@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use omega::core::{parse_query, Database, EvalOptions, ExecOptions};
+use omega::core::{parse_query, Bindings, Database, EvalOptions, ExecOptions};
 use omega::graph::GraphStore;
 use omega::ontology::Ontology;
 use omega_bench::BaselineEvaluator;
@@ -275,7 +275,7 @@ proptest! {
         let (off, off_stats) = collect(&unguided);
 
         // Identical distance sequence, rank by rank.
-        let dist = |rows: &[(std::collections::BTreeMap<String, String>, u32)]| {
+        let dist = |rows: &[(Bindings, u32)]| {
             rows.iter().map(|(_, d)| *d).collect::<Vec<_>>()
         };
         prop_assert_eq!(dist(&on), dist(&off), "distance ranks diverge for {}", text);
@@ -286,7 +286,7 @@ proptest! {
         let last_complete = if on.len() < cap { u32::MAX } else {
             on.last().map_or(u32::MAX, |(_, d)| d.saturating_sub(1))
         };
-        let class_set = |rows: &[(std::collections::BTreeMap<String, String>, u32)], upto: u32| {
+        let class_set = |rows: &[(Bindings, u32)], upto: u32| {
             let mut v: Vec<_> = rows.iter().filter(|(_, d)| *d <= upto).cloned().collect();
             v.sort();
             v

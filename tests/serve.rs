@@ -720,7 +720,7 @@ fn wire_mutations_pin_old_statements_and_refresh_new_ones() {
     // …while fresh text execution sees the new edges.
     let live_query = "(?X) <- (Live Node A, liveknows+, ?X)";
     let (answers, _) = conn.run(live_query, &options).expect("query new edges");
-    let bound: Vec<&str> = answers.iter().map(|a| a.bindings["X"].as_str()).collect();
+    let bound: Vec<&str> = answers.iter().map(|a| a.get("X").expect("bound")).collect();
     assert_eq!(bound, ["Live Node B", "Live Node C"]);
 
     // Removal is symmetric; unknown edges are not counted.
