@@ -19,13 +19,12 @@
 //!
 //! Edit distance to `L(R)` is a property of the language, not of the
 //! automaton it is read from [Grahne & Thomo, AMAI 2006], so the edits go on
-//! the small ε-free automaton of `R`, not on the Thompson one.
+//! the small position automaton of `R`.
 //!
 //! The paper represents the "one transition per label in `Σ ∪ {type}` and
 //! their reversals" explosion compactly with the single wildcard label `*`;
 //! [`crate::TransitionLabel::Any`] is that wildcard.
 
-use crate::epsilon::remove_epsilons;
 use crate::label::TransitionLabel;
 use crate::nfa::WeightedNfa;
 
@@ -83,12 +82,10 @@ impl ApproxConfig {
 }
 
 /// Builds the APPROX automaton `A_R` from an exact automaton `M_R` (every
-/// transition of cost 0, as [`crate::build_nfa`] makes them), in one stage
-/// whose output is ε-free.
+/// transition of cost 0, frozen, as [`crate::build_nfa`] makes it), in one
+/// stage that keeps its numbering.
 ///
-/// An input with ε-transitions, or one not frozen, is
-/// [`crate::remove_epsilons`]-ed first; a frozen ε-free one keeps its
-/// numbering. From each state `s` a breadth-first walk
+/// From each state `s` a breadth-first walk
 /// over the input's transitions finds every state `t` a deletion run reaches,
 /// at `hops × deletion`; `s` then gets, at that cost added, each transition
 /// leaving `t`, its substitution and inversion, the insertion loop on `t`,
@@ -96,9 +93,6 @@ impl ApproxConfig {
 /// the minimum cost: the automaton weighted ε-removal would make of the
 /// deletions as ε-transitions.
 pub fn approximate(nfa: &WeightedNfa, config: &ApproxConfig) -> WeightedNfa {
-    if nfa.has_epsilon_transitions() || !nfa.is_frozen() {
-        return approximate(&remove_epsilons(nfa), config);
-    }
     // Room for four transitions per input transition and two per state: the
     // YAGO study's APPROX automata have about 3.6 per input transition, and
     // a larger one grows as it is built.
@@ -165,15 +159,14 @@ pub fn approximate(nfa: &WeightedNfa, config: &ApproxConfig) -> WeightedNfa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::position::build_nfa;
     use crate::resolver::MapResolver;
     use crate::simulate::min_accept_cost;
-    use crate::thompson::build_nfa;
     use omega_regex::{parse, Symbol};
 
     fn approx_nfa(expr: &str, config: &ApproxConfig) -> WeightedNfa {
         let resolver = MapResolver::new();
-        let nfa = remove_epsilons(&build_nfa(&parse(expr).unwrap(), &resolver));
-        approximate(&nfa, config)
+        approximate(&build_nfa(&parse(expr).unwrap(), &resolver), config)
     }
 
     fn w(specs: &[(&str, bool)]) -> Vec<Symbol> {
@@ -186,22 +179,16 @@ mod tests {
             .collect()
     }
 
-    /// The output is ε-free whether or not the input was, and a Thompson
-    /// input gives what its ε-removed form gives.
+    /// Two compiles of one expression give the same automaton down to the
+    /// raw transition order and the printed form.
     #[test]
-    fn output_is_epsilon_free() {
-        let resolver = MapResolver::new();
-        for expr in ["a.b", "(a|b)*.c", "a*.b*", "()"] {
-            let thompson = build_nfa(&parse(expr).unwrap(), &resolver);
-            let config = ApproxConfig::default();
-            let from_thompson = approximate(&thompson, &config);
-            let from_base = approximate(&remove_epsilons(&thompson), &config);
-            assert!(!from_thompson.has_epsilon_transitions(), "{expr}");
-            assert_eq!(
-                from_thompson.transitions(),
-                from_base.transitions(),
-                "{expr}"
-            );
+    fn compiles_are_reproducible() {
+        let compile = || approx_nfa("(a|b|c)+.(a|d)", &ApproxConfig::default());
+        let first = compile();
+        for _ in 0..8 {
+            let again = compile();
+            assert_eq!(first.transitions(), again.transitions());
+            assert_eq!(first.to_string(), again.to_string());
         }
     }
 
@@ -350,7 +337,7 @@ mod tests {
             w(&[("a", true), ("b", false)]),
         ];
         for expr in exprs {
-            let exact = remove_epsilons(&build_nfa(&parse(expr).unwrap(), &resolver));
+            let exact = build_nfa(&parse(expr).unwrap(), &resolver);
             let approx = approx_nfa(expr, &ApproxConfig::default());
             for word in &words {
                 let exact_cost = min_accept_cost(&exact, word);

@@ -1,12 +1,12 @@
 //! Per-state accept lower bounds: the admissible heuristic behind
 //! cost-guided (A*) evaluation.
 //!
-//! For every state `s` of an (ε-free) [`WeightedNfa`], [`MinCostToAccept`]
+//! For every state `s` of a [`WeightedNfa`], [`MinCostToAccept`]
 //! records the minimum total transition weight of any path from `s` to an
 //! accepting state, including the accepting state's final weight. It is
 //! computed once per compiled plan by a reverse Dijkstra over the automaton
 //! — node count and transition count are tiny compared to the data graph,
-//! so the cost is noise next to Thompson construction.
+//! so the cost is noise next to building the automaton.
 //!
 //! ## Admissibility
 //!
@@ -32,8 +32,8 @@
 //!
 //! ## Graph-aware liveness
 //!
-//! Both flexible operators only *add* transitions to the 0-cost Thompson
-//! skeleton, so over the bare automaton `h ≡ 0`. The bound starts to bite
+//! Both flexible operators only *add* transitions to the 0-cost position
+//! automaton, so over the bare automaton `h ≡ 0`. The bound starts to bite
 //! when it is computed against what the data graph can actually fire:
 //! [`MinCostToAccept::compute_with`] takes a liveness predicate and treats
 //! transitions whose label can never match any edge of the graph (unresolved
@@ -56,8 +56,8 @@ use crate::nfa::{StateId, WeightedNfa};
 /// Per-state minimum remaining weight to reach acceptance.
 ///
 /// See the module documentation for the admissibility and consistency
-/// arguments. Build one with [`MinCostToAccept::compute`] (every
-/// edge-consuming label assumed fireable) or
+/// arguments. Build one with [`MinCostToAccept::compute`] (every label
+/// assumed fireable) or
 /// [`MinCostToAccept::compute_with`] (graph-aware liveness).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinCostToAccept {
@@ -69,10 +69,7 @@ impl MinCostToAccept {
     /// states can never contribute an answer and are pruned outright.
     pub const DEAD: u32 = u32::MAX;
 
-    /// Computes the bounds assuming every edge-consuming transition can
-    /// fire. ε-transitions are treated as absent — these bounds are meant
-    /// for the ε-free automata the evaluator runs on, where ε matches no
-    /// edge.
+    /// Computes the bounds assuming every transition can fire.
     pub fn compute(nfa: &WeightedNfa) -> MinCostToAccept {
         MinCostToAccept::compute_with(nfa, |_| true)
     }
@@ -92,7 +89,7 @@ impl MinCostToAccept {
         let live: Vec<_> = nfa
             .transitions()
             .iter()
-            .filter(|t| !t.label.is_epsilon() && live(&t.label))
+            .filter(|t| live(&t.label))
             .collect();
         let mut starts = vec![0usize; n + 2];
         for t in &live {
@@ -258,31 +255,15 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_transitions_are_ignored() {
-        let mut nfa = WeightedNfa::new();
-        let s0 = nfa.initial();
-        let s1 = nfa.add_state();
-        nfa.add_transition(s0, TransitionLabel::Epsilon, 0, s1);
-        nfa.add_final(s1, 0);
-        nfa.freeze();
-        let h = MinCostToAccept::compute(&nfa);
-        assert!(
-            h.is_dead(s0),
-            "ε matches no edge in the evaluator, so it must not carry the bound"
-        );
-    }
-
-    #[test]
     fn consistency_holds_on_flexible_automata() {
         use crate::approx::{approximate, ApproxConfig};
-        use crate::epsilon::remove_epsilons;
+        use crate::position::build_nfa;
         use crate::resolver::MapResolver;
-        use crate::thompson::build_nfa;
         use omega_regex::parse;
 
         let resolver = MapResolver::new();
         for expr in ["a.b", "a*|b.c", "a-.b+", "(a.b)|(c.d.a)"] {
-            let base = remove_epsilons(&build_nfa(&parse(expr).unwrap(), &resolver));
+            let base = build_nfa(&parse(expr).unwrap(), &resolver);
             let approx = approximate(&base, &ApproxConfig::default());
             for nfa in [base, approx] {
                 let h = MinCostToAccept::compute(&nfa);
@@ -301,7 +282,7 @@ mod tests {
                 for (state, weight) in nfa.finals() {
                     assert!(h.get(state) <= weight);
                 }
-                // Thompson skeletons are co-accessible at cost 0, so with
+                // Position automata are co-accessible at cost 0, so with
                 // every label live the bound must be identically zero.
                 assert_eq!(h.dead_states(), 0);
             }

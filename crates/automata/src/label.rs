@@ -1,4 +1,5 @@
-//! Transition labels of weighted NFAs.
+//! Transition labels of weighted NFAs. Each one consumes a graph edge: no
+//! automaton here has an ε-transition.
 
 use std::fmt;
 use std::sync::Arc;
@@ -24,13 +25,8 @@ use omega_regex::Symbol;
 /// * [`TransitionLabel::TypeTo`] — a `type` edge whose target must be the
 ///   given class node; produced by RELAX rule (ii) (replace a property edge
 ///   by a `type` edge to the property's domain/range class).
-/// * [`TransitionLabel::Epsilon`] — the empty transition of the Thompson
-///   construction; removed by weighted ε-elimination before APPROX or RELAX
-///   augments the automaton, so no evaluated automaton carries it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TransitionLabel {
-    /// ε — consumes no edge.
-    Epsilon,
     /// A concrete edge label, possibly traversed in reverse.
     Symbol {
         /// Resolved edge label (None if the label does not exist in the graph).
@@ -64,16 +60,6 @@ impl TransitionLabel {
         }
     }
 
-    /// Whether this is the ε label.
-    pub fn is_epsilon(&self) -> bool {
-        matches!(self, TransitionLabel::Epsilon)
-    }
-
-    /// Whether the transition consumes a graph edge (everything except ε).
-    pub fn consumes_edge(&self) -> bool {
-        !self.is_epsilon()
-    }
-
     /// The same label with the traversal direction flipped (used by the
     /// inversion edit operation).
     pub fn flipped(&self) -> TransitionLabel {
@@ -100,7 +86,6 @@ impl TransitionLabel {
     /// inference and class targets) lives in the evaluator.
     pub fn matches_symbol(&self, sym: &Symbol) -> bool {
         match self {
-            TransitionLabel::Epsilon => false,
             TransitionLabel::Symbol { inverse, name, .. } => {
                 **name == *sym.label && *inverse == sym.inverse
             }
@@ -114,7 +99,6 @@ impl TransitionLabel {
 impl fmt::Display for TransitionLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransitionLabel::Epsilon => write!(f, "ε"),
             TransitionLabel::Symbol { name, inverse, .. } => {
                 write!(f, "{name}{}", if *inverse { "-" } else { "" })
             }
@@ -148,13 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_consumes_nothing() {
-        assert!(TransitionLabel::Epsilon.is_epsilon());
-        assert!(!TransitionLabel::Epsilon.consumes_edge());
-        assert!(!TransitionLabel::Epsilon.matches_symbol(&Symbol::forward("a")));
-    }
-
-    #[test]
     fn type_to_matches_type_symbol_at_word_level() {
         let t = TransitionLabel::TypeTo {
             class: NodeId(3),
@@ -167,7 +144,6 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        assert_eq!(TransitionLabel::Epsilon.to_string(), "ε");
         assert_eq!(
             TransitionLabel::symbol(None, true, "knows").to_string(),
             "knows-"

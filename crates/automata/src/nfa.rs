@@ -1,4 +1,5 @@
-//! The weighted NFA representation.
+//! The weighted NFA representation. Every transition consumes a graph edge:
+//! the automata are ε-free from construction on (see [`crate::position`]).
 
 use std::fmt;
 
@@ -49,11 +50,9 @@ const NONE: u32 = u32::MAX;
 /// A weighted NFA: states, a single initial state, weighted final states and
 /// weighted labelled transitions.
 ///
-/// Final-state weights arise from weighted ε-removal (a path of ε-transitions
-/// with positive cost into a final state becomes a weight on the state
-/// itself, per the Handbook of Weighted Automata construction the paper
-/// cites) and from APPROX deletion runs (a state from which skipping query
-/// symbols reaches a final state becomes final at the deletions' cost).
+/// Final-state weights arise only from APPROX deletion runs: a state from
+/// which skipping query symbols reaches a final state becomes final at the
+/// deletions' cost. Every other final state has weight 0.
 ///
 /// The layout is flat: one transition vector, which [`WeightedNfa::freeze`]
 /// groups by source state and sorts, plus three `u32` vectors indexing it.
@@ -179,18 +178,6 @@ impl WeightedNfa {
             }
             i = self.prev_out[i as usize];
         }
-        self.push_unchecked(from, label, cost, to);
-    }
-
-    /// [`WeightedNfa::add_transition`] for a producer that knows no
-    /// `(from, label, to)` triple reaches it twice.
-    pub(crate) fn push_unchecked(
-        &mut self,
-        from: StateId,
-        label: TransitionLabel,
-        cost: u32,
-        to: StateId,
-    ) {
         debug_assert!(from.index() < self.state_count() && to.index() < self.state_count());
         let last = &mut self.last_out[from.index()];
         self.prev_out.push(*last);
@@ -214,11 +201,6 @@ impl WeightedNfa {
     /// Number of transitions.
     pub fn transition_count(&self) -> usize {
         self.transitions.len()
-    }
-
-    /// Whether the automaton contains any ε-transition.
-    pub fn has_epsilon_transitions(&self) -> bool {
-        self.transitions.iter().any(|t| t.label.is_epsilon())
     }
 
     /// Groups the transitions by source state and sorts each state's by label
@@ -260,11 +242,6 @@ impl WeightedNfa {
         );
         let s = state.index();
         &self.transitions[self.offsets[s] as usize..self.offsets[s + 1] as usize]
-    }
-
-    /// Whether the automaton is frozen (per-state slices up to date).
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
     }
 
     /// Labels on transitions leaving the initial state (used by the `Open`

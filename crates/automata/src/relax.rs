@@ -68,8 +68,8 @@ impl RelaxConfig {
 }
 
 /// Builds the RELAX automaton `M_R^K` from `M_R`, the ontology and the
-/// relaxation costs. It adds no ε-transition, so an ε-free input gives an
-/// ε-free output.
+/// relaxation costs: a copy of `M_R` with each property transition's
+/// relaxations added beside it.
 pub fn relax<R: LabelResolver>(
     nfa: &WeightedNfa,
     ontology: &Ontology,
@@ -77,7 +77,7 @@ pub fn relax<R: LabelResolver>(
     resolver: &R,
 ) -> WeightedNfa {
     let mut out = nfa.clone();
-    // An ε-free automaton repeats a label on several states: each property
+    // A position automaton repeats a label on several states: each property
     // and direction that relaxes at all is relaxed once, and later
     // transitions over it copy what that gave (a compile allocates per label,
     // not per transition). One entry per relaxed label: `(property, inverse,
@@ -150,9 +150,8 @@ fn relax_step<R: LabelResolver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epsilon::remove_epsilons;
+    use crate::position::build_nfa;
     use crate::simulate::min_accept_cost;
-    use crate::thompson::build_nfa;
     use omega_graph::GraphStore;
     use omega_regex::{parse, Symbol};
 
@@ -179,7 +178,7 @@ mod tests {
     fn rule_one_adds_superproperty_transition() {
         let (g, o) = setup();
         let nfa = build_nfa(&parse("gradFrom").unwrap(), &g);
-        let relaxed = remove_epsilons(&relax(&nfa, &o, &RelaxConfig::default(), &g));
+        let relaxed = relax(&nfa, &o, &RelaxConfig::default(), &g);
         // exact label still costs 0
         assert_eq!(
             min_accept_cost(&relaxed, &[Symbol::forward("gradFrom")]),
@@ -298,13 +297,8 @@ mod tests {
     fn relaxation_never_removes_exact_matches() {
         let (g, o) = setup();
         for expr in ["gradFrom", "gradFrom-.happenedIn", "gradFrom*"] {
-            let nfa = remove_epsilons(&build_nfa(&parse(expr).unwrap(), &g));
-            let relaxed = remove_epsilons(&relax(
-                &build_nfa(&parse(expr).unwrap(), &g),
-                &o,
-                &RelaxConfig::default().with_domain_range(1),
-                &g,
-            ));
+            let nfa = build_nfa(&parse(expr).unwrap(), &g);
+            let relaxed = relax(&nfa, &o, &RelaxConfig::default().with_domain_range(1), &g);
             let words = [
                 vec![Symbol::forward("gradFrom")],
                 vec![Symbol::inverse("gradFrom"), Symbol::forward("happenedIn")],

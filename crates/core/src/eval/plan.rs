@@ -3,9 +3,9 @@
 //!
 //! Compiling a conjunct `(X, R, Y)` produces a [`ConjunctPlan`]:
 //!
-//! 1. the weighted NFA for `R` is built (Thompson construction), ε-freed,
-//!    and augmented for APPROX or RELAX if the conjunct is prefixed by one
-//!    of them (both augmentations keep it ε-free);
+//! 1. the weighted NFA for `R` is built (the position automaton, which has
+//!    no ε-transition) and augmented for APPROX or RELAX if the conjunct is
+//!    prefixed by one of them;
 //! 2. a conjunct `(?X, R, C)` is transformed into `(C, R-, ?X)` by reversing
 //!    the regular expression, so that evaluation always starts from a
 //!    constant when one is available (Case 2 of `Open`);
@@ -17,10 +17,8 @@
 //! the paper's Section 4.3 drivers, in `omega-bench`) can run it several
 //! times without paying the compilation cost again.
 
-use omega_automata::epsilon::first_labels;
 use omega_automata::{
-    approximate, build_nfa, relax, remove_epsilons, MinCostToAccept, StateId, TransitionLabel,
-    WeightedNfa,
+    approximate, build_nfa, relax, MinCostToAccept, StateId, TransitionLabel, WeightedNfa,
 };
 use omega_graph::{Direction, GraphStore, NodeBitmap, NodeId};
 use omega_ontology::Ontology;
@@ -56,7 +54,7 @@ pub struct ConjunctPlan {
     /// Whether the conjunct was reversed (`(?X, R, C)` → `(C, R-, ?X)`), in
     /// which case emitted answers swap their endpoints back.
     pub reversed: bool,
-    /// The ε-free weighted automaton.
+    /// The weighted automaton, augmented for the conjunct's mode.
     pub nfa: WeightedNfa,
     /// Seed specification.
     pub seeds: SeedSpec,
@@ -131,7 +129,7 @@ pub fn compile_conjunct(
     let subject_node = subject_const.map(&resolve).transpose()?;
     let object_node = object_const.map(&resolve).transpose()?;
 
-    let (reversed, thompson) = match (subject_node, object_node) {
+    let (reversed, base) = match (subject_node, object_node) {
         // (?X, R, C): evaluate (C, R-, ?X).
         (None, Some(_)) => (true, build_nfa(&conjunct.regex.reverse(), graph)),
         // (C1, R, C2): both directions are available — pick the one whose
@@ -153,9 +151,6 @@ pub fn compile_conjunct(
         _ => (false, build_nfa(&conjunct.regex, graph)),
     };
 
-    // ε-free the chosen direction once, then augment it: neither
-    // augmentation adds an ε-transition.
-    let base = remove_epsilons(&thompson);
     let nfa = match conjunct.mode {
         QueryMode::Exact => base,
         QueryMode::Approx => approximate(&base, &options.approx),
@@ -204,7 +199,6 @@ pub fn compile_conjunct(
     let label_stats = graph.label_stats();
     let live = |label: &TransitionLabel| -> bool {
         match label {
-            TransitionLabel::Epsilon => false,
             TransitionLabel::Symbol { label: None, .. } => false,
             TransitionLabel::Symbol { label: Some(l), .. } => {
                 label_stats.has_edges(*l)
@@ -255,7 +249,7 @@ pub fn compile_conjunct(
         SeedSpec::MatchingInitial => nfa
             .initial_labels()
             .map(|label| match label {
-                TransitionLabel::Epsilon | TransitionLabel::Symbol { label: None, .. } => 0,
+                TransitionLabel::Symbol { label: None, .. } => 0,
                 TransitionLabel::Symbol {
                     label: Some(l),
                     inverse,
@@ -295,17 +289,16 @@ pub fn compile_conjunct(
     })
 }
 
-/// Number of edges leaving `node` that the first transitions of `base` (the
-/// Thompson automaton of a conjunct's expression) could match — the cost of
-/// the first expansion step when evaluation seeds at `node`. Used to pick the
-/// cheaper direction for doubly-constant conjuncts; the estimate deliberately
-/// uses the unaugmented skeleton (the exact matches are where answers
-/// concentrate), and of it only the initial state's ε-closure.
+/// Number of edges leaving `node` that the initial transitions of `base`
+/// (the position automaton of a conjunct's expression) could match — the
+/// cost of the first expansion step when evaluation seeds at `node`. Used to
+/// pick the cheaper direction for doubly-constant conjuncts; the estimate
+/// deliberately uses the unaugmented automaton (the exact matches are where
+/// answers concentrate).
 fn first_hop_fanout(base: &WeightedNfa, node: NodeId, graph: &GraphStore) -> u64 {
-    let mut fanout = 0;
-    first_labels(base, |label| {
-        fanout += match label {
-            TransitionLabel::Epsilon | TransitionLabel::Symbol { label: None, .. } => 0,
+    base.initial_labels()
+        .map(|label| match label {
+            TransitionLabel::Symbol { label: None, .. } => 0,
             TransitionLabel::Symbol {
                 label: Some(l),
                 inverse,
@@ -323,9 +316,8 @@ fn first_hop_fanout(base: &WeightedNfa, node: NodeId, graph: &GraphStore) -> u64
             TransitionLabel::TypeTo { .. } => graph
                 .neighbors_iter(node, graph.type_label(), Direction::Outgoing)
                 .count() as u64,
-        }
-    });
-    fanout
+        })
+        .sum()
 }
 
 /// The node sets selected by an initial transition label, used both for
@@ -339,7 +331,6 @@ pub(crate) fn seed_nodes_for_label(
     label: &TransitionLabel,
 ) -> NodeBitmap {
     match label {
-        TransitionLabel::Epsilon => NodeBitmap::new(),
         TransitionLabel::Symbol { label: None, .. } => NodeBitmap::new(),
         TransitionLabel::Symbol {
             label: Some(l),
@@ -463,7 +454,8 @@ mod tests {
     }
 
     /// A doubly-constant conjunct starts from the end with the smaller
-    /// first-hop fan-out, read off the Thompson automaton's initial closure.
+    /// first-hop fan-out, read off the position automaton's initial
+    /// transitions.
     #[test]
     fn both_constants_start_from_the_narrower_end() {
         let mut g = GraphStore::new();
@@ -538,9 +530,8 @@ mod tests {
     }
 
     #[test]
-    fn approx_automaton_is_epsilon_free_and_has_wildcards() {
+    fn approx_automaton_has_wildcards() {
         let plan = plan_for("(?X) <- APPROX (a, knows.knows, ?X)");
-        assert!(!plan.nfa.has_epsilon_transitions());
         assert!(plan
             .nfa
             .transitions()

@@ -206,7 +206,6 @@ pub fn neighbours_by_edge<'a>(
 ) -> &'a [NodeId] {
     stats.neighbour_lookups += 1;
     match label {
-        TransitionLabel::Epsilon => EMPTY,
         TransitionLabel::Symbol { label: None, .. } => EMPTY,
         TransitionLabel::Symbol {
             label: Some(l),
@@ -366,7 +365,7 @@ pub(crate) fn may_fire(
     label: &TransitionLabel,
 ) -> bool {
     match label {
-        TransitionLabel::Epsilon | TransitionLabel::Symbol { label: None, .. } => false,
+        TransitionLabel::Symbol { label: None, .. } => false,
         TransitionLabel::Symbol {
             label: Some(l),
             inverse,
@@ -776,7 +775,7 @@ mod tests {
         }
         let o = Ontology::new();
         // Two `p` transitions leave the initial state: one run, one lookup.
-        let nfa = omega_automata::remove_epsilons(&build_nfa(&parse("p|(p.p)").unwrap(), &g));
+        let nfa = build_nfa(&parse("p|(p.p)").unwrap(), &g);
         let hub = g.node_by_label("hub").unwrap();
         let mut out = Successors::default();
         let mut stats = EvalStats::default();
@@ -849,7 +848,7 @@ mod tests {
     fn succ_follows_automaton_transitions() {
         let (g, o) = setup();
         let mut stats = EvalStats::default();
-        let nfa = omega_automata::remove_epsilons(&build_nfa(&parse("knows|likes").unwrap(), &g));
+        let nfa = build_nfa(&parse("knows|likes").unwrap(), &g);
         let a = g.node_by_label("a").unwrap();
         let out = run_succ(&g, &o, &nfa, nfa.initial(), a, &mut stats);
         let nodes: std::collections::HashSet<_> = out.iter().map(|t| t.node).collect();
@@ -865,10 +864,7 @@ mod tests {
         let mut stats = EvalStats::default();
         // knows.x | knows.y produces two `knows` transitions from the initial
         // state (to different states); one lookup must serve both.
-        let nfa = omega_automata::remove_epsilons(&build_nfa(
-            &parse("(knows.likes)|(knows.type)").unwrap(),
-            &g,
-        ));
+        let nfa = build_nfa(&parse("(knows.likes)|(knows.type)").unwrap(), &g);
         let a = g.node_by_label("a").unwrap();
         let initial_knows_transitions = nfa
             .transitions_from(nfa.initial())
@@ -887,7 +883,7 @@ mod tests {
     fn succ_output_buffer_is_cleared_between_calls() {
         let (g, o) = setup();
         let mut stats = EvalStats::default();
-        let nfa = omega_automata::remove_epsilons(&build_nfa(&parse("knows").unwrap(), &g));
+        let nfa = build_nfa(&parse("knows").unwrap(), &g);
         let a = g.node_by_label("a").unwrap();
         let table = table(&nfa);
         let mut out = Successors::default();
@@ -924,7 +920,7 @@ mod tests {
         use omega_automata::{approximate, ApproxConfig};
         let (g, o) = setup();
         let nfa = approximate(
-            &omega_automata::remove_epsilons(&build_nfa(&parse("knows").unwrap(), &g)),
+            &build_nfa(&parse("knows").unwrap(), &g),
             &ApproxConfig::default(),
         );
         let a = g.node_by_label("a").unwrap();
@@ -968,7 +964,7 @@ mod tests {
     #[test]
     fn dead_states_are_pruned_before_the_lookup() {
         let (g, o) = setup();
-        let nfa = omega_automata::remove_epsilons(&build_nfa(&parse("knows.ghost").unwrap(), &g));
+        let nfa = build_nfa(&parse("knows.ghost").unwrap(), &g);
         let a = g.node_by_label("a").unwrap();
         // `ghost` resolves to no graph label, so the post-`knows` state is
         // dead under a graph-aware liveness predicate.

@@ -9,7 +9,7 @@
 //!   graph and ontology. Clone it into as many threads as you like; every
 //!   clone shares the same CSR arrays and the same prepared-statement cache.
 //! * [`PreparedQuery`] — a query parsed, validated and compiled once
-//!   (Thompson NFA, APPROX/RELAX augmentation, ε-removal, conjunct plans)
+//!   (position NFA, APPROX/RELAX augmentation, conjunct plans)
 //!   and executable any number of times, from any thread, without
 //!   recompilation. [`Database::prepare`] keeps an LRU cache of prepared
 //!   queries keyed by query text.

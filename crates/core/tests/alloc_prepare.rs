@@ -5,10 +5,11 @@
 //! One alternation-heavy shape of the yardstick's `adhoc-compile` workload
 //! (YAGO) is compiled by [`Database::prepare_uncached`] as an exact, an
 //! APPROX and a RELAX conjunct. What a compile may allocate is a fixed number
-//! of vectors per stage — the parsed query, the Thompson automaton, the
-//! ε-removal's scratch and result, its augmented copy, the bounds, the plan —
-//! and one shared name per label of the expression. Copying a transition
-//! from stage to stage allocates nothing.
+//! of vectors per stage, as the stages run: the parsed query; the position
+//! automaton, with its builder's symbol list and set stack; the APPROX or
+//! RELAX copy of it; the bounds; the expansion table and the plan. Add one
+//! shared name per label of the expression. Copying a transition from stage
+//! to stage allocates nothing.
 
 use omega_core::Database;
 use omega_datagen::{generate_yago, YagoConfig};
@@ -19,14 +20,15 @@ use counting::{allocations, Counting};
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// `(operator, allocations one prepare_uncached may make)`: 77, 88 and 98
+/// `(operator, allocations one prepare_uncached may make)`: 66, 77 and 87
 /// as measured on this tree (6, 6 and 6 states; 18, 43 and 21 transitions),
-/// plus a margin of 4 where that lowers a bound. Before the APPROX edits went
-/// on the ε-free automaton the tree made 77, 99 and 97 (6, 17 and 6 states;
-/// 18, 253 and 21 transitions); before compiles shared label names, 150, 233
-/// and 228. The compile is deterministic, so an increase is a new allocation
-/// per statement; one per transition would show as dozens on the APPROX text.
-const PREPARE_ALLOCS: [(&str, u64); 3] = [("", 81), ("APPROX ", 92), ("RELAX ", 99)];
+/// plus a margin of 4. While a compile built the Thompson automaton and
+/// ε-removed it, the tree made 77, 88 and 98; before the APPROX edits went
+/// on the ε-free automaton, 77, 99 and 97 (6, 17 and 6 states; 18, 253 and
+/// 21 transitions); before compiles shared label names, 150, 233 and 228.
+/// The compile is deterministic, so an increase is a new allocation per
+/// statement; one per transition would show as dozens on the APPROX text.
+const PREPARE_ALLOCS: [(&str, u64); 3] = [("", 70), ("APPROX ", 81), ("RELAX ", 91)];
 
 #[test]
 fn a_compile_allocates_per_stage_not_per_transition() {

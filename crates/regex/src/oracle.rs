@@ -1,8 +1,8 @@
 //! A naive, obviously-correct matcher for RPQ regular expressions.
 //!
 //! This is *not* used by the query evaluator — it exists as a test oracle:
-//! the automata crate checks that NFA construction, ε-removal and reversal
-//! preserve the language by comparing word membership against this matcher.
+//! the automata crate checks that NFA construction and reversal preserve
+//! the language by comparing word membership against this matcher.
 
 use std::collections::BTreeSet;
 
