@@ -46,6 +46,28 @@
 //! transition live that never fires on this graph (costing only missed
 //! pruning), but must never report one dead that can fire (which would
 //! break admissibility).
+//!
+//! ## Past one edge: node classes
+//!
+//! `h` sees the graph one label at a time. [`SignatureBound`] sees whole
+//! paths, in an image of the graph: the data graph's nodes fall into at
+//! most 64 classes (by the layers they have edges in, see
+//! `omega_graph::summary`), and an abstract edge links two classes wherever
+//! a real edge links two of their nodes. Per state `q` it keeps two class
+//! sets, one `u64` each: `tight[q]`, the classes from which the image
+//! reaches acceptance using only *tight* steps (`cost + h(to) = h(q)`, and
+//! acceptance only at a final weight of `h(q)`), and `live[q]`, those from
+//! which it reaches acceptance at all. A node `n` of class `c` in state `q`
+//! is bounded by `h(q)` when `c ∈ tight[q]`, by `h(q) + 1` when `c ∈ live[q]`
+//! only, and is dead otherwise.
+//!
+//! *Admissible:* a real path of cost `h(q)` from `(n, q)` takes tight steps
+//! only (each step's `h` is a lower bound of the rest), and each of its
+//! edges maps to an abstract one, so `class(n) ∈ tight[q]`; costs are
+//! integers, so any other path costs at least `h(q) + 1`.
+//! *Consistent:* a tight step into a tight `(q', n')` leaves a tight
+//! `(q, n)` (its edge is abstract), and every other step already pays
+//! `h(q) + 1`; so the bound never falls by more than a step's cost.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -162,6 +184,105 @@ impl MinCostToAccept {
     }
 }
 
+/// Per-state sets of node classes, one `u64` each, from which acceptance
+/// is reachable in an abstract image of the data graph: at cost `h` along
+/// tight steps (`tight`), and at all (`live`). See "Past one edge" in the
+/// module documentation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SignatureBound {
+    /// `masks[2 q]` is `tight[q]`, `masks[2 q + 1]` is `live[q]`.
+    masks: Vec<u64>,
+}
+
+impl SignatureBound {
+    /// The least fixpoint of both sets over `nfa`'s transitions, from the
+    /// final states (every class of `all`), given `h` and `fires(label,
+    /// to)`: the classes from which a step over `label` reaches a node of a
+    /// class in the non-empty set `to`. `fires` may over-approximate (a
+    /// wildcard may answer `all`) but must cover every real step.
+    pub fn compute(
+        nfa: &WeightedNfa,
+        h: &MinCostToAccept,
+        all: u64,
+        mut fires: impl FnMut(&TransitionLabel, u64) -> u64,
+    ) -> SignatureBound {
+        let mut masks = vec![0u64; 2 * nfa.state_count()];
+        for (state, weight) in nfa.finals() {
+            let q = 2 * state.index();
+            masks[q + 1] = all;
+            if weight == h.get(state) {
+                masks[q] = all;
+            }
+        }
+        // Transitions are grouped by source state in state order, and the
+        // sets flow backwards: walking them in reverse settles most
+        // automata in one pass. A later pass re-reads a transition only
+        // when its target's sets grew since it was read (in the last pass,
+        // `grew`, or in this one, `grown`): one bit per state, states 64
+        // apart sharing one, which only re-reads more.
+        let bit = |state: StateId| 1u64 << (state.index() % 64);
+        let mut grew = u64::MAX;
+        while grew != 0 {
+            let mut grown = 0;
+            for t in nfa.transitions().iter().rev() {
+                let to_h = h.get(t.to);
+                if (grew | grown) & bit(t.to) == 0 || to_h == MinCostToAccept::DEAD {
+                    continue;
+                }
+                let (from, to) = (2 * t.from.index(), 2 * t.to.index());
+                let tight = t.cost.saturating_add(to_h) == h.get(t.from);
+                let [tight_to, live_to] = [masks[to], masks[to + 1]];
+                // A tight step whose target is as tight as it is live
+                // fires once for both sets.
+                let live = if live_to == 0 || masks[from + 1] == all {
+                    0
+                } else {
+                    fires(&t.label, live_to)
+                };
+                let tight = match tight && tight_to != 0 && masks[from] != all {
+                    false => 0,
+                    true if tight_to == live_to && live != 0 => live,
+                    true => fires(&t.label, tight_to),
+                };
+                if (tight & !masks[from]) | (live & !masks[from + 1]) != 0 {
+                    masks[from] |= tight;
+                    masks[from + 1] |= live | tight;
+                    grown |= bit(t.from);
+                }
+            }
+            grew = grown;
+        }
+        SignatureBound { masks }
+    }
+
+    /// The classes of `state` bounded by `h(state)`.
+    #[inline]
+    pub fn tight(&self, state: StateId) -> u64 {
+        self.masks[2 * state.index()]
+    }
+
+    /// The classes of `state` that can reach acceptance at all.
+    #[inline]
+    pub fn live(&self, state: StateId) -> u64 {
+        self.masks[2 * state.index() + 1]
+    }
+
+    /// What a node of one of `classes` adds to `h(state)` in `state`: 0 if
+    /// one of them is tight, 1 if one is live, `None` if all are dead. For
+    /// a set of nodes, the least over its members.
+    #[inline]
+    pub fn offset(&self, state: StateId, classes: u64) -> Option<u32> {
+        let q = 2 * state.index();
+        if classes & self.masks[q] != 0 {
+            Some(0)
+        } else if classes & self.masks[q + 1] != 0 {
+            Some(1)
+        } else {
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,6 +373,61 @@ mod tests {
         assert!(h.is_dead(s1));
         assert!(h.is_dead(s0));
         assert_eq!(h.dead_states(), 2);
+    }
+
+    /// Two classes: 0 has an `a` edge into class 1, 1 has a `b` edge into
+    /// class 0. A wildcard fires from every class.
+    fn two_class_fires(label: &TransitionLabel, to: u64) -> u64 {
+        match label.to_string().as_str() {
+            "a" => u64::from(to & 0b10 != 0),
+            "b" => u64::from(to & 0b01 != 0) << 1,
+            _ => 0b11,
+        }
+    }
+
+    #[test]
+    fn tight_classes_follow_abstract_paths_at_cost_h() {
+        // s0 --a/0--> s1 --b/0--> s2 (final 0), and s1 --*/1--> s2.
+        let mut nfa = WeightedNfa::new();
+        let s0 = nfa.initial();
+        let s1 = nfa.add_state();
+        let s2 = nfa.add_state();
+        nfa.add_transition(s0, sym("a"), 0, s1);
+        nfa.add_transition(s1, sym("b"), 0, s2);
+        nfa.add_transition(s1, TransitionLabel::Any, 1, s2);
+        nfa.add_final(s2, 0);
+        nfa.freeze();
+        let h = MinCostToAccept::compute(&nfa);
+        let bound = SignatureBound::compute(&nfa, &h, 0b11, two_class_fires);
+        assert_eq!(bound.tight(s2), 0b11);
+        // Only class 1 has a `b` edge: class 0 needs the wildcard, at 1.
+        assert_eq!(bound.tight(s1), 0b10);
+        assert_eq!(bound.live(s1), 0b11);
+        assert_eq!(bound.offset(s1, 0b01), Some(1));
+        assert_eq!(bound.offset(s1, 0b11), Some(0));
+        // `a` reaches class 1 from class 0 only; nothing fires `a` from 1.
+        assert_eq!(bound.tight(s0), 0b01);
+        assert_eq!(bound.live(s0), 0b01);
+        assert_eq!(bound.offset(s0, 0b10), None);
+        for s in [s0, s1, s2] {
+            assert_eq!(bound.tight(s) & !bound.live(s), 0);
+        }
+    }
+
+    #[test]
+    fn a_costlier_final_weight_is_live_but_not_tight() {
+        // s0 final at weight 2, or s0 --a/0--> s1 (final 0): h(s0) = 0.
+        let mut nfa = WeightedNfa::new();
+        let s0 = nfa.initial();
+        let s1 = nfa.add_state();
+        nfa.add_transition(s0, sym("a"), 0, s1);
+        nfa.add_final(s0, 2);
+        nfa.add_final(s1, 0);
+        nfa.freeze();
+        let h = MinCostToAccept::compute(&nfa);
+        let bound = SignatureBound::compute(&nfa, &h, 0b11, two_class_fires);
+        assert_eq!(bound.tight(s0), 0b01);
+        assert_eq!(bound.live(s0), 0b11);
     }
 
     #[test]

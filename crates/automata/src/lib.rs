@@ -37,7 +37,7 @@ pub mod resolver;
 pub mod simulate;
 
 pub use approx::{approximate, ApproxConfig};
-pub use bounds::MinCostToAccept;
+pub use bounds::{MinCostToAccept, SignatureBound};
 pub use label::TransitionLabel;
 pub use nfa::{StateId, Transition, WeightedNfa};
 pub use position::build_nfa;

@@ -665,27 +665,51 @@ pub fn work_statements() -> Vec<(String, String)> {
     out
 }
 
+/// How many answers the first-answer columns of [`work_table`] fetch.
+pub const FIRST_K: usize = 10;
+
+/// The evaluator counters of one top-`limit` fetch of `text` under cost
+/// guidance, prepared once: deterministic, so a single run is the reading.
+pub fn work_stats(db: &Database, text: &str, limit: usize) -> EvalStats {
+    let request = ExecOptions::new().with_limit(limit);
+    run_query_with(db, text, "", text, &request).stats
+}
+
 /// Where each [`work_statements`] statement spends its work on L4All at the
 /// configured largest scale: the top-[`TOP_K`] fetch under cost guidance
-/// (median of `samples` runs, prepared once) with its evaluator counters.
+/// (median of `samples` runs, prepared once) with its evaluator counters,
+/// then the tuples added and processed and the `succ` calls of a
+/// top-[`FIRST_K`] fetch, the first answers' cost.
 pub fn work_table(config: &RunConfig) -> String {
     let dataset = l4all_dataset(config.max_scale);
     let db = Database::new(dataset.graph, dataset.ontology);
     let request = ExecOptions::new().with_limit(TOP_K);
     let mut out = format!(
-        "Work per statement: L4All {}, top-{TOP_K}, median of {} (ms)\n",
+        "Work per statement: L4All {}, top-{TOP_K} (median of {}, ms) and top-{FIRST_K}\n",
         config.max_scale.name(),
         config.samples
     );
     out.push_str(&format!(
-        "{:<10} {:>8} {:>7} {:>8} {:>9} {:>7} {:>8} {:>7} {:>7}\n",
-        "Statement", "ms", "answers", "added", "processed", "succ", "lookups", "blocks", "raised"
+        "{:<10} {:>8} {:>7} {:>8} {:>9} {:>7} {:>8} {:>7} {:>7} {:>8} {:>8} {:>8}\n",
+        "Statement",
+        "ms",
+        "answers",
+        "added",
+        "processed",
+        "succ",
+        "lookups",
+        "blocks",
+        "raised",
+        format!("add@{FIRST_K}"),
+        format!("proc@{FIRST_K}"),
+        format!("succ@{FIRST_K}"),
     ));
     for (name, text) in work_statements() {
         let run = run_query_sampled(&db, &name, "", &text, &request, config.samples);
         let stats = &run.stats;
+        let first = work_stats(&db, &text, FIRST_K);
         out.push_str(&format!(
-            "{:<10} {:>8.3} {:>7} {:>8} {:>9} {:>7} {:>8} {:>7} {:>7}\n",
+            "{:<10} {:>8.3} {:>7} {:>8} {:>9} {:>7} {:>8} {:>7} {:>7} {:>8} {:>8} {:>8}\n",
             name,
             run.elapsed.as_secs_f64() * 1e3,
             answers_cell(&run),
@@ -695,6 +719,9 @@ pub fn work_table(config: &RunConfig) -> String {
             stats.neighbour_lookups,
             stats.cursor_blocks,
             stats.raised_keys,
+            first.tuples_added,
+            first.tuples_processed,
+            first.succ_calls,
         ));
     }
     out

@@ -20,24 +20,20 @@
 //!
 //! The key is supplied by the caller: plain Dijkstra ordering passes the
 //! tuple's accumulated distance `g`, cost-guided (A*) ordering passes
-//! `f = g + h` where `h` is the compiled plan's admissible per-state accept
-//! lower bound — because `h` is consistent, `f` is non-decreasing along any
-//! derivation and the monotone bucket queue applies unchanged.
+//! `f = g + h'` where `h'` is the compiled plan's admissible bound for the
+//! tuple's state and node (`crate::eval::conjunct`, "Keys from the
+//! summary") — because `h'` is consistent, `f` is non-decreasing along any
+//! derivation and the monotone bucket queue applies unchanged. `pop` hands
+//! back the key a tuple was popped at, so that a run can be re-queued at
+//! it.
 //!
 //! Pathologically large keys (possible with user-configured costs) fall
 //! back to a sorted overflow map so memory stays bounded by the number of
 //! *distinct* keys, not their magnitude.
-//!
-//! Within a key, a run of visits a successor cursor queued above their
-//! state's bound ([`TupleKind::RaisedRun`]) pops before the plain traversal
-//! tuples: its members may carry a smaller distance than a plain twin of the
-//! same `(start, node, state)` at the same key, and the first of them to be
-//! visited is the one the visited set keeps (`crate::eval::conjunct`, "Keys
-//! that look one step ahead").
 
 use std::collections::BTreeMap;
 
-use crate::eval::tuple::{Tuple, TupleKind};
+use crate::eval::tuple::Tuple;
 
 /// Keys below this bound use the dense bucket array; anything larger
 /// (only reachable with exotic cost configurations) goes to the overflow
@@ -45,10 +41,10 @@ use crate::eval::tuple::{Tuple, TupleKind};
 const DENSE_LIMIT: u32 = 4096;
 
 /// One key's tuples by rank, each list popped LIFO and emptied before the
-/// next: final tuples and runs (pending answers, when prioritised), raised
-/// runs, then everything else.
+/// next: final tuples and runs (pending answers, when prioritised), then
+/// everything else.
 #[derive(Debug, Default)]
-struct Bucket([Vec<Tuple>; 3]);
+struct Bucket([Vec<Tuple>; 2]);
 
 /// Indexed bucket priority queue over evaluation tuples.
 #[derive(Debug, Default)]
@@ -81,11 +77,7 @@ impl DrQueue {
     /// cost-guided mode).
     pub fn push(&mut self, tuple: Tuple, key: u32) {
         self.len += 1;
-        let rank = match tuple.kind {
-            TupleKind::Final | TupleKind::FinalRun if self.prioritize_final => 0,
-            TupleKind::RaisedRun => 1,
-            _ => 2,
-        };
+        let rank = usize::from(!(self.prioritize_final && tuple.is_final()));
         if key < DENSE_LIMIT {
             let idx = key as usize;
             if idx >= self.buckets.len() {
@@ -103,13 +95,13 @@ impl DrQueue {
         }
     }
 
-    /// Removes a tuple from the minimum-key bucket, by rank: final tuples
-    /// first, then raised runs.
-    pub fn pop(&mut self) -> Option<Tuple> {
+    /// Removes a tuple from the minimum-key bucket, final tuples first, and
+    /// returns it with its key.
+    pub fn pop(&mut self) -> Option<(Tuple, u32)> {
         while self.cursor < self.buckets.len() {
             if let Some(tuple) = self.buckets[self.cursor].0.iter_mut().find_map(Vec::pop) {
                 self.len -= 1;
-                return Some(tuple);
+                return Some((tuple, self.cursor as u32));
             }
             self.cursor += 1;
         }
@@ -121,7 +113,7 @@ impl DrQueue {
         if tuple.is_some() {
             self.len -= 1;
         }
-        tuple
+        tuple.map(|tuple| (tuple, key.0))
     }
 
     /// Number of queued tuples.
@@ -161,13 +153,20 @@ mod tests {
         q.push(t, t.distance);
     }
 
+    /// Pops a tuple, without its key.
+    fn pop(q: &mut DrQueue) -> Option<Tuple> {
+        q.pop().map(|(t, _)| t)
+    }
+
     #[test]
     fn pops_in_key_order() {
         let mut q = DrQueue::new(true);
         push_g(&mut q, tuple(3, false, 1));
         push_g(&mut q, tuple(1, false, 2));
         push_g(&mut q, tuple(2, false, 3));
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|t| t.distance).collect();
+        let order: Vec<u32> = std::iter::from_fn(|| pop(&mut q))
+            .map(|t| t.distance)
+            .collect();
         assert_eq!(order, vec![1, 2, 3]);
         assert!(q.is_empty());
     }
@@ -179,8 +178,9 @@ mod tests {
         let mut q = DrQueue::new(true);
         q.push(tuple(0, false, 1), 5); // g = 0, h = 5
         q.push(tuple(3, false, 2), 3); // g = 3, h = 0
-        assert_eq!(q.pop().unwrap().node, NodeId(2));
-        assert_eq!(q.pop().unwrap().node, NodeId(1));
+        let popped = |q: &mut DrQueue| q.pop().map(|(t, key)| (t.node, key));
+        assert_eq!(popped(&mut q), Some((NodeId(2), 3)));
+        assert_eq!(popped(&mut q), Some((NodeId(1), 5)));
     }
 
     #[test]
@@ -189,35 +189,10 @@ mod tests {
         push_g(&mut q, tuple(1, false, 1));
         push_g(&mut q, tuple(1, true, 2));
         push_g(&mut q, tuple(0, false, 3));
-        assert_eq!(q.pop().unwrap().node, NodeId(3));
-        let next = q.pop().unwrap();
+        assert_eq!(pop(&mut q).unwrap().node, NodeId(3));
+        let next = pop(&mut q).unwrap();
         assert!(next.is_final(), "final tuple must be popped first");
-        assert!(!q.pop().unwrap().is_final());
-    }
-
-    #[test]
-    fn raised_runs_pop_after_finals_and_before_the_rest_of_their_key() {
-        for prioritize_final in [true, false] {
-            let mut q = DrQueue::new(prioritize_final);
-            let raised = Tuple {
-                kind: TupleKind::RaisedRun,
-                ..tuple(0, false, 1)
-            };
-            push_g(&mut q, raised);
-            push_g(&mut q, tuple(1, false, 2));
-            q.push(raised, DENSE_LIMIT + 1);
-            push_g(&mut q, tuple(DENSE_LIMIT + 1, false, 3));
-            q.push(tuple(0, true, 4), 1);
-            q.push(tuple(1, false, 5), 1);
-            q.push(raised, 1);
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|t| t.node.0).collect();
-            let expected = if prioritize_final {
-                [1, 4, 1, 5, 2, 1, 3]
-            } else {
-                [1, 1, 5, 4, 2, 1, 3]
-            };
-            assert_eq!(order, expected, "prioritize_final {prioritize_final}");
-        }
+        assert!(!pop(&mut q).unwrap().is_final());
     }
 
     #[test]
@@ -227,8 +202,8 @@ mod tests {
         push_g(&mut q, tuple(1, true, 2));
         // LIFO within the single bucket: the last pushed (final) comes first,
         // but only because of insertion order, not because of its rank.
-        assert_eq!(q.pop().unwrap().node, NodeId(2));
-        assert_eq!(q.pop().unwrap().node, NodeId(1));
+        assert_eq!(pop(&mut q).unwrap().node, NodeId(2));
+        assert_eq!(pop(&mut q).unwrap().node, NodeId(1));
     }
 
     #[test]
@@ -237,9 +212,9 @@ mod tests {
         push_g(&mut q, tuple(0, false, 1));
         push_g(&mut q, tuple(0, false, 2));
         push_g(&mut q, tuple(0, false, 3));
-        assert_eq!(q.pop().unwrap().node, NodeId(3));
-        assert_eq!(q.pop().unwrap().node, NodeId(2));
-        assert_eq!(q.pop().unwrap().node, NodeId(1));
+        assert_eq!(pop(&mut q).unwrap().node, NodeId(3));
+        assert_eq!(pop(&mut q).unwrap().node, NodeId(2));
+        assert_eq!(pop(&mut q).unwrap().node, NodeId(1));
     }
 
     #[test]
@@ -247,11 +222,11 @@ mod tests {
         // A push below the smallest key popped so far goes before the rest.
         let mut q = DrQueue::new(true);
         push_g(&mut q, tuple(5, false, 1));
-        assert_eq!(q.pop().unwrap().distance, 5);
+        assert_eq!(pop(&mut q).unwrap().distance, 5);
         push_g(&mut q, tuple(0, false, 2));
         push_g(&mut q, tuple(3, false, 3));
-        assert_eq!(q.pop().unwrap().distance, 0);
-        assert_eq!(q.pop().unwrap().distance, 3);
+        assert_eq!(pop(&mut q).unwrap().distance, 0);
+        assert_eq!(pop(&mut q).unwrap().distance, 3);
         assert!(q.pop().is_none());
     }
 
@@ -261,11 +236,15 @@ mod tests {
         push_g(&mut q, tuple(1_000_000, false, 1));
         push_g(&mut q, tuple(2, false, 2));
         push_g(&mut q, tuple(DENSE_LIMIT + 7, true, 3));
-        assert_eq!(q.pop().unwrap().distance, 2);
-        let t = q.pop().unwrap();
-        assert_eq!(t.distance, DENSE_LIMIT + 7);
+        assert_eq!(pop(&mut q).unwrap().distance, 2);
+        let (t, key) = q.pop().unwrap();
+        assert_eq!((t.distance, key), (DENSE_LIMIT + 7, DENSE_LIMIT + 7));
         assert!(t.is_final());
-        assert_eq!(q.pop().unwrap().distance, 1_000_000);
+        assert_eq!(
+            q.pop().unwrap().1,
+            1_000_000,
+            "an overflow key comes back too"
+        );
         assert!(q.is_empty());
     }
 }

@@ -18,7 +18,8 @@
 //! times without paying the compilation cost again.
 
 use omega_automata::{
-    approximate, build_nfa, relax, MinCostToAccept, StateId, TransitionLabel, WeightedNfa,
+    approximate, build_nfa, relax, MinCostToAccept, SignatureBound, StateId, TransitionLabel,
+    WeightedNfa,
 };
 use omega_graph::{Direction, GraphStore, NodeBitmap, NodeId};
 use omega_ontology::Ontology;
@@ -77,6 +78,11 @@ pub struct ConjunctPlan {
     /// `f = g + h[state]`, prunes tuples with `g + h` beyond the distance
     /// ceiling, and never expands into dead states.
     pub bounds: MinCostToAccept,
+    /// The node classes of the graph's summary each state is tight or live
+    /// for: a node whose class is not tight for its state is keyed one
+    /// above `g + h`, and one whose class is not live is dead (see
+    /// [`ConjunctPlan::bound`]).
+    pub signature: SignatureBound,
     /// Per-state deferral offsets: the minimum of `cost + h[target]` over
     /// the state's live positive-cost transitions (`u32::MAX` when it has
     /// none). A tuple's positive-cost expansion is postponed to key
@@ -99,6 +105,20 @@ impl ConjunctPlan {
             .into_iter()
             .filter_map(Term::as_variable)
             .collect()
+    }
+
+    /// The bound of a node of one of the summary classes `classes` in
+    /// `state`: `h(state)`, one more when none of them is tight for
+    /// `state`, `None` when the state is dead or none of them is live. For
+    /// a set of nodes, the least bound of its members.
+    #[inline]
+    pub fn bound(&self, state: StateId, classes: u64) -> Option<u32> {
+        let h = self.bounds.get(state);
+        if h == MinCostToAccept::DEAD {
+            return None;
+        }
+        let offset = self.signature.offset(state, classes)?;
+        Some(h.saturating_add(offset))
     }
 
     /// The deferral offset of `state`: the smallest `cost + h[target]` over
@@ -241,6 +261,27 @@ pub fn compile_conjunct(
         })
         .collect();
     let expansion = ExpansionTable::compile(&nfa, &bounds);
+    // The same bound past one edge, in the graph's summary: a symbol steps
+    // between the classes its layer links; a wildcard, a `TypeTo` and a
+    // symbol matched under inference may step from any class.
+    let summary = graph.summary();
+    let signature =
+        SignatureBound::compute(&nfa, &bounds, summary.all(), |label, to| match label {
+            TransitionLabel::Symbol { label: None, .. } => 0,
+            TransitionLabel::Symbol {
+                label: Some(l),
+                inverse,
+                ..
+            } if !inference => {
+                let dir = if *inverse {
+                    Direction::Incoming
+                } else {
+                    Direction::Outgoing
+                };
+                summary.sources(*l, dir, to)
+            }
+            _ => summary.all(),
+        });
 
     // Seed-cardinality estimate for the rank join's stream ordering.
     let estimated_seed_count = match &seeds {
@@ -283,6 +324,7 @@ pub fn compile_conjunct(
         object_node,
         inference,
         bounds,
+        signature,
         defer_delta,
         expansion,
         estimated_seed_count,

@@ -29,16 +29,16 @@ impl TruncationReason {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Tuples added to the distance dictionary `D_R`: a visit however it
-    /// goes in (on its own, in place, or raised), and a pending answer or
-    /// run of them; never a cursor or a deferred placeholder.
+    /// goes in (on its own, or in place from a cursor block), and a pending
+    /// answer or run of them; never a cursor or a deferred placeholder.
     pub tuples_added: u64,
     /// Tuples removed from `D_R` and processed by `GetNext`; a visit a
     /// cursor block makes in place counts here too.
     pub tuples_processed: u64,
     /// Calls to the `Succ` function.
     pub succ_calls: u64,
-    /// Neighbour-list lookups against the graph store. The single-bit
-    /// occupancy probes behind `raised_keys` are not lookups and are not
+    /// Neighbour-list lookups against the graph store. Reading a node's
+    /// summary class, behind `raised_keys`, is not a lookup and is not
     /// counted here.
     pub neighbour_lookups: u64,
     /// Answers emitted.
@@ -62,10 +62,11 @@ pub struct EvalStats {
     /// Blocks of a wide run's neighbours handled by popping its cursor:
     /// each is at most [`crate::eval::succ::BLOCK`] visits.
     pub cursor_blocks: u64,
-    /// Visits a cursor block queued one key above their state's bound,
-    /// because no transition that may fire at their node keeps it
-    /// (cost-guided evaluation; occupancy probes, see
-    /// `crate::eval::conjunct`). Each is also one of `tuples_added`.
+    /// Tuples the node summary keyed one above `g + h(state)`, because no
+    /// node they stand for has a class that reaches acceptance at cost
+    /// `h(state)` in the summary: visits and cursors as they are queued,
+    /// and the members a cursor block puts back a key higher (cost-guided
+    /// evaluation; see "Keys from the summary" in `crate::eval::conjunct`).
     pub raised_keys: u64,
     /// Shed retries performed: executions that were re-admitted with shrunk
     /// budgets after an initial overload rejection

@@ -351,37 +351,6 @@ pub fn neighbours_by_edge<'a>(
     }
 }
 
-/// Whether a transition labelled `label` may fire at `node`: never for ε
-/// and unresolved symbols; for a plain symbol, as `node`'s bit in the
-/// occupancy bitmap of the symbol's `(label, direction)` layer says (or an
-/// overlay-added edge there, [`GraphStore::may_have_edge`]); always for
-/// wildcards, `TypeTo` and symbols matched under inference, which one bit
-/// cannot answer. Never `false` where [`neighbours_by_edge`] finds a
-/// neighbour. A probe is not a neighbour lookup and is not counted as one.
-pub(crate) fn may_fire(
-    graph: &GraphStore,
-    inference: bool,
-    node: NodeId,
-    label: &TransitionLabel,
-) -> bool {
-    match label {
-        TransitionLabel::Symbol { label: None, .. } => false,
-        TransitionLabel::Symbol {
-            label: Some(l),
-            inverse,
-            ..
-        } => {
-            let dir = if *inverse {
-                Direction::Incoming
-            } else {
-                Direction::Outgoing
-            };
-            inference || graph.may_have_edge(node, *l, dir)
-        }
-        TransitionLabel::AnyForward | TransitionLabel::Any | TransitionLabel::TypeTo { .. } => true,
-    }
-}
-
 /// Appends every part to `buf`; how many parts were non-empty.
 fn extend_counting<I: Iterator<Item = NodeId>>(
     buf: &mut Vec<NodeId>,

@@ -5,7 +5,7 @@ use omega_graph::NodeId;
 
 /// What a [`Tuple`] in `D_R` stands for.
 ///
-/// The last four kinds are *runs*: `node` is an arena position, and the
+/// The last three kinds are *runs*: `node` is an arena position, and the
 /// tuple stands for every member from there to the run's end marker, with
 /// its `start`, `state` and `distance` (see `crate::eval::conjunct`,
 /// "Successors as cursors"). To the governor a run is one live `D_R` entry
@@ -31,8 +31,9 @@ pub enum TupleKind {
     Seeds,
     /// The unread rest of one wide `Succ` run (more than
     /// [`crate::eval::succ::BLOCK`] neighbours over one label, for one
-    /// automaton transition), at the key its visits would have had. Each
-    /// pop re-queues it there *first*, then handles the next block as a set.
+    /// automaton transition), or the members of a block that belong a key
+    /// higher, at the least key of its members. Each pop re-queues it at the
+    /// key it popped at *first*, then handles the next block as a set.
     Cursor,
     /// The [`TupleKind::Deferred`] placeholders of one block's visits.
     DeferredRun,
@@ -40,10 +41,6 @@ pub enum TupleKind {
     /// against the final annotation and `answers_R` as the run pops, one
     /// answer per pop.
     FinalRun,
-    /// One cursor block's members that the occupancy probe keyed one above
-    /// `g + h(s)`: it pops before the plain tuples of its key and visits
-    /// them.
-    RaisedRun,
 }
 
 /// A traversal tuple `(v, n, s, d, f)` as described in Section 3.3 of the

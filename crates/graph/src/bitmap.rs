@@ -58,6 +58,11 @@ impl NodeBitmap {
         NodeBitmap { words, len: count }
     }
 
+    /// The words of the set, as [`NodeBitmap::from_words`] takes them.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// The set whose word `w` holds the members `64·w .. 64·w + 63`, lowest
     /// id in the lowest bit.
     pub(crate) fn from_words(words: Vec<u64>) -> Self {

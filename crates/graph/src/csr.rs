@@ -49,6 +49,7 @@ use crate::overlay::{survives, DeltaOverlay};
 use crate::snapshot::error::SnapshotError;
 use crate::snapshot::map::{pair_layout_is_label_first, MappedSlice};
 use crate::stats::{LabelEntry, LabelStats};
+use crate::summary::NodeSummary;
 
 /// Array storage for one frozen CSR array: an owned `Vec<T>` or a
 /// zero-copy view of a snapshot mapping, with the element pointer and
@@ -357,8 +358,9 @@ impl<'b, T: Copy> RunMerge<'b, T> {
 }
 
 /// The full frozen index: one [`CsrLayer`] pair per label plus the two
-/// mixed-label views, and the per-label statistics of exactly these arrays
-/// (computed once, on first use, or loaded from a snapshot's stats section).
+/// mixed-label views, the per-label statistics of exactly these arrays
+/// (computed once, on first use, or loaded from a snapshot's stats section)
+/// and their node summary (built on first use).
 #[derive(Debug, Clone, Default)]
 pub struct CsrIndex {
     pub(crate) out: Vec<CsrLayer>,
@@ -366,6 +368,7 @@ pub struct CsrIndex {
     pub(crate) out_all: CsrMixed,
     pub(crate) in_all: CsrMixed,
     pub(crate) stats: OnceLock<LabelStats>,
+    pub(crate) summary: OnceLock<NodeSummary>,
 }
 
 impl CsrIndex {
@@ -434,6 +437,7 @@ impl CsrIndex {
             out_all,
             in_all,
             stats: OnceLock::new(),
+            summary: OnceLock::new(),
         }
     }
 
@@ -454,6 +458,13 @@ impl CsrIndex {
     /// both) and then shared by every epoch over this index.
     pub(crate) fn stats(&self) -> &LabelStats {
         self.stats.get_or_init(|| self.scan_stats())
+    }
+
+    /// The node summary of these arrays, built on first use and then
+    /// shared by every epoch over this index.
+    pub(crate) fn summary(&self) -> &NodeSummary {
+        self.summary
+            .get_or_init(|| NodeSummary::build(self, self.out.len()))
     }
 
     /// The statistics [`CsrIndex::stats`] caches, read off the occupancy

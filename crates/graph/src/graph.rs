@@ -10,6 +10,7 @@ use crate::ids::{Direction, LabelId, NodeId};
 use crate::interner::LabelInterner;
 use crate::overlay::{survives, DeltaOverlay, DeltaReport, GraphDelta, SideDelta};
 use crate::stats::{LabelEntry, LabelStats};
+use crate::summary::NodeSummary;
 
 /// The distinguished edge label connecting an entity instance to its class.
 pub const TYPE_LABEL: &str = "type";
@@ -63,10 +64,11 @@ pub struct EdgeRef {
 /// [`GraphStore::tails`], [`GraphStore::heads`] and
 /// [`GraphStore::nodes_with_any_edge`] copy the index's occupancy bitmaps
 /// (one per `(label, direction)` layer and per mixed view, built once per
-/// index, see [`crate::csr`]) and OR in the overlay's added endpoints;
-/// [`GraphStore::may_have_edge`] tests one bit of the same sets. On an
-/// overlay-carrying store they are conservative: a node whose last edge of
-/// a label the overlay deleted keeps its bit until compaction.
+/// index, see [`crate::csr`]) and OR in the overlay's added endpoints. On
+/// an overlay-carrying store they are conservative: a node whose last edge
+/// of a label the overlay deleted keeps its bit until compaction.
+/// [`GraphStore::summary`] divides the nodes into classes by the layers
+/// they have edges in, with the same one-index-many-epochs lifetime.
 ///
 /// ## Mutating a frozen store in place
 ///
@@ -96,6 +98,9 @@ pub struct GraphStore {
     /// This store's per-label cardinalities, built on first use: the
     /// index's own statistics plus the overlay's counters.
     pub(crate) label_stats: OnceLock<LabelStats>,
+    /// The node summary of a store with an overlay (the index's own plus
+    /// the overlay's added edges) or without an index, built on first use.
+    pub(crate) summary: OnceLock<NodeSummary>,
 }
 
 impl Default for GraphStore {
@@ -120,6 +125,7 @@ impl GraphStore {
             csr: None,
             overlay: None,
             label_stats: OnceLock::new(),
+            summary: OnceLock::new(),
         }
     }
 
@@ -140,6 +146,7 @@ impl GraphStore {
         let loaded = self.overlay.take().unwrap_or_default();
         let csr = CsrIndex::default().merged(&loaded, self.nodes.len(), self.labels.len());
         self.csr = Some(Arc::new(csr));
+        self.summary = OnceLock::new();
     }
 
     /// Whether the frozen CSR index is present and current.
@@ -200,6 +207,7 @@ impl GraphStore {
         }
         self.csr = None;
         self.label_stats = OnceLock::new();
+        self.summary = OnceLock::new();
     }
 
     /// Appends the nodes `overlay` created to the dictionary, keeping their
@@ -243,6 +251,9 @@ impl GraphStore {
     /// this one are unaffected.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<DeltaReport, GraphError> {
         let csr = self.csr.clone().ok_or(GraphError::NotFrozen)?;
+        // A summary that was read extends to the next epoch by this batch.
+        let prior = self.built_summary().cloned();
+        let mut added = Vec::new();
         let base_has = |s: NodeId, l: LabelId, t: NodeId| {
             csr.layer(l, true)
                 .is_some_and(|layer| layer.run(s).contains(&t))
@@ -261,6 +272,13 @@ impl GraphStore {
             if overlay.add_edge(s, l, t, base_has(s, l, t)) {
                 report.added += 1;
                 self.edge_count += 1;
+                if prior.is_some() {
+                    added.push(EdgeRef {
+                        source: s,
+                        label: l,
+                        target: t,
+                    });
+                }
             }
         }
         for (source, label, target) in delta.removes() {
@@ -278,6 +296,12 @@ impl GraphStore {
         report.overlay_edges = overlay.overlay_edges();
         self.overlay = Some(overlay);
         self.label_stats = OnceLock::new();
+        self.summary = OnceLock::new();
+        if let Some(prior) = prior {
+            let _ = self
+                .summary
+                .set(prior.with_edges(added, self.label_count()));
+        }
         Ok(report)
     }
 
@@ -297,6 +321,7 @@ impl GraphStore {
                 merged.csr = Some(Arc::new(index));
                 merged.adopt_overlay_nodes(&overlay);
                 merged.label_stats = OnceLock::new();
+                merged.summary = OnceLock::new();
             }
         }
         merged
@@ -438,6 +463,7 @@ impl GraphStore {
             return false;
         }
         self.label_stats = OnceLock::new();
+        self.summary = OnceLock::new();
         self.edge_count += 1;
         true
     }
@@ -660,21 +686,33 @@ impl GraphStore {
         set
     }
 
-    /// Whether `node` may have a `label` edge in `dir`: its bit in the base
-    /// layer's occupancy bitmap, or an overlay-added edge there. Never
-    /// `false` when such an edge exists; conservative like
-    /// [`GraphStore::heads`] (a node whose last base edge of the label the
-    /// overlay deleted still answers `true`). One bit test on a frozen
-    /// store, which is why the evaluator asks this instead of reading the
-    /// neighbours.
-    #[inline]
-    pub fn may_have_edge(&self, node: NodeId, label: LabelId, dir: Direction) -> bool {
-        self.layer(label, dir == Direction::Outgoing)
-            .is_some_and(|layer| layer.occupancy().contains(node))
-            || self
-                .overlay
-                .as_ref()
-                .is_some_and(|ov| !ov.adds_for(node, label, dir).is_empty())
+    /// The node summary of this store (see [`crate::summary`]): the
+    /// index's own, built once per index and shared by every epoch over it,
+    /// or — with an overlay — that plus the images of the overlay's added
+    /// edges, built once per store: by [`GraphStore::apply_delta`] from the
+    /// parent epoch's summary in `O(batch)` when that was built, else here
+    /// in `O(overlay)`. A store without an index has one class.
+    pub fn summary(&self) -> &NodeSummary {
+        match &self.csr {
+            Some(csr) if !self.has_overlay() => csr.summary(),
+            csr => self.summary.get_or_init(|| {
+                let labels = self.label_count();
+                let base = csr.as_ref().map(|csr| csr.summary());
+                let base = base.cloned().unwrap_or_else(|| NodeSummary::empty(labels));
+                match &self.overlay {
+                    Some(overlay) => base.with_edges(overlay.added_edge_iter(), labels),
+                    None => base,
+                }
+            }),
+        }
+    }
+
+    /// The summary [`GraphStore::summary`] returns, if it is built.
+    fn built_summary(&self) -> Option<&NodeSummary> {
+        match &self.csr {
+            Some(csr) if !self.has_overlay() => csr.summary.get(),
+            _ => self.summary.get(),
+        }
     }
 
     /// All nodes that are the *target* of an edge labelled `label`
@@ -847,23 +885,11 @@ mod tests {
     }
 
     #[test]
-    fn heads_tails_and_edge_probes() {
+    fn heads_and_tails() {
         both_states(sample(), |g| {
             let knows = g.label_id("knows").unwrap();
-            let heads = g.heads(knows);
-            let tails = g.tails(knows);
-            assert_eq!(heads.len(), 2); // b, c
-            assert_eq!(tails.len(), 2); // a, b
-            for node in g.node_ids() {
-                assert_eq!(
-                    g.may_have_edge(node, knows, Direction::Outgoing),
-                    tails.contains(node)
-                );
-                assert_eq!(
-                    g.may_have_edge(node, knows, Direction::Incoming),
-                    heads.contains(node)
-                );
-            }
+            assert_eq!(g.heads(knows).len(), 2); // b, c
+            assert_eq!(g.tails(knows).len(), 2); // a, b
         });
     }
 

@@ -14,8 +14,11 @@
 //! * [`GraphStore::heads`] / [`GraphStore::tails`] return bitmap node sets
 //!   — copies of one occupancy bitmap kept per `(label, direction)` —
 //!   mirroring Sparksee's bitmap-vector indexes and supporting cheap set
-//!   operations, and [`GraphStore::may_have_edge`] tests a single bit of
-//!   one,
+//!   operations,
+//! * [`GraphStore::summary`] divides the nodes into at most 64 classes by
+//!   the `(label, direction)` layers they have edges in, and records which
+//!   classes an edge of each layer links ([`summary::NodeSummary`]): a tiny
+//!   image of the graph that the evaluator's bound searches,
 //! * a generic "any label" adjacency supports the wildcard `*` transitions of
 //!   APPROX automata (the paper's synthetic `edge` type).
 //!
@@ -76,6 +79,7 @@ pub mod io;
 pub mod overlay;
 pub mod snapshot;
 pub mod stats;
+pub mod summary;
 mod trie;
 pub mod wal;
 
@@ -88,6 +92,7 @@ pub use interner::LabelInterner;
 pub use overlay::{DeltaReport, GraphDelta};
 pub use snapshot::SnapshotError;
 pub use stats::{GraphStats, LabelEntry, LabelStats};
+pub use summary::NodeSummary;
 pub use wal::{
     FsyncPolicy, Wal, WalAppend, WalConfig, WalError, WalFailure, WalRecord, WalRecovery,
 };

@@ -273,6 +273,7 @@ pub fn read_graph(reader: &SnapshotReader) -> Result<GraphStore, SnapshotError> 
         out_all,
         in_all,
         stats,
+        summary: OnceLock::new(),
     };
     Ok(GraphStore {
         nodes: Arc::new(NodeDict::new(node_labels)),
@@ -282,6 +283,7 @@ pub fn read_graph(reader: &SnapshotReader) -> Result<GraphStore, SnapshotError> 
         csr: Some(Arc::new(csr)),
         overlay: None,
         label_stats: OnceLock::new(),
+        summary: OnceLock::new(),
     })
 }
 

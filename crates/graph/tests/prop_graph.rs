@@ -131,8 +131,8 @@ fn scanned(g: &GraphStore, label: Option<LabelId>, dir: Direction) -> BTreeSet<N
         .collect()
 }
 
-/// `tails` / `heads` / `nodes_with_any_edge` equal the per-node scan, and
-/// `may_have_edge` is a bit of the same set, which covers every live edge.
+/// `tails` / `heads` / `nodes_with_any_edge` equal the per-node scan, which
+/// covers every live edge.
 fn check_endpoint_sets(g: &GraphStore) {
     let set = |bitmap: NodeBitmap| bitmap.iter().collect::<BTreeSet<_>>();
     let mut incident = scanned(g, None, Direction::Outgoing);
@@ -146,12 +146,26 @@ fn check_endpoint_sets(g: &GraphStore) {
             });
             prop_assert_eq!(&got, &scanned(g, Some(label), dir));
             for node in g.node_ids() {
-                prop_assert_eq!(g.may_have_edge(node, label, dir), got.contains(&node));
                 if g.neighbors_iter(node, label, dir).next().is_some() {
                     prop_assert!(got.contains(&node));
                 }
             }
         }
+    }
+}
+
+/// Every live edge `u --l--> v` is an abstract edge of `g`'s summary, in
+/// both of its layers: `class(u)` steps over `l` forwards into `class(v)`,
+/// and `class(v)` backwards into `class(u)`.
+fn check_summary(g: &GraphStore) {
+    let s = g.summary();
+    prop_assert!(s.classes() <= omega_graph::summary::MAX_CLASSES);
+    let bit = |node| 1u64 << s.class_of(node);
+    for e in g.edges() {
+        let (u, v) = (bit(e.source), bit(e.target));
+        prop_assert!(s.sources(e.label, Direction::Outgoing, v) & u != 0, "{e:?}");
+        prop_assert!(s.sources(e.label, Direction::Incoming, u) & v != 0, "{e:?}");
+        prop_assert!(s.sources(e.label, Direction::Outgoing, s.all()) & u != 0);
     }
 }
 
@@ -171,6 +185,42 @@ fn reopened(g: &GraphStore, tag: &str) -> GraphStore {
 }
 
 proptest! {
+    /// The node summary maps every live edge to an abstract edge on a
+    /// frozen store of more signatures than classes (the cap merges the
+    /// rarest), on every overlaid epoch (adds, deletes, nodes created after
+    /// the freeze, new labels), after compaction and on a snapshot-opened
+    /// store.
+    #[test]
+    fn the_summary_maps_every_live_edge_in_every_stage(
+        base in prop::collection::vec((0u8..120, 0u8..8, 0u8..120), 150..300),
+        script in prop::collection::vec(
+            prop::collection::vec((any::<bool>(), 0u8..130, 0u8..10, 0u8..130), 0..24),
+            1..4,
+        ),
+    ) {
+        let mut g = rebuilt(&base.iter().copied().collect());
+        check_summary(&g);
+        for batch in &script {
+            let mut delta = GraphDelta::new();
+            for &(add, s, p, o) in batch {
+                let (s, p, o) = (format!("n{s}"), format!("p{p}"), format!("n{o}"));
+                if add {
+                    delta.add(&s, &p, &o);
+                } else {
+                    delta.remove(&s, &p, &o);
+                }
+            }
+            g = g.with_delta(&delta).unwrap().0;
+            check_summary(&g);
+        }
+        let compact = g.compacted();
+        check_summary(&compact);
+        check_summary(&reopened(&compact, "summary"));
+        let mut thawed = compact.clone();
+        thawed.add_triple("n0", "p0", "fresh");
+        check_summary(&thawed);
+    }
+
     /// The endpoint sets the occupancy bitmaps serve equal the per-node
     /// scan they replaced on a frozen store, on every overlaid epoch (adds
     /// and deletes, new nodes and labels), after compaction and on a
