@@ -91,6 +91,14 @@ impl MinCostToAccept {
     /// states can never contribute an answer and are pruned outright.
     pub const DEAD: u32 = u32::MAX;
 
+    /// The trivial bound: 0 for every state of `nfa`, none dead. Keyed by
+    /// it, a queue pops by distance alone (the paper's plain order).
+    pub fn zero(nfa: &WeightedNfa) -> MinCostToAccept {
+        MinCostToAccept {
+            h: vec![0; nfa.state_count()],
+        }
+    }
+
     /// Computes the bounds assuming every transition can fire.
     pub fn compute(nfa: &WeightedNfa) -> MinCostToAccept {
         MinCostToAccept::compute_with(nfa, |_| true)
@@ -253,6 +261,14 @@ impl SignatureBound {
             grew = grown;
         }
         SignatureBound { masks }
+    }
+
+    /// The trivial sets: every class of `all` tight and live in every
+    /// state of `nfa`, so no class adds to `h` or is dead.
+    pub fn everywhere(nfa: &WeightedNfa, all: u64) -> SignatureBound {
+        SignatureBound {
+            masks: vec![all; 2 * nfa.state_count()],
+        }
     }
 
     /// The classes of `state` bounded by `h(state)`.

@@ -17,9 +17,9 @@ use omega_core::{Conjunct, ConjunctAnswer, EvalOptions, EvalStats, NodeId, Resul
 use omega_graph::GraphStore;
 use omega_ontology::Ontology;
 
-/// Exhaustive BFS evaluation of one conjunct (exact semantics only: all
-/// APPROX/RELAX transitions are still followed, but answers are not ranked
-/// and are returned in an arbitrary order).
+/// Exhaustive BFS evaluation of one conjunct (exact semantics only: an
+/// APPROX/RELAX automaton's cost-0 transitions are followed, its edits
+/// never, and answers are not ranked but returned in an arbitrary order).
 pub struct BaselineEvaluator<'a> {
     graph: &'a GraphStore,
     ontology: &'a Ontology,
@@ -28,14 +28,19 @@ pub struct BaselineEvaluator<'a> {
 }
 
 impl<'a> BaselineEvaluator<'a> {
-    /// Compiles `conjunct` and prepares the baseline evaluator.
+    /// Compiles `conjunct` without cost guidance (no state is dead, no
+    /// bound computed) and prepares the baseline evaluator.
     pub fn new(
         conjunct: &Conjunct,
         graph: &'a GraphStore,
         ontology: &'a Ontology,
         options: &EvalOptions,
     ) -> Result<BaselineEvaluator<'a>> {
-        let plan = compile_conjunct(conjunct, graph, ontology, options)?;
+        let unguided = EvalOptions {
+            cost_guided: false,
+            ..options.clone()
+        };
+        let plan = compile_conjunct(conjunct, graph, ontology, &unguided)?;
         Ok(BaselineEvaluator {
             graph,
             ontology,
@@ -56,7 +61,7 @@ impl<'a> BaselineEvaluator<'a> {
 
     /// Runs the BFS to completion and returns all distinct answers at
     /// distance 0 (exact answers). Flexible-operator transitions are ignored
-    /// by construction because any positive-cost step is pruned.
+    /// by construction: only cost-0 transitions are expanded.
     pub fn run(&mut self) -> Vec<ConjunctAnswer> {
         let mut answers = Vec::new();
         let mut emitted: HashSet<(NodeId, NodeId)> = HashSet::new();
@@ -88,8 +93,9 @@ impl<'a> BaselineEvaluator<'a> {
                     self.stats.answers += 1;
                 }
             }
-            // Every transition, dead targets included: the textbook product
-            // knows nothing of the accept bounds.
+            // Every cost-0 transition, dead targets included: the plan has
+            // the trivial bound, so the textbook product knows nothing of
+            // the accept bounds.
             succ(
                 self.graph,
                 self.ontology,
@@ -98,13 +104,12 @@ impl<'a> BaselineEvaluator<'a> {
                 &self.plan.expansion,
                 state,
                 &[node],
-                CostFilter::All,
+                CostFilter::ZeroOnly,
                 &mut successors,
                 &mut self.stats,
             );
             for t in successors.transitions() {
-                // Exact semantics: only zero-cost transitions participate.
-                if t.cost == 0 && visited.insert((start, t.node, t.state)) {
+                if visited.insert((start, t.node, t.state)) {
                     queue.push_back((start, t.node, t.state));
                 }
             }

@@ -18,12 +18,12 @@
 //! previous `BTreeMap` implementation. Within a bucket, `Vec` push/pop at
 //! the tail is the O(1) "head" operation of the paper's linked lists.
 //!
-//! The key is supplied by the caller: plain Dijkstra ordering passes the
-//! tuple's accumulated distance `g`, cost-guided (A*) ordering passes
-//! `f = g + h'` where `h'` is the compiled plan's admissible bound for the
-//! tuple's state and node (`crate::eval::conjunct`, "Keys from the
-//! summary") — because `h'` is consistent, `f` is non-decreasing along any
-//! derivation and the monotone bucket queue applies unchanged. `pop` hands
+//! The key is supplied by the caller: `f = g + h'`, the tuple's accumulated
+//! distance plus the compiled plan's admissible bound for the tuple's state
+//! and node (`crate::eval::conjunct`, "Keys from the summary"; `h' ≡ 0`,
+//! plain Dijkstra order, without cost guidance) — because `h'` is
+//! consistent, `f` is non-decreasing along any derivation and the monotone
+//! bucket queue applies unchanged. `pop` hands
 //! back the key a tuple was popped at, so that a run can be re-queued at
 //! it.
 //!
@@ -73,8 +73,7 @@ impl DrQueue {
         }
     }
 
-    /// Adds a tuple under `key` (its distance `g`, or `f = g + h` in
-    /// cost-guided mode).
+    /// Adds a tuple under `key`, `f = g + h`.
     pub fn push(&mut self, tuple: Tuple, key: u32) {
         self.len += 1;
         let rank = usize::from(!(self.prioritize_final && tuple.is_final()));

@@ -71,15 +71,15 @@ pub struct EvalOptions {
     /// past it fails with [`crate::OmegaError::DeadlineExceeded`]. Normally
     /// set per request through [`crate::service::ExecOptions`].
     pub deadline: Option<Instant>,
-    /// Cost-guided evaluation: order the tuple queue by `f = g + h` (the
-    /// accumulated distance plus the compiled plan's admissible per-state
-    /// accept lower bound), prune tuples that provably cannot beat the
-    /// distance ceiling, skip expansions into dead automaton states and
-    /// defer positive-cost expansions until the distance cursor needs
-    /// them. Answers keep their distance order and per-distance sets
-    /// exactly; only work (and tie order within one distance) changes. On
-    /// by default; an ablation switch like `batch_size`, with no request
-    /// override (the `opt-guidance` study and reference tests turn it off).
+    /// Cost guidance: compile each plan's admissible accept lower bound, by
+    /// which the evaluator keys the tuple queue at `f = g + h`, prunes
+    /// tuples that cannot beat the distance ceiling and skips dead states.
+    /// Off, `compile_conjunct` (its only reader) gives the plan the trivial
+    /// bound `h ≡ 0` and the same evaluator pops by distance alone. Answers
+    /// keep their distance order and per-distance sets exactly; only work
+    /// (and tie order within one distance) changes. On by default; an
+    /// ablation switch like `batch_size`, with no request override (the
+    /// `opt-guidance` study and reference tests turn it off).
     pub cost_guided: bool,
     /// Reaction to tripped resource budgets (see [`OverloadPolicy`]).
     pub on_overload: OverloadPolicy,
@@ -139,8 +139,9 @@ impl EvalOptions {
         self
     }
 
-    /// Enables or disables cost-guided evaluation (A* ordering, bound and
-    /// dead-state pruning, deferred expansion) — for ablation benchmarks.
+    /// Compiles plans with the accept bound (A* ordering, bound and
+    /// dead-state pruning) or with the trivial one — for ablation
+    /// benchmarks.
     pub fn with_cost_guided(mut self, on: bool) -> Self {
         self.cost_guided = on;
         self

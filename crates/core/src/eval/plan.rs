@@ -74,14 +74,15 @@ pub struct ConjunctPlan {
     pub inference: bool,
     /// Admissible per-state accept lower bounds `h`, computed against what
     /// the data graph can actually fire (labels with zero edges are treated
-    /// as absent). Cost-guided evaluation orders the tuple queue by
+    /// as absent); 0 everywhere, none dead, without
+    /// [`EvalOptions::cost_guided`]. The evaluator orders the tuple queue by
     /// `f = g + h[state]`, prunes tuples with `g + h` beyond the distance
     /// ceiling, and never expands into dead states.
     pub bounds: MinCostToAccept,
     /// The node classes of the graph's summary each state is tight or live
     /// for: a node whose class is not tight for its state is keyed one
     /// above `g + h`, and one whose class is not live is dead (see
-    /// [`ConjunctPlan::bound`]).
+    /// [`ConjunctPlan::bound`]). Every class is both without cost guidance.
     pub signature: SignatureBound,
     /// Per-state deferral offsets: the minimum of `cost + h[target]` over
     /// the state's live positive-cost transitions (`u32::MAX` when it has
@@ -245,7 +246,36 @@ pub fn compile_conjunct(
             }
         }
     };
-    let bounds = MinCostToAccept::compute_with(&nfa, &live);
+    // Cost guidance is plan data: without it the bound is the trivial one,
+    // `h ≡ 0` with every class tight, and `D_R` pops by distance alone.
+    let summary = graph.summary();
+    let (bounds, signature) = if options.cost_guided {
+        let bounds = MinCostToAccept::compute_with(&nfa, &live);
+        // The same bound past one edge, in the graph's summary: a symbol
+        // steps between the classes its layer links; a wildcard, a `TypeTo`
+        // and a symbol matched under inference may step from any class.
+        let signature =
+            SignatureBound::compute(&nfa, &bounds, summary.all(), |label, to| match label {
+                TransitionLabel::Symbol { label: None, .. } => 0,
+                TransitionLabel::Symbol {
+                    label: Some(l),
+                    inverse,
+                    ..
+                } if !inference => {
+                    let dir = if *inverse {
+                        Direction::Incoming
+                    } else {
+                        Direction::Outgoing
+                    };
+                    summary.sources(*l, dir, to)
+                }
+                _ => summary.all(),
+            });
+        (bounds, signature)
+    } else {
+        let everywhere = SignatureBound::everywhere(&nfa, summary.all());
+        (MinCostToAccept::zero(&nfa), everywhere)
+    };
     let defer_delta: Vec<u32> = nfa
         .states()
         .map(|s| {
@@ -261,27 +291,6 @@ pub fn compile_conjunct(
         })
         .collect();
     let expansion = ExpansionTable::compile(&nfa, &bounds);
-    // The same bound past one edge, in the graph's summary: a symbol steps
-    // between the classes its layer links; a wildcard, a `TypeTo` and a
-    // symbol matched under inference may step from any class.
-    let summary = graph.summary();
-    let signature =
-        SignatureBound::compute(&nfa, &bounds, summary.all(), |label, to| match label {
-            TransitionLabel::Symbol { label: None, .. } => 0,
-            TransitionLabel::Symbol {
-                label: Some(l),
-                inverse,
-                ..
-            } if !inference => {
-                let dir = if *inverse {
-                    Direction::Incoming
-                } else {
-                    Direction::Outgoing
-                };
-                summary.sources(*l, dir, to)
-            }
-            _ => summary.all(),
-        });
 
     // Seed-cardinality estimate for the rank join's stream ordering.
     let estimated_seed_count = match &seeds {

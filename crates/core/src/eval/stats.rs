@@ -43,21 +43,21 @@ pub struct EvalStats {
     pub neighbour_lookups: u64,
     /// Answers emitted.
     pub answers: u64,
-    /// Tuples suppressed because their distance (or, cost-guided, their key
-    /// `g + h`) exceeded the distance ceiling `max_distance`; non-zero means
+    /// Tuples suppressed because their distance or their key `g + h`
+    /// exceeded the distance ceiling `max_distance`; non-zero means
     /// a higher ceiling could admit more answers.
     pub suppressed: u64,
     /// Tuples (or transitions) dropped because their automaton state can
-    /// never reach acceptance against this graph (cost-guided evaluation).
+    /// never reach acceptance against this graph (none under `h ≡ 0`).
     pub pruned_dead: u64,
     /// Tuples dropped because `g + h` — the accumulated distance plus the
     /// admissible per-state accept lower bound — provably exceeded the
-    /// distance ceiling (cost-guided evaluation; also counted in
-    /// `suppressed`, since a higher ceiling could admit them).
+    /// distance ceiling (also counted in `suppressed`, since a higher
+    /// ceiling could admit them).
     pub pruned_bound: u64,
     /// Deferred positive-cost expansions performed: tuples whose wildcard /
     /// edit / relaxation successors were materialised only once the distance
-    /// cursor reached them (cost-guided evaluation).
+    /// cursor reached them.
     pub deferred_expansions: u64,
     /// Blocks of a wide run's neighbours handled by popping its cursor:
     /// each is at most [`crate::eval::succ::BLOCK`] visits.
@@ -65,8 +65,8 @@ pub struct EvalStats {
     /// Tuples the node summary keyed one above `g + h(state)`, because no
     /// node they stand for has a class that reaches acceptance at cost
     /// `h(state)` in the summary: visits and cursors as they are queued,
-    /// and the members a cursor block puts back a key higher (cost-guided
-    /// evaluation; see "Keys from the summary" in `crate::eval::conjunct`).
+    /// and the members a cursor block puts back a key higher (none under
+    /// `h ≡ 0`; see "Keys from the summary" in `crate::eval::conjunct`).
     pub raised_keys: u64,
     /// Shed retries performed: executions that were re-admitted with shrunk
     /// budgets after an initial overload rejection

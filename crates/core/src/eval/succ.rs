@@ -33,18 +33,17 @@ use crate::eval::stats::EvalStats;
 
 /// Which transition costs an expansion materialises.
 ///
-/// Cost-guided evaluation splits each tuple's expansion in two: the 0-cost
-/// skeleton successors are produced when the tuple pops, and the
-/// positive-cost successors (wildcard edits, relaxations) only when a
-/// deferred placeholder re-pops at the key where they can first matter —
-/// so a label whose transitions are all filtered out never even pays its
-/// neighbour lookup. The cost-guided filters also drop the transitions into
-/// dead states (`pruned_dead`); the unguided [`CostFilter::All`] keeps them.
+/// The evaluator splits each tuple's expansion in two: the 0-cost skeleton
+/// successors are produced when the tuple pops, and the positive-cost
+/// successors (wildcard edits, relaxations) only when a deferred
+/// placeholder re-pops at the key where they can first matter — so a label
+/// whose transitions are all filtered out never even pays its neighbour
+/// lookup. Both filters also drop the transitions into the states the
+/// plan's [`ExpansionTable`] marks dead (`pruned_dead`); a plan compiled
+/// without cost guidance marks none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostFilter {
-    /// Every transition (plain, non-guided evaluation).
-    All,
-    /// Only cost-0 transitions (the fresh pop of a cost-guided tuple).
+    /// Only cost-0 transitions (the fresh pop of a tuple).
     ZeroOnly,
     /// Only positive-cost transitions (the deferred re-expansion).
     PositiveOnly,
@@ -377,7 +376,7 @@ fn extend_counting<I: Iterator<Item = NodeId>>(
 /// than [`BLOCK`] neighbours copies them once into `out.arena` and yields
 /// one [`WideRun`] per transition instead of one step per transition and
 /// neighbour. A group whose admitted transitions all lead into dead states
-/// (cost-guided filters only) skips its neighbour lookups altogether.
+/// skips its neighbour lookups altogether.
 #[allow(clippy::too_many_arguments)]
 pub fn succ(
     graph: &GraphStore,
@@ -403,7 +402,6 @@ pub fn succ(
     let transitions = nfa.transitions_from(state);
     for group in table.groups(state) {
         let (from, to, dead) = match filter {
-            CostFilter::All => (group.first, group.end, 0),
             CostFilter::ZeroOnly => (group.first, group.zero_end, group.dead[0]),
             CostFilter::PositiveOnly => (group.zero_end, group.end, group.dead[1]),
         };
@@ -504,7 +502,7 @@ mod tests {
             &table(nfa),
             state,
             &[node],
-            CostFilter::All,
+            CostFilter::ZeroOnly,
             &mut out,
             stats,
         );
@@ -756,7 +754,7 @@ mod tests {
             &table(&nfa),
             nfa.initial(),
             &[hub],
-            CostFilter::All,
+            CostFilter::ZeroOnly,
             &mut out,
             &mut stats,
         );
@@ -864,7 +862,7 @@ mod tests {
             &table,
             nfa.initial(),
             &[a],
-            CostFilter::All,
+            CostFilter::ZeroOnly,
             &mut out,
             &mut stats,
         );
@@ -877,7 +875,7 @@ mod tests {
             &table,
             nfa.initial(),
             &[a],
-            CostFilter::All,
+            CostFilter::ZeroOnly,
             &mut out,
             &mut stats,
         );
@@ -910,13 +908,24 @@ mod tests {
             );
             out.transitions().collect::<Vec<_>>()
         };
-        let mut stats = EvalStats::default();
-        let mut all = run(CostFilter::All, &mut stats);
-        let all_lookups = stats.neighbour_lookups;
+        // Every transition out of the initial state, one lookup each.
+        let transitions = nfa.transitions_from(nfa.initial());
+        let mut all: Vec<_> = transitions
+            .iter()
+            .flat_map(|t| {
+                let reached = lookup(&g, &o, false, a, &t.label, &mut EvalStats::default());
+                reached.into_iter().map(|node| SuccTransition {
+                    cost: t.cost,
+                    state: t.to,
+                    node,
+                })
+            })
+            .collect();
+        let labels = transitions.chunk_by(|x, y| x.label == y.label).count();
         let mut stats = EvalStats::default();
         let zero = run(CostFilter::ZeroOnly, &mut stats);
         assert!(
-            stats.neighbour_lookups < all_lookups,
+            (stats.neighbour_lookups as usize) < labels,
             "a zero-only expansion must skip the wildcard lookups entirely"
         );
         let mut stats = EvalStats::default();
@@ -964,7 +973,9 @@ mod tests {
             stats.neighbour_lookups, 0,
             "the adjacency must never be touched for a fully dead run"
         );
-        // The unguided ablation follows it anyway.
+        // A table compiled without cost guidance marks nothing dead, and
+        // the same filter follows it.
+        let table = ExpansionTable::compile(&nfa, &MinCostToAccept::zero(&nfa));
         let mut stats = EvalStats::default();
         succ(
             &g,
@@ -974,7 +985,7 @@ mod tests {
             &table,
             nfa.initial(),
             &[a],
-            CostFilter::All,
+            CostFilter::ZeroOnly,
             &mut out,
             &mut stats,
         );

@@ -16,8 +16,8 @@ pub enum TupleKind {
     Visit,
     /// A complete answer waiting to be emitted (the paper's 'final' tuple).
     Final,
-    /// Cost-guided evaluation: a placeholder re-queued at the key of the
-    /// tuple's cheapest positive-cost successor. When it pops, the
+    /// A placeholder re-queued at the key of the tuple's cheapest
+    /// positive-cost successor. When it pops, the
     /// positive-cost transitions (wildcards, edits, relaxations) of the
     /// original `(v, n, s)` tuple — whose `distance` this tuple still
     /// carries — are expanded; until then none of them occupy `D_R`.

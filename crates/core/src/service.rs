@@ -1426,8 +1426,8 @@ impl ExecOptions {
         self
     }
 
-    /// Has no effect: every request runs cost-guided (the unguided engine
-    /// is the evaluator-level ablation [`EvalOptions::cost_guided`]). Kept
+    /// Has no effect: every request runs cost-guided (the trivial bound is
+    /// the plan-level ablation [`EvalOptions::cost_guided`]). Kept
     /// only because `benchmark/src/workloads/mod.rs` calls it; the next
     /// `[benchmark]` PR deletes that call and then this method.
     #[doc(hidden)]

@@ -14,7 +14,9 @@
 //! signatures to give the summary several classes; each is checked frozen,
 //! with a delta overlay that adds edges at old and new nodes, and
 //! compacted. The automata are exact, APPROX at three cost settings and
-//! RELAX with and without rule (ii).
+//! RELAX with and without rule (ii), each also compiled without cost
+//! guidance: that plan's trivial bound (`h ≡ 0`, every class tight) must
+//! pass the same checks and key every live `(n, q)` at `g` exactly.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -255,6 +257,14 @@ fn the_key_is_admissible_and_consistent_on_every_product_edge() {
                     let what = format!("round {round}, {stage}, {text}");
                     let [raised, dead] = check(&plan, g, &o, &what);
                     seen = [seen[0] + raised, seen[1] + dead];
+                    let unguided = EvalOptions {
+                        cost_guided: false,
+                        ..options
+                    };
+                    let plan = compile_conjunct(&query.conjuncts[0], g, &o, &unguided).unwrap();
+                    let what = format!("{what}, unguided");
+                    assert_eq!(check(&plan, g, &o, &what), [0, 0], "{what}");
+                    assert!(plan.nfa.states().all(|q| plan.bound(q, 1) == Some(0)));
                 }
             }
         }
