@@ -119,7 +119,7 @@ fn relax_step<R: LabelResolver>(
 ) {
     let mut push = |label, cost| relaxed.push((property, inverse, label, cost));
     // Rule (i): superproperty steps, cascading with distance.
-    for (sup, dist) in ontology.superproperties(property) {
+    for &(sup, dist) in ontology.superproperties(property) {
         let label = TransitionLabel::Symbol {
             label: Some(sup),
             inverse,
@@ -140,7 +140,7 @@ fn relax_step<R: LabelResolver>(
             name: resolver.node_name(class),
         };
         push(type_to(class), gamma);
-        for (sup, dist) in ontology.superclasses(class) {
+        for &(sup, dist) in ontology.superclasses(class) {
             let cost = gamma.saturating_add(dist.saturating_mul(config.beta));
             push(type_to(sup), cost);
         }

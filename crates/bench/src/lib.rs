@@ -576,7 +576,7 @@ pub fn run_arm(
     (driver, options): &Arm,
     samples: usize,
 ) -> QueryRun {
-    // The frozen graph and ontology and the budgeted options of every table.
+    // The frozen graph, the ontology and the budgeted options of every table.
     let db = engine_for(dataset, options.clone());
     let (graph, ontology) = (&*db.graph(), db.ontology());
     let options = Arc::new(db.options().clone());

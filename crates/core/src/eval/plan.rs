@@ -188,7 +188,7 @@ pub fn compile_conjunct(
                 // Rule (i) for classes: also start from every superclass, at
                 // β per step up the hierarchy; nearer (more specific) classes
                 // first, as `GetAncestors` prescribes.
-                for (ancestor, dist) in ontology.superclasses(node) {
+                for &(ancestor, dist) in ontology.superclasses(node) {
                     fixed.push((ancestor, dist * options.relax.beta));
                 }
             }
@@ -225,7 +225,7 @@ pub fn compile_conjunct(
                 label_stats.has_edges(*l)
                     || (inference
                         && ontology
-                            .subproperties_or_self(*l)
+                            .subproperties_or_self(l)
                             .iter()
                             .any(|p| label_stats.has_edges(*p)))
             }
@@ -240,9 +240,9 @@ pub fn compile_conjunct(
                 has_instances(*class)
                     || (inference
                         && ontology
-                            .subclasses_or_self(*class)
-                            .into_iter()
-                            .any(has_instances))
+                            .subclasses_or_self(class)
+                            .iter()
+                            .any(|&c| has_instances(c)))
             }
         }
     };
@@ -389,9 +389,9 @@ pub(crate) fn seed_nodes_for_label(
             ..
         } => {
             let labels = if inference {
-                ontology.subproperties_or_self(*l)
+                ontology.subproperties_or_self(l)
             } else {
-                vec![*l]
+                std::slice::from_ref(l)
             };
             let endpoints = |l| {
                 if *inverse {
@@ -400,13 +400,13 @@ pub(crate) fn seed_nodes_for_label(
                     graph.tails(l)
                 }
             };
-            let mut set = union(labels.into_iter().map(endpoints));
+            let mut set = union(labels.iter().map(|&l| endpoints(l)));
             // Under `sc` inference an inverse `type` traversal can also start
             // from superclasses whose only instances are inferred.
             if inference && *l == graph.type_label() && *inverse {
                 let declared: Vec<_> = set.iter().collect();
                 for class in declared {
-                    for (sup, _) in ontology.superclasses(class) {
+                    for &(sup, _) in ontology.superclasses(class) {
                         set.insert(sup);
                     }
                 }
@@ -417,12 +417,12 @@ pub(crate) fn seed_nodes_for_label(
         TransitionLabel::Any => graph.nodes_with_any_edge(),
         TransitionLabel::TypeTo { class, .. } => {
             let classes = if inference {
-                ontology.subclasses_or_self(*class)
+                ontology.subclasses_or_self(class)
             } else {
-                vec![*class]
+                std::slice::from_ref(class)
             };
             let mut set = NodeBitmap::new();
-            for c in classes {
+            for &c in classes {
                 set.extend(graph.neighbors_iter(
                     c,
                     graph.type_label(),

@@ -26,7 +26,7 @@
 //! cursor that releases the neighbours a block at a time.
 
 use omega_automata::{MinCostToAccept, StateId, Transition, TransitionLabel, WeightedNfa};
-use omega_graph::{Direction, GraphStore, LabelId, NodeId};
+use omega_graph::{Direction, GraphStore, NodeId};
 use omega_ontology::Ontology;
 
 use crate::eval::stats::EvalStats;
@@ -218,27 +218,18 @@ pub fn neighbours_by_edge<'a>(
             };
             if inference && *l == graph.type_label() {
                 // RDFS `sc` inference on type edges: an instance of a class
-                // is also an instance of every superclass. On a frozen
-                // ontology the class closures are interned slices, so this
-                // path performs no allocation beyond the shared buffer. The
-                // union is sorted and deduplicated only when it can hold a
-                // duplicate, i.e. when more than one class contributes.
+                // is also an instance of every superclass. The class closures
+                // are the ontology's slices, so this path performs no
+                // allocation beyond the shared buffer. The union is sorted
+                // and deduplicated only when it can hold a duplicate, i.e.
+                // when more than one class contributes.
                 buf.clear();
                 if *inverse {
                     // Instances of `node` (a class) and of all its subclasses.
-                    let fallback;
-                    let classes: &[NodeId] = if ontology.is_frozen() {
-                        // Unknown class: no subclasses, just the node itself.
-                        ontology
-                            .interned_subclasses_or_self(node)
-                            .unwrap_or(std::slice::from_ref(&node))
-                    } else {
-                        fallback = ontology.subclasses_or_self(node);
-                        &fallback
-                    };
                     let contributors = extend_counting(
                         buf,
-                        classes
+                        ontology
+                            .subclasses_or_self(&node)
                             .iter()
                             .map(|&class| graph.neighbors_iter(class, *l, Direction::Incoming)),
                     );
@@ -251,18 +242,9 @@ pub fn neighbours_by_edge<'a>(
                     // The node's declared classes plus all their superclasses.
                     buf.extend(graph.neighbors_iter(node, *l, Direction::Outgoing));
                     let declared = buf.len();
-                    let frozen = ontology.is_frozen();
                     for i in 0..declared {
                         let class = buf[i];
-                        if frozen {
-                            // Unknown class: no superclasses to add.
-                            let sups = ontology.interned_superclasses(class).unwrap_or(&[]);
-                            buf.extend(sups.iter().map(|&(sup, _)| sup));
-                        } else {
-                            buf.extend(
-                                ontology.superclasses(class).into_iter().map(|(sup, _)| sup),
-                            );
-                        }
+                        buf.extend(ontology.superclasses(class).iter().map(|&(sup, _)| sup));
                     }
                     if declared > 1 {
                         // Two declared classes can share a superclass, or one
@@ -274,19 +256,10 @@ pub fn neighbours_by_edge<'a>(
                 buf
             } else if inference {
                 // RDFS `sp` inference: `l` also matches edges labelled by
-                // any of its sub-properties. On a frozen ontology the
-                // closure is an interned slice — no `Vec` per expansion
-                // (the ROADMAP's "zero-allocation RELAX inference" item);
-                // an unknown property's closure is just the property.
-                let fallback;
-                let labels: &[LabelId] = if ontology.is_frozen() {
-                    ontology
-                        .interned_subproperties_or_self(*l)
-                        .unwrap_or(std::slice::from_ref(l))
-                } else {
-                    fallback = ontology.subproperties_or_self(*l);
-                    &fallback
-                };
+                // any of its sub-properties. The closure is the ontology's
+                // slice, no `Vec` per expansion; an unknown property's
+                // closure is just the property.
+                let labels = ontology.subproperties_or_self(l);
                 if let [only] = labels {
                     // No sub-properties: serve the graph's slice directly
                     // (`neighbors_into` only copies when a delta overlay
@@ -450,6 +423,7 @@ pub fn succ(
 mod tests {
     use super::*;
     use omega_automata::build_nfa;
+    use omega_graph::LabelId;
     use omega_regex::parse;
 
     fn setup() -> (GraphStore, Ontology) {
@@ -554,7 +528,10 @@ mod tests {
             &mut buf,
             &mut stats,
         );
-        assert_eq!(fwd, g.neighbors(a, knows, Direction::Outgoing));
+        assert!(fwd
+            .iter()
+            .copied()
+            .eq(g.neighbors_iter(a, knows, Direction::Outgoing)));
         assert_eq!(buf, vec![NodeId(999)], "scratch must be untouched");
     }
 
@@ -616,45 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_ontology_inference_matches_unfrozen() {
-        // The interned-closure fast paths must return exactly what the
-        // allocating BFS paths return, for every inference label shape.
-        let (g, o) = setup();
-        let mut frozen = o.clone();
-        frozen.freeze();
-        let related = g.label_id("related").unwrap();
-        let knows = g.label_id("knows").unwrap();
-        let type_l = g.type_label();
-        let person = g.node_by_label("Person").unwrap();
-        let student = g.node_by_label("Student").unwrap();
-        let labels = [
-            TransitionLabel::symbol(Some(related), false, "related"),
-            TransitionLabel::symbol(Some(related), true, "related"),
-            TransitionLabel::symbol(Some(knows), false, "knows"),
-            TransitionLabel::symbol(Some(type_l), false, "type"),
-            TransitionLabel::symbol(Some(type_l), true, "type"),
-            TransitionLabel::TypeTo {
-                class: person,
-                name: "Person".into(),
-            },
-            TransitionLabel::TypeTo {
-                class: student,
-                name: "Student".into(),
-            },
-        ];
-        let mut stats = EvalStats::default();
-        for node in g.node_ids() {
-            for label in &labels {
-                assert_eq!(
-                    lookup(&g, &o, true, node, label, &mut stats),
-                    lookup(&g, &frozen, true, node, label, &mut stats),
-                    "divergence at node {node} label {label:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn inferred_unions_hold_each_node_once() {
         // Student and Employee are both Persons, and ann is both: the
         // inferred `type-` of Person meets her twice, her inferred `type`
@@ -688,7 +626,7 @@ mod tests {
         let naive = |parts: &[(NodeId, LabelId, Direction)]| {
             let mut set: Vec<NodeId> = parts
                 .iter()
-                .flat_map(|&(n, l, dir)| g.neighbors(n, l, dir).to_vec())
+                .flat_map(|&(n, l, dir)| g.neighbors_iter(n, l, dir))
                 .collect();
             set.sort_unstable();
             set.dedup();
@@ -716,20 +654,16 @@ mod tests {
                 vec![node("bob"), node("cat")],
             ),
         ];
-        let mut frozen = o.clone();
-        frozen.freeze();
         let mut stats = EvalStats::default();
-        for ontology in [&o, &frozen] {
-            for (from, label, expected) in &cases {
-                let got = lookup(&g, ontology, true, *from, label, &mut stats);
-                let mut set = got.clone();
-                set.sort_unstable();
-                set.dedup();
-                assert_eq!(set.len(), got.len(), "{label:?} repeats a node: {got:?}");
-                let mut expected = expected.clone();
-                expected.sort_unstable();
-                assert_eq!(set, expected, "{label:?} from {from}");
-            }
+        for (from, label, expected) in &cases {
+            let got = lookup(&g, &o, true, *from, label, &mut stats);
+            let mut set = got.clone();
+            set.sort_unstable();
+            set.dedup();
+            assert_eq!(set.len(), got.len(), "{label:?} repeats a node: {got:?}");
+            let mut expected = expected.clone();
+            expected.sort_unstable();
+            assert_eq!(set, expected, "{label:?} from {from}");
         }
     }
 

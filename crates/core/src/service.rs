@@ -51,7 +51,7 @@
 //! Within an epoch the graph is immutable, so build it once:
 //! [`Database::save_snapshot`] compacts any live overlay, then serialises
 //! the frozen CSR graph, the string dictionaries and the ontology (with its
-//! interned closures) into a single versioned, checksummed image, and
+//! closure tables) into a single versioned, checksummed image, and
 //! [`Database::open_snapshot`] / [`Database::open_snapshot_with`]
 //! memory-map it back with zero-copy array views — answers, order and
 //! statistics are bit-identical to a rebuilt database, while open time is
@@ -280,15 +280,11 @@ impl Database {
     /// live-tuple pool, one admission gate and one concurrency ceiling.
     pub fn with_governor(
         mut graph: GraphStore,
-        mut ontology: Ontology,
+        ontology: Ontology,
         options: EvalOptions,
         config: GovernorConfig,
     ) -> Database {
         graph.freeze();
-        // Interning the ontology closures makes the RDFS-inference paths
-        // allocation-free; idempotent (snapshot-loaded ontologies arrive
-        // frozen).
-        ontology.freeze();
         let ontology = Arc::new(ontology);
         let registry = Arc::new(Registry::new());
         let govern = ResourceGovernor::new(config);
@@ -687,12 +683,12 @@ impl Database {
     // Snapshot persistence
     // ------------------------------------------------------------------
 
-    /// Serialises the frozen graph and ontology into a single snapshot
+    /// Serialises the frozen graph and the ontology into a single snapshot
     /// image at `path` (written atomically via a temp file).
     ///
     /// The image holds every CSR offset/neighbour array, the node and
     /// edge-label dictionaries, and the ontology hierarchies with their
-    /// interned closures, in the versioned checksummed container documented
+    /// closure tables, in the versioned checksummed container documented
     /// in [`omega_graph::snapshot`]. Build once, then have every later
     /// process [`Database::open_snapshot`] the file in milliseconds instead
     /// of re-ingesting and re-freezing the graph.
@@ -799,9 +795,9 @@ impl Database {
         let reader = SnapshotReader::open(path.as_ref())?;
         let graph = omega_graph::snapshot::read_graph(&reader)?;
         let ontology = omega_ontology::snapshot::read_ontology_section(&reader)?;
-        // `with_governor` re-freezes both, which is a no-op here: the graph
-        // arrives with its (mapped) CSR and the ontology with its interned
-        // closures.
+        // `with_governor` freezes the graph, which is a no-op here: it
+        // arrives with its (mapped) CSR, and the ontology with its closure
+        // tables.
         Ok(Database::with_governor(graph, ontology, options, config))
     }
 

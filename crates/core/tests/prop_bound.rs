@@ -74,7 +74,6 @@ fn world(rng: &mut Rng) -> (GraphStore, Ontology) {
     o.add_subproperty(label("p"), label("r")).unwrap();
     o.set_domain(label("q"), class("C3"));
     o.set_range(label("p"), class("C0"));
-    o.freeze();
     (g, o)
 }
 

@@ -308,7 +308,7 @@ fn add_typed(
 ) {
     graph.add_edge(node, type_l, class);
     if closure {
-        for (ancestor, _) in ontology.superclasses(class) {
+        for &(ancestor, _) in ontology.superclasses(class) {
             graph.add_edge(node, type_l, ancestor);
         }
     }
@@ -602,11 +602,11 @@ mod tests {
         let duplicate = g.node_by_label("Alumni 4 Episode 1_2").unwrap();
         let type_l = g.type_label();
         let orig_classes: Vec<_> = g
-            .neighbors(original, type_l, omega_graph::Direction::Outgoing)
-            .to_vec();
+            .neighbors_iter(original, type_l, omega_graph::Direction::Outgoing)
+            .collect();
         let dup_classes: Vec<_> = g
-            .neighbors(duplicate, type_l, omega_graph::Direction::Outgoing)
-            .to_vec();
+            .neighbors_iter(duplicate, type_l, omega_graph::Direction::Outgoing)
+            .collect();
         assert_ne!(
             orig_classes[0], dup_classes[0],
             "the duplicate is reclassified to a sibling"

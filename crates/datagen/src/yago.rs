@@ -559,14 +559,15 @@ mod tests {
         let g = &data.graph;
         let located_in = g.label_id("locatedIn").unwrap();
         let ziggurat_class = g.node_by_label("wordnet_ziggurat").unwrap();
-        for z in g.neighbors(
+        for z in g.neighbors_iter(
             ziggurat_class,
             g.type_label(),
             omega_graph::Direction::Incoming,
         ) {
             assert!(g
-                .neighbors(*z, located_in, omega_graph::Direction::Incoming)
-                .is_empty());
+                .neighbors_iter(z, located_in, omega_graph::Direction::Incoming)
+                .next()
+                .is_none());
         }
     }
 
@@ -579,10 +580,11 @@ mod tests {
         let grad_from = g.label_id("gradFrom").unwrap();
         let uk = g.node_by_label("UK").unwrap();
         let located_in = g.label_id("locatedIn").unwrap();
-        for thing in g.neighbors(uk, located_in, omega_graph::Direction::Incoming) {
+        for thing in g.neighbors_iter(uk, located_in, omega_graph::Direction::Incoming) {
             assert!(g
-                .neighbors(*thing, grad_from, omega_graph::Direction::Outgoing)
-                .is_empty());
+                .neighbors_iter(thing, grad_from, omega_graph::Direction::Outgoing)
+                .next()
+                .is_none());
         }
     }
 }

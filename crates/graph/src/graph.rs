@@ -37,8 +37,7 @@ pub struct EdgeRef {
 /// * **Loading.** No index yet: [`GraphStore::add_edge`] and friends write
 ///   every edge into the overlay, and every read is served from it.
 /// * **Frozen.** [`GraphStore::freeze`] merges the overlay into packed CSR
-///   arrays and drops it. [`GraphStore::neighbors`] /
-///   [`GraphStore::neighbors_any`] are then borrowed slices out of those
+///   arrays and drops it. A node's neighbours are then runs out of those
 ///   arrays — the layout the evaluator's hot path wants. A store opened
 ///   from a [`crate::snapshot`] image is exactly this, with the arrays and
 ///   the dictionary memory-mapped instead of on the heap.
@@ -54,10 +53,7 @@ pub struct EdgeRef {
 /// overlay-aware reads ([`GraphStore::neighbors_iter`] /
 /// [`GraphStore::neighbors_any_iter`] and all aggregate views) consult the
 /// overlay after the base CSR run; [`GraphStore::compacted`] merges base and
-/// overlay into a fresh index. The plain [`GraphStore::neighbors`] /
-/// [`GraphStore::neighbors_any`] slices deliberately stay *base-only* views
-/// (they cannot borrow a merged list), which overlay-free stores — the
-/// common case — serve unchanged.
+/// overlay into a fresh index.
 ///
 /// ## Endpoint sets
 ///
@@ -561,47 +557,14 @@ impl GraphStore {
     }
 
     /// Nodes connected to `node` by an edge labelled `label`, following the
-    /// given direction — the paper's `Neighbors(n, t, dir)`.
-    ///
-    /// On a frozen store this is two array reads into the CSR index; while
-    /// loading it is the node's list in the overlay. Either way the result
-    /// is a borrowed slice — never a copy.
-    ///
-    /// On an overlay-carrying frozen store this is the **base** view only:
-    /// overlay-added edges are absent and deleted edges still appear. Use
-    /// [`GraphStore::neighbors_iter`] (or [`GraphStore::neighbors_into`])
-    /// for the merged live view; on overlay-free stores the two agree.
-    #[inline]
-    pub fn neighbors(&self, node: NodeId, label: LabelId, dir: Direction) -> &[NodeId] {
-        if self.csr.is_some() {
-            return self.base(node, label, dir);
-        }
-        self.overlay_side(node, dir)
-            .map_or(&[][..], |side| side.adds_for(label))
-    }
-
-    /// Neighbours of `node` over *any* label (including `type`), in the given
-    /// direction, with the connecting label — used by wildcard transitions.
-    ///
-    /// Returns a borrowed slice in both the frozen and loading stages. Like
-    /// [`GraphStore::neighbors`], this is the base-only view on an
-    /// overlay-carrying store; [`GraphStore::neighbors_any_iter`] merges.
-    #[inline]
-    pub fn neighbors_any(&self, node: NodeId, dir: Direction) -> &[(LabelId, NodeId)] {
-        if self.csr.is_some() {
-            return self.base_any(node, dir);
-        }
-        self.overlay_side(node, dir)
-            .map_or(&[][..], |side| &side.adds_any[..])
-    }
-
-    /// The live neighbour view: the base CSR slice run first, minus edges
+    /// given direction — the paper's `Neighbors(n, t, dir)`: the base CSR
+    /// run first (the node's list in the overlay while loading), minus edges
     /// the overlay deleted, plus edges the overlay added.
     ///
     /// Without an overlay (the common case) this costs one discriminant
-    /// test over [`GraphStore::neighbors`]; with one, a single lookup of
-    /// the node's changes, and the deletion filter is skipped entirely for
-    /// `(label, node)` slices no deletion touches.
+    /// test over two array reads into the CSR index; with one, a single
+    /// lookup of the node's changes, and the deletion filter is skipped
+    /// entirely for `(label, node)` slices no deletion touches.
     #[inline]
     pub fn neighbors_iter(
         &self,
@@ -651,9 +614,9 @@ impl GraphStore {
         buf
     }
 
-    /// The live mixed-label neighbour view: base entries minus overlay
-    /// deletions, plus overlay additions — the merged counterpart of
-    /// [`GraphStore::neighbors_any`].
+    /// Neighbours of `node` over *any* label (including `type`), in the given
+    /// direction, with the connecting label — used by wildcard transitions:
+    /// base entries minus overlay deletions, plus overlay additions.
     #[inline]
     pub fn neighbors_any_iter(
         &self,
@@ -832,6 +795,11 @@ mod tests {
         check(&g);
     }
 
+    /// `node`'s live run over `label` in `dir`.
+    fn run(g: &GraphStore, node: NodeId, label: LabelId, dir: Direction) -> Vec<NodeId> {
+        g.neighbors_iter(node, label, dir).collect()
+    }
+
     #[test]
     fn nodes_are_unique_by_label() {
         let mut g = GraphStore::new();
@@ -865,10 +833,10 @@ mod tests {
             let b = g.node_by_label("b").unwrap();
             let c = g.node_by_label("c").unwrap();
             let knows = g.label_id("knows").unwrap();
-            assert_eq!(g.neighbors(a, knows, Direction::Outgoing), &[b]);
-            assert_eq!(g.neighbors(b, knows, Direction::Incoming), &[a]);
-            assert_eq!(g.neighbors(c, knows, Direction::Incoming), &[b]);
-            assert!(g.neighbors(c, knows, Direction::Outgoing).is_empty());
+            assert_eq!(run(g, a, knows, Direction::Outgoing), [b]);
+            assert_eq!(run(g, b, knows, Direction::Incoming), [a]);
+            assert_eq!(run(g, c, knows, Direction::Incoming), [b]);
+            assert!(run(g, c, knows, Direction::Outgoing).is_empty());
         });
     }
 
@@ -876,11 +844,11 @@ mod tests {
     fn neighbors_any_covers_all_labels_and_type() {
         both_states(sample(), |g| {
             let a = g.node_by_label("a").unwrap();
-            let out = g.neighbors_any(a, Direction::Outgoing);
-            assert_eq!(out.len(), 3); // knows->b, likes->c, type->Person
+            let out = g.neighbors_any_iter(a, Direction::Outgoing);
+            assert_eq!(out.count(), 3); // knows->b, likes->c, type->Person
             let person = g.node_by_label("Person").unwrap();
-            let incoming = g.neighbors_any(person, Direction::Incoming);
-            assert_eq!(incoming.len(), 2);
+            let incoming = g.neighbors_any_iter(person, Direction::Incoming);
+            assert_eq!(incoming.count(), 2);
         });
     }
 
@@ -935,10 +903,10 @@ mod tests {
         let mut g = sample();
         let a = g.node_by_label("a").unwrap();
         let knows = g.label_id("knows").unwrap();
-        let before = g.neighbors(a, knows, Direction::Outgoing).to_vec();
+        let before = run(&g, a, knows, Direction::Outgoing);
         g.freeze();
         g.freeze();
-        assert_eq!(g.neighbors(a, knows, Direction::Outgoing), &before[..]);
+        assert_eq!(run(&g, a, knows, Direction::Outgoing), before);
     }
 
     #[test]
@@ -957,13 +925,13 @@ mod tests {
         let d = g.node_by_label("d").unwrap();
         let knows = g.label_id("knows").unwrap();
         // The thawed store holds the old edges and the new one.
-        assert_eq!(g.neighbors(a, knows, Direction::Outgoing), &[b]);
-        assert_eq!(g.neighbors(c, knows, Direction::Outgoing), &[d]);
+        assert_eq!(run(&g, a, knows, Direction::Outgoing), [b]);
+        assert_eq!(run(&g, c, knows, Direction::Outgoing), [d]);
         assert_eq!(g.edges().count(), g.edge_count());
         g.freeze();
         assert!(g.overlay.is_none());
-        assert_eq!(g.neighbors(c, knows, Direction::Outgoing), &[d]);
-        assert_eq!(g.neighbors(a, knows, Direction::Outgoing), &[b]);
+        assert_eq!(run(&g, c, knows, Direction::Outgoing), [d]);
+        assert_eq!(run(&g, a, knows, Direction::Outgoing), [b]);
     }
 
     #[test]
@@ -1089,11 +1057,11 @@ mod tests {
             for dir in [Direction::Outgoing, Direction::Incoming] {
                 assert!(live
                     .neighbors_any_iter(node, dir)
-                    .eq(merged.neighbors_any(node, dir).iter().copied()));
+                    .eq(merged.neighbors_any_iter(node, dir)));
                 for (label, _) in live.labels() {
                     assert!(live
                         .neighbors_iter(node, label, dir)
-                        .eq(merged.neighbors(node, label, dir).iter().copied()));
+                        .eq(merged.neighbors_iter(node, label, dir)));
                 }
             }
         }
@@ -1302,7 +1270,7 @@ mod tests {
         let mut buf2 = Vec::new();
         assert_eq!(
             live.neighbors_into(b, knows, Direction::Outgoing, &mut buf2),
-            live.neighbors(b, knows, Direction::Outgoing),
+            run(&live, b, knows, Direction::Outgoing),
         );
         // label_stats over the live store keeps edge counts exact.
         assert_eq!(live.label_stats().entry(knows).edges, 2);
@@ -1315,9 +1283,12 @@ mod tests {
         let lonely = g.add_node("lonely");
         let fresh = g.intern_label("fresh");
         assert!(g.is_frozen(), "adding a node or label does not invalidate");
-        assert!(g.neighbors(lonely, fresh, Direction::Outgoing).is_empty());
-        assert!(g.neighbors_any(lonely, Direction::Outgoing).is_empty());
+        assert!(run(&g, lonely, fresh, Direction::Outgoing).is_empty());
+        assert!(g
+            .neighbors_any_iter(lonely, Direction::Outgoing)
+            .next()
+            .is_none());
         let a = g.node_by_label("a").unwrap();
-        assert!(g.neighbors(a, fresh, Direction::Outgoing).is_empty());
+        assert!(run(&g, a, fresh, Direction::Outgoing).is_empty());
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! * every node has a unique string label, indexed (`GraphStore::node_by_label`),
 //! * edges are typed by an interned label (`LabelId`) and indexed per
-//!   `(label, direction)` so that [`GraphStore::neighbors`] is an indexed
-//!   lookup (the paper's `Neighbors`),
+//!   `(label, direction)` so that [`GraphStore::neighbors_iter`] is an
+//!   indexed lookup (the paper's `Neighbors`),
 //! * [`GraphStore::heads`] / [`GraphStore::tails`] return bitmap node sets
 //!   — copies of one occupancy bitmap kept per `(label, direction)` —
 //!   mirroring Sparksee's bitmap-vector indexes and supporting cheap set
@@ -32,10 +32,10 @@
 //! loading is complete — compiled by [`GraphStore::freeze`] into
 //! compressed-sparse-row (CSR) indexes: per `(label, direction)`
 //! offset/neighbour arrays, plus CSR layouts of the mixed-label `out_all` /
-//! `in_all` views that serve the wildcard `*` transitions. A frozen
-//! [`GraphStore::neighbors`] lookup is two array reads returning a borrowed
-//! `&[NodeId]` slice: no hashing, no allocation, and neighbour lists packed
-//! contiguously for cache locality. The [`crate::csr`] module documents the
+//! `in_all` views that serve the wildcard `*` transitions. A neighbour
+//! lookup on a frozen store is two array reads into a borrowed `&[NodeId]`
+//! run: no hashing, no allocation, and neighbour lists packed contiguously
+//! for cache locality. The [`crate::csr`] module documents the
 //! layout.
 //!
 //! There is one representation behind both stages: a frozen store is shared
@@ -63,7 +63,7 @@
 //! let knows = g.intern_label("knows");
 //! g.add_edge(alice, knows, bob);
 //!
-//! assert_eq!(g.neighbors(alice, knows, Direction::Outgoing), &[bob]);
+//! assert!(g.neighbors_iter(alice, knows, Direction::Outgoing).eq([bob]));
 //! assert_eq!(g.node_label(bob), "Bob");
 //! ```
 

@@ -238,6 +238,13 @@ impl Wal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
+        if is_torn_header(&bytes) {
+            // Killed while writing the header: the log never held a record,
+            // so it starts afresh.
+            file.set_len(0)?;
+            file.rewind()?;
+            bytes.clear();
+        }
         if bytes.is_empty() {
             file.write_all(WAL_MAGIC)?;
             file.write_all(&WAL_VERSION.to_le_bytes())?;
@@ -434,6 +441,16 @@ fn encode_record(
     record.extend_from_slice(&body);
     record.extend_from_slice(&checksum(&body).to_le_bytes());
     record
+}
+
+/// Whether `bytes` is a non-empty strict prefix of the log header: what a
+/// process killed between the header's two writes leaves behind.
+fn is_torn_header(bytes: &[u8]) -> bool {
+    let version = WAL_VERSION.to_le_bytes();
+    let mut header = WAL_MAGIC.iter().chain(&version);
+    !bytes.is_empty()
+        && bytes.len() < WAL_HEADER_LEN as usize
+        && bytes.iter().all(|b| header.next() == Some(b))
 }
 
 /// Walk the byte image of a log and return every record in the longest valid
@@ -685,6 +702,37 @@ mod tests {
         assert!(FsyncPolicy::parse("every:soon").is_err());
         assert!(FsyncPolicy::parse("sometimes").is_err());
         assert_eq!(FsyncPolicy::EveryMs(25).to_string(), "every:25");
+    }
+
+    #[test]
+    fn a_torn_header_opens_as_a_fresh_log() {
+        let dir = temp_dir("torn-header");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut header = WAL_MAGIC.to_vec();
+        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        for len in 1..WAL_HEADER_LEN as usize {
+            std::fs::write(dir.join(WAL_FILE), &header[..len]).unwrap();
+            let config = WalConfig::new(&dir);
+            let (mut wal, recovery) =
+                Wal::open(&config).unwrap_or_else(|e| panic!("a {len}-byte header prefix: {e}"));
+            assert!(recovery.records.is_empty());
+            assert_eq!(recovery.truncated_bytes, 0);
+            assert_eq!(wal.len(), WAL_HEADER_LEN);
+            assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), header);
+            wal.append(1, &[triple("a", "knows", "b")], &[]).unwrap();
+            drop(wal);
+            let (_, recovery) = Wal::open(&config).unwrap();
+            assert_eq!(recovery.records.len(), 1, "after a {len}-byte prefix");
+        }
+        // A short file that is not a prefix of the header is still foreign.
+        for foreign in [&b"X"[..], b"OMEGAWAX", b"OMEGAWAL\x02"] {
+            std::fs::write(dir.join(WAL_FILE), foreign).unwrap();
+            assert!(matches!(
+                Wal::open(&WalConfig::new(&dir)),
+                Err(WalError::BadMagic)
+            ));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

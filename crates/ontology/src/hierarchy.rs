@@ -3,35 +3,59 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
+use std::sync::OnceLock;
 
 use omega_graph::FxHashMap;
 
 use crate::error::OntologyError;
 
-/// Interned transitive closures of a frozen [`Hierarchy`]: one row per
+/// The transitive closures of a [`Hierarchy`]'s direct relation: one row per
 /// member (in sorted member order) holding its descendants-or-self set and
 /// its ancestors with distances, flattened into offset/data arrays so a
 /// lookup returns a borrowed slice without allocating.
-///
-/// This is what the RDFS-inference hot path reads instead of re-running a
-/// BFS (and heap-allocating its result) on every expansion.
 #[derive(Debug, Clone)]
-pub(crate) struct FrozenTables<T> {
+pub(crate) struct Closures<T> {
     /// Member → row index.
     pub(crate) rows: FxHashMap<T, u32>,
     /// Row `r`'s descendants-or-self set is
-    /// `closure_data[closure_offsets[r] .. closure_offsets[r + 1]]`
-    /// (the member itself first, then BFS order — exactly the order
-    /// [`Hierarchy::descendants_or_self`] produces).
+    /// `closure_data[closure_offsets[r] .. closure_offsets[r + 1]]`: the
+    /// member itself first, then its descendants in breadth-first order.
     pub(crate) closure_offsets: Vec<u32>,
     pub(crate) closure_data: Vec<T>,
-    /// Row `r`'s proper ancestors with distances, nearest first (the order
-    /// [`Hierarchy::ancestors`] produces).
+    /// Row `r`'s proper ancestors with distances, nearest first.
     pub(crate) ancestor_offsets: Vec<u32>,
     pub(crate) ancestor_data: Vec<(T, u32)>,
 }
 
-impl<T: Copy + Eq + Hash> FrozenTables<T> {
+impl<T: Copy + Eq + Hash + Ord + std::fmt::Debug> Closures<T> {
+    /// Searches every member's closures in `hierarchy`'s direct relation.
+    fn build(hierarchy: &Hierarchy<T>) -> Self {
+        let sorted = hierarchy.sorted_members();
+        let mut rows = FxHashMap::default();
+        let mut closure_offsets = Vec::with_capacity(sorted.len() + 1);
+        let mut closure_data = Vec::new();
+        let mut ancestor_offsets = Vec::with_capacity(sorted.len() + 1);
+        let mut ancestor_data = Vec::new();
+        closure_offsets.push(0);
+        ancestor_offsets.push(0);
+        for (row, &member) in sorted.iter().enumerate() {
+            rows.insert(member, row as u32);
+            closure_data.push(member);
+            let descendants = hierarchy.bfs(member, |h, m| h.children(m));
+            closure_data.extend(descendants.into_iter().map(|(m, _)| m));
+            closure_offsets.push(closure_data.len() as u32);
+            ancestor_data.extend(hierarchy.bfs(member, |h, m| h.parents(m)));
+            ancestor_offsets.push(ancestor_data.len() as u32);
+        }
+        Closures {
+            rows,
+            closure_offsets,
+            closure_data,
+            ancestor_offsets,
+            ancestor_data,
+        }
+    }
+
     fn closure_row(&self, member: T) -> Option<&[T]> {
         let r = *self.rows.get(&member)? as usize;
         Some(
@@ -51,22 +75,18 @@ impl<T: Copy + Eq + Hash> FrozenTables<T> {
 
 /// A directed acyclic "child → parent" hierarchy over ids of type `T`.
 ///
-/// The hierarchy stores the *direct* relation; transitive closures are
-/// computed on demand by breadth-first search and returned together with the
-/// number of direct steps (the relaxation distance).
-///
-/// Like the graph store, a hierarchy can be *frozen* ([`Hierarchy::freeze`])
-/// once construction is complete: the closures the evaluator needs under
-/// RDFS inference are interned into flat arrays, and
-/// [`Hierarchy::interned_descendants_or_self`] /
-/// [`Hierarchy::interned_ancestors`] serve them as borrowed slices without
-/// any per-query allocation. Mutation transparently drops the tables.
+/// The hierarchy stores the *direct* relation. Its transitive closures —
+/// each member's ancestors with the number of direct steps to them (the
+/// relaxation distance), and its descendants-or-self set (what a label
+/// expands to under RDFS inference) — are a cache of that relation: built
+/// for every member on the first read, served as borrowed slices from then
+/// on, and dropped by any mutation.
 #[derive(Debug, Clone)]
 pub struct Hierarchy<T> {
     parents: HashMap<T, Vec<T>>,
     children: HashMap<T, Vec<T>>,
     members: HashSet<T>,
-    frozen: Option<FrozenTables<T>>,
+    closures: OnceLock<Closures<T>>,
 }
 
 impl<T> Default for Hierarchy<T> {
@@ -75,7 +95,7 @@ impl<T> Default for Hierarchy<T> {
             parents: HashMap::new(),
             children: HashMap::new(),
             members: HashSet::new(),
-            frozen: None,
+            closures: OnceLock::new(),
         }
     }
 }
@@ -90,19 +110,19 @@ impl<T: Copy + Eq + Hash + Ord + std::fmt::Debug> Hierarchy<T> {
     /// edge is added).
     pub fn add_member(&mut self, member: T) {
         if self.members.insert(member) {
-            self.frozen = None;
+            self.closures = OnceLock::new();
         }
     }
 
     /// Adds the direct relation `child ⊑ parent`.
     ///
-    /// Returns an error if this would introduce a cycle. Drops the interned
-    /// closure tables, if any.
+    /// Returns an error if this would introduce a cycle.
     pub fn add_edge(&mut self, child: T, parent: T) -> Result<(), OntologyError> {
-        if child == parent || self.ancestors_bfs(parent).iter().any(|(a, _)| *a == child) {
+        let ancestors = self.bfs(parent, |h, m| h.parents(m));
+        if child == parent || ancestors.iter().any(|(a, _)| *a == child) {
             return Err(OntologyError::CycleDetected(format!("{child:?}")));
         }
-        self.frozen = None;
+        self.closures = OnceLock::new();
         self.members.insert(child);
         self.members.insert(parent);
         let parents = self.parents.entry(child).or_default();
@@ -113,68 +133,12 @@ impl<T: Copy + Eq + Hash + Ord + std::fmt::Debug> Hierarchy<T> {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Freezing: interned closures for the inference hot path
-    // ------------------------------------------------------------------
-
-    /// Interns the descendants-or-self and ancestor closures of every member
-    /// into flat arrays. Idempotent; dropped again by any mutation.
-    pub fn freeze(&mut self) {
-        if self.frozen.is_some() {
-            return;
-        }
-        let mut sorted: Vec<T> = self.members.iter().copied().collect();
-        sorted.sort();
-        let mut rows = FxHashMap::default();
-        let mut closure_offsets = Vec::with_capacity(sorted.len() + 1);
-        let mut closure_data = Vec::new();
-        let mut ancestor_offsets = Vec::with_capacity(sorted.len() + 1);
-        let mut ancestor_data = Vec::new();
-        closure_offsets.push(0);
-        ancestor_offsets.push(0);
-        for (row, &member) in sorted.iter().enumerate() {
-            rows.insert(member, row as u32);
-            closure_data.extend(self.descendants_or_self_bfs(member));
-            closure_offsets.push(closure_data.len() as u32);
-            ancestor_data.extend(self.ancestors_bfs(member));
-            ancestor_offsets.push(ancestor_data.len() as u32);
-        }
-        self.frozen = Some(FrozenTables {
-            rows,
-            closure_offsets,
-            closure_data,
-            ancestor_offsets,
-            ancestor_data,
-        });
+    /// The closure tables, built on the first read.
+    pub(crate) fn closures(&self) -> &Closures<T> {
+        self.closures.get_or_init(|| Closures::build(self))
     }
 
-    /// Whether the interned closure tables are present and current.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
-    /// The interned descendants-or-self closure of `member` (member first,
-    /// then BFS order): `None` when the hierarchy is not frozen or `member`
-    /// is unknown (an unknown member's closure is just itself).
-    #[inline]
-    pub fn interned_descendants_or_self(&self, member: T) -> Option<&[T]> {
-        self.frozen.as_ref()?.closure_row(member)
-    }
-
-    /// The interned proper-ancestor closure of `member` with distances,
-    /// nearest first: `None` when not frozen or `member` is unknown (an
-    /// unknown member has no ancestors).
-    #[inline]
-    pub fn interned_ancestors(&self, member: T) -> Option<&[(T, u32)]> {
-        self.frozen.as_ref()?.ancestor_row(member)
-    }
-
-    /// The interned tables (for snapshot serialisation).
-    pub(crate) fn frozen_tables(&self) -> Option<&FrozenTables<T>> {
-        self.frozen.as_ref()
-    }
-
-    /// Members in sorted order — the row order of the frozen tables.
+    /// Members in sorted order — the row order of the closure tables.
     pub(crate) fn sorted_members(&self) -> Vec<T> {
         let mut sorted: Vec<T> = self.members.iter().copied().collect();
         sorted.sort();
@@ -189,13 +153,13 @@ impl<T: Copy + Eq + Hash + Ord + std::fmt::Debug> Hierarchy<T> {
         members: Vec<T>,
         parents: HashMap<T, Vec<T>>,
         children: HashMap<T, Vec<T>>,
-        frozen: FrozenTables<T>,
+        closures: Closures<T>,
     ) -> Hierarchy<T> {
         Hierarchy {
             parents,
             children,
             members: members.into_iter().collect(),
-            frozen: Some(frozen),
+            closures: OnceLock::from(closures),
         }
     }
 
@@ -232,54 +196,23 @@ impl<T: Copy + Eq + Hash + Ord + std::fmt::Debug> Hierarchy<T> {
     /// All proper ancestors of `member` with their distance (number of direct
     /// steps), in breadth-first order, i.e. nearest (most specific) first.
     /// If several paths reach an ancestor the minimum distance is reported.
-    ///
-    /// A frozen hierarchy answers with a copy of the interned row.
-    pub fn ancestors(&self, member: T) -> Vec<(T, u32)> {
-        match self.interned_ancestors(member) {
-            Some(row) => row.to_vec(),
-            None => self.ancestors_bfs(member),
-        }
+    /// An unknown member has none.
+    pub fn ancestors(&self, member: T) -> &[(T, u32)] {
+        self.closures().ancestor_row(member).unwrap_or(&[])
     }
 
-    /// [`Hierarchy::ancestors`] from the direct relation alone: what
-    /// [`Hierarchy::freeze`] interns and the cycle check trusts.
-    fn ancestors_bfs(&self, member: T) -> Vec<(T, u32)> {
-        self.closure(member, |h, m| h.parents(m))
-    }
-
-    /// All proper descendants of `member` with their distance, nearest first.
-    pub fn descendants(&self, member: T) -> Vec<(T, u32)> {
-        self.closure(member, |h, m| h.children(m))
-    }
-
-    /// `member` together with all of its descendants (no distances) — the
-    /// set a label expands to under RDFS inference.
-    ///
-    /// A frozen hierarchy answers with a copy of the interned row.
-    pub fn descendants_or_self(&self, member: T) -> Vec<T> {
-        match self.interned_descendants_or_self(member) {
-            Some(row) => row.to_vec(),
-            None => self.descendants_or_self_bfs(member),
-        }
-    }
-
-    /// [`Hierarchy::descendants_or_self`] from the direct relation alone.
-    fn descendants_or_self_bfs(&self, member: T) -> Vec<T> {
-        let mut out = vec![member];
-        out.extend(self.descendants(member).into_iter().map(|(m, _)| m));
-        out
+    /// `member` together with all of its descendants (no distances), member
+    /// first, then breadth-first — the set a label expands to under RDFS
+    /// inference. An unknown member's closure is just itself, borrowed from
+    /// `member`.
+    pub fn descendants_or_self<'a>(&'a self, member: &'a T) -> &'a [T] {
+        self.closures()
+            .closure_row(*member)
+            .unwrap_or(std::slice::from_ref(member))
     }
 
     /// Whether `ancestor` is a proper ancestor of `member`.
-    ///
-    /// Allocation-free on a frozen hierarchy (served from the interned
-    /// ancestor table); falls back to an on-demand BFS otherwise.
     pub fn is_ancestor(&self, ancestor: T, member: T) -> bool {
-        if let Some(tables) = &self.frozen {
-            return tables
-                .ancestor_row(member)
-                .is_some_and(|row| row.iter().any(|(a, _)| *a == ancestor));
-        }
         self.ancestors(member).iter().any(|(a, _)| *a == ancestor)
     }
 
@@ -343,17 +276,12 @@ impl<T: Copy + Eq + Hash + Ord + std::fmt::Debug> Hierarchy<T> {
 
     /// Number of members in the sub-hierarchy rooted at `member` (inclusive).
     pub fn size_below(&self, member: T) -> usize {
-        let mut seen = HashSet::new();
-        let mut stack = vec![member];
-        while let Some(m) = stack.pop() {
-            if seen.insert(m) {
-                stack.extend(self.children(m).iter().copied());
-            }
-        }
-        seen.len()
+        self.descendants_or_self(&member).len()
     }
 
-    fn closure<'a, F>(&'a self, start: T, step: F) -> Vec<(T, u32)>
+    /// The members reachable from `start` over `step`, each with its least
+    /// number of steps, in breadth-first order (`start` itself excluded).
+    fn bfs<'a, F>(&'a self, start: T, step: F) -> Vec<(T, u32)>
     where
         F: Fn(&'a Hierarchy<T>, T) -> &'a [T],
     {
@@ -395,18 +323,16 @@ mod tests {
     #[test]
     fn ancestors_with_distances() {
         let h = sample();
-        assert_eq!(h.ancestors(3), vec![(1, 1), (0, 2)]);
-        assert_eq!(h.ancestors(0), vec![]);
+        assert_eq!(h.ancestors(3), [(1, 1), (0, 2)]);
+        assert!(h.ancestors(0).is_empty());
     }
 
     #[test]
-    fn descendants_with_distances() {
+    fn descendants_or_self_member_first_then_breadth_first() {
         let h = sample();
-        let d = h.descendants(0);
-        assert_eq!(d.len(), 4);
-        assert!(d.contains(&(1, 1)));
-        assert!(d.contains(&(3, 2)));
-        assert_eq!(h.descendants_or_self(1), vec![1, 3, 4]);
+        assert_eq!(h.descendants_or_self(&0), [0, 1, 2, 3, 4]);
+        assert_eq!(h.descendants_or_self(&1), [1, 3, 4]);
+        assert_eq!(h.descendants_or_self(&99), [99]);
     }
 
     #[test]
@@ -458,56 +384,6 @@ mod tests {
         let anc = h.ancestors(3);
         assert!(anc.contains(&(0, 1)));
         assert_eq!(anc.len(), 3);
-    }
-
-    #[test]
-    fn frozen_tables_match_on_demand_closures() {
-        let mut h = sample();
-        h.freeze();
-        assert!(h.is_frozen());
-        let on_demand = sample();
-        for m in 0..5u32 {
-            // The tables against the BFS they were interned from…
-            assert_eq!(
-                h.interned_descendants_or_self(m).unwrap(),
-                &h.descendants_or_self_bfs(m)[..],
-            );
-            assert_eq!(h.interned_ancestors(m).unwrap(), &h.ancestors_bfs(m)[..]);
-            // …and the public closures, which read the tables when frozen, against
-            // a hierarchy that has none.
-            assert_eq!(h.descendants_or_self(m), on_demand.descendants_or_self(m));
-            assert_eq!(h.ancestors(m), on_demand.ancestors(m));
-        }
-        assert_eq!(h.ancestors(99), vec![]);
-        assert_eq!(h.descendants_or_self(99), vec![99]);
-        // Unknown members have no interned rows.
-        assert!(h.interned_descendants_or_self(99).is_none());
-        assert!(h.interned_ancestors(99).is_none());
-        // is_ancestor agrees with the unfrozen answer.
-        assert!(h.is_ancestor(0, 3));
-        assert!(!h.is_ancestor(3, 0));
-        assert!(!h.is_ancestor(0, 99));
-    }
-
-    #[test]
-    fn mutation_drops_the_frozen_tables() {
-        let mut h = sample();
-        h.freeze();
-        h.add_edge(5, 2).unwrap(); // penguin -> bird
-        assert!(!h.is_frozen(), "adding an edge must invalidate");
-        h.freeze();
-        assert_eq!(
-            h.interned_descendants_or_self(2).unwrap(),
-            &h.descendants_or_self_bfs(2)[..]
-        );
-        assert_eq!(h.descendants_or_self(2), vec![2, 5]);
-        // Adding a genuinely new member also invalidates…
-        h.add_member(9);
-        assert!(!h.is_frozen());
-        h.freeze();
-        // …but re-adding an existing one does not.
-        h.add_member(9);
-        assert!(h.is_frozen());
     }
 
     #[test]

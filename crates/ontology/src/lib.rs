@@ -18,6 +18,12 @@
 //! in the data graph; properties are identified by their edge
 //! [`omega_graph::LabelId`]. Keeping the ontology in the graph's id space
 //! means the evaluator never needs string lookups on the hot path.
+//!
+//! Each hierarchy stores its direct relation, and its transitive closures
+//! are a cache of that relation: flat per-member tables built on the first
+//! read and dropped by the next mutation (or read from a snapshot image).
+//! Every closure has one reader, which returns a borrowed slice, so the
+//! evaluator, the compiler and the data generators read the same rows.
 
 pub mod error;
 pub mod hierarchy;

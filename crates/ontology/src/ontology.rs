@@ -13,6 +13,12 @@ use crate::hierarchy::Hierarchy;
 /// * properties are edge labels (identified by [`LabelId`]),
 /// * `sc` edges form the class hierarchy, `sp` edges the property hierarchy,
 /// * `dom`/`range` map properties to class nodes.
+///
+/// The closures RELAX reads — superclasses and superproperties with their
+/// distances, and the subclass / subproperty closures of RDFS inference —
+/// are a cache of the two direct relations ([`Hierarchy`]): each is built on
+/// its first read and dropped by the next mutation, so every reader returns
+/// a borrowed slice.
 #[derive(Debug, Clone, Default)]
 pub struct Ontology {
     classes: Hierarchy<NodeId>,
@@ -25,48 +31,6 @@ impl Ontology {
     /// Creates an empty ontology.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    // ------------------------------------------------------------------
-    // Freezing: interned closures for the inference hot path
-    // ------------------------------------------------------------------
-
-    /// Interns the class and property closures ([`Hierarchy::freeze`]) so
-    /// the RDFS-inference paths read borrowed slices instead of running an
-    /// allocating BFS per expansion. Idempotent; any mutation drops the
-    /// tables again. Called automatically when a `Database` takes ownership
-    /// of the ontology.
-    pub fn freeze(&mut self) {
-        self.classes.freeze();
-        self.properties.freeze();
-    }
-
-    /// Whether both hierarchies carry current interned closure tables.
-    pub fn is_frozen(&self) -> bool {
-        self.classes.is_frozen() && self.properties.is_frozen()
-    }
-
-    /// The interned `property` + subproperties closure (the RDFS-inference
-    /// label set), or `None` when the ontology is not frozen or the property
-    /// is unknown — an unknown property's closure is just itself.
-    #[inline]
-    pub fn interned_subproperties_or_self(&self, property: LabelId) -> Option<&[LabelId]> {
-        self.properties.interned_descendants_or_self(property)
-    }
-
-    /// The interned `class` + subclasses closure, or `None` when not frozen
-    /// or the class is unknown.
-    #[inline]
-    pub fn interned_subclasses_or_self(&self, class: NodeId) -> Option<&[NodeId]> {
-        self.classes.interned_descendants_or_self(class)
-    }
-
-    /// The interned proper superclasses of `class` with distances, nearest
-    /// first, or `None` when not frozen or the class is unknown (an unknown
-    /// class has no superclasses).
-    #[inline]
-    pub fn interned_superclasses(&self, class: NodeId) -> Option<&[(NodeId, u32)]> {
-        self.classes.interned_ancestors(class)
     }
 
     // ------------------------------------------------------------------
@@ -131,19 +95,15 @@ impl Ontology {
     }
 
     /// All proper superclasses of `class` with their distance, nearest
-    /// (most specific) first — the paper's `GetAncestors`.
-    pub fn superclasses(&self, class: NodeId) -> Vec<(NodeId, u32)> {
+    /// (most specific) first — the paper's `GetAncestors`. An unknown class
+    /// has none.
+    pub fn superclasses(&self, class: NodeId) -> &[(NodeId, u32)] {
         self.classes.ancestors(class)
     }
 
-    /// All proper subclasses of `class` with their distance.
-    pub fn subclasses(&self, class: NodeId) -> Vec<(NodeId, u32)> {
-        self.classes.descendants(class)
-    }
-
     /// `class` plus all of its subclasses — what a class constraint accepts
-    /// under RDFS inference.
-    pub fn subclasses_or_self(&self, class: NodeId) -> Vec<NodeId> {
+    /// under RDFS inference. An unknown class's closure is just itself.
+    pub fn subclasses_or_self<'a>(&'a self, class: &'a NodeId) -> &'a [NodeId] {
         self.classes.descendants_or_self(class)
     }
 
@@ -177,14 +137,15 @@ impl Ontology {
     }
 
     /// All proper superproperties of `property` with their distance, nearest
-    /// first.
-    pub fn superproperties(&self, property: LabelId) -> Vec<(LabelId, u32)> {
+    /// first. An unknown property has none.
+    pub fn superproperties(&self, property: LabelId) -> &[(LabelId, u32)] {
         self.properties.ancestors(property)
     }
 
     /// `property` plus all of its subproperties — what a property label
-    /// matches under RDFS inference.
-    pub fn subproperties_or_self(&self, property: LabelId) -> Vec<LabelId> {
+    /// matches under RDFS inference. An unknown property's closure is just
+    /// itself.
+    pub fn subproperties_or_self<'a>(&'a self, property: &'a LabelId) -> &'a [LabelId] {
         self.properties.descendants_or_self(property)
     }
 
@@ -224,8 +185,8 @@ impl Ontology {
         self.properties.len()
     }
 
-    /// Reassembles an ontology from snapshot parts (already-frozen
-    /// hierarchies plus the domain/range maps).
+    /// Reassembles an ontology from snapshot parts (hierarchies carrying
+    /// their closure tables, plus the domain/range maps).
     pub(crate) fn from_snapshot_parts(
         classes: Hierarchy<NodeId>,
         properties: Hierarchy<LabelId>,
@@ -269,7 +230,7 @@ mod tests {
     #[test]
     fn superclasses_nearest_first() {
         let o = sample();
-        assert_eq!(o.superclasses(ids(2)), vec![(ids(1), 1), (ids(0), 2)]);
+        assert_eq!(o.superclasses(ids(2)), [(ids(1), 1), (ids(0), 2)]);
         assert!(o.is_superclass_of(ids(0), ids(2)));
         assert!(!o.is_superclass_of(ids(2), ids(0)));
     }
@@ -277,18 +238,18 @@ mod tests {
     #[test]
     fn subclass_closure_for_inference() {
         let o = sample();
-        let mut subs = o.subclasses_or_self(ids(0));
+        let mut subs = o.subclasses_or_self(&ids(0)).to_vec();
         subs.sort();
         assert_eq!(subs, vec![ids(0), ids(1), ids(2), ids(3)]);
-        assert_eq!(o.subclasses_or_self(ids(2)), vec![ids(2)]);
+        assert_eq!(o.subclasses_or_self(&ids(2)), [ids(2)]);
     }
 
     #[test]
     fn property_hierarchy_and_domain_range() {
         let o = sample();
-        assert_eq!(o.superproperties(lid(2)), vec![(lid(1), 1), (lid(0), 2)]);
+        assert_eq!(o.superproperties(lid(2)), [(lid(1), 1), (lid(0), 2)]);
         assert_eq!(o.direct_superproperties(lid(1)), &[lid(0)]);
-        let mut subs = o.subproperties_or_self(lid(0));
+        let mut subs = o.subproperties_or_self(&lid(0)).to_vec();
         subs.sort();
         assert_eq!(subs, vec![lid(0), lid(1), lid(2)]);
         assert_eq!(o.domain(lid(1)), Some(ids(1)));
@@ -308,39 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_closures_match_on_demand_answers() {
-        let mut o = sample();
-        assert!(!o.is_frozen());
-        o.freeze();
-        assert!(o.is_frozen());
-        // The reference is never frozen: its closures are searched on demand.
-        let on_demand = sample();
-        assert_eq!(
-            o.interned_subproperties_or_self(lid(0)).unwrap(),
-            &on_demand.subproperties_or_self(lid(0))[..]
-        );
-        assert_eq!(
-            o.interned_subclasses_or_self(ids(0)).unwrap(),
-            &on_demand.subclasses_or_self(ids(0))[..]
-        );
-        assert_eq!(
-            o.interned_superclasses(ids(2)).unwrap(),
-            &on_demand.superclasses(ids(2))[..]
-        );
-        assert_eq!(o.superclasses(ids(2)), on_demand.superclasses(ids(2)));
-        assert_eq!(o.superproperties(lid(2)), on_demand.superproperties(lid(2)));
-        assert!(o.interned_subproperties_or_self(lid(42)).is_none());
-        // Mutation invalidates; refreezing restores.
-        o.add_subproperty(lid(3), lid(0)).unwrap();
-        assert!(!o.is_frozen());
-        o.freeze();
-        assert!(o
-            .interned_subproperties_or_self(lid(0))
-            .unwrap()
-            .contains(&lid(3)));
-    }
-
-    #[test]
     fn domain_range_iteration() {
         let o = sample();
         assert_eq!(o.domains().collect::<Vec<_>>(), vec![(lid(1), ids(1))]);
@@ -350,8 +278,8 @@ mod tests {
     #[test]
     fn empty_ontology_defaults() {
         let o = Ontology::new();
-        assert_eq!(o.superclasses(ids(7)), vec![]);
-        assert_eq!(o.subproperties_or_self(lid(7)), vec![lid(7)]);
+        assert!(o.superclasses(ids(7)).is_empty());
+        assert_eq!(o.subproperties_or_self(&lid(7)), [lid(7)]);
         assert!(!o.is_class(ids(7)));
     }
 }

@@ -1,12 +1,11 @@
 //! The ontology section of a snapshot image.
 //!
 //! The whole ontology — both hierarchies' direct relations, the
-//! domain/range declarations, *and* the interned closure tables built by
-//! [`Ontology::freeze`] — is packed into one checksummed `u32` section of
-//! the shared snapshot container ([`omega_graph::snapshot`]). Serialising
-//! the precomputed closures means a loaded ontology is frozen from the
-//! first instruction: the RDFS-inference hot path never recomputes (or
-//! allocates) a closure after open.
+//! domain/range declarations, *and* their closure tables — is packed into
+//! one checksummed `u32` section of the shared snapshot container
+//! ([`omega_graph::snapshot`]). Serialising the closures means a loaded
+//! ontology carries its tables from the first instruction: no reader
+//! searches a closure after open.
 //!
 //! Layout (all little-endian `u32` words): a fixed header of counts, then
 //! for each hierarchy (classes first, properties second) its sorted member
@@ -22,7 +21,7 @@ use omega_graph::snapshot::{
 };
 use omega_graph::{LabelId, NodeId};
 
-use crate::hierarchy::{FrozenTables, Hierarchy};
+use crate::hierarchy::{Closures, Hierarchy};
 use crate::ontology::Ontology;
 
 /// Ids that serialise as one `u32` word.
@@ -49,28 +48,15 @@ impl Word for LabelId {
     }
 }
 
-/// Adds the ontology section of `ontology` to `writer`.
-///
-/// Works on unfrozen ontologies too (a frozen clone is made internally),
-/// but the normal caller — `Database::save_snapshot` — always holds a
-/// frozen one.
+/// Adds the ontology section of `ontology` to `writer`, with the closure
+/// tables of both hierarchies (built here if no reader has built them yet).
 pub fn write_ontology_section(
     ontology: &Ontology,
     writer: &mut SnapshotWriter,
 ) -> Result<(), SnapshotError> {
-    let frozen_clone;
-    let ontology = if ontology.is_frozen() {
-        ontology
-    } else {
-        let mut clone = ontology.clone();
-        clone.freeze();
-        frozen_clone = clone;
-        &frozen_clone
-    };
-
     let mut words: Vec<u32> = Vec::new();
-    encode_hierarchy(ontology.class_hierarchy(), &mut words)?;
-    encode_hierarchy(ontology.property_hierarchy(), &mut words)?;
+    encode_hierarchy(ontology.class_hierarchy(), &mut words);
+    encode_hierarchy(ontology.property_hierarchy(), &mut words);
     encode_pairs(ontology.domains(), &mut words);
     encode_pairs(ontology.ranges(), &mut words);
     writer.add(SectionId::plain(SectionKind::Ontology), u32_payload(words));
@@ -78,7 +64,7 @@ pub fn write_ontology_section(
 }
 
 /// Decodes the ontology section of an open snapshot. The returned ontology
-/// is already frozen (its closure tables come straight from the image).
+/// carries its closure tables straight from the image.
 pub fn read_ontology_section(reader: &SnapshotReader) -> Result<Ontology, SnapshotError> {
     let section = reader.require(SectionId::plain(SectionKind::Ontology))?;
     let words = section.as_u32s()?;
@@ -98,14 +84,9 @@ pub fn read_ontology_section(reader: &SnapshotReader) -> Result<Ontology, Snapsh
     ))
 }
 
-/// Serialises one hierarchy: member list, direct relations, interned tables.
-fn encode_hierarchy<T: Word>(
-    hierarchy: &Hierarchy<T>,
-    out: &mut Vec<u32>,
-) -> Result<(), SnapshotError> {
-    let tables = hierarchy
-        .frozen_tables()
-        .ok_or_else(|| SnapshotError::malformed("hierarchy must be frozen before writing"))?;
+/// Serialises one hierarchy: member list, direct relations, closure tables.
+fn encode_hierarchy<T: Word>(hierarchy: &Hierarchy<T>, out: &mut Vec<u32>) {
+    let tables = hierarchy.closures();
     let members = hierarchy.sorted_members();
     out.push(members.len() as u32);
     for &m in &members {
@@ -125,7 +106,7 @@ fn encode_hierarchy<T: Word>(
         out.push(children.len() as u32);
         out.extend(children.iter().map(|c| c.to_word()));
     }
-    // Interned closures, in the same member order as the frozen rows.
+    // The closure tables, in the same member order as their rows.
     out.extend(tables.closure_offsets.iter().copied());
     out.extend(tables.closure_data.iter().map(|d| d.to_word()));
     out.extend(tables.ancestor_offsets.iter().copied());
@@ -133,7 +114,6 @@ fn encode_hierarchy<T: Word>(
         out.push(a.to_word());
         out.push(dist);
     }
-    Ok(())
 }
 
 fn decode_hierarchy<T: Word>(cursor: &mut Cursor<'_>) -> Result<Hierarchy<T>, SnapshotError> {
@@ -191,7 +171,7 @@ fn decode_hierarchy<T: Word>(cursor: &mut Cursor<'_>) -> Result<Hierarchy<T>, Sn
         members,
         parents,
         children,
-        FrozenTables {
+        Closures {
             rows,
             closure_offsets,
             closure_data,
@@ -269,7 +249,6 @@ mod tests {
         o.add_subproperty(LabelId(6), LabelId(4)).unwrap();
         o.set_domain(LabelId(5), NodeId(1));
         o.set_range(LabelId(6), NodeId(3));
-        o.freeze();
         o
     }
 
@@ -291,54 +270,26 @@ mod tests {
     fn ontology_roundtrips_with_closures() {
         let o = sample();
         let loaded = roundtrip(&o, "basic");
-        assert!(loaded.is_frozen(), "loaded ontology is frozen from birth");
         assert_eq!(loaded.class_count(), o.class_count());
         assert_eq!(loaded.property_count(), o.property_count());
-        // A new member drops the interned tables, so the closures of these
-        // two are breadth-first searches over the direct relations alone (the
-        // original's and the loaded image's); a frozen ontology's read the
-        // tables.
-        let thaw = |o: &Ontology| {
-            let mut o = o.clone();
-            o.add_class(NodeId(99));
-            o.add_property(LabelId(99));
-            assert!(!o.is_frozen());
-            o
-        };
-        let (on_demand, thawed) = (thaw(&o), thaw(&loaded));
+        // A new member drops the closure tables, so the closures of `rebuilt`
+        // are searched again in the loaded image's direct relations.
+        let mut rebuilt = loaded.clone();
+        rebuilt.add_class(NodeId(99));
+        rebuilt.add_property(LabelId(99));
         for c in 0..4u32 {
             let c = NodeId(c);
-            assert_eq!(loaded.superclasses(c), on_demand.superclasses(c));
-            assert_eq!(thawed.superclasses(c), on_demand.superclasses(c));
-            assert_eq!(
-                loaded.subclasses_or_self(c),
-                on_demand.subclasses_or_self(c)
-            );
-            assert_eq!(
-                thawed.subclasses_or_self(c),
-                on_demand.subclasses_or_self(c)
-            );
-            assert_eq!(
-                loaded.interned_subclasses_or_self(c),
-                o.interned_subclasses_or_self(c)
-            );
-            assert_eq!(loaded.interned_superclasses(c), o.interned_superclasses(c));
+            for image in [&loaded, &rebuilt] {
+                assert_eq!(image.superclasses(c), o.superclasses(c));
+                assert_eq!(image.subclasses_or_self(&c), o.subclasses_or_self(&c));
+            }
         }
         for p in 4..7u32 {
             let p = LabelId(p);
-            assert_eq!(
-                loaded.subproperties_or_self(p),
-                on_demand.subproperties_or_self(p)
-            );
-            assert_eq!(
-                thawed.subproperties_or_self(p),
-                on_demand.subproperties_or_self(p)
-            );
-            assert_eq!(loaded.superproperties(p), on_demand.superproperties(p));
-            assert_eq!(
-                loaded.interned_subproperties_or_self(p),
-                o.interned_subproperties_or_self(p)
-            );
+            for image in [&loaded, &rebuilt] {
+                assert_eq!(image.superproperties(p), o.superproperties(p));
+                assert_eq!(image.subproperties_or_self(&p), o.subproperties_or_self(&p));
+            }
             assert_eq!(loaded.domain(p), o.domain(p));
             assert_eq!(loaded.range(p), o.range(p));
         }
@@ -354,22 +305,26 @@ mod tests {
     }
 
     #[test]
-    fn unfrozen_ontology_is_frozen_on_write() {
+    fn a_mutation_after_a_read_is_written() {
         let mut o = sample();
-        o.add_class(NodeId(9)); // invalidates the tables
-        assert!(!o.is_frozen());
-        let loaded = roundtrip(&o, "unfrozen");
-        assert!(loaded.is_frozen());
+        assert_eq!(o.subclasses_or_self(&NodeId(3)), [NodeId(3)]);
+        o.add_subclass(NodeId(9), NodeId(3)).unwrap();
+        let loaded = roundtrip(&o, "mutated");
         assert!(loaded.is_class(NodeId(9)));
+        assert_eq!(
+            loaded.subclasses_or_self(&NodeId(3)),
+            [NodeId(3), NodeId(9)]
+        );
+        assert_eq!(
+            loaded.superclasses(NodeId(9)),
+            [(NodeId(3), 1), (NodeId(0), 2)]
+        );
     }
 
     #[test]
     fn empty_ontology_roundtrips() {
-        let mut o = Ontology::new();
-        o.freeze();
-        let loaded = roundtrip(&o, "empty");
+        let loaded = roundtrip(&Ontology::new(), "empty");
         assert_eq!(loaded.class_count(), 0);
         assert_eq!(loaded.property_count(), 0);
-        assert!(loaded.is_frozen());
     }
 }

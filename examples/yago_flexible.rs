@@ -46,9 +46,7 @@ fn main() {
         data.graph.edge_count()
     );
     let graph = &data.graph;
-    let mut ontology = data.ontology.clone();
-    ontology.freeze();
-    let ontology = &ontology;
+    let ontology = &data.ontology;
 
     // A memory budget turns the paper's out-of-memory failures into clean
     // errors (the '?' rows below).

@@ -192,15 +192,15 @@ proptest! {
             for (label, _) in builder_graph.labels() {
                 for dir in [Direction::Outgoing, Direction::Incoming] {
                     prop_assert_eq!(
-                        builder_graph.neighbors(node, label, dir),
-                        frozen_graph.neighbors(node, label, dir)
+                        builder_graph.neighbors_iter(node, label, dir).collect::<Vec<_>>(),
+                        frozen_graph.neighbors_iter(node, label, dir).collect::<Vec<_>>()
                     );
                 }
             }
             for dir in [Direction::Outgoing, Direction::Incoming] {
                 prop_assert_eq!(
-                    builder_graph.neighbors_any(node, dir),
-                    frozen_graph.neighbors_any(node, dir)
+                    builder_graph.neighbors_any_iter(node, dir).collect::<Vec<_>>(),
+                    frozen_graph.neighbors_any_iter(node, dir).collect::<Vec<_>>()
                 );
             }
         }
