@@ -3,7 +3,7 @@
 //!
 //! Both evaluate under a cost ceiling ψ and raise it by φ — the smallest
 //! edit or relaxation cost — when more answers are wanted. Each ψ level is a
-//! fresh evaluator whose [`EvalOptions::max_distance`] is ψ, capped at the
+//! fresh evaluator whose [`ExecOptions::max_distance`] is ψ, capped at the
 //! request's own ceiling; a non-zero `suppressed` count in its statistics is
 //! the sign that a higher level could still produce more. No query execution
 //! runs them: the `opt-distance` / `opt-disjunction` ablations time them
@@ -37,8 +37,8 @@ use std::sync::Arc;
 use omega_core::eval::visited::PairSet;
 use omega_core::eval::{compile_conjunct, ConjunctPlan};
 use omega_core::{
-    AnswerStream, Conjunct, ConjunctAnswer, ConjunctEvaluator, EvalOptions, EvalStats, QueryMode,
-    Result,
+    AnswerStream, Conjunct, ConjunctAnswer, ConjunctEvaluator, EvalOptions, EvalStats, ExecOptions,
+    QueryMode, Result,
 };
 use omega_graph::GraphStore;
 use omega_ontology::Ontology;
@@ -59,13 +59,14 @@ fn phi(plan: &ConjunctPlan, options: &EvalOptions) -> u32 {
     }
 }
 
-/// The options of the ψ level: the request's, with `max_distance` the
-/// tighter of ψ and the request's own ceiling.
-fn at_level(request: &EvalOptions, psi: u32) -> Arc<EvalOptions> {
-    Arc::new(EvalOptions {
+/// The limits of the ψ level: the request's, with `max_distance` the
+/// tighter of ψ and the request's own ceiling (a timeout restarts with each
+/// level's evaluator).
+fn at_level(request: &ExecOptions, psi: u32) -> ExecOptions {
+    ExecOptions {
         max_distance: Some(request.max_distance.map_or(psi, |max| psi.min(max))),
-        ..request.clone()
-    })
+        ..*request
+    }
 }
 
 /// Escalating-ψ driver around [`ConjunctEvaluator`].
@@ -76,8 +77,8 @@ fn at_level(request: &EvalOptions, psi: u32) -> Arc<EvalOptions> {
 pub struct DistanceAwareEvaluator<'a> {
     graph: &'a GraphStore,
     ontology: &'a Ontology,
-    /// The request's options; each level runs under [`at_level`] of them.
-    options: Arc<EvalOptions>,
+    /// The request's limits; each level runs under [`at_level`] of them.
+    request: ExecOptions,
     plan: Arc<ConjunctPlan>,
     current: ConjunctEvaluator<'a>,
     phi: u32,
@@ -89,21 +90,23 @@ pub struct DistanceAwareEvaluator<'a> {
 }
 
 impl<'a> DistanceAwareEvaluator<'a> {
-    /// Creates the driver with ψ = 0. Plan and options are shared (`Arc`),
-    /// so restarts clone a pointer instead of the automaton.
+    /// Creates the driver with ψ = 0 for `plan`, compiled under `options`
+    /// (whose costs give φ), under the limits of `request`. The plan is
+    /// shared (`Arc`), so restarts clone a pointer instead of the automaton.
     pub fn new(
         plan: Arc<ConjunctPlan>,
         graph: &'a GraphStore,
         ontology: &'a Ontology,
-        options: Arc<EvalOptions>,
+        options: &EvalOptions,
+        request: &ExecOptions,
     ) -> DistanceAwareEvaluator<'a> {
-        let current =
-            ConjunctEvaluator::new(Arc::clone(&plan), graph, ontology, at_level(&options, 0));
+        let level = at_level(request, 0);
+        let current = ConjunctEvaluator::new(Arc::clone(&plan), graph, ontology, &level, None);
         DistanceAwareEvaluator {
             graph,
             ontology,
-            phi: phi(&plan, &options),
-            options,
+            phi: phi(&plan, options),
+            request: request.clone(),
             plan,
             current,
             psi: 0,
@@ -139,7 +142,7 @@ impl<'a> DistanceAwareEvaluator<'a> {
         }
         // The request's distance ceiling is the hard limit: once ψ has
         // reached it, everything beyond is out of scope by definition.
-        if self.options.max_distance.is_some_and(|max| self.psi >= max) {
+        if self.request.max_distance.is_some_and(|max| self.psi >= max) {
             return false;
         }
         self.finished_stats += self.current.stats();
@@ -149,7 +152,8 @@ impl<'a> DistanceAwareEvaluator<'a> {
             Arc::clone(&self.plan),
             self.graph,
             self.ontology,
-            at_level(&self.options, self.psi),
+            &at_level(&self.request, self.psi),
+            None,
         );
         true
     }
@@ -213,8 +217,8 @@ struct Branch {
 pub struct DisjunctionEvaluator<'a> {
     graph: &'a GraphStore,
     ontology: &'a Ontology,
-    /// The request's options; each level runs under [`at_level`] of them.
-    options: Arc<EvalOptions>,
+    /// The request's limits; each level runs under [`at_level`] of them.
+    request: ExecOptions,
     branches: Vec<Branch>,
     phi: u32,
     psi: u32,
@@ -231,20 +235,22 @@ pub struct DisjunctionEvaluator<'a> {
 }
 
 impl<'a> DisjunctionEvaluator<'a> {
-    /// Attempts to build the decomposed evaluator for `conjunct`; returns
-    /// `Ok(None)` when the conjunct's regular expression is not a top-level
+    /// Attempts to build the decomposed evaluator for `conjunct`, compiled
+    /// under `options`, under the limits of `request`; returns `Ok(None)`
+    /// when the conjunct's regular expression is not a top-level
     /// alternation (the optimisation does not apply).
     pub fn try_new(
         conjunct: &Conjunct,
         graph: &'a GraphStore,
         ontology: &'a Ontology,
-        options: Arc<EvalOptions>,
+        options: &EvalOptions,
+        request: &ExecOptions,
     ) -> Result<Option<DisjunctionEvaluator<'a>>> {
-        let Some(plans) = compile_branches(conjunct, graph, ontology, &options)? else {
+        let Some(plans) = compile_branches(conjunct, graph, ontology, options)? else {
             return Ok(None);
         };
         Ok(Some(DisjunctionEvaluator::from_plans(
-            plans, graph, ontology, options,
+            plans, graph, ontology, options, request,
         )))
     }
 
@@ -254,10 +260,11 @@ impl<'a> DisjunctionEvaluator<'a> {
         plans: Vec<Arc<ConjunctPlan>>,
         graph: &'a GraphStore,
         ontology: &'a Ontology,
-        options: Arc<EvalOptions>,
+        options: &EvalOptions,
+        request: &ExecOptions,
     ) -> DisjunctionEvaluator<'a> {
         debug_assert!(!plans.is_empty());
-        let phi = plans.iter().map(|p| phi(p, &options)).min().unwrap_or(1);
+        let phi = plans.iter().map(|p| phi(p, options)).min().unwrap_or(1);
         let branches = plans
             .into_iter()
             .map(|plan| Branch {
@@ -269,7 +276,7 @@ impl<'a> DisjunctionEvaluator<'a> {
         DisjunctionEvaluator {
             graph,
             ontology,
-            options,
+            request: request.clone(),
             branches,
             phi,
             psi: 0,
@@ -305,7 +312,7 @@ impl<'a> DisjunctionEvaluator<'a> {
         if self.started {
             if self.steps >= MAX_PSI_STEPS
                 || self.branches.iter().all(|b| !b.may_have_more)
-                || self.options.max_distance.is_some_and(|max| self.psi >= max)
+                || self.request.max_distance.is_some_and(|max| self.psi >= max)
             {
                 return false;
             }
@@ -371,7 +378,8 @@ impl AnswerStream for DisjunctionEvaluator<'_> {
                     Arc::clone(&self.branches[idx].plan),
                     self.graph,
                     self.ontology,
-                    at_level(&self.options, self.psi),
+                    &at_level(&self.request, self.psi),
+                    None,
                 );
                 self.current = Some((idx, evaluator));
                 continue;
@@ -433,11 +441,12 @@ mod tests {
         query: &str,
         graph: &'a GraphStore,
         ontology: &'a Ontology,
-        options: &EvalOptions,
+        request: &ExecOptions,
     ) -> DistanceAwareEvaluator<'a> {
         let q = parse_query(query).unwrap();
-        let plan = compile_conjunct(&q.conjuncts[0], graph, ontology, options).unwrap();
-        DistanceAwareEvaluator::new(Arc::new(plan), graph, ontology, Arc::new(options.clone()))
+        let options = EvalOptions::default();
+        let plan = compile_conjunct(&q.conjuncts[0], graph, ontology, &options).unwrap();
+        DistanceAwareEvaluator::new(Arc::new(plan), graph, ontology, &options, request)
     }
 
     #[test]
@@ -473,7 +482,7 @@ mod tests {
             let q = parse_query(query).unwrap();
             let mut plain = evaluate_conjunct(&q.conjuncts[0], &g, &o, &options).unwrap();
             let mut plain_answers = plain.collect(None).unwrap();
-            let mut aware = aware(query, &g, &o, &options);
+            let mut aware = aware(query, &g, &o, &ExecOptions::new());
             let mut aware_answers = aware.collect(None).unwrap();
             let key = |v: &mut Vec<ConjunctAnswer>| {
                 v.sort_by_key(|a| (a.x, a.y, a.distance));
@@ -490,12 +499,7 @@ mod tests {
     #[test]
     fn distance_aware_answers_remain_sorted_by_distance() {
         let (g, o) = chain();
-        let mut aware = aware(
-            "(?X) <- APPROX (a, p.p, ?X)",
-            &g,
-            &o,
-            &EvalOptions::default(),
-        );
+        let mut aware = aware("(?X) <- APPROX (a, p.p, ?X)", &g, &o, &ExecOptions::new());
         let answers = aware.collect(None).unwrap();
         let distances: Vec<u32> = answers.iter().map(|a| a.distance).collect();
         let mut sorted = distances.clone();
@@ -506,12 +510,7 @@ mod tests {
     #[test]
     fn stops_early_when_only_exact_answers_are_requested() {
         let (g, o) = chain();
-        let mut aware = aware(
-            "(?X) <- APPROX (a, p.p, ?X)",
-            &g,
-            &o,
-            &EvalOptions::default(),
-        );
+        let mut aware = aware("(?X) <- APPROX (a, p.p, ?X)", &g, &o, &ExecOptions::new());
         let first = aware.next_answer().unwrap().unwrap();
         assert_eq!(first.distance, 0);
         assert_eq!(
@@ -524,12 +523,7 @@ mod tests {
     #[test]
     fn escalation_counts_restarts() {
         let (g, o) = chain();
-        let mut aware = aware(
-            "(?X) <- APPROX (a, p.r, ?X)",
-            &g,
-            &o,
-            &EvalOptions::default(),
-        );
+        let mut aware = aware("(?X) <- APPROX (a, p.r, ?X)", &g, &o, &ExecOptions::new());
         let _ = aware.collect(None).unwrap();
         assert!(aware.restarts() > 0);
         assert!(aware.psi() > 0);
@@ -540,8 +534,8 @@ mod tests {
         let (g, o) = chain();
         // Without a ceiling this query escalates (see escalation_counts_restarts);
         // with max_distance = 0 it must stay at ψ = 0 and only return exact answers.
-        let options = EvalOptions::default().with_max_distance(Some(0));
-        let mut aware = aware("(?X) <- APPROX (a, p.r, ?X)", &g, &o, &options);
+        let request = ExecOptions::new().with_max_distance(0);
+        let mut aware = aware("(?X) <- APPROX (a, p.r, ?X)", &g, &o, &request);
         let answers = aware.collect(None).unwrap();
         assert!(answers.iter().all(|a| a.distance == 0));
         assert_eq!(aware.psi(), 0);
@@ -551,7 +545,7 @@ mod tests {
     #[test]
     fn exact_conjuncts_never_escalate() {
         let (g, o) = chain();
-        let mut aware = aware("(?X) <- (a, p.p, ?X)", &g, &o, &EvalOptions::default());
+        let mut aware = aware("(?X) <- (a, p.p, ?X)", &g, &o, &ExecOptions::new());
         let answers = aware.collect(None).unwrap();
         assert_eq!(answers.len(), 1);
         assert_eq!(aware.psi(), 0);
@@ -579,8 +573,8 @@ mod tests {
         ontology: &'a Ontology,
     ) -> Option<DisjunctionEvaluator<'a>> {
         let q = parse_query(query).unwrap();
-        let options = Arc::new(EvalOptions::default());
-        DisjunctionEvaluator::try_new(&q.conjuncts[0], graph, ontology, options).unwrap()
+        let (options, request) = (EvalOptions::default(), ExecOptions::new());
+        DisjunctionEvaluator::try_new(&q.conjuncts[0], graph, ontology, &options, &request).unwrap()
     }
 
     #[test]

@@ -136,15 +136,23 @@ impl QueryRun {
 }
 
 /// Builds a shared database over a dataset with the evaluation options used
-/// in the performance study (unit costs, batch size 100) plus a memory
-/// budget. Queries run through the prepared-statement cache, so repeated
-/// runs of the same text pay compilation once.
+/// in the performance study (unit costs, batch size 100). Queries run
+/// through the prepared-statement cache, so repeated runs of the same text
+/// pay compilation once. The [`MEMORY_BUDGET`] is on the requests of the
+/// runs ([`run_query`], [`run_all_operators`], [`run_arm`]).
 pub fn engine_for(dataset: &Dataset, options: EvalOptions) -> Database {
-    Database::with_options(
-        dataset.graph.clone(),
-        dataset.ontology.clone(),
-        options.with_max_tuples(Some(MEMORY_BUDGET)),
-    )
+    Database::with_options(dataset.graph.clone(), dataset.ontology.clone(), options)
+}
+
+/// The request of a study run: the [`MEMORY_BUDGET`], and the top
+/// [`TOP_K`] answers of a flexible `operator` (an exact query drains).
+fn study_request(operator: &str) -> ExecOptions {
+    let request = ExecOptions::new().with_max_tuples(MEMORY_BUDGET);
+    if operator.is_empty() {
+        request
+    } else {
+        request.with_limit(TOP_K)
+    }
 }
 
 /// Generates (and caches nothing — generation is deterministic and fast
@@ -160,17 +168,13 @@ pub fn yago_dataset(scale: f64) -> Dataset {
 
 /// Runs one query with the paper's methodology: exact queries run to
 /// completion; APPROX/RELAX queries fetch the top-[`TOP_K`] answers in
-/// batches of [`BATCH`].
+/// batches of [`BATCH`]; both under the [`MEMORY_BUDGET`].
 ///
 /// Evaluation drives the service API — `prepare` (cached) plus a streaming
 /// [`omega_core::Answers`] handle — so the evaluator's counters are
 /// available afterwards and repeated runs skip recompilation.
 pub fn run_query(db: &Database, id: &str, operator: &str, text: &str) -> QueryRun {
-    let mut request = ExecOptions::new();
-    if !operator.is_empty() {
-        request = request.with_limit(TOP_K);
-    }
-    run_query_with(db, id, operator, text, &request)
+    run_query_with(db, id, operator, text, &study_request(operator))
 }
 
 /// [`run_query`] repeated `samples` times, reporting the median run (by
@@ -259,10 +263,7 @@ pub fn run_all_operators(db: &Database, spec: &QuerySpec, samples: usize) -> Vec
     ["", "APPROX", "RELAX"]
         .iter()
         .map(|op| {
-            let mut request = ExecOptions::new();
-            if !op.is_empty() {
-                request = request.with_limit(TOP_K);
-            }
+            let request = study_request(op);
             run_query_sampled(db, spec.id, op, &spec.with_operator(op), &request, samples)
         })
         .collect()
@@ -576,31 +577,34 @@ pub fn run_arm(
     (driver, options): &Arm,
     samples: usize,
 ) -> QueryRun {
-    // The frozen graph, the ontology and the budgeted options of every table.
+    // The frozen graph, the ontology and the budget of every table.
     let db = engine_for(dataset, options.clone());
     let (graph, ontology) = (&*db.graph(), db.ontology());
-    let options = Arc::new(db.options().clone());
+    let request = ExecOptions::new().with_max_tuples(MEMORY_BUDGET);
     let query = omega_core::parse_query(text).unwrap();
     let conjunct = &query.conjuncts[0];
-    let plan = Arc::new(compile_conjunct(conjunct, graph, ontology, &options).unwrap());
+    let plan = Arc::new(compile_conjunct(conjunct, graph, ontology, options).unwrap());
     let branches = match driver {
-        Driver::Disjunction => compile_branches(conjunct, graph, ontology, &options)
+        Driver::Disjunction => compile_branches(conjunct, graph, ontology, options)
             .unwrap()
             .expect("the disjunction ablation needs a top-level alternation"),
         _ => Vec::new(),
     };
     let stream = || -> Box<dyn AnswerStream + '_> {
-        let (plan, options) = (Arc::clone(&plan), Arc::clone(&options));
+        let plan = Arc::clone(&plan);
         match driver {
-            Driver::Plain => Box::new(ConjunctEvaluator::new(plan, graph, ontology, options)),
-            Driver::DistanceAware => {
-                Box::new(DistanceAwareEvaluator::new(plan, graph, ontology, options))
-            }
+            Driver::Plain => Box::new(ConjunctEvaluator::new(
+                plan, graph, ontology, &request, None,
+            )),
+            Driver::DistanceAware => Box::new(DistanceAwareEvaluator::new(
+                plan, graph, ontology, options, &request,
+            )),
             Driver::Disjunction => Box::new(DisjunctionEvaluator::from_plans(
                 branches.clone(),
                 graph,
                 ontology,
                 options,
+                &request,
             )),
         }
     };

@@ -328,7 +328,7 @@ fn repl(cli: &Cli) -> Result<(), String> {
             }
             "policy" => match parse_policy(rest) {
                 Ok(policy) => {
-                    options.on_overload = Some(policy);
+                    options.on_overload = policy;
                     println!("policy: {policy:?}");
                     Ok(())
                 }

@@ -16,7 +16,7 @@ pub mod tuple;
 pub mod visited;
 
 pub use conjunct::{evaluate_conjunct, ConjunctEvaluator};
-pub use options::{EvalOptions, OverloadPolicy};
+pub use options::{EvalOptions, ExecOptions, OverloadPolicy};
 pub use plan::{compile_conjunct, ConjunctPlan, SeedSpec};
 pub use rank_join::RankJoin;
 pub use stats::{EvalStats, TruncationReason};

@@ -1,21 +1,20 @@
-//! Evaluation options: edit/relaxation costs, the Section 3.3 evaluation
-//! refinements and resource limits.
+//! The two options tables, one per lifetime: [`EvalOptions`], what a plan
+//! compiles from (edit/relaxation costs and the Section 3.3 refinements),
+//! and [`ExecOptions`], the limits of one execution.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use omega_automata::{ApproxConfig, RelaxConfig};
 
-use crate::govern::GovernorHandle;
-
 /// What the engine does when a resource budget trips — at admission
-/// (governor rejects the execution) or mid-query (per-query `max_tuples`
-/// tripped, or the shared tuple pool could not satisfy a reservation).
+/// (governor rejects the execution) or mid-query (the request's
+/// `max_tuples` tripped, or the shared tuple pool could not satisfy a
+/// reservation). Chosen per request: [`ExecOptions::on_overload`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
     /// Surface the typed error ([`crate::OmegaError::Overloaded`] at
     /// admission, [`crate::OmegaError::ResourceExhausted`] mid-query) and
-    /// discard in-flight work. The default, and the only pre-governor
-    /// behaviour.
+    /// discard in-flight work. The default.
     #[default]
     Fail,
     /// Graceful degradation: a mid-query trip finishes the stream cleanly
@@ -34,14 +33,14 @@ pub enum OverloadPolicy {
     Shed,
 }
 
-/// Options controlling query evaluation.
+/// What a plan compiles from, held by a database for its whole life.
 ///
-/// The defaults correspond to the configuration used throughout the paper's
-/// performance study: unit edit and relaxation costs, final-tuple
-/// prioritisation on and initial nodes fed in batches of 100. The two
-/// Section 4.3 optimisations are not options: they are drivers the paper's
-/// ablations (`omega-bench`) build around a compiled plan, each of its runs
-/// an evaluator under its own `max_distance`.
+/// The defaults are the paper's study configuration: unit edit and
+/// relaxation costs, final-tuple priority on, initial nodes in batches of
+/// 100. `compile_conjunct` copies what the evaluator needs into the
+/// [`crate::eval::ConjunctPlan`], so no evaluator reads this table; the
+/// limits of one run are [`ExecOptions`]. The Section 4.3 optimisations
+/// are drivers the paper's ablations (`omega-bench`) build around a plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Edit-operation costs for APPROX conjuncts.
@@ -51,6 +50,16 @@ pub struct EvalOptions {
     /// Whether RELAX conjuncts match under RDFS inference (subproperty /
     /// subclass closure) in addition to the relaxation transitions.
     pub inference: bool,
+    /// Cost guidance: compile each plan's admissible accept lower bound, by
+    /// which the evaluator keys the tuple queue at `f = g + h`, prunes
+    /// tuples that cannot beat the distance ceiling and skips dead states.
+    /// Off, `compile_conjunct` gives the plan the trivial bound `h ≡ 0` and
+    /// the same evaluator pops by distance alone. Answers keep their
+    /// distance order and per-distance sets exactly; only work (and tie
+    /// order within one distance) changes. On by default; an ablation
+    /// switch like `batch_size`, with no request override (the
+    /// `opt-guidance` study and reference tests turn it off).
+    pub cost_guided: bool,
     /// Number of initial nodes each pop of the seed cursor releases into
     /// `D_R` (the paper's coroutine batching, default 100): the block size
     /// of the one cursor that releases a conjunct's seeds.
@@ -59,35 +68,6 @@ pub struct EvalOptions {
     /// distance (the paper found this both faster and necessary for some
     /// queries to complete).
     pub prioritize_final: bool,
-    /// Maximum number of live tuples (`D_R`, the visited set and the
-    /// successor arena) before the evaluator aborts with `ResourceExhausted`. `None` means unlimited.
-    /// This models the paper's out-of-memory failures deterministically.
-    pub max_tuples: Option<usize>,
-    /// Hard ceiling on answer distance: tuples beyond it are suppressed. The
-    /// evaluator's one distance ceiling. Normally set per request through
-    /// [`crate::service::ExecOptions::with_max_distance`].
-    pub max_distance: Option<u32>,
-    /// Wall-clock deadline enforced inside the evaluator loops; evaluation
-    /// past it fails with [`crate::OmegaError::DeadlineExceeded`]. Normally
-    /// set per request through [`crate::service::ExecOptions`].
-    pub deadline: Option<Instant>,
-    /// Cost guidance: compile each plan's admissible accept lower bound, by
-    /// which the evaluator keys the tuple queue at `f = g + h`, prunes
-    /// tuples that cannot beat the distance ceiling and skips dead states.
-    /// Off, `compile_conjunct` (its only reader) gives the plan the trivial
-    /// bound `h ≡ 0` and the same evaluator pops by distance alone. Answers
-    /// keep their distance order and per-distance sets exactly; only work
-    /// (and tie order within one distance) changes. On by default; an
-    /// ablation switch like `batch_size`, with no request override (the
-    /// `opt-guidance` study and reference tests turn it off).
-    pub cost_guided: bool,
-    /// Reaction to tripped resource budgets (see [`OverloadPolicy`]).
-    pub on_overload: OverloadPolicy,
-    /// Handle to the database-wide [`crate::ResourceGovernor`], installed by
-    /// the service layer. Evaluators draw their live-tuple occupancy from
-    /// the governor's shared pool through it; `None` (the default for
-    /// hand-built evaluators) accounts nothing globally.
-    pub govern: Option<GovernorHandle>,
 }
 
 impl Default for EvalOptions {
@@ -96,25 +76,14 @@ impl Default for EvalOptions {
             approx: ApproxConfig::default(),
             relax: RelaxConfig::default(),
             inference: true,
+            cost_guided: true,
             batch_size: 100,
             prioritize_final: true,
-            max_tuples: None,
-            max_distance: None,
-            deadline: None,
-            cost_guided: true,
-            on_overload: OverloadPolicy::default(),
-            govern: None,
         }
     }
 }
 
 impl EvalOptions {
-    /// Sets the live-tuple budget.
-    pub fn with_max_tuples(mut self, max: Option<usize>) -> Self {
-        self.max_tuples = max;
-        self
-    }
-
     /// Sets the initial-node batch size.
     pub fn with_batch_size(mut self, batch: usize) -> Self {
         self.batch_size = batch.max(1);
@@ -127,18 +96,6 @@ impl EvalOptions {
         self
     }
 
-    /// Sets the hard answer-distance ceiling.
-    pub fn with_max_distance(mut self, max: Option<u32>) -> Self {
-        self.max_distance = max;
-        self
-    }
-
-    /// Sets the wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
     /// Compiles plans with the accept bound (A* ordering, bound and
     /// dead-state pruning) or with the trivial one — for ablation
     /// benchmarks.
@@ -146,17 +103,120 @@ impl EvalOptions {
         self.cost_guided = on;
         self
     }
+}
 
-    /// Selects the overload reaction policy.
+/// The limits of one execution: a builder carried alongside the query, so
+/// concurrent requests against one [`crate::Database`] can each bring their
+/// own limit, deadline and budgets without touching shared state.
+///
+/// This is the only table of per-execution limits: nothing is inherited
+/// from the database, and a default request runs unlimited with
+/// [`OverloadPolicy::Fail`]. A hand-built
+/// [`crate::eval::ConjunctEvaluator`] takes one too.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ExecOptions {
+    /// Maximum number of answers to return (`None` = all).
+    pub limit: Option<usize>,
+    /// Wall-clock budget measured from the start of execution. A timeout
+    /// too long for the clock to represent sets no deadline.
+    pub timeout: Option<Duration>,
+    /// Absolute wall-clock deadline; the tighter of `timeout` and `deadline`
+    /// wins when both are set. Evaluation past it fails with
+    /// [`crate::OmegaError::DeadlineExceeded`].
+    pub deadline: Option<Instant>,
+    /// Hard ceiling on answer distance: tuples beyond it are suppressed.
+    /// The evaluator's one distance ceiling.
+    pub max_distance: Option<u32>,
+    /// Maximum number of live tuples (`D_R`, the visited set and the
+    /// successor arena) per conjunct before evaluation trips with
+    /// `ResourceExhausted`. `None` means unlimited. This models the paper's
+    /// out-of-memory failures deterministically.
+    pub max_tuples: Option<usize>,
+    /// What happens when a resource budget trips mid-query or the governor
+    /// rejects the execution at admission (see [`OverloadPolicy`]).
+    pub on_overload: OverloadPolicy,
+    /// Record a per-phase [`QueryProfile`](crate::QueryProfile) for this
+    /// execution (read it with [`crate::Answers::profile`] after the stream
+    /// finishes). Off by default: the unprofiled path pays a single branch
+    /// per answer pull.
+    pub profile: bool,
+}
+
+impl ExecOptions {
+    /// A request with no limit, no deadline and no budget.
+    pub fn new() -> ExecOptions {
+        ExecOptions::default()
+    }
+
+    /// Returns at most `limit` answers.
+    pub fn with_limit(mut self, limit: usize) -> Self {
+        self.limit = Some(limit);
+        self
+    }
+
+    /// Aborts evaluation [`crate::OmegaError::DeadlineExceeded`] once
+    /// `timeout` has elapsed from the start of execution.
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.timeout = Some(timeout);
+        self
+    }
+
+    /// Aborts evaluation at the absolute instant `deadline`.
+    pub fn with_deadline(mut self, deadline: Instant) -> Self {
+        self.deadline = Some(deadline);
+        self
+    }
+
+    /// Ignores answers (and prunes exploration) beyond distance `max`.
+    pub fn with_max_distance(mut self, max: u32) -> Self {
+        self.max_distance = Some(max);
+        self
+    }
+
+    /// Sets the live-tuple budget.
+    pub fn with_max_tuples(mut self, max: usize) -> Self {
+        self.max_tuples = Some(max);
+        self
+    }
+
+    /// Has no effect: conjuncts always evaluate on the caller's thread.
+    /// Kept only because `benchmark/src/workloads/mod.rs` calls it; it goes
+    /// once that call does.
+    #[doc(hidden)]
+    pub fn with_parallel_conjuncts(self, _: bool) -> Self {
+        self
+    }
+
+    /// Has no effect: every request runs cost-guided (the trivial bound is
+    /// the plan-level ablation [`EvalOptions::cost_guided`]). Kept only
+    /// because `benchmark/src/workloads/mod.rs` calls it; it goes once that
+    /// call does.
+    #[doc(hidden)]
+    pub fn with_cost_guided(self, _: bool) -> Self {
+        self
+    }
+
+    /// Selects what happens under resource pressure: fail with a typed
+    /// error (default), degrade to the already-proven answer prefix, or
+    /// shed load (shrink budgets, back off, retry admission once).
     pub fn with_on_overload(mut self, policy: OverloadPolicy) -> Self {
         self.on_overload = policy;
         self
     }
 
-    /// Installs the database-wide governor handle.
-    pub fn with_governor(mut self, handle: GovernorHandle) -> Self {
-        self.govern = Some(handle);
+    /// Records a per-phase timing profile for this execution, retrievable
+    /// via [`crate::Answers::profile`] once the stream has finished.
+    pub fn with_profile(mut self, on: bool) -> Self {
+        self.profile = on;
         self
+    }
+
+    /// The deadline of an execution that starts now: the tighter of
+    /// `deadline` and now plus `timeout`. The clock is read only when a
+    /// timeout is set, and one the clock cannot represent is no deadline.
+    pub(crate) fn deadline_from_now(&self) -> Option<Instant> {
+        let from_timeout = self.timeout.and_then(|t| Instant::now().checked_add(t));
+        self.deadline.into_iter().chain(from_timeout).min()
     }
 }
 
@@ -173,19 +233,18 @@ mod tests {
         assert_eq!(o.batch_size, 100);
         assert!(o.prioritize_final);
         assert!(o.cost_guided);
-        assert_eq!(o.max_tuples, None);
-        assert_eq!(o.on_overload, OverloadPolicy::Fail);
-        assert!(o.govern.is_none());
+        let request = ExecOptions::new();
+        assert_eq!(request.max_tuples, None);
+        assert_eq!(request.on_overload, OverloadPolicy::Fail);
     }
 
     #[test]
     fn builder_methods() {
         let o = EvalOptions::default()
-            .with_max_tuples(Some(10))
             .with_batch_size(0)
             .without_final_prioritization();
-        assert_eq!(o.max_tuples, Some(10));
         assert_eq!(o.batch_size, 1, "batch size is clamped to at least 1");
         assert!(!o.prioritize_final);
+        assert_eq!(ExecOptions::new().with_max_tuples(10).max_tuples, Some(10));
     }
 }

@@ -72,6 +72,12 @@ pub struct ConjunctPlan {
     pub object_node: Option<NodeId>,
     /// Whether RDFS inference applies when matching transitions (RELAX only).
     pub inference: bool,
+    /// Initial nodes each pop of the seed cursor releases,
+    /// [`EvalOptions::batch_size`].
+    pub batch_size: usize,
+    /// Whether final tuples pop before non-final ones at the same key,
+    /// [`EvalOptions::prioritize_final`].
+    pub prioritize_final: bool,
     /// Admissible per-state accept lower bounds `h`, computed against what
     /// the data graph can actually fire (labels with zero edges are treated
     /// as absent); 0 everywhere, none dead, without
@@ -332,6 +338,8 @@ pub fn compile_conjunct(
         subject_node,
         object_node,
         inference,
+        batch_size: options.batch_size,
+        prioritize_final: options.prioritize_final,
         bounds,
         signature,
         defer_delta,

@@ -17,9 +17,9 @@ use crate::answer::{Answer, AnswerBatch};
 use crate::error::{OmegaError, Result};
 use crate::eval::rank_join::{JoinInput, RankJoin};
 use crate::eval::{
-    AnswerStream, ConjunctEvaluator, ConjunctPlan, EvalOptions, EvalStats, OverloadPolicy,
+    AnswerStream, ConjunctEvaluator, ConjunctPlan, EvalStats, ExecOptions, OverloadPolicy,
 };
-use crate::govern::{ExecutionPermit, GovernorHandle, ResourceGovernor};
+use crate::govern::{ExecutionPermit, ResourceGovernor};
 use crate::service::{elapsed_ns, CoreMetrics, GraphData, PreparedInner};
 
 /// [`AnswerStream`] adaptor accumulating the wall-clock time spent inside
@@ -69,18 +69,19 @@ impl PreparedInner {
     /// stream, which is already ranked; `via_join` routes it through the
     /// ranked join regardless (the reference path the bypass is tested
     /// against).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn answers<'a>(
         self: &Arc<Self>,
         data: &'a Arc<GraphData>,
         govern: &Arc<ResourceGovernor>,
         metrics: &Arc<CoreMetrics>,
-        mut options: EvalOptions,
-        limit: Option<usize>,
-        profile: bool,
+        request: &ExecOptions,
         via_join: bool,
     ) -> Answers<'a> {
         let started = Instant::now();
+        // The timeout folds into the deadline once, so that the stream and
+        // every evaluator stop at the same instant.
+        let mut limits = request.clone();
+        (limits.deadline, limits.timeout) = (request.deadline_from_now(), None);
         // Admission: the governor gates every execution before any evaluator
         // state is built. Under `Shed` a rejected request backs off once,
         // halves its tuple budget and retries; otherwise the typed
@@ -91,14 +92,14 @@ impl PreparedInner {
             match govern.admit() {
                 Ok(permit) => break permit,
                 Err(err) => {
-                    if options.on_overload == OverloadPolicy::Shed && sheds == 0 {
+                    if limits.on_overload == OverloadPolicy::Shed && sheds == 0 {
                         sheds = 1;
                         govern.note_shed(true);
                         if let OmegaError::Overloaded { retry_after } = err {
                             std::thread::sleep(retry_after);
                         }
-                        if let Some(max) = options.max_tuples {
-                            options.max_tuples = Some((max / 2).max(1));
+                        if let Some(max) = limits.max_tuples {
+                            limits.max_tuples = Some((max / 2).max(1));
                         }
                         continue;
                     }
@@ -107,7 +108,7 @@ impl PreparedInner {
             }
         };
         metrics.executions.inc();
-        let mut profile_state = profile.then(|| {
+        let mut profile_state = limits.profile.then(|| {
             Box::new(ProfileState {
                 parse_ns: self.parse_ns,
                 compile_ns: self.compile_ns,
@@ -115,16 +116,12 @@ impl PreparedInner {
                 join_ns: 0,
             })
         });
-        // Evaluators draw their live-tuple reservations from the shared pool
-        // through this handle.
-        options.govern = Some(GovernorHandle(Arc::clone(govern)));
-        let options = Arc::new(options);
         let graph = &data.graph;
         let ontology = &data.ontology;
         let layout = &self.layout;
         let bypass = self.conjuncts.len() == 1 && !via_join;
         let mut streams = layout.order.iter().map(|&i| {
-            let stream = conjunct_stream(&self.conjuncts[i], graph, ontology, &options);
+            let stream = conjunct_stream(&self.conjuncts[i], graph, ontology, &limits, govern);
             // Profiling wraps each conjunct stream in a timing adaptor,
             // keyed by the query's syntactic conjunct index so phases
             // read stably however the estimate order shuffled them. On a
@@ -154,7 +151,7 @@ impl PreparedInner {
                 // Top-k threshold pushdown: streams provably past the k-th
                 // distance stop being pulled.
                 if layout.head_covers_slots {
-                    join.set_limit(limit);
+                    join.set_limit(limits.limit);
                 }
                 Source::Join(join)
             }
@@ -165,11 +162,11 @@ impl PreparedInner {
             source,
             batch: None,
             row: Vec::with_capacity(layout.head_slots.len()),
-            emitted: RowSet::new(layout.head_slots.len(), limit),
-            limit,
+            emitted: RowSet::new(layout.head_slots.len(), limits.limit),
+            limit: limits.limit,
             yielded: 0,
-            max_distance: options.max_distance,
-            deadline: options.deadline,
+            max_distance: limits.max_distance,
+            deadline: limits.deadline,
             finished: false,
             pending: None,
             permit: Some(permit),
@@ -191,13 +188,15 @@ fn conjunct_stream<'a>(
     plan: &Arc<ConjunctPlan>,
     graph: &'a GraphStore,
     ontology: &'a Ontology,
-    options: &Arc<EvalOptions>,
+    limits: &ExecOptions,
+    govern: &Arc<ResourceGovernor>,
 ) -> Box<dyn AnswerStream + 'a> {
     Box::new(ConjunctEvaluator::new(
         Arc::clone(plan),
         graph,
         ontology,
-        Arc::clone(options),
+        limits,
+        Some(govern),
     ))
 }
 

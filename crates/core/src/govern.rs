@@ -320,7 +320,8 @@ impl ResourceGovernor {
             self.live_tuples.fetch_add(amount, Ordering::SeqCst);
             return true;
         };
-        let deadline = Instant::now() + self.config.acquire_timeout;
+        // A wait too long for the clock to represent is unbounded.
+        let deadline = Instant::now().checked_add(self.config.acquire_timeout);
         loop {
             let mut current = self.live_tuples.load(Ordering::SeqCst);
             loop {
@@ -337,7 +338,7 @@ impl ResourceGovernor {
                     Err(seen) => current = seen,
                 }
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                 return false;
             }
             std::thread::sleep(ACQUIRE_POLL);
@@ -346,6 +347,14 @@ impl ResourceGovernor {
 
     fn release_tuples(&self, amount: usize) {
         self.live_tuples.fetch_sub(amount, Ordering::SeqCst);
+    }
+
+    /// Opens a fresh per-evaluator tuple reservation against this governor.
+    pub(crate) fn reservation(self: &Arc<Self>) -> TupleReservation {
+        TupleReservation {
+            governor: Arc::clone(self),
+            held: 0,
+        }
     }
 
     /// Adjusts the rank-join buffer gauge by a signed delta.
@@ -372,37 +381,6 @@ impl Drop for ExecutionPermit {
     }
 }
 
-/// A shared governor handle carried inside [`crate::eval::EvalOptions`].
-///
-/// Wraps the `Arc` so the options struct keeps its derived `PartialEq`/`Eq`:
-/// equality is identity — two handles are equal exactly when they account
-/// against the same governor.
-#[derive(Debug, Clone)]
-pub struct GovernorHandle(pub(crate) Arc<ResourceGovernor>);
-
-impl GovernorHandle {
-    /// The governor this handle accounts against.
-    pub fn governor(&self) -> &Arc<ResourceGovernor> {
-        &self.0
-    }
-
-    /// Opens a fresh per-evaluator tuple reservation against this governor.
-    pub(crate) fn reservation(&self) -> TupleReservation {
-        TupleReservation {
-            governor: Arc::clone(&self.0),
-            held: 0,
-        }
-    }
-}
-
-impl PartialEq for GovernorHandle {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl Eq for GovernorHandle {}
-
 /// One evaluator's chunked claim on the shared tuple pool.
 ///
 /// The evaluator tracks its exact live-tuple count locally and calls
@@ -410,7 +388,7 @@ impl Eq for GovernorHandle {}
 /// grows in [`RESERVE_CHUNK`] steps (each step one bounded-backoff pool
 /// acquisition) and releases everything on drop — including when the
 /// evaluator is abandoned mid-query by a cancellation, error or panic.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct TupleReservation {
     governor: Arc<ResourceGovernor>,
     held: usize,
@@ -437,22 +415,6 @@ impl Drop for TupleReservation {
     fn drop(&mut self) {
         if self.held > 0 {
             self.governor.release_tuples(self.held);
-        }
-    }
-}
-
-// `Default` needs a governor to point at; an unlimited one keeps the
-// zero-value useful for evaluators built outside the service layer.
-impl Default for ResourceGovernor {
-    fn default() -> Self {
-        ResourceGovernor {
-            config: GovernorConfig::default(),
-            live_tuples: AtomicUsize::new(0),
-            join_buffer_entries: AtomicUsize::new(0),
-            executions: AtomicUsize::new(0),
-            rejected: std::sync::atomic::AtomicU64::new(0),
-            bucket: None,
-            metrics: OnceLock::new(),
         }
     }
 }
@@ -510,14 +472,13 @@ mod tests {
                 .with_max_live_tuples(3 * RESERVE_CHUNK)
                 .with_acquire_timeout(Duration::from_millis(1)),
         );
-        let handle = GovernorHandle(Arc::clone(&gov));
-        let mut r1 = handle.reservation();
+        let mut r1 = gov.reservation();
         assert!(r1.covers(10), "tiny claim takes one chunk");
         assert_eq!(gov.gauges().live_tuples, RESERVE_CHUNK);
         assert!(r1.covers(RESERVE_CHUNK), "already covered: no growth");
         assert_eq!(gov.gauges().live_tuples, RESERVE_CHUNK);
 
-        let mut r2 = handle.reservation();
+        let mut r2 = gov.reservation();
         assert!(r2.covers(2 * RESERVE_CHUNK), "pool has room for two more");
         assert_eq!(gov.gauges().live_tuples, 3 * RESERVE_CHUNK);
 
@@ -539,8 +500,7 @@ mod tests {
                 .with_max_live_tuples(RESERVE_CHUNK)
                 .with_acquire_timeout(Duration::from_millis(1)),
         );
-        let handle = GovernorHandle(Arc::clone(&gov));
-        let mut r = handle.reservation();
+        let mut r = gov.reservation();
         assert!(r.covers(1));
         assert!(matches!(gov.admit(), Err(OmegaError::Overloaded { .. })));
         drop(r);

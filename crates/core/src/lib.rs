@@ -89,9 +89,7 @@ pub use error::{OmegaError, Result};
 pub use eval::{
     AnswerStream, ConjunctEvaluator, EvalOptions, EvalStats, RankJoin, TruncationReason,
 };
-pub use govern::{
-    ExecutionPermit, GovernorConfig, GovernorGauges, GovernorHandle, ResourceGovernor,
-};
+pub use govern::{ExecutionPermit, GovernorConfig, GovernorGauges, ResourceGovernor};
 pub use omega_graph::wal::{FsyncPolicy, WalConfig, WalError};
 pub use omega_graph::SnapshotError;
 /// What an [`Answers::next_row`] row is made of, and the id-keyed map its

@@ -85,7 +85,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use omega_graph::snapshot::{SnapshotReader, SnapshotWriter};
 use omega_graph::wal::{Wal, WalConfig, WalFailure, CHECKPOINT_FILE};
@@ -104,7 +104,7 @@ use crate::govern::{GovernorConfig, ResourceGovernor};
 use crate::query::ast::{Query, Term};
 use crate::query::parser::parse_query;
 
-pub use crate::eval::options::OverloadPolicy;
+pub use crate::eval::options::{ExecOptions, OverloadPolicy};
 pub use crate::exec::Answers;
 
 /// Default capacity of the per-database prepared-statement LRU cache.
@@ -231,7 +231,7 @@ struct DbInner {
     /// The ontology, shared across every epoch (mutations touch edges, not
     /// the class/property hierarchies).
     ontology: Arc<Ontology>,
-    options: Arc<EvalOptions>,
+    options: EvalOptions,
     cache: Mutex<PreparedCache>,
     /// Signalled whenever a prepare finishes (or fails) compiling a cache
     /// entry, waking threads parked on its in-flight marker.
@@ -263,11 +263,12 @@ impl Database {
         Database::with_options(graph, ontology, EvalOptions::default())
     }
 
-    /// Creates a database with explicit base options.
+    /// Creates a database whose prepared plans compile from `options`.
     ///
-    /// The base options fix the query *semantics* (edit/relaxation costs,
-    /// inference) that prepared plans are compiled against; per-request
-    /// execution knobs are supplied through [`ExecOptions`] instead.
+    /// The [`EvalOptions`] fix the query *semantics* (edit/relaxation
+    /// costs, inference) and the evaluation refinements for the database's
+    /// whole life; the limits of each execution come from its
+    /// [`ExecOptions`] alone.
     pub fn with_options(graph: GraphStore, ontology: Ontology, options: EvalOptions) -> Database {
         Database::with_governor(graph, ontology, options, GovernorConfig::default())
     }
@@ -304,7 +305,7 @@ impl Database {
                     wal_seq: AtomicU64::new(0),
                 }),
                 ontology,
-                options: Arc::new(options),
+                options,
                 cache: Mutex::new(PreparedCache::new(PREPARED_CACHE_CAPACITY)),
                 cache_ready: Condvar::new(),
                 compilations: AtomicU64::new(0),
@@ -314,15 +315,15 @@ impl Database {
         }
     }
 
-    /// A new handle over the *same* graph and ontology with different base
-    /// options and a fresh prepared-statement cache. The storage is shared,
+    /// A new handle over the *same* graph and ontology with different
+    /// [`EvalOptions`] and a fresh prepared-statement cache. The storage is shared,
     /// not copied.
     pub fn reconfigured(&self, options: EvalOptions) -> Database {
         Database {
             inner: Arc::new(DbInner {
                 storage: Arc::clone(&self.inner.storage),
                 ontology: Arc::clone(&self.inner.ontology),
-                options: Arc::new(options),
+                options,
                 cache: Mutex::new(PreparedCache::new(PREPARED_CACHE_CAPACITY)),
                 cache_ready: Condvar::new(),
                 compilations: AtomicU64::new(0),
@@ -367,7 +368,7 @@ impl Database {
         self.data().epoch
     }
 
-    /// The base evaluation options prepared queries compile against.
+    /// The evaluation options prepared queries compile against.
     pub fn options(&self) -> &EvalOptions {
         &self.inner.options
     }
@@ -477,7 +478,6 @@ impl Database {
         inner.compile_ns = elapsed_ns(compile_started);
         Ok(PreparedQuery {
             data: Arc::clone(data),
-            base: Arc::clone(&self.inner.options),
             govern: Arc::clone(&self.inner.govern),
             metrics: Arc::clone(&self.inner.metrics),
             inner: Arc::new(inner),
@@ -1275,14 +1275,15 @@ fn compile_prepared(
 
 /// A query compiled once and executable many times, from many threads.
 ///
-/// `PreparedQuery` is `Send + Sync` and cheap to clone: it shares the frozen
-/// graph, the base options and the compiled plans through `Arc`s. Each
-/// [`PreparedQuery::answers`] call builds fresh evaluator state, so
-/// concurrent executions never interfere.
+/// `PreparedQuery` is `Send + Sync` and cheap to clone: it shares the
+/// pinned epoch's graph and the compiled plans through `Arc`s. The
+/// database's [`EvalOptions`] live on in the plans; each
+/// [`PreparedQuery::answers`] call takes its limits from its own
+/// [`ExecOptions`] and builds fresh evaluator state, so concurrent
+/// executions never interfere.
 #[derive(Clone)]
 pub struct PreparedQuery {
     data: Arc<GraphData>,
-    base: Arc<EvalOptions>,
     govern: Arc<ResourceGovernor>,
     metrics: Arc<CoreMetrics>,
     inner: Arc<PreparedInner>,
@@ -1307,16 +1308,8 @@ impl PreparedQuery {
     }
 
     fn answers_from(&self, request: &ExecOptions, via_join: bool) -> Answers<'_> {
-        let options = request.resolve(&self.base);
-        self.inner.answers(
-            &self.data,
-            &self.govern,
-            &self.metrics,
-            options,
-            request.limit,
-            request.profile,
-            via_join,
-        )
+        self.inner
+            .answers(&self.data, &self.govern, &self.metrics, request, via_join)
     }
 
     /// Executes under `request` and collects the answers.
@@ -1347,126 +1340,6 @@ impl std::fmt::Debug for PreparedQuery {
     }
 }
 
-/// Per-request execution options: a builder carried alongside the query, so
-/// concurrent requests against one [`Database`] can each bring their own
-/// limit, deadline and budgets without touching shared state.
-///
-/// Every field is an *override*: unset fields inherit the database's base
-/// [`EvalOptions`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Maximum number of answers to return (`None` = all).
-    pub limit: Option<usize>,
-    /// Wall-clock budget measured from the start of execution.
-    pub timeout: Option<Duration>,
-    /// Absolute wall-clock deadline; the tighter of `timeout` and `deadline`
-    /// wins when both are set.
-    pub deadline: Option<Instant>,
-    /// Hard ceiling on answer distance.
-    pub max_distance: Option<u32>,
-    /// Live-tuple budget override (see [`EvalOptions::max_tuples`]).
-    pub max_tuples: Option<usize>,
-    /// Overload policy override: what happens when a resource budget trips
-    /// mid-query or the governor rejects the execution at admission (see
-    /// [`OverloadPolicy`]).
-    pub on_overload: Option<OverloadPolicy>,
-    /// Record a per-phase [`QueryProfile`](crate::QueryProfile) for this execution (read it with
-    /// [`Answers::profile`] after the stream finishes). Off by default: the
-    /// unprofiled path pays a single branch per answer pull.
-    pub profile: bool,
-}
-
-impl ExecOptions {
-    /// Request with no overrides: the database's base options, no limit, no
-    /// deadline.
-    pub fn new() -> ExecOptions {
-        ExecOptions::default()
-    }
-
-    /// Returns at most `limit` answers.
-    pub fn with_limit(mut self, limit: usize) -> Self {
-        self.limit = Some(limit);
-        self
-    }
-
-    /// Aborts evaluation [`OmegaError::DeadlineExceeded`] once `timeout` has
-    /// elapsed from the start of execution.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Aborts evaluation at the absolute instant `deadline`.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Ignores answers (and prunes exploration) beyond distance `max`.
-    pub fn with_max_distance(mut self, max: u32) -> Self {
-        self.max_distance = Some(max);
-        self
-    }
-
-    /// Overrides the live-tuple budget.
-    pub fn with_max_tuples(mut self, max: usize) -> Self {
-        self.max_tuples = Some(max);
-        self
-    }
-
-    /// Has no effect: conjuncts always evaluate on the caller's thread.
-    /// Kept only because `benchmark/src/workloads/mod.rs` calls it; the next
-    /// `[benchmark]` PR deletes that call and then this method.
-    #[doc(hidden)]
-    pub fn with_parallel_conjuncts(self, _: bool) -> Self {
-        self
-    }
-
-    /// Has no effect: every request runs cost-guided (the trivial bound is
-    /// the plan-level ablation [`EvalOptions::cost_guided`]). Kept
-    /// only because `benchmark/src/workloads/mod.rs` calls it; the next
-    /// `[benchmark]` PR deletes that call and then this method.
-    #[doc(hidden)]
-    pub fn with_cost_guided(self, _: bool) -> Self {
-        self
-    }
-
-    /// Selects what happens under resource pressure: fail with a typed
-    /// error (default), degrade to the already-proven answer prefix, or
-    /// shed load (shrink budgets, back off, retry admission once).
-    pub fn with_on_overload(mut self, policy: OverloadPolicy) -> Self {
-        self.on_overload = Some(policy);
-        self
-    }
-
-    /// Records a per-phase timing profile for this execution, retrievable
-    /// via [`Answers::profile`] once the stream has finished.
-    pub fn with_profile(mut self, on: bool) -> Self {
-        self.profile = on;
-        self
-    }
-
-    /// Folds the overrides into `base`, resolving the relative timeout into
-    /// an absolute deadline at call time (i.e. execution start).
-    pub(crate) fn resolve(&self, base: &EvalOptions) -> EvalOptions {
-        let from_timeout = self.timeout.map(|t| Instant::now() + t);
-        EvalOptions {
-            max_tuples: self.max_tuples.or(base.max_tuples),
-            max_distance: self.max_distance.or(base.max_distance),
-            // The tighter of the two request deadlines; the base's only when
-            // the request sets neither.
-            deadline: self
-                .deadline
-                .into_iter()
-                .chain(from_timeout)
-                .min()
-                .or(base.deadline),
-            on_overload: self.on_overload.unwrap_or(base.on_overload),
-            ..base.clone()
-        }
-    }
-}
-
 // `Database`, `PreparedQuery` and the request/stream types are the shared
 // service surface: hold the compiler to it.
 const _: () = {
@@ -1481,6 +1354,7 @@ mod tests {
     use super::*;
     use crate::eval::EvalStats;
     use omega_graph::NodeId;
+    use std::time::Duration;
 
     fn db() -> Database {
         let mut g = GraphStore::new();
@@ -1717,6 +1591,15 @@ mod tests {
     }
 
     #[test]
+    fn a_timeout_past_the_clock_sets_no_deadline() {
+        let db = db();
+        let text = "(?X) <- APPROX (alice, knows.knows, ?X)";
+        let request = ExecOptions::new().with_timeout(Duration::MAX);
+        let unlimited = db.execute(text, &ExecOptions::new()).unwrap();
+        assert_eq!(db.execute(text, &request).unwrap(), unlimited);
+    }
+
+    #[test]
     fn max_distance_truncates_the_stream() {
         let db = db();
         let prepared = db
@@ -1735,8 +1618,8 @@ mod tests {
     #[test]
     fn reconfigured_shares_storage() {
         let db = db();
-        let relaxed = db.reconfigured(EvalOptions::default().with_max_tuples(Some(10)));
-        assert_eq!(relaxed.options().max_tuples, Some(10));
+        let relaxed = db.reconfigured(EvalOptions::default().with_batch_size(10));
+        assert_eq!(relaxed.options().batch_size, 10);
         assert!(std::ptr::eq(&*db.graph(), &*relaxed.graph()));
         // Mutations through one handle are visible through the other.
         let mut batch = db.begin_mutation();
@@ -2120,9 +2003,22 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_wait_past_the_clock_is_unbounded() {
+        let db = governed_db(
+            GovernorConfig::default()
+                .with_max_live_tuples(1 << 20)
+                .with_acquire_timeout(Duration::MAX),
+        );
+        let text = "(?X) <- APPROX (alice, knows.knows, ?X)";
+        let answers = db.execute(text, &ExecOptions::new()).unwrap();
+        assert!(!answers.is_empty());
+        assert_eq!(db.governor().gauges().live_tuples, 0);
+    }
+
+    #[test]
     fn reconfigured_shares_the_governor() {
         let db = governed_db(GovernorConfig::default().with_max_concurrent(2));
-        let view = db.reconfigured(EvalOptions::default().with_max_tuples(Some(10)));
+        let view = db.reconfigured(EvalOptions::default().with_batch_size(10));
         assert!(Arc::ptr_eq(db.governor(), view.governor()));
     }
 

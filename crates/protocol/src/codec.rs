@@ -262,7 +262,7 @@ pub fn put_exec_options(w: &mut Writer, options: &ExecOptions) {
     w.put_opt(budget, |w, v| w.put_duration(v));
     w.put_opt(options.max_distance, Writer::put_u32);
     w.put_opt(options.max_tuples, Writer::put_usize);
-    w.put_opt(options.on_overload, put_policy);
+    put_policy(w, options.on_overload);
     w.put_bool(options.profile);
 }
 
@@ -275,7 +275,7 @@ pub fn take_exec_options(r: &mut Reader<'_>) -> Result<ExecOptions, ProtocolErro
         deadline: None,
         max_distance: r.take_opt(Reader::take_u32)?,
         max_tuples: r.take_opt(Reader::take_usize)?,
-        on_overload: r.take_opt(take_policy)?,
+        on_overload: take_policy(r)?,
         profile: r.take_bool()?,
     })
 }
@@ -451,11 +451,7 @@ pub struct ServerStats {
     pub durable_epoch: u64,
 }
 
-/// Encodes a [`ServerStats`] snapshot: the original fixed block, then a
-/// length-prefixed extension block (epoch, overlay edges, uptime, prepared
-/// cache size). Decoders that predate the extension stop at the fixed
-/// block; newer decoders ignore extension bytes beyond the fields they
-/// know, so the block can keep growing without another format break.
+/// Encodes a [`ServerStats`] snapshot, field by field in declaration order.
 pub fn put_server_stats(w: &mut Writer, stats: &ServerStats) {
     w.put_usize(stats.gauges.live_tuples);
     w.put_usize(stats.gauges.join_buffer_entries);
@@ -469,23 +465,17 @@ pub fn put_server_stats(w: &mut Writer, stats: &ServerStats) {
     w.put_u64(stats.sheds);
     w.put_u64(stats.degraded);
     w.put_u64(stats.rejected);
-    let mut ext = Writer::new();
-    ext.put_u64(stats.epoch);
-    ext.put_u64(stats.overlay_edges);
-    ext.put_u64(stats.uptime_secs);
-    ext.put_u64(stats.prepared_statements);
-    ext.put_u64(stats.wal_seq);
-    ext.put_u64(stats.durable_epoch);
-    let ext = ext.into_inner();
-    w.put_u32(ext.len() as u32);
-    w.put_bytes(&ext);
+    w.put_u64(stats.epoch);
+    w.put_u64(stats.overlay_edges);
+    w.put_u64(stats.uptime_secs);
+    w.put_u64(stats.prepared_statements);
+    w.put_u64(stats.wal_seq);
+    w.put_u64(stats.durable_epoch);
 }
 
-/// Decodes a [`ServerStats`] snapshot, tolerating both a missing extension
-/// block (older encoder) and an extension longer than the known fields
-/// (newer encoder).
+/// Decodes a [`ServerStats`] snapshot (see [`put_server_stats`]).
 pub fn take_server_stats(r: &mut Reader<'_>) -> Result<ServerStats, ProtocolError> {
-    let mut stats = ServerStats {
+    Ok(ServerStats {
         gauges: GovernorGauges {
             live_tuples: r.take_usize()?,
             join_buffer_entries: r.take_usize()?,
@@ -500,28 +490,13 @@ pub fn take_server_stats(r: &mut Reader<'_>) -> Result<ServerStats, ProtocolErro
         sheds: r.take_u64()?,
         degraded: r.take_u64()?,
         rejected: r.take_u64()?,
-        ..ServerStats::default()
-    };
-    if r.remaining() > 0 {
-        let len = r.take_u32()? as usize;
-        let mut ext = Reader::new(r.take_bytes(len)?);
-        // Fields appear oldest-first; a shorter-than-known block (from a
-        // hypothetical intermediate encoder) just leaves the tail zeroed.
-        for field in [
-            &mut stats.epoch,
-            &mut stats.overlay_edges,
-            &mut stats.uptime_secs,
-            &mut stats.prepared_statements,
-            &mut stats.wal_seq,
-            &mut stats.durable_epoch,
-        ] {
-            if ext.remaining() < 8 {
-                break;
-            }
-            *field = ext.take_u64()?;
-        }
-    }
-    Ok(stats)
+        epoch: r.take_u64()?,
+        overlay_edges: r.take_u64()?,
+        uptime_secs: r.take_u64()?,
+        prepared_statements: r.take_u64()?,
+        wal_seq: r.take_u64()?,
+        durable_epoch: r.take_u64()?,
+    })
 }
 
 /// A human-oriented multi-line rendering shared by the REPL and logs.
@@ -680,43 +655,8 @@ mod tests {
     }
 
     #[test]
-    fn server_stats_round_trip_including_extension_block() {
+    fn server_stats_round_trip() {
         round_trip(&sample_server_stats(), put_server_stats, take_server_stats);
-    }
-
-    #[test]
-    fn server_stats_decode_pre_extension_encoding() {
-        // Simulate an encoder that predates the extension block: the fixed
-        // field block only, no trailing length prefix.
-        let stats = sample_server_stats();
-        let mut w = Writer::new();
-        put_server_stats(&mut w, &stats);
-        let mut bytes = w.into_inner();
-        bytes.truncate(bytes.len() - 4 - 6 * 8); // drop ext length + 6 u64s
-        let back = take_server_stats(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(back.connections_total, stats.connections_total);
-        assert_eq!(back.answers_streamed, stats.answers_streamed);
-        assert_eq!(back.epoch, 0, "missing extension defaults to zero");
-        assert_eq!(back.uptime_secs, 0);
-        assert_eq!(back.prepared_statements, 0);
-    }
-
-    #[test]
-    fn server_stats_decode_tolerates_longer_extension() {
-        // A future encoder appends more fields inside the ext block; this
-        // decoder must take what it knows and skip the rest cleanly.
-        let stats = sample_server_stats();
-        let mut w = Writer::new();
-        put_server_stats(&mut w, &stats);
-        let mut bytes = w.into_inner();
-        let ext_len_at = bytes.len() - 4 - 6 * 8;
-        bytes.extend_from_slice(&99u64.to_le_bytes()); // unknown future field
-        let new_len = 7u32 * 8;
-        bytes[ext_len_at..ext_len_at + 4].copy_from_slice(&new_len.to_le_bytes());
-        let mut r = Reader::new(&bytes);
-        let back = take_server_stats(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(back, stats);
     }
 
     #[test]

@@ -78,10 +78,13 @@ pub const MAGIC: [u8; 8] = *b"OMEGWIRE";
 /// `EvalStats` block, version 6 dropped the four Section 4.3 and ablation
 /// toggles of `ExecOptions` (distance-aware, disjunction, batch size,
 /// final-tuple priority), version 7 dropped `restarts` from the
-/// `EvalStats` block, and version 8 dropped the cost-guidance override of
-/// `ExecOptions` (every request runs cost-guided), so an older peer would
-/// misread a batch, a request, a finish or a stats reply.
-pub const PROTOCOL_VERSION: u32 = 8;
+/// `EvalStats` block, version 8 dropped the cost-guidance override of
+/// `ExecOptions` (every request runs cost-guided), and version 9 sends
+/// `ExecOptions`' overload policy as a plain byte (it is no longer an
+/// override) and lays `StatsReply` out flat, with no length-prefixed
+/// extension block, so an older peer would misread a batch, a request, a
+/// finish or a stats reply.
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// Ceiling on a frame's declared payload length (16 MiB). A prefix above
 /// this is treated as stream corruption ([`ProtocolError::Oversized`])

@@ -92,7 +92,7 @@ fn exec_options() -> BoxedStrategy<ExecOptions> {
         opt(any::<u32>().boxed()),
         opt((0usize..1 << 48).boxed()),
     );
-    (knobs, opt(policy()), any::<bool>())
+    (knobs, policy(), any::<bool>())
         .prop_map(|(knobs, on_overload, profile)| {
             let (limit, timeout, max_distance, max_tuples) = knobs;
             ExecOptions {

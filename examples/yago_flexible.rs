@@ -17,7 +17,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use omega::core::eval::compile_conjunct;
-use omega::core::{parse_query, AnswerStream, ConjunctEvaluator, EvalOptions, OmegaError};
+use omega::core::{
+    parse_query, AnswerStream, ConjunctEvaluator, EvalOptions, ExecOptions, OmegaError,
+};
 use omega::datagen::{generate_yago, yago_queries, YagoConfig};
 use omega_bench::{compile_branches, DisjunctionEvaluator, DistanceAwareEvaluator};
 
@@ -50,7 +52,8 @@ fn main() {
 
     // A memory budget turns the paper's out-of-memory failures into clean
     // errors (the '?' rows below).
-    let options = Arc::new(EvalOptions::default().with_max_tuples(Some(2_000_000)));
+    let options = EvalOptions::default();
+    let request = ExecOptions::new().with_max_tuples(2_000_000);
 
     println!(
         "{:<5} {:<8} {:>9} {:>12} {:>14}  driver",
@@ -72,23 +75,21 @@ fn main() {
                 }
                 _ => None,
             };
-            let opts = || Arc::clone(&options);
             let limit = (!operator.is_empty()).then_some(100);
-            let plain = ConjunctEvaluator::new(Arc::clone(&plan), graph, ontology, opts());
+            let plain = ConjunctEvaluator::new(Arc::clone(&plan), graph, ontology, &request, None);
             let plain = timed(Box::new(plain), limit);
             let (driver, optimised): (_, Box<dyn AnswerStream>) = match branches {
                 Some(branches) => (
                     "disjunction",
                     Box::new(DisjunctionEvaluator::from_plans(
-                        branches,
-                        graph,
-                        ontology,
-                        opts(),
+                        branches, graph, ontology, &options, &request,
                     )),
                 ),
                 None => (
                     "distance-aware",
-                    Box::new(DistanceAwareEvaluator::new(plan, graph, ontology, opts())),
+                    Box::new(DistanceAwareEvaluator::new(
+                        plan, graph, ontology, &options, &request,
+                    )),
                 ),
             };
             let optimised = timed(optimised, limit);

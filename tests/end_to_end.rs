@@ -20,10 +20,13 @@ fn l4all_db() -> Database {
     Database::new(data.graph, data.ontology)
 }
 
-fn yago_db(options: EvalOptions) -> Database {
+fn yago_db() -> Database {
     let data = generate_yago(&YagoConfig::tiny());
-    Database::with_options(data.graph, data.ontology, options)
+    Database::new(data.graph, data.ontology)
 }
+
+/// The tuple budget of the YAGO runs.
+const YAGO_BUDGET: usize = 500_000;
 
 #[test]
 fn every_l4all_query_parses_and_runs_in_all_modes() {
@@ -49,11 +52,11 @@ fn every_l4all_query_parses_and_runs_in_all_modes() {
 
 #[test]
 fn every_yago_query_parses_and_runs_in_all_modes() {
-    let db = yago_db(EvalOptions::default().with_max_tuples(Some(500_000)));
+    let db = yago_db();
     for spec in yago_queries() {
         for operator in ["", "APPROX", "RELAX"] {
             let text = spec.with_operator(operator);
-            let mut request = ExecOptions::new();
+            let mut request = ExecOptions::new().with_max_tuples(YAGO_BUDGET);
             if !operator.is_empty() {
                 request = request.with_limit(20);
             }
@@ -130,8 +133,8 @@ fn optimisations_preserve_top_k_answer_multisets() {
             let plain =
                 multiset(&mut evaluate_conjunct(conjunct, graph, ontology, &options).unwrap());
             let plan = Arc::new(compile_conjunct(conjunct, graph, ontology, &options).unwrap());
-            let mut aware =
-                DistanceAwareEvaluator::new(plan, graph, ontology, Arc::new(options.clone()));
+            let request = ExecOptions::new();
+            let mut aware = DistanceAwareEvaluator::new(plan, graph, ontology, &options, &request);
             assert_eq!(
                 plain,
                 multiset(&mut aware),
@@ -140,13 +143,9 @@ fn optimisations_preserve_top_k_answer_multisets() {
                 operator
             );
             if operator == "APPROX" {
-                let arms = DisjunctionEvaluator::try_new(
-                    conjunct,
-                    graph,
-                    ontology,
-                    Arc::new(options.clone()),
-                )
-                .unwrap();
+                let arms =
+                    DisjunctionEvaluator::try_new(conjunct, graph, ontology, &options, &request)
+                        .unwrap();
                 if let Some(mut arms) = arms {
                     assert_eq!(
                         plain,
@@ -165,17 +164,18 @@ fn optimisations_preserve_top_k_answer_multisets() {
 fn yago_figure10_shape_holds() {
     // The qualitative shape of Figure 10 on the synthetic YAGO graph:
     // Q3/Q9 have no exact answers but APPROX recovers plenty.
-    let db = yago_db(EvalOptions::default().with_max_tuples(Some(500_000)));
+    let db = yago_db();
     let queries = yago_queries();
     let q3 = &queries[2];
     let q9 = &queries[8];
+    let budgeted = ExecOptions::new().with_max_tuples(YAGO_BUDGET);
     for spec in [q3, q9] {
-        let exact = db.execute(spec.text, &ExecOptions::new()).unwrap();
+        let exact = db.execute(spec.text, &budgeted).unwrap();
         assert!(exact.is_empty(), "{} should have no exact answers", spec.id);
         let approx = db
             .execute(
                 &spec.with_operator("APPROX"),
-                &ExecOptions::new().with_limit(50),
+                &budgeted.clone().with_limit(50),
             )
             .unwrap();
         assert!(

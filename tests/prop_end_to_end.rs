@@ -213,7 +213,7 @@ proptest! {
         for operator in ["", "APPROX ", "RELAX "] {
             let text = QUERIES[qi].replacen("<- (", &format!("<- {operator}("), 1);
             let query = parse_query(&text).unwrap();
-            let options = Arc::new(EvalOptions::default());
+            let options = EvalOptions::default();
             let answers_on = |g: &omega::graph::GraphStore| {
                 let plan = omega::core::eval::compile_conjunct(
                     &query.conjuncts[0],
@@ -223,7 +223,7 @@ proptest! {
                 )
                 .unwrap();
                 let mut eval =
-                    ConjunctEvaluator::new(Arc::new(plan), g, &o, Arc::clone(&options));
+                    ConjunctEvaluator::new(Arc::new(plan), g, &o, &ExecOptions::new(), None);
                 let mut v: Vec<_> = eval
                     .collect(Some(500))
                     .unwrap()
@@ -508,9 +508,10 @@ proptest! {
         };
         let plain = multiset(&mut evaluate_conjunct(conjunct, &g, &o, &options).unwrap());
         let plan = Arc::new(compile_conjunct(conjunct, &g, &o, &options).unwrap());
-        let mut aware = DistanceAwareEvaluator::new(plan, &g, &o, Arc::new(options.clone()));
+        let request = ExecOptions::new();
+        let mut aware = DistanceAwareEvaluator::new(plan, &g, &o, &options, &request);
         prop_assert_eq!(&plain, &multiset(&mut aware), "{}", approx_text);
-        let arms = DisjunctionEvaluator::try_new(conjunct, &g, &o, Arc::new(options.clone())).unwrap();
+        let arms = DisjunctionEvaluator::try_new(conjunct, &g, &o, &options, &request).unwrap();
         prop_assert_eq!(arms.is_some(), qi == QUERIES.len(), "{}", approx_text);
         if let Some(mut arms) = arms {
             prop_assert_eq!(&plain, &multiset(&mut arms), "{}", approx_text);

@@ -16,7 +16,7 @@ use omega::datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, l4all_queries,
     yago_multi_conjunct_queries, yago_queries, Dataset, L4AllConfig, YagoConfig,
 };
-use omega::{Answer, Database, EvalOptions, ExecOptions, GraphStore, Ontology};
+use omega::{Answer, Database, ExecOptions, GraphStore, Ontology};
 use proptest::prelude::*;
 
 /// A unique temp path per call (tests and proptest cases run concurrently).
@@ -51,10 +51,10 @@ fn save_and_open(db: &Database, tag: &str) -> (Database, TempFile) {
 fn drain(
     db: &Database,
     text: &str,
-    limit: usize,
+    request: &ExecOptions,
 ) -> Result<(Vec<Answer>, EvalStats), omega::core::OmegaError> {
     let prepared = db.prepare(text)?;
-    let mut stream = prepared.answers(&ExecOptions::new().with_limit(limit));
+    let mut stream = prepared.answers(request);
     let answers = stream.collect_up_to(None)?;
     Ok((answers, stream.stats()))
 }
@@ -62,8 +62,11 @@ fn drain(
 /// Asserts rebuilt and snapshot-backed databases agree on the full ordered
 /// answer sequence *and* the evaluator counters for `text` — or fail with
 /// the same error.
-fn assert_identical(rebuilt: &Database, snapshot: &Database, text: &str, limit: usize) {
-    match (drain(rebuilt, text, limit), drain(snapshot, text, limit)) {
+fn assert_identical(rebuilt: &Database, snapshot: &Database, text: &str, request: &ExecOptions) {
+    match (
+        drain(rebuilt, text, request),
+        drain(snapshot, text, request),
+    ) {
         (Ok((expected, expected_stats)), Ok((got, got_stats))) => {
             assert_eq!(got, expected, "answer sequence diverged on {text}");
             assert_eq!(got_stats, expected_stats, "EvalStats diverged on {text}");
@@ -82,11 +85,14 @@ fn assert_identical(rebuilt: &Database, snapshot: &Database, text: &str, limit: 
 // ----------------------------------------------------------------------
 
 fn dataset_db(dataset: &Dataset) -> Database {
-    Database::with_options(
-        dataset.graph.clone(),
-        dataset.ontology.clone(),
-        EvalOptions::default().with_max_tuples(Some(500_000)),
-    )
+    Database::new(dataset.graph.clone(), dataset.ontology.clone())
+}
+
+/// The top `limit` answers under the tuple budget of the dataset runs.
+fn budgeted(limit: usize) -> ExecOptions {
+    ExecOptions::new()
+        .with_limit(limit)
+        .with_max_tuples(500_000)
 }
 
 #[test]
@@ -96,7 +102,12 @@ fn l4all_query_sets_are_bit_identical_after_reopen() {
     let (snapshot, _guard) = save_and_open(&rebuilt, "l4all");
     for spec in l4all_queries() {
         for operator in ["", "APPROX", "RELAX"] {
-            assert_identical(&rebuilt, &snapshot, &spec.with_operator(operator), 100);
+            assert_identical(
+                &rebuilt,
+                &snapshot,
+                &spec.with_operator(operator),
+                &budgeted(100),
+            );
         }
     }
     for spec in l4all_multi_conjunct_queries() {
@@ -105,7 +116,7 @@ fn l4all_query_sets_are_bit_identical_after_reopen() {
                 &rebuilt,
                 &snapshot,
                 &spec.with_operator_everywhere(operator),
-                50,
+                &budgeted(50),
             );
         }
     }
@@ -118,7 +129,12 @@ fn yago_query_sets_are_bit_identical_after_reopen() {
     let (snapshot, _guard) = save_and_open(&rebuilt, "yago");
     for spec in yago_queries() {
         for operator in ["", "APPROX", "RELAX"] {
-            assert_identical(&rebuilt, &snapshot, &spec.with_operator(operator), 100);
+            assert_identical(
+                &rebuilt,
+                &snapshot,
+                &spec.with_operator(operator),
+                &budgeted(100),
+            );
         }
     }
     for spec in yago_multi_conjunct_queries() {
@@ -127,7 +143,7 @@ fn yago_query_sets_are_bit_identical_after_reopen() {
                 &rebuilt,
                 &snapshot,
                 &spec.with_operator_everywhere(operator),
-                50,
+                &budgeted(50),
             );
         }
     }
@@ -142,10 +158,11 @@ fn parallel_execution_agrees_on_a_snapshot_backed_database() {
     let rebuilt = dataset_db(&dataset);
     let (snapshot, _guard) = save_and_open(&rebuilt, "parallel");
     let text = l4all_multi_conjunct_queries()[0].with_operator_everywhere("APPROX");
-    let reference = drain(&rebuilt, &text, 50).unwrap();
+    let request = budgeted(50);
+    let reference = drain(&rebuilt, &text, &request).unwrap();
     std::thread::scope(|scope| {
         for _ in 0..4 {
-            scope.spawn(|| assert_eq!(drain(&snapshot, &text, 50).unwrap(), reference));
+            scope.spawn(|| assert_eq!(drain(&snapshot, &text, &request).unwrap(), reference));
         }
     });
 }
@@ -201,9 +218,10 @@ proptest! {
     #[test]
     fn random_databases_round_trip_losslessly(triples in graph_strategy(), qi in 0usize..QUERIES.len()) {
         let (g, o) = build(&triples);
-        let rebuilt = Database::with_options(g, o, EvalOptions::default().with_max_tuples(Some(200_000)));
+        let rebuilt = Database::new(g, o);
         let (snapshot, _guard) = save_and_open(&rebuilt, "prop");
-        assert_identical(&rebuilt, &snapshot, QUERIES[qi], 200);
+        let request = ExecOptions::new().with_limit(200).with_max_tuples(200_000);
+        assert_identical(&rebuilt, &snapshot, QUERIES[qi], &request);
     }
 }
 
@@ -545,6 +563,6 @@ fn pre_stats_images_open_and_recompute_lazily() {
     assert_eq!(opened.graph().label_stats(), db.graph().label_stats());
     for spec in yago_queries() {
         let text = spec.with_operator("APPROX");
-        assert_identical(&db, &opened, &text, 50);
+        assert_identical(&db, &opened, &text, &budgeted(50));
     }
 }
