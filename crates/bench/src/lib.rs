@@ -864,7 +864,7 @@ pub fn overload_study(config: &RunConfig) -> Vec<OverloadRun> {
             drop(tx);
 
             // Percentiles come from the shared log-scale histogram (the
-            // same one the serving layer and load generator report from),
+            // same one the serving layer reports from),
             // so every suite's p50/p99 is computed the same way.
             let latencies = Histogram::new();
             let (mut completed, mut degraded, mut exhausted) = (0usize, 0usize, 0usize);

@@ -3,8 +3,7 @@
 //! Blocking client library for the Omega serving layer: connect over a unix
 //! or TCP socket, prepare statements, execute queries with full
 //! [`omega_core::ExecOptions`], and stream ranked answers with client-driven
-//! backpressure (credit top-ups). Also hosts the load generator used by the
-//! `serve` benchmark suite ([`mod@bench`]).
+//! backpressure (credit top-ups).
 //!
 //! ```no_run
 //! use omega_client::Connection;
@@ -19,8 +18,6 @@
 //! }
 //! ```
 
-pub mod bench;
-
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -31,8 +28,6 @@ use omega_protocol::{
     write_frame, FinishReason, Frame, FrameReader, ProtocolError, StatementRef, Transport,
     WireError, DEFAULT_CREDITS, PROTOCOL_VERSION,
 };
-
-pub use omega_protocol::ServerStats;
 
 /// A metrics exposition fetched from the server: versioned text, one
 /// `name{labels} value` line per series (the `omega_obs::Registry`
@@ -92,125 +87,6 @@ impl ClientError {
             Some(omega_core::OmegaError::Overloaded { retry_after }) => Some(*retry_after),
             _ => None,
         }
-    }
-
-    /// Whether the failure broke the transport (broken pipe, reset, EOF) —
-    /// a retry must reconnect first.
-    pub fn is_transport(&self) -> bool {
-        matches!(self, ClientError::Protocol(_))
-    }
-}
-
-/// SplitMix64, the jitter mixer of [`RetryPolicy`] (no RNG dependency).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A capped, jittered retry schedule for transient request failures.
-///
-/// Two failure classes are retryable: `Overloaded { retry_after }`
-/// rejections (the connection stays usable, and the server's hint is the
-/// floor of the backoff) and transport failures such as a broken pipe (the
-/// caller must reconnect first — [`Backoff::reconnect`] says so). Everything
-/// else — parse errors, read-only mode, resource exhaustion — is permanent
-/// from the client's point of view and never retried.
-///
-/// The delay for attempt `n` grows exponentially from the floor, is capped
-/// at [`RetryPolicy::cap`], and is jittered deterministically in
-/// `[delay/2, delay]` from [`RetryPolicy::seed`] so a fleet of clients
-/// decorrelates without a shared RNG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the initial attempt (0 = fail fast).
-    pub attempts: u32,
-    /// Base delay for the first retry when the server gave no hint.
-    pub base: Duration,
-    /// Ceiling on any single backoff sleep.
-    pub cap: Duration,
-    /// Seed of the deterministic jitter.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 3,
-            base: Duration::from_millis(10),
-            cap: Duration::from_secs(1),
-            seed: 0x0be5_5072_11cc_c0de,
-        }
-    }
-}
-
-/// What to do about one failed attempt (see [`RetryPolicy::backoff`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Backoff {
-    /// How long to sleep before the retry.
-    pub delay: Duration,
-    /// Whether the connection is gone and must be re-established.
-    pub reconnect: bool,
-}
-
-impl RetryPolicy {
-    /// A policy with `attempts` retries and the default delays.
-    pub fn new(attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            attempts,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Replaces the base delay.
-    #[must_use]
-    pub fn with_base(mut self, base: Duration) -> RetryPolicy {
-        self.base = base;
-        self
-    }
-
-    /// Replaces the delay ceiling.
-    #[must_use]
-    pub fn with_cap(mut self, cap: Duration) -> RetryPolicy {
-        self.cap = cap;
-        self
-    }
-
-    /// Replaces the jitter seed (give each worker its own).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> RetryPolicy {
-        self.seed = seed;
-        self
-    }
-
-    /// Decides whether `err` on the 0-based `attempt` is worth retrying.
-    /// `None` means give up: the error is permanent, or the budget is spent.
-    pub fn backoff(&self, err: &ClientError, attempt: u32) -> Option<Backoff> {
-        if attempt >= self.attempts {
-            return None;
-        }
-        let (floor, reconnect) = if err.is_transport() {
-            (self.base, true)
-        } else {
-            (err.retry_after()?.max(self.base), false)
-        };
-        let scaled = floor.saturating_mul(1u32 << attempt.min(16));
-        let capped = scaled.min(self.cap);
-        let nanos = u64::try_from(capped.as_nanos()).unwrap_or(u64::MAX);
-        let delay = if nanos == 0 {
-            0
-        } else {
-            // Jitter into [nanos/2, nanos]: decorrelated, but never below
-            // half the server's hint.
-            let h = splitmix64(self.seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            nanos / 2 + h % (nanos / 2 + 1)
-        };
-        Some(Backoff {
-            delay: Duration::from_nanos(delay),
-            reconnect,
-        })
     }
 }
 
@@ -374,19 +250,9 @@ impl Connection {
         }
     }
 
-    /// Fetches the daemon's statistics (governor gauges + server counters).
-    pub fn stats(&mut self) -> Result<ServerStats> {
-        self.send(&Frame::Stats)?;
-        match self.recv()? {
-            Frame::StatsReply { stats } => Ok(stats),
-            Frame::Fail { error } => Err(ClientError::Remote(error)),
-            _ => Err(ClientError::Unexpected("stats reply")),
-        }
-    }
-
     /// Fetches the server's full metrics exposition (counters, gauges and
     /// latency histograms from every layer that registered into the
-    /// database's registry).
+    /// database's registry) — the daemon's one status report.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot> {
         self.send(&Frame::Metrics)?;
         match self.recv()? {
@@ -616,86 +482,5 @@ impl Drop for AnswerStream<'_> {
         // Best effort: an abandoned stream must not leave answer frames in
         // flight on a connection that will be reused.
         let _ = self.abort();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use omega_core::OmegaError;
-
-    fn overloaded(ms: u64) -> ClientError {
-        ClientError::Remote(WireError::Engine(OmegaError::Overloaded {
-            retry_after: Duration::from_millis(ms),
-        }))
-    }
-
-    fn transport() -> ClientError {
-        ClientError::Protocol(ProtocolError::Io("broken pipe".into()))
-    }
-
-    #[test]
-    fn overloaded_backoff_floors_at_the_server_hint() {
-        let policy = RetryPolicy::new(3).with_base(Duration::from_millis(1));
-        let backoff = policy.backoff(&overloaded(40), 0).expect("retryable");
-        assert!(!backoff.reconnect, "connection stays usable");
-        assert!(
-            backoff.delay >= Duration::from_millis(20)
-                && backoff.delay <= Duration::from_millis(40),
-            "jitter lands in [hint/2, hint], got {:?}",
-            backoff.delay
-        );
-    }
-
-    #[test]
-    fn transport_failures_demand_a_reconnect() {
-        let policy = RetryPolicy::new(1);
-        let backoff = policy.backoff(&transport(), 0).expect("retryable");
-        assert!(backoff.reconnect);
-        assert!(backoff.delay >= policy.base / 2 && backoff.delay <= policy.base);
-    }
-
-    #[test]
-    fn permanent_errors_and_spent_budgets_give_up() {
-        let policy = RetryPolicy::new(2);
-        let permanent = ClientError::Remote(WireError::Engine(OmegaError::ReadOnly {
-            message: "degraded".into(),
-        }));
-        assert_eq!(policy.backoff(&permanent, 0), None, "never retried");
-        assert_eq!(policy.backoff(&overloaded(1), 2), None, "budget spent");
-        assert_eq!(
-            RetryPolicy::new(0).backoff(&transport(), 0),
-            None,
-            "zero attempts = fail fast"
-        );
-    }
-
-    #[test]
-    fn backoff_grows_but_never_exceeds_the_cap() {
-        let policy = RetryPolicy::new(32)
-            .with_base(Duration::from_millis(8))
-            .with_cap(Duration::from_millis(100));
-        let mut last = Duration::ZERO;
-        for attempt in 0..32 {
-            let backoff = policy.backoff(&transport(), attempt).expect("in budget");
-            assert!(backoff.delay <= policy.cap, "attempt {attempt} over cap");
-            // The deterministic floor (delay/2 of the capped exponential)
-            // is monotone until the cap flattens it.
-            if attempt < 4 {
-                assert!(backoff.delay >= last / 2, "attempt {attempt} shrank");
-            }
-            last = backoff.delay;
-        }
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed_and_decorrelated_across_seeds() {
-        let policy = RetryPolicy::new(4);
-        let a = policy.backoff(&transport(), 1).expect("retryable");
-        let b = policy.backoff(&transport(), 1).expect("retryable");
-        assert_eq!(a, b, "same seed and attempt replays the same delay");
-        let other = policy.with_seed(policy.seed ^ 1);
-        let c = other.backoff(&transport(), 1).expect("retryable");
-        assert_ne!(a.delay, c.delay, "different seeds decorrelate");
     }
 }

@@ -1,20 +1,19 @@
-//! The `omega-client` CLI: interactive REPL, one-shot execution, daemon
-//! statistics/shutdown, and a load-generator bench mode.
+//! The `omega-client` CLI: interactive REPL, one-shot execution, the
+//! daemon's metrics exposition (its one status report) and shutdown.
 //!
 //! ```text
 //! omega-client --unix /tmp/omega.sock repl
 //! omega-client --unix /tmp/omega.sock exec "(?X) <- (Work Episode, type-, ?X)" --limit 5
-//! omega-client --tcp 127.0.0.1:7474 bench --connections 8 --requests 400 \
-//!     --query "(?X) <- APPROX (Work Episode, type-, ?X)" --limit 100
+//! omega-client --tcp 127.0.0.1:7474 metrics | grep omega_server_connections_open
 //! omega-client --unix /tmp/omega.sock shutdown
 //! ```
 
 use std::io::{BufRead, Write};
+use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
 
-use omega_client::bench::{run_load, Endpoint, LoadMode, LoadSpec};
-use omega_client::{AnswerStream, ClientError, Connection, Mutation, RetryPolicy, Statement};
+use omega_client::{AnswerStream, ClientError, Connection, Mutation, Statement};
 use omega_core::{Answer, ExecOptions, OverloadPolicy};
 use omega_protocol::FinishReason;
 
@@ -27,29 +26,17 @@ USAGE:
 COMMANDS:
     repl                  interactive session (the default)
     exec QUERY            run one query and print its answers
-    stats                 print daemon statistics
-    metrics               print the daemon's metrics exposition
+    metrics               print the daemon's metrics exposition (counters,
+                          gauges, latency histograms, storage state)
     shutdown              drain the daemon gracefully
-    bench                 generate load and report latency percentiles
 
-EXEC OPTIONS (exec, bench, and the repl's defaults):
+EXEC OPTIONS (exec, and the repl's defaults):
     --limit N             stop after N answers
     --timeout-ms N        per-request deadline
     --max-distance N      flexible-match distance ceiling
     --max-tuples N        per-request tuple budget
     --policy P            overload policy: fail | degrade | shed
     --window N            streaming credit window (default 256)
-
-BENCH OPTIONS:
-    --query TEXT          query to drive (required)
-    --connections N       concurrent connections (default 4)
-    --requests N          total requests (default 200)
-    --rate R              open-loop arrival rate in req/s (default: closed loop)
-    --retries N           retry Overloaded rejections and broken connections
-                          up to N times with capped jittered backoff,
-                          honouring the server's retry-after hint
-                          (default: fail fast)
-    --retry-base-ms N     backoff floor for the first retry (default 10)
 ";
 
 fn main() {
@@ -60,16 +47,20 @@ fn main() {
     }
 }
 
+/// Where the daemon listens.
+enum Endpoint {
+    /// Unix-domain socket path.
+    Unix(PathBuf),
+    /// TCP address (`host:port`).
+    Tcp(String),
+}
+
 struct Cli {
     endpoint: Endpoint,
     command: String,
     query: Option<String>,
     options: ExecOptions,
     window: u32,
-    connections: usize,
-    requests: usize,
-    rate: Option<f64>,
-    retry: Option<RetryPolicy>,
 }
 
 fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
@@ -78,11 +69,6 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
     let mut query: Option<String> = None;
     let mut options = ExecOptions::new();
     let mut window: u32 = omega_protocol::DEFAULT_CREDITS;
-    let mut connections = 4usize;
-    let mut requests = 200usize;
-    let mut rate: Option<f64> = None;
-    let mut retries: Option<u32> = None;
-    let mut retry_base_ms: Option<u64> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -107,12 +93,6 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
             "--max-tuples" => options = options.with_max_tuples(parse(value("--max-tuples")?)?),
             "--policy" => options = options.with_on_overload(parse_policy(value("--policy")?)?),
             "--window" => window = parse(value("--window")?)?,
-            "--query" => query = Some(value("--query")?.clone()),
-            "--connections" => connections = parse(value("--connections")?)?,
-            "--requests" => requests = parse(value("--requests")?)?,
-            "--rate" => rate = Some(parse(value("--rate")?)?),
-            "--retries" => retries = Some(parse(value("--retries")?)?),
-            "--retry-base-ms" => retry_base_ms = Some(parse(value("--retry-base-ms")?)?),
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag '{other}' (see --help)"));
             }
@@ -125,16 +105,6 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
             },
         }
     }
-    if retry_base_ms.is_some() && retries.is_none() {
-        return Err("--retry-base-ms requires --retries".into());
-    }
-    let retry = retries.map(|attempts| {
-        let policy = RetryPolicy::new(attempts);
-        match retry_base_ms {
-            Some(ms) => policy.with_base(Duration::from_millis(ms)),
-            None => policy,
-        }
-    });
     let endpoint = endpoint.ok_or("one of --unix / --tcp is required (see --help)")?;
     Ok(Some(Cli {
         endpoint,
@@ -142,10 +112,6 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
         query,
         options,
         window,
-        connections,
-        requests,
-        rate,
-        retry,
     }))
 }
 
@@ -156,11 +122,6 @@ fn run(args: &[String]) -> Result<(), String> {
     match cli.command.as_str() {
         "repl" => repl(&cli),
         "exec" => exec_once(&cli),
-        "stats" => {
-            let stats = connect(&cli)?.stats().map_err(display)?;
-            println!("{stats}");
-            Ok(())
-        }
         "metrics" => {
             let snapshot = connect(&cli)?.metrics().map_err(display)?;
             print!("{}", snapshot.text);
@@ -171,13 +132,16 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("server draining");
             Ok(())
         }
-        "bench" => bench(&cli),
         other => Err(format!("unknown command '{other}' (see --help)")),
     }
 }
 
 fn connect(cli: &Cli) -> Result<Connection, String> {
-    let mut conn = cli.endpoint.connect().map_err(display)?;
+    let connected = match &cli.endpoint {
+        Endpoint::Unix(path) => Connection::connect_unix(path),
+        Endpoint::Tcp(addr) => Connection::connect_tcp(addr.as_str()),
+    };
+    let mut conn = connected.map_err(display)?;
     conn.set_window(cli.window);
     Ok(conn)
 }
@@ -275,7 +239,6 @@ fn repl(cli: &Cli) -> Result<(), String> {
                      policy P          overload policy: fail|degrade|shed\n  \
                      add T L H         add the edge T --L--> H (new epoch)\n  \
                      remove T L H      remove the edge T --L--> H (new epoch)\n  \
-                     stats             daemon statistics\n  \
                      metrics           daemon metrics exposition\n  \
                      shutdown          drain the daemon\n  \
                      quit              leave"
@@ -360,7 +323,6 @@ fn repl(cli: &Cli) -> Result<(), String> {
                     }
                 }
             }
-            "stats" => conn.stats().map(|stats| println!("{stats}")),
             "metrics" => conn.metrics().map(|snapshot| print!("{}", snapshot.text)),
             "shutdown" => conn.shutdown_server().map(|()| println!("server draining")),
             other => {
@@ -375,69 +337,6 @@ fn repl(cli: &Cli) -> Result<(), String> {
             }
         }
     }
-}
-
-fn bench(cli: &Cli) -> Result<(), String> {
-    let query = cli.query.clone().ok_or("bench requires --query TEXT")?;
-    let spec = LoadSpec {
-        query,
-        options: cli.options.clone(),
-        connections: cli.connections,
-        requests: cli.requests,
-        mode: match cli.rate {
-            Some(rate) => LoadMode::Open(rate),
-            None => LoadMode::Closed,
-        },
-        retry: cli.retry,
-    };
-    let mode = match spec.mode {
-        LoadMode::Closed => "closed".to_owned(),
-        LoadMode::Open(rate) => format!("open @ {rate} req/s"),
-    };
-    eprintln!(
-        "bench: {} connection(s), {} request(s), {mode} loop",
-        spec.connections, spec.requests
-    );
-    let report = run_load(&cli.endpoint, &spec).map_err(display)?;
-    println!(
-        "issued {}  completed {}  drained {}  overloaded {}  failed {}  degraded {}",
-        report.issued,
-        report.completed,
-        report.drained,
-        report.overloaded,
-        report.failed,
-        report.degraded
-    );
-    println!(
-        "answers {}  retries {}  throughput {:.1} req/s  elapsed {:.2}s",
-        report.answers,
-        report.retries,
-        report.throughput(),
-        report.elapsed.as_secs_f64()
-    );
-    println!(
-        "latency p50 {:.3}ms  p99 {:.3}ms  p999 {:.3}ms  max {:.3}ms",
-        report.p50.as_secs_f64() * 1e3,
-        report.p99.as_secs_f64() * 1e3,
-        report.p999.as_secs_f64() * 1e3,
-        report.max.as_secs_f64() * 1e3,
-    );
-    // Cross-check the client-observed latency against the server's own
-    // execute-frame histogram; a large gap points at queueing or transport
-    // cost rather than evaluation time.
-    if let Ok(snapshot) = connect(cli).and_then(|mut conn| conn.metrics().map_err(display)) {
-        if let Some(server_p50_ns) = omega_obs::find_value(
-            &snapshot.text,
-            "omega_server_frame_ns{frame=\"execute\",quantile=\"0.5\"}",
-        ) {
-            println!(
-                "server-side execute p50 {:.3}ms (client-observed {:.3}ms)",
-                server_p50_ns / 1e6,
-                report.p50.as_secs_f64() * 1e3,
-            );
-        }
-    }
-    Ok(())
 }
 
 fn parse<T: std::str::FromStr>(raw: &str) -> Result<T, String>

@@ -28,7 +28,7 @@
 //! explicit governance behaves exactly as before.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use omega_obs::{Counter, Registry};
@@ -158,13 +158,13 @@ pub struct GovernorGauges {
     pub join_buffer_entries: usize,
     /// Executions currently admitted (permits outstanding).
     pub executions: usize,
-    /// Executions rejected with `Overloaded` since construction.
+    /// Executions rejected with `Overloaded` since construction (read from
+    /// the `omega_govern_rejected_total` counter).
     pub rejected: u64,
 }
 
-/// Registry handles for the governor's admission counters. Bound once via
-/// [`ResourceGovernor::bind_metrics`]; until then recording is skipped (an
-/// ungoverned embedded database pays one `OnceLock` load per admission).
+/// Registry handles for the governor's admission counters
+/// (`omega_govern_{admitted,rejected,sheds,retries}_total`).
 #[derive(Debug)]
 struct GovernorMetrics {
     admitted: Arc<Counter>,
@@ -182,14 +182,14 @@ pub struct ResourceGovernor {
     live_tuples: AtomicUsize,
     join_buffer_entries: AtomicUsize,
     executions: AtomicUsize,
-    rejected: std::sync::atomic::AtomicU64,
     bucket: Option<Mutex<TokenBucket>>,
-    metrics: OnceLock<GovernorMetrics>,
+    metrics: GovernorMetrics,
 }
 
 impl ResourceGovernor {
-    /// Builds a governor from `config`.
-    pub fn new(config: GovernorConfig) -> Arc<ResourceGovernor> {
+    /// Builds a governor from `config`, counting its admissions, rejections,
+    /// sheds and retries in `registry`.
+    pub fn new(config: GovernorConfig, registry: &Registry) -> Arc<ResourceGovernor> {
         let bucket = config
             .admission_rate
             .map(|(rate, burst)| Mutex::new(TokenBucket::new(rate, burst)));
@@ -198,40 +198,23 @@ impl ResourceGovernor {
             live_tuples: AtomicUsize::new(0),
             join_buffer_entries: AtomicUsize::new(0),
             executions: AtomicUsize::new(0),
-            rejected: std::sync::atomic::AtomicU64::new(0),
             bucket,
-            metrics: OnceLock::new(),
+            metrics: GovernorMetrics {
+                admitted: registry.counter("omega_govern_admitted_total", &[]),
+                rejected: registry.counter("omega_govern_rejected_total", &[]),
+                sheds: registry.counter("omega_govern_sheds_total", &[]),
+                retries: registry.counter("omega_govern_retries_total", &[]),
+            },
         })
-    }
-
-    /// Registers this governor's admission counters
-    /// (`omega_govern_{admitted,rejected,sheds,retries}_total`) with a
-    /// metrics registry. Idempotent: the first binding wins, later calls are
-    /// no-ops, so a reconfigured database keeps feeding the same series.
-    pub fn bind_metrics(&self, registry: &Registry) {
-        let _ = self.metrics.set(GovernorMetrics {
-            admitted: registry.counter("omega_govern_admitted_total", &[]),
-            rejected: registry.counter("omega_govern_rejected_total", &[]),
-            sheds: registry.counter("omega_govern_sheds_total", &[]),
-            retries: registry.counter("omega_govern_retries_total", &[]),
-        });
     }
 
     /// Records one shed (load rejected after admission, query-level) and, if
     /// the service retried it, the retry.
     pub(crate) fn note_shed(&self, retried: bool) {
-        if let Some(m) = self.metrics.get() {
-            m.sheds.inc();
-            if retried {
-                m.retries.inc();
-            }
+        self.metrics.sheds.inc();
+        if retried {
+            self.metrics.retries.inc();
         }
-    }
-
-    /// A fully open governor (the default for databases built without
-    /// explicit governance).
-    pub fn unlimited() -> Arc<ResourceGovernor> {
-        ResourceGovernor::new(GovernorConfig::default())
     }
 
     /// The configuration this governor enforces.
@@ -245,7 +228,7 @@ impl ResourceGovernor {
             live_tuples: self.live_tuples.load(Ordering::SeqCst),
             join_buffer_entries: self.join_buffer_entries.load(Ordering::SeqCst),
             executions: self.executions.load(Ordering::SeqCst),
-            rejected: self.rejected.load(Ordering::SeqCst),
+            rejected: self.metrics.rejected.get(),
         }
     }
 
@@ -290,19 +273,14 @@ impl ResourceGovernor {
         } else {
             self.executions.fetch_add(1, Ordering::SeqCst);
         }
-        if let Some(m) = self.metrics.get() {
-            m.admitted.inc();
-        }
+        self.metrics.admitted.inc();
         Ok(ExecutionPermit {
             governor: Arc::clone(self),
         })
     }
 
     fn reject(&self, wait: Duration) -> OmegaError {
-        self.rejected.fetch_add(1, Ordering::SeqCst);
-        if let Some(m) = self.metrics.get() {
-            m.rejected.inc();
-        }
+        self.metrics.rejected.inc();
         OmegaError::Overloaded {
             retry_after: wait
                 .max(self.config.retry_after)
@@ -423,9 +401,13 @@ impl Drop for TupleReservation {
 mod tests {
     use super::*;
 
+    fn governor(config: GovernorConfig) -> Arc<ResourceGovernor> {
+        ResourceGovernor::new(config, &Registry::new())
+    }
+
     #[test]
     fn unlimited_governor_admits_everything() {
-        let gov = ResourceGovernor::unlimited();
+        let gov = governor(GovernorConfig::default());
         let permits: Vec<_> = (0..64).map(|_| gov.admit().unwrap()).collect();
         assert_eq!(gov.gauges().executions, 64);
         drop(permits);
@@ -435,7 +417,7 @@ mod tests {
 
     #[test]
     fn concurrency_ceiling_rejects_with_retry_hint() {
-        let gov = ResourceGovernor::new(
+        let gov = governor(
             GovernorConfig::default()
                 .with_max_concurrent(2)
                 .with_retry_after(Duration::from_millis(7)),
@@ -459,7 +441,7 @@ mod tests {
     fn token_bucket_paces_admissions() {
         // Burst 2, refill effectively never (rate ~0): two admissions pass,
         // the third is rejected even though concurrency is unlimited.
-        let gov = ResourceGovernor::new(GovernorConfig::default().with_admission_rate(0.0001, 2));
+        let gov = governor(GovernorConfig::default().with_admission_rate(0.0001, 2));
         let _a = gov.admit().unwrap();
         let _b = gov.admit().unwrap();
         assert!(matches!(gov.admit(), Err(OmegaError::Overloaded { .. })));
@@ -467,7 +449,7 @@ mod tests {
 
     #[test]
     fn tuple_pool_reserves_in_chunks_and_releases_on_drop() {
-        let gov = ResourceGovernor::new(
+        let gov = governor(
             GovernorConfig::default()
                 .with_max_live_tuples(3 * RESERVE_CHUNK)
                 .with_acquire_timeout(Duration::from_millis(1)),
@@ -495,7 +477,7 @@ mod tests {
 
     #[test]
     fn saturated_pool_rejects_at_admission() {
-        let gov = ResourceGovernor::new(
+        let gov = governor(
             GovernorConfig::default()
                 .with_max_live_tuples(RESERVE_CHUNK)
                 .with_acquire_timeout(Duration::from_millis(1)),
@@ -509,7 +491,7 @@ mod tests {
 
     #[test]
     fn join_buffer_gauge_tracks_deltas() {
-        let gov = ResourceGovernor::unlimited();
+        let gov = governor(GovernorConfig::default());
         gov.adjust_join_buffer(5);
         gov.adjust_join_buffer(3);
         assert_eq!(gov.gauges().join_buffer_entries, 8);

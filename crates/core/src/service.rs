@@ -152,10 +152,6 @@ struct StorageSlot {
     /// Set when a WAL append fails: the storage stops accepting writes
     /// instead of lying about durability. Reads continue unaffected.
     read_only: AtomicBool,
-    /// Highest epoch known to be on stable storage (0 without a WAL).
-    durable_epoch: AtomicU64,
-    /// Sequence number of the last WAL record appended (0 when none).
-    wal_seq: AtomicU64,
 }
 
 impl StorageSlot {
@@ -189,6 +185,13 @@ pub(crate) struct CoreMetrics {
     wal_truncated_bytes: Arc<MetricCounter>,
     wal_sync_ns: Arc<MetricHistogram>,
     read_only: Arc<MetricGauge>,
+    /// Sequence number of the last WAL record appended (0 when none).
+    /// Written under the WAL lock; like every gauge it is a relaxed store,
+    /// which is enough because the value publishes no other data.
+    wal_seq: Arc<MetricGauge>,
+    /// Highest epoch known to be on stable storage (0 without a WAL), set
+    /// under the same lock.
+    durable_epoch: Arc<MetricGauge>,
     // Storage health: what the write path costs and what it has piled up.
     apply_ns: Arc<MetricHistogram>,
     compact_ns: Arc<MetricHistogram>,
@@ -215,6 +218,8 @@ impl CoreMetrics {
             wal_truncated_bytes: registry.counter("omega_core_wal_truncated_bytes_total", &[]),
             wal_sync_ns: registry.histogram("omega_core_wal_sync_ns", &[]),
             read_only: registry.gauge("omega_core_read_only", &[]),
+            wal_seq: registry.gauge("omega_core_wal_seq", &[]),
+            durable_epoch: registry.gauge("omega_core_durable_epoch", &[]),
             apply_ns: registry.histogram("omega_core_apply_ns", &[]),
             compact_ns: registry.histogram("omega_core_compact_ns", &[]),
             overlay_edges: registry.gauge("omega_core_overlay_edges", &[]),
@@ -288,8 +293,7 @@ impl Database {
         graph.freeze();
         let ontology = Arc::new(ontology);
         let registry = Arc::new(Registry::new());
-        let govern = ResourceGovernor::new(config);
-        govern.bind_metrics(&registry);
+        let govern = ResourceGovernor::new(config, &registry);
         Database {
             inner: Arc::new(DbInner {
                 storage: Arc::new(StorageSlot {
@@ -301,8 +305,6 @@ impl Database {
                     write_lock: Mutex::new(()),
                     wal: Mutex::new(None),
                     read_only: AtomicBool::new(false),
-                    durable_epoch: AtomicU64::new(0),
-                    wal_seq: AtomicU64::new(0),
                 }),
                 ontology,
                 options,
@@ -611,15 +613,15 @@ impl Database {
         }
         match wal.append(epoch, batch.delta.adds(), batch.delta.removes()) {
             Ok(out) => {
-                let (storage, metrics) = (&self.inner.storage, &self.inner.metrics);
-                storage.wal_seq.store(out.seq, Ordering::Release);
+                let metrics = &self.inner.metrics;
+                metrics.wal_seq.set(out.seq as i64);
                 metrics.wal_appends.inc();
                 metrics.wal_bytes.add(out.bytes);
                 let logged = wal.record_bytes() as i64;
                 metrics.wal_bytes_since_checkpoint.set(logged);
                 if out.synced {
                     metrics.wal_sync_ns.record(out.sync_ns);
-                    storage.durable_epoch.store(epoch, Ordering::Release);
+                    metrics.durable_epoch.set(epoch as i64);
                 }
                 Ok(())
             }
@@ -906,15 +908,9 @@ impl Database {
             truncated_bytes: recovery.truncated_bytes,
             from_checkpoint: recovery.has_checkpoint,
         };
-        self.inner
-            .storage
-            .wal_seq
-            .store(wal.next_seq().saturating_sub(1), Ordering::Release);
+        metrics.wal_seq.set(wal.next_seq().saturating_sub(1) as i64);
         // Everything replayed came off stable storage.
-        self.inner
-            .storage
-            .durable_epoch
-            .store(self.epoch(), Ordering::Release);
+        metrics.durable_epoch.set(self.epoch() as i64);
         *self
             .inner
             .storage
@@ -937,14 +933,14 @@ impl Database {
     /// Sequence number of the last write-ahead-log record appended (0 when
     /// none, or when no WAL is attached).
     pub fn wal_seq(&self) -> u64 {
-        self.inner.storage.wal_seq.load(Ordering::Acquire)
+        self.inner.metrics.wal_seq.get() as u64
     }
 
     /// Highest epoch known to be on stable storage. 0 without a WAL; lags
     /// [`Database::epoch`] under `every-N-ms` / `never` fsync policies,
     /// tracks it exactly under `always`.
     pub fn durable_epoch(&self) -> u64 {
-        self.inner.storage.durable_epoch.load(Ordering::Acquire)
+        self.inner.metrics.durable_epoch.get() as u64
     }
 
     /// Whether the storage has degraded to read-only mode (a WAL append

@@ -9,8 +9,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use omega_core::{
-    Answer, AnswerBatch, EvalStats, ExecOptions, GovernorGauges, OmegaError, OverloadPolicy,
-    QueryProfile, TruncationReason, UNBOUND,
+    Answer, AnswerBatch, EvalStats, ExecOptions, OmegaError, OverloadPolicy, QueryProfile,
+    TruncationReason, UNBOUND,
 };
 use omega_regex::RegexParseError;
 
@@ -406,136 +406,6 @@ pub fn take_wire_error(r: &mut Reader<'_>) -> Result<WireError, ProtocolError> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Server statistics
-// ---------------------------------------------------------------------------
-
-/// Point-in-time server observability snapshot: the engine governor's
-/// gauges plus the daemon's own counters, exposed through the `Stats`
-/// request so overload behaviour is observable from outside the process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStats {
-    /// The database-wide governor gauges at snapshot time.
-    pub gauges: GovernorGauges,
-    /// Connections accepted since startup.
-    pub connections_total: u64,
-    /// Connections currently open.
-    pub connections_open: u64,
-    /// Executions currently streaming answers to a client.
-    pub streams_in_flight: u64,
-    /// Prepared statements currently held by per-connection tables.
-    pub statements_open: u64,
-    /// Answers streamed to clients since startup.
-    pub answers_streamed: u64,
-    /// Executions that performed a shed retry at admission.
-    pub sheds: u64,
-    /// Streams that ended degraded (budget trip under `Degrade`, or cut
-    /// short by server drain).
-    pub degraded: u64,
-    /// Requests that failed with a typed wire error (overload, shutdown,
-    /// unknown statement, evaluation failure, …) since startup.
-    pub rejected: u64,
-    /// Storage epoch currently serving (mutations and compactions bump it).
-    pub epoch: u64,
-    /// Edges held in the current epoch's delta overlay (0 after compaction).
-    pub overlay_edges: u64,
-    /// Seconds since the daemon started serving.
-    pub uptime_secs: u64,
-    /// Entries in the database's shared prepared-statement LRU cache.
-    pub prepared_statements: u64,
-    /// Sequence number of the last write-ahead-log record appended (0 when
-    /// the daemon runs without a WAL).
-    pub wal_seq: u64,
-    /// Highest storage epoch known durable on stable storage (0 without a
-    /// WAL; lags `epoch` under deferred fsync policies).
-    pub durable_epoch: u64,
-}
-
-/// Encodes a [`ServerStats`] snapshot, field by field in declaration order.
-pub fn put_server_stats(w: &mut Writer, stats: &ServerStats) {
-    w.put_usize(stats.gauges.live_tuples);
-    w.put_usize(stats.gauges.join_buffer_entries);
-    w.put_usize(stats.gauges.executions);
-    w.put_u64(stats.gauges.rejected);
-    w.put_u64(stats.connections_total);
-    w.put_u64(stats.connections_open);
-    w.put_u64(stats.streams_in_flight);
-    w.put_u64(stats.statements_open);
-    w.put_u64(stats.answers_streamed);
-    w.put_u64(stats.sheds);
-    w.put_u64(stats.degraded);
-    w.put_u64(stats.rejected);
-    w.put_u64(stats.epoch);
-    w.put_u64(stats.overlay_edges);
-    w.put_u64(stats.uptime_secs);
-    w.put_u64(stats.prepared_statements);
-    w.put_u64(stats.wal_seq);
-    w.put_u64(stats.durable_epoch);
-}
-
-/// Decodes a [`ServerStats`] snapshot (see [`put_server_stats`]).
-pub fn take_server_stats(r: &mut Reader<'_>) -> Result<ServerStats, ProtocolError> {
-    Ok(ServerStats {
-        gauges: GovernorGauges {
-            live_tuples: r.take_usize()?,
-            join_buffer_entries: r.take_usize()?,
-            executions: r.take_usize()?,
-            rejected: r.take_u64()?,
-        },
-        connections_total: r.take_u64()?,
-        connections_open: r.take_u64()?,
-        streams_in_flight: r.take_u64()?,
-        statements_open: r.take_u64()?,
-        answers_streamed: r.take_u64()?,
-        sheds: r.take_u64()?,
-        degraded: r.take_u64()?,
-        rejected: r.take_u64()?,
-        epoch: r.take_u64()?,
-        overlay_edges: r.take_u64()?,
-        uptime_secs: r.take_u64()?,
-        prepared_statements: r.take_u64()?,
-        wal_seq: r.take_u64()?,
-        durable_epoch: r.take_u64()?,
-    })
-}
-
-/// A human-oriented multi-line rendering shared by the REPL and logs.
-impl std::fmt::Display for ServerStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "connections: {} open / {} total; streams in flight: {}; statements open: {}",
-            self.connections_open,
-            self.connections_total,
-            self.streams_in_flight,
-            self.statements_open
-        )?;
-        writeln!(
-            f,
-            "answers streamed: {}; sheds: {}; degraded: {}; rejected: {}",
-            self.answers_streamed, self.sheds, self.degraded, self.rejected
-        )?;
-        writeln!(
-            f,
-            "epoch: {}; overlay edges: {}; prepared statements: {}; uptime: {}s",
-            self.epoch, self.overlay_edges, self.prepared_statements, self.uptime_secs
-        )?;
-        writeln!(
-            f,
-            "durability: wal_seq={} durable_epoch={}",
-            self.wal_seq, self.durable_epoch
-        )?;
-        write!(
-            f,
-            "governor: live_tuples={} join_buffer={} executions={} rejected={}",
-            self.gauges.live_tuples,
-            self.gauges.join_buffer_entries,
-            self.gauges.executions,
-            self.gauges.rejected
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,34 +499,6 @@ mod tests {
             ..EvalStats::default()
         };
         round_trip(&stats, put_stats, take_stats);
-    }
-
-    #[test]
-    fn server_stats_display_names_every_counter() {
-        let rendered = ServerStats::default().to_string();
-        for needle in ["connections", "streams", "governor", "rejected"] {
-            assert!(rendered.contains(needle), "missing {needle}: {rendered}");
-        }
-    }
-
-    fn sample_server_stats() -> ServerStats {
-        ServerStats {
-            connections_total: 12,
-            connections_open: 3,
-            answers_streamed: 4_096,
-            epoch: 7,
-            overlay_edges: 150,
-            uptime_secs: 86_400,
-            prepared_statements: 32,
-            wal_seq: 41,
-            durable_epoch: 6,
-            ..ServerStats::default()
-        }
-    }
-
-    #[test]
-    fn server_stats_round_trip() {
-        round_trip(&sample_server_stats(), put_server_stats, take_server_stats);
     }
 
     #[test]

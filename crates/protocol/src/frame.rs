@@ -29,9 +29,8 @@ use std::io::{ErrorKind, Read, Result as IoResult, Write};
 use omega_core::{Answer, EvalStats, ExecOptions, FxHashMap, NodeId, QueryProfile};
 
 use crate::codec::{
-    put_answer_table, put_answers, put_exec_options, put_profile, put_server_stats, put_stats,
-    put_wire_error, take_answers, take_exec_options, take_profile, take_server_stats, take_stats,
-    take_wire_error, ServerStats,
+    put_answer_table, put_answers, put_exec_options, put_profile, put_stats, put_wire_error,
+    take_answers, take_exec_options, take_profile, take_stats, take_wire_error,
 };
 use crate::error::{ProtocolError, WireError};
 use crate::transport::Transport;
@@ -102,8 +101,6 @@ pub enum Frame {
         /// Statement id to drop.
         id: u64,
     },
-    /// Request a [`ServerStats`] snapshot.
-    Stats,
     /// Request the server's full metrics exposition (counters, gauges,
     /// latency histograms) as versioned text.
     Metrics,
@@ -157,11 +154,6 @@ pub enum Frame {
         /// The typed failure.
         error: WireError,
     },
-    /// Reply to `Stats`.
-    StatsReply {
-        /// The snapshot.
-        stats: ServerStats,
-    },
     /// Reply to `Metrics`.
     MetricsReply {
         /// Version of the exposition text format (independent of the
@@ -189,14 +181,14 @@ pub enum Frame {
 }
 
 // Frame tags. Client requests are 0x01.., server replies 0x81.. so a
-// misdirected frame fails loudly as an unknown tag.
+// misdirected frame fails loudly as an unknown tag. 0x07 and 0x86 (the
+// retired stats request and its reply) are unassigned.
 const TAG_HELLO: u8 = 0x01;
 const TAG_PREPARE: u8 = 0x02;
 const TAG_EXECUTE: u8 = 0x03;
 const TAG_FETCH: u8 = 0x04;
 const TAG_CANCEL: u8 = 0x05;
 const TAG_CLOSE: u8 = 0x06;
-const TAG_STATS: u8 = 0x07;
 const TAG_SHUTDOWN: u8 = 0x08;
 const TAG_MUTATE: u8 = 0x09;
 const TAG_METRICS: u8 = 0x0a;
@@ -205,7 +197,6 @@ const TAG_PREPARED: u8 = 0x82;
 const TAG_ANSWERS: u8 = 0x83;
 const TAG_FINISHED: u8 = 0x84;
 const TAG_FAIL: u8 = 0x85;
-const TAG_STATS_REPLY: u8 = 0x86;
 const TAG_CLOSED: u8 = 0x87;
 const TAG_SHUTDOWN_OK: u8 = 0x88;
 const TAG_MUTATE_OK: u8 = 0x89;
@@ -266,7 +257,6 @@ impl Frame {
                 w.put_u8(TAG_CLOSE);
                 w.put_u64(*id);
             }
-            Frame::Stats => w.put_u8(TAG_STATS),
             Frame::Metrics => w.put_u8(TAG_METRICS),
             Frame::Shutdown => w.put_u8(TAG_SHUTDOWN),
             Frame::Mutate { adds, removes } => {
@@ -318,10 +308,6 @@ impl Frame {
             Frame::Fail { error } => {
                 w.put_u8(TAG_FAIL);
                 put_wire_error(w, error);
-            }
-            Frame::StatsReply { stats } => {
-                w.put_u8(TAG_STATS_REPLY);
-                put_server_stats(w, stats);
             }
             Frame::MetricsReply { version, text } => {
                 w.put_u8(TAG_METRICS_REPLY);
@@ -386,7 +372,6 @@ impl Frame {
             },
             TAG_CANCEL => Frame::Cancel,
             TAG_CLOSE => Frame::Close { id: r.take_u64()? },
-            TAG_STATS => Frame::Stats,
             TAG_METRICS => Frame::Metrics,
             TAG_SHUTDOWN => Frame::Shutdown,
             TAG_MUTATE => {
@@ -437,9 +422,6 @@ impl Frame {
             }
             TAG_FAIL => Frame::Fail {
                 error: take_wire_error(&mut r)?,
-            },
-            TAG_STATS_REPLY => Frame::StatsReply {
-                stats: take_server_stats(&mut r)?,
             },
             TAG_METRICS_REPLY => Frame::MetricsReply {
                 version: r.take_u32()?,
@@ -748,7 +730,6 @@ mod tests {
             version: PROTOCOL_VERSION,
         });
         round_trip(Frame::Cancel);
-        round_trip(Frame::Stats);
         round_trip(Frame::Metrics);
         round_trip(Frame::Shutdown);
         round_trip(Frame::Closed);
@@ -938,11 +919,11 @@ mod tests {
             text: "x".repeat(5 * READ_AHEAD),
         };
         let mut wire = Vec::new();
-        Frame::Stats.append_to(&mut wire).unwrap();
+        Frame::Metrics.append_to(&mut wire).unwrap();
         big.append_to(&mut wire).unwrap();
         Frame::Cancel.append_to(&mut wire).unwrap();
         let mut reader = FrameReader::new(&wire[..]);
-        assert_eq!(reader.read_frame().unwrap(), Some(Frame::Stats));
+        assert_eq!(reader.read_frame().unwrap(), Some(Frame::Metrics));
         assert_eq!(reader.read_frame().unwrap(), Some(big));
         assert_eq!(reader.read_frame().unwrap(), Some(Frame::Cancel));
         assert_eq!(reader.read_frame().unwrap(), None);
@@ -990,7 +971,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_typed_not_a_panic() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Frame::Stats).unwrap();
+        write_frame(&mut wire, &Frame::Metrics).unwrap();
         for cut in 1..wire.len() {
             let mut reader = FrameReader::new(&wire[..cut]);
             assert_eq!(
@@ -998,6 +979,46 @@ mod tests {
                 ProtocolError::Truncated,
                 "cut at {cut}"
             );
+        }
+    }
+
+    #[test]
+    fn unassigned_tags_are_typed_unknown_tags() {
+        const ASSIGNED: [u8; 18] = [
+            TAG_HELLO,
+            TAG_PREPARE,
+            TAG_EXECUTE,
+            TAG_FETCH,
+            TAG_CANCEL,
+            TAG_CLOSE,
+            TAG_SHUTDOWN,
+            TAG_MUTATE,
+            TAG_METRICS,
+            TAG_HELLO_OK,
+            TAG_PREPARED,
+            TAG_ANSWERS,
+            TAG_FINISHED,
+            TAG_FAIL,
+            TAG_CLOSED,
+            TAG_SHUTDOWN_OK,
+            TAG_MUTATE_OK,
+            TAG_METRICS_REPLY,
+        ];
+        for tag in 0..=u8::MAX {
+            // A bare tag, then the same tag over a body of junk: neither may
+            // panic, and an unassigned tag is refused before its body is read.
+            for payload in [vec![tag], vec![tag, 0xff, 0xff, 0xff, 0xff, 0x00]] {
+                let decoded = Frame::decode(&payload);
+                if ASSIGNED.contains(&tag) {
+                    assert_ne!(decoded, Err(ProtocolError::UnknownTag(tag)));
+                } else {
+                    assert_eq!(decoded, Err(ProtocolError::UnknownTag(tag)));
+                }
+            }
+        }
+        // The retired stats request and reply tags stay unassigned.
+        for retired in [0x07, 0x86] {
+            assert!(!ASSIGNED.contains(&retired));
         }
     }
 
@@ -1024,10 +1045,10 @@ mod tests {
     #[test]
     fn back_to_back_frames_reassemble() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Frame::Stats).unwrap();
+        write_frame(&mut wire, &Frame::Metrics).unwrap();
         write_frame(&mut wire, &Frame::Cancel).unwrap();
         let mut reader = FrameReader::new(&wire[..]);
-        assert_eq!(reader.read_frame().unwrap(), Some(Frame::Stats));
+        assert_eq!(reader.read_frame().unwrap(), Some(Frame::Metrics));
         assert_eq!(reader.read_frame().unwrap(), Some(Frame::Cancel));
         assert_eq!(reader.read_frame().unwrap(), None);
     }

@@ -60,7 +60,6 @@ pub mod frame;
 pub mod transport;
 pub mod wire;
 
-pub use codec::ServerStats;
 pub use error::{ProtocolError, WireError};
 pub use frame::{write_frame, FinishReason, Frame, FrameReader, Poll, RowFrame, StatementRef};
 pub use transport::Transport;
@@ -74,17 +73,19 @@ pub const MAGIC: [u8; 8] = *b"OMEGWIRE";
 /// table layout, version 3 added `cursor_blocks` to the `EvalStats` block
 /// of `Finished`, version 4 dropped the three parallel-conjunct fields of
 /// `ExecOptions`, the worker-panic counter of `EvalStats` and the live
-/// worker gauge of `StatsReply`, version 5 added `raised_keys` to the
+/// worker gauge of the stats reply, version 5 added `raised_keys` to the
 /// `EvalStats` block, version 6 dropped the four Section 4.3 and ablation
 /// toggles of `ExecOptions` (distance-aware, disjunction, batch size,
 /// final-tuple priority), version 7 dropped `restarts` from the
 /// `EvalStats` block, version 8 dropped the cost-guidance override of
 /// `ExecOptions` (every request runs cost-guided), and version 9 sends
 /// `ExecOptions`' overload policy as a plain byte (it is no longer an
-/// override) and lays `StatsReply` out flat, with no length-prefixed
+/// override) and lays the stats reply out flat, with no length-prefixed
 /// extension block, so an older peer would misread a batch, a request, a
-/// finish or a stats reply.
-pub const PROTOCOL_VERSION: u32 = 9;
+/// finish or a stats reply. Version 10 retires the stats request and its
+/// reply (tags `0x07` and `0x86` are unassigned): the `Metrics` exposition
+/// is the daemon's only status report.
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// Ceiling on a frame's declared payload length (16 MiB). A prefix above
 /// this is treated as stream corruption ([`ProtocolError::Oversized`])

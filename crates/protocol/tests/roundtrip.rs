@@ -10,12 +10,12 @@
 use std::time::Duration;
 
 use omega_core::{
-    Answer, Bindings, EvalStats, ExecOptions, GovernorGauges, OmegaError, OverloadPolicy,
-    QueryProfile, TruncationReason,
+    Answer, Bindings, EvalStats, ExecOptions, OmegaError, OverloadPolicy, QueryProfile,
+    TruncationReason,
 };
 use omega_protocol::{
-    write_frame, FinishReason, Frame, FrameReader, ProtocolError, RowFrame, ServerStats,
-    StatementRef, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    write_frame, FinishReason, Frame, FrameReader, ProtocolError, RowFrame, StatementRef,
+    WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use omega_regex::RegexParseError;
 use proptest::prelude::*;
@@ -146,36 +146,6 @@ fn eval_stats() -> BoxedStrategy<EvalStats> {
         .boxed()
 }
 
-fn server_stats() -> BoxedStrategy<ServerStats> {
-    (
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()),
-        prop::collection::vec(any::<u64>(), 14..15),
-    )
-        .prop_map(|(gauges, counters)| ServerStats {
-            gauges: GovernorGauges {
-                live_tuples: gauges.0 as usize,
-                join_buffer_entries: gauges.1 as usize,
-                executions: gauges.2 as usize,
-                rejected: gauges.3,
-            },
-            connections_total: counters[0],
-            connections_open: counters[1],
-            streams_in_flight: counters[2],
-            statements_open: counters[3],
-            answers_streamed: counters[4],
-            sheds: counters[5],
-            degraded: counters[6],
-            rejected: counters[7],
-            epoch: counters[8],
-            overlay_edges: counters[9],
-            uptime_secs: counters[10],
-            prepared_statements: counters[11],
-            wal_seq: counters[12],
-            durable_epoch: counters[13],
-        })
-        .boxed()
-}
-
 fn query_profile() -> BoxedStrategy<QueryProfile> {
     prop::collection::vec((text(), any::<u64>()), 0..8)
         .prop_map(|phases| {
@@ -211,7 +181,6 @@ fn frame() -> BoxedStrategy<Frame> {
         any::<u32>().prop_map(|credits| Frame::Fetch { credits }),
         Just(Frame::Cancel),
         any::<u64>().prop_map(|id| Frame::Close { id }),
-        Just(Frame::Stats),
         Just(Frame::Metrics),
         Just(Frame::Shutdown),
         text().prop_map(|server| Frame::HelloOk {
@@ -240,7 +209,6 @@ fn frame() -> BoxedStrategy<Frame> {
                 profile
             }),
         wire_error().prop_map(|error| Frame::Fail { error }),
-        server_stats().prop_map(|stats| Frame::StatsReply { stats }),
         (any::<u32>(), text()).prop_map(|(version, text)| Frame::MetricsReply { version, text }),
         Just(Frame::Closed),
         Just(Frame::ShutdownOk),

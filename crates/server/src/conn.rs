@@ -96,7 +96,6 @@ fn frame_kind(frame: &Frame) -> &'static str {
     match frame {
         Frame::Prepare { .. } => "prepare",
         Frame::Execute { .. } => "execute",
-        Frame::Stats => "stats",
         Frame::Metrics => "metrics",
         Frame::Mutate { .. } => "mutate",
         Frame::Close { .. } => "close",
@@ -278,10 +277,6 @@ impl Conn<'_> {
                 } else {
                     self.send_fail(WireError::UnknownStatement(id))
                 }
-            }
-            Frame::Stats => {
-                let stats = self.shared.stats();
-                self.send(&Frame::StatsReply { stats })
             }
             Frame::Metrics => {
                 let text = self.shared.metrics_text();
@@ -496,10 +491,8 @@ impl Conn<'_> {
         // so a client observing `Finished`
         // observes the gauges already settled.
         drop(stream);
-        self.shared.metrics.sheds.add(stats.sheds);
-        let drained = matches!(outcome, Outcome::Drained);
-        if drained || stats.degraded {
-            self.shared.metrics.degraded.inc();
+        if matches!(outcome, Outcome::Drained) {
+            self.shared.metrics.drained.inc();
         }
         self.log_slow_query(&prepared, &request, &outcome, started, &stats, &profile);
         match outcome {
@@ -599,16 +592,10 @@ impl Conn<'_> {
         match polled {
             Ok(Poll::Frame(Frame::Fetch { credits })) => Ok(Control::Fetch(credits)),
             Ok(Poll::Frame(Frame::Cancel)) => Ok(Control::Cancel),
-            Ok(Poll::Frame(Frame::Stats)) => {
-                // Stats are safe (and useful) mid-stream: a monitoring
-                // client can watch the gauges move.
-                let stats = self.shared.stats();
-                self.send(&Frame::StatsReply { stats })?;
-                Ok(Control::None)
-            }
             Ok(Poll::Frame(Frame::Metrics)) => {
-                // Metrics too: scrapers must not be blocked by a long
-                // stream on the same connection.
+                // Metrics are safe (and useful) mid-stream: a monitoring
+                // client can watch the gauges move, and scrapers are not
+                // blocked by a long stream on the same connection.
                 let text = self.shared.metrics_text();
                 self.send(&Frame::MetricsReply {
                     version: METRICS_EXPOSITION_VERSION,

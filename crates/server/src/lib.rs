@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use omega_core::Database;
 use omega_obs::{Counter as MetricCounter, Gauge, Histogram, Registry};
-use omega_protocol::{ServerStats, Transport};
+use omega_protocol::Transport;
 
 /// Tunables of the serving loop. The defaults suit both tests and the
 /// daemon binary.
@@ -91,15 +91,17 @@ impl Default for ServerConfig {
 
 /// The frame kinds the per-frame request-latency histogram distinguishes;
 /// anything else (stale flow control, abuse) lands in `"other"`.
-const FRAME_KINDS: [&str; 8] = [
-    "prepare", "execute", "stats", "metrics", "mutate", "close", "shutdown", "other",
+const FRAME_KINDS: [&str; 7] = [
+    "prepare", "execute", "metrics", "mutate", "close", "shutdown", "other",
 ];
 
-/// The daemon's handles into the database's shared metrics [`Registry`]:
-/// request-latency histograms per frame kind, wire byte counters, the
-/// counters and gauges a `Stats` reply is read from (so `Stats` and
-/// `Metrics` frames cannot disagree), and point-in-time gauges refreshed at
-/// scrape.
+/// The daemon's handles into the database's shared metrics [`Registry`],
+/// the one place its status lives: request-latency histograms per frame
+/// kind, wire byte counters, connection / stream / statement counters and
+/// gauges, and point-in-time gauges refreshed at scrape (drain flag, uptime,
+/// the governor's live occupancy and the prepared-cache size). A `Metrics`
+/// frame renders it all; sheds and core degrades are counted once, by the
+/// engine's own `omega_govern_sheds_total` and `omega_core_degraded_total`.
 pub(crate) struct ServerMetrics {
     pub(crate) bytes_in: Arc<MetricCounter>,
     pub(crate) bytes_out: Arc<MetricCounter>,
@@ -112,11 +114,15 @@ pub(crate) struct ServerMetrics {
     pub(crate) streams_in_flight: Arc<Gauge>,
     pub(crate) statements_open: Arc<Gauge>,
     pub(crate) answers_streamed: Arc<MetricCounter>,
-    pub(crate) sheds: Arc<MetricCounter>,
-    pub(crate) degraded: Arc<MetricCounter>,
+    /// Streams cut short at a batch boundary by server drain.
+    pub(crate) drained: Arc<MetricCounter>,
     pub(crate) rejected: Arc<MetricCounter>,
     draining: Arc<Gauge>,
     uptime_secs: Arc<Gauge>,
+    live_tuples: Arc<Gauge>,
+    join_buffer_entries: Arc<Gauge>,
+    executions: Arc<Gauge>,
+    prepared_cache_entries: Arc<Gauge>,
     frames: Vec<(&'static str, Arc<Histogram>)>,
 }
 
@@ -131,11 +137,14 @@ impl ServerMetrics {
             streams_in_flight: registry.gauge("omega_server_streams_in_flight", &[]),
             statements_open: registry.gauge("omega_server_statements_open", &[]),
             answers_streamed: registry.counter("omega_server_answers_streamed_total", &[]),
-            sheds: registry.counter("omega_server_sheds_total", &[]),
-            degraded: registry.counter("omega_server_degraded_total", &[]),
+            drained: registry.counter("omega_server_drained_total", &[]),
             rejected: registry.counter("omega_server_rejected_total", &[]),
             draining: registry.gauge("omega_server_draining", &[]),
             uptime_secs: registry.gauge("omega_server_uptime_secs", &[]),
+            live_tuples: registry.gauge("omega_govern_live_tuples", &[]),
+            join_buffer_entries: registry.gauge("omega_govern_join_buffer_entries", &[]),
+            executions: registry.gauge("omega_govern_executions", &[]),
+            prepared_cache_entries: registry.gauge("omega_core_prepared_cache_entries", &[]),
             frames: FRAME_KINDS
                 .iter()
                 .map(|kind| {
@@ -176,38 +185,23 @@ impl Shared {
         self.drain.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn stats(&self) -> ServerStats {
-        let m = &self.metrics;
-        ServerStats {
-            gauges: self.db.governor().gauges(),
-            connections_total: m.connections_total.get(),
-            connections_open: m.connections_open.get() as u64,
-            streams_in_flight: m.streams_in_flight.get() as u64,
-            statements_open: m.statements_open.get() as u64,
-            answers_streamed: m.answers_streamed.get(),
-            sheds: m.sheds.get(),
-            degraded: m.degraded.get(),
-            rejected: m.rejected.get(),
-            epoch: self.db.epoch(),
-            overlay_edges: self.db.graph().overlay_edges(),
-            uptime_secs: self.started.elapsed().as_secs(),
-            prepared_statements: self.db.prepared_cache_len() as u64,
-            wal_seq: self.db.wal_seq(),
-            durable_epoch: self.db.durable_epoch(),
-        }
-    }
-
     /// Renders the full metrics exposition, refreshing the point-in-time
     /// gauges first so a scrape always sees current values.
     pub(crate) fn metrics_text(&self) -> String {
         let m = &self.metrics;
         m.draining.set(self.draining() as i64);
         m.uptime_secs.set(self.started.elapsed().as_secs() as i64);
+        let gauges = self.db.governor().gauges();
+        m.live_tuples.set(gauges.live_tuples as i64);
+        m.join_buffer_entries.set(gauges.join_buffer_entries as i64);
+        m.executions.set(gauges.executions as i64);
+        m.prepared_cache_entries
+            .set(self.db.prepared_cache_len() as i64);
         self.db.metrics().expose()
     }
 }
 
-/// A cloneable control handle: trigger the drain and observe the counters
+/// A cloneable control handle: trigger the drain and read the exposition
 /// from outside the serving threads (tests, signal handlers, monitoring).
 #[derive(Clone)]
 pub struct ServerHandle {
@@ -225,11 +219,6 @@ impl ServerHandle {
     /// Whether the drain flag is set.
     pub fn is_draining(&self) -> bool {
         self.shared.draining()
-    }
-
-    /// Point-in-time daemon statistics.
-    pub fn stats(&self) -> ServerStats {
-        self.shared.stats()
     }
 
     /// The full metrics exposition, as served to `Metrics` frames.
@@ -301,11 +290,6 @@ impl Server {
         ServerHandle {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Point-in-time daemon statistics.
-    pub fn stats(&self) -> ServerStats {
-        self.shared.stats()
     }
 
     /// Binds a unix-domain listener at `path` (removing a stale socket file

@@ -117,12 +117,24 @@ fn variants(spec: &QuerySpec, everywhere: bool) -> Vec<String> {
     texts
 }
 
+/// The value of `name` in an exposition, which must carry it.
+fn exposed(text: &str, name: &str) -> u64 {
+    omega_obs::find_value(text, name).unwrap_or_else(|| panic!("{name} not exposed:\n{text}"))
+        as u64
+}
+
+/// The value of `name` in the daemon's exposition — what a `Metrics` frame
+/// returns, scraped through the handle.
+fn series(handle: &ServerHandle, name: &str) -> u64 {
+    exposed(&handle.metrics_text(), name)
+}
+
 /// Polls until every connection thread has counted itself out: shortly
 /// after its peer hangs up, not by the time the client's `drop` returns —
 /// and only then has it finished adding to the server's counters.
 fn assert_connections_close(handle: &ServerHandle) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.stats().connections_open > 0 {
+    while series(handle, "omega_server_connections_open") > 0 {
         assert!(Instant::now() < deadline, "a closed connection leaked");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -310,7 +322,7 @@ fn prepare_execute_close_lifecycle() {
     let statement = conn.prepare(spec.text).expect("prepare");
     assert_eq!(statement.conjuncts, 1);
     assert_eq!(statement.head, vec!["X".to_owned()]);
-    assert_eq!(handle.stats().statements_open, 1);
+    assert_eq!(series(&handle, "omega_server_statements_open"), 1);
 
     let options = ExecOptions::new().with_limit(50);
     let (local, local_stats) = local_run(&db, spec.text, &options);
@@ -327,7 +339,7 @@ fn prepare_execute_close_lifecycle() {
     assert_eq!(local_stats, remote_stats);
 
     conn.close(statement.id).expect("close statement");
-    assert_eq!(handle.stats().statements_open, 0);
+    assert_eq!(series(&handle, "omega_server_statements_open"), 0);
     // Closing twice is a typed error, and the connection stays usable.
     match conn.close(statement.id) {
         Err(ClientError::Remote(WireError::UnknownStatement(id))) => {
@@ -361,11 +373,11 @@ fn cancel_mid_stream_keeps_the_connection_usable() {
 
     // The stream's execution is gone server-side: gauges return to zero.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.stats().streams_in_flight > 0 {
+    while series(&handle, "omega_server_streams_in_flight") > 0 {
         assert!(Instant::now() < deadline, "stream leaked after cancel");
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(handle.stats().gauges.executions, 0);
+    assert_eq!(series(&handle, "omega_govern_executions"), 0);
 
     // Same connection serves the next request.
     conn.set_window(64);
@@ -397,15 +409,20 @@ fn dropping_the_connection_cancels_in_flight_work() {
     }
     // The server notices the EOF and cancels the execution.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.stats().streams_in_flight > 0 || handle.stats().connections_open > 0 {
+    loop {
+        let text = handle.metrics_text();
+        if exposed(&text, "omega_server_streams_in_flight") == 0
+            && exposed(&text, "omega_server_connections_open") == 0
+        {
+            break;
+        }
         assert!(
             Instant::now() < deadline,
-            "in-flight stream or connection leaked after disconnect: {:?}",
-            handle.stats()
+            "in-flight stream or connection leaked after disconnect:\n{text}"
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(handle.stats().gauges.executions, 0);
+    assert_eq!(series(&handle, "omega_govern_executions"), 0);
     drain(&handle, joiner);
 }
 
@@ -487,8 +504,8 @@ fn governor_overload_rejection_carries_retry_after() {
         }
         other => panic!("expected Overloaded, got {other:?}"),
     }
-    assert!(handle.stats().rejected >= 1);
-    assert_eq!(handle.stats().gauges.rejected, 1);
+    assert!(series(&handle, "omega_server_rejected_total") >= 1);
+    assert_eq!(series(&handle, "omega_govern_rejected_total"), 1);
 
     drop(conn);
     drain(&handle, joiner);
@@ -567,7 +584,7 @@ fn shutdown_under_load_drains_streams_and_zeroes_gauges() {
     let mut got = Vec::new();
     let first = stream.next_answer().expect("first answer").expect("answer");
     got.push(first);
-    assert_eq!(handle.stats().streams_in_flight, 1);
+    assert_eq!(series(&handle, "omega_server_streams_in_flight"), 1);
 
     // A second client asks the daemon to shut down.
     let mut admin = Connection::connect_unix(&path).expect("connect admin");
@@ -601,16 +618,20 @@ fn shutdown_under_load_drains_streams_and_zeroes_gauges() {
     drop(parked);
     drop(admin);
     joiner.join().expect("server drained");
-    let stats = handle.stats();
-    assert_eq!(stats.connections_open, 0, "open connections after drain");
-    assert_eq!(stats.streams_in_flight, 0, "streams after drain");
-    assert_eq!(stats.statements_open, 0, "statements after drain");
-    assert!(stats.degraded >= 1, "drained stream not counted");
-    assert_eq!(stats.gauges.executions, 0, "executions after drain");
-    assert_eq!(stats.gauges.live_tuples, 0, "live tuples after drain");
-    assert_eq!(
-        stats.gauges.join_buffer_entries, 0,
-        "join buffers after drain"
+    let text = handle.metrics_text();
+    for series in [
+        "omega_server_connections_open",
+        "omega_server_streams_in_flight",
+        "omega_server_statements_open",
+        "omega_govern_executions",
+        "omega_govern_live_tuples",
+        "omega_govern_join_buffer_entries",
+    ] {
+        assert_eq!(exposed(&text, series), 0, "{series} after drain");
+    }
+    assert!(
+        exposed(&text, "omega_server_drained_total") >= 1,
+        "drained stream not counted"
     );
 }
 
@@ -817,10 +838,14 @@ fn mutations_under_traffic_stay_clean_and_background_compaction_runs() {
     assert_eq!(answers, baseline);
     drop(conn);
     drain(&handle, joiner);
-    let stats = handle.stats();
-    assert_eq!(stats.gauges.executions, 0, "executions after soak");
-    assert_eq!(stats.gauges.live_tuples, 0, "live tuples after soak");
-    assert_eq!(stats.streams_in_flight, 0, "streams after soak");
+    let text = handle.metrics_text();
+    for series in [
+        "omega_govern_executions",
+        "omega_govern_live_tuples",
+        "omega_server_streams_in_flight",
+    ] {
+        assert_eq!(exposed(&text, series), 0, "{series} after soak");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -886,49 +911,39 @@ fn metrics_frame_round_trips_and_server_histogram_matches_client_view() {
 }
 
 #[test]
-fn stats_and_metrics_frames_agree_on_every_server_counter() {
+fn metrics_frame_exposes_every_server_counter_once() {
     let _guard = serve_lock();
-    let (handle, path, joiner) = spawn_unix(l4all_db(), "statsmetrics");
+    let (handle, path, joiner) = spawn_unix(l4all_db(), "countermetrics");
     let mut conn = Connection::connect_unix(&path).expect("connect");
 
     // One drained request, one statement left open and one typed failure,
-    // so none of the compared fields is trivially zero on both sides.
+    // so none of the checked series is trivially zero.
     let spec = &l4all_queries()[0];
     conn.run(spec.text, &ExecOptions::new().with_limit(50))
         .expect("drained request");
     let statement = conn.prepare(spec.text).expect("prepare");
     assert!(conn.close(statement.id + 1).is_err());
 
-    let stats = conn.stats().expect("stats");
-    let exposition = conn.metrics().expect("metrics").text;
-    for (series, value) in [
-        ("omega_server_connections_total", stats.connections_total),
-        ("omega_server_connections_open", stats.connections_open),
-        ("omega_server_streams_in_flight", stats.streams_in_flight),
-        ("omega_server_statements_open", stats.statements_open),
-        (
-            "omega_server_answers_streamed_total",
-            stats.answers_streamed,
-        ),
-        ("omega_server_sheds_total", stats.sheds),
-        ("omega_server_degraded_total", stats.degraded),
-        ("omega_server_rejected_total", stats.rejected),
-    ] {
-        assert_eq!(
-            omega_obs::find_value(&exposition, series),
-            Some(value as f64),
-            "{series} disagrees with the Stats reply {stats:?}"
-        );
-    }
+    let text = conn.metrics().expect("metrics").text;
+    let value = |name| exposed(&text, name);
+    assert_eq!(value("omega_server_connections_total"), 1);
+    assert_eq!(value("omega_server_streams_in_flight"), 0);
+    assert_eq!(value("omega_server_drained_total"), 0);
     assert_eq!(
         (
-            stats.connections_open,
-            stats.statements_open,
-            stats.rejected
+            value("omega_server_connections_open"),
+            value("omega_server_statements_open"),
+            value("omega_server_rejected_total")
         ),
         (1, 1, 1)
     );
-    assert!(stats.answers_streamed > 0);
+    assert!(value("omega_server_answers_streamed_total") > 0);
+    // Sheds and core degrades are counted once, by the engine.
+    assert_eq!(value("omega_govern_sheds_total"), 0);
+    assert_eq!(value("omega_core_degraded_total"), 0);
+    for duplicate in ["omega_server_sheds_total", "omega_server_degraded_total"] {
+        assert_eq!(omega_obs::find_value(&text, duplicate), None, "{duplicate}");
+    }
 
     drop(conn);
     drain(&handle, joiner);
@@ -980,15 +995,15 @@ fn profile_travels_the_wire_only_when_requested() {
 }
 
 #[test]
-fn stats_reply_carries_epoch_overlay_uptime_and_cache_occupancy() {
+fn metrics_frame_carries_epoch_overlay_uptime_and_cache_occupancy() {
     let _guard = serve_lock();
     let db = l4all_db();
-    let (handle, path, joiner) = spawn_unix(db.clone(), "statsext");
+    let (handle, path, joiner) = spawn_unix(db.clone(), "storagemetrics");
     let mut conn = Connection::connect_unix(&path).expect("connect");
 
-    let before = conn.stats().expect("stats");
-    assert_eq!(before.epoch, 0);
-    assert_eq!(before.overlay_edges, 0);
+    let before = conn.metrics().expect("metrics").text;
+    assert_eq!(exposed(&before, "omega_core_epoch"), 0);
+    assert_eq!(exposed(&before, "omega_core_overlay_edges"), 0);
 
     // Text execution populates the prepared cache; a mutation advances the
     // epoch and lands one overlay edge.
@@ -998,22 +1013,28 @@ fn stats_reply_carries_epoch_overlay_uptime_and_cache_occupancy() {
     mutation.add("Stats A", "statslink", "Stats B");
     conn.mutate(&mutation).expect("mutate");
 
-    let after = conn.stats().expect("stats after");
-    assert_eq!(after.epoch, 1, "epoch not reported: {after:?}");
-    assert_eq!(after.overlay_edges, 1, "overlay edges not reported");
+    let after = conn.metrics().expect("metrics after").text;
+    assert_eq!(exposed(&after, "omega_core_epoch"), 1, "epoch not exposed");
+    assert_eq!(
+        exposed(&after, "omega_core_overlay_edges"),
+        1,
+        "overlay edges not exposed"
+    );
     assert!(
-        after.prepared_statements >= 1,
-        "prepared cache occupancy missing: {after:?}"
+        exposed(&after, "omega_core_prepared_cache_entries") >= 1,
+        "prepared cache occupancy missing:\n{after}"
     );
     // Uptime is seconds-granular; it must simply never run backwards.
-    assert!(after.uptime_secs >= before.uptime_secs);
+    assert!(
+        exposed(&after, "omega_server_uptime_secs") >= exposed(&before, "omega_server_uptime_secs")
+    );
 
     drop(conn);
     drain(&handle, joiner);
 }
 
 #[test]
-fn stats_reply_reports_durability_state_for_a_wal_backed_database() {
+fn metrics_frame_reports_durability_state_for_a_wal_backed_database() {
     let _guard = serve_lock();
     let dir = std::env::temp_dir().join(format!("omega-serve-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -1026,28 +1047,31 @@ fn stats_reply_reports_durability_state_for_a_wal_backed_database() {
         &omega::core::WalConfig::new(&dir),
     )
     .expect("durable open");
-    let (handle, path, joiner) = spawn_unix(db, "walstats");
+    let (handle, path, joiner) = spawn_unix(db, "walmetrics");
     let mut conn = Connection::connect_unix(&path).expect("connect");
 
-    let before = conn.stats().expect("stats");
-    assert_eq!(before.wal_seq, 0, "no mutations logged yet: {before:?}");
-    assert_eq!(before.durable_epoch, 0);
+    let before = conn.metrics().expect("metrics").text;
+    assert_eq!(
+        exposed(&before, "omega_core_wal_seq"),
+        0,
+        "no mutations logged yet"
+    );
+    assert_eq!(exposed(&before, "omega_core_durable_epoch"), 0);
 
     let mut mutation = Mutation::new();
     mutation.add("Crash A", "wallink", "Crash B");
     conn.mutate(&mutation).expect("mutate");
 
-    let after = conn.stats().expect("stats after");
-    assert_eq!(after.wal_seq, 1, "WAL sequence not reported: {after:?}");
+    let after = conn.metrics().expect("metrics after").text;
     assert_eq!(
-        after.durable_epoch, after.epoch,
-        "fsync=always: the published epoch must be durable: {after:?}"
+        exposed(&after, "omega_core_wal_seq"),
+        1,
+        "WAL sequence not exposed:\n{after}"
     );
-    // The REPL's `stats` renders the same reply; pin the durability line.
-    let rendered = format!("{after}");
-    assert!(
-        rendered.contains("wal_seq=1"),
-        "durability state missing from the stats rendering:\n{rendered}"
+    assert_eq!(
+        exposed(&after, "omega_core_durable_epoch"),
+        exposed(&after, "omega_core_epoch"),
+        "fsync=always: the published epoch must be durable:\n{after}"
     );
 
     drop(conn);
@@ -1086,6 +1110,6 @@ fn injected_channel_faults_surface_as_typed_wire_errors() {
             .expect("connection usable after injected fault");
         drop(conn);
     }
-    assert_eq!(handle.stats().gauges.executions, 0);
+    assert_eq!(series(&handle, "omega_govern_executions"), 0);
     drain(&handle, joiner);
 }
