@@ -38,6 +38,13 @@
 //! claim the member first). Every stream is also checked to come out in
 //! non-decreasing distance: a raise the occupancy probe should not have
 //! made would emit an exact answer after an inexact one.
+//!
+//! Multi-conjunct queries are checked the same way one level up: random
+//! 2–3-conjunct stars and chains, each conjunct exact or APPROX, and an
+//! anchored star shaped like the paper's M3, against the nested-loop join
+//! of the per-conjunct oracle maps (an exact conjunct keeps its distance-0
+//! pairs), up to one edit — every row at its least total distance, and
+//! under several limits `k` the oracle's `k` smallest distances first.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
@@ -618,4 +625,245 @@ fn check(case: &Case, name: &str, config: ApproxConfig, pick: impl Fn(usize, usi
     }
     assert!(cursor_blocks > 0, "no query read the hub through a cursor");
     assert!(raised_keys > 0, "no cursor release was raised");
+}
+
+/// One conjunct of a join: `(subject, regex, object, APPROX)`, a term that
+/// starts with `?` being a variable.
+type Conjunct = (String, String, String, bool);
+
+/// A join's reference rows grow past this many and it is drawn again: the
+/// engine drains every one of them in debug builds.
+const JOIN_ROWS: usize = 4_000;
+
+/// Random 2–3-conjunct joins over `labels`: stars on `?X` and chains
+/// `?X → ?Y → ?Z → ?W`, each conjunct a [`SHAPES`] regex, exact or APPROX
+/// at random with at least one APPROX; `count` of them, from `seed`.
+fn random_joins(labels: &[&str], seed: u64, count: usize) -> Vec<Vec<Conjunct>> {
+    let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    let vars = ["?X", "?Y", "?Z", "?W"];
+    (0..count)
+        .map(|_| {
+            let star = rng.chance(50);
+            let n = 2 + rng.below(2);
+            let mut join: Vec<Conjunct> = (0..n)
+                .map(|i| {
+                    let shape = SHAPES[rng.below(SHAPES.len())];
+                    let regex: String = shape
+                        .chars()
+                        .map(|c| match c {
+                            'a' | 'b' | 'c' => labels[rng.below(labels.len())].to_owned(),
+                            other => other.to_string(),
+                        })
+                        .collect();
+                    let (s, o) = if star {
+                        (vars[0], vars[i + 1])
+                    } else {
+                        (vars[i], vars[i + 1])
+                    };
+                    (s.to_owned(), regex, o.to_owned(), rng.chance(50))
+                })
+                .collect();
+            if join.iter().all(|c| !c.3) {
+                join[rng.below(n)].3 = true;
+            }
+            join
+        })
+        .collect()
+}
+
+/// The text of `join` with every variable in the head.
+fn join_text(join: &[Conjunct]) -> (Vec<String>, String) {
+    let mut head: Vec<String> = Vec::new();
+    for (s, _, o, _) in join {
+        for term in [s, o] {
+            if let Some(var) = term.strip_prefix('?') {
+                if !head.iter().any(|h| h == var) {
+                    head.push(var.to_owned());
+                }
+            }
+        }
+    }
+    let body: Vec<String> = join
+        .iter()
+        .map(|(s, r, o, approx)| {
+            let operator = if *approx { "APPROX " } else { "" };
+            format!("{operator}({s}, {r}, {o})")
+        })
+        .collect();
+    let vars: Vec<String> = head.iter().map(|v| format!("?{v}")).collect();
+    let text = format!("({}) <- {}", vars.join(", "), body.join(", "));
+    (head, text)
+}
+
+/// The nested-loop join of the conjuncts' oracle maps — an exact conjunct
+/// keeps its distance-0 pairs — as `head values → least total distance`,
+/// totals up to `cap`; `None` once a partial join outgrows [`JOIN_ROWS`].
+fn join_reference(
+    join: &[Conjunct],
+    maps: &[&BTreeMap<(String, String), u32>],
+    head: &[String],
+    cap: u32,
+) -> Option<BTreeMap<Vec<String>, u32>> {
+    let mut rows: Vec<(BTreeMap<&str, &str>, u32)> = vec![(BTreeMap::new(), 0)];
+    for ((s, _, o, approx), map) in join.iter().zip(maps) {
+        let mut by_subject: BTreeMap<&str, Vec<(&String, &String, u32)>> = BTreeMap::new();
+        for ((x, y), &d) in map.iter().filter(|&(_, &d)| *approx || d == 0) {
+            by_subject.entry(x).or_default().push((x, y, d));
+        }
+        let mut next = Vec::new();
+        for (row, total) in &rows {
+            let bound = if s.starts_with('?') {
+                row.get(s.as_str()).copied()
+            } else {
+                Some(s.as_str())
+            };
+            let pairs: Vec<_> = match bound {
+                Some(x) => by_subject.get(x).into_iter().flatten().collect(),
+                None => by_subject.values().flatten().collect(),
+            };
+            for &(x, y, d) in pairs {
+                let total = total + d;
+                if total > cap {
+                    continue;
+                }
+                let mut merged = row.clone();
+                let fits = [(s, x), (o, y)].into_iter().all(|(term, value)| {
+                    if !term.starts_with('?') {
+                        return term == value;
+                    }
+                    *merged.entry(term.as_str()).or_insert(value.as_str()) == value.as_str()
+                });
+                if fits {
+                    next.push((merged, total));
+                }
+            }
+        }
+        if next.len() > JOIN_ROWS {
+            return None;
+        }
+        rows = next;
+    }
+    let mut out = BTreeMap::new();
+    for (row, total) in rows {
+        let key: Vec<String> = head
+            .iter()
+            .map(|v| row[format!("?{v}").as_str()].to_owned())
+            .collect();
+        let least = out.entry(key).or_insert(total);
+        *least = (*least).min(total);
+    }
+    Some(out)
+}
+
+/// Random exact + APPROX joins over `case` (and the `extra` ones) against
+/// the nested-loop join of the per-conjunct oracle, up to one edit: every
+/// row at its distance, in non-decreasing distance, with cost guidance on
+/// and off; and under several limits `k`, `k` rows of the oracle at its
+/// `k` smallest distances.
+fn check_joins(case: &Case, name: &str, seed: u64, extra: &[Vec<Conjunct>]) {
+    let mut graph = GraphStore::new();
+    for name in case.layers.iter().flatten() {
+        graph.add_node(name);
+    }
+    for (s, p, o) in &case.triples {
+        graph.add_triple(s, p, o);
+    }
+    let guided = Database::new(graph, Ontology::new());
+    let unguided = guided.reconfigured(EvalOptions {
+        cost_guided: false,
+        ..guided.options().clone()
+    });
+    let config = ApproxConfig::default();
+    let cap = config
+        .insertion
+        .max(config.deletion)
+        .max(config.substitution);
+    let costs = Costs {
+        config,
+        ceiling: cap,
+    };
+    let labels: Vec<&str> = ["p", "q", "r"]
+        .into_iter()
+        .filter(|l| case.triples.iter().any(|(_, p, _)| p == l))
+        .collect();
+    let mut oracles: HashMap<String, BTreeMap<(String, String), u32>> = HashMap::new();
+    let (mut checked, mut rows_seen) = (0, 0);
+    let joins = extra.iter().cloned().chain(random_joins(&labels, seed, 16));
+    for join in joins {
+        for (_, regex, _, _) in &join {
+            if !oracles.contains_key(regex) {
+                let map = oracle(case, &parse(regex).unwrap(), &costs);
+                oracles.insert(regex.clone(), map);
+            }
+        }
+        let maps: Vec<_> = join.iter().map(|c| &oracles[&c.1]).collect();
+        let (head, text) = join_text(&join);
+        let Some(expected) = join_reference(&join, &maps, &head, cap) else {
+            continue;
+        };
+        checked += 1;
+        rows_seen += expected.len();
+        let mut ranked: Vec<u32> = expected.values().copied().collect();
+        ranked.sort_unstable();
+        let key = |a: &Answer| -> Vec<String> {
+            head.iter().map(|v| a.get(v).unwrap().to_owned()).collect()
+        };
+        for db in [&guided, &unguided] {
+            let mode = format!("{name}, {text}, cost_guided {}", db.options().cost_guided);
+            let (answers, _) = engine(db, &text, cap);
+            assert_same(&distances(&answers, key), &expected, &mode);
+            for k in [1, 4, 16, 64].into_iter().filter(|&k| k <= expected.len()) {
+                let prepared = db.prepare(&text).unwrap();
+                let request = ExecOptions::new().with_max_distance(cap).with_limit(k);
+                let top = prepared.answers(&request).collect_up_to(None).unwrap();
+                let got: Vec<u32> = top.iter().map(|a| a.distance).collect();
+                assert_eq!(got, ranked[..k], "{mode}, limit {k}");
+                for a in &top {
+                    assert_eq!(
+                        expected.get(&key(a)),
+                        Some(&a.distance),
+                        "{mode}, limit {k}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        checked >= 6,
+        "{name}: only {checked} joins were small enough"
+    );
+    assert!(rows_seen > 0, "{name}: every join was empty");
+}
+
+#[test]
+fn approx_joins_equal_the_nested_loop_join_of_the_oracle() {
+    check_joins(&generate(2), "seed 2", 2, &[]);
+}
+
+#[test]
+fn an_anchored_approx_star_equals_the_nested_loop_join_of_the_oracle() {
+    // Shaped like the paper's M3, `(class, type-, ?E), (?E, next, ?N),
+    // (?E, prereq, ?P)`: `q` is the type edge, `n2_0` a class of some 44 of
+    // the wide layer's instances, and `r` the sparse spoke.
+    let conjunct = |s: &str, r: &str, o: &str, approx: bool| -> Conjunct {
+        (s.to_owned(), r.to_owned(), o.to_owned(), approx)
+    };
+    let m3 = |approx: bool| {
+        vec![
+            conjunct("n2_0", "q-", "?E", approx),
+            conjunct("?E", "q", "?N", approx),
+            conjunct("?E", "r", "?P", approx),
+        ]
+    };
+    let mixed = vec![
+        conjunct("n2_0", "q-", "?E", false),
+        conjunct("?E", "q", "?N", true),
+        conjunct("?E", "r+", "?P", false),
+    ];
+    check_joins(
+        &typed_instances_case(),
+        "typed instances case",
+        3,
+        &[m3(false), m3(true), mixed],
+    );
 }

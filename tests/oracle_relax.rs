@@ -28,6 +28,13 @@
 //! The graph has a layer wider than one batch of the evaluator's seeds, hung
 //! off a hub over a sub-property, so that `(?X, R, ?Y)` queries release
 //! inference-union seed sets over several batches.
+//!
+//! Multi-conjunct queries are checked one level up: random 2–3-conjunct
+//! stars and chains, each conjunct exact or RELAX, and an anchored star
+//! shaped like the paper's M3, against the nested-loop join of the
+//! per-conjunct [`all_pairs`] maps, up to distance 1 — every row at its
+//! least total distance, and under several limits `k` the oracle's `k`
+//! smallest distances first.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -583,4 +590,244 @@ fn relax_distances_equal_the_oracle_when_a_hierarchy_step_costs_two() {
         gamma: Some(1),
     };
     check(&world(3), costs, 100);
+}
+
+/// One conjunct of a join: `(subject, regex, object, RELAX)`, a term that
+/// starts with `?` being a variable.
+type Conjunct = (String, String, String, bool);
+
+/// Regexes an exact conjunct is drawn from: over the two properties with no
+/// sub-property and without `type`, where RELAX at distance 0 — inference
+/// included — is exact matching, so the exact pairs are the oracle's at 0.
+const EXACT_SHAPES: &[&str] = &["p", "p-", "s", "s-", "p.s", "p-.s", "s*"];
+
+/// A join's reference rows grow past this many and it is drawn again: the
+/// engine drains every one of them in debug builds.
+const JOIN_ROWS: usize = 4_000;
+
+/// Random 2–3-conjunct joins: stars on `?X` and chains `?X → ?Y → ?Z → ?W`,
+/// each conjunct RELAX over a [`SHAPES`] regex or exact over an
+/// [`EXACT_SHAPES`] one at random, with at least one RELAX; `count` of
+/// them, from `seed`.
+fn random_joins(seed: u64, count: usize) -> Vec<Vec<Conjunct>> {
+    let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    let vars = ["?X", "?Y", "?Z", "?W"];
+    (0..count)
+        .map(|_| {
+            let star = rng.chance(50);
+            let n = 2 + rng.below(2);
+            let mut relaxed: Vec<bool> = (0..n).map(|_| rng.chance(50)).collect();
+            if relaxed.iter().all(|r| !r) {
+                relaxed[rng.below(n)] = true;
+            }
+            relaxed
+                .into_iter()
+                .enumerate()
+                .map(|(i, relax)| {
+                    let regex = if relax {
+                        SHAPES[rng.below(SHAPES.len())].0
+                    } else {
+                        EXACT_SHAPES[rng.below(EXACT_SHAPES.len())]
+                    };
+                    let (s, o) = if star {
+                        (vars[0], vars[i + 1])
+                    } else {
+                        (vars[i], vars[i + 1])
+                    };
+                    (s.to_owned(), regex.to_owned(), o.to_owned(), relax)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The text of `join` with every variable in the head.
+fn join_text(join: &[Conjunct]) -> (Vec<String>, String) {
+    let mut head: Vec<String> = Vec::new();
+    for (s, _, o, _) in join {
+        for term in [s, o] {
+            if let Some(var) = term.strip_prefix('?') {
+                if !head.iter().any(|h| h == var) {
+                    head.push(var.to_owned());
+                }
+            }
+        }
+    }
+    let body: Vec<String> = join
+        .iter()
+        .map(|(s, r, o, relax)| {
+            let operator = if *relax { "RELAX " } else { "" };
+            format!("{operator}({s}, {r}, {o})")
+        })
+        .collect();
+    let vars: Vec<String> = head.iter().map(|v| format!("?{v}")).collect();
+    let text = format!("({}) <- {}", vars.join(", "), body.join(", "));
+    (head, text)
+}
+
+/// The pairs one conjunct of a join admits, by subject: the oracle's, at 0
+/// for an exact conjunct; from a RELAX class constant, [`from_class`]'s.
+fn conjunct_pairs(
+    (s, _, _, relax): &Conjunct,
+    pairs: &BTreeMap<(String, String), u32>,
+    costs: Costs,
+) -> BTreeMap<String, Vec<(String, u32)>> {
+    let mut out: BTreeMap<String, Vec<(String, u32)>> = BTreeMap::new();
+    if *relax && !s.starts_with('?') {
+        out.insert(s.clone(), from_class(pairs, s, costs).into_iter().collect());
+        return out;
+    }
+    for ((x, y), &d) in pairs.iter().filter(|&(_, &d)| *relax || d == 0) {
+        out.entry(x.clone()).or_default().push((y.clone(), d));
+    }
+    out
+}
+
+/// The nested-loop join of the conjuncts' pairs as `head values → least
+/// total distance`, totals up to `cap`; `None` once a partial join
+/// outgrows [`JOIN_ROWS`].
+fn join_reference(
+    join: &[Conjunct],
+    pairs: &[BTreeMap<String, Vec<(String, u32)>>],
+    head: &[String],
+    cap: u32,
+) -> Option<BTreeMap<Vec<String>, u32>> {
+    let mut rows: Vec<(BTreeMap<&str, &str>, u32)> = vec![(BTreeMap::new(), 0)];
+    for ((s, _, o, _), by_subject) in join.iter().zip(pairs) {
+        let mut next = Vec::new();
+        for (row, total) in &rows {
+            let bound = match s.strip_prefix('?') {
+                Some(_) => row.get(s.as_str()).copied(),
+                None => Some(s.as_str()),
+            };
+            let subjects: Vec<_> = match bound {
+                Some(x) => by_subject.get_key_value(x).into_iter().collect(),
+                None => by_subject.iter().collect(),
+            };
+            for (x, ends) in subjects {
+                for (y, d) in ends {
+                    let total = total + d;
+                    let mut merged = row.clone();
+                    let fits = [(s, x), (o, y)].into_iter().all(|(term, value)| {
+                        if !term.starts_with('?') {
+                            return term == value;
+                        }
+                        *merged.entry(term.as_str()).or_insert(value.as_str()) == value.as_str()
+                    });
+                    if fits && total <= cap {
+                        next.push((merged, total));
+                    }
+                }
+            }
+        }
+        if next.len() > JOIN_ROWS {
+            return None;
+        }
+        rows = next;
+    }
+    let mut out = BTreeMap::new();
+    for (row, total) in rows {
+        let key: Vec<String> = head
+            .iter()
+            .map(|v| row[format!("?{v}").as_str()].to_owned())
+            .collect();
+        let least = out.entry(key).or_insert(total);
+        *least = (*least).min(total);
+    }
+    Some(out)
+}
+
+/// Random exact + RELAX joins over `world` (and the `extra` ones) against
+/// the nested-loop join of the per-conjunct oracle, up to distance 1:
+/// every row at its distance, in non-decreasing distance, with cost
+/// guidance on and off; and under several limits `k`, `k` rows of the
+/// oracle at its `k` smallest distances.
+fn check_joins(world: &World, costs: Costs, batch_size: usize, seed: u64, extra: &[Vec<Conjunct>]) {
+    let guided = database(world, costs, batch_size);
+    let unguided = guided.reconfigured(EvalOptions {
+        cost_guided: false,
+        ..guided.options().clone()
+    });
+    let cap = 1;
+    let bounds: HashMap<&str, Option<usize>> = SHAPES.iter().copied().collect();
+    let mut oracles: HashMap<String, BTreeMap<(String, String), u32>> = HashMap::new();
+    let (mut checked, mut rows_seen) = (0, 0);
+    for join in extra.iter().cloned().chain(random_joins(seed, 16)) {
+        for (_, text, _, _) in &join {
+            if !oracles.contains_key(text) {
+                let regex = parse(text).unwrap();
+                let bound = bounds.get(text.as_str()).copied().flatten();
+                let mut oracle = Oracle::new(&regex, costs);
+                let pairs = all_pairs(world, &mut oracle, bound.unwrap_or(DEPTH));
+                oracles.insert(text.clone(), pairs);
+            }
+        }
+        let pairs: Vec<_> = join
+            .iter()
+            .map(|c| conjunct_pairs(c, &oracles[&c.1], costs))
+            .collect();
+        let (head, text) = join_text(&join);
+        let Some(expected) = join_reference(&join, &pairs, &head, cap) else {
+            continue;
+        };
+        checked += 1;
+        rows_seen += expected.len();
+        let mut ranked: Vec<u32> = expected.values().copied().collect();
+        ranked.sort_unstable();
+        let key = |a: &Answer| -> Vec<String> {
+            head.iter().map(|v| a.get(v).unwrap().to_owned()).collect()
+        };
+        for db in [&guided, &unguided] {
+            let mode = format!(
+                "{text}, {costs:?}, cost_guided {}",
+                db.options().cost_guided
+            );
+            let prepared = db.prepare(&text).unwrap();
+            let request = ExecOptions::new().with_max_distance(cap);
+            let answers = prepared.answers(&request).collect_up_to(None).unwrap();
+            let got: Vec<u32> = answers.iter().map(|a| a.distance).collect();
+            assert!(got.windows(2).all(|w| w[0] <= w[1]), "{mode}: {got:?}");
+            assert_same(&distances(&answers, key), &expected, &mode);
+            for k in [1, 4, 16, 64].into_iter().filter(|&k| k <= expected.len()) {
+                let top = prepared
+                    .answers(&request.clone().with_limit(k))
+                    .collect_up_to(None)
+                    .unwrap();
+                let got: Vec<u32> = top.iter().map(|a| a.distance).collect();
+                assert_eq!(got, ranked[..k], "{mode}, limit {k}");
+                for a in &top {
+                    assert_eq!(
+                        expected.get(&key(a)),
+                        Some(&a.distance),
+                        "{mode}, limit {k}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(checked >= 6, "only {checked} joins were small enough");
+    assert!(rows_seen > 0, "every join was empty");
+}
+
+#[test]
+fn relax_joins_equal_the_nested_loop_join_of_the_oracle() {
+    // Seeds a few at a time, as in the domain-and-range test.
+    let costs = Costs {
+        beta: 1,
+        gamma: Some(1),
+    };
+    let conjunct = |s: &str, r: &str, o: &str, relax: bool| -> Conjunct {
+        (s.to_owned(), r.to_owned(), o.to_owned(), relax)
+    };
+    // Shaped like the paper's M3, `(class, type-, ?E), (?E, next, ?N),
+    // (?E, prereq, ?P)`, with `D`'s instances (and, relaxed, `A`'s and
+    // `B`'s) for the Work Episodes.
+    let m3 = |spokes: bool| {
+        vec![
+            conjunct("D", "type-", "?E", true),
+            conjunct("?E", "p", "?N", spokes),
+            conjunct("?E", "s", "?P", spokes),
+        ]
+    };
+    check_joins(&world(2), costs, 7, 2, &[m3(false), m3(true)]);
 }
