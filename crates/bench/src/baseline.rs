@@ -71,7 +71,8 @@ impl<'a> BaselineEvaluator<'a> {
         // The plan's seeds at distance 0, all at once: the constant (not its
         // RELAX ancestors), every node, or those matching an initial label.
         let initial = self.plan.nfa.initial();
-        let mut feed = InitialNodeFeed::new(&self.plan, self.graph, self.ontology, usize::MAX);
+        let mut feed =
+            InitialNodeFeed::new(&self.plan, self.graph, self.ontology, usize::MAX, false);
         // One release of `usize::MAX` drains the feed; the closure never fails.
         let _ = feed.release(|seed, distance| {
             if distance == 0 && visited.insert((seed, seed, initial)) {

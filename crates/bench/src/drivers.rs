@@ -71,9 +71,9 @@ fn at_level(request: &ExecOptions, psi: u32) -> ExecOptions {
 
 /// Escalating-ψ driver around [`ConjunctEvaluator`].
 ///
-/// Declines the rank join's seed hints (the default
-/// [`AnswerStream::prefer_seeds`]): every ψ level restarts a fresh evaluator,
-/// which would have to be told again what the last one was.
+/// Cannot be a rank join's dependent input (it keeps the default
+/// [`AnswerStream::seed`]): every ψ level restarts a fresh evaluator, which
+/// would have to be handed again what the last one was.
 pub struct DistanceAwareEvaluator<'a> {
     graph: &'a GraphStore,
     ontology: &'a Ontology,
@@ -210,10 +210,10 @@ struct Branch {
 /// higher cost levels — which is precisely where the paper's speed-up on
 /// YAGO query 9 comes from.
 ///
-/// Declines the rank join's seed hints (the default
-/// [`AnswerStream::prefer_seeds`]): it drains one branch after another,
-/// level by level, each with a fresh evaluator, and a hint would have to be
-/// replayed to every one of them.
+/// Cannot be a rank join's dependent input (it keeps the default
+/// [`AnswerStream::seed`]): it drains one branch after another, level by
+/// level, each with a fresh evaluator, and every seed would have to be
+/// replayed to each of them.
 pub struct DisjunctionEvaluator<'a> {
     graph: &'a GraphStore,
     ontology: &'a Ontology,

@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 
 use omega_core::eval::compile_conjunct;
 use omega_core::{
-    AnswerStream, ConjunctEvaluator, Database, EvalOptions, EvalStats, ExecOptions, OmegaError,
-    PreparedQuery,
+    AnswerStream, ConjunctEvaluator, Database, EvalOptions, EvalStats, ExecOptions, InputRole,
+    OmegaError, PreparedQuery,
 };
 use omega_datagen::{
     generate_l4all, generate_yago, l4all_multi_conjunct_queries, l4all_queries, yago_queries,
@@ -670,11 +670,28 @@ pub fn work_stats(db: &Database, text: &str, limit: usize) -> EvalStats {
     run_query_with(db, text, "", text, &request).stats
 }
 
+/// The counters of each conjunct of one top-`limit` fetch of `text`, in
+/// evaluation order: its index in the query, its part in the rank join and
+/// its evaluator's [`EvalStats`] (`answers` is what the join pulled).
+pub fn work_inputs(db: &Database, text: &str, limit: usize) -> Vec<(usize, InputRole, EvalStats)> {
+    let prepared = db.prepare(text).expect("a work statement compiles");
+    let mut stream = prepared.answers(&ExecOptions::new().with_limit(limit));
+    while stream
+        .next_row()
+        .expect("a work statement evaluates")
+        .is_some()
+    {}
+    stream.conjunct_stats()
+}
+
 /// Where each [`work_statements`] statement spends its work on L4All at the
 /// configured largest scale: the top-[`TOP_K`] fetch under cost guidance
 /// (median of `samples` runs, prepared once) with its evaluator counters,
 /// then the tuples added and processed and the `succ` calls of a
-/// top-[`FIRST_K`] fetch, the first answers' cost.
+/// top-[`FIRST_K`] fetch, the first answers' cost; then, per input of each
+/// multi-conjunct statement's rank join ([`work_inputs`]), the answers the
+/// join pulled from it and the tuples it added and processed, at both
+/// limits.
 pub fn work_table(config: &RunConfig) -> String {
     let dataset = l4all_dataset(config.max_scale);
     let db = Database::new(dataset.graph, dataset.ontology);
@@ -718,6 +735,34 @@ pub fn work_table(config: &RunConfig) -> String {
             first.tuples_processed,
             first.succ_calls,
         ));
+    }
+    out.push_str(&format!(
+        "Per join input: answers pulled, tuples added and processed at top-{FIRST_K} and top-{TOP_K}\n\
+         {:<10} {:>5} {:<11} {:>6} {:>6} {:>7} {:>7} {:>6} {:>9}\n",
+        "Statement", "input", "role", "pull@10", "add@10", "proc@10", "pulled", "added", "processed",
+    ));
+    for (name, text) in work_statements() {
+        let (first, top) = (
+            work_inputs(&db, &text, FIRST_K),
+            work_inputs(&db, &text, TOP_K),
+        );
+        if top.len() < 2 {
+            continue;
+        }
+        for ((index, role, at10), (_, _, at100)) in first.iter().zip(&top) {
+            out.push_str(&format!(
+                "{:<10} {:>5} {:<11} {:>6} {:>6} {:>7} {:>7} {:>6} {:>9}\n",
+                name,
+                format!("#{index}"),
+                format!("{role:?}").to_lowercase(),
+                at10.answers,
+                at10.tuples_added,
+                at10.tuples_processed,
+                at100.answers,
+                at100.tuples_added,
+                at100.tuples_processed,
+            ));
+        }
     }
     out
 }
@@ -1237,15 +1282,28 @@ mod tests {
         let table = work_table(&config);
         let statements = work_statements();
         assert_eq!(statements.len(), 9);
-        assert_eq!(table.lines().count(), 2 + statements.len(), "{table}");
+        // The statement rows, then three per input row for each of the four
+        // three-conjunct statements (M2, M3, exact and APPROX).
+        let per_input = 4 * 3;
+        assert_eq!(
+            table.lines().count(),
+            2 + statements.len() + 2 + per_input,
+            "{table}"
+        );
         for (name, _) in &statements {
-            assert!(
-                table
-                    .lines()
-                    .any(|line| line.starts_with(&format!("{name} "))),
-                "no row for {name}:\n{table}"
-            );
+            let rows = table
+                .lines()
+                .filter(|line| line.starts_with(&format!("{name:<10} ")))
+                .count();
+            let inputs = if name.starts_with('M') { 3 } else { 0 };
+            assert_eq!(rows, 1 + inputs, "rows for {name}:\n{table}");
         }
+        let roles = ["driver", "dependent", "independent"];
+        let role_rows = table
+            .lines()
+            .filter(|line| roles.iter().any(|r| line.contains(&format!(" {r} "))))
+            .count();
+        assert_eq!(role_rows, per_input, "{table}");
     }
 
     #[test]

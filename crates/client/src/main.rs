@@ -8,7 +8,7 @@
 //! omega-client --unix /tmp/omega.sock shutdown
 //! ```
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
@@ -41,9 +41,52 @@ EXEC OPTIONS (exec, and the repl's defaults):
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(message) = run(&args) {
-        eprintln!("omega-client: {message}");
-        exit(2);
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
+    let outcome = run(&args, &mut out).and_then(|()| Ok(out.flush()?));
+    exit(exit_code(outcome));
+}
+
+/// Why the CLI stopped before its command was done.
+#[derive(Debug)]
+enum Stop {
+    /// A failure to report on stderr (exit 2).
+    Fail(String),
+    /// Standard output's reader went away (`ErrorKind::BrokenPipe`), as in
+    /// `omega-client … metrics | head -n 1`: nothing more can be shown, so
+    /// the CLI stops quietly (exit 0).
+    Closed,
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Stop {
+        Stop::Fail(message)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(message: &str) -> Stop {
+        Stop::Fail(message.to_owned())
+    }
+}
+
+impl From<std::io::Error> for Stop {
+    fn from(err: std::io::Error) -> Stop {
+        match err.kind() {
+            ErrorKind::BrokenPipe => Stop::Closed,
+            _ => Stop::Fail(format!("writing output: {err}")),
+        }
+    }
+}
+
+/// The process's exit status for `outcome`, after reporting a failure.
+fn exit_code(outcome: Result<(), Stop>) -> i32 {
+    match outcome {
+        Ok(()) | Err(Stop::Closed) => 0,
+        Err(Stop::Fail(message)) => {
+            eprintln!("omega-client: {message}");
+            2
+        }
     }
 }
 
@@ -63,7 +106,7 @@ struct Cli {
     window: u32,
 }
 
-fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
+fn parse_cli(args: &[String], out: &mut dyn Write) -> Result<Option<Cli>, Stop> {
     let mut endpoint: Option<Endpoint> = None;
     let mut command: Option<String> = None;
     let mut query: Option<String> = None;
@@ -77,7 +120,7 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
         };
         match arg.as_str() {
             "--help" | "-h" => {
-                print!("{USAGE}");
+                write!(out, "{USAGE}")?;
                 return Ok(None);
             }
             "--unix" => endpoint = Some(Endpoint::Unix(value("--unix")?.into())),
@@ -94,14 +137,14 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
             "--policy" => options = options.with_on_overload(parse_policy(value("--policy")?)?),
             "--window" => window = parse(value("--window")?)?,
             other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}' (see --help)"));
+                return Err(format!("unknown flag '{other}' (see --help)").into());
             }
             other => match command {
                 None => command = Some(other.to_owned()),
                 // `exec QUERY`: the first free argument after the command is
                 // the query text.
                 Some(_) if query.is_none() => query = Some(other.to_owned()),
-                Some(_) => return Err(format!("unexpected argument '{other}'")),
+                Some(_) => return Err(format!("unexpected argument '{other}'").into()),
             },
         }
     }
@@ -115,24 +158,23 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
     }))
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let Some(cli) = parse_cli(args)? else {
+/// Runs the command `args` name, writing what it shows to `out`.
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), Stop> {
+    let Some(cli) = parse_cli(args, out)? else {
         return Ok(());
     };
     match cli.command.as_str() {
-        "repl" => repl(&cli),
-        "exec" => exec_once(&cli),
+        "repl" => repl(&cli, out),
+        "exec" => exec_once(&cli, out),
         "metrics" => {
             let snapshot = connect(&cli)?.metrics().map_err(display)?;
-            print!("{}", snapshot.text);
-            Ok(())
+            Ok(write!(out, "{}", snapshot.text)?)
         }
         "shutdown" => {
             connect(&cli)?.shutdown_server().map_err(display)?;
-            println!("server draining");
-            Ok(())
+            Ok(writeln!(out, "server draining")?)
         }
-        other => Err(format!("unknown command '{other}' (see --help)")),
+        other => Err(format!("unknown command '{other}' (see --help)").into()),
     }
 }
 
@@ -146,24 +188,26 @@ fn connect(cli: &Cli) -> Result<Connection, String> {
     Ok(conn)
 }
 
-fn exec_once(cli: &Cli) -> Result<(), String> {
+fn exec_once(cli: &Cli, out: &mut dyn Write) -> Result<(), Stop> {
     let query = cli.query.as_deref().ok_or("exec requires a query")?;
     let mut conn = connect(cli)?;
     let stream = conn.execute_text(query, &cli.options).map_err(display)?;
-    print_stream(stream).map_err(display)
+    print_stream(out, stream, false)
 }
 
-fn print_stream(stream: AnswerStream<'_>) -> omega_client::Result<()> {
-    print_stream_opts(stream, false)
-}
-
-fn print_stream_opts(mut stream: AnswerStream<'_>, want_profile: bool) -> omega_client::Result<()> {
+/// Writes a stream's answers to `out` as they arrive, then its summary and,
+/// if asked for, its profile. A failed stream is reported on stderr.
+fn print_stream(
+    out: &mut dyn Write,
+    mut stream: AnswerStream<'_>,
+    want_profile: bool,
+) -> Result<(), Stop> {
     let mut count = 0usize;
     loop {
         match stream.next_answer() {
             Ok(Some(answer)) => {
                 count += 1;
-                println!("{}", render_answer(&answer));
+                writeln!(out, "{}", render_answer(&answer))?;
             }
             Ok(None) => break,
             Err(err) => {
@@ -174,18 +218,19 @@ fn print_stream_opts(mut stream: AnswerStream<'_>, want_profile: bool) -> omega_
     }
     if let Some(stats) = stream.stats() {
         let drained = stream.finish_reason() == Some(FinishReason::Drained);
-        println!(
+        writeln!(
+            out,
             "-- {count} answer(s){}{}; {} tuples, {} lookups",
             if drained { " (drained)" } else { "" },
             if stats.degraded { " (degraded)" } else { "" },
             stats.tuples_processed,
             stats.neighbour_lookups,
-        );
+        )?;
     }
     if want_profile {
         match stream.profile() {
-            Some(profile) => print!("{profile}"),
-            None => println!("-- no profile returned by the server"),
+            Some(profile) => write!(out, "{profile}")?,
+            None => writeln!(out, "-- no profile returned by the server")?,
         }
     }
     Ok(())
@@ -201,57 +246,55 @@ fn render_answer(answer: &Answer) -> String {
     format!("[{}] {}", answer.distance, bindings)
 }
 
-fn repl(cli: &Cli) -> Result<(), String> {
+fn repl(cli: &Cli, out: &mut dyn Write) -> Result<(), Stop> {
     let mut conn = connect(cli)?;
     let mut options = cli.options.clone();
-    println!(
+    writeln!(
+        out,
         "connected to {} (protocol v{})",
         conn.server(),
         conn.version()
-    );
-    println!("type 'help' for commands");
+    )?;
+    writeln!(out, "type 'help' for commands")?;
     let stdin = std::io::stdin();
     loop {
-        print!("omega> ");
-        let _ = std::io::stdout().flush();
+        write!(out, "omega> ")?;
+        out.flush()?;
         let mut line = String::new();
         match stdin.lock().read_line(&mut line) {
             Ok(0) => return Ok(()),
             Ok(_) => {}
-            Err(e) => return Err(e.to_string()),
+            Err(e) => return Err(e.to_string().into()),
         }
         let line = line.trim();
         let (cmd, rest) = match line.split_once(char::is_whitespace) {
             Some((cmd, rest)) => (cmd, rest.trim()),
             None => (line, ""),
         };
-        let outcome = match cmd {
-            "" => Ok(()),
+        // What the command shows, or the client error it met.
+        let outcome: omega_client::Result<String> = match cmd {
+            "" => Ok(String::new()),
             "quit" | "exit" => return Ok(()),
-            "help" => {
-                println!(
-                    "  prepare QUERY     compile a statement, print its id\n  \
-                     exec QUERY|#ID    run a query or a prepared statement\n  \
-                     profile QUERY|#ID run with per-phase timing and print the profile\n  \
-                     close ID          drop a prepared statement\n  \
-                     limit N|off       default answer limit\n  \
-                     timeout MS|off    default deadline\n  \
-                     policy P          overload policy: fail|degrade|shed\n  \
-                     add T L H         add the edge T --L--> H (new epoch)\n  \
-                     remove T L H      remove the edge T --L--> H (new epoch)\n  \
-                     metrics           daemon metrics exposition\n  \
-                     shutdown          drain the daemon\n  \
-                     quit              leave"
-                );
-                Ok(())
-            }
+            "help" => Ok("  prepare QUERY     compile a statement, print its id\n  \
+                 exec QUERY|#ID    run a query or a prepared statement\n  \
+                 profile QUERY|#ID run with per-phase timing and print the profile\n  \
+                 close ID          drop a prepared statement\n  \
+                 limit N|off       default answer limit\n  \
+                 timeout MS|off    default deadline\n  \
+                 policy P          overload policy: fail|degrade|shed\n  \
+                 add T L H         add the edge T --L--> H (new epoch)\n  \
+                 remove T L H      remove the edge T --L--> H (new epoch)\n  \
+                 metrics           daemon metrics exposition\n  \
+                 shutdown          drain the daemon\n  \
+                 quit              leave\n"
+                .to_owned()),
             "prepare" => conn.prepare(rest).map(|statement: Statement| {
-                println!(
-                    "#{} ({} conjunct(s), head: {})",
+                format!(
+                    "#{} ({} conjunct(s), head: {})\n",
                     statement.id,
                     statement.conjuncts,
                     statement.head.join(", ")
-                );
+                )
             }),
             "exec" | "profile" => {
                 let want_profile = cmd == "profile";
@@ -264,41 +307,38 @@ fn repl(cli: &Cli) -> Result<(), String> {
                     Some(id) => match id.trim().parse::<u64>() {
                         Ok(id) => conn.execute(omega_protocol::StatementRef::Id(id), &request),
                         Err(_) => {
-                            println!("usage: {cmd} QUERY or {cmd} #ID");
+                            writeln!(out, "usage: {cmd} QUERY or {cmd} #ID")?;
                             continue;
                         }
                     },
                     None => conn.execute_text(rest, &request),
                 };
-                started.and_then(|stream| print_stream_opts(stream, want_profile))
+                match started {
+                    Ok(stream) => {
+                        print_stream(out, stream, want_profile)?;
+                        Ok(String::new())
+                    }
+                    Err(err) => Err(err),
+                }
             }
             "close" => match rest.parse::<u64>() {
-                Ok(id) => conn.close(id).map(|()| println!("closed #{id}")),
-                Err(_) => {
-                    println!("usage: close ID");
-                    continue;
-                }
+                Ok(id) => conn.close(id).map(|()| format!("closed #{id}\n")),
+                Err(_) => Ok("usage: close ID\n".to_owned()),
             },
             "limit" => {
                 options.limit = rest.parse().ok();
-                println!("limit: {:?}", options.limit);
-                Ok(())
+                Ok(format!("limit: {:?}\n", options.limit))
             }
             "timeout" => {
                 options.timeout = rest.parse().ok().map(Duration::from_millis);
-                println!("timeout: {:?}", options.timeout);
-                Ok(())
+                Ok(format!("timeout: {:?}\n", options.timeout))
             }
             "policy" => match parse_policy(rest) {
                 Ok(policy) => {
                     options.on_overload = policy;
-                    println!("policy: {policy:?}");
-                    Ok(())
+                    Ok(format!("policy: {policy:?}\n"))
                 }
-                Err(e) => {
-                    println!("{e}");
-                    continue;
-                }
+                Err(e) => Ok(format!("{e}\n")),
             },
             "add" | "remove" => {
                 let parts: Vec<&str> = rest.split_whitespace().collect();
@@ -311,29 +351,28 @@ fn repl(cli: &Cli) -> Result<(), String> {
                             mutation.remove(tail, label, head);
                         }
                         conn.mutate(&mutation).map(|report| {
-                            println!(
-                                "epoch {} (+{} edge(s), -{} edge(s))",
+                            format!(
+                                "epoch {} (+{} edge(s), -{} edge(s))\n",
                                 report.epoch, report.added, report.removed
-                            );
+                            )
                         })
                     }
-                    _ => {
-                        println!("usage: {cmd} TAIL LABEL HEAD");
-                        continue;
-                    }
+                    _ => Ok(format!("usage: {cmd} TAIL LABEL HEAD\n")),
                 }
             }
-            "metrics" => conn.metrics().map(|snapshot| print!("{}", snapshot.text)),
-            "shutdown" => conn.shutdown_server().map(|()| println!("server draining")),
-            other => {
-                println!("unknown command '{other}' (try 'help')");
-                Ok(())
-            }
+            "metrics" => conn.metrics().map(|snapshot| snapshot.text),
+            "shutdown" => conn
+                .shutdown_server()
+                .map(|()| "server draining\n".to_owned()),
+            other => Ok(format!("unknown command '{other}' (try 'help')\n")),
         };
-        if let Err(err) = outcome {
-            println!("error: {err}");
-            if matches!(err, ClientError::Protocol(_)) {
-                return Err("connection lost".into());
+        match outcome {
+            Ok(text) => out.write_all(text.as_bytes())?,
+            Err(err) => {
+                writeln!(out, "error: {err}")?;
+                if matches!(err, ClientError::Protocol(_)) {
+                    return Err("connection lost".into());
+                }
             }
         }
     }
@@ -358,4 +397,42 @@ fn parse_policy(raw: &str) -> Result<OverloadPolicy, String> {
 
 fn display<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A standard output whose reader has gone away.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_stops_the_cli_quietly() {
+        let outcome = run(&["--help".to_owned()], &mut ClosedPipe);
+        assert!(matches!(outcome, Err(Stop::Closed)), "{outcome:?}");
+        assert_eq!(exit_code(outcome), 0);
+    }
+
+    #[test]
+    fn other_failures_still_exit_two() {
+        let mut out = Vec::new();
+        let outcome = run(&["--bogus".to_owned()], &mut out);
+        assert!(matches!(outcome, Err(Stop::Fail(_))), "{outcome:?}");
+        assert_eq!(exit_code(outcome), 2);
+        let written = Err(std::io::Error::from(ErrorKind::PermissionDenied));
+        assert_eq!(exit_code(written.map_err(Stop::from)), 2);
+        let mut help = Vec::new();
+        run(&["-h".to_owned()], &mut help).unwrap();
+        assert_eq!(help, USAGE.as_bytes());
+    }
 }

@@ -12,10 +12,18 @@
 //! `max_distance` below that key prunes it once, for every seed.
 //! Popping it re-queues it *first*, at the key it popped at, while the feed
 //! has seeds left, then pushes the feed's next `batch_size` seeds above it
-//! as visits (hinted seeds first and alone). Nothing is keyed below the
+//! as visits. Nothing is keyed below the
 //! seeds (keys are consistent), and `D_R` is LIFO within a key, so the
 //! cursor pops again exactly when no other work at or below its key is
 //! left: when the paper's condition holds.
+//!
+//! A rank join's *dependent* input ([`ConjunctEvaluator::dependent`]) has
+//! no seeds but those the join hands it ([`ConjunctEvaluator::seed`]). Its
+//! cursor waits outside `D_R` until the first one arrives, and goes back
+//! in at its key whenever a seed arrives after the feed ran dry: below the
+//! key `D_R` has reached, which `DrQueue::push` allows. Its answers are
+//! therefore in non-decreasing distance per seed, not across seeds; the
+//! join bounds them by [`AnswerStream::floor`].
 //!
 //! ## Successors as cursors
 //!
@@ -177,6 +185,9 @@ pub struct ConjunctEvaluator<'a> {
     max_tuples: Option<usize>,
     deadline: Option<Instant>,
     on_overload: OverloadPolicy,
+    /// The key the seed cursor enters `D_R` at; `None` when a dead initial
+    /// state or the distance ceiling pruned it.
+    seed_key: Option<u32>,
 }
 
 impl<'a> ConjunctEvaluator<'a> {
@@ -190,7 +201,31 @@ impl<'a> ConjunctEvaluator<'a> {
         request: &ExecOptions,
         govern: Option<&Arc<ResourceGovernor>>,
     ) -> ConjunctEvaluator<'a> {
-        let feed = InitialNodeFeed::new(&plan, graph, ontology, plan.batch_size);
+        Self::build(plan, graph, ontology, request, govern, false)
+    }
+
+    /// The same, for a rank join's dependent input: it seeds only the
+    /// subject values handed to [`ConjunctEvaluator::seed`] (see "Seeds as
+    /// a cursor").
+    pub fn dependent(
+        plan: Arc<ConjunctPlan>,
+        graph: &'a GraphStore,
+        ontology: &'a Ontology,
+        request: &ExecOptions,
+        govern: Option<&Arc<ResourceGovernor>>,
+    ) -> ConjunctEvaluator<'a> {
+        Self::build(plan, graph, ontology, request, govern, true)
+    }
+
+    fn build(
+        plan: Arc<ConjunctPlan>,
+        graph: &'a GraphStore,
+        ontology: &'a Ontology,
+        request: &ExecOptions,
+        govern: Option<&Arc<ResourceGovernor>>,
+        dependent: bool,
+    ) -> ConjunctEvaluator<'a> {
+        let feed = InitialNodeFeed::new(&plan, graph, ontology, plan.batch_size, dependent);
         let dr = DrQueue::new(plan.prioritize_final);
         let visited = VisitedSet::new(graph.node_count(), plan.nfa.state_count(), &plan.seeds);
         let mut evaluator = ConjunctEvaluator {
@@ -214,14 +249,34 @@ impl<'a> ConjunctEvaluator<'a> {
             trip_reason: None,
             degraded: false,
             stats: EvalStats::default(),
+            seed_key: None,
         };
-        let initial = evaluator.plan.nfa.initial();
-        let seeds = Tuple {
-            kind: TupleKind::Seeds,
-            ..Tuple::seed(NodeId(0), initial, 0)
-        };
-        evaluator.push(seeds, evaluator.summary.all());
+        evaluator.seed_key = evaluator.push(evaluator.seed_cursor(), evaluator.summary.all());
+        if dependent && evaluator.seed_key.is_some() {
+            // Nothing is handed yet: the cursor waits for the first seed.
+            evaluator.dr.pop();
+        }
         evaluator
+    }
+
+    /// The tuple that stands for the feed in `D_R`.
+    fn seed_cursor(&self) -> Tuple {
+        Tuple {
+            kind: TupleKind::Seeds,
+            ..Tuple::seed(NodeId(0), self.plan.nfa.initial(), 0)
+        }
+    }
+
+    /// Hands a dependent evaluator one more subject value to seed from, if
+    /// it is a candidate seed not handed before; the seed cursor goes back
+    /// into `D_R` if the feed had run dry. An independent evaluator ignores
+    /// it.
+    pub fn seed(&mut self, node: NodeId) {
+        let idle = !self.feed.has_more();
+        self.feed.hand(node);
+        if let Some(key) = self.seed_key.filter(|_| idle && self.feed.has_more()) {
+            self.dr.push(self.seed_cursor(), key);
+        }
     }
 
     /// The compiled plan driving this evaluator.
@@ -756,12 +811,32 @@ impl AnswerStream for ConjunctEvaluator<'_> {
         self.get_next()
     }
 
-    /// The hinted nodes that are seeds still to be released go in at the
-    /// seed cursor's next pop(s): see [`InitialNodeFeed::prefer`]. They enter
-    /// `D_R` at the distance every seed enters at, so what is emitted at each
-    /// distance is unchanged; only the order inside distance 0's work is.
-    fn prefer_seeds(&mut self, nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
-        self.feed.prefer(nodes)
+    /// `get_next` with `D_R` capped at `ceiling`: popping stops where the
+    /// least key would move past it, so a dependent pulled at its least
+    /// key never expands the work of the keys above.
+    fn next_answer_until(&mut self, ceiling: u32) -> Result<Option<ConjunctAnswer>> {
+        self.dr.ceiling = ceiling;
+        let next = self.get_next();
+        self.dr.ceiling = u32::MAX;
+        next
+    }
+
+    fn seed(&mut self, node: NodeId) {
+        ConjunctEvaluator::seed(self, node);
+    }
+
+    /// `D_R`'s least key — keys are admissible, so no answer still to come
+    /// is cheaper — and, when `seeded`, the key a seed handed later enters
+    /// at. Nothing once a tripped budget has ended the stream.
+    fn floor(&mut self, seeded: bool) -> Option<u32> {
+        if self.degraded {
+            return None;
+        }
+        let queued = self.dr.least_key();
+        match (queued, self.seed_key.filter(|_| seeded)) {
+            (Some(q), Some(s)) => Some(q.min(s)),
+            (q, s) => q.or(s),
+        }
     }
 
     fn stats(&self) -> EvalStats {

@@ -59,6 +59,8 @@ pub struct DrQueue {
     /// When false, final and non-final tuples share a bucket (ablation of the
     /// paper's final-tuple prioritisation).
     prioritize_final: bool,
+    /// `pop` hands out nothing keyed above this (`u32::MAX`: no ceiling).
+    pub ceiling: u32,
 }
 
 impl DrQueue {
@@ -70,6 +72,7 @@ impl DrQueue {
             overflow: BTreeMap::new(),
             len: 0,
             prioritize_final,
+            ceiling: u32::MAX,
         }
     }
 
@@ -95,16 +98,24 @@ impl DrQueue {
     }
 
     /// Removes a tuple from the minimum-key bucket, final tuples first, and
-    /// returns it with its key.
+    /// returns it with its key; `None` once the queue is empty or, from a
+    /// pop at or below the [`DrQueue::ceiling`], holds nothing at or below
+    /// it. The ceiling is read only when the least key moves on.
     pub fn pop(&mut self) -> Option<(Tuple, u32)> {
         while self.cursor < self.buckets.len() {
             if let Some(tuple) = self.buckets[self.cursor].0.iter_mut().find_map(Vec::pop) {
                 self.len -= 1;
                 return Some((tuple, self.cursor as u32));
             }
+            if self.cursor >= self.ceiling as usize {
+                return None;
+            }
             self.cursor += 1;
         }
         let (&key, bucket) = self.overflow.iter_mut().next()?;
+        if key.0 > self.ceiling {
+            return None;
+        }
         let tuple = bucket.pop();
         if bucket.is_empty() {
             self.overflow.remove(&key);
@@ -113,6 +124,21 @@ impl DrQueue {
             self.len -= 1;
         }
         tuple.map(|tuple| (tuple, key.0))
+    }
+
+    /// The least key a tuple is queued at, `None` when none is.
+    pub fn least_key(&mut self) -> Option<u32> {
+        while self.cursor < self.buckets.len() {
+            if self.buckets[self.cursor]
+                .0
+                .iter()
+                .any(|rank| !rank.is_empty())
+            {
+                return Some(self.cursor as u32);
+            }
+            self.cursor += 1;
+        }
+        self.overflow.keys().next().map(|&(key, _)| key)
     }
 
     /// Number of queued tuples.

@@ -8,11 +8,10 @@
 //! releases it through one seed cursor in `D_R`, a batch per pop
 //! (`crate::eval::conjunct`, "Seeds as a cursor").
 //!
-//! Which candidates go first is free — they all enter at distance 0 — so a
-//! rank join may *hint* the feed with the nodes its other inputs have bound
-//! this conjunct's subject to ([`InitialNodeFeed::prefer`]): those seeds are
-//! released ahead of the id order, and the conjunct's first answers are the
-//! ones the join can use.
+//! A rank join's *dependent* input (`crate::eval::rank_join`, "Driver and
+//! dependents") has no supply of its own: the candidate set only filters
+//! the subject values the join hands it ([`InitialNodeFeed::hand`]), and
+//! the feed releases those, in the order handed, and nothing else.
 
 use std::collections::VecDeque;
 
@@ -34,23 +33,26 @@ pub struct InitialNodeFeed {
     /// release order (so `pop` yields the constant first, then its ancestors
     /// in increasing distance).
     fixed: Vec<(NodeId, u32)>,
-    /// The candidate seeds of a `(?X, R, ?Y)` conjunct that are neither
-    /// released nor hinted yet; released in id order from `cursor` on.
+    /// The candidate seeds of a `(?X, R, ?Y)` conjunct not released (or
+    /// handed) yet: released in id order from `cursor` on, or, in a
+    /// dependent's feed, only the filter on what it is handed.
     candidates: NodeBitmap,
     cursor: u32,
-    /// Hinted candidates, taken out of `candidates`, in hint order. While
-    /// there are any, a batch is made of them alone.
-    hinted: VecDeque<NodeId>,
+    /// A dependent's handed candidates not released yet, in the order
+    /// handed; `None` in every other feed.
+    handed: Option<VecDeque<NodeId>>,
     batch_size: usize,
 }
 
 impl InitialNodeFeed {
-    /// Builds the feed for a compiled conjunct.
+    /// Builds the feed for a compiled conjunct; a `dependent` one releases
+    /// only what it is handed.
     pub fn new(
         plan: &ConjunctPlan,
         graph: &GraphStore,
         ontology: &Ontology,
         batch_size: usize,
+        dependent: bool,
     ) -> InitialNodeFeed {
         let (mut fixed, candidates) = match &plan.seeds {
             SeedSpec::Fixed(seeds) => (seeds.to_vec(), NodeBitmap::new()),
@@ -68,45 +70,43 @@ impl InitialNodeFeed {
             fixed,
             candidates,
             cursor: 0,
-            hinted: VecDeque::new(),
+            handed: dependent.then(VecDeque::new),
             batch_size: batch_size.max(1),
         }
     }
 
-    /// Whether any seed remains to be released.
+    /// Whether any seed remains to be released: for a dependent, of those
+    /// handed so far.
     pub fn has_more(&self) -> bool {
-        !(self.candidates.is_empty() && self.hinted.is_empty() && self.fixed.is_empty())
+        match &self.handed {
+            Some(handed) => !handed.is_empty(),
+            None => !(self.candidates.is_empty() && self.fixed.is_empty()),
+        }
     }
 
-    /// Moves the `nodes` that are candidates still to be released to the
-    /// front of the release order, ahead of everything not hinted; anything
-    /// else — no seed of this conjunct, released already, hinted before — is
-    /// ignored. Returns whether a later hint could still move anything.
-    pub fn prefer(&mut self, nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
-        for node in nodes {
+    /// Hands a dependent's feed `node` to release, if it is a candidate not
+    /// handed before; anything else — no seed of this conjunct, a repeat,
+    /// an id past the graph — and any hand to another feed is ignored.
+    pub fn hand(&mut self, node: NodeId) {
+        if let Some(handed) = &mut self.handed {
             if self.candidates.remove(node) {
-                self.hinted.push_back(node);
+                handed.push_back(node);
             }
         }
-        !self.candidates.is_empty()
     }
 
-    /// Releases the next batch to `seed`, in release order, and stops at
-    /// the first error: the hinted seeds if there are any, at most
-    /// `batch_size` of them and not padded; the next `batch_size` in order
-    /// otherwise. An empty feed releases nothing.
+    /// Releases the next `batch_size` seeds to `seed`, in release order,
+    /// and stops at the first error. An empty feed releases nothing.
     pub fn release(&mut self, mut seed: impl FnMut(NodeId, u32) -> Result<()>) -> Result<()> {
-        let hinted = !self.hinted.is_empty();
         for _ in 0..self.batch_size {
-            let next = if hinted {
-                self.hinted.pop_front().map(|node| (node, 0))
-            } else {
-                self.fixed.pop().or_else(|| {
+            let next = match &mut self.handed {
+                Some(handed) => handed.pop_front().map(|node| (node, 0)),
+                None => self.fixed.pop().or_else(|| {
                     let node = self.candidates.first_from(NodeId(self.cursor))?;
                     self.candidates.remove(node);
                     self.cursor = node.0 + 1;
                     Some((node, 0))
-                })
+                }),
             };
             let Some((node, distance)) = next else {
                 break;
@@ -141,7 +141,7 @@ mod tests {
         let q = parse_query(query).unwrap();
         let plan =
             compile_conjunct(&q.conjuncts[0], graph, ontology, &EvalOptions::default()).unwrap();
-        InitialNodeFeed::new(&plan, graph, ontology, batch)
+        InitialNodeFeed::new(&plan, graph, ontology, batch, false)
     }
 
     /// Draws one whole batch.
@@ -237,7 +237,7 @@ mod tests {
                 let plan =
                     compile_conjunct(&q.conjuncts[0], graph, &o, &EvalOptions::default()).unwrap();
                 assert_eq!(plan.seeds, SeedSpec::MatchingInitial, "{text}");
-                let mut feed = InitialNodeFeed::new(&plan, graph, &o, 64);
+                let mut feed = InitialNodeFeed::new(&plan, graph, &o, 64, false);
                 assert_eq!(drain(&mut feed), naive(graph, &plan), "{text}");
             }
         }
@@ -262,34 +262,37 @@ mod tests {
     }
 
     #[test]
-    fn hinted_seeds_go_first_alone_and_once() {
+    fn a_dependent_feed_releases_its_handed_candidates_once_in_hand_order() {
         let (g, o) = chain_graph(25);
         let node = |label: &str| g.node_by_label(label).unwrap();
-        let mut feed = feed_for("(?X, ?Y) <- (?X, next, ?Y)", &g, &o, 4);
-        assert_eq!(batch(&mut feed), ["n0", "n1", "n2", "n3"].map(node));
-        // n25 has no outgoing `next` (no seed), n1 is released already, n20
-        // comes twice: only n20 and n7 move, in hint order.
-        let hint = ["n20", "n25", "n1", "n7", "n20"].map(node);
-        assert!(feed.prefer(&mut hint.into_iter()));
-        assert_eq!(batch(&mut feed), ["n20", "n7"].map(node), "not padded");
-        // The id order resumes where it stopped and skips what was hinted.
-        assert_eq!(batch(&mut feed), ["n4", "n5", "n6", "n8"].map(node));
-        let rest = drain(&mut feed);
-        assert_eq!(rest.len(), 15);
-        assert!(!rest.contains(&node("n20")) && !feed.has_more());
-        assert!(!feed.prefer(&mut hint.into_iter()), "nothing left to move");
+        let q = parse_query("(?X, ?Y) <- (?X, next, ?Y)").unwrap();
+        let plan = compile_conjunct(&q.conjuncts[0], &g, &o, &EvalOptions::default()).unwrap();
+        let mut feed = InitialNodeFeed::new(&plan, &g, &o, 2, true);
+        assert!(
+            !feed.has_more() && batch(&mut feed).is_empty(),
+            "nothing handed"
+        );
+        // n25 has no outgoing `next` (no seed), n20 comes twice, and an id
+        // past the graph: only n20, n7 and n3 are released, in hand order.
+        for n in ["n20", "n25", "n7", "n20"].map(node) {
+            feed.hand(n);
+        }
+        feed.hand(NodeId(10_000));
+        assert_eq!(batch(&mut feed), ["n20", "n7"].map(node));
+        feed.hand(node("n3"));
+        feed.hand(node("n7"));
+        assert_eq!(batch(&mut feed), [node("n3")]);
+        assert!(!feed.has_more() && batch(&mut feed).is_empty());
     }
 
     #[test]
-    fn a_hinted_batch_is_capped_and_fixed_seeds_decline() {
-        let (g, o) = chain_graph(25);
-        let mut feed = feed_for("(?X, ?Y) <- (?X, next, ?Y)", &g, &o, 3);
-        let hint: Vec<NodeId> = g.node_ids().skip(10).take(5).collect();
-        feed.prefer(&mut hint.iter().copied());
-        assert_eq!(batch(&mut feed), hint[..3]);
-        assert_eq!(batch(&mut feed), hint[3..]);
+    fn an_independent_feed_ignores_what_it_is_handed() {
+        let (g, o) = chain_graph(5);
+        let mut feed = feed_for("(?X, ?Y) <- (?X, next, ?Y)", &g, &o, 2);
+        feed.hand(g.node_by_label("n3").unwrap());
+        assert_eq!(drain(&mut feed), g.node_ids().take(5).collect::<Vec<_>>());
         let mut fixed = feed_for("(?X) <- (n0, next, ?X)", &g, &o, 3);
-        assert!(!fixed.prefer(&mut hint.iter().copied()));
-        assert_eq!(batch(&mut fixed), [g.node_by_label("n0").unwrap()]);
+        fixed.hand(g.node_by_label("n3").unwrap());
+        assert_eq!(drain(&mut fixed), [g.node_by_label("n0").unwrap()]);
     }
 }

@@ -18,7 +18,7 @@ pub mod visited;
 pub use conjunct::{evaluate_conjunct, ConjunctEvaluator};
 pub use options::{EvalOptions, ExecOptions, OverloadPolicy};
 pub use plan::{compile_conjunct, ConjunctPlan, SeedSpec};
-pub use rank_join::RankJoin;
+pub use rank_join::{InputRole, RankJoin};
 pub use stats::{EvalStats, TruncationReason};
 
 use omega_graph::NodeId;
@@ -26,25 +26,39 @@ use omega_graph::NodeId;
 use crate::answer::ConjunctAnswer;
 use crate::error::Result;
 
-/// A stream of conjunct answers in non-decreasing distance order.
+/// A stream of conjunct answers in non-decreasing distance order — per
+/// seed, for a rank join's dependent input.
 ///
 /// Implemented by the evaluator ([`ConjunctEvaluator`]), which is what every
 /// query execution and the ranked join run, and by the drivers the paper's
-/// ablations build around it (in `omega-bench`). Only the evaluator takes the
-/// join's seed hints.
+/// ablations build around it (in `omega-bench`). Only the evaluator can be a
+/// dependent input of the join ([`rank_join`], "Driver and dependents").
 pub trait AnswerStream {
-    /// Produces the next answer, or `Ok(None)` when the stream is exhausted.
+    /// Produces the next answer, or `Ok(None)` when the stream is exhausted
+    /// — a dependent one until it is handed another seed.
     fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>>;
 
-    /// A hint from the ranked join: its other inputs have bound this
-    /// conjunct's *subject* variable to `nodes`, so answers starting at one of
-    /// them are the ones it can combine first. A stream may use it to choose
-    /// among answers of equal distance — never to change which answers it
-    /// emits at which distance — or ignore it. Returns whether a later hint
-    /// could still make a difference; after a `false` the join sends no more.
-    /// The default declines.
-    fn prefer_seeds(&mut self, _nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
-        false
+    /// The next answer, as [`AnswerStream::next_answer`], but a stream may
+    /// stop short with `Ok(None)` once it holds nothing it could emit at
+    /// `ceiling` or below — the least key it holds, as the join's pull of a
+    /// dependent input passes it — without being exhausted. The default
+    /// does not stop short.
+    fn next_answer_until(&mut self, _ceiling: u32) -> Result<Option<ConjunctAnswer>> {
+        self.next_answer()
+    }
+
+    /// Hands a dependent stream one more value of its subject variable,
+    /// bound by an earlier input of the join: the stream answers for the
+    /// values it is handed and for no others, each value once however
+    /// often it is handed. The default ignores it.
+    fn seed(&mut self, _node: NodeId) {}
+
+    /// A lower bound on the distance of every answer still to come — of
+    /// those the work the stream holds can yield, and when `seeded` also of
+    /// those a seed handed later can — or `None` when none can come. The
+    /// default knows no more than that distances are not negative.
+    fn floor(&mut self, _seeded: bool) -> Option<u32> {
+        Some(0)
     }
 
     /// Evaluation statistics accumulated so far.

@@ -33,32 +33,43 @@
 //!   and compares `(distance, row)` through its arena, the emitted set
 //!   chains handles by row hash. One representation for every slot width.
 //!
-//! ## Ordering contract
+//! ## Driver and dependents
 //!
-//! The join is *deterministic in its inputs' contents*, never in their
-//! timing. **The pull rule**: the next pull goes to the live stream with the
-//! smallest last-seen distance; of several, to the one with the fewest
-//! answers buffered, counted in blocks of [`PULL_BLOCK`] (the first such on
-//! ties) — tied streams are pulled in turn, a block each, not one to
-//! exhaustion before the next is touched. Buffered candidates leave the heap in `(distance, slot values lexicographic)`
-//! order, each as soon as its distance is within the bound on everything
-//! still to come; of combinations with equal slot values the first popped —
-//! the cheapest — wins. Probe order is invisible: it only permutes pushes
+//! The first input is the *driver*. A later input whose subject is a
+//! variable an earlier input binds can be a *dependent* of such an input,
+//! its *source*, when its evaluator can start from that variable (its plan
+//! is neither reversed nor constant-seeded; the caller chooses, see
+//! [`JoinInput::new`]): every join row takes that value from a source
+//! answer, so the dependent seeds from nothing else. Each value the source
+//! buffers for the slot is handed to it once ([`AnswerStream::seed`]), and
+//! it answers for no other. Every other input is *independent*: it seeds
+//! from its own candidates, in id order.
+//!
+//! A dependent's answers are in non-decreasing distance per seed, not
+//! across seeds: a seed handed late enters at distance 0 after an earlier
+//! seed's distance-2 answers. So the bound is J\*'s (Natsev et al., VLDB
+//! 2001), taken from each input's queue rather than from its last answer:
+//! [`AnswerStream::floor`] bounds every answer an input can still emit, from
+//! the work it holds (`next`) and, while a dependent's source is live, from
+//! a seed handed later too (`floor`). A future combination pulled through
+//! input `i` costs at least `next_i + Σ_{j≠i} min(least buffered_j,
+//! floor_j)`: a seed not handed yet comes with a source answer not pulled
+//! yet, which that sum counts at the source. The least such cost over the
+//! live inputs is the *frontier*; a buffered candidate at or below it is
+//! emitted, and top-`k` capping compares each input's cost with τ. A
+//! dependent is done only once it holds nothing and its source is done, and
+//! only a done input with nothing buffered makes the join empty.
+//!
+//! **The pull rule**: of the live inputs whose cost is the frontier, the
+//! latest in order. Pulling is depth-first: a source is pulled again only
+//! when its dependents hold nothing at the frontier, so the join follows the
+//! driver's answers one at a time, and a top-`k` pulls about as many of them
+//! as its rows need. Buffered candidates leave the heap in `(distance, slot
+//! values lexicographic)` order, each as soon as its distance is within the
+//! frontier; of combinations with equal slot values the first popped — the
+//! cheapest — wins. The join is deterministic in its inputs' contents,
+//! never in their timing; probe order is invisible: it only permutes pushes
 //! onto the heap.
-//!
-//! **Seed hints.** Pulling in turn finds a top-`k` early only if the streams
-//! agree on which bindings come first, and conjuncts evaluated on their own
-//! do not: `(c, type-, ?E)` names its `?E`s in one order, `(?E, job, ?J)`
-//! seeds on candidate `?E`s in node-id order. So before it pulls an input,
-//! the join forwards it the values the other inputs have buffered for its
-//! *subject* slot since the last time ([`AnswerStream::prefer_seeds`]). A
-//! plain evaluator releases hinted seeds ahead of the others; every seed
-//! enters at distance 0, so the stream still emits exactly its
-//! `(x, y, distance)` answers in non-decreasing distance — the contract the
-//! join rests on — and only its order inside a distance, and with it which
-//! tied rows a `LIMIT` keeps, is the join's doing. A stream that declines
-//! (a constant-seeded conjunct, one whose seeds are all released) is not
-//! hinted again.
 
 use std::collections::BinaryHeap;
 use std::hash::BuildHasher;
@@ -76,13 +87,15 @@ const UNBOUND: NodeId = NodeId(u32::MAX);
 /// End of an intrusive chain.
 const NIL: u32 = u32::MAX;
 
-/// How many answers a stream is pulled for before a tied one gets its turn.
-/// One at a time is the textbook round-robin, and costs a join that has to
-/// exhaust its inputs anyway 5–10 % (YM2 / YM4: the evaluators take turns in
-/// the cache, and each is hinted, and releases seeds, one node at a time); by
-/// the block that is 2–5 %, and a top-`k` pulls at most a block per stream
-/// more than it needed — less on the whole, since hints arrive by the block
-/// too (M2 on L4All L3: 424 conjunct answers for its top-100, 1,675 singly).
+/// How many answers an input that seeds from its own candidates (the
+/// driver, an independent input) is pulled for before another such input
+/// at the same frontier gets its turn. Dependents need no turns — they are
+/// drained depth-first, and their source waits — but inputs that each
+/// start from their own candidates meet only if pulled in turn: pulling the
+/// latest of them dry first took YAGO YM1's top-10 from 310 tuples added to
+/// 1,940 and YM3's from 434 to 4,926 (YAGO scale 0.1). By the block rather
+/// than singly, since a join that exhausts its inputs anyway paid 5–10 %
+/// for taking turns one answer at a time.
 pub const PULL_BLOCK: usize = 16;
 
 /// A multimap from `u32` keys to the positions `0, 1, 2, …` in filing
@@ -95,8 +108,8 @@ struct Chains {
 }
 
 impl Chains {
-    /// Keys the map has room for from its first filing on. Inputs pulled in
-    /// turn are indexed an answer at a time, and a map that starts empty
+    /// Keys the map has room for from its first filing on. Inputs pulled
+    /// depth-first are indexed an answer at a time, and a map that starts empty
     /// rehashes ten times on its way to a thousand keys: a quarter of the
     /// join's own time on a join that buffers a few thousand answers.
     const FIRST_KEYS: usize = 1024;
@@ -172,6 +185,17 @@ impl Rows {
     }
 }
 
+/// What part an input plays in a join (see "Driver and dependents").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InputRole {
+    /// The first input.
+    Driver,
+    /// Seeded by the values an earlier input binds its subject to.
+    Dependent,
+    /// Any other input: it seeds from its own candidates.
+    Independent,
+}
+
 /// One input stream of the join.
 pub struct JoinInput<'a> {
     stream: Box<dyn AnswerStream + 'a>,
@@ -181,51 +205,62 @@ pub struct JoinInput<'a> {
     /// for a conjunct like `(?X, R, ?X)`, which binds one variable: both
     /// endpoints agree by construction, so the subject's binding stands.
     object_slot: Option<usize>,
+    /// A dependent's source: the earlier input whose answers seed it.
+    source: Option<usize>,
     buffer: Vec<ConjunctAnswer>,
+    /// The least distance buffered; `u32::MAX` while nothing is.
+    least: u32,
+    /// The distance of the last answer pulled: an independent stream is
+    /// ranked, so none to come is smaller.
+    last: u32,
+    /// [`AnswerStream::floor`] as of the last refresh: of what the stream
+    /// holds (`next`), and of anything it may still emit (`floor`).
+    next: Option<u32>,
+    floor: Option<u32>,
+    /// Whether the two may have moved since: the input was pulled, or
+    /// handed a seed, or its source finished.
+    stale: bool,
     /// Buffer positions by subject value, as far as the last probe needed
     /// them; `Some` iff another input binds the subject slot.
     by_subject: Option<Chains>,
     /// The same by object value, iff another input binds the object slot.
     by_object: Option<Chains>,
-    /// The other inputs binding this input's subject slot: where its seed
-    /// hints come from. Emptied once the stream declines further hints.
-    hints: Vec<HintSource>,
     done: bool,
 }
 
-/// Another input whose answers bind the hinted input's subject variable.
-struct HintSource {
-    input: usize,
-    /// Whether it binds that variable as its subject (else as its object).
-    as_subject: bool,
-    /// How much of its buffer has been forwarded.
-    sent: usize,
-}
-
 impl<'a> JoinInput<'a> {
-    /// Wraps an answer stream together with the slots its answers bind.
+    /// Wraps an answer stream together with the slots its answers bind. A
+    /// `source` makes it a dependent of that earlier input, which must bind
+    /// its subject slot, and its stream one that answers only for the
+    /// values it is handed.
     pub fn new(
         stream: Box<dyn AnswerStream + 'a>,
         subject_slot: Option<usize>,
         object_slot: Option<usize>,
+        source: Option<usize>,
     ) -> JoinInput<'a> {
         JoinInput {
             stream,
             subject_slot,
             object_slot: object_slot.filter(|&slot| Some(slot) != subject_slot),
+            source,
             buffer: Vec::new(),
+            least: u32::MAX,
+            last: 0,
+            next: None,
+            floor: None,
+            stale: true,
             by_subject: None,
             by_object: None,
-            hints: Vec::new(),
             done: false,
         }
     }
 
-    /// Distances of the first and the last answer buffered (streams are
-    /// ranked, so the least and the greatest seen); 0 while there is none.
-    fn distance_range(&self) -> (u64, u64) {
-        let distance = |a: Option<&ConjunctAnswer>| a.map_or(0, |a| u64::from(a.distance));
-        (distance(self.buffer.first()), distance(self.buffer.last()))
+    /// The least cost an answer of this input adds to a combination not
+    /// buffered yet: a buffered one's, or one still to come.
+    fn least_to_come(&self) -> u64 {
+        let floor = self.floor.filter(|_| !self.done).unwrap_or(u32::MAX);
+        u64::from(self.least.min(floor))
     }
 
     /// Writes `answer`'s endpoints into their slots of `row`.
@@ -295,7 +330,8 @@ fn heap_pop(heap: &mut Vec<u32>, rows: &Rows) -> Option<u32> {
     }
 }
 
-/// HRJN-style incremental rank join over conjunct answer streams.
+/// Incremental rank join over conjunct answer streams, pulled depth-first
+/// from the driver through its dependents.
 #[derive(Default)]
 pub struct RankJoin<'a> {
     inputs: Vec<JoinInput<'a>>,
@@ -337,19 +373,16 @@ impl<'a> RankJoin<'a> {
             binders[slot] += 1;
         }
         let shared = |slot: Option<usize>| slot.is_some_and(|s| binders[s] > 1);
-        let endpoints: Vec<_> = inputs.iter().map(slots).collect();
-        for (i, input) in inputs.iter_mut().enumerate() {
+        for input in &mut inputs {
             input.by_subject = shared(input.subject_slot).then(Chains::default);
             input.by_object = shared(input.object_slot).then(Chains::default);
-            let subject = input.subject_slot;
-            for (j, ends) in endpoints.iter().enumerate() {
-                if j != i && subject.is_some() && ends.contains(&subject) {
-                    input.hints.push(HintSource {
-                        input: j,
-                        as_subject: ends[0] == subject,
-                        sent: 0,
-                    });
-                }
+        }
+        for (i, input) in inputs.iter().enumerate() {
+            if let Some(s) = input.source {
+                assert!(
+                    s < i && slots(&inputs[s]).contains(&input.subject_slot),
+                    "input {i}'s source {s} must be earlier and bind its subject"
+                );
             }
         }
         let rows = || Rows {
@@ -391,75 +424,117 @@ impl<'a> RankJoin<'a> {
         }
     }
 
-    /// The input to pull next and a lower bound on the total distance of any
-    /// combination not yet buffered; `None` when nothing `≤ τ` can still
-    /// appear. A *future* combination through an input costs at least its
-    /// last distance plus every other input's minimum; past τ the input is
-    /// capped (no use to the first `k` answers). The bound is the least such
-    /// cost over live, uncapped inputs; the pull goes to the one of them with
-    /// the smallest last distance, of those to the one with the fewest
-    /// blocks of answers buffered, first on ties.
-    fn frontier(&self, tau: Option<u32>) -> Option<(usize, u32)> {
-        let minima: u64 = self.inputs.iter().map(|i| i.distance_range().0).sum();
-        let (mut pull, mut bound) = (None::<(usize, (u64, usize))>, u32::MAX);
-        for (i, input) in self.inputs.iter().enumerate() {
-            let (min, last) = input.distance_range();
-            let through = u32::try_from(minima - min + last).unwrap_or(u32::MAX);
-            if input.done || tau.is_some_and(|t| through > t) {
+    /// Brings the bounds of every stale input up to date, sources before
+    /// their dependents, and marks done those that can emit nothing more.
+    fn refresh(&mut self) {
+        for i in 0..self.inputs.len() {
+            let open = self.inputs[i].source.is_some_and(|s| !self.inputs[s].done);
+            let input = &mut self.inputs[i];
+            if input.done || !std::mem::take(&mut input.stale) {
                 continue;
             }
-            bound = bound.min(through);
-            let rank = (last, input.buffer.len() / PULL_BLOCK);
-            if pull.is_none_or(|(_, least)| rank < least) {
-                pull = Some((i, rank));
+            input.next = input.stream.floor(false);
+            input.floor = if open {
+                input.stream.floor(true)
+            } else {
+                input.next
+            };
+            if input.source.is_none() {
+                input.next = input.next.map(|next| next.max(input.last));
+                input.floor = input.next;
+            }
+            if input.floor.is_none() {
+                input.done = true;
+                self.empty |= input.buffer.is_empty();
+                Self::touch_dependents(&mut self.inputs, i);
             }
         }
-        pull.map(|(i, _)| (i, bound))
     }
 
-    /// Hints input `idx` with the values the other inputs have buffered for
-    /// its subject slot since the last time, for as long as it takes hints.
-    fn hint(inputs: &mut [JoinInput<'a>], idx: usize) {
-        let (before, rest) = inputs.split_at_mut(idx);
-        let Some((input, after)) = rest.split_first_mut() else {
-            return;
-        };
-        let buffer = |j: usize| match j.checked_sub(idx + 1) {
-            Some(j) => &after[j].buffer[..],
-            None => &before[j].buffer[..],
-        };
-        if input.hints.iter().all(|h| h.sent == buffer(h.input).len()) {
-            return;
-        }
-        let mut nodes = input.hints.iter().flat_map(|h| {
-            let fresh = &buffer(h.input)[h.sent..];
-            fresh.iter().map(|a| if h.as_subject { a.x } else { a.y })
-        });
-        if input.stream.prefer_seeds(&mut nodes) {
-            input
-                .hints
-                .iter_mut()
-                .for_each(|h| h.sent = buffer(h.input).len());
-        } else {
-            input.hints.clear();
+    /// Marks the dependents of input `idx` stale.
+    fn touch_dependents(inputs: &mut [JoinInput<'a>], idx: usize) {
+        for dependent in inputs.iter_mut().filter(|d| d.source == Some(idx)) {
+            dependent.stale = true;
         }
     }
 
-    /// Pulls one answer from input `idx` — hinted first — and joins it with
-    /// every compatible combination of the other inputs' buffers, one input
-    /// at a time.
+    /// The input to pull next and the frontier, the least total distance of
+    /// a combination not yet buffered; `None` when nothing `≤ τ` can still
+    /// appear. A future combination pulled through an input costs at least
+    /// what it holds plus every other input's least to come; past τ the
+    /// input is capped (no use to the first `k` answers). The frontier is
+    /// the least such cost over live, uncapped inputs holding work; the pull
+    /// goes to the latest dependent at the frontier, or else to the input
+    /// at the frontier with the fewest blocks of answers buffered, the
+    /// first on ties.
+    fn frontier(&self, tau: Option<u32>) -> Option<(usize, u32)> {
+        let total: u64 = self.inputs.iter().map(JoinInput::least_to_come).sum();
+        // `(through, index)` of the best dependent and `(through, blocks,
+        // index)` of the best other input.
+        let (mut deepest, mut turn) = (None::<(u32, usize)>, None::<(u32, usize, usize)>);
+        for (i, input) in self.inputs.iter().enumerate() {
+            let Some(next) = input.next.filter(|_| !input.done) else {
+                continue;
+            };
+            let through = total - input.least_to_come() + u64::from(next);
+            let through = u32::try_from(through).unwrap_or(u32::MAX);
+            if tau.is_some_and(|t| through > t) {
+                continue;
+            }
+            if input.source.is_some() {
+                if deepest.is_none_or(|(least, _)| through <= least) {
+                    deepest = Some((through, i));
+                }
+            } else {
+                let rank = (through, input.buffer.len() / PULL_BLOCK, i);
+                if turn.is_none_or(|least| rank < least) {
+                    turn = Some(rank);
+                }
+            }
+        }
+        match (deepest, turn) {
+            (Some((d, i)), Some((t, ..))) if d <= t => Some((i, d)),
+            (_, Some((t, _, i))) => Some((i, t)),
+            (deepest, None) => deepest.map(|(d, i)| (i, d)),
+        }
+    }
+
+    /// Pulls one answer from input `idx`, hands its value for their subject
+    /// to its dependents, and joins it with every compatible combination of
+    /// the other inputs' buffers, one input at a time.
     fn pull(&mut self, idx: usize) -> Result<()> {
         let (inputs, partials, next) = (&mut self.inputs, &mut self.partials, &mut self.next);
-        Self::hint(inputs, idx);
         let input = &mut inputs[idx];
-        let Some(answer) = input.stream.next_answer()? else {
-            input.done = true;
-            self.empty |= input.buffer.is_empty();
+        input.stale = true;
+        let pulled = match (input.source, input.next) {
+            // A dependent stops at the key it was pulled at.
+            (Some(_), Some(at)) => input.stream.next_answer_until(at)?,
+            _ => input.stream.next_answer()?,
+        };
+        let Some(answer) = pulled else {
+            // A dependent is only idle: the refresh tells when it is done.
+            if input.source.is_none() {
+                input.done = true;
+                self.empty |= input.buffer.is_empty();
+                Self::touch_dependents(inputs, idx);
+            }
             return Ok(());
         };
         input.buffer.push(answer);
+        input.least = input.least.min(answer.distance);
+        input.last = answer.distance;
+        let subject = input.subject_slot;
+        for dependent in inputs.iter_mut().filter(|d| d.source == Some(idx)) {
+            let value = if dependent.subject_slot == subject {
+                answer.x
+            } else {
+                answer.y
+            };
+            dependent.stream.seed(value);
+            dependent.stale = true;
+        }
         partials.clear();
-        input.bind(partials.push(answer.distance), &answer);
+        inputs[idx].bind(partials.push(answer.distance), &answer);
         for (_, other) in inputs.iter_mut().enumerate().filter(|&(j, _)| j != idx) {
             other.index();
             next.clear();
@@ -492,6 +567,7 @@ impl<'a> RankJoin<'a> {
     /// call — and its total distance, in non-decreasing distance order.
     pub fn next_row(&mut self) -> Result<Option<(&[NodeId], u32)>> {
         let (distance, row) = loop {
+            self.refresh();
             if self.empty {
                 return Ok(None); // whatever the other inputs still hold
             }
@@ -540,6 +616,18 @@ impl<'a> RankJoin<'a> {
         Ok(Some((row, distance)))
     }
 
+    /// Each input's part and its stream's statistics, in input order.
+    pub fn input_stats(&self) -> impl Iterator<Item = (InputRole, EvalStats)> + '_ {
+        self.inputs.iter().enumerate().map(|(i, input)| {
+            let role = match (i, input.source) {
+                (0, _) => InputRole::Driver,
+                (_, Some(_)) => InputRole::Dependent,
+                (_, None) => InputRole::Independent,
+            };
+            (role, input.stream.stats())
+        })
+    }
+
     /// Accumulated statistics (including all input streams).
     pub fn stats(&self) -> EvalStats {
         let mut stats = self.stats;
@@ -562,19 +650,26 @@ mod tests {
     use proptest::prelude::*;
 
     /// A scripted answer stream for unit-testing the join in isolation.
-    /// Pulling it more than `budget` times panics.
+    /// Pulling it more than `budget` times panics. A dependent one answers
+    /// only for the subjects it has been handed: of those answers not
+    /// emitted yet, the cheapest first, so that it is ranked per seed but a
+    /// seed handed late can answer below what an earlier one already has.
     struct Scripted {
         answers: Vec<ConjunctAnswer>,
         pos: usize,
+        pulls: usize,
         budget: usize,
-        /// Whether it takes seed hints, as a conjunct evaluator does.
-        hinted: bool,
+        /// The subjects handed so far, for a dependent; `None` otherwise.
+        handed: Option<Vec<NodeId>>,
+        /// A dependent's answers emitted so far, by position.
+        emitted: Vec<bool>,
     }
 
     impl Scripted {
         fn new(mut answers: Vec<(u32, u32, u32)>) -> Scripted {
             answers.sort_by_key(|&(_, _, d)| d);
             Scripted {
+                emitted: vec![false; answers.len()],
                 answers: answers
                     .into_iter()
                     .map(|(x, y, d)| ConjunctAnswer {
@@ -584,32 +679,55 @@ mod tests {
                     })
                     .collect(),
                 pos: 0,
+                pulls: 0,
                 budget: usize::MAX,
-                hinted: false,
+                handed: None,
+            }
+        }
+
+        /// The position of the next answer to emit.
+        fn upcoming(&self) -> Option<usize> {
+            match &self.handed {
+                None => (self.pos < self.answers.len()).then_some(self.pos),
+                Some(handed) => (0..self.answers.len())
+                    .find(|&i| !self.emitted[i] && handed.contains(&self.answers[i].x)),
             }
         }
     }
 
     impl AnswerStream for Scripted {
         fn next_answer(&mut self) -> Result<Option<ConjunctAnswer>> {
-            assert!(self.pos < self.budget, "stream pulled past its budget");
-            let out = self.answers.get(self.pos).copied();
-            self.pos += 1;
-            Ok(out)
+            self.next_answer_until(u32::MAX)
         }
 
-        /// Of the answers still to come at the next one's distance, those
-        /// whose subject is hinted go first, in hint order.
-        fn prefer_seeds(&mut self, nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
-            let rest = self.answers.get_mut(self.pos..).unwrap_or_default();
-            let tied = rest.iter().take_while(|a| a.distance == rest[0].distance);
-            let tied = tied.count();
-            if self.hinted {
-                let hints: Vec<NodeId> = nodes.collect();
-                let rank = |a: &ConjunctAnswer| hints.iter().position(|&n| n == a.x);
-                rest[..tied].sort_by_key(|a| rank(a).unwrap_or(usize::MAX));
+        fn next_answer_until(&mut self, ceiling: u32) -> Result<Option<ConjunctAnswer>> {
+            assert!(self.pulls < self.budget, "stream pulled past its budget");
+            self.pulls += 1;
+            let next = self
+                .upcoming()
+                .filter(|&i| self.answers[i].distance <= ceiling);
+            if let Some(i) = next {
+                self.emitted[i] = true;
+                self.pos += 1;
             }
-            self.hinted && tied > 0
+            Ok(next.map(|i| self.answers[i]))
+        }
+
+        fn seed(&mut self, node: NodeId) {
+            if let Some(handed) = &mut self.handed {
+                if !handed.contains(&node) {
+                    handed.push(node);
+                }
+            }
+        }
+
+        fn floor(&mut self, seeded: bool) -> Option<u32> {
+            let held = self.upcoming().map(|i| self.answers[i].distance);
+            if seeded {
+                Some(0)
+            } else {
+                held
+            }
         }
 
         fn stats(&self) -> EvalStats {
@@ -628,24 +746,24 @@ mod tests {
         subject: Option<usize>,
         object: Option<usize>,
     ) -> JoinInput<'static> {
-        scripted_input(answers, subject, object, false, usize::MAX)
+        scripted_input(answers, subject, object, None, usize::MAX)
     }
 
-    /// An input that takes seed hints if `hinted` and panics past `budget`
-    /// pulls.
+    /// An input that is a dependent of `source`, if any, and panics past
+    /// `budget` pulls.
     fn scripted_input(
         answers: Vec<(u32, u32, u32)>,
         subject: Option<usize>,
         object: Option<usize>,
-        hinted: bool,
+        source: Option<usize>,
         budget: usize,
     ) -> JoinInput<'static> {
         let stream = Scripted {
             budget,
-            hinted,
+            handed: source.map(|_| Vec::new()),
             ..Scripted::new(answers)
         };
-        JoinInput::new(Box::new(stream), subject, object)
+        JoinInput::new(Box::new(stream), subject, object, source)
     }
 
     /// Pulls up to `n` rows off a join: `(slot values, distance)`, with
@@ -733,13 +851,15 @@ mod tests {
 
     #[test]
     fn a_later_arrival_at_an_open_distance_is_emitted_later() {
-        // `(distance, slots)` orders the *buffered* candidates only. Once the
-        // bound reaches 2, `[2, 2, 2]` is emitted; `[2, 0, 0]`, also at 2 and
-        // smaller, only exists after the second stream's last pull.
-        let c1 = input(vec![(0, 0, 0), (0, 0, 1), (2, 2, 2)], Z, Y);
-        let c2 = input(vec![(2, 2, 0), (1, 1, 2), (0, 2, 2)], Y, X);
+        // `(distance, slots)` orders the *buffered* candidates only. The
+        // first stream, pulled first, is done at 0; once the second one's
+        // next answer is at 1, so is the frontier, and `[2, 1, 9]` is
+        // emitted; `[0, 1, 9]`, also at 1 and smaller, only exists after
+        // the second stream's next pull.
+        let c1 = input(vec![(1, 9, 0)], Y, Z);
+        let c2 = input(vec![(2, 1, 1), (0, 1, 1)], X, Y);
         let results = drain(RankJoin::new(vec![c1, c2], 3));
-        assert_eq!(results, vec![(vec![2, 2, 2], 2), (vec![2, 0, 0], 2)]);
+        assert_eq!(results, vec![(vec![2, 1, 9], 1), (vec![0, 1, 9], 1)]);
     }
 
     #[test]
@@ -765,7 +885,7 @@ mod tests {
         for empty_first in [false, true] {
             let mut long = Scripted::new(vec![(1, 10, 0), (2, 20, 1), (3, 30, 2), (4, 40, 3)]);
             long.budget = 3;
-            let long = JoinInput::new(Box::new(long), X, Y);
+            let long = JoinInput::new(Box::new(long), X, Y, None);
             let empty = input(vec![], Y, Z);
             let inputs = if empty_first {
                 vec![empty, long]
@@ -810,24 +930,22 @@ mod tests {
     }
 
     #[test]
-    fn ties_are_pulled_in_turn_and_hinted_streams_meet_at_once() {
+    fn dependents_are_drained_before_their_source_is_pulled_again() {
         // A star on X, every answer at distance 0: a hub `(c, R, ?X)` that
-        // names its 5,000 nodes from the top down, two spokes `(?X, R, ?Y)`
-        // that would start from the bottom. Pulling a tied stream dry before
-        // touching the next costs 5,000 pulls; pulling in turn alone lets hub
-        // and spokes meet half way, 2,500 each. Hinted with the hub's
-        // bindings, each spoke answers for the nodes the hub just named: a
-        // block from the hub, a block from the first spoke, and the second
-        // spoke's first ten answers complete the top-10.
+        // names its 5,000 nodes from the top down, and two spokes `(?X, R,
+        // ?Y)` with an answer for every node, the second a dependent of the
+        // first. Pulled depth-first, each node the hub names is answered by
+        // both spokes before the hub is pulled again: the top-10 takes ten
+        // hub answers, and each spoke a pull per node plus one that finds
+        // it idle.
         const N: u32 = 5_000;
         let hub = (0..N).rev().map(|x| (N, x, 0)).collect();
         let spoke = |far: u32| (0..N).map(|x| (x, x + far, 0)).collect();
-        let budget = PULL_BLOCK;
         let mut join = RankJoin::new(
             vec![
-                scripted_input(hub, None, X, true, budget),
-                scripted_input(spoke(N), X, Y, true, budget),
-                scripted_input(spoke(2 * N), X, Z, true, budget),
+                scripted_input(hub, None, X, None, 10),
+                scripted_input(spoke(N), X, Y, Some(0), 20),
+                scripted_input(spoke(2 * N), X, Z, Some(1), 20),
             ],
             3,
         );
@@ -836,7 +954,24 @@ mod tests {
             .map(|i| (vec![N - 1 - i, 2 * N - 1 - i, 3 * N - 1 - i], 0))
             .collect();
         assert_eq!(take(&mut join, 10), expected);
-        assert_eq!(join.buffered_entries(), 2 * PULL_BLOCK + 10);
+        assert_eq!(join.buffered_entries(), 30);
+        let roles: Vec<InputRole> = join.input_stats().map(|(role, _)| role).collect();
+        use InputRole::*;
+        assert_eq!(roles, [Driver, Dependent, Dependent]);
+    }
+
+    #[test]
+    fn a_late_seed_answers_below_an_earlier_seeds_answers() {
+        // The dependent's answers for seed 1 come at 0 and 2; seed 2, handed
+        // after them, answers at 0: a join taking the dependent's last answer
+        // for a bound would emit `[1, 11]` at 2 before `[2, 20]` at 1.
+        let source = input(vec![(9, 1, 0), (9, 2, 1)], None, X);
+        let dependent = scripted_input(vec![(1, 10, 0), (1, 11, 2), (2, 20, 0)], X, Y, Some(0), 8);
+        let rows = drain(RankJoin::new(vec![source, dependent], 2));
+        assert_eq!(
+            rows,
+            vec![(vec![1, 10], 0), (vec![2, 20], 1), (vec![1, 11], 2)]
+        );
     }
 
     #[test]
@@ -927,10 +1062,20 @@ mod tests {
             if let Some(spec) = specs.get_mut(emptied) {
                 spec.2.clear();
             }
-            let run = |limit: Option<usize>, hinted: bool| {
+            // A dependent's source: the last earlier input binding its
+            // subject slot, as a prepared statement chooses it.
+            let source = |i: usize| {
+                let subject = specs[i].0?;
+                specs[..i].iter().rposition(|(s, o, _)| [*s, *o].contains(&Some(subject)))
+            };
+            let run = |limit: Option<usize>, dependents: bool| {
                 let inputs = specs
                     .iter()
-                    .map(|(s, o, a)| scripted_input(a.clone(), *s, *o, hinted, usize::MAX))
+                    .enumerate()
+                    .map(|(i, (s, o, a))| {
+                        let source = source(i).filter(|_| dependents);
+                        scripted_input(a.clone(), *s, *o, source, usize::MAX)
+                    })
                     .collect();
                 let mut join = RankJoin::new(inputs, slot_count);
                 join.set_limit(limit);
@@ -938,14 +1083,15 @@ mod tests {
             };
             let expected = reference_join(&specs, slot_count);
             let distances = |rows: &[(Vec<u32>, u32)]| rows.iter().map(|r| r.1).collect::<Vec<_>>();
-            // Streams that reorder their ties on the join's hints are held
-            // to the same reference as streams that ignore them.
-            for hinted in [false, true] {
-                let got = run(None, hinted);
+            // Dependents, which answer only for the subjects their source
+            // hands them and are ranked only per seed, are held to the same
+            // reference as streams that answer for every subject in order.
+            for dependents in [false, true] {
+                let got = run(None, dependents);
                 prop_assert_eq!(distances(&got), distances(&expected), "{:?}", specs);
                 prop_assert_eq!(ranked(got), &expected[..], "{:?}", specs);
                 for k in 1..=expected.len() {
-                    let got = run(Some(k), hinted);
+                    let got = run(Some(k), dependents);
                     prop_assert_eq!(distances(&got), distances(&expected), "limit {} over {:?}", k, specs);
                     let top: std::collections::HashSet<_> = got[..k].iter().collect();
                     prop_assert_eq!(top.len(), k, "limit {} over {:?}", k, specs);

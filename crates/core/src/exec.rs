@@ -15,7 +15,7 @@ use omega_ontology::Ontology;
 
 use crate::answer::{Answer, AnswerBatch};
 use crate::error::{OmegaError, Result};
-use crate::eval::rank_join::{JoinInput, RankJoin};
+use crate::eval::rank_join::{InputRole, JoinInput, RankJoin};
 use crate::eval::{
     AnswerStream, ConjunctEvaluator, ConjunctPlan, EvalStats, ExecOptions, OverloadPolicy,
 };
@@ -38,10 +38,21 @@ impl AnswerStream for TimedStream<'_> {
         out
     }
 
-    /// Forwarded, or a profiled run would evaluate unhinted: not the
+    fn next_answer_until(&mut self, ceiling: u32) -> Result<Option<crate::answer::ConjunctAnswer>> {
+        let started = Instant::now();
+        let out = self.inner.next_answer_until(ceiling);
+        self.nanos.fetch_add(elapsed_ns(started), Ordering::Relaxed);
+        out
+    }
+
+    /// Forwarded, or a profiled dependent would evaluate nothing: not the
     /// execution it is there to time.
-    fn prefer_seeds(&mut self, nodes: &mut dyn Iterator<Item = NodeId>) -> bool {
-        self.inner.prefer_seeds(nodes)
+    fn seed(&mut self, node: NodeId) {
+        self.inner.seed(node);
+    }
+
+    fn floor(&mut self, seeded: bool) -> Option<u32> {
+        self.inner.floor(seeded)
     }
 
     fn stats(&self) -> EvalStats {
@@ -120,32 +131,40 @@ impl PreparedInner {
         let ontology = &data.ontology;
         let layout = &self.layout;
         let bypass = self.conjuncts.len() == 1 && !via_join;
-        let mut streams = layout.order.iter().map(|&i| {
-            let stream = conjunct_stream(&self.conjuncts[i], graph, ontology, &limits, govern);
-            // Profiling wraps each conjunct stream in a timing adaptor,
-            // keyed by the query's syntactic conjunct index so phases
-            // read stably however the estimate order shuffled them. On a
-            // bypassed plan the pull *is* the conjunct: one timer, not two.
-            match profile_state.as_mut() {
-                Some(state) if !bypass => {
-                    let nanos = Arc::new(AtomicU64::new(0));
-                    state.conjuncts.push((i, Arc::clone(&nanos)));
-                    Box::new(TimedStream {
-                        inner: stream,
-                        nanos,
-                    })
+        let mut streams = layout
+            .order
+            .iter()
+            .zip(&layout.sources)
+            .map(|(&i, source)| {
+                let plan = &self.conjuncts[i];
+                let stream =
+                    conjunct_stream(plan, graph, ontology, &limits, govern, source.is_some());
+                // Profiling wraps each conjunct stream in a timing adaptor,
+                // keyed by the query's syntactic conjunct index so phases
+                // read stably however the estimate order shuffled them. On a
+                // bypassed plan the pull *is* the conjunct: one timer, not two.
+                match profile_state.as_mut() {
+                    Some(state) if !bypass => {
+                        let nanos = Arc::new(AtomicU64::new(0));
+                        state.conjuncts.push((i, Arc::clone(&nanos)));
+                        Box::new(TimedStream {
+                            inner: stream,
+                            nanos,
+                        })
+                    }
+                    _ => stream,
                 }
-                _ => stream,
-            }
-        });
+            });
         let source = match (streams.next(), bypass) {
             (Some(stream), true) => Source::Single { stream, answers: 0 },
             (first, _) => {
                 let inputs = first
                     .into_iter()
                     .chain(streams)
-                    .zip(&layout.endpoints)
-                    .map(|(stream, &(subject, object))| JoinInput::new(stream, subject, object))
+                    .zip(layout.endpoints.iter().zip(&layout.sources))
+                    .map(|(stream, (&(subject, object), &source))| {
+                        JoinInput::new(stream, subject, object, source)
+                    })
                     .collect();
                 let mut join = RankJoin::new(inputs, layout.slot_count);
                 // Top-k threshold pushdown: streams provably past the k-th
@@ -181,23 +200,24 @@ impl PreparedInner {
     }
 }
 
-/// Builds the one evaluator an execution runs. A function of its own: built
-/// inline in `PreparedInner::answers`, the same work measured 12–17 % slower
-/// on `embed-flex` (2-CPU Xeon; code placement, not extra work).
+/// Builds one evaluator of an execution, a join's dependent input if
+/// `dependent`. A function of its own: built inline in
+/// `PreparedInner::answers`, the same work measured 12–17 % slower on
+/// `embed-flex` (2-CPU Xeon; code placement, not extra work).
 fn conjunct_stream<'a>(
     plan: &Arc<ConjunctPlan>,
     graph: &'a GraphStore,
     ontology: &'a Ontology,
     limits: &ExecOptions,
     govern: &Arc<ResourceGovernor>,
+    dependent: bool,
 ) -> Box<dyn AnswerStream + 'a> {
-    Box::new(ConjunctEvaluator::new(
-        Arc::clone(plan),
-        graph,
-        ontology,
-        limits,
-        Some(govern),
-    ))
+    let plan = Arc::clone(plan);
+    Box::new(if dependent {
+        ConjunctEvaluator::dependent(plan, graph, ontology, limits, Some(govern))
+    } else {
+        ConjunctEvaluator::new(plan, graph, ontology, limits, Some(govern))
+    })
 }
 
 /// Where an execution's ranked candidates come from. One per execution,
@@ -564,6 +584,21 @@ impl<'a> Answers<'a> {
                 stats
             }
             Source::Join(join) => join.stats(),
+        }
+    }
+
+    /// Each conjunct's own statistics so far, in evaluation order: its
+    /// index in the query, its part in the join — a single conjunct drives —
+    /// and its evaluator's counters (the join's rows are not among them).
+    pub fn conjunct_stats(&self) -> Vec<(usize, InputRole, EvalStats)> {
+        let order = &self.prepared.layout.order;
+        match &self.source {
+            Source::Single { stream, .. } => vec![(order[0], InputRole::Driver, stream.stats())],
+            Source::Join(join) => order
+                .iter()
+                .zip(join.input_stats())
+                .map(|(&i, (role, stats))| (i, role, stats))
+                .collect(),
         }
     }
 

@@ -87,7 +87,7 @@ pub mod service;
 pub use answer::{Answer, AnswerBatch, Bindings, ConjunctAnswer, UNBOUND};
 pub use error::{OmegaError, Result};
 pub use eval::{
-    AnswerStream, ConjunctEvaluator, EvalOptions, EvalStats, RankJoin, TruncationReason,
+    AnswerStream, ConjunctEvaluator, EvalOptions, EvalStats, InputRole, RankJoin, TruncationReason,
 };
 pub use govern::{ExecutionPermit, GovernorConfig, GovernorGauges, ResourceGovernor};
 pub use omega_graph::wal::{FsyncPolicy, WalConfig, WalError};

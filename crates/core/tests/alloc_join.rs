@@ -6,12 +6,12 @@
 //! (`counting/mod.rs`) is process-global, and only one test may run under it. The paper's
 //! multi-conjunct M3 (L4All L1, top-100), exact and with APPROX on every
 //! conjunct, is drained through [`Answers::next_row`]. The join buffers some
-//! 1,250 conjunct answers to find those 100 rows (it pulls its inputs in
-//! turn, a block each, and hints each with the others' bindings); between
+//! 470 to 600 conjunct answers to find those 100 rows (it follows the
+//! driver's answers depth-first through the dependents they seed); between
 //! the first pull and the last the only allocations allowed are amortised
 //! doubling of a fixed number of vectors and maps — the inputs' buffers and
 //! chain indexes, the join's arenas, the evaluators' frontiers and
-//! hinted-seed queues — never anything per buffered answer or per row.
+//! handed-seed queues — never anything per buffered answer or per row.
 //! Dropping the stream then frees those vectors and nothing else.
 //!
 //! The join this one replaced kept a `Vec<Option<NodeId>>` per buffered row,
@@ -32,17 +32,18 @@ use counting::{allocations, frees, Counting};
 static ALLOCATOR: Counting = Counting;
 
 /// Allocations the 100 `next_row` calls of M3's top-100 may make between
-/// them, as measured on this tree: 199 exact, 252 with APPROX everywhere
-/// (three evaluators' sets and queues, three buffers, three chain indexes
-/// and the join's arenas, each doubling as it fills). The run is
+/// them: 199 exact and 252 with APPROX everywhere when the join pulled its
+/// inputs in turn, 145 and 185 since it pulls them depth-first (three
+/// evaluators' sets and queues, three buffers, three chain indexes and the
+/// join's arenas, each doubling as it fills). The run is
 /// deterministic — fixed graph, fixed hasher, conjuncts evaluated on this
 /// thread — so any increase is a new allocation on the join path: one per
 /// buffered answer would add 1,200, one per row 100.
 const JOIN_PATH_ALLOCS_PER_100: u64 = 252;
 
 /// Dropping a drained M3 stream must free fewer blocks than this (measured:
-/// 60 exact, 66 APPROX): the three conjunct evaluators' sets and queues, the
-/// inputs' buffers, indexes and hint sources, the join's arenas.
+/// 54 exact, 60 APPROX): the three conjunct evaluators' sets and queues, the
+/// inputs' buffers and indexes, the join's arenas.
 const JOIN_DROP_FREES: u64 = 70;
 
 #[test]

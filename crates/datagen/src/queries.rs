@@ -169,11 +169,12 @@ pub fn yago_queries() -> Vec<QuerySpec> {
 /// query. Not part of the paper's query set (Figure 4 is single-conjunct
 /// throughout); they exercise the ranked join on the same generated data.
 ///
-/// The conjunct order matters to the HRJN join's cost model: every stream
-/// except the last is drained before combinations can complete, and
-/// arrivals are merged against earlier buffers in conjunct order — so the
-/// sets keep anchored/sparse conjuncts first, give every later conjunct a
-/// variable shared with the first, and put the one unbounded stream last.
+/// The conjunct order matters to the rank join: the prepared statement
+/// orders conjuncts by their seed estimates, the first drives, and a later
+/// conjunct whose subject an earlier one binds evaluates only the values
+/// that one yields, pulled depth-first — so the sets keep anchored/sparse
+/// conjuncts first, give every later conjunct a variable shared with the
+/// first, and put the one unbounded stream last.
 pub fn l4all_multi_conjunct_queries() -> Vec<QuerySpec> {
     vec![
         QuerySpec {

@@ -243,11 +243,11 @@ fn m2_m3_top_100(db: &Database, profile: bool) -> Vec<Execution> {
 }
 
 /// The work gate on the rank join: a top-100 of M2 or M3 is found where the
-/// conjunct streams meet — each pulled in turn, each hinted with the
-/// bindings of the others — within 20 conjunct answers per row. A join that
-/// drains a tied stream before it touches the next one, or conjuncts that
-/// each start from their own end of the node ids, pull the streams whole:
-/// 9,282 to 13,280 answers on this graph, against 424 to 1,466.
+/// conjunct streams meet — the driver's bindings followed depth-first
+/// through the dependents they seed — within 20 conjunct answers per row. A
+/// join that drains a tied stream before it touches the next one, or
+/// conjuncts that each start from their own end of the node ids, pull the
+/// streams whole: 9,282 to 13,280 answers on this graph, against 256 to 703.
 /// Deterministic: `EvalStats::answers` counts conjunct answers
 /// pulled plus rows emitted.
 #[test]
@@ -263,8 +263,8 @@ fn multi_conjunct_top_k_pulls_a_bounded_number_of_conjunct_answers() {
 }
 
 /// A profiled execution is the execution it times: the timing adaptor
-/// around each conjunct stream passes the join's seed hints through, so rows
-/// and work counters are those of the unprofiled run.
+/// around each conjunct stream passes the join's seeds and floor queries
+/// through, so rows and work counters are those of the unprofiled run.
 #[test]
 fn profiling_changes_neither_rows_nor_work() {
     let db = l4all_l2_db();
