@@ -5,12 +5,16 @@
 //! These tests pin the tuples added and processed by every statement of the
 //! `embed-flex` mix ([`work_statements`]) on L4All L1, at the first answers
 //! (top-[`FIRST_K`]) and at top-[`TOP_K`], as ceilings 5 % above the
-//! readings below, and Q8 APPROX's on L3, where a bound that sees only one
+//! readings below; Q8 APPROX's on L3, where a bound that sees only one
 //! edge processed 9,997 tuples for its first 10 answers and 10,219 for its
-//! first 100. A fall needs no edit here; a rise needs a reason, and the new
-//! readings, in this table.
+//! first 100; and M3's on L3, where a join that pulled its inputs in turn
+//! and hinted each with the others' bindings added 2,073 tuples (4,238
+//! with APPROX). A fall needs no edit here; a rise needs a reason, and the
+//! new readings, in this table.
 //!
-//! Measured (`experiments work --max-scale L1` prints the same columns):
+//! Measured (`experiments work --max-scale L1` prints the same columns; the
+//! multi-conjunct rows since their inputs are dependents pulled
+//! depth-first, the parenthesised ones before):
 //!
 //! ```text
 //! statement   top-10 added processed   top-100 added processed
@@ -19,10 +23,10 @@
 //! Q3 RELAX      86    31     513   450
 //! Q3            83    31     187   187
 //! Q11           58    42     103   103
-//! M2           150   153     725   800
-//! M2 APPROX    172   153     867   800
-//! M3           608   580    2073  2329
-//! M3 APPROX    541   217    4238  2496
+//! M2            95    95     376   402    (150 153  725  800)
+//! M2 APPROX    100    95     433   402    (172 153  867  800)
+//! M3           126   151     926  1190    (608 580 2073 2329)
+//! M3 APPROX    215   190    1844  1604    (541 217 4238 2496)
 //! ```
 
 use omega_bench::{l4all_dataset, work_statements, work_stats, FIRST_K, TOP_K};
@@ -37,10 +41,10 @@ const L1_CEILINGS: [(&str, [u64; 2], [u64; 2]); 9] = [
     ("Q3 RELAX", [91, 33], [539, 473]),
     ("Q3", [88, 33], [197, 197]),
     ("Q11", [61, 45], [109, 109]),
-    ("M2", [158, 161], [762, 840]),
-    ("M2 APPROX", [181, 161], [911, 840]),
-    ("M3", [639, 609], [2177, 2446]),
-    ("M3 APPROX", [569, 228], [4450, 2621]),
+    ("M2", [100, 100], [395, 423]),
+    ("M2 APPROX", [105, 100], [455, 423]),
+    ("M3", [133, 159], [973, 1250]),
+    ("M3 APPROX", [226, 200], [1937, 1685]),
 ];
 
 #[test]
@@ -79,6 +83,28 @@ fn q8_approx_reaches_its_answers_without_the_class_instances_on_l3() {
             stats.tuples_processed <= ceiling,
             "top-{limit} processed {} tuples, ceiling {ceiling}",
             stats.tuples_processed
+        );
+    }
+}
+
+/// M3 and M3 APPROX, top-[`TOP_K`], on L3 — what the yardstick runs: the
+/// spokes evaluate only the Work Episodes the driver (and, for the second,
+/// the first spoke) answered for, and no spoke expands the keys above the
+/// one the join pulled it at. Ceilings 5 % above the readings (926 and
+/// 1,844 tuples added); the join before dependents read 2,073 and 4,238.
+#[test]
+fn m3_spokes_evaluate_only_what_the_driver_binds_on_l3() {
+    let data = l4all_dataset(L4AllScale::L3);
+    let db = Database::new(data.graph, data.ontology);
+    for (name, ceiling) in [("M3", 973), ("M3 APPROX", 1937)] {
+        let (_, text) = work_statements()
+            .into_iter()
+            .find(|(statement, _)| statement == name)
+            .expect("M3 is a work statement");
+        let added = work_stats(&db, &text, TOP_K).tuples_added;
+        assert!(
+            added <= ceiling,
+            "{name} top-{TOP_K} added {added} tuples, ceiling {ceiling}"
         );
     }
 }

@@ -11,9 +11,7 @@
 //! A rank join's *dependent* input (`crate::eval::rank_join`, "Driver and
 //! dependents") has no supply of its own: the candidate set only filters
 //! the subject values the join hands it ([`InitialNodeFeed::hand`]), and
-//! the feed releases those, in the order handed, and nothing else.
-
-use std::collections::VecDeque;
+//! the feed releases those and nothing else.
 
 use omega_graph::{GraphStore, NodeBitmap, NodeId};
 use omega_ontology::Ontology;
@@ -29,18 +27,16 @@ use crate::eval::plan::{seed_nodes_for_label, union, ConjunctPlan, SeedSpec};
 /// the `(n, n)` answer and keeps expanding paths out of `n`.
 #[derive(Debug, Default)]
 pub struct InitialNodeFeed {
-    /// The seeds of a constant-seeded conjunct not yet released, in reverse
-    /// release order (so `pop` yields the constant first, then its ancestors
-    /// in increasing distance).
+    /// The seeds of a constant-seeded conjunct, or those handed to a
+    /// dependent, not yet released, in reverse release order (so `pop`
+    /// yields the constant first, then its ancestors in increasing distance).
     fixed: Vec<(NodeId, u32)>,
     /// The candidate seeds of a `(?X, R, ?Y)` conjunct not released (or
-    /// handed) yet: released in id order from `cursor` on, or, in a
-    /// dependent's feed, only the filter on what it is handed.
+    /// handed) yet: released in id order from `cursor` on, unless the feed
+    /// is a `dependent`'s, which only filters what it is handed by them.
     candidates: NodeBitmap,
     cursor: u32,
-    /// A dependent's handed candidates not released yet, in the order
-    /// handed; `None` in every other feed.
-    handed: Option<VecDeque<NodeId>>,
+    dependent: bool,
     batch_size: usize,
 }
 
@@ -70,7 +66,7 @@ impl InitialNodeFeed {
             fixed,
             candidates,
             cursor: 0,
-            handed: dependent.then(VecDeque::new),
+            dependent,
             batch_size: batch_size.max(1),
         }
     }
@@ -78,20 +74,15 @@ impl InitialNodeFeed {
     /// Whether any seed remains to be released: for a dependent, of those
     /// handed so far.
     pub fn has_more(&self) -> bool {
-        match &self.handed {
-            Some(handed) => !handed.is_empty(),
-            None => !(self.candidates.is_empty() && self.fixed.is_empty()),
-        }
+        !(self.fixed.is_empty() && (self.dependent || self.candidates.is_empty()))
     }
 
     /// Hands a dependent's feed `node` to release, if it is a candidate not
     /// handed before; anything else — no seed of this conjunct, a repeat,
     /// an id past the graph — and any hand to another feed is ignored.
     pub fn hand(&mut self, node: NodeId) {
-        if let Some(handed) = &mut self.handed {
-            if self.candidates.remove(node) {
-                handed.push_back(node);
-            }
+        if self.dependent && self.candidates.remove(node) {
+            self.fixed.push((node, 0));
         }
     }
 
@@ -99,15 +90,15 @@ impl InitialNodeFeed {
     /// and stops at the first error. An empty feed releases nothing.
     pub fn release(&mut self, mut seed: impl FnMut(NodeId, u32) -> Result<()>) -> Result<()> {
         for _ in 0..self.batch_size {
-            let next = match &mut self.handed {
-                Some(handed) => handed.pop_front().map(|node| (node, 0)),
-                None => self.fixed.pop().or_else(|| {
-                    let node = self.candidates.first_from(NodeId(self.cursor))?;
-                    self.candidates.remove(node);
-                    self.cursor = node.0 + 1;
-                    Some((node, 0))
-                }),
-            };
+            let next = self.fixed.pop().or_else(|| {
+                if self.dependent {
+                    return None;
+                }
+                let node = self.candidates.first_from(NodeId(self.cursor))?;
+                self.candidates.remove(node);
+                self.cursor = node.0 + 1;
+                Some((node, 0))
+            });
             let Some((node, distance)) = next else {
                 break;
             };
@@ -262,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn a_dependent_feed_releases_its_handed_candidates_once_in_hand_order() {
+    fn a_dependent_feed_releases_its_handed_candidates_once() {
         let (g, o) = chain_graph(25);
         let node = |label: &str| g.node_by_label(label).unwrap();
         let q = parse_query("(?X, ?Y) <- (?X, next, ?Y)").unwrap();
@@ -273,12 +264,13 @@ mod tests {
             "nothing handed"
         );
         // n25 has no outgoing `next` (no seed), n20 comes twice, and an id
-        // past the graph: only n20, n7 and n3 are released, in hand order.
+        // past the graph: only n20, n7 and n3 are released, the latest
+        // handed first.
         for n in ["n20", "n25", "n7", "n20"].map(node) {
             feed.hand(n);
         }
         feed.hand(NodeId(10_000));
-        assert_eq!(batch(&mut feed), ["n20", "n7"].map(node));
+        assert_eq!(batch(&mut feed), ["n7", "n20"].map(node));
         feed.hand(node("n3"));
         feed.hand(node("n7"));
         assert_eq!(batch(&mut feed), [node("n3")]);

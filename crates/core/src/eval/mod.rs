@@ -18,7 +18,7 @@ pub mod visited;
 pub use conjunct::{evaluate_conjunct, ConjunctEvaluator};
 pub use options::{EvalOptions, ExecOptions, OverloadPolicy};
 pub use plan::{compile_conjunct, ConjunctPlan, SeedSpec};
-pub use rank_join::{InputRole, RankJoin};
+pub use rank_join::RankJoin;
 pub use stats::{EvalStats, TruncationReason};
 
 use omega_graph::NodeId;

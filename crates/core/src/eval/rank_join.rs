@@ -1,12 +1,9 @@
 //! Incremental ranked join of conjunct answer streams.
 //!
-//! Multi-conjunct queries need their per-conjunct answer streams combined on
-//! shared variables, with combined answers emitted in non-decreasing order of
-//! *total* distance (the sum over conjuncts). This is the classic rank-join
-//! setting (HRJN): pull answers from the input streams, join each arrival
-//! against everything already buffered from the other streams, and emit a
-//! buffered combination once its total distance is provably minimal — not
-//! larger than the lower bound any future combination could achieve.
+//! Multi-conjunct queries combine their conjunct streams on shared
+//! variables, in non-decreasing *total* distance: each arrival is joined
+//! with everything buffered from the other streams, and a combination is
+//! emitted once no future one can be cheaper.
 //!
 //! Variable names never reach the join: the prepared statement resolves them
 //! to dense *slot* indices at prepare and hands each input its subject and
@@ -21,55 +18,43 @@
 //! * **Buffers.** An arrival binds at most two slots, so each input keeps
 //!   its [`ConjunctAnswer`]s — `(x, y, distance)` — in one `Vec`.
 //! * **Indexes.** An input is hash-indexed on its subject and/or object
-//!   value only if some *other* input binds that slot too: only then can a
-//!   probe arrive with the slot bound (the far ends of a star join's spokes
-//!   never are). An index is one `value → newest position` map plus an
-//!   intrusive `next` link per position, brought up to date when the input
-//!   is probed — a stream drained before its first probe is indexed in one
-//!   pass, its map sized once. A probe binding neither slot (a cartesian
-//!   combination) walks the whole buffer.
+//!   value only if another input binds that slot too (the far ends of a
+//!   star's spokes are never probed): a `value → newest position` map plus
+//!   an intrusive `next` link per position, brought up to date when the
+//!   input is probed. A probe binding neither slot walks the whole buffer.
 //! * **Arenas.** Partial combinations, candidates and emitted rows are flat
-//!   rows in arenas the join owns: the candidate heap holds `u32` handles
-//!   and compares `(distance, row)` through its arena, the emitted set
-//!   chains handles by row hash. One representation for every slot width.
+//!   rows in arenas the join owns; the candidate heap and the emitted set
+//!   hold `u32` handles. One representation for every slot width.
 //!
 //! ## Driver and dependents
 //!
-//! The first input is the *driver*. A later input whose subject is a
-//! variable an earlier input binds can be a *dependent* of such an input,
-//! its *source*, when its evaluator can start from that variable (its plan
-//! is neither reversed nor constant-seeded; the caller chooses, see
-//! [`JoinInput::new`]): every join row takes that value from a source
-//! answer, so the dependent seeds from nothing else. Each value the source
-//! buffers for the slot is handed to it once ([`AnswerStream::seed`]), and
-//! it answers for no other. Every other input is *independent*: it seeds
-//! from its own candidates, in id order.
+//! The first input is the *driver*. A later input can be a *dependent* of
+//! an earlier one that binds its subject variable, its *source*
+//! ([`JoinInput::new`]): every join row takes that value from a source
+//! answer, so the source's values are handed to it once each
+//! ([`AnswerStream::seed`]). Every other input is *independent*.
 //!
-//! A dependent's answers are in non-decreasing distance per seed, not
-//! across seeds: a seed handed late enters at distance 0 after an earlier
-//! seed's distance-2 answers. So the bound is J\*'s (Natsev et al., VLDB
-//! 2001), taken from each input's queue rather than from its last answer:
-//! [`AnswerStream::floor`] bounds every answer an input can still emit, from
-//! the work it holds (`next`) and, while a dependent's source is live, from
-//! a seed handed later too (`floor`). A future combination pulled through
-//! input `i` costs at least `next_i + Σ_{j≠i} min(least buffered_j,
-//! floor_j)`: a seed not handed yet comes with a source answer not pulled
-//! yet, which that sum counts at the source. The least such cost over the
-//! live inputs is the *frontier*; a buffered candidate at or below it is
-//! emitted, and top-`k` capping compares each input's cost with τ. A
-//! dependent is done only once it holds nothing and its source is done, and
-//! only a done input with nothing buffered makes the join empty.
+//! A dependent is ranked per seed, not across seeds: a seed handed late
+//! enters at distance 0 after an earlier seed's distance-2 answers. So the
+//! bound is J\*'s (Natsev et al., VLDB 2001), read off each input's queue
+//! ([`AnswerStream::floor`]) rather than its last answer: `next` bounds what
+//! it holds, `floor` also what a seed handed later can yield while its
+//! source is live. A combination not yet buffered, pulled through input
+//! `i`, costs at least `next_i + Σ_{j≠i} min(least buffered_j, floor_j)` (a
+//! seed not handed yet comes with a source answer not pulled yet, which
+//! that sum counts at the source). The least such cost is the *frontier*:
+//! buffered candidates at or below it leave the heap in `(distance, slot
+//! values)` order, the cheapest of equal rows winning, and top-`k` capping
+//! compares each input's cost with τ. A dependent is done once it holds
+//! nothing and its source is done; a done input with nothing buffered
+//! empties the join.
 //!
-//! **The pull rule**: of the live inputs whose cost is the frontier, the
-//! latest in order. Pulling is depth-first: a source is pulled again only
-//! when its dependents hold nothing at the frontier, so the join follows the
-//! driver's answers one at a time, and a top-`k` pulls about as many of them
-//! as its rows need. Buffered candidates leave the heap in `(distance, slot
-//! values lexicographic)` order, each as soon as its distance is within the
-//! frontier; of combinations with equal slot values the first popped — the
-//! cheapest — wins. The join is deterministic in its inputs' contents,
-//! never in their timing; probe order is invisible: it only permutes pushes
-//! onto the heap.
+//! **The pull rule**: at the frontier, the latest dependent, pulled only up
+//! to the key it holds ([`AnswerStream::next_answer_until`]) — the join
+//! follows each driver answer depth-first; else the other inputs take
+//! turns, [`PULL_BLOCK`] answers each. The join is deterministic in its
+//! inputs' contents, never in their timing; probe order only permutes
+//! pushes onto the heap.
 
 use std::collections::BinaryHeap;
 use std::hash::BuildHasher;
@@ -87,15 +72,12 @@ const UNBOUND: NodeId = NodeId(u32::MAX);
 /// End of an intrusive chain.
 const NIL: u32 = u32::MAX;
 
-/// How many answers an input that seeds from its own candidates (the
-/// driver, an independent input) is pulled for before another such input
-/// at the same frontier gets its turn. Dependents need no turns — they are
-/// drained depth-first, and their source waits — but inputs that each
-/// start from their own candidates meet only if pulled in turn: pulling the
-/// latest of them dry first took YAGO YM1's top-10 from 310 tuples added to
-/// 1,940 and YM3's from 434 to 4,926 (YAGO scale 0.1). By the block rather
-/// than singly, since a join that exhausts its inputs anyway paid 5–10 %
-/// for taking turns one answer at a time.
+/// How many answers an independent input (the driver included) is pulled
+/// for before another at the same frontier gets its turn. Inputs that seed
+/// themselves meet only if pulled in turn: pulling the latest dry first
+/// took YAGO YM1's top-10 from 310 tuples added to 1,940 and YM3's from 434
+/// to 4,926 (scale 0.1). By the block, since turns of one answer cost a
+/// join that exhausts its inputs 5–10 %.
 pub const PULL_BLOCK: usize = 16;
 
 /// A multimap from `u32` keys to the positions `0, 1, 2, …` in filing
@@ -108,10 +90,10 @@ struct Chains {
 }
 
 impl Chains {
-    /// Keys the map has room for from its first filing on. Inputs pulled
-    /// depth-first are indexed an answer at a time, and a map that starts empty
-    /// rehashes ten times on its way to a thousand keys: a quarter of the
-    /// join's own time on a join that buffers a few thousand answers.
+    /// Keys the map has room for from its first filing on. Inputs are
+    /// indexed an answer at a time, and a map that starts empty rehashes
+    /// ten times on its way to a thousand keys: a quarter of the join's own
+    /// time on a join that buffers a few thousand answers.
     const FIRST_KEYS: usize = 1024;
 
     /// Files the positions from `next.len()` on under `keys`, in order.
@@ -185,17 +167,6 @@ impl Rows {
     }
 }
 
-/// What part an input plays in a join (see "Driver and dependents").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InputRole {
-    /// The first input.
-    Driver,
-    /// Seeded by the values an earlier input binds its subject to.
-    Dependent,
-    /// Any other input: it seeds from its own candidates.
-    Independent,
-}
-
 /// One input stream of the join.
 pub struct JoinInput<'a> {
     stream: Box<dyn AnswerStream + 'a>,
@@ -210,15 +181,11 @@ pub struct JoinInput<'a> {
     buffer: Vec<ConjunctAnswer>,
     /// The least distance buffered; `u32::MAX` while nothing is.
     least: u32,
-    /// The distance of the last answer pulled: an independent stream is
-    /// ranked, so none to come is smaller.
-    last: u32,
-    /// [`AnswerStream::floor`] as of the last refresh: of what the stream
-    /// holds (`next`), and of anything it may still emit (`floor`).
+    /// [`AnswerStream::floor`] of what the stream holds (`next`) and of all
+    /// it may still emit (`floor`), as of the last refresh; `stale` once
+    /// the input is pulled or seeded or its source is done.
     next: Option<u32>,
     floor: Option<u32>,
-    /// Whether the two may have moved since: the input was pulled, or
-    /// handed a seed, or its source finished.
     stale: bool,
     /// Buffer positions by subject value, as far as the last probe needed
     /// them; `Some` iff another input binds the subject slot.
@@ -229,10 +196,9 @@ pub struct JoinInput<'a> {
 }
 
 impl<'a> JoinInput<'a> {
-    /// Wraps an answer stream together with the slots its answers bind. A
-    /// `source` makes it a dependent of that earlier input, which must bind
-    /// its subject slot, and its stream one that answers only for the
-    /// values it is handed.
+    /// Wraps an answer stream together with the slots its answers bind; a
+    /// dependent of `source`, an earlier input binding its subject slot, if
+    /// given (its stream answering only for the values it is handed).
     pub fn new(
         stream: Box<dyn AnswerStream + 'a>,
         subject_slot: Option<usize>,
@@ -246,7 +212,6 @@ impl<'a> JoinInput<'a> {
             source,
             buffer: Vec::new(),
             least: u32::MAX,
-            last: 0,
             next: None,
             floor: None,
             stale: true,
@@ -330,8 +295,7 @@ fn heap_pop(heap: &mut Vec<u32>, rows: &Rows) -> Option<u32> {
     }
 }
 
-/// Incremental rank join over conjunct answer streams, pulled depth-first
-/// from the driver through its dependents.
+/// Incremental rank join over conjunct answer streams.
 #[derive(Default)]
 pub struct RankJoin<'a> {
     inputs: Vec<JoinInput<'a>>,
@@ -351,10 +315,8 @@ pub struct RankJoin<'a> {
     /// onto the request's (every slot projected): enables τ below.
     limit: Option<usize>,
     /// Max-heap over the `k` smallest candidate distances seen so far; its
-    /// root — once `k` candidates exist — is an upper bound τ on the `k`-th
-    /// join answer's distance. A stream whose cheapest possible future
-    /// combination exceeds τ cannot contribute to the first `k` answers and
-    /// stops being pulled (which stops a lazy evaluator's expansion work).
+    /// root — once `k` candidates exist — bounds the `k`-th join answer's
+    /// distance: τ, past which an input is no longer pulled.
     topk: BinaryHeap<u32>,
     /// Escape hatch: set when emission needs answers beyond τ after all
     /// (ties at τ excepted, capping uses strict `>`); clears every cap.
@@ -377,14 +339,15 @@ impl<'a> RankJoin<'a> {
             input.by_subject = shared(input.subject_slot).then(Chains::default);
             input.by_object = shared(input.object_slot).then(Chains::default);
         }
-        for (i, input) in inputs.iter().enumerate() {
-            if let Some(s) = input.source {
-                assert!(
-                    s < i && slots(&inputs[s]).contains(&input.subject_slot),
-                    "input {i}'s source {s} must be earlier and bind its subject"
-                );
-            }
-        }
+        let sourced = |(i, input): (usize, &JoinInput<'_>)| {
+            input
+                .source
+                .is_none_or(|s| s < i && slots(&inputs[s]).contains(&input.subject_slot))
+        };
+        assert!(
+            inputs.iter().enumerate().all(sourced),
+            "a source binds the subject before"
+        );
         let rows = || Rows {
             width: slot_count,
             ..Rows::default()
@@ -399,10 +362,8 @@ impl<'a> RankJoin<'a> {
     }
 
     /// Installs the enclosing request's answer limit for top-k threshold
-    /// pruning. Only sound when every join answer becomes a request answer
-    /// (the head projects every slot, so projection-level deduplication
-    /// consumes none) — the caller checks that. A limit of zero is ignored
-    /// (such requests never pull the join at all).
+    /// pruning: sound only when the head projects every slot, so that every
+    /// join answer is a request answer (the caller checks). Zero is ignored.
     pub fn set_limit(&mut self, limit: Option<usize>) {
         self.limit = limit.filter(|&k| k > 0);
     }
@@ -430,73 +391,45 @@ impl<'a> RankJoin<'a> {
         for i in 0..self.inputs.len() {
             let open = self.inputs[i].source.is_some_and(|s| !self.inputs[s].done);
             let input = &mut self.inputs[i];
-            if input.done || !std::mem::take(&mut input.stale) {
-                continue;
-            }
-            input.next = input.stream.floor(false);
-            input.floor = if open {
-                input.stream.floor(true)
-            } else {
-                input.next
-            };
-            if input.source.is_none() {
-                input.next = input.next.map(|next| next.max(input.last));
-                input.floor = input.next;
-            }
-            if input.floor.is_none() {
-                input.done = true;
-                self.empty |= input.buffer.is_empty();
-                Self::touch_dependents(&mut self.inputs, i);
+            if !input.done && std::mem::take(&mut input.stale) {
+                input.next = input.stream.floor(false);
+                input.floor = input.stream.floor(open);
+                if input.floor.is_none() {
+                    self.finish(i);
+                }
             }
         }
     }
 
-    /// Marks the dependents of input `idx` stale.
-    fn touch_dependents(inputs: &mut [JoinInput<'a>], idx: usize) {
-        for dependent in inputs.iter_mut().filter(|d| d.source == Some(idx)) {
+    /// Marks input `idx` done — the join empty if it buffered nothing — and
+    /// its dependents stale.
+    fn finish(&mut self, idx: usize) {
+        self.inputs[idx].done = true;
+        self.empty |= self.inputs[idx].buffer.is_empty();
+        for dependent in self.inputs.iter_mut().filter(|d| d.source == Some(idx)) {
             dependent.stale = true;
         }
     }
 
-    /// The input to pull next and the frontier, the least total distance of
-    /// a combination not yet buffered; `None` when nothing `≤ τ` can still
-    /// appear. A future combination pulled through an input costs at least
-    /// what it holds plus every other input's least to come; past τ the
-    /// input is capped (no use to the first `k` answers). The frontier is
-    /// the least such cost over live, uncapped inputs holding work; the pull
-    /// goes to the latest dependent at the frontier, or else to the input
-    /// at the frontier with the fewest blocks of answers buffered, the
-    /// first on ties.
+    /// The input to pull next and the frontier; `None` when nothing `≤ τ`
+    /// can still appear. Past τ an input is capped (no use to the first `k`
+    /// answers).
     fn frontier(&self, tau: Option<u32>) -> Option<(usize, u32)> {
         let total: u64 = self.inputs.iter().map(JoinInput::least_to_come).sum();
-        // `(through, index)` of the best dependent and `(through, blocks,
-        // index)` of the best other input.
-        let (mut deepest, mut turn) = (None::<(u32, usize)>, None::<(u32, usize, usize)>);
-        for (i, input) in self.inputs.iter().enumerate() {
-            let Some(next) = input.next.filter(|_| !input.done) else {
-                continue;
-            };
+        let n = self.inputs.len();
+        let rank = |(i, input): (usize, &JoinInput<'_>)| {
+            let next = input.next.filter(|_| !input.done)?;
             let through = total - input.least_to_come() + u64::from(next);
             let through = u32::try_from(through).unwrap_or(u32::MAX);
-            if tau.is_some_and(|t| through > t) {
-                continue;
-            }
-            if input.source.is_some() {
-                if deepest.is_none_or(|(least, _)| through <= least) {
-                    deepest = Some((through, i));
-                }
-            } else {
-                let rank = (through, input.buffer.len() / PULL_BLOCK, i);
-                if turn.is_none_or(|least| rank < least) {
-                    turn = Some(rank);
-                }
-            }
-        }
-        match (deepest, turn) {
-            (Some((d, i)), Some((t, ..))) if d <= t => Some((i, d)),
-            (_, Some((t, _, i))) => Some((i, t)),
-            (deepest, None) => deepest.map(|(d, i)| (i, d)),
-        }
+            let turn = match input.source {
+                Some(_) => (0, n - i),
+                None => (1 + input.buffer.len() / PULL_BLOCK, i),
+            };
+            tau.is_none_or(|t| through <= t)
+                .then_some((through, turn, i))
+        };
+        let (through, _, i) = self.inputs.iter().enumerate().filter_map(rank).min()?;
+        Some((i, through))
     }
 
     /// Pulls one answer from input `idx`, hands its value for their subject
@@ -514,22 +447,16 @@ impl<'a> RankJoin<'a> {
         let Some(answer) = pulled else {
             // A dependent is only idle: the refresh tells when it is done.
             if input.source.is_none() {
-                input.done = true;
-                self.empty |= input.buffer.is_empty();
-                Self::touch_dependents(inputs, idx);
+                self.finish(idx);
             }
             return Ok(());
         };
         input.buffer.push(answer);
         input.least = input.least.min(answer.distance);
-        input.last = answer.distance;
         let subject = input.subject_slot;
         for dependent in inputs.iter_mut().filter(|d| d.source == Some(idx)) {
-            let value = if dependent.subject_slot == subject {
-                answer.x
-            } else {
-                answer.y
-            };
+            // The source binds the slot as its subject or as its object.
+            let value = [answer.y, answer.x][usize::from(dependent.subject_slot == subject)];
             dependent.stream.seed(value);
             dependent.stale = true;
         }
@@ -575,11 +502,9 @@ impl<'a> RankJoin<'a> {
             let any_live = || self.inputs.iter().any(|input| !input.done);
             let best = self.heap.first().map(|&top| self.candidates.key(top).0);
             let pull = match (best, self.frontier(tau)) {
-                // Safe against capped streams by construction: an uncapped
-                // live stream's bound is `≤ τ` by the definition of capping,
-                // so emission (`best ≤ b ≤ τ`) can never release a candidate a
-                // capped stream — all its future combinations cost `> τ` —
-                // could still beat.
+                // Safe against capped inputs: an uncapped one's bound is
+                // `≤ τ`, so `best ≤ b ≤ τ` is below anything a capped one
+                // (whose combinations all cost `> τ`) could still find.
                 (Some(best), Some((idx, b))) => (best > b).then_some(idx),
                 (None, Some((idx, _))) => Some(idx),
                 // Every remaining live stream is capped, but the caller
@@ -616,16 +541,9 @@ impl<'a> RankJoin<'a> {
         Ok(Some((row, distance)))
     }
 
-    /// Each input's part and its stream's statistics, in input order.
-    pub fn input_stats(&self) -> impl Iterator<Item = (InputRole, EvalStats)> + '_ {
-        self.inputs.iter().enumerate().map(|(i, input)| {
-            let role = match (i, input.source) {
-                (0, _) => InputRole::Driver,
-                (_, Some(_)) => InputRole::Dependent,
-                (_, None) => InputRole::Independent,
-            };
-            (role, input.stream.stats())
-        })
+    /// Each input's own statistics, in input order.
+    pub fn input_stats(&self) -> impl Iterator<Item = EvalStats> + '_ {
+        self.inputs.iter().map(|input| input.stream.stats())
     }
 
     /// Accumulated statistics (including all input streams).
@@ -955,9 +873,6 @@ mod tests {
             .collect();
         assert_eq!(take(&mut join, 10), expected);
         assert_eq!(join.buffered_entries(), 30);
-        let roles: Vec<InputRole> = join.input_stats().map(|(role, _)| role).collect();
-        use InputRole::*;
-        assert_eq!(roles, [Driver, Dependent, Dependent]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use omega_ontology::Ontology;
 
 use crate::answer::{Answer, AnswerBatch};
 use crate::error::{OmegaError, Result};
-use crate::eval::rank_join::{InputRole, JoinInput, RankJoin};
+use crate::eval::rank_join::{JoinInput, RankJoin};
 use crate::eval::{
     AnswerStream, ConjunctEvaluator, ConjunctPlan, EvalStats, ExecOptions, OverloadPolicy,
 };
@@ -218,6 +218,18 @@ fn conjunct_stream<'a>(
     } else {
         ConjunctEvaluator::new(plan, graph, ontology, limits, Some(govern))
     })
+}
+
+/// What part a conjunct plays in its execution's rank join
+/// (`crate::eval::rank_join`, "Driver and dependents").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InputRole {
+    /// The first conjunct in evaluation order.
+    Driver,
+    /// Seeded only by the values an earlier conjunct binds its subject to.
+    Dependent,
+    /// Any other: it seeds from its own candidates.
+    Independent,
 }
 
 /// Where an execution's ranked candidates come from. One per execution,
@@ -591,15 +603,21 @@ impl<'a> Answers<'a> {
     /// index in the query, its part in the join — a single conjunct drives —
     /// and its evaluator's counters (the join's rows are not among them).
     pub fn conjunct_stats(&self) -> Vec<(usize, InputRole, EvalStats)> {
-        let order = &self.prepared.layout.order;
-        match &self.source {
-            Source::Single { stream, .. } => vec![(order[0], InputRole::Driver, stream.stats())],
-            Source::Join(join) => order
-                .iter()
-                .zip(join.input_stats())
-                .map(|(&i, (role, stats))| (i, role, stats))
-                .collect(),
-        }
+        let layout = &self.prepared.layout;
+        let stats: Vec<EvalStats> = match &self.source {
+            Source::Single { stream, .. } => vec![stream.stats()],
+            Source::Join(join) => join.input_stats().collect(),
+        };
+        let role = |p: usize| match (p, layout.sources[p]) {
+            (0, _) => InputRole::Driver,
+            (_, Some(_)) => InputRole::Dependent,
+            (_, None) => InputRole::Independent,
+        };
+        let conjuncts = layout.order.iter().enumerate();
+        conjuncts
+            .zip(stats)
+            .map(|((p, &i), stats)| (i, role(p), stats))
+            .collect()
     }
 
     /// Evaluation statistics accumulated so far across all conjuncts,

@@ -87,7 +87,7 @@ pub mod service;
 pub use answer::{Answer, AnswerBatch, Bindings, ConjunctAnswer, UNBOUND};
 pub use error::{OmegaError, Result};
 pub use eval::{
-    AnswerStream, ConjunctEvaluator, EvalOptions, EvalStats, InputRole, RankJoin, TruncationReason,
+    AnswerStream, ConjunctEvaluator, EvalOptions, EvalStats, RankJoin, TruncationReason,
 };
 pub use govern::{ExecutionPermit, GovernorConfig, GovernorGauges, ResourceGovernor};
 pub use omega_graph::wal::{FsyncPolicy, WalConfig, WalError};
@@ -98,6 +98,6 @@ pub use omega_graph::{FxHashMap, NodeId};
 pub use omega_obs::{ProfilePhase, QueryProfile, Registry as MetricsRegistry};
 pub use query::{parse_query, Conjunct, Query, QueryMode, Term};
 pub use service::{
-    Answers, Database, ExecOptions, GraphRef, MutationBatch, MutationReport, OverloadPolicy,
-    PreparedQuery, RecoveryReport,
+    Answers, Database, ExecOptions, GraphRef, InputRole, MutationBatch, MutationReport,
+    OverloadPolicy, PreparedQuery, RecoveryReport,
 };

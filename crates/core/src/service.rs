@@ -105,7 +105,7 @@ use crate::query::ast::{Query, Term};
 use crate::query::parser::parse_query;
 
 pub use crate::eval::options::{ExecOptions, OverloadPolicy};
-pub use crate::exec::Answers;
+pub use crate::exec::{Answers, InputRole};
 
 /// Default capacity of the per-database prepared-statement LRU cache.
 const PREPARED_CACHE_CAPACITY: usize = 128;
