@@ -18,7 +18,7 @@
 //! left: when the paper's condition holds.
 //!
 //! A rank join's *dependent* input ([`ConjunctEvaluator::dependent`]) has
-//! no seeds but those the join hands it ([`ConjunctEvaluator::seed`]). Its
+//! no seeds but those the join hands it ([`AnswerStream::seed`]). Its
 //! cursor waits outside `D_R` until the first one arrives, and goes back
 //! in at its key whenever a seed arrives after the feed ran dry: below the
 //! key `D_R` has reached, which `DrQueue::push` allows. Its answers are
@@ -205,8 +205,8 @@ impl<'a> ConjunctEvaluator<'a> {
     }
 
     /// The same, for a rank join's dependent input: it seeds only the
-    /// subject values handed to [`ConjunctEvaluator::seed`] (see "Seeds as
-    /// a cursor").
+    /// subject values handed to [`AnswerStream::seed`] (see "Seeds as a
+    /// cursor").
     pub fn dependent(
         plan: Arc<ConjunctPlan>,
         graph: &'a GraphStore,
@@ -264,18 +264,6 @@ impl<'a> ConjunctEvaluator<'a> {
         Tuple {
             kind: TupleKind::Seeds,
             ..Tuple::seed(NodeId(0), self.plan.nfa.initial(), 0)
-        }
-    }
-
-    /// Hands a dependent evaluator one more subject value to seed from, if
-    /// it is a candidate seed not handed before; the seed cursor goes back
-    /// into `D_R` if the feed had run dry. An independent evaluator ignores
-    /// it.
-    pub fn seed(&mut self, node: NodeId) {
-        let idle = !self.feed.has_more();
-        self.feed.hand(node);
-        if let Some(key) = self.seed_key.filter(|_| idle && self.feed.has_more()) {
-            self.dr.push(self.seed_cursor(), key);
         }
     }
 
@@ -821,8 +809,15 @@ impl AnswerStream for ConjunctEvaluator<'_> {
         next
     }
 
+    /// A dependent's feed takes `node` if it is a candidate not handed
+    /// before, and the seed cursor goes back into `D_R` if the feed had run
+    /// dry. An independent evaluator ignores it.
     fn seed(&mut self, node: NodeId) {
-        ConjunctEvaluator::seed(self, node);
+        let idle = !self.feed.has_more();
+        self.feed.hand(node);
+        if let Some(key) = self.seed_key.filter(|_| idle && self.feed.has_more()) {
+            self.dr.push(self.seed_cursor(), key);
+        }
     }
 
     /// `D_R`'s least key — keys are admissible, so no answer still to come
