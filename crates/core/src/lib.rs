@@ -90,6 +90,8 @@ pub use eval::{
     AnswerStream, ConjunctEvaluator, EvalOptions, EvalStats, RankJoin, TruncationReason,
 };
 pub use govern::{ExecutionPermit, GovernorConfig, GovernorGauges, ResourceGovernor};
+/// The byte codec the serving layer's frames are encoded with.
+pub use omega_graph::bytes;
 pub use omega_graph::wal::{FsyncPolicy, WalConfig, WalError};
 pub use omega_graph::SnapshotError;
 /// What an [`Answers::next_row`] row is made of, and the id-keyed map its

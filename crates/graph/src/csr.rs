@@ -76,10 +76,12 @@ enum ArrayBacking<T> {
     Mapped(MappedSlice),
 }
 
-// Safety: the store is immutable after construction and owns (or holds
-// alive) the memory its cached pointer targets, so sharing/sending it is
-// exactly as safe as sharing the underlying Vec or mapping.
+// SAFETY: the store is immutable after construction and owns (or holds
+// alive) the memory its cached pointer targets, so sending it is exactly as
+// safe as sending the underlying Vec or mapping.
 unsafe impl<T: Send> Send for ArrayStore<T> {}
+// SAFETY: as for `Send`: a shared store only ever reads its elements, so
+// sharing it is as safe as sharing a `&[T]`.
 unsafe impl<T: Sync> Sync for ArrayStore<T> {}
 
 impl<T> ArrayStore<T> {
@@ -93,10 +95,29 @@ impl<T> ArrayStore<T> {
         }
     }
 
+    /// Wraps a mapped section as the `T`s one of [`MappedSlice`]'s checked
+    /// typed views reads it as: the view validates length and alignment
+    /// once, here, and never on a read. The view borrows the mapping, which
+    /// stays put when `slice` moves into the store.
+    pub(crate) fn mapped(
+        slice: MappedSlice,
+        view: fn(&MappedSlice) -> Result<&[T], SnapshotError>,
+    ) -> Result<ArrayStore<T>, SnapshotError> {
+        let items = view(&slice)?;
+        let (ptr, len) = (items.as_ptr(), items.len());
+        Ok(ArrayStore {
+            backing: ArrayBacking::Mapped(slice),
+            ptr,
+            len,
+        })
+    }
+
     #[inline(always)]
     pub(crate) fn as_slice(&self) -> &[T] {
-        // Safety: `ptr`/`len` were derived from the backing at construction
-        // and the backing is immutable and owned by `self`.
+        // SAFETY: `ptr`/`len` were derived at construction from a `&[T]`
+        // over the backing's elements (a `Vec`, or a view of the mapping,
+        // which moving the `MappedSlice` handle does not move), and the
+        // backing is immutable and owned by `self`.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
@@ -142,37 +163,11 @@ pub(crate) type NodeStore = ArrayStore<NodeId>;
 /// `(LabelId, NodeId)` array storage for the mixed-label views.
 pub(crate) type PairStore = ArrayStore<(LabelId, NodeId)>;
 
-impl ArrayStore<u32> {
-    /// Wraps a mapped section, validating the cast once up front.
-    pub(crate) fn mapped(slice: MappedSlice) -> Result<U32Store, SnapshotError> {
-        let words = slice.as_u32s()?;
-        let (ptr, len) = (words.as_ptr(), words.len());
-        Ok(ArrayStore {
-            backing: ArrayBacking::Mapped(slice),
-            ptr,
-            len,
-        })
-    }
-}
-
-impl ArrayStore<NodeId> {
-    /// Wraps a mapped section, validating the cast once up front.
-    pub(crate) fn mapped(slice: MappedSlice) -> Result<NodeStore, SnapshotError> {
-        let nodes = slice.as_node_ids()?;
-        let (ptr, len) = (nodes.as_ptr(), nodes.len());
-        Ok(ArrayStore {
-            backing: ArrayBacking::Mapped(slice),
-            ptr,
-            len,
-        })
-    }
-}
-
 impl ArrayStore<(LabelId, NodeId)> {
     /// Wraps a mapped section of interleaved `[label, node]` pairs, copying
     /// if the in-memory tuple layout of this build cannot alias the file
     /// layout (see [`pair_layout_is_label_first`]).
-    pub(crate) fn mapped(slice: MappedSlice) -> Result<PairStore, SnapshotError> {
+    pub(crate) fn mapped_pairs(slice: MappedSlice) -> Result<PairStore, SnapshotError> {
         let words = slice.as_u32s()?;
         if !words.len().is_multiple_of(2) {
             return Err(SnapshotError::malformed(

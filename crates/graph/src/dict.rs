@@ -2,6 +2,7 @@
 
 use std::sync::OnceLock;
 
+use crate::csr::ArrayStore;
 use crate::hash::{hash_str, FxHashMap};
 use crate::ids::NodeId;
 use crate::snapshot::map::MappedSlice;
@@ -27,9 +28,9 @@ pub(crate) enum NodeLabels {
     },
     /// Offsets + bytes borrowed from a snapshot mapping.
     Mapped {
-        /// `u64[len + 1]` byte offsets, validated monotone and on UTF-8
-        /// character boundaries.
-        offsets: MappedSlice,
+        /// `u64[len + 1]` byte offsets, cast once at open and validated
+        /// monotone and on UTF-8 character boundaries.
+        offsets: ArrayStore<u64>,
         /// Concatenated label strings, validated as UTF-8.
         bytes: MappedSlice,
     },
@@ -40,14 +41,9 @@ impl NodeLabels {
         match self {
             NodeLabels::Owned { offsets, bytes } => (offsets, bytes),
             NodeLabels::Mapped { offsets, bytes } => {
-                // The loader rejects images whose offset section is not a
-                // whole number of u64s, so this cannot fail after open; the
-                // expect documents that invariant.
-                #[allow(clippy::expect_used)]
-                let offsets = offsets.as_u64s().expect("validated at load");
                 // SAFETY: the loader validated the whole byte section as
                 // UTF-8 before building this variant.
-                (offsets, unsafe {
+                (offsets.as_slice(), unsafe {
                     std::str::from_utf8_unchecked(bytes.bytes())
                 })
             }

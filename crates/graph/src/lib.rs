@@ -68,6 +68,7 @@
 //! ```
 
 pub mod bitmap;
+pub mod bytes;
 pub mod csr;
 mod dict;
 pub mod error;

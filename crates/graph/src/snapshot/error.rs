@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::bytes::DecodeError;
 use crate::snapshot::format::SectionId;
 
 /// Errors raised while writing, opening or decoding a snapshot image.
@@ -98,5 +99,14 @@ impl std::error::Error for SnapshotError {}
 impl From<std::io::Error> for SnapshotError {
     fn from(err: std::io::Error) -> Self {
         SnapshotError::Io(err.to_string())
+    }
+}
+
+/// A section payload that does not decode is malformed, whether its bytes
+/// end mid-structure or hold a bad value: the file-level
+/// [`SnapshotError::Truncated`] is for a file shorter than its own table.
+impl From<DecodeError> for SnapshotError {
+    fn from(err: DecodeError) -> Self {
+        SnapshotError::malformed(err.to_string())
     }
 }

@@ -22,7 +22,7 @@
 //! little-endian hosts. Each section carries an FNV-1a 64-bit checksum of
 //! its payload bytes, verified on open; the header and section table are
 //! validated structurally (magic, version, endianness marker, kind tags,
-//! alignment and bounds of every row).
+//! alignment and bounds of every row) as [`crate::bytes`] reads them.
 
 use std::fmt;
 use std::io::Write;
@@ -30,6 +30,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::bytes::{Reader, Writer};
 use crate::snapshot::error::SnapshotError;
 use crate::snapshot::map::MappedSlice;
 
@@ -203,34 +204,20 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Appends `value` little-endian to a payload buffer.
-pub fn push_u32(out: &mut Vec<u8>, value: u32) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-/// Appends `value` little-endian to a payload buffer.
-pub fn push_u64(out: &mut Vec<u8>, value: u64) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
 /// Serialises a `u32` slice as a little-endian payload.
 pub fn u32_payload(values: impl IntoIterator<Item = u32>) -> Vec<u8> {
     let iter = values.into_iter();
-    let mut out = Vec::with_capacity(iter.size_hint().0 * 4);
-    for v in iter {
-        push_u32(&mut out, v);
-    }
-    out
+    let mut w = Writer::with_capacity(iter.size_hint().0 * 4);
+    iter.for_each(|v| w.put_u32(v));
+    w.into_inner()
 }
 
 /// Serialises a `u64` slice as a little-endian payload.
 pub fn u64_payload(values: impl IntoIterator<Item = u64>) -> Vec<u8> {
     let iter = values.into_iter();
-    let mut out = Vec::with_capacity(iter.size_hint().0 * 8);
-    for v in iter {
-        push_u64(&mut out, v);
-    }
-    out
+    let mut w = Writer::with_capacity(iter.size_hint().0 * 8);
+    iter.for_each(|v| w.put_u64(v));
+    w.into_inner()
 }
 
 /// Accumulates sections and writes the container file.
@@ -289,35 +276,30 @@ impl SnapshotWriter {
     }
 
     fn write_file(&self, path: &Path) -> Result<(), SnapshotError> {
+        // Header and section table, payloads laid out 8-byte aligned.
         let table_end = HEADER + self.sections.len() * TABLE_ROW;
-        // Lay the payloads out, 8-byte aligned.
-        let mut rows: Vec<(SectionId, u64, u64, u64)> = Vec::with_capacity(self.sections.len());
-        let mut cursor = next_aligned(table_end as u64);
+        let mut w = Writer::with_capacity(table_end);
+        w.put_bytes(&MAGIC);
+        w.put_u32(FORMAT_VERSION);
+        w.put_u32(ENDIAN_MARKER);
+        w.put_usize(self.sections.len());
+        let mut offset = next_aligned(table_end as u64);
         for (id, payload) in &self.sections {
-            rows.push((*id, cursor, payload.len() as u64, checksum(payload)));
-            cursor = next_aligned(cursor + payload.len() as u64);
+            w.put_u32(id.kind.tag());
+            w.put_u32(id.param);
+            w.put_u64(offset);
+            w.put_usize(payload.len());
+            w.put_u64(checksum(payload));
+            offset = next_aligned(offset + payload.len() as u64);
         }
-
         let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-        file.write_all(&MAGIC)?;
-        file.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        file.write_all(&ENDIAN_MARKER.to_le_bytes())?;
-        file.write_all(&(self.sections.len() as u64).to_le_bytes())?;
-        for (id, offset, len, sum) in &rows {
-            file.write_all(&id.kind.tag().to_le_bytes())?;
-            file.write_all(&id.param.to_le_bytes())?;
-            file.write_all(&offset.to_le_bytes())?;
-            file.write_all(&len.to_le_bytes())?;
-            file.write_all(&sum.to_le_bytes())?;
-        }
+        file.write_all(w.bytes())?;
         let mut written = table_end as u64;
-        for ((_, payload), (_, offset, _, _)) in self.sections.iter().zip(&rows) {
-            while written < *offset {
-                file.write_all(&[0])?;
-                written += 1;
-            }
+        for (_, payload) in &self.sections {
+            let pad = next_aligned(written) - written;
+            file.write_all(&[0; 8][..pad as usize])?;
             file.write_all(payload)?;
-            written += payload.len() as u64;
+            written += pad + payload.len() as u64;
         }
         file.flush()?;
         // Durability before the rename: without this, a power loss can make
@@ -384,22 +366,22 @@ impl SnapshotReader {
             }
         };
         need(HEADER)?;
-        if bytes[..8] != MAGIC {
-            let mut found = [0u8; 8];
-            found.copy_from_slice(&bytes[..8]);
+        let mut r = Reader::new(bytes);
+        let found = r.take_array()?;
+        if found != MAGIC {
             return Err(SnapshotError::BadMagic { found });
         }
-        let version = read_u32(bytes, 8);
+        let version = r.take_u32()?;
         if version != FORMAT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
             });
         }
-        if read_u32(bytes, 12) != ENDIAN_MARKER {
+        if r.take_u32()? != ENDIAN_MARKER {
             return Err(SnapshotError::ForeignEndianness);
         }
-        let count = read_u64(bytes, 16);
+        let count = r.take_u64()?;
         let table_end = (count as usize)
             .checked_mul(TABLE_ROW)
             .and_then(|t| t.checked_add(HEADER))
@@ -407,20 +389,19 @@ impl SnapshotReader {
         need(table_end)?;
 
         let mut table = Vec::with_capacity(count as usize);
-        for i in 0..count as usize {
-            let row = HEADER + i * TABLE_ROW;
-            let kind_tag = read_u32(bytes, row);
+        for _ in 0..count {
+            let kind_tag = r.take_u32()?;
             let kind = SectionKind::from_tag(kind_tag).ok_or_else(|| {
                 SnapshotError::malformed(format!("unknown section kind tag {kind_tag}"))
             })?;
             let entry = SectionEntry {
                 id: SectionId {
                     kind,
-                    param: read_u32(bytes, row + 4),
+                    param: r.take_u32()?,
                 },
-                offset: read_u64(bytes, row + 8),
-                len: read_u64(bytes, row + 16),
-                checksum: read_u64(bytes, row + 24),
+                offset: r.take_u64()?,
+                len: r.take_u64()?,
+                checksum: r.take_u64()?,
             };
             let end = entry.offset.checked_add(entry.len).ok_or_else(|| {
                 SnapshotError::malformed(format!("section {} length overflows", entry.id))
@@ -475,18 +456,6 @@ impl SnapshotReader {
         self.section(id)
             .ok_or(SnapshotError::MissingSection { section: id })
     }
-}
-
-fn read_u32(bytes: &[u8], offset: usize) -> u32 {
-    let mut buf = [0u8; 4];
-    buf.copy_from_slice(&bytes[offset..offset + 4]);
-    u32::from_le_bytes(buf)
-}
-
-fn read_u64(bytes: &[u8], offset: usize) -> u64 {
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(&bytes[offset..offset + 8]);
-    u64::from_le_bytes(buf)
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 //! (monotone, bounded) before any slice can be built over them, so a
 //! malformed file fails with a typed error instead of a panic at query time.
 
-use crate::csr::{CsrIndex, CsrLayer, CsrMixed, NodeStore, PairStore, U32Store};
+use crate::bytes::Writer;
+use crate::csr::{ArrayStore, CsrIndex, CsrLayer, CsrMixed, NodeStore, PairStore, U32Store};
 use std::sync::{Arc, OnceLock};
 
 use crate::dict::{NodeDict, NodeLabels};
@@ -26,7 +27,7 @@ use crate::ids::LabelId;
 use crate::interner::LabelInterner;
 use crate::snapshot::error::SnapshotError;
 use crate::snapshot::format::{
-    push_u32, u32_payload, u64_payload, SectionId, SectionKind, SnapshotReader, SnapshotWriter,
+    u32_payload, u64_payload, SectionId, SectionKind, SnapshotReader, SnapshotWriter,
 };
 use crate::snapshot::map::MappedSlice;
 
@@ -111,17 +112,17 @@ fn write_graph_sections_with(
             },
             u32_payload(mixed.offsets().iter().copied()),
         );
-        let mut entries = Vec::with_capacity(mixed.len() * 8);
+        let mut entries = Writer::with_capacity(mixed.len() * 8);
         for &(label, node) in mixed.items() {
-            push_u32(&mut entries, label.0);
-            push_u32(&mut entries, node.0);
+            entries.put_u32(label.0);
+            entries.put_u32(node.0);
         }
         writer.add(
             SectionId {
                 kind: SectionKind::MixedEntries,
                 param: incoming as u32,
             },
-            entries,
+            entries.into_inner(),
         );
     }
     if include_label_stats {
@@ -200,10 +201,10 @@ pub fn read_graph(reader: &SnapshotReader) -> Result<GraphStore, SnapshotError> 
         for incoming in [false, true] {
             let offsets =
                 reader.require(SectionId::csr(SectionKind::CsrOffsets, label, incoming))?;
-            let offsets = U32Store::mapped(offsets)?;
+            let offsets = U32Store::mapped(offsets, MappedSlice::as_u32s)?;
             let targets =
                 reader.require(SectionId::csr(SectionKind::CsrTargets, label, incoming))?;
-            let targets = NodeStore::mapped(targets)?;
+            let targets = NodeStore::mapped(targets, MappedSlice::as_node_ids)?;
             validate_offsets(
                 offsets.as_slice(),
                 node_count,
@@ -232,8 +233,11 @@ pub fn read_graph(reader: &SnapshotReader) -> Result<GraphStore, SnapshotError> 
             kind,
             param: incoming as u32,
         };
-        let offsets = U32Store::mapped(reader.require(id(SectionKind::MixedOffsets))?)?;
-        let entries = PairStore::mapped(reader.require(id(SectionKind::MixedEntries))?)?;
+        let offsets = U32Store::mapped(
+            reader.require(id(SectionKind::MixedOffsets))?,
+            MappedSlice::as_u32s,
+        )?;
+        let entries = PairStore::mapped_pairs(reader.require(id(SectionKind::MixedEntries))?)?;
         validate_offsets(
             offsets.as_slice(),
             node_count,
@@ -340,30 +344,32 @@ fn mapped_string_table(
     bytes_kind: SectionKind,
     count: usize,
 ) -> Result<NodeLabels, SnapshotError> {
-    let offsets_slice = reader.require(SectionId::plain(offsets_kind))?;
+    let offsets = ArrayStore::mapped(
+        reader.require(SectionId::plain(offsets_kind))?,
+        MappedSlice::as_u64s,
+    )?;
     let bytes_slice = reader.require(SectionId::plain(bytes_kind))?;
-    let offsets = offsets_slice.as_u64s()?;
-    let bytes = bytes_slice.bytes();
-    if offsets.len() != count + 1 {
+    let (words, bytes) = (offsets.as_slice(), bytes_slice.bytes());
+    if words.len() != count + 1 {
         return Err(SnapshotError::malformed(format!(
             "{offsets_kind} has {} entries, expected {}",
-            offsets.len(),
+            words.len(),
             count + 1
         )));
     }
-    if offsets.first() != Some(&0) || offsets.last() != Some(&(bytes.len() as u64)) {
+    if words.first() != Some(&0) || words.last() != Some(&(bytes.len() as u64)) {
         return Err(SnapshotError::malformed(format!(
             "{offsets_kind} does not span its byte section"
         )));
     }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
+    if words.windows(2).any(|w| w[0] > w[1]) {
         return Err(SnapshotError::malformed(format!(
             "{offsets_kind} is not monotone"
         )));
     }
     let text = std::str::from_utf8(bytes)
         .map_err(|_| SnapshotError::malformed(format!("{bytes_kind} holds invalid UTF-8")))?;
-    if offsets
+    if words
         .iter()
         .any(|&off| !text.is_char_boundary(off as usize))
     {
@@ -372,7 +378,7 @@ fn mapped_string_table(
         )));
     }
     Ok(NodeLabels::Mapped {
-        offsets: offsets_slice,
+        offsets,
         bytes: bytes_slice,
     })
 }

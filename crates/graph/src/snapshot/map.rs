@@ -46,19 +46,20 @@ impl MappedSlice {
 
     /// The bytes as a `u32` array (zero-copy).
     pub fn as_u32s(&self) -> Result<&[u32], SnapshotError> {
-        cast_words(self.bytes(), "u32")
+        cast_words(self.bytes())
     }
 
     /// The bytes as a `u64` array (zero-copy).
     pub fn as_u64s(&self) -> Result<&[u64], SnapshotError> {
-        cast_words(self.bytes(), "u64")
+        cast_words(self.bytes())
     }
 
     /// The bytes as a [`NodeId`] array (zero-copy; `NodeId` is
     /// `repr(transparent)` over `u32`).
     pub fn as_node_ids(&self) -> Result<&[NodeId], SnapshotError> {
         let words = self.as_u32s()?;
-        // Safety: NodeId is repr(transparent) over u32.
+        // SAFETY: `NodeId` is `repr(transparent)` over `u32`, so a valid
+        // `&[u32]` is a valid `&[NodeId]` of the same length and lifetime.
         Ok(unsafe { std::slice::from_raw_parts(words.as_ptr() as *const NodeId, words.len()) })
     }
 }
@@ -72,21 +73,31 @@ impl std::fmt::Debug for MappedSlice {
     }
 }
 
-/// Generic aligned word cast with typed failure.
-fn cast_words<'a, T>(bytes: &'a [u8], what: &str) -> Result<&'a [T], SnapshotError> {
+/// A word type whose every bit pattern is a value, so aligned bytes of a
+/// whole number of words can be read as it in place.
+trait Word: Copy {}
+impl Word for u32 {}
+impl Word for u64 {}
+
+/// Aligned word cast with typed failure.
+fn cast_words<T: Word>(bytes: &[u8]) -> Result<&[T], SnapshotError> {
     let size = std::mem::size_of::<T>();
     if !bytes.len().is_multiple_of(size) {
         return Err(SnapshotError::malformed(format!(
-            "section of {} bytes is not a whole number of {what} words",
-            bytes.len()
+            "section of {} bytes is not a whole number of {} words",
+            bytes.len(),
+            std::any::type_name::<T>()
         )));
     }
     if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>()) {
         return Err(SnapshotError::malformed(format!(
-            "section is not aligned for {what} access"
+            "section is not aligned for {} access",
+            std::any::type_name::<T>()
         )));
     }
-    // Safety: alignment and length verified; u32/u64 accept all bit patterns.
+    // SAFETY: the pointer is aligned for `T` and `bytes.len() / size` words
+    // span exactly `bytes`, both checked above; `T: Word` accepts every bit
+    // pattern; the result borrows `bytes`, so it cannot outlive them.
     Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, bytes.len() / size) })
 }
 
@@ -109,6 +120,9 @@ pub(crate) fn pair_layout_is_label_first() -> bool {
         (LabelId(0x0102_0304), NodeId(0x0506_0708)),
         (LabelId(0x090A_0B0C), NodeId(0x0D0E_0F10)),
     ];
+    // SAFETY: `probe` is 16 initialised bytes (size checked above, no
+    // padding between two `u32` fields), any byte is a valid `u8`, and the
+    // view does not outlive `probe`.
     let bytes = unsafe { std::slice::from_raw_parts(probe.as_ptr() as *const u8, 16) };
     let mut expected = Vec::with_capacity(16);
     for word in [0x0102_0304u32, 0x0506_0708, 0x090A_0B0C, 0x0D0E_0F10] {
@@ -129,9 +143,20 @@ mod tests {
     }
 
     #[test]
-    fn cast_words_rejects_ragged_lengths() {
-        let bytes = [0u8; 10];
-        assert!(cast_words::<u32>(&bytes[..8], "u32").is_ok());
-        assert!(cast_words::<u32>(&bytes, "u32").is_err());
+    fn cast_words_rejects_ragged_lengths_and_misaligned_starts() {
+        #[repr(C, align(8))]
+        struct Aligned([u8; 24]);
+        let buf = Aligned([0; 24]);
+        let bytes = &buf.0;
+        assert_eq!(cast_words::<u32>(&bytes[..8]).unwrap(), &[0, 0]);
+        assert_eq!(cast_words::<u64>(&bytes[..16]).unwrap(), &[0, 0]);
+        let malformed =
+            |r: Result<&[u32], SnapshotError>| matches!(r, Err(SnapshotError::Malformed { .. }));
+        assert!(malformed(cast_words(&bytes[..10])));
+        assert!(malformed(cast_words(&bytes[1..9])));
+        assert!(matches!(
+            cast_words::<u64>(&bytes[4..12]),
+            Err(SnapshotError::Malformed { .. })
+        ));
     }
 }

@@ -31,8 +31,8 @@ pub mod map;
 
 pub use error::SnapshotError;
 pub use format::{
-    checksum, dir_syncs, push_u32, push_u64, u32_payload, u64_payload, SectionEntry, SectionId,
-    SectionKind, SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC,
+    checksum, dir_syncs, u32_payload, u64_payload, SectionEntry, SectionId, SectionKind,
+    SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC,
 };
 pub use image::{read_graph, write_graph_sections, write_graph_sections_without_stats};
 pub use map::MappedSlice;

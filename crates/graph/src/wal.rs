@@ -20,8 +20,8 @@
 //! str    := len:u32 bytes{len}
 //! ```
 //!
-//! All integers are little-endian. The checksum is the same word-wise
-//! FNV-1a-64 used by the snapshot container ([`crate::snapshot::checksum`]).
+//! All integers are little-endian, written and read through [`crate::bytes`].
+//! The checksum is the word-wise FNV-1a-64 of [`crate::snapshot::checksum`].
 //! Sequence numbers are contiguous within one log and survive rotation, so a
 //! replayer can detect a spliced or reordered log.
 
@@ -31,6 +31,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use crate::bytes::{DecodeError, Reader, Writer};
 use crate::overlay::GraphDelta;
 use crate::snapshot::checksum;
 
@@ -246,22 +247,21 @@ impl Wal {
             bytes.clear();
         }
         if bytes.is_empty() {
-            file.write_all(WAL_MAGIC)?;
-            file.write_all(&WAL_VERSION.to_le_bytes())?;
+            bytes = header();
+            file.write_all(&bytes)?;
             file.sync_all()?;
             sync_dir(&config.dir)?;
-            bytes.extend_from_slice(WAL_MAGIC);
-            bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
         }
-        if bytes.len() < WAL_HEADER_LEN as usize || &bytes[..8] != WAL_MAGIC {
+        let mut r = Reader::new(&bytes);
+        if r.take_array() != Ok(*WAL_MAGIC) {
             return Err(WalError::BadMagic);
         }
-        let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+        let version = r.take_u32().map_err(|_| WalError::BadMagic)?;
         if version != WAL_VERSION {
             return Err(WalError::UnsupportedVersion(version));
         }
 
-        let (records, valid_len) = replay(&bytes);
+        let (records, valid_len) = replay(r);
         let truncated = bytes.len() as u64 - valid_len;
         if truncated > 0 {
             file.set_len(valid_len)?;
@@ -415,131 +415,94 @@ pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-fn push_str(buf: &mut Vec<u8>, text: &str) {
-    buf.extend_from_slice(&(text.len() as u32).to_le_bytes());
-    buf.extend_from_slice(text.as_bytes());
-}
-
 fn encode_record(
     seq: u64,
     epoch: u64,
     adds: &[(String, String, String)],
     removes: &[(String, String, String)],
 ) -> Vec<u8> {
-    let mut body = Vec::with_capacity(MIN_BODY_LEN + 24 * (adds.len() + removes.len()));
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&epoch.to_le_bytes());
-    body.extend_from_slice(&(adds.len() as u32).to_le_bytes());
-    body.extend_from_slice(&(removes.len() as u32).to_le_bytes());
-    for (tail, label, head) in adds.iter().chain(removes.iter()) {
-        push_str(&mut body, tail);
-        push_str(&mut body, label);
-        push_str(&mut body, head);
+    let triples = || adds.iter().chain(removes);
+    let body_len = MIN_BODY_LEN
+        + triples()
+            .map(|(tail, label, head)| 12 + tail.len() + label.len() + head.len())
+            .sum::<usize>();
+    let mut w = Writer::with_capacity(4 + body_len + 8);
+    w.put_u32(body_len as u32);
+    w.put_u64(seq);
+    w.put_u64(epoch);
+    w.put_u32(adds.len() as u32);
+    w.put_u32(removes.len() as u32);
+    for (tail, label, head) in triples() {
+        w.put_str(tail);
+        w.put_str(label);
+        w.put_str(head);
     }
-    let mut record = Vec::with_capacity(4 + body.len() + 8);
-    record.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    record.extend_from_slice(&body);
-    record.extend_from_slice(&checksum(&body).to_le_bytes());
-    record
+    let sum = checksum(&w.bytes()[4..]);
+    w.put_u64(sum);
+    w.into_inner()
+}
+
+/// The file header: magic, then version.
+fn header() -> Vec<u8> {
+    let mut w = Writer::with_capacity(WAL_HEADER_LEN as usize);
+    w.put_bytes(WAL_MAGIC);
+    w.put_u32(WAL_VERSION);
+    w.into_inner()
 }
 
 /// Whether `bytes` is a non-empty strict prefix of the log header: what a
-/// process killed between the header's two writes leaves behind.
+/// process killed while writing the header leaves behind.
 fn is_torn_header(bytes: &[u8]) -> bool {
-    let version = WAL_VERSION.to_le_bytes();
-    let mut header = WAL_MAGIC.iter().chain(&version);
-    !bytes.is_empty()
-        && bytes.len() < WAL_HEADER_LEN as usize
-        && bytes.iter().all(|b| header.next() == Some(b))
+    !bytes.is_empty() && bytes.len() < WAL_HEADER_LEN as usize && header().starts_with(bytes)
 }
 
-/// Walk the byte image of a log and return every record in the longest valid
-/// prefix plus that prefix's length. Never panics: any bounds violation,
-/// checksum mismatch, sequence gap, or malformed body ends the prefix there.
-fn replay(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
-    let mut records = Vec::new();
-    let mut at = WAL_HEADER_LEN as usize;
-    let mut expect_seq: Option<u64> = None;
-    while at < bytes.len() {
-        let Some(len_bytes) = bytes.get(at..at + 4) else {
+/// Walk the records after the log header `r` has read and return every
+/// record in the longest valid prefix plus that prefix's length. Never
+/// panics: a decode error, checksum mismatch or sequence gap ends the prefix
+/// there.
+fn replay(mut r: Reader<'_>) -> (Vec<WalRecord>, u64) {
+    let mut records: Vec<WalRecord> = Vec::new();
+    let mut valid = r.position();
+    while r.remaining() > 0 {
+        let Ok(record) = take_record(&mut r) else {
             break;
         };
-        let body_len =
-            u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
-        if body_len < MIN_BODY_LEN {
+        if records
+            .last()
+            .is_some_and(|last| last.seq.checked_add(1) != Some(record.seq))
+        {
             break;
         }
-        let body_at = at + 4;
-        let sum_at = body_at + body_len;
-        let Some(body) = bytes.get(body_at..sum_at) else {
-            break;
-        };
-        let Some(sum_bytes) = bytes.get(sum_at..sum_at + 8) else {
-            break;
-        };
-        let mut sum = [0u8; 8];
-        sum.copy_from_slice(sum_bytes);
-        if checksum(body) != u64::from_le_bytes(sum) {
-            break;
-        }
-        let Some(record) = decode_body(body) else {
-            break;
-        };
-        if let Some(expected) = expect_seq {
-            if record.seq != expected {
-                break;
-            }
-        }
-        expect_seq = Some(record.seq + 1);
         records.push(record);
-        at = sum_at + 8;
+        valid = r.position();
     }
-    (records, at as u64)
+    (records, valid as u64)
 }
 
-fn take_u32(bytes: &[u8], at: &mut usize) -> Option<u32> {
-    let slice = bytes.get(*at..*at + 4)?;
-    *at += 4;
-    Some(u32::from_le_bytes([slice[0], slice[1], slice[2], slice[3]]))
-}
-
-fn take_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
-    let slice = bytes.get(*at..*at + 8)?;
-    *at += 8;
-    let mut word = [0u8; 8];
-    word.copy_from_slice(slice);
-    Some(u64::from_le_bytes(word))
-}
-
-fn take_str(bytes: &[u8], at: &mut usize) -> Option<String> {
-    let len = take_u32(bytes, at)? as usize;
-    let slice = bytes.get(*at..*at + len)?;
-    *at += len;
-    String::from_utf8(slice.to_vec()).ok()
-}
-
-fn decode_body(body: &[u8]) -> Option<WalRecord> {
-    let mut at = 0usize;
-    let seq = take_u64(body, &mut at)?;
-    let epoch = take_u64(body, &mut at)?;
-    let n_adds = take_u32(body, &mut at)? as usize;
-    let n_removes = take_u32(body, &mut at)? as usize;
-    let mut take_triples = |n: usize| -> Option<Vec<(String, String, String)>> {
-        let mut out = Vec::with_capacity(n.min(1024));
+/// One `body_len body checksum` record.
+fn take_record(r: &mut Reader<'_>) -> Result<WalRecord, DecodeError> {
+    let body_len = r.take_u32()? as usize;
+    let body = r.take_bytes(body_len)?;
+    if checksum(body) != r.take_u64()? {
+        return Err(DecodeError::Malformed("record checksum mismatch"));
+    }
+    let mut r = Reader::new(body);
+    let seq = r.take_u64()?;
+    let epoch = r.take_u64()?;
+    let n_adds = r.take_u32()? as usize;
+    let n_removes = r.take_u32()? as usize;
+    let mut take_triples = |n: usize| -> Result<Vec<(String, String, String)>, DecodeError> {
+        // A triple is at least its three 4-byte lengths.
+        let mut out = Vec::with_capacity(n.min(r.remaining() / 12));
         for _ in 0..n {
-            let tail = take_str(body, &mut at)?;
-            let label = take_str(body, &mut at)?;
-            let head = take_str(body, &mut at)?;
-            out.push((tail, label, head));
+            out.push((r.take_str()?, r.take_str()?, r.take_str()?));
         }
-        Some(out)
+        Ok(out)
     };
     let adds = take_triples(n_adds)?;
     let removes = take_triples(n_removes)?;
-    if at != body.len() {
-        return None;
-    }
-    Some(WalRecord {
+    r.expect_end()?;
+    Ok(WalRecord {
         seq,
         epoch,
         adds,

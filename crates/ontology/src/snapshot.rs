@@ -11,11 +11,13 @@
 //! for each hierarchy (classes first, properties second) its sorted member
 //! list, per-member parent and child lists, and the closure/ancestor
 //! offset+data arrays in the same member order, followed by the sorted
-//! domain and range pairs.
+//! domain and range pairs. It is decoded in one pass of an
+//! [`omega_graph::bytes::Reader`] over the section's bytes.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
+use omega_graph::bytes::Reader;
 use omega_graph::snapshot::{
     u32_payload, SectionId, SectionKind, SnapshotError, SnapshotReader, SnapshotWriter,
 };
@@ -67,18 +69,12 @@ pub fn write_ontology_section(
 /// carries its closure tables straight from the image.
 pub fn read_ontology_section(reader: &SnapshotReader) -> Result<Ontology, SnapshotError> {
     let section = reader.require(SectionId::plain(SectionKind::Ontology))?;
-    let words = section.as_u32s()?;
-    let mut cursor = Cursor { words, pos: 0 };
-    let classes: Hierarchy<NodeId> = decode_hierarchy(&mut cursor)?;
-    let properties: Hierarchy<LabelId> = decode_hierarchy(&mut cursor)?;
-    let domain = decode_pairs(&mut cursor)?;
-    let range = decode_pairs(&mut cursor)?;
-    if cursor.pos != words.len() {
-        return Err(SnapshotError::malformed(format!(
-            "ontology section has {} trailing words",
-            words.len() - cursor.pos
-        )));
-    }
+    let mut r = Reader::new(section.bytes());
+    let classes: Hierarchy<NodeId> = decode_hierarchy(&mut r)?;
+    let properties: Hierarchy<LabelId> = decode_hierarchy(&mut r)?;
+    let domain = decode_pairs(&mut r)?;
+    let range = decode_pairs(&mut r)?;
+    r.expect_end()?;
     Ok(Ontology::from_snapshot_parts(
         classes, properties, domain, range,
     ))
@@ -116,13 +112,9 @@ fn encode_hierarchy<T: Word>(hierarchy: &Hierarchy<T>, out: &mut Vec<u32>) {
     }
 }
 
-fn decode_hierarchy<T: Word>(cursor: &mut Cursor<'_>) -> Result<Hierarchy<T>, SnapshotError> {
-    let count = cursor.take(1)?[0] as usize;
-    let members: Vec<T> = cursor
-        .take(count)?
-        .iter()
-        .map(|&w| T::from_word(w))
-        .collect();
+fn decode_hierarchy<T: Word>(r: &mut Reader<'_>) -> Result<Hierarchy<T>, SnapshotError> {
+    let count = r.take_u32()? as usize;
+    let members: Vec<T> = r.take_u32s(count)?.map(T::from_word).collect();
     if members.windows(2).any(|w| w[0] >= w[1]) {
         return Err(SnapshotError::malformed(
             "hierarchy member list is not sorted and unique",
@@ -132,8 +124,8 @@ fn decode_hierarchy<T: Word>(cursor: &mut Cursor<'_>) -> Result<Hierarchy<T>, Sn
     let mut read_lists = |what: &str| -> Result<HashMap<T, Vec<T>>, SnapshotError> {
         let mut map = HashMap::new();
         for &m in &members {
-            let len = cursor.take(1)?[0] as usize;
-            let list: Vec<T> = cursor.take(len)?.iter().map(|&w| T::from_word(w)).collect();
+            let len = r.take_u32()? as usize;
+            let list: Vec<T> = r.take_u32s(len)?.map(T::from_word).collect();
             if let Some(stranger) = list.iter().find(|x| !member_set.contains(x)) {
                 return Err(SnapshotError::malformed(format!(
                     "{what} list of {m:?} references unknown member {stranger:?}"
@@ -148,19 +140,14 @@ fn decode_hierarchy<T: Word>(cursor: &mut Cursor<'_>) -> Result<Hierarchy<T>, Sn
     let parents = read_lists("parent")?;
     let children = read_lists("child")?;
 
-    let closure_offsets = cursor.take(count + 1)?.to_vec();
+    let closure_offsets: Vec<u32> = r.take_u32s(count + 1)?.collect();
     let closure_len = validate_offsets(&closure_offsets, "closure")?;
-    let closure_data: Vec<T> = cursor
-        .take(closure_len)?
-        .iter()
-        .map(|&w| T::from_word(w))
-        .collect();
-    let ancestor_offsets = cursor.take(count + 1)?.to_vec();
+    let closure_data: Vec<T> = r.take_u32s(closure_len)?.map(T::from_word).collect();
+    let ancestor_offsets: Vec<u32> = r.take_u32s(count + 1)?.collect();
     let ancestor_len = validate_offsets(&ancestor_offsets, "ancestor")?;
-    let ancestor_data: Vec<(T, u32)> = cursor
-        .take(ancestor_len * 2)?
-        .chunks_exact(2)
-        .map(|p| (T::from_word(p[0]), p[1]))
+    let ancestor_data: Vec<(T, u32)> = r
+        .take_u32_pairs(ancestor_len)?
+        .map(|(a, dist)| (T::from_word(a), dist))
         .collect();
 
     let mut rows = omega_graph::FxHashMap::default();
@@ -191,12 +178,10 @@ fn encode_pairs<A: Word, B: Word>(pairs: impl Iterator<Item = (A, B)>, out: &mut
     }
 }
 
-fn decode_pairs<A: Word, B: Word>(cursor: &mut Cursor<'_>) -> Result<HashMap<A, B>, SnapshotError> {
-    let count = cursor.take(1)?[0] as usize;
-    Ok(cursor
-        .take(count * 2)?
-        .chunks_exact(2)
-        .map(|p| (A::from_word(p[0]), B::from_word(p[1])))
+fn decode_pairs<A: Word, B: Word>(r: &mut Reader<'_>) -> Result<HashMap<A, B>, SnapshotError> {
+    let count = r.take_u32()? as usize;
+    Ok(r.take_u32_pairs(count)?
+        .map(|(a, b)| (A::from_word(a), B::from_word(b)))
         .collect())
 }
 
@@ -209,31 +194,6 @@ fn validate_offsets(offsets: &[u32], what: &str) -> Result<usize, SnapshotError>
         )));
     }
     Ok(*offsets.last().unwrap_or(&0) as usize)
-}
-
-/// Bounds-checked forward reader over the section words.
-struct Cursor<'a> {
-    words: &'a [u32],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, count: usize) -> Result<&'a [u32], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(count)
-            .filter(|&e| e <= self.words.len());
-        match end {
-            Some(end) => {
-                let slice = &self.words[self.pos..end];
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(SnapshotError::malformed(
-                "ontology section ends mid-structure",
-            )),
-        }
-    }
 }
 
 #[cfg(test)]

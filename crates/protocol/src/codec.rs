@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use omega_core::bytes::{Reader, Writer};
 use omega_core::{
     Answer, AnswerBatch, EvalStats, ExecOptions, OmegaError, OverloadPolicy, QueryProfile,
     TruncationReason, UNBOUND,
@@ -15,7 +16,6 @@ use omega_core::{
 use omega_regex::RegexParseError;
 
 use crate::error::{ProtocolError, WireError};
-use crate::wire::{Reader, Writer};
 
 // ---------------------------------------------------------------------------
 // Answers

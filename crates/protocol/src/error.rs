@@ -14,6 +14,7 @@
 use std::fmt;
 use std::time::Duration;
 
+use omega_core::bytes::DecodeError;
 use omega_core::OmegaError;
 
 /// Corruption of the byte stream: the frame layer could not produce a
@@ -80,6 +81,15 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+impl From<DecodeError> for ProtocolError {
+    fn from(err: DecodeError) -> Self {
+        match err {
+            DecodeError::Truncated => ProtocolError::Truncated,
+            DecodeError::Malformed(what) => ProtocolError::Malformed(what),
+        }
+    }
+}
 
 impl From<std::io::Error> for ProtocolError {
     fn from(err: std::io::Error) -> Self {

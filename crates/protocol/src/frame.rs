@@ -26,6 +26,7 @@
 
 use std::io::{ErrorKind, Read, Result as IoResult, Write};
 
+use omega_core::bytes::{Reader, Writer};
 use omega_core::{Answer, EvalStats, ExecOptions, FxHashMap, NodeId, QueryProfile};
 
 use crate::codec::{
@@ -34,7 +35,6 @@ use crate::codec::{
 };
 use crate::error::{ProtocolError, WireError};
 use crate::transport::Transport;
-use crate::wire::{Reader, Writer};
 use crate::{MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION};
 
 /// How the client names the statement an `Execute` frame runs.
@@ -336,8 +336,7 @@ impl Frame {
         let tag = r.take_u8()?;
         let frame = match tag {
             TAG_HELLO => {
-                let mut found = [0u8; 8];
-                found.copy_from_slice(r.take_bytes(8)?);
+                let found = r.take_array()?;
                 if found != MAGIC {
                     return Err(ProtocolError::BadMagic { found });
                 }

@@ -53,12 +53,26 @@
 //! The codec has no dependency on sockets: [`Frame::encode`] /
 //! [`Frame::decode`] work on byte slices, [`write_frame`] /
 //! [`FrameReader`] adapt any `Write` / `Read` transport.
+//!
+//! ## Modules
+//!
+//! * [`frame`] — the frame enum, its tags, length-prefixed framing and the
+//!   buffered [`FrameReader`].
+//! * [`codec`] — engine values (answers, statistics, options, errors) ⇄
+//!   frame bodies.
+//! * [`error`] — [`ProtocolError`] and [`WireError`].
+//! * [`transport`] — unix-socket and TCP streams behind one [`Transport`].
+//!
+//! Every field goes through [`omega_core::bytes`], the one bounds-checked
+//! little-endian `Reader` / `Writer` the WAL, the snapshot container and
+//! the ontology section are encoded with too: the same integer, string,
+//! boolean and option shapes on every surface. A decode error becomes a
+//! [`ProtocolError`] (`Truncated` or `Malformed`).
 
 pub mod codec;
 pub mod error;
 pub mod frame;
 pub mod transport;
-pub mod wire;
 
 pub use error::{ProtocolError, WireError};
 pub use frame::{write_frame, FinishReason, Frame, FrameReader, Poll, RowFrame, StatementRef};

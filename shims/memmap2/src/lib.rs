@@ -49,9 +49,11 @@ enum Backing {
     Owned { words: Vec<u64>, len: usize },
 }
 
-// The mapping is immutable and private: no aliasing hazards beyond those of
-// any shared `&[u8]`, so the handle can cross and be shared between threads.
+// SAFETY: the mapping is read-only and private, and nothing writes through
+// its pointer: no aliasing hazards beyond those of any shared `&[u8]`, so
+// the handle can cross threads (unmapping on drop needs no particular one).
 unsafe impl Send for Backing {}
+// SAFETY: as for `Send`: every access through a shared handle is a read.
 unsafe impl Sync for Backing {}
 
 /// A read-only memory map of a file (or an owned aligned copy when mapping
@@ -74,8 +76,12 @@ impl Mmap {
     /// The mapped bytes.
     pub fn as_slice(&self) -> &[u8] {
         match &self.backing {
+            // SAFETY: `mmap` returned `ptr` for `len` readable bytes, and the
+            // region stays mapped until `self` is dropped.
             #[cfg(unix)]
             Backing::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            // SAFETY: `words` owns `len.div_ceil(8)` initialised words, so
+            // its first `len` bytes are in bounds and initialised.
             Backing::Owned { words, len } => unsafe {
                 std::slice::from_raw_parts(words.as_ptr() as *const u8, *len)
             },
@@ -97,6 +103,8 @@ impl Drop for Mmap {
         if let Backing::Mapped { ptr, len } = self.backing {
             // Failure here is unrecoverable and harmless (the region just
             // stays mapped until process exit), so the result is ignored.
+            // SAFETY: `ptr`/`len` are the region `mmap` returned, unmapped
+            // once, here; no slice of it outlives `self`.
             unsafe { sys::munmap(ptr, len) };
         }
     }
@@ -177,6 +185,9 @@ impl MmapOptions {
 /// Reads the whole file into an 8-byte-aligned buffer (the fallback path).
 fn read_aligned(mut file: &File, len: usize) -> io::Result<Mmap> {
     let mut words = vec![0u64; len.div_ceil(8)];
+    // SAFETY: the view covers exactly the initialised words of `words`, any
+    // byte pattern is a valid `u64`, and `words` is not touched while the
+    // view is alive.
     let bytes =
         unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, words.len() * 8) };
     let mut read = 0;
@@ -221,6 +232,7 @@ mod tests {
     fn maps_file_contents() {
         let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
         let (path, file) = temp_file(&data);
+        // SAFETY: the test owns the file and does not change it while mapped.
         let map = unsafe { Mmap::map(&file) }.unwrap();
         assert_eq!(&*map, &data[..]);
         // Page alignment (or the 8-byte fallback guarantee) for typed casts.
@@ -232,6 +244,7 @@ mod tests {
     #[test]
     fn empty_file_maps_empty() {
         let (path, file) = temp_file(&[]);
+        // SAFETY: the test owns the file and does not change it while mapped.
         let map = unsafe { MmapOptions::new().map(&file) }.unwrap();
         assert!(map.is_empty());
         std::fs::remove_file(path).ok();

@@ -12,7 +12,7 @@ use std::hash::{Hash, Hasher};
 use omega::core::{Answer, Bindings, Database, ExecOptions, UNBOUND};
 use omega::graph::GraphStore;
 use omega::ontology::Ontology;
-use omega_protocol::wire::Writer;
+use omega_core::bytes::Writer;
 use omega_protocol::Frame;
 use proptest::prelude::*;
 
